@@ -330,10 +330,12 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
             factor = lex_last_divisor(table.roots[0], current)
         else:
             factor = lex_last_divisor(table.roots[-1], current)
-        assert factor is not None, "a factorable multidegree admits a block divisor"
+        if factor is None:
+            raise RuntimeError("a factorable multidegree admits a block divisor")
         picked.append(table.index_of[factor])
         current = quotient(current, factor)
-        assert solver.can_factor(current), "peeling a sink factor keeps the rest factorable"
+        if not solver.can_factor(current):
+            raise RuntimeError("peeling a sink factor keeps the rest factorable")
     return tuple(sorted(picked))
 
 

@@ -12,7 +12,6 @@ fiber sink order on Y-parts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,9 +20,8 @@ from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
 from borelfiber.monomials import Monomial, format_monomial, multiply, unit
 from borelfiber.toric import (
     GroebnerReport,
-    SPairFailure,
+    _check_overlaps,
     _contains,
-    _lcm,
     _replace,
     quadric_generators,
 )
@@ -90,15 +88,6 @@ def linear_syzygies(table: GeneratorTable) -> list[ReesBinomial]:
 class ReesBasis:
     table: GeneratorTable
     elements: tuple[ReesBinomial, ...]
-
-    @cached_property
-    def _ybuckets(self) -> dict[int, tuple[int, ...]]:
-        """Element positions by every Y generator in the lead (overlap tests)."""
-        buckets: dict[int, list[int]] = {}
-        for pos, el in enumerate(self.elements):
-            for g in set(el.lead.ypart):
-                buckets.setdefault(g, []).append(pos)
-        return {g: tuple(ps) for g, ps in buckets.items()}
 
     @cached_property
     def _min_ybuckets(self) -> dict[int, tuple[int, ...]]:
@@ -192,18 +181,33 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     return ReesBasis(table, tuple(elements))
 
 
-def _rees_lcm(a: ReesMonomial, b: ReesMonomial) -> ReesMonomial:
-    return ReesMonomial(
-        tuple(max(p, q) for p, q in zip(a.xpart, b.xpart)), _lcm(a.ypart, b.ypart)
-    )
+def _codes(m: ReesMonomial) -> tuple[int, ...]:
+    """The monomial as an ascending tuple of variable codes.
+
+    Variable ``v`` of ``n`` codes as ``v - n`` (negative) and generator ``g``
+    as ``g``, so one tuple holds both parts.
+    """
+    n = len(m.xpart)
+    xs = [v - n for v, e in enumerate(m.xpart) for _ in range(e)]
+    return tuple(xs) + m.ypart
 
 
-def _spair_sides(lcm: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
-    return _apply(lcm, el)
+def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
+    xpart = [0] * n
+    for c in codes:
+        if c < 0:
+            xpart[c + n] += 1
+    return ReesMonomial(tuple(xpart), tuple(c for c in codes if c >= 0))
 
 
-def rees_buchberger_verify(basis: ReesBasis, strict: bool = False) -> GroebnerReport:
-    """S-pair check over mixed monomials; PASS when every pair reduces to zero."""
+def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
+    """Overlap check over mixed monomials; PASS exactly when it is Groebner.
+
+    Every critical monomial of joint degree two or three is checked (see
+    ``toric._check_overlaps``); ``pairs_checked`` counts those monomials.
+    Raises ``ValueError`` on an inconsistent marking or a lead whose joint
+    degree is not two.
+    """
     table = basis.table
     for el in basis.elements:
         if rees_key(table, el.lead) <= rees_key(table, el.trail):
@@ -211,32 +215,20 @@ def rees_buchberger_verify(basis: ReesBasis, strict: bool = False) -> GroebnerRe
                 f"inconsistent marking: lead {el.lead} is not larger than trail {el.trail}"
             )
     elements = basis.elements
-    if strict:
-        pairs = set(itertools.combinations(range(len(elements)), 2))
-    else:
-        pairs = set()
-        for positions in basis._ybuckets.values():
-            pairs.update(itertools.combinations(positions, 2))
-        xbuckets: dict[int, list[int]] = {}
-        for pos, el in enumerate(elements):
-            for v, e in enumerate(el.lead.xpart):
-                if e > 0:
-                    xbuckets.setdefault(v, []).append(pos)
-        for positions in xbuckets.values():
-            pairs.update(itertools.combinations(positions, 2))
-    failures = []
-    for p, q in sorted(pairs):
-        f, g = elements[p], elements[q]
-        lcm = _rees_lcm(f.lead, g.lead)
-        a = _spair_sides(lcm, f)
-        b = _spair_sides(lcm, g)
-        if a == b:
-            continue
-        if rees_normal_form(a, basis) != rees_normal_form(b, basis):
-            failures.append(SPairFailure(p, q, rees_image(table, lcm)))
+    n = table.context.n
+    coded = [(_codes(el.lead), _codes(el.trail)) for el in elements]
+    leads: dict[tuple[int, ...], list[int]] = {}
+    for pos, (lead, _) in enumerate(coded):
+        leads.setdefault(lead, []).append(pos)
+    checked, failures = _check_overlaps(
+        leads,
+        lambda pos, m: _replace(m, *coded[pos]),
+        lambda z: rees_normal_form(_from_codes(z, n), basis),
+        lambda m: rees_image(table, _from_codes(m, n)),
+    )
     return GroebnerReport(
         ok=not failures,
-        pairs_checked=len(pairs),
+        pairs_checked=checked,
         failures=tuple(failures),
         context_names=table.context.names,
     )

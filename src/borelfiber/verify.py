@@ -86,7 +86,8 @@ def _init_worker(table: GeneratorTable) -> None:
 
 
 def _check_one(mu: Monomial) -> tuple[Monomial, list[str]]:
-    assert _WORKER_TABLE is not None
+    if _WORKER_TABLE is None:
+        raise RuntimeError("_check_one runs only in a worker started by _init_worker")
     return mu, check_unique_sink(_WORKER_TABLE, mu)
 
 

@@ -7,8 +7,10 @@ paths they check.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
+from borelfiber.fiber import point_product
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -16,6 +18,8 @@ from borelfiber.monomials import (
     divides,
     parse_monomial,
 )
+from borelfiber.rees import ReesMonomial, _apply, rees_image, rees_normal_form
+from borelfiber.toric import GroebnerReport, SPairFailure, _lcm, _replace, normal_form
 
 ABC = VariableContext.default(3)
 
@@ -68,3 +72,76 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
 
     rec(mu, 0, ())
     return out
+
+
+def _report(failures: list[SPairFailure], pairs: set, table) -> GroebnerReport:
+    return GroebnerReport(
+        ok=not failures,
+        pairs_checked=len(pairs),
+        failures=tuple(failures),
+        context_names=table.context.names,
+    )
+
+
+def pairwise_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
+    """Slow toric oracle: reduce both sides of every S-pair.
+
+    By default only pairs whose leads share a generator are reduced (disjoint
+    leads pass by the product criterion); ``all_pairs`` reduces those too.
+    """
+    table = basis.table
+    elements = basis.elements
+    if all_pairs:
+        pairs = set(itertools.combinations(range(len(elements)), 2))
+    else:
+        buckets: dict[int, list[int]] = {}
+        for pos, el in enumerate(elements):
+            for g in set(el.lead):
+                buckets.setdefault(g, []).append(pos)
+        pairs = set()
+        for positions in buckets.values():
+            pairs.update(itertools.combinations(positions, 2))
+    failures = []
+    for p, q in sorted(pairs):
+        f, g = elements[p], elements[q]
+        lcm = _lcm(f.lead, g.lead)
+        a = _replace(lcm, f.lead, f.trail)
+        b = _replace(lcm, g.lead, g.trail)
+        if a != b and normal_form(a, basis) != normal_form(b, basis):
+            failures.append(SPairFailure(p, q, point_product(table, lcm)))
+    return _report(failures, pairs, table)
+
+
+def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
+    """Slow Rees oracle: reduce both sides of every S-pair of mixed monomials.
+
+    By default only pairs whose leads share an x or a Y variable are reduced;
+    ``all_pairs`` reduces every pair.
+    """
+    table = basis.table
+    elements = basis.elements
+    if all_pairs:
+        pairs = set(itertools.combinations(range(len(elements)), 2))
+    else:
+        buckets: dict[tuple[str, int], list[int]] = {}
+        for pos, el in enumerate(elements):
+            for g in set(el.lead.ypart):
+                buckets.setdefault(("y", g), []).append(pos)
+            for v, e in enumerate(el.lead.xpart):
+                if e > 0:
+                    buckets.setdefault(("x", v), []).append(pos)
+        pairs = set()
+        for positions in buckets.values():
+            pairs.update(itertools.combinations(positions, 2))
+    failures = []
+    for p, q in sorted(pairs):
+        f, g = elements[p], elements[q]
+        lcm = ReesMonomial(
+            tuple(max(a, b) for a, b in zip(f.lead.xpart, g.lead.xpart)),
+            _lcm(f.lead.ypart, g.lead.ypart),
+        )
+        a = _apply(lcm, f)
+        b = _apply(lcm, g)
+        if a != b and rees_normal_form(a, basis) != rees_normal_form(b, basis):
+            failures.append(SPairFailure(p, q, rees_image(table, lcm)))
+    return _report(failures, pairs, table)

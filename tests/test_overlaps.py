@@ -1,0 +1,175 @@
+"""The overlap check of the toric and Rees bases against the pairwise oracle.
+
+``buchberger_verify`` and ``rees_buchberger_verify`` check critical monomials
+(diamond lemma); the oracles in ``helpers`` reduce both sides of every S-pair
+with overlapping leads.  Both must give the same verdict on passing bases and
+on the drop-one mutants of the figure ideal's bases, which are the negative
+controls.
+"""
+
+from collections import Counter
+
+import pytest
+
+from borelfiber.borel import build_table, build_two_borel
+from borelfiber.fiber import enumerate_fiber, fiber_sink_key, point_product
+from borelfiber.instances import suite_tables
+from borelfiber.monomials import unit
+from borelfiber.rees import (
+    ReesBasis,
+    ReesBinomial,
+    ReesMonomial,
+    rees_buchberger_verify,
+    rees_gb,
+    rees_image,
+    rees_normal_form,
+)
+from borelfiber.toric import (
+    MarkedBasis,
+    MarkedBinomial,
+    buchberger_verify,
+    normal_form,
+    quadric_generators,
+)
+
+from helpers import mono, monos, pairwise_buchberger, pairwise_rees_buchberger
+
+
+@pytest.fixture(scope="module")
+def fig_table():
+    return build_two_borel(mono("a^2c^3"), mono("b^4c"))
+
+
+@pytest.fixture(scope="module")
+def cross_check_tables(fig_table):
+    three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
+    return [fig_table, three_borel] + suite_tables(cap=200)[::10]
+
+
+def _contains(big: tuple[int, ...], part: tuple[int, ...]) -> bool:
+    return not Counter(part) - Counter(big)
+
+
+def _swap(point: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((Counter(point) - Counter(old) + Counter(new)).elements()))
+
+
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((Counter(a) | Counter(b)).elements()))
+
+
+def _toric_witnesses(basis, failure):
+    """Points of the failure's multidegree where its two reducers disagree."""
+    f, g = basis.elements[failure.first], basis.elements[failure.second]
+    return [
+        z
+        for z in enumerate_fiber(basis.table, failure.multidegree)
+        if len(z) <= 3
+        and _contains(z, f.lead)
+        and _contains(z, g.lead)
+        and normal_form(_swap(z, f.lead, f.trail), basis)
+        != normal_form(_swap(z, g.lead, g.trail), basis)
+    ]
+
+
+def _rees_apply(m: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
+    xpart = tuple(a - b + c for a, b, c in zip(m.xpart, el.lead.xpart, el.trail.xpart))
+    return ReesMonomial(xpart, _swap(m.ypart, el.lead.ypart, el.trail.ypart))
+
+
+def _rees_witnesses(basis, failure):
+    """Multiples of the two reducers' lcm by at most one variable, of the
+    failure's multidegree, where the two reducers disagree."""
+    table = basis.table
+    n = table.context.n
+    f, g = basis.elements[failure.first], basis.elements[failure.second]
+    lcm = ReesMonomial(
+        tuple(max(a, b) for a, b in zip(f.lead.xpart, g.lead.xpart)),
+        _lcm(f.lead.ypart, g.lead.ypart),
+    )
+    candidates = [lcm]
+    for v in range(n):
+        xpart = tuple(e + (i == v) for i, e in enumerate(lcm.xpart))
+        candidates.append(ReesMonomial(xpart, lcm.ypart))
+    for gen in range(len(table.generators)):
+        candidates.append(ReesMonomial(lcm.xpart, tuple(sorted(lcm.ypart + (gen,)))))
+    return [
+        m
+        for m in candidates
+        if sum(m.xpart) + len(m.ypart) <= 3
+        and rees_image(table, m) == failure.multidegree
+        and rees_normal_form(_rees_apply(m, f), basis)
+        != rees_normal_form(_rees_apply(m, g), basis)
+    ]
+
+
+class TestAgreementWithOracle:
+    def test_toric(self, cross_check_tables):
+        for table in cross_check_tables:
+            basis = quadric_generators(table)
+            report = buchberger_verify(basis)
+            assert report.ok
+            assert report.ok == pairwise_buchberger(basis).ok
+
+    def test_rees(self, cross_check_tables):
+        for table in cross_check_tables:
+            basis = rees_gb(table)
+            report = rees_buchberger_verify(basis)
+            assert report.ok
+            assert report.ok == pairwise_rees_buchberger(basis).ok
+
+
+class TestDropOneMutants:
+    def test_toric(self, fig_table):
+        elements = quadric_generators(fig_table).elements
+        assert len(elements) == 105
+        failing = 0
+        for i in range(len(elements)):
+            mutant = MarkedBasis(fig_table, elements[:i] + elements[i + 1 :])
+            report = buchberger_verify(mutant)
+            assert report.ok == pairwise_buchberger(mutant).ok, f"deletion {i}"
+            if not report.ok:
+                failing += 1
+                assert report.failures
+                assert report.to_json()["status"] == "FAIL"
+                for failure in report.failures:
+                    assert failure.first != failure.second
+                    assert _toric_witnesses(mutant, failure), f"deletion {i}: {failure}"
+        assert failing == 30
+
+    def test_rees(self, fig_table):
+        elements = rees_gb(fig_table).elements
+        assert len(elements) == 131
+        failing = 0
+        for i in range(len(elements)):
+            mutant = ReesBasis(fig_table, elements[:i] + elements[i + 1 :])
+            report = rees_buchberger_verify(mutant)
+            assert report.ok == pairwise_rees_buchberger(mutant).ok, f"deletion {i}"
+            if not report.ok:
+                failing += 1
+                assert report.failures
+                for failure in report.failures:
+                    assert failure.first != failure.second
+                    assert _rees_witnesses(mutant, failure), f"deletion {i}: {failure}"
+        assert failing == 46
+
+
+class TestQuadraticLeads:
+    @pytest.fixture(scope="class")
+    def cubic_pair(self, fig_table):
+        points = enumerate_fiber(fig_table, (3, 9, 3))
+        points = sorted(points, key=lambda z: fiber_sink_key(fig_table, z), reverse=True)
+        return points[0], points[-1]
+
+    def test_toric_rejects_a_cubic_lead(self, fig_table, cubic_pair):
+        lead, trail = cubic_pair
+        assert len(lead) == 3
+        assert point_product(fig_table, lead) == point_product(fig_table, trail)
+        with pytest.raises(ValueError, match="quadratic"):
+            buchberger_verify(MarkedBasis(fig_table, (MarkedBinomial(lead, trail),)))
+
+    def test_rees_rejects_a_cubic_lead(self, fig_table, cubic_pair):
+        lead, trail = cubic_pair
+        el = ReesBinomial(ReesMonomial(unit(3), lead), ReesMonomial(unit(3), trail))
+        with pytest.raises(ValueError, match="quadratic"):
+            rees_buchberger_verify(ReesBasis(fig_table, (el,)))

@@ -17,7 +17,7 @@ from borelfiber.rees import (
 )
 from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import mono
+from helpers import mono, pairwise_rees_buchberger
 
 CTX2 = VariableContext.default(2)
 
@@ -118,11 +118,11 @@ class TestReesVerify:
         report = rees_buchberger_verify(rees_gb(fig_table))
         assert report.ok
 
-    def test_strict_mode_agrees(self, square_table):
-        loose = rees_buchberger_verify(rees_gb(square_table))
-        strict = rees_buchberger_verify(rees_gb(square_table), strict=True)
-        assert loose.ok and strict.ok
-        assert strict.pairs_checked >= loose.pairs_checked
+    def test_agrees_with_all_pairs_oracle(self, square_table, fig_table):
+        for table in (square_table, fig_table):
+            oracle = pairwise_rees_buchberger(rees_gb(table), all_pairs=True)
+            assert oracle.ok
+            assert rees_buchberger_verify(rees_gb(table)).ok == oracle.ok
 
     def test_inconsistent_marking_rejected(self, square_table):
         el = rees_gb(square_table).elements[0]

@@ -22,7 +22,7 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
-from helpers import mono, monos
+from helpers import mono, monos, pairwise_buchberger
 
 CTX2 = VariableContext.default(2)
 
@@ -129,8 +129,12 @@ class TestBuchbergerVerify:
         assert report.pairs_checked > 0
         assert report.failures == ()
 
-    def test_fig_passes_strict(self, fig_quadrics):
-        assert buchberger_verify(fig_quadrics, strict=True).ok
+    def test_fig_agrees_with_all_pairs_oracle(self, fig_quadrics):
+        # Disjoint leads pass by the product criterion, so reducing every
+        # pair, overlapping or not, gives the overlap check's verdict.
+        oracle = pairwise_buchberger(fig_quadrics, all_pairs=True)
+        assert oracle.ok
+        assert buchberger_verify(fig_quadrics).ok == oracle.ok
 
     def test_empty_basis_passes(self, fig_table):
         report = buchberger_verify(MarkedBasis(fig_table, ()))
