@@ -29,7 +29,6 @@ from borelfiber.monomials import (
     divides,
     format_monomial,
     is_borel_below,
-    quotient,
     sigma,
 )
 
@@ -114,9 +113,6 @@ class GeneratorTable:
     @cached_property
     def gm_indices(self) -> frozenset[int]:
         return frozenset(i for i, t in enumerate(self.tags) if t == "G_M")
-
-    def is_gm(self, index: int) -> bool:
-        return self.tags[index] == "G_M"
 
     def to_json(self) -> dict:
         return {
@@ -220,11 +216,3 @@ def reduce_for_fiber(table: GeneratorTable, mu: Monomial) -> GeneratorTable:
         )
     return build_table(survivors, context=table.context, normalize=False)
 
-
-def table_divisors(table: GeneratorTable, mu: Monomial) -> list[int]:
-    """Indices of the generators dividing mu, in table order."""
-    return [i for i, g in enumerate(table.generators) if divides(g, mu)]
-
-
-def quotient_by_generator(table: GeneratorTable, mu: Monomial, index: int) -> Monomial:
-    return quotient(mu, table.generators[index])

@@ -8,6 +8,13 @@ with the matching reverse Borel move on another; each edge is directed
 toward the point that is later (smaller) in the fiber sink order, the
 graded reverse lex order on the table's variable order.
 
+Fibers come from two enumerations.  :func:`fibers` builds every point of
+t-degree up to a bound in one pass, level by level, and groups the points by
+product; sweeps and the quadric and completion seeds use it, because they
+need every fiber up to the bound anyway.  :func:`enumerate_fiber` factors a
+single multidegree by a pruned search; it serves one-mu callers, whose t can
+be far too large to list every product up to it.
+
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
 graph; :func:`build_fiber_graph` stays available as the explicit oracle.
@@ -45,28 +52,54 @@ def point_product(table: GeneratorTable, point: FiberPoint) -> Monomial:
     return tuple(out)
 
 
-def fiber_sink_key(table: GeneratorTable, point: FiberPoint) -> tuple:
+def fiber_sink_key(point: FiberPoint) -> tuple:
     """Sort key for the fiber sink order; larger key means earlier point.
 
-    Graded reverse lex: scanning variable positions from the last backward,
-    the first difference in multiplicity decides, and the point with the
-    smaller multiplicity there is the larger one.
+    Graded reverse lex: among points of one t-degree, scanning generator
+    indices from the last backward, the first difference in multiplicity
+    decides, and the point with the smaller multiplicity there is the larger
+    one.  On ascending index tuples that is the first difference between the
+    reversed tuples, where the smaller index wins.
     """
-    counts = [0] * len(table.generators)
-    for idx in point:
-        counts[idx] += 1
-    counts.reverse()
-    return (len(point), tuple(-c for c in counts))
+    return (len(point), tuple(-i for i in reversed(point)))
 
 
-def compare_fiber_points(table: GeneratorTable, z1: FiberPoint, z2: FiberPoint) -> int:
+def compare_fiber_points(z1: FiberPoint, z2: FiberPoint) -> int:
     """1 when z1 is earlier (larger) than z2, -1 when later, 0 when equal."""
-    k1, k2 = fiber_sink_key(table, z1), fiber_sink_key(table, z2)
+    k1, k2 = fiber_sink_key(z1), fiber_sink_key(z2)
     if k1 > k2:
         return 1
     if k1 < k2:
         return -1
     return 0
+
+
+def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoint]]:
+    """Every nonempty fiber of t-degree 1..max_tdeg, keyed by multidegree.
+
+    Builds the points one t-degree at a time: each point of level t - 1 is
+    extended by every generator index at least its last one, and its product
+    by one addition.  Multidegrees come in ascending (degree, mu) order, and
+    each fiber lists its points in descending sink order, as
+    :func:`build_fiber_graph` orders its vertices.
+    """
+    if max_tdeg < 1:
+        raise ValueError("the t-degree bound must be at least 1")
+    gens = table.generators
+    groups: dict[Monomial, list[FiberPoint]] = {}
+    level: list[tuple[FiberPoint, Monomial]] = [((), (0,) * table.context.n)]
+    for _ in range(max_tdeg):
+        extended = []
+        for point, product in level:
+            for idx in range(point[-1] if point else 0, len(gens)):
+                grown = point + (idx,)
+                grown_product = tuple(a + b for a, b in zip(product, gens[idx]))
+                extended.append((grown, grown_product))
+                groups.setdefault(grown_product, []).append(grown)
+        level = extended
+    for points in groups.values():
+        points.sort(key=fiber_sink_key, reverse=True)
+    return {mu: groups[mu] for mu in sorted(groups, key=lambda m: (degree(m), m))}
 
 
 class _FiberSolver:
@@ -216,15 +249,22 @@ class FiberGraph:
         return tuple(out)
 
 
-def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
+def build_fiber_graph(
+    table: GeneratorTable, mu: Monomial, points: Optional[list[FiberPoint]] = None
+) -> FiberGraph:
     """Enumerate the fiber of mu and orient its paired-move edges.
 
     Vertices are sorted by descending fiber sink order, so every directed
     edge runs from a smaller vertex index to a larger one and the graph is
-    acyclic by construction.
+    acyclic by construction.  A caller that already holds the whole fiber in
+    that order, as :func:`fibers` returns it, passes it as ``points`` and
+    skips the enumeration.
     """
-    vertices = enumerate_fiber(table, mu)
-    vertices.sort(key=lambda p: fiber_sink_key(table, p), reverse=True)
+    if points is None:
+        vertices = enumerate_fiber(table, mu)
+        vertices.sort(key=fiber_sink_key, reverse=True)
+    else:
+        vertices = points
     vindex = {v: i for i, v in enumerate(vertices)}
     transitions = _solver(table).pair_transitions if vertices else {}
     edges: set[tuple[int, int]] = set()

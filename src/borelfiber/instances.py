@@ -7,8 +7,8 @@ import random
 from functools import lru_cache
 
 from borelfiber.borel import GeneratorTable, build_two_borel
-from borelfiber.fiber import point_product
-from borelfiber.monomials import Monomial, degree, degree_monomials, sigma
+from borelfiber.fiber import fibers
+from borelfiber.monomials import Monomial, degree_monomials, sigma
 
 
 @lru_cache(maxsize=None)
@@ -59,11 +59,4 @@ def random_tables(count: int, seed: int) -> list[GeneratorTable]:
 
 def sweep_multidegrees(table: GeneratorTable, max_tdeg: int) -> list[Monomial]:
     """Distinct products of up to ``max_tdeg`` generators: every nonempty fiber."""
-    if max_tdeg < 1:
-        raise ValueError("the t-degree bound must be at least 1")
-    mus: set[Monomial] = set()
-    k = len(table.generators)
-    for t in range(1, max_tdeg + 1):
-        for combo in itertools.combinations_with_replacement(range(k), t):
-            mus.add(point_product(table, combo))
-    return sorted(mus, key=lambda m: (degree(m), m))
+    return list(fibers(table, max_tdeg))

@@ -41,7 +41,7 @@ class ReesBinomial:
 
 def rees_key(table: GeneratorTable, m: ReesMonomial) -> tuple:
     """Elimination-order sort key; larger key means larger monomial."""
-    return (m.xpart, fiber_sink_key(table, m.ypart))
+    return (m.xpart, fiber_sink_key(m.ypart))
 
 
 def rees_compare(table: GeneratorTable, m1: ReesMonomial, m2: ReesMonomial) -> int:

@@ -23,9 +23,10 @@ from borelfiber.fiber import (
     _solver,
     enumerate_fiber,
     fiber_sink_key,
+    fibers,
     point_product,
 )
-from borelfiber.monomials import Monomial, VariableContext, format_monomial, multiply
+from borelfiber.monomials import Monomial, VariableContext, format_monomial
 
 
 def _contains(point: FiberPoint, part: FiberPoint) -> bool:
@@ -131,17 +132,8 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     a multidegree.  With ``interreduce`` the basis is minimalized (duplicate
     leads dropped) and trails are fully reduced.
     """
-    gens = table.generators
-    groups: dict[Monomial, list[FiberPoint]] = {}
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            groups.setdefault(multiply(gens[i], gens[j]), []).append((i, j))
     elements: list[MarkedBinomial] = []
-    for mu in sorted(groups):
-        points = groups[mu]
-        if len(points) < 2:
-            continue
-        points.sort(key=lambda p: fiber_sink_key(table, p), reverse=True)
+    for points in fibers(table, 2).values():
         for a in range(len(points)):
             for b in range(a + 1, len(points)):
                 elements.append(MarkedBinomial(lead=points[a], trail=points[b]))
@@ -157,8 +149,8 @@ def _interreduce(basis: MarkedBasis) -> MarkedBasis:
         basis.elements,
         key=lambda el: (
             len(el.lead),
-            fiber_sink_key(table, el.lead),
-            fiber_sink_key(table, el.trail),
+            fiber_sink_key(el.lead),
+            fiber_sink_key(el.trail),
         ),
     )
     kept: list[MarkedBinomial] = []
@@ -210,7 +202,7 @@ class GroebnerReport:
 def _verify_marking(basis: MarkedBasis) -> None:
     table = basis.table
     for el in basis.elements:
-        if fiber_sink_key(table, el.lead) <= fiber_sink_key(table, el.trail):
+        if fiber_sink_key(el.lead) <= fiber_sink_key(el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
@@ -306,20 +298,11 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
-    solver = _solver(table)
     queue: deque[tuple[FiberPoint, FiberPoint]] = deque()
-    for t in range(2, degree_bound + 1):
-        groups: dict[Monomial, list[FiberPoint]] = {}
-        for combo in itertools.combinations_with_replacement(range(len(table.generators)), t):
-            groups.setdefault(point_product(table, combo), []).append(combo)
-        for mu in sorted(groups):
-            points = groups[mu]
-            if len(points) < 2:
-                continue
-            points.sort(key=lambda p: fiber_sink_key(table, p), reverse=True)
-            for a in range(len(points)):
-                for b in range(a + 1, len(points)):
-                    queue.append((points[a], points[b]))
+    for points in fibers(table, degree_bound).values():
+        for a in range(len(points)):
+            for b in range(a + 1, len(points)):
+                queue.append((points[a], points[b]))
     working: list[MarkedBinomial] = []
     basis = MarkedBasis(table, ())
     while queue:
@@ -328,7 +311,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
         b = normal_form(y, basis)
         if a == b:
             continue
-        if fiber_sink_key(table, a) < fiber_sink_key(table, b):
+        if fiber_sink_key(a) < fiber_sink_key(b):
             a, b = b, a
         new = MarkedBinomial(lead=a, trail=b)
         for other in working:

@@ -2,34 +2,41 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
+    FiberPoint,
     build_fiber_graph,
     fiber_sink_key,
+    fibers,
     find_sink_direct,
     sinks,
 )
-from borelfiber.instances import sweep_multidegrees
 from borelfiber.monomials import Monomial, format_monomial
 
 
-def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
+def check_unique_sink(
+    table: GeneratorTable, mu: Monomial, points: list[FiberPoint] | None = None
+) -> list[str]:
     """Violation descriptions for the fiber graph at mu; empty when all good.
 
     Checks the oriented edges decrease in the fiber sink order, the graph is
     connected, the sink is unique and equal to the order minimum, and the
-    direct sink algorithm returns the same point.
+    direct sink algorithm returns the same point.  ``points`` is the fiber in
+    descending sink order when the caller already has it (see
+    :func:`~borelfiber.fiber.fibers`); otherwise the fiber is enumerated.
     """
-    graph = build_fiber_graph(table, mu)
+    graph = build_fiber_graph(table, mu, points)
     if not graph.vertices:
         return []
     label = format_monomial(mu, table.context)
     violations = []
+    keys = [fiber_sink_key(v) for v in graph.vertices]
     for a, b in graph.edges:
-        if fiber_sink_key(table, graph.vertices[a]) <= fiber_sink_key(table, graph.vertices[b]):
+        if keys[a] <= keys[b]:
             violations.append(f"{label}: edge {a}->{b} does not decrease in the sink order")
     parent = list(range(len(graph.vertices)))
 
@@ -85,28 +92,28 @@ def _init_worker(table: GeneratorTable) -> None:
     _WORKER_TABLE = table
 
 
-def _check_one(mu: Monomial) -> tuple[Monomial, list[str]]:
+def _check_one(mu: Monomial, points: list[FiberPoint]) -> list[str]:
     if _WORKER_TABLE is None:
         raise RuntimeError("_check_one runs only in a worker started by _init_worker")
-    return mu, check_unique_sink(_WORKER_TABLE, mu)
+    return check_unique_sink(_WORKER_TABLE, mu, points)
 
 
 def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> SweepReport:
     """Check every nonempty fiber of t-degree up to the bound.
 
-    Results are merged in multidegree order, so the report is identical at
-    any parallelism width.
+    The fibers come from one grouped pass (:func:`~borelfiber.fiber.fibers`).
+    At most ``jobs`` worker processes check them, never more than the CPUs or
+    the multidegrees; results are merged in multidegree order, so the report
+    is identical at any parallelism width.
     """
-    mus = sweep_multidegrees(table, max_tdeg)
-    if jobs > 1 and len(mus) > 1:
+    groups = fibers(table, max_tdeg)
+    workers = min(jobs, os.cpu_count() or 1, len(groups))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(table,)
+            max_workers=workers, initializer=_init_worker, initargs=(table,)
         ) as pool:
-            results = list(pool.map(_check_one, mus, chunksize=64))
-        results.sort(key=lambda item: (sum(item[0]), item[0]))
-        violations = [v for _, vs in results for v in vs]
+            results = list(pool.map(_check_one, groups, groups.values(), chunksize=64))
     else:
-        violations = []
-        for mu in mus:
-            violations.extend(check_unique_sink(table, mu))
-    return SweepReport(multidegrees_checked=len(mus), violations=tuple(violations))
+        results = [check_unique_sink(table, mu, points) for mu, points in groups.items()]
+    violations = [v for vs in results for v in vs]
+    return SweepReport(multidegrees_checked=len(groups), violations=tuple(violations))

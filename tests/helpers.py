@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from borelfiber.fiber import point_product
+from borelfiber.fiber import FiberPoint, point_product
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -72,6 +72,28 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
 
     rec(mu, 0, ())
     return out
+
+
+def cwr_multidegrees(table, max_tdeg: int) -> list[Monomial]:
+    """Distinct products of every multiset of 1..max_tdeg generators, by brute force."""
+    mus: set[Monomial] = set()
+    for t in range(1, max_tdeg + 1):
+        for combo in itertools.combinations_with_replacement(range(len(table.generators)), t):
+            mus.add(point_product(table, combo))
+    return sorted(mus, key=lambda m: (degree(m), m))
+
+
+def count_vector_sink_key(table, point: FiberPoint) -> tuple:
+    """The fiber sink order by multiplicity vectors; larger key, earlier point.
+
+    Scans generator indices from the last backward; the first difference in
+    multiplicity decides, and the smaller multiplicity is the larger point.
+    """
+    counts = [0] * len(table.generators)
+    for idx in point:
+        counts[idx] += 1
+    counts.reverse()
+    return (len(point), tuple(-c for c in counts))
 
 
 def _report(failures: list[SPairFailure], pairs: set, table) -> GroebnerReport:

@@ -7,6 +7,7 @@ from borelfiber.fiber import (
     enumerate_fiber,
     fiber_point_type,
     fiber_sink_key,
+    fibers,
     find_sink_direct,
     graph_to_json,
     point_product,
@@ -119,6 +120,33 @@ class TestEnumerateFiber:
         assert point_of(table, "a^2b^2c^2", "a^2b^2c^2", "a^2b^2c^2") in fiber
 
 
+class TestFibers:
+    def test_figure_fiber_in_graph_order(self, fig_table, fig_graph):
+        assert fibers(fig_table, 3)[(3, 9, 3)] == list(fig_graph.vertices)
+
+    def test_points_multiply_to_their_key(self, fig_table):
+        groups = fibers(fig_table, 2)
+        for mu, points in groups.items():
+            assert points
+            for z in points:
+                assert 1 <= len(z) <= 2 and z == tuple(sorted(z))
+                assert point_product(fig_table, z) == mu
+        assert sum(len(points) for points in groups.values()) == 14 + 14 * 15 // 2
+
+    def test_generators_are_the_first_level(self, fig_table):
+        groups = fibers(fig_table, 1)
+        assert groups == {g: [(i,)] for i, g in enumerate(fig_table.generators)}
+
+    def test_bound_below_one_rejected(self, fig_table):
+        with pytest.raises(ValueError):
+            fibers(fig_table, 0)
+
+    def test_graph_from_given_points_matches_enumeration(self, fig_table):
+        for mu, points in fibers(fig_table, 3).items():
+            if len(points) > 2:
+                assert build_fiber_graph(fig_table, mu, points) == build_fiber_graph(fig_table, mu)
+
+
 class TestFiberSinkOrder:
     def test_two_variable_example(self):
         table = build_two_borel((0, 2), (0, 2))
@@ -126,20 +154,20 @@ class TestFiberSinkOrder:
         assert table.generators == ((2, 0), (1, 1), (0, 2))
         sq = (1, 1)
         split = (0, 2)
-        assert compare_fiber_points(table, sq, split) == 1
+        assert compare_fiber_points(sq, split) == 1
 
     def test_reflexive(self, fig_table):
         z = point_of(fig_table, "b^4c", "b^5", "a^3c^2")
-        assert compare_fiber_points(fig_table, z, z) == 0
+        assert compare_fiber_points(z, z) == 0
 
     def test_source_exceeds_sink(self, fig_table):
         source = point_of(fig_table, "b^4c", "b^4c", "a^3bc")
         sink = point_of(fig_table, "b^5", "ab^4", "a^2c^3")
-        assert compare_fiber_points(fig_table, source, sink) == 1
+        assert compare_fiber_points(source, sink) == 1
 
     def test_strict_on_distinct_points(self, fig_table):
         fiber = enumerate_fiber(fig_table, mono("a^3b^9c^3"))
-        keys = {fiber_sink_key(fig_table, z) for z in fiber}
+        keys = {fiber_sink_key(z) for z in fiber}
         assert len(keys) == len(fiber)
 
 
@@ -165,8 +193,8 @@ class TestBuildFiberGraph:
         for mu in [(3, 9, 3), (4, 8, 3), (2, 8, 5), (5, 5, 5)]:
             g = build_fiber_graph(fig_table, mu)
             for a, b in g.edges:
-                ka = fiber_sink_key(fig_table, g.vertices[a])
-                kb = fiber_sink_key(fig_table, g.vertices[b])
+                ka = fiber_sink_key(g.vertices[a])
+                kb = fiber_sink_key(g.vertices[b])
                 assert ka > kb
 
     def test_edge_endpoints_differ_in_exactly_two_slots(self, fig_graph):
@@ -236,7 +264,7 @@ class TestReplacementMove:
         source = point_of(fig_table, "b^4c", "b^4c", "a^3bc")
         result = replacement_move(fig_table, (3, 9, 3), source)
         assert result is not None
-        assert compare_fiber_points(fig_table, source, result) == 1
+        assert compare_fiber_points(source, result) == 1
 
     def test_absent_on_point_containing_reduced_m_root(self, fig_table):
         sink = point_of(fig_table, "b^5", "ab^4", "a^2c^3")

@@ -158,7 +158,7 @@ class TestQuadraticLeads:
     @pytest.fixture(scope="class")
     def cubic_pair(self, fig_table):
         points = enumerate_fiber(fig_table, (3, 9, 3))
-        points = sorted(points, key=lambda z: fiber_sink_key(fig_table, z), reverse=True)
+        points = sorted(points, key=lambda z: fiber_sink_key(z), reverse=True)
         return points[0], points[-1]
 
     def test_toric_rejects_a_cubic_lead(self, fig_table, cubic_pair):

@@ -1,0 +1,75 @@
+"""Property tests of the grouped fiber pass and the sink key.
+
+Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
+with at most 21 minimal generators.  Examples are derandomized, so every run
+checks the same tables.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from borelfiber.borel import build_two_borel
+from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
+from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
+
+from helpers import count_vector_sink_key, cwr_multidegrees
+
+MAX_GENERATORS = 21
+
+
+def checked(max_examples):
+    return settings(max_examples=max_examples, deadline=None, database=None, derandomize=True)
+
+
+@lru_cache(maxsize=None)
+def small_pairs() -> tuple:
+    return tuple(
+        (M, N)
+        for n in (3, 4)
+        for d in range(2, 6)
+        for M, N in borel_incomparable_pairs(n, d)
+        if len(build_two_borel(M, N).generators) <= MAX_GENERATORS
+    )
+
+
+tables = st.deferred(lambda: st.sampled_from(small_pairs())).map(
+    lambda pair: build_two_borel(*pair)
+)
+
+
+@checked(12)
+@given(tables)
+def test_grouped_pass_matches_per_fiber_enumeration(table):
+    groups = fibers(table, 3)
+    for mu, points in groups.items():
+        expected = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
+        assert points == expected
+
+
+@checked(25)
+@given(tables, st.integers(min_value=1, max_value=3))
+def test_sweep_multidegrees_match_all_products(table, max_tdeg):
+    assert sweep_multidegrees(table, max_tdeg) == cwr_multidegrees(table, max_tdeg)
+
+
+@st.composite
+def table_and_points(draw):
+    table = draw(tables)
+    index = st.integers(min_value=0, max_value=len(table.generators) - 1)
+    point = st.lists(index, min_size=1, max_size=4).map(lambda p: tuple(sorted(p)))
+    return table, draw(st.lists(point, min_size=2, max_size=12))
+
+
+@checked(150)
+@given(table_and_points())
+def test_sink_key_orders_like_the_count_vector_key(case):
+    table, points = case
+    a, b = points[0], points[1]
+    old = count_vector_sink_key(table, a) > count_vector_sink_key(table, b)
+    assert (fiber_sink_key(a) > fiber_sink_key(b)) == old
+    assert (fiber_sink_key(a) == fiber_sink_key(b)) == (a == b)
+    assert sorted(points, key=fiber_sink_key) == sorted(
+        points, key=lambda p: count_vector_sink_key(table, p)
+    )
