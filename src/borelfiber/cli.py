@@ -2,7 +2,8 @@
 
 Exit status: 0 on success (including expected counterexample findings), 1
 when a verification command finds a violation, 2 on parse or configuration
-errors.
+errors, 3 on an internal error (an uncaught exception, reported on stderr as
+``internal error: ...``), so a crash never reads as a violation.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from borelfiber.verify import sweep_unique_sinks
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class CliError(Exception):
@@ -65,6 +67,10 @@ def _infer_context(texts: list[str], nvars: int | None) -> VariableContext:
     return VariableContext.default(last)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_table(args: argparse.Namespace) -> GeneratorTable:
     if bool(getattr(args, "input", None)) == bool(getattr(args, "ideal", None)):
         raise CliError("exactly one of --ideal or --input is required")
@@ -73,10 +79,12 @@ def _load_table(args: argparse.Namespace) -> GeneratorTable:
             data = json.loads(Path(args.input).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read ideal descriptor {args.input}: {exc}") from exc
-        if not isinstance(data, dict) or "borel_generators" not in data:
-            raise CliError("descriptor must be an object with a 'borel_generators' list")
-        texts = [str(t) for t in data["borel_generators"]]
+        if not isinstance(data, dict) or not _is_string_list(data.get("borel_generators")):
+            raise CliError("descriptor must be an object with a 'borel_generators' list of strings")
+        texts = data["borel_generators"]
         if data.get("variables"):
+            if not _is_string_list(data["variables"]):
+                raise CliError("descriptor 'variables' must be a list of strings")
             context = VariableContext(tuple(data["variables"]))
             if args.nvars is not None and args.nvars != context.n:
                 raise CliError("--nvars conflicts with the descriptor's variable list")
@@ -344,11 +352,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.format == "dot" and args.command != "fiber":
+        print(f"error: --format dot is only for 'fiber', not '{args.command}'", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code, output = args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(output)
     return code
 

@@ -64,16 +64,6 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     return (len(point), tuple(-i for i in reversed(point)))
 
 
-def compare_fiber_points(z1: FiberPoint, z2: FiberPoint) -> int:
-    """1 when z1 is earlier (larger) than z2, -1 when later, 0 when equal."""
-    k1, k2 = fiber_sink_key(z1), fiber_sink_key(z2)
-    if k1 > k2:
-        return 1
-    if k1 < k2:
-        return -1
-    return 0
-
-
 def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoint]]:
     """Every nonempty fiber of t-degree 1..max_tdeg, keyed by multidegree.
 

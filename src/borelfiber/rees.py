@@ -8,6 +8,13 @@ Rees ideal is the union of the linear syzygies ``x_j Y_u - x_i Y_v`` (for
 generator pairs with ``x_j u = x_i v``) and the toric quadrics, marked by
 the elimination order: compare x-parts by lex first, break ties by the
 fiber sink order on Y-parts.
+
+A toric point is a Rees monomial with no x variables, so both sides share
+one reduction engine, ``toric._Rules``.  A Rees monomial enters it as one
+ascending code tuple (see :func:`_codes`): x variable ``v`` of ``n`` codes as
+``v - n`` and generator ``g`` as ``g``.  This module defines no reduction of
+its own; :func:`rees_normal_form` and :func:`rees_buchberger_verify` code,
+call the engine, and decode.
 """
 
 from __future__ import annotations
@@ -18,13 +25,7 @@ from functools import cached_property
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
 from borelfiber.monomials import Monomial, format_monomial, multiply, unit
-from borelfiber.toric import (
-    GroebnerReport,
-    _check_overlaps,
-    _contains,
-    _replace,
-    quadric_generators,
-)
+from borelfiber.toric import GroebnerReport, _check_overlaps, _Rules, quadric_generators
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,6 @@ class ReesBinomial:
 def rees_key(table: GeneratorTable, m: ReesMonomial) -> tuple:
     """Elimination-order sort key; larger key means larger monomial."""
     return (m.xpart, fiber_sink_key(m.ypart))
-
-
-def rees_compare(table: GeneratorTable, m1: ReesMonomial, m2: ReesMonomial) -> int:
-    """1 when m1 is larger than m2 in the elimination order, -1/0 otherwise."""
-    k1, k2 = rees_key(table, m1), rees_key(table, m2)
-    if k1 > k2:
-        return 1
-    if k1 < k2:
-        return -1
-    return 0
 
 
 def rees_image(table: GeneratorTable, m: ReesMonomial) -> Monomial:
@@ -84,83 +75,38 @@ def linear_syzygies(table: GeneratorTable) -> list[ReesBinomial]:
     return out
 
 
+def _codes(m: ReesMonomial) -> tuple[int, ...]:
+    """The monomial as an ascending tuple of variable codes.
+
+    Variable ``v`` of ``n`` codes as ``v - n`` (negative) and generator ``g``
+    as ``g``, so one tuple holds both parts.
+    """
+    n = len(m.xpart)
+    xs = [v - n for v, e in enumerate(m.xpart) for _ in range(e)]
+    return tuple(xs) + m.ypart
+
+
+def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
+    xpart = [0] * n
+    for c in codes:
+        if c < 0:
+            xpart[c + n] += 1
+    return ReesMonomial(tuple(xpart), tuple(c for c in codes if c >= 0))
+
+
 @dataclass(frozen=True)
 class ReesBasis:
     table: GeneratorTable
     elements: tuple[ReesBinomial, ...]
 
     @cached_property
-    def _min_ybuckets(self) -> dict[int, tuple[int, ...]]:
-        """Element positions by the smallest lead Y generator (reducer search)."""
-        buckets: dict[int, list[int]] = {}
-        for pos, el in enumerate(self.elements):
-            buckets.setdefault(el.lead.ypart[0], []).append(pos)
-        return {g: tuple(ps) for g, ps in buckets.items()}
-
-    @cached_property
-    def _lead_shapes(self) -> tuple[tuple[tuple[tuple[int, int], ...], FiberPoint], ...]:
-        """Per element: nonzero x requirements and the lead Y-part."""
-        return tuple(
-            (
-                tuple((v, e) for v, e in enumerate(el.lead.xpart) if e),
-                el.lead.ypart,
-            )
-            for el in self.elements
-        )
-
-    @cached_property
-    def _nf_cache(self) -> dict[ReesMonomial, ReesMonomial]:
-        return {}
-
-
-def _divides(m: ReesMonomial, lead: ReesMonomial) -> bool:
-    return all(a <= b for a, b in zip(lead.xpart, m.xpart)) and _contains(m.ypart, lead.ypart)
-
-
-def _apply(m: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
-    xpart = tuple(
-        a - b + c for a, b, c in zip(m.xpart, el.lead.xpart, el.trail.xpart)
-    )
-    return ReesMonomial(xpart, _replace(m.ypart, el.lead.ypart, el.trail.ypart))
+    def _rules(self) -> _Rules:
+        return _Rules([(_codes(el.lead), _codes(el.trail)) for el in self.elements])
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
     """Reduce by the lowest-index applicable lead until none applies."""
-    cache = basis._nf_cache
-    cached = cache.get(m)
-    if cached is not None:
-        return cached
-    shapes = basis._lead_shapes
-    elements = basis.elements
-    chain = [m]
-    current = m
-    while True:
-        xpart, ypart = current.xpart, current.ypart
-        candidates = sorted(
-            {p for g in set(ypart) for p in basis._min_ybuckets.get(g, ())}
-        )
-        nxt = None
-        for pos in candidates:
-            xreq, ylead = shapes[pos]
-            applicable = True
-            for v, e in xreq:
-                if xpart[v] < e:
-                    applicable = False
-                    break
-            if applicable and _contains(ypart, ylead):
-                nxt = _apply(current, elements[pos])
-                break
-        if nxt is None:
-            break
-        current = nxt
-        cached = cache.get(current)
-        if cached is not None:
-            current = cached
-            break
-        chain.append(current)
-    for z in chain:
-        cache[z] = current
-    return current
+    return _from_codes(basis._rules.normal_form(_codes(m)), len(m.xpart))
 
 
 def rees_gb(table: GeneratorTable) -> ReesBasis:
@@ -181,25 +127,6 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     return ReesBasis(table, tuple(elements))
 
 
-def _codes(m: ReesMonomial) -> tuple[int, ...]:
-    """The monomial as an ascending tuple of variable codes.
-
-    Variable ``v`` of ``n`` codes as ``v - n`` (negative) and generator ``g``
-    as ``g``, so one tuple holds both parts.
-    """
-    n = len(m.xpart)
-    xs = [v - n for v, e in enumerate(m.xpart) for _ in range(e)]
-    return tuple(xs) + m.ypart
-
-
-def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
-    xpart = [0] * n
-    for c in codes:
-        if c < 0:
-            xpart[c + n] += 1
-    return ReesMonomial(tuple(xpart), tuple(c for c in codes if c >= 0))
-
-
 def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     """Overlap check over mixed monomials; PASS exactly when it is Groebner.
 
@@ -214,17 +141,9 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not larger than trail {el.trail}"
             )
-    elements = basis.elements
     n = table.context.n
-    coded = [(_codes(el.lead), _codes(el.trail)) for el in elements]
-    leads: dict[tuple[int, ...], list[int]] = {}
-    for pos, (lead, _) in enumerate(coded):
-        leads.setdefault(lead, []).append(pos)
     checked, failures = _check_overlaps(
-        leads,
-        lambda pos, m: _replace(m, *coded[pos]),
-        lambda z: rees_normal_form(_from_codes(z, n), basis),
-        lambda m: rees_image(table, _from_codes(m, n)),
+        basis._rules, lambda m: rees_image(table, _from_codes(m, n))
     )
     return GroebnerReport(
         ok=not failures,

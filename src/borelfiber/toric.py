@@ -7,6 +7,13 @@ is a Groebner basis; :func:`buchberger_verify` rechecks that claim overlap
 by overlap, and :func:`brute_force_gb` is the independent truncated-completion
 oracle.  Everything is coefficient free: binomials are ordered pairs of
 Y-monomials, and reduction replaces sub-multisets.
+
+:class:`_Rules` is the package's one reduction engine.  It rewrites
+ascending tuples of integer codes, so a toric point is its own word and a
+Rees monomial is one word once its x variables get negative codes (see
+``rees._codes``).  :func:`normal_form`, ``rees.rees_normal_form`` and the
+overlap check :func:`_check_overlaps` behind both Groebner verifiers all
+reduce through it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable
+from typing import Callable
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
@@ -67,26 +74,66 @@ class MarkedBinomial:
     trail: FiberPoint
 
 
+class _Rules:
+    """Marked rewrite rules on ascending code tuples: the one reduction engine.
+
+    ``pairs`` lists (lead, trail) words, each an ascending tuple of integer
+    codes; a word contains a lead when the lead is a sub-multiset of it.
+    Toric points are their own words, and Rees monomials are coded by
+    ``rees._codes``.  Rules are indexed by the smallest code of their lead:
+    every lead a word contains has its smallest code in the word, so the
+    buckets of the word's codes hold every applicable rule.
+    """
+
+    def __init__(self, pairs) -> None:
+        self.leads = tuple(lead for lead, _ in pairs)
+        self.trails = tuple(trail for _, trail in pairs)
+        self.buckets: dict[int, list[int]] = {}
+        for pos, lead in enumerate(self.leads):
+            self.buckets.setdefault(lead[0], []).append(pos)
+        self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def step(self, pos: int, word: tuple[int, ...]) -> tuple[int, ...]:
+        """The one-step reduct of ``word`` by rule ``pos``, whose lead it contains."""
+        return _replace(word, self.leads[pos], self.trails[pos])
+
+    def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        """Reduce by the lowest-index applicable lead; cache every word on the way."""
+        cache = self.cache
+        cached = cache.get(word)
+        if cached is not None:
+            return cached
+        leads, trails, buckets = self.leads, self.trails, self.buckets
+        chain = [word]
+        current = word
+        while True:
+            candidates = sorted({p for c in set(current) for p in buckets.get(c, ())})
+            nxt = None
+            for pos in candidates:
+                if _contains(current, leads[pos]):
+                    nxt = _replace(current, leads[pos], trails[pos])
+                    break
+            if nxt is None:
+                break
+            current = nxt
+            cached = cache.get(current)
+            if cached is not None:
+                current = cached
+                break
+            chain.append(current)
+        for z in chain:
+            cache[z] = current
+        return current
+
+
 @dataclass(frozen=True)
 class MarkedBasis:
     table: GeneratorTable
     elements: tuple[MarkedBinomial, ...]
 
     @cached_property
-    def _min_buckets(self) -> dict[int, tuple[int, ...]]:
-        """Element positions by the smallest lead generator (reducer search).
-
-        Containment of the whole lead implies containment of its smallest
-        generator, so scanning these buckets alone finds every reducer.
-        """
-        buckets: dict[int, list[int]] = {}
-        for pos, el in enumerate(self.elements):
-            buckets.setdefault(el.lead[0], []).append(pos)
-        return {g: tuple(ps) for g, ps in buckets.items()}
-
-    @cached_property
-    def _nf_cache(self) -> dict[FiberPoint, FiberPoint]:
-        return {}
+    def _rules(self) -> _Rules:
+        return _Rules([(el.lead, el.trail) for el in self.elements])
 
 
 def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
@@ -96,33 +143,7 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     when the basis is a Groebner basis the result only depends on the point's
     multidegree class.
     """
-    cache = basis._nf_cache
-    cached = cache.get(point)
-    if cached is not None:
-        return cached
-    chain = [point]
-    current = point
-    while True:
-        candidates = sorted(
-            {p for g in set(current) for p in basis._min_buckets.get(g, ())}
-        )
-        nxt = None
-        for pos in candidates:
-            el = basis.elements[pos]
-            if _contains(current, el.lead):
-                nxt = _replace(current, el.lead, el.trail)
-                break
-        if nxt is None:
-            break
-        current = nxt
-        cached = cache.get(current)
-        if cached is not None:
-            current = cached
-            break
-        chain.append(current)
-    for z in chain:
-        cache[z] = current
-    return current
+    return basis._rules.normal_form(point)
 
 
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
@@ -200,7 +221,6 @@ class GroebnerReport:
 
 
 def _verify_marking(basis: MarkedBasis) -> None:
-    table = basis.table
     for el in basis.elements:
         if fiber_sink_key(el.lead) <= fiber_sink_key(el.trail):
             raise ValueError(
@@ -209,24 +229,22 @@ def _verify_marking(basis: MarkedBasis) -> None:
 
 
 def _check_overlaps(
-    leads: dict[tuple[int, ...], list[int]],
-    reduct: Callable[[int, tuple[int, ...]], Hashable],
-    nf: Callable[[Hashable], Hashable],
-    multidegree: Callable[[tuple[int, ...]], Monomial],
+    rules: _Rules, multidegree: Callable[[tuple[int, ...]], Monomial]
 ) -> tuple[int, list[SPairFailure]]:
-    """Diamond-lemma check of a marked basis with quadratic leads.
+    """Diamond-lemma check of marked rules with quadratic leads.
 
-    ``leads`` maps each lead, written as an ascending tuple of variable codes,
-    to the positions of the elements that carry it.  ``reduct(pos, m)`` is the
-    one-step reduct of the monomial ``m`` by element ``pos``, ``nf`` finishes
-    the reduction, and ``multidegree(m)`` names ``m`` in a failure.  Reduction terminates, so by
-    Newman's lemma the basis is Groebner exactly when every one-step reduct of
-    every critical monomial reaches the same normal form.  Two leads that
-    share no variable commute (product criterion), and two overlapping
-    quadratic leads have as lcm either a lead carried twice or a lead times
-    one more variable; those are the critical monomials.  Returns the number
-    of critical monomials and one failure for each that disagrees.
+    ``multidegree(m)`` names the critical monomial ``m`` in a failure.
+    Reduction terminates, so by Newman's lemma the rules form a Groebner
+    basis exactly when every one-step reduct of every critical monomial
+    reaches the same normal form.  Two leads that share no code commute
+    (product criterion), and two overlapping quadratic leads have as lcm
+    either a lead carried twice or a lead times one more code; those are the
+    critical monomials.  Returns the number of critical monomials and one
+    failure for each that disagrees.
     """
+    leads: dict[tuple[int, ...], list[int]] = {}
+    for pos, lead in enumerate(rules.leads):
+        leads.setdefault(lead, []).append(pos)
     partners: dict[int, set[int]] = {}
     for lead, positions in leads.items():
         if len(lead) != 2:
@@ -249,13 +267,13 @@ def _check_overlaps(
         reducers = sorted(p for d in divisors for p in leads.get(d, ()))
         reducts = {}
         for pos in reducers:
-            reducts.setdefault(reduct(pos, m), pos)
+            reducts.setdefault(rules.step(pos, m), pos)
         if len(reducts) == 1:
             continue
         first, *rest = reducts.items()
-        target = nf(first[0])
+        target = rules.normal_form(first[0])
         for z, pos in rest:
-            if nf(z) != target:
+            if rules.normal_form(z) != target:
                 failures.append(SPairFailure(first[1], pos, multidegree(m)))
                 break
     return len(critical), failures
@@ -271,16 +289,7 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
     """
     _verify_marking(basis)
     table = basis.table
-    elements = basis.elements
-    leads: dict[FiberPoint, list[int]] = {}
-    for pos, el in enumerate(elements):
-        leads.setdefault(el.lead, []).append(pos)
-    checked, failures = _check_overlaps(
-        leads,
-        lambda pos, m: _replace(m, elements[pos].lead, elements[pos].trail),
-        lambda z: normal_form(z, basis),
-        lambda m: point_product(table, m),
-    )
+    checked, failures = _check_overlaps(basis._rules, lambda m: point_product(table, m))
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
@@ -376,11 +385,6 @@ def closure_components(
                             stack.append(cand)
         components.append(sorted(comp))
     return [[fiber[i] for i in comp] for comp in components]
-
-
-def quadric_closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPoint]]:
-    """Fiber components under two-factor exchanges only."""
-    return closure_components(table, mu, max_swap=2)
 
 
 def basis_to_json(basis: MarkedBasis) -> dict:

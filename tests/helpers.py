@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Callable
 
 from borelfiber.fiber import FiberPoint, point_product
 from borelfiber.monomials import (
@@ -18,8 +19,8 @@ from borelfiber.monomials import (
     divides,
     parse_monomial,
 )
-from borelfiber.rees import ReesMonomial, _apply, rees_image, rees_normal_form
-from borelfiber.toric import GroebnerReport, SPairFailure, _lcm, _replace, normal_form
+from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_image
+from borelfiber.toric import GroebnerReport, SPairFailure, _contains, _lcm, _replace, normal_form
 
 ABC = VariableContext.default(3)
 
@@ -96,6 +97,57 @@ def count_vector_sink_key(table, point: FiberPoint) -> tuple:
     return (len(point), tuple(-c for c in counts))
 
 
+def rees_apply(m: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
+    """One-step reduct of m by el, whose lead divides m."""
+    xpart = tuple(a - b + c for a, b, c in zip(m.xpart, el.lead.xpart, el.trail.xpart))
+    return ReesMonomial(xpart, _replace(m.ypart, el.lead.ypart, el.trail.ypart))
+
+
+def split_rees_reducer(basis: ReesBasis) -> Callable[[ReesMonomial], ReesMonomial]:
+    """Reference Rees normal form that keeps the x-part and the Y-part apart.
+
+    Reduces by the lowest-index applicable lead until none applies: a lead
+    applies when its x-part divides the monomial's exponentwise and its
+    Y-part is a sub-multiset.  Reducers are searched by the smallest Y factor
+    of their lead.  It shares no code with the library's coded engine
+    (``toric._Rules``), so the Rees oracles do not run the code they check.
+    The returned function caches every monomial it passes on the way.
+    """
+    elements = basis.elements
+    buckets: dict[int, list[int]] = {}
+    for pos, el in enumerate(elements):
+        buckets.setdefault(el.lead.ypart[0], []).append(pos)
+    shapes = [
+        (tuple((v, e) for v, e in enumerate(el.lead.xpart) if e), el.lead.ypart)
+        for el in elements
+    ]
+    cache: dict[ReesMonomial, ReesMonomial] = {}
+
+    def reduce(m: ReesMonomial) -> ReesMonomial:
+        chain = []
+        current = m
+        while current not in cache:
+            chain.append(current)
+            xpart, ypart = current.xpart, current.ypart
+            candidates = sorted({p for g in set(ypart) for p in buckets.get(g, ())})
+            for pos in candidates:
+                xreq, ylead = shapes[pos]
+                for v, e in xreq:
+                    if xpart[v] < e:
+                        break
+                else:
+                    if _contains(ypart, ylead):
+                        current = rees_apply(current, elements[pos])
+                        break
+            else:
+                cache[current] = current
+        for z in chain:
+            cache[z] = cache[current]
+        return cache[m]
+
+    return reduce
+
+
 def _report(failures: list[SPairFailure], pairs: set, table) -> GroebnerReport:
     return GroebnerReport(
         ok=not failures,
@@ -155,6 +207,7 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
         pairs = set()
         for positions in buckets.values():
             pairs.update(itertools.combinations(positions, 2))
+    reduce = split_rees_reducer(basis)
     failures = []
     for p, q in sorted(pairs):
         f, g = elements[p], elements[q]
@@ -162,8 +215,8 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
             tuple(max(a, b) for a, b in zip(f.lead.xpart, g.lead.xpart)),
             _lcm(f.lead.ypart, g.lead.ypart),
         )
-        a = _apply(lcm, f)
-        b = _apply(lcm, g)
-        if a != b and rees_normal_form(a, basis) != rees_normal_form(b, basis):
+        a = rees_apply(lcm, f)
+        b = rees_apply(lcm, g)
+        if a != b and reduce(a) != reduce(b):
             failures.append(SPairFailure(p, q, rees_image(table, lcm)))
     return _report(failures, pairs, table)

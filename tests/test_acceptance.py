@@ -21,7 +21,6 @@ from borelfiber.toric import (
     buchberger_verify,
     closure_components,
     normal_form,
-    quadric_closure_components,
     quadric_generators,
 )
 from borelfiber.rees import rees_buchberger_verify, rees_gb
@@ -151,7 +150,7 @@ def test_criterion_6_negative_controls():
     problems = []
 
     table = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
-    comps = quadric_closure_components(table, (6, 6, 6))
+    comps = closure_components(table, (6, 6, 6), max_swap=2)
     location = {z: i for i, comp in enumerate(comps) for z in comp}
     fg2 = tuple(sorted([table.index_of[mono("a^3c^3")]] * 2 + [table.index_of[mono("b^6")]]))
     h3 = (table.index_of[mono("a^2b^2c^2")],) * 3

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from borelfiber import cli
 from borelfiber.cli import main
 
 FIG = "{a^2c^3,b^4c}"
@@ -205,6 +208,50 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "gens", "--input", "/nonexistent.json")
         assert code == 2
+
+    def test_non_string_variables(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": [1, 2, 3], "borel_generators": ["a^2c^3", "b^4c"]}))
+        code, _, err = run_cli(capsys, "gens", "--input", str(path))
+        assert code == 2
+        assert "'variables' must be a list of strings" in err
+
+    def test_string_borel_generators(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["a", "b", "c"], "borel_generators": "a^2c^3"}))
+        code, _, err = run_cli(capsys, "gens", "--input", str(path))
+        assert code == 2
+        assert "'borel_generators' list of strings" in err
+        assert "got" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gens", "--ideal", FIG],
+            ["sink", "--ideal", FIG, "--mu", "a^2c^3"],
+            ["toric-gb", "--ideal", FIG],
+            ["rees-gb", "--ideal", FIG],
+            ["verify-unique-sinks", "--ideal", FIG],
+            ["verify-buchberger", "--ideal", FIG],
+            ["oracle-gb", "--ideal", FIG],
+            ["counterexample"],
+        ],
+    )
+    def test_dot_only_for_fiber(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert f"--format dot is only for 'fiber', not '{argv[0]}'" in err
+
+    def test_crash_exits_3(self, capsys, monkeypatch):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_sink", crash)
+        code, out, err = run_cli(capsys, "sink", "--ideal", FIG, "--mu", "a^2c^3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_console_entry_point():

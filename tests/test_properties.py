@@ -1,10 +1,11 @@
-"""Property tests of the grouped fiber pass and the sink key.
+"""Property tests of the grouped fiber pass, the sink key and the reduction engine.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators.  Examples are derandomized, so every run
 checks the same tables.
 """
 
+import itertools
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -13,8 +14,11 @@ from hypothesis import strategies as st
 from borelfiber.borel import build_two_borel
 from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
+from borelfiber.monomials import unit
+from borelfiber.rees import ReesBasis, ReesMonomial, rees_gb, rees_normal_form
+from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import count_vector_sink_key, cwr_multidegrees
+from helpers import count_vector_sink_key, cwr_multidegrees, split_rees_reducer
 
 MAX_GENERATORS = 21
 
@@ -73,3 +77,32 @@ def test_sink_key_orders_like_the_count_vector_key(case):
     assert sorted(points, key=fiber_sink_key) == sorted(
         points, key=lambda p: count_vector_sink_key(table, p)
     )
+
+
+def rees_monomials(table, max_degree):
+    """Every Rees monomial of joint degree 1..max_degree over the table."""
+    n = table.context.n
+    for d in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n + len(table.generators)), d):
+            xpart = [0] * n
+            for c in combo:
+                if c < n:
+                    xpart[c] += 1
+            yield ReesMonomial(tuple(xpart), tuple(c - n for c in combo if c >= n))
+
+
+@checked(10)
+@given(tables)
+def test_rees_engine_matches_the_split_reference(table):
+    full = rees_gb(table)
+    # Every other element: not Groebner, so normal forms show which reducer is picked.
+    for basis in (full, ReesBasis(table, full.elements[::2])):
+        reference = split_rees_reducer(basis)
+        for m in rees_monomials(table, 3):
+            assert rees_normal_form(m, basis) == reference(m)
+    quadrics = quadric_generators(table)
+    one = unit(table.context.n)
+    for points in fibers(table, 3).values():
+        for z in points:
+            expected = ReesMonomial(one, normal_form(z, quadrics))
+            assert rees_normal_form(ReesMonomial(one, z), full) == expected

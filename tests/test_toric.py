@@ -18,7 +18,6 @@ from borelfiber.toric import (
     buchberger_verify,
     closure_components,
     normal_form,
-    quadric_closure_components,
     quadric_generators,
 )
 
@@ -195,7 +194,7 @@ class TestBruteForceOracle:
 
 class TestClosureComponents:
     def test_counterexample_separation(self, three_borel):
-        comps = quadric_closure_components(three_borel, (6, 6, 6))
+        comps = closure_components(three_borel, (6, 6, 6), max_swap=2)
         fg2 = point_of(three_borel, "a^3c^3", "a^3c^3", "b^6")
         h3 = point_of(three_borel, "a^2b^2c^2", "a^2b^2c^2", "a^2b^2c^2")
         locations = {z: i for i, comp in enumerate(comps) for z in comp}
@@ -204,14 +203,14 @@ class TestClosureComponents:
     def test_two_borel_low_degree_fibers_are_single_components(self, fig_table):
         count = 0
         for mu in [(2, 4, 4), (3, 9, 3), (4, 8, 3), (2, 8, 5), (4, 4, 2), (6, 9, 0)]:
-            comps = quadric_closure_components(fig_table, mu)
+            comps = closure_components(fig_table, mu, max_swap=2)
             if comps:
                 assert len(comps) == 1
                 count += 1
         assert count >= 4
 
     def test_single_point_fiber(self, fig_table):
-        comps = quadric_closure_components(fig_table, (1, 9, 0))
+        comps = closure_components(fig_table, (1, 9, 0), max_swap=2)
         assert len(comps) == 1
         assert len(comps[0]) == 1
 
