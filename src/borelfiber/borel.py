@@ -110,10 +110,6 @@ class GeneratorTable:
     def index_of(self) -> dict[Monomial, int]:
         return {g: i for i, g in enumerate(self.generators)}
 
-    @cached_property
-    def gm_indices(self) -> frozenset[int]:
-        return frozenset(i for i, t in enumerate(self.tags) if t == "G_M")
-
     def to_json(self) -> dict:
         return {
             "variables": list(self.context.names),

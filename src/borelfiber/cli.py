@@ -107,9 +107,11 @@ def _parse_mu(args: argparse.Namespace, table: GeneratorTable) -> Monomial:
 
 
 def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, int(os.environ.get("BORELFIBER_JOBS", "1")))
+    value = args.jobs if args.jobs is not None else os.environ.get("BORELFIBER_JOBS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise CliError(f"BORELFIBER_JOBS must be an integer, got {value!r}") from None
 
 
 def _emit(payload, fmt: str, text_lines) -> str:

@@ -17,7 +17,8 @@ be far too large to list every product up to it.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
-graph; :func:`build_fiber_graph` stays available as the explicit oracle.
+graph or searching, by the interval test on i that Borel(M)^i Borel(N)^(t-i)
+= Borel(M^i N^(t-i)) gives; :func:`build_fiber_graph` is the explicit oracle.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class _FiberSolver:
     def __init__(self, table: GeneratorTable):
         self.table = table
         self._can: dict[tuple[Monomial, int], bool] = {}
-        self._gm: dict[Monomial, bool] = {}
 
     def can_factor(self, remaining: Monomial, start: int = 0) -> bool:
         """Is there a factorization of ``remaining`` using generator indices >= start?"""
@@ -118,23 +118,6 @@ class _FiberSolver:
                     ok = True
                     break
         self._can[key] = ok
-        return ok
-
-    def has_gm_factorization(self, mu: Monomial) -> bool:
-        """Does some factorization of mu use at least one G_M generator?"""
-        hit = self._gm.get(mu)
-        if hit is not None:
-            return hit
-        gens = self.table.generators
-        ok = False
-        for idx in sorted(self.table.gm_indices):
-            g = gens[idx]
-            if all(e <= r for e, r in zip(g, mu)):
-                rest = tuple(r - e for r, e in zip(mu, g))
-                if self.can_factor(rest):
-                    ok = True
-                    break
-        self._gm[mu] = ok
         return ok
 
     def enumerate(self, mu: Monomial) -> list[FiberPoint]:
@@ -335,14 +318,35 @@ def replacement_move(table: GeneratorTable, mu: Monomial, point: FiberPoint) -> 
     raise AssertionError("another factor must carry the freed variable")
 
 
+def _m_share_bounds(table: GeneratorTable, mu: Monomial) -> tuple[int, int]:
+    """The integers lo..hi of i with sigma(mu) <= i*sigma(M) + (t-i)*sigma(N).
+
+    mu, of degree t*d, lies in Borel(M)^i Borel(N)^(t-i) = Borel(M^i N^(t-i))
+    exactly for those i; each coordinate bounds i on one side.
+    """
+    t = degree(mu) // table.degree
+    lo, hi = 0, t
+    for s, m, n in zip(sigma(mu), sigma(table.roots[0]), sigma(table.roots[-1])):
+        need, step = s - t * n, m - n  # i * step >= need
+        if step > 0:
+            lo = max(lo, -(-need // step))
+        elif step < 0:
+            hi = min(hi, need // step)
+        elif need > 0:
+            return 1, 0
+    return lo, hi
+
+
 def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint]:
     """The unique sink of the fiber of mu, computed without the graph.
 
     Peels off one factor per step: the lex-last divisor M' of mu in Borel(M)
-    whenever some factorization of mu touches the G_M block, else the
-    lex-last divisor N' in Borel(N).  Every sink is divisible by the peeled
-    factor, so recursing on the quotient reaches the sink of the whole
-    fiber.  Returns None exactly when the fiber is empty.
+    when some factorization of mu touches the G_M block, that is when the
+    interval lo..hi of :func:`_m_share_bounds` (nonempty exactly when mu
+    factors) has hi >= 1, else the lex-last divisor N' in Borel(N).  Every
+    sink is divisible by the peeled factor, so peeling the quotient reaches
+    the sink of the whole fiber, in t steps of O(n) each besides the divisor
+    lookup.  Returns None exactly when the fiber is empty.
     """
     if len(table.roots) > 2:
         raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
@@ -350,21 +354,19 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         return ()
     if table.is_empty or degree(mu) % table.degree != 0:
         return None
-    solver = _solver(table)
-    if not solver.can_factor(mu):
+    lo, hi = _m_share_bounds(table, mu)
+    if lo > hi:
         return None
     picked: list[int] = []
     current = mu
     while degree(current) > 0:
-        if solver.has_gm_factorization(current):
-            factor = lex_last_divisor(table.roots[0], current)
-        else:
-            factor = lex_last_divisor(table.roots[-1], current)
+        factor = lex_last_divisor(table.roots[0] if hi >= 1 else table.roots[-1], current)
         if factor is None:
             raise RuntimeError("a factorable multidegree admits a block divisor")
         picked.append(table.index_of[factor])
         current = quotient(current, factor)
-        if not solver.can_factor(current):
+        lo, hi = _m_share_bounds(table, current)
+        if lo > hi:
             raise RuntimeError("peeling a sink factor keeps the rest factorable")
     return tuple(sorted(picked))
 

@@ -205,7 +205,7 @@ def parse_monomial(text: str, context: VariableContext) -> Monomial:
         if i < len(s) and s[i] == "^":
             i += 1
             start = i
-            while i < len(s) and s[i].isdigit():
+            while i < len(s) and s[i] in string.digits:
                 i += 1
             if start == i:
                 raise ValueError(f"missing exponent after '^' in {text!r}")

@@ -40,7 +40,7 @@ class ReesBinomial:
     trail: ReesMonomial
 
 
-def rees_key(table: GeneratorTable, m: ReesMonomial) -> tuple:
+def rees_key(m: ReesMonomial) -> tuple:
     """Elimination-order sort key; larger key means larger monomial."""
     return (m.xpart, fiber_sink_key(m.ypart))
 
@@ -68,7 +68,7 @@ def linear_syzygies(table: GeneratorTable) -> list[ReesBinomial]:
             xj[j] += 1
             first = ReesMonomial(tuple(xj), (t,))
             second = ReesMonomial(tuple(xi), (u,))
-            if rees_key(table, first) > rees_key(table, second):
+            if rees_key(first) > rees_key(second):
                 out.append(ReesBinomial(lead=first, trail=second))
             else:
                 out.append(ReesBinomial(lead=second, trail=first))
@@ -137,7 +137,7 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     """
     table = basis.table
     for el in basis.elements:
-        if rees_key(table, el.lead) <= rees_key(table, el.trail):
+        if rees_key(el.lead) <= rees_key(el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not larger than trail {el.trail}"
             )

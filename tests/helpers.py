@@ -75,6 +75,33 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
     return out
 
 
+def has_gm_factorization(table, mu: Monomial) -> bool:
+    """Does some factorization of mu into table generators use a G_M generator?
+
+    A memoized search over generator indices; it shares no code with the
+    closed form that ``find_sink_direct`` uses for the same question.
+    """
+    gens = table.generators
+    known: dict[tuple[Monomial, int], bool] = {}
+
+    def can_factor(remaining: Monomial, start: int) -> bool:
+        if degree(remaining) == 0:
+            return True
+        key = (remaining, start)
+        if key not in known:
+            known[key] = any(
+                divides(gens[idx], remaining)
+                and can_factor(tuple(r - e for r, e in zip(remaining, gens[idx])), idx)
+                for idx in range(start, len(gens))
+            )
+        return known[key]
+
+    return any(
+        tag == "G_M" and divides(g, mu) and can_factor(tuple(r - e for r, e in zip(mu, g)), 0)
+        for g, tag in zip(gens, table.tags)
+    )
+
+
 def cwr_multidegrees(table, max_tdeg: int) -> list[Monomial]:
     """Distinct products of every multiset of 1..max_tdeg generators, by brute force."""
     mus: set[Monomial] = set()

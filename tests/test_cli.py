@@ -7,6 +7,8 @@ import pytest
 from borelfiber import cli
 from borelfiber.cli import main
 
+from helpers import mono
+
 FIG = "{a^2c^3,b^4c}"
 
 
@@ -103,6 +105,13 @@ class TestSink:
         assert code == 0
         assert json.loads(out)["sink"] is None
 
+    def test_deep_sink(self, capsys):
+        code, out, _ = run_cli(capsys, "sink", "--ideal", FIG, "--mu", "[1500,4500,1500]")
+        assert code == 0
+        factors = [mono(f) for f in json.loads(out)["sink"]]
+        assert len(factors) == 1500
+        assert tuple(map(sum, zip(*factors))) == (1500, 4500, 1500)
+
 
 class TestBases:
     def test_toric_gb(self, capsys):
@@ -147,6 +156,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2")
         assert code == 0
         assert json.loads(out)["status"] == "PASS"
+
+    def test_jobs_env_var_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("BORELFIBER_JOBS", "abc")
+        code, out, err = run_cli(capsys, "verify-unique-sinks", "--ideal", "{b^2}", "--nvars", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: BORELFIBER_JOBS must be an integer, got 'abc'\n"
 
     def test_buchberger_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-buchberger", "--ideal", FIG)
@@ -196,6 +212,11 @@ class TestErrors:
     def test_bad_monomial(self, capsys):
         code, _, err = run_cli(capsys, "gens", "--ideal", "{a^2c^3,zz}")
         assert code == 2
+
+    def test_non_ascii_exponent(self, capsys):
+        code, _, err = run_cli(capsys, "gens", "--ideal", "{a^\u00b2c^3,b^4c}")
+        assert code == 2
+        assert "missing exponent after '^'" in err
 
     def test_degree_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "gens", "--ideal", "{a^2,b^3}")

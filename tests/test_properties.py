@@ -1,8 +1,10 @@
-"""Property tests of the grouped fiber pass, the sink key and the reduction engine.
+"""Property tests of the grouped fiber pass, the sink key, the direct sink and
+the reduction engine.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
-with at most 21 minimal generators.  Examples are derandomized, so every run
-checks the same tables.
+with at most 21 minimal generators; the direct sink test adds principal
+tables, tables with comparable roots and fiber-reduced tables.  Examples are
+derandomized, so every run checks the same tables.
 """
 
 import itertools
@@ -11,14 +13,28 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelfiber.borel import build_two_borel
-from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
+from borelfiber.borel import build_table, build_two_borel, expand_principal, reduce_for_fiber
+from borelfiber.fiber import (
+    _m_share_bounds,
+    _solver,
+    build_fiber_graph,
+    enumerate_fiber,
+    fiber_sink_key,
+    fibers,
+    find_sink_direct,
+    sinks,
+)
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
-from borelfiber.monomials import unit
+from borelfiber.monomials import degree_monomials, unit
 from borelfiber.rees import ReesBasis, ReesMonomial, rees_gb, rees_normal_form
 from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import count_vector_sink_key, cwr_multidegrees, split_rees_reducer
+from helpers import (
+    count_vector_sink_key,
+    cwr_multidegrees,
+    has_gm_factorization,
+    split_rees_reducer,
+)
 
 MAX_GENERATORS = 21
 
@@ -41,6 +57,53 @@ def small_pairs() -> tuple:
 tables = st.deferred(lambda: st.sampled_from(small_pairs())).map(
     lambda pair: build_two_borel(*pair)
 )
+
+
+@lru_cache(maxsize=None)
+def small_roots() -> tuple:
+    return tuple(
+        root
+        for n in (3, 4)
+        for d in range(2, 6)
+        for root in degree_monomials(n, d)
+        if len(expand_principal(root)) <= MAX_GENERATORS
+    )
+
+
+principal_tables = st.deferred(lambda: st.sampled_from(small_roots())).map(
+    lambda root: build_table([root])
+)
+
+
+@st.composite
+def comparable_tables(draw):
+    """Two roots, one in the Borel ideal of the other, so one block holds all of Borel(M)."""
+    root = draw(st.sampled_from(small_roots()))
+    below = draw(st.sampled_from([m for m in expand_principal(root) if m != root] or [root]))
+    return build_table([below, root])
+
+
+@st.composite
+def reduced_tables(draw):
+    """Roots replaced by their lex-last divisors of a product, in their original roles."""
+    table = draw(tables)
+    return reduce_for_fiber(table, draw(st.sampled_from(sweep_multidegrees(table, 3))))
+
+
+@checked(60)
+@given(st.one_of(tables, principal_tables, comparable_tables(), reduced_tables()))
+def test_closed_form_sink_matches_the_search_and_the_graph(table):
+    solver = _solver(table)
+    groups = fibers(table, 3)
+    for t in range(1, 4):
+        for mu in degree_monomials(table.context.n, t * table.degree):
+            lo, hi = _m_share_bounds(table, mu)
+            assert (lo <= hi) == solver.can_factor(mu) == (mu in groups)
+            assert (lo <= hi and hi >= 1) == has_gm_factorization(table, mu)
+            if mu not in groups:
+                assert find_sink_direct(table, mu) is None
+    for mu, points in groups.items():
+        assert sinks(build_fiber_graph(table, mu, points)) == [find_sink_direct(table, mu)]
 
 
 @checked(12)
