@@ -3,142 +3,31 @@
 Fiber graphs of toric maps, the fiber sink order, quadratic Groebner bases
 for toric ideals of two-Borel ideals, and the lift to Rees ideals, together
 with brute-force oracles that recheck everything at small scale.
+
+The package exports what the README's library example uses, plus the
+generator table itself; everything else is imported from its submodule.
 """
 
-from borelfiber.borel import (
-    GeneratorTable,
-    build_table,
-    build_two_borel,
-    expand_principal,
-    lex_last_divisor,
-    minimal_borel_generators,
-    reduce_for_fiber,
-)
-from borelfiber.fiber import (
-    FiberGraph,
-    FiberPoint,
-    build_fiber_graph,
-    enumerate_fiber,
-    fiber_point_type,
-    fiber_sink_key,
-    find_sink_direct,
-    graph_to_json,
-    point_product,
-    replacement_move,
-    sinks,
-    to_dot,
-    vertex_label,
-)
-from borelfiber.instances import (
-    borel_incomparable_pairs,
-    random_tables,
-    suite_tables,
-    sweep_multidegrees,
-)
-from borelfiber.monomials import (
-    Monomial,
-    VariableContext,
-    borel_move,
-    degree,
-    degree_monomials,
-    divides,
-    find_reverse_move,
-    format_monomial,
-    is_borel_below,
-    lex_compare,
-    multiply,
-    parse_monomial,
-    quotient,
-    reverse_borel_move,
-    sigma,
-    unit,
-)
-from borelfiber.rees import (
-    ReesBasis,
-    ReesBinomial,
-    ReesMonomial,
-    linear_syzygies,
-    rees_basis_to_json,
-    rees_buchberger_verify,
-    rees_gb,
-    rees_image,
-    rees_normal_form,
-)
-from borelfiber.toric import (
-    GroebnerReport,
-    MarkedBasis,
-    MarkedBinomial,
-    basis_to_json,
-    brute_force_gb,
-    buchberger_verify,
-    closure_components,
-    normal_form,
-    quadric_generators,
-)
-from borelfiber.verify import SweepReport, check_unique_sink, sweep_unique_sinks
+from borelfiber.borel import GeneratorTable, build_table, build_two_borel
+from borelfiber.fiber import build_fiber_graph, find_sink_direct, sinks, to_dot
+from borelfiber.monomials import VariableContext, parse_monomial
+from borelfiber.rees import rees_buchberger_verify, rees_gb
+from borelfiber.toric import normal_form, quadric_generators
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FiberGraph",
-    "FiberPoint",
     "GeneratorTable",
-    "GroebnerReport",
-    "MarkedBasis",
-    "MarkedBinomial",
-    "Monomial",
-    "ReesBasis",
-    "ReesBinomial",
-    "ReesMonomial",
-    "SweepReport",
     "VariableContext",
-    "basis_to_json",
-    "borel_incomparable_pairs",
-    "borel_move",
-    "brute_force_gb",
-    "buchberger_verify",
     "build_fiber_graph",
     "build_table",
     "build_two_borel",
-    "check_unique_sink",
-    "closure_components",
-    "degree",
-    "degree_monomials",
-    "divides",
-    "enumerate_fiber",
-    "expand_principal",
-    "fiber_point_type",
-    "fiber_sink_key",
-    "find_reverse_move",
     "find_sink_direct",
-    "format_monomial",
-    "graph_to_json",
-    "is_borel_below",
-    "lex_compare",
-    "lex_last_divisor",
-    "linear_syzygies",
-    "minimal_borel_generators",
-    "multiply",
     "normal_form",
     "parse_monomial",
-    "point_product",
     "quadric_generators",
-    "quotient",
-    "random_tables",
-    "reduce_for_fiber",
-    "rees_basis_to_json",
     "rees_buchberger_verify",
     "rees_gb",
-    "rees_image",
-    "rees_normal_form",
-    "replacement_move",
-    "reverse_borel_move",
-    "sigma",
     "sinks",
-    "suite_tables",
-    "sweep_multidegrees",
-    "sweep_unique_sinks",
     "to_dot",
-    "unit",
-    "vertex_label",
 ]

@@ -18,42 +18,40 @@ counterexample harness, since no canonical order exists for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
+    borel_move,
     degree,
-    degree_monomials,
-    divides,
     format_monomial,
     is_borel_below,
+    reverse_borel_move,
     sigma,
 )
-
-
-@lru_cache(maxsize=4096)
-def _expand_principal(root: Monomial) -> tuple[Monomial, ...]:
-    d = degree(root)
-    if d < 1:
-        raise ValueError("the unit monomial generates no proper Borel ideal")
-    bound = sigma(root)
-    out = []
-    for m in degree_monomials(len(root), d):
-        s = sigma(m)
-        if all(a <= b for a, b in zip(s, bound)):
-            out.append(m)
-    return tuple(out)
 
 
 def expand_principal(root: Monomial) -> list[Monomial]:
     """Minimal generators of the principal Borel ideal of ``root``.
 
     These are exactly the degree-d monomials whose cumulative exponent vector
-    is componentwise at most sigma(root); returned lex-earliest first.
+    is componentwise at most sigma(root); returned lex-earliest first.  They
+    are built one variable at a time from their suffix sums d = s_0 >= s_1
+    >= ... >= s_{n-1} >= 0 with s_k <= sigma_k(root): exponent k is
+    s_k - s_{k+1}, and taking each s_{k+1} in ascending order lists the
+    monomials lex-earliest first.
     """
-    return list(_expand_principal(root))
+    d = degree(root)
+    if d < 1:
+        raise ValueError("the unit monomial generates no proper Borel ideal")
+    prefixes = [((), d)]  # (exponents so far, suffix sum of the rest)
+    for bound in sigma(root)[1:]:
+        prefixes = [
+            (m + (rest - s,), s) for m, rest in prefixes for s in range(min(rest, bound) + 1)
+        ]
+    return [m + (rest,) for m, rest in prefixes]
 
 
 def minimal_borel_generators(gens: Sequence[Monomial]) -> list[Monomial]:
@@ -66,17 +64,37 @@ def minimal_borel_generators(gens: Sequence[Monomial]) -> list[Monomial]:
     ]
 
 
-@lru_cache(maxsize=65536)
+def _from_sigma(sums: Sequence[int]) -> Monomial:
+    """The monomial with the given cumulative exponent vector."""
+    return tuple(a - b for a, b in zip(sums, (*sums[1:], 0)))
+
+
+def _lex_last_sigma(bound: Sequence[int], mu: Monomial) -> Optional[tuple[int, ...]]:
+    """Suffix sums of the lex-latest divisor of mu with sigma at most ``bound``.
+
+    With c_n = 0 and c_k = min(bound_k, mu_k + c_{k+1}), c_k is the largest
+    suffix sum from position k that a divisor of mu within the bound can
+    reach, and taking every suffix sum at its largest gives the lex-latest
+    such divisor.  One of degree bound_0 exists exactly when c_0 = bound_0.
+    """
+    sums = [0] * len(mu)
+    c = 0
+    for k in range(len(mu) - 1, -1, -1):
+        c = min(bound[k], mu[k] + c)
+        sums[k] = c
+    return tuple(sums) if c == bound[0] else None
+
+
 def lex_last_divisor(root: Monomial, mu: Monomial) -> Optional[Monomial]:
     """Lex-latest generator of Borel(root) dividing mu, or None.
 
     Every element of Borel(root) dividing mu is Borel-below the result, so
     substituting the result for the root leaves fibers of mu untouched.
     """
-    candidates = [g for g in _expand_principal(root) if divides(g, mu)]
-    if not candidates:
-        return None
-    return min(candidates)
+    if len(mu) != len(root):
+        raise ValueError(f"variable contexts differ: {len(root)} vs {len(mu)} variables")
+    sums = _lex_last_sigma(sigma(root), mu)
+    return None if sums is None else _from_sigma(sums)
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,39 @@ class GeneratorTable:
     @cached_property
     def index_of(self) -> dict[Monomial, int]:
         return {g: i for i, g in enumerate(self.generators)}
+
+    @cached_property
+    def pair_transitions(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """For each ordered generator pair, the paired-move replacements.
+
+        ``pair_transitions[g1][g2]`` lists the pairs ``(h1, h2)`` where h1
+        arises from g1 by a Borel move and h2 from g2 by the matching reverse
+        move, with both results again minimal generators.  The rows live and
+        die with the table.
+        """
+        gens = self.generators
+        index_of = self.index_of
+        n = self.context.n
+        rows = []
+        for e1 in gens:
+            row = []
+            for e2 in gens:
+                moves = []
+                for j in range(1, n):
+                    if e1[j] == 0:
+                        continue
+                    for i in range(j):
+                        if e2[i] == 0:
+                            continue
+                        h1 = index_of.get(borel_move(e1, j, i))
+                        if h1 is None:
+                            continue
+                        h2 = index_of.get(reverse_borel_move(e2, i, j))
+                        if h2 is not None:
+                            moves.append((h1, h2))
+                row.append(tuple(moves))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def to_json(self) -> dict:
         return {

@@ -12,8 +12,11 @@ Fibers come from two enumerations.  :func:`fibers` builds every point of
 t-degree up to a bound in one pass, level by level, and groups the points by
 product; sweeps and the quadric and completion seeds use it, because they
 need every fiber up to the bound anyway.  :func:`enumerate_fiber` factors a
-single multidegree by a pruned search; it serves one-mu callers, whose t can
-be far too large to list every product up to it.
+single multidegree by one iterative depth-first search; it serves one-mu
+callers, whose t can be far too large to list every product up to it.
+
+No fiber state outlives a call, except the table's own paired-move rows
+(``GeneratorTable.pair_transitions``), which live and die with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -24,19 +27,17 @@ graph or searching, by the interval test on i that Borel(M)^i Borel(N)^(t-i)
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from borelfiber.borel import GeneratorTable, lex_last_divisor
+from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, lex_last_divisor
 from borelfiber.monomials import (
     Monomial,
     borel_move,
     degree,
     find_reverse_move,
     format_monomial,
-    quotient,
     reverse_borel_move,
     sigma,
 )
@@ -93,108 +94,15 @@ def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoi
     return {mu: groups[mu] for mu in sorted(groups, key=lambda m: (degree(m), m))}
 
 
-class _FiberSolver:
-    """Per-table caches for factorization search."""
-
-    def __init__(self, table: GeneratorTable):
-        self.table = table
-        self._can: dict[tuple[Monomial, int], bool] = {}
-
-    def can_factor(self, remaining: Monomial, start: int = 0) -> bool:
-        """Is there a factorization of ``remaining`` using generator indices >= start?"""
-        if not any(remaining):
-            return True
-        key = (remaining, start)
-        hit = self._can.get(key)
-        if hit is not None:
-            return hit
-        gens = self.table.generators
-        ok = False
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            if all(e <= r for e, r in zip(g, remaining)):
-                rest = tuple(r - e for r, e in zip(remaining, g))
-                if self.can_factor(rest, idx):
-                    ok = True
-                    break
-        self._can[key] = ok
-        return ok
-
-    def enumerate(self, mu: Monomial) -> list[FiberPoint]:
-        gens = self.table.generators
-        out: list[FiberPoint] = []
-        picked: list[int] = []
-
-        def rec(remaining: Monomial, start: int) -> None:
-            if not any(remaining):
-                out.append(tuple(picked))
-                return
-            for idx in range(start, len(gens)):
-                g = gens[idx]
-                if all(e <= r for e, r in zip(g, remaining)):
-                    rest = tuple(r - e for r, e in zip(remaining, g))
-                    if self.can_factor(rest, idx):
-                        picked.append(idx)
-                        rec(rest, idx)
-                        picked.pop()
-
-        rec(mu, 0)
-        return out
-
-    @cached_property
-    def pair_transitions(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """For each ordered generator pair, the paired-move replacements.
-
-        ``(g1, g2) -> ((h1, h2), ...)`` where h1 arises from g1 by a Borel
-        move and h2 from g2 by the matching reverse move, with both results
-        again minimal generators.
-        """
-        table = self.table
-        gens = table.generators
-        index_of = table.index_of
-        n = table.context.n
-        out: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for g1, e1 in enumerate(gens):
-            for g2, e2 in enumerate(gens):
-                moves = []
-                for j in range(1, n):
-                    if e1[j] == 0:
-                        continue
-                    for i in range(j):
-                        if e2[i] == 0:
-                            continue
-                        h1 = index_of.get(borel_move(e1, j, i))
-                        if h1 is None:
-                            continue
-                        h2 = index_of.get(reverse_borel_move(e2, i, j))
-                        if h2 is not None:
-                            moves.append((h1, h2))
-                if moves:
-                    out[(g1, g2)] = tuple(moves)
-        return out
-
-
-_SOLVER_CACHE: "OrderedDict[GeneratorTable, _FiberSolver]" = OrderedDict()
-_SOLVER_CACHE_SIZE = 8
-
-
-def _solver(table: GeneratorTable) -> _FiberSolver:
-    solver = _SOLVER_CACHE.get(table)
-    if solver is None:
-        solver = _FiberSolver(table)
-        _SOLVER_CACHE[table] = solver
-        while len(_SOLVER_CACHE) > _SOLVER_CACHE_SIZE:
-            _SOLVER_CACHE.popitem(last=False)
-    else:
-        _SOLVER_CACHE.move_to_end(table)
-    return solver
-
-
 def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
     """All factorizations of mu into generators, ascending index tuples.
 
     Empty when the degree of mu is not a multiple of the generating degree;
-    the fiber of the unit monomial is the single empty point.
+    the fiber of the unit monomial is the single empty point.  One iterative
+    depth-first search: a partial point is extended by every generator index
+    at least its last one that divides the rest, the last factor is looked up
+    directly, and a (rest, least index) state that completed no point is
+    remembered for the rest of the call and not searched again.
     """
     if len(mu) != table.context.n:
         raise ValueError("mu lives in a different variable context")
@@ -202,7 +110,38 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
         return [()]
     if table.is_empty or degree(mu) % table.degree != 0:
         return []
-    return _solver(table).enumerate(mu)
+    gens, index_of, d = table.generators, table.index_of, table.degree
+    if degree(mu) == d:
+        return [(index_of[mu],)] if mu in index_of else []
+    out: list[FiberPoint] = []
+    dead: set[tuple[Monomial, int]] = set()
+    picked: list[int] = []
+    # One frame per open state: the rest, its least index, the next index to
+    # try, and the number of points found before the state was entered.
+    frames = [[mu, 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        rest, start, idx, found = frame
+        if idx == len(gens):
+            frames.pop()
+            if len(out) == found:
+                dead.add((rest, start))
+            if picked:
+                picked.pop()
+            continue
+        frame[2] = idx + 1
+        g = gens[idx]
+        if any(e > r for e, r in zip(g, rest)):
+            continue
+        smaller = tuple(r - e for r, e in zip(rest, g))
+        if degree(smaller) == d:
+            last = index_of.get(smaller)
+            if last is not None and last >= idx:
+                out.append((*picked, idx, last))
+        elif (smaller, idx) not in dead:
+            picked.append(idx)
+            frames.append([smaller, idx, idx, len(out)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,15 +178,16 @@ def build_fiber_graph(
     else:
         vertices = points
     vindex = {v: i for i, v in enumerate(vertices)}
-    transitions = _solver(table).pair_transitions if vertices else {}
+    transitions = table.pair_transitions if vertices else ()
     edges: set[tuple[int, int]] = set()
     for vi, z in enumerate(vertices):
         t = len(z)
         for s1 in range(t):
+            row = transitions[z[s1]]
             for s2 in range(t):
                 if s1 == s2:
                     continue
-                for h1, h2 in transitions.get((z[s1], z[s2]), ()):
+                for h1, h2 in row[z[s2]]:
                     moved = list(z)
                     moved[s1] = h1
                     moved[s2] = h2
@@ -258,6 +198,28 @@ def build_fiber_graph(
                     wi = vindex[w]
                     edges.add((vi, wi) if vi < wi else (wi, vi))
     return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
+
+
+def _component_labels(size: int, groups) -> list[int]:
+    """Union-find over 0..size-1: merge each group, return each element's root.
+
+    Two elements get the same label exactly when a chain of groups links them.
+    """
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        root = find(group[0])
+        for x in group[1:]:
+            other = find(x)
+            if other != root:
+                parent[other] = root
+    return [find(x) for x in range(size)]
 
 
 def sinks(graph: FiberGraph) -> list[FiberPoint]:
@@ -315,18 +277,20 @@ def replacement_move(table: GeneratorTable, mu: Monomial, point: FiberPoint) -> 
         out[r] = companion
         out.sort()
         return tuple(out)
-    raise AssertionError("another factor must carry the freed variable")
+    raise RuntimeError("another factor must carry the freed variable")
 
 
-def _m_share_bounds(table: GeneratorTable, mu: Monomial) -> tuple[int, int]:
-    """The integers lo..hi of i with sigma(mu) <= i*sigma(M) + (t-i)*sigma(N).
+def _m_share_bounds(
+    t: int, s_mu: tuple[int, ...], s_m: tuple[int, ...], s_n: tuple[int, ...]
+) -> tuple[int, int]:
+    """The integers lo..hi of i with s_mu <= i*s_m + (t-i)*s_n componentwise.
 
-    mu, of degree t*d, lies in Borel(M)^i Borel(N)^(t-i) = Borel(M^i N^(t-i))
+    With s_mu, s_m and s_n the cumulative exponent vectors of mu, M and N,
+    mu of degree t*d lies in Borel(M)^i Borel(N)^(t-i) = Borel(M^i N^(t-i))
     exactly for those i; each coordinate bounds i on one side.
     """
-    t = degree(mu) // table.degree
     lo, hi = 0, t
-    for s, m, n in zip(sigma(mu), sigma(table.roots[0]), sigma(table.roots[-1])):
+    for s, m, n in zip(s_mu, s_m, s_n):
         need, step = s - t * n, m - n  # i * step >= need
         if step > 0:
             lo = max(lo, -(-need // step))
@@ -345,8 +309,9 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     interval lo..hi of :func:`_m_share_bounds` (nonempty exactly when mu
     factors) has hi >= 1, else the lex-last divisor N' in Borel(N).  Every
     sink is divisible by the peeled factor, so peeling the quotient reaches
-    the sink of the whole fiber, in t steps of O(n) each besides the divisor
-    lookup.  Returns None exactly when the fiber is empty.
+    the sink of the whole fiber, in t steps of O(n) each: sigma(M) and
+    sigma(N) are computed once, and sigma of the rest drops by sigma of each
+    peeled factor.  Returns None exactly when the fiber is empty.
     """
     if len(table.roots) > 2:
         raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
@@ -354,18 +319,23 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         return ()
     if table.is_empty or degree(mu) % table.degree != 0:
         return None
-    lo, hi = _m_share_bounds(table, mu)
+    s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
+    t = degree(mu) // table.degree
+    current, s_current = mu, sigma(mu)
+    lo, hi = _m_share_bounds(t, s_current, s_m, s_n)
     if lo > hi:
         return None
     picked: list[int] = []
-    current = mu
-    while degree(current) > 0:
-        factor = lex_last_divisor(table.roots[0] if hi >= 1 else table.roots[-1], current)
-        if factor is None:
+    while t > 0:
+        s_factor = _lex_last_sigma(s_m if hi >= 1 else s_n, current)
+        if s_factor is None:
             raise RuntimeError("a factorable multidegree admits a block divisor")
+        factor = _from_sigma(s_factor)
         picked.append(table.index_of[factor])
-        current = quotient(current, factor)
-        lo, hi = _m_share_bounds(table, current)
+        current = tuple(a - b for a, b in zip(current, factor))
+        s_current = tuple(a - b for a, b in zip(s_current, s_factor))
+        t -= 1
+        lo, hi = _m_share_bounds(t, s_current, s_m, s_n)
         if lo > hi:
             raise RuntimeError("peeling a sink factor keeps the rest factorable")
     return tuple(sorted(picked))

@@ -144,7 +144,7 @@ def find_reverse_move(m: Monomial, mp: Monomial, j: int) -> int:
     for i in range(j - 1, -1, -1):
         if s[i] != s[j]:
             return i
-    raise AssertionError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
+    raise RuntimeError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
 
 
 def lex_compare(m1: Monomial, m2: Monomial) -> int:

@@ -18,7 +18,6 @@ reduce through it.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import Callable
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
-    _solver,
+    _component_labels,
     enumerate_fiber,
     fiber_sink_key,
     fibers,
@@ -346,45 +345,31 @@ def closure_components(
     ``max_swap`` factors with another factorization of the same sub-product.
     Points in distinct components witness a toric minimal generator of
     t-degree above ``max_swap`` at mu.
+
+    Only two swap bounds mean anything for a fiber of t-degree t.  At
+    ``max_swap >= t`` any point becomes any other in one exchange, so the
+    fiber is one component.  At ``max_swap == t - 1`` two points are adjacent
+    exactly when they share a factor (keep it, exchange the other t - 1; and
+    an exchange of at most t - 1 factors keeps one), so the components are
+    the classes of a union-find over the generator indices that the points
+    use.  A bound below t - 1 raises ``ValueError``.  Components come in the
+    order of their first point, and each lists its points in fiber order.
     """
     if max_swap < 2:
         raise ValueError("exchange moves involve at least two factors")
     fiber = enumerate_fiber(table, mu)
-    solver = _solver(table)
-    position = {z: i for i, z in enumerate(fiber)}
-    refactor_cache: dict[Monomial, tuple[FiberPoint, ...]] = {}
-
-    def refactor(product: Monomial) -> tuple[FiberPoint, ...]:
-        hit = refactor_cache.get(product)
-        if hit is None:
-            hit = tuple(solver.enumerate(product))
-            refactor_cache[product] = hit
-        return hit
-
-    seen = [False] * len(fiber)
-    components: list[list[FiberPoint]] = []
-    for start in range(len(fiber)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [fiber[start]]
-        while stack:
-            z = stack.pop()
-            for j in range(2, min(max_swap, len(z)) + 1):
-                for slots in itertools.combinations(range(len(z)), j):
-                    sub = tuple(z[s] for s in slots)
-                    for alt in refactor(point_product(table, sub)):
-                        if alt == sub:
-                            continue
-                        cand = _replace(z, sub, alt)
-                        idx = position[cand]
-                        if not seen[idx]:
-                            seen[idx] = True
-                            comp.append(idx)
-                            stack.append(cand)
-        components.append(sorted(comp))
-    return [[fiber[i] for i in comp] for comp in components]
+    if not fiber:
+        return []
+    t = len(fiber[0])
+    if max_swap >= t:
+        return [fiber]
+    if max_swap < t - 1:
+        raise ValueError(f"swap bounds below t - 1 = {t - 1} are not supported, got {max_swap}")
+    labels = _component_labels(len(table.generators), fiber)
+    components: dict[int, list[FiberPoint]] = {}
+    for z in fiber:
+        components.setdefault(labels[z[0]], []).append(z)
+    return list(components.values())
 
 
 def basis_to_json(basis: MarkedBasis) -> dict:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
+    _component_labels,
     build_fiber_graph,
     fiber_sink_key,
     fibers,
@@ -38,19 +39,7 @@ def check_unique_sink(
     for a, b in graph.edges:
         if keys[a] <= keys[b]:
             violations.append(f"{label}: edge {a}->{b} does not decrease in the sink order")
-    parent = list(range(len(graph.vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(i) for i in range(len(graph.vertices))}) != 1:
+    if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
         violations.append(f"{label}: fiber graph is disconnected")
     graph_sinks = sinks(graph)
     if len(graph_sinks) != 1:

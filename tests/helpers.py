@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 from typing import Callable
 
 from borelfiber.fiber import FiberPoint, point_product
@@ -75,31 +76,113 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
     return out
 
 
-def has_gm_factorization(table, mu: Monomial) -> bool:
-    """Does some factorization of mu into table generators use a G_M generator?
-
-    A memoized search over generator indices; it shares no code with the
-    closed form that ``find_sink_direct`` uses for the same question.
-    """
+@lru_cache(maxsize=8)
+def _factor_search(table) -> Callable[[Monomial, int], bool]:
     gens = table.generators
     known: dict[tuple[Monomial, int], bool] = {}
 
-    def can_factor(remaining: Monomial, start: int) -> bool:
+    def search(remaining: Monomial, start: int) -> bool:
         if degree(remaining) == 0:
             return True
         key = (remaining, start)
         if key not in known:
             known[key] = any(
                 divides(gens[idx], remaining)
-                and can_factor(tuple(r - e for r, e in zip(remaining, gens[idx])), idx)
+                and search(tuple(r - e for r, e in zip(remaining, gens[idx])), idx)
                 for idx in range(start, len(gens))
             )
         return known[key]
 
+    return search
+
+
+def can_factor(table, mu: Monomial) -> bool:
+    """Does mu factor into table generators?  A memoized search over indices."""
+    return _factor_search(table)(mu, 0)
+
+
+def has_gm_factorization(table, mu: Monomial) -> bool:
+    """Does some factorization of mu into table generators use a G_M generator?
+
+    A search over generator indices (see :func:`can_factor`); it shares no
+    code with the closed form that ``find_sink_direct`` uses for the same
+    question.
+    """
     return any(
-        tag == "G_M" and divides(g, mu) and can_factor(tuple(r - e for r, e in zip(mu, g)), 0)
-        for g, tag in zip(gens, table.tags)
+        tag == "G_M"
+        and divides(g, mu)
+        and can_factor(table, tuple(r - e for r, e in zip(mu, g)))
+        for g, tag in zip(table.generators, table.tags)
     )
+
+
+def all_monomials(n: int, d: int) -> list[Monomial]:
+    """Every degree-d monomial in n variables, lex-earliest first."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for v in combo:
+            exps[v] += 1
+        out.append(tuple(exps))
+    return sorted(out, reverse=True)
+
+
+def suffix_sums(m: Monomial) -> list[int]:
+    return [sum(m[k:]) for k in range(len(m))]
+
+
+@lru_cache(maxsize=None)
+def principal_by_filter(root: Monomial) -> list[Monomial]:
+    """Borel(root) as the degree-d monomials with suffix sums at most root's."""
+    bound = suffix_sums(root)
+    return [
+        m
+        for m in all_monomials(len(root), sum(root))
+        if all(a <= b for a, b in zip(suffix_sums(m), bound))
+    ]
+
+
+def lex_last_divisor_by_scan(root: Monomial, mu: Monomial):
+    """Lex-latest element of Borel(root) dividing mu, by scanning all of it."""
+    divisors = [g for g in principal_by_filter(root) if all(a <= b for a, b in zip(g, mu))]
+    return min(divisors) if divisors else None
+
+
+def closure_components_by_search(table, mu: Monomial, max_swap: int) -> list[list[FiberPoint]]:
+    """Components of the fiber of mu under exchanges of 2..max_swap factors.
+
+    Searches every subset of at most ``max_swap`` factors of every point and
+    every refactorization of its product, starting each component from the
+    first point not yet reached; components list their points in ascending
+    tuple order, the order of the library's enumeration.
+    """
+    gens = list(table.generators)
+    fiber = sorted(brute_factorizations(gens, mu))
+    position = {z: i for i, z in enumerate(fiber)}
+    refactor: dict[Monomial, list[tuple[int, ...]]] = {}
+    seen = [False] * len(fiber)
+    components = []
+    for start in range(len(fiber)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [fiber[start]]
+        while stack:
+            z = stack.pop()
+            for j in range(2, min(max_swap, len(z)) + 1):
+                for slots in itertools.combinations(range(len(z)), j):
+                    kept = [z[s] for s in range(len(z)) if s not in slots]
+                    product = tuple(map(sum, zip(*(gens[z[s]] for s in slots))))
+                    if product not in refactor:
+                        refactor[product] = sorted(brute_factorizations(gens, product))
+                    for alt in refactor[product]:
+                        idx = position[tuple(sorted(kept + list(alt)))]
+                        if not seen[idx]:
+                            seen[idx] = True
+                            comp.append(idx)
+                            stack.append(fiber[idx])
+        components.append([fiber[i] for i in sorted(comp)])
+    return components
 
 
 def cwr_multidegrees(table, max_tdeg: int) -> list[Monomial]:
@@ -247,3 +330,22 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
         if a != b and reduce(a) != reduce(b):
             failures.append(SPairFailure(p, q, rees_image(table, lcm)))
     return _report(failures, pairs, table)
+
+
+class SerialPool:
+    """Stand-in for ProcessPoolExecutor: records its width, maps in-process."""
+
+    widths: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        SerialPool.widths.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)

@@ -109,6 +109,10 @@ class TestEnumerateFiber:
         fiber = enumerate_fiber(fig_table, mono("a^3b^9c^3"))
         assert fiber == sorted(fiber)
 
+    def test_deep_fiber(self):
+        # 1,500 factors of b: deeper than the interpreter's recursion limit.
+        assert enumerate_fiber(build_table([(0, 1)]), (0, 1500)) == [(1,) * 1500]
+
     def test_three_borel_fiber_contains_both_counterexample_points(self):
         table = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
         f, g, h = mono("a^3c^3"), mono("b^6"), mono("a^2b^2c^2")

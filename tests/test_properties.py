@@ -1,22 +1,31 @@
-"""Property tests of the grouped fiber pass, the sink key, the direct sink and
-the reduction engine.
+"""Property tests of the grouped fiber pass, the sink key, the direct sink,
+the closed forms of Borel(root), the reduction engine, monomial syntax and
+the sweep's parallel merge.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
-tables, tables with comparable roots and fiber-reduced tables.  Examples are
-derandomized, so every run checks the same tables.
+tables, tables with comparable roots and fiber-reduced tables, and the sweep
+test tables on five variables.  Examples are derandomized, so every run
+checks the same tables.
 """
 
 import itertools
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelfiber.borel import build_table, build_two_borel, expand_principal, reduce_for_fiber
+from borelfiber import verify
+from borelfiber.borel import (
+    build_table,
+    build_two_borel,
+    expand_principal,
+    lex_last_divisor,
+    reduce_for_fiber,
+)
 from borelfiber.fiber import (
     _m_share_bounds,
-    _solver,
     build_fiber_graph,
     enumerate_fiber,
     fiber_sink_key,
@@ -25,14 +34,26 @@ from borelfiber.fiber import (
     sinks,
 )
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
-from borelfiber.monomials import degree_monomials, unit
+from borelfiber.monomials import (
+    VariableContext,
+    degree_monomials,
+    format_monomial,
+    parse_monomial,
+    sigma,
+    unit,
+)
 from borelfiber.rees import ReesBasis, ReesMonomial, rees_gb, rees_normal_form
 from borelfiber.toric import normal_form, quadric_generators
 
 from helpers import (
+    SerialPool,
+    all_monomials,
+    can_factor,
     count_vector_sink_key,
     cwr_multidegrees,
     has_gm_factorization,
+    lex_last_divisor_by_scan,
+    principal_by_filter,
     split_rees_reducer,
 )
 
@@ -93,12 +114,12 @@ def reduced_tables(draw):
 @checked(60)
 @given(st.one_of(tables, principal_tables, comparable_tables(), reduced_tables()))
 def test_closed_form_sink_matches_the_search_and_the_graph(table):
-    solver = _solver(table)
     groups = fibers(table, 3)
+    s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
     for t in range(1, 4):
         for mu in degree_monomials(table.context.n, t * table.degree):
-            lo, hi = _m_share_bounds(table, mu)
-            assert (lo <= hi) == solver.can_factor(mu) == (mu in groups)
+            lo, hi = _m_share_bounds(t, sigma(mu), s_m, s_n)
+            assert (lo <= hi) == can_factor(table, mu) == (mu in groups)
             assert (lo <= hi and hi >= 1) == has_gm_factorization(table, mu)
             if mu not in groups:
                 assert find_sink_direct(table, mu) is None
@@ -169,3 +190,73 @@ def test_rees_engine_matches_the_split_reference(table):
         for z in points:
             expected = ReesMonomial(one, normal_form(z, quadrics))
             assert rees_normal_form(ReesMonomial(one, z), full) == expected
+
+
+ROOTS_BY_N = {n: [root for d in range(1, 7) for root in all_monomials(n, d)] for n in range(1, 6)}
+
+
+def test_expand_principal_matches_the_filter():
+    for roots in ROOTS_BY_N.values():
+        for root in roots:
+            assert expand_principal(root) == principal_by_filter(root)
+
+
+@checked(40)
+@given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=5))
+def test_lex_last_divisor_matches_the_scan(mu):
+    mu = tuple(mu)
+    for root in ROOTS_BY_N[len(mu)]:
+        assert lex_last_divisor(root, mu) == lex_last_divisor_by_scan(root, mu)
+
+
+# Multi-letter names, one a prefix of another.  Names such as y and yy, where
+# "yyy^2" reads two ways, are left out: compact syntax cannot round-trip them.
+NAMES = ("a", "b", "x1", "x12", "y")
+
+
+@checked(150)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.one_of(
+                st.just(VariableContext.default(n)),
+                st.permutations(NAMES).map(lambda names: VariableContext(tuple(names[:n]))),
+            ),
+            st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n),
+        )
+    )
+)
+def test_parse_and_format_round_trip(case):
+    context, exps = case
+    m = tuple(exps)
+    text = format_monomial(m, context)
+    assert parse_monomial(text, context) == m
+    assert parse_monomial("[" + ",".join(map(str, m)) + "]", context) == m
+
+
+@lru_cache(maxsize=None)
+def sweep_pairs() -> tuple:
+    return tuple(
+        (M, N)
+        for n in (3, 4, 5)
+        for d in (2, 3)
+        for M, N in borel_incomparable_pairs(n, d)
+        if len(build_two_borel(M, N).generators) <= MAX_GENERATORS
+    )
+
+
+@checked(15)
+@given(
+    st.deferred(lambda: st.sampled_from(sweep_pairs())).map(lambda pair: build_two_borel(*pair)),
+    st.integers(min_value=1, max_value=3),
+)
+def test_sweep_report_does_not_depend_on_the_width(table, max_tdeg):
+    serial = verify.sweep_unique_sinks(table, max_tdeg, jobs=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        patch.setattr(verify, "_WORKER_TABLE", None)
+        patch.setattr(verify.os, "cpu_count", lambda: 2)
+        SerialPool.widths = []
+        fanned = verify.sweep_unique_sinks(table, max_tdeg, jobs=2)
+        assert SerialPool.widths == ([2] if serial.multidegrees_checked > 1 else [])
+    assert fanned == serial

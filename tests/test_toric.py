@@ -5,10 +5,12 @@ from borelfiber.fiber import (
     build_fiber_graph,
     enumerate_fiber,
     fiber_sink_key,
+    fibers,
     find_sink_direct,
     point_product,
     sinks,
 )
+from borelfiber.instances import suite_tables
 from borelfiber.monomials import VariableContext
 from borelfiber.toric import (
     MarkedBasis,
@@ -21,7 +23,7 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
-from helpers import mono, monos, pairwise_buchberger
+from helpers import closure_components_by_search, mono, monos, pairwise_buchberger
 
 CTX2 = VariableContext.default(2)
 
@@ -39,6 +41,11 @@ def fig_quadrics(fig_table):
 @pytest.fixture(scope="module")
 def three_borel():
     return build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
+
+
+def family_roots(r):
+    """f, g and h of the three-Borel family whose fiber at h^r needs r-factor swaps."""
+    return [(r, 0, r * (r - 2)), (0, r * (r - 1), 0), (r - 1, r - 1, (r - 1) * (r - 2))]
 
 
 def point_of(table, *factors):
@@ -232,6 +239,34 @@ class TestClosureComponents:
     def test_swap_bound_validation(self, fig_table):
         with pytest.raises(ValueError):
             closure_components(fig_table, (2, 4, 4), max_swap=1)
+
+    def test_swap_bound_below_t_minus_one_rejected(self, fig_table):
+        with pytest.raises(ValueError, match="below t - 1"):
+            closure_components(fig_table, (4, 12, 4), max_swap=2)
+
+    @pytest.mark.parametrize(
+        "r, stride, cubic_splits",
+        # r = 4 checks every 50th of its 725 fibers and pins its two cubic splits.
+        [(3, 1, [(6, 6, 6)]), (4, 50, [(9, 11, 16), (9, 12, 15)])],
+    )
+    def test_family_fibers_match_the_subset_search(self, r, stride, cubic_splits):
+        table = build_table(family_roots(r))
+        family_mu = tuple(a * r for a in family_roots(r)[2])
+        for mu in list(fibers(table, 3))[::stride] + cubic_splits + [family_mu]:
+            t = sum(mu) // table.degree
+            for max_swap in sorted({max(2, t - 1), max(2, t)}):
+                got = closure_components(table, mu, max_swap)
+                assert got == closure_components_by_search(table, mu, max_swap)
+                if mu in cubic_splits + [family_mu]:
+                    assert len(got) == (2 if max_swap == t - 1 else 1)
+
+    def test_suite_fibers_match_the_subset_search(self):
+        for table in suite_tables(cap=200)[::50]:
+            for mu, points in fibers(table, 3).items():
+                t = len(points[0])
+                for max_swap in sorted({max(2, t - 1), max(2, t)}):
+                    got = closure_components(table, mu, max_swap)
+                    assert got == closure_components_by_search(table, mu, max_swap)
 
 
 class TestBasisJson:

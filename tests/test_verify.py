@@ -15,7 +15,7 @@ from borelfiber.borel import build_two_borel
 from borelfiber.fiber import build_fiber_graph
 from borelfiber.monomials import format_monomial
 
-from helpers import mono
+from helpers import SerialPool, mono
 
 FIG_MU = (3, 9, 3)
 
@@ -103,25 +103,6 @@ class TestNegativeControls:
         )
         assert code == cli.EXIT_VIOLATION
         assert '"status": "FAIL"' in capsys.readouterr().out
-
-
-class SerialPool:
-    """Stand-in for ProcessPoolExecutor: records its width, maps in-process."""
-
-    widths: list[int] = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        SerialPool.widths.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
 
 
 class TestJobsClamp:
