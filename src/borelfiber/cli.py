@@ -102,10 +102,6 @@ def _load_table(args: argparse.Namespace) -> GeneratorTable:
     return build_table(gens, context=context)
 
 
-def _parse_mu(args: argparse.Namespace, table: GeneratorTable) -> Monomial:
-    return parse_monomial(args.mu, table.context)
-
-
 def _jobs(args: argparse.Namespace) -> int:
     value = args.jobs if args.jobs is not None else os.environ.get("BORELFIBER_JOBS", "1")
     try:
@@ -141,7 +137,7 @@ def _guard_tdeg(table: GeneratorTable, mu: Monomial, bound: int) -> None:
 
 def cmd_fiber(args) -> tuple[int, str]:
     table = _load_table(args)
-    mu = _parse_mu(args, table)
+    mu = parse_monomial(args.mu, table.context)
     _guard_tdeg(table, mu, args.bound)
     graph = build_fiber_graph(table, mu)
     if args.format == "dot":
@@ -156,7 +152,7 @@ def cmd_fiber(args) -> tuple[int, str]:
 
 def cmd_sink(args) -> tuple[int, str]:
     table = _load_table(args)
-    mu = _parse_mu(args, table)
+    mu = parse_monomial(args.mu, table.context)
     direct = find_sink_direct(table, mu)
     tdeg = degree(mu) // table.degree if table.degree else 0
     agrees = None
@@ -294,53 +290,53 @@ def build_parser() -> argparse.ArgumentParser:
     ideal.add_argument("--input", help="path to a JSON ideal descriptor")
     ideal.add_argument("--nvars", type=int, help="variable count when inference is not enough")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--bound", type=int, default=4, help="t-degree bound for graphs and sweeps (default 4)"
-    )
-    common.add_argument(
-        "--jobs", type=int, default=None, help="parallel workers (default $BORELFIBER_JOBS or 1)"
-    )
-    common.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
-    p = sub.add_parser("gens", parents=[ideal, common], help="dump the generator table")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--bound", type=int, default=4, help="t-degree bound (default 4)")
+
+    p = sub.add_parser("gens", parents=[ideal, fmt], help="dump the generator table")
     p.set_defaults(func=cmd_gens)
 
-    p = sub.add_parser("fiber", parents=[ideal, common], help="build one fiber graph")
+    p = sub.add_parser("fiber", parents=[ideal, bound, fmt], help="build one fiber graph")
     p.add_argument("--mu", required=True, help="multidegree, compact or [vector] syntax")
     p.set_defaults(func=cmd_fiber)
 
-    p = sub.add_parser("sink", parents=[ideal, common], help="direct sink, checked against the graph")
+    p = sub.add_parser(
+        "sink", parents=[ideal, bound, fmt], help="direct sink, checked against the graph"
+    )
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_sink)
 
-    p = sub.add_parser("toric-gb", parents=[ideal, common], help="quadric Groebner basis")
+    p = sub.add_parser("toric-gb", parents=[ideal, fmt], help="quadric Groebner basis")
     p.add_argument("--interreduce", action="store_true", help="drop duplicate leads, reduce trails")
     p.set_defaults(func=cmd_toric_gb)
 
-    p = sub.add_parser("rees-gb", parents=[ideal, common], help="Rees ideal Groebner basis")
+    p = sub.add_parser("rees-gb", parents=[ideal, fmt], help="Rees ideal Groebner basis")
     p.set_defaults(func=cmd_rees_gb)
 
     p = sub.add_parser(
         "verify-unique-sinks",
-        parents=[ideal, common],
+        parents=[ideal, bound, fmt],
         help="sweep all fibers up to the t-degree bound",
     )
+    p.add_argument("--jobs", type=int, help="parallel workers (default $BORELFIBER_JOBS or 1)")
     p.set_defaults(func=cmd_verify_unique_sinks)
 
     p = sub.add_parser(
-        "verify-buchberger", parents=[ideal, common], help="Groebner check of the quadric basis"
+        "verify-buchberger", parents=[ideal, fmt], help="Groebner check of the quadric basis"
     )
     p.add_argument("--rees", action="store_true", help="also verify the Rees basis")
     p.set_defaults(func=cmd_verify_buchberger)
 
     p = sub.add_parser(
-        "oracle-gb", parents=[ideal, common], help="truncated Buchberger completion oracle"
+        "oracle-gb", parents=[ideal, bound, fmt], help="truncated Buchberger completion oracle"
     )
     p.set_defaults(func=cmd_oracle_gb)
 
     p = sub.add_parser(
-        "counterexample", parents=[common], help="three-Borel high-degree generator harness"
+        "counterexample", parents=[fmt], help="three-Borel high-degree generator harness"
     )
     p.add_argument("--r", type=int, default=3, help="family parameter (3 reproduces the classic example)")
     p.set_defaults(func=cmd_counterexample)

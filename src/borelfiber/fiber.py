@@ -20,8 +20,8 @@ No fiber state outlives a call, except the table's own paired-move rows
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
-graph or searching, by the interval test on i that Borel(M)^i Borel(N)^(t-i)
-= Borel(M^i N^(t-i)) gives; :func:`build_fiber_graph` is the explicit oracle.
+graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
+= Borel(M^i N^(t-i)); :func:`build_fiber_graph` is the explicit oracle.
 """
 
 from __future__ import annotations
@@ -304,14 +304,18 @@ def _m_share_bounds(
 def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint]:
     """The unique sink of the fiber of mu, computed without the graph.
 
-    Peels off one factor per step: the lex-last divisor M' of mu in Borel(M)
-    when some factorization of mu touches the G_M block, that is when the
-    interval lo..hi of :func:`_m_share_bounds` (nonempty exactly when mu
-    factors) has hi >= 1, else the lex-last divisor N' in Borel(N).  Every
-    sink is divisible by the peeled factor, so peeling the quotient reaches
-    the sink of the whole fiber, in t steps of O(n) each: sigma(M) and
-    sigma(N) are computed once, and sigma of the rest drops by sigma of each
-    peeled factor.  Returns None exactly when the fiber is empty.
+    With lo..hi the interval of :func:`_m_share_bounds` (empty exactly when
+    the fiber is; then None), the sink peels the lex-last divisor M' of the
+    rest in Borel(M) hi times, then N' in Borel(N) t - hi times, O(n) each.
+
+    Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
+    Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
+    Conversely, let c_k = min(sigma_k(M), mu_k + c_(k+1)) be the suffix sums
+    of M'.  Then sigma_k(mu) - c_k <= (h-1) sigma_k(M) + (t-h) sigma_k(N) at
+    every k: when c_k = sigma_k(M) by mu's own bound, otherwise by position
+    k + 1, as sigma never rises with k.  So hi(rho) = h - 1, and the same
+    argument with N' keeps hi at 0.  The rest stays factorable, and M' is
+    peeled exactly while some factorization of the rest touches G_M.
     """
     if len(table.roots) > 2:
         raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
@@ -321,23 +325,18 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         return None
     s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
     t = degree(mu) // table.degree
-    current, s_current = mu, sigma(mu)
-    lo, hi = _m_share_bounds(t, s_current, s_m, s_n)
+    lo, hi = _m_share_bounds(t, sigma(mu), s_m, s_n)
     if lo > hi:
         return None
+    current = mu
     picked: list[int] = []
-    while t > 0:
-        s_factor = _lex_last_sigma(s_m if hi >= 1 else s_n, current)
+    for bound in [s_m] * hi + [s_n] * (t - hi):
+        s_factor = _lex_last_sigma(bound, current)
         if s_factor is None:
             raise RuntimeError("a factorable multidegree admits a block divisor")
         factor = _from_sigma(s_factor)
         picked.append(table.index_of[factor])
         current = tuple(a - b for a, b in zip(current, factor))
-        s_current = tuple(a - b for a, b in zip(s_current, s_factor))
-        t -= 1
-        lo, hi = _m_share_bounds(t, s_current, s_m, s_n)
-        if lo > hi:
-            raise RuntimeError("peeling a sink factor keeps the rest factorable")
     return tuple(sorted(picked))
 
 

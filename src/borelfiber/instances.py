@@ -26,13 +26,14 @@ def borel_incomparable_pairs(n: int, d: int) -> tuple[tuple[Monomial, Monomial],
     return tuple(pairs)
 
 
-def suite_tables(
-    cap: int = 200, ns: tuple[int, ...] = (3, 4), max_degree: int = 5
-) -> list[GeneratorTable]:
-    """The exhaustive two-Borel suite: all incomparable pairs, capped."""
+def suite_tables(cap: int = 200) -> list[GeneratorTable]:
+    """The exhaustive two-Borel suite: all incomparable pairs, capped.
+
+    Pairs come on three variables, then four, each by degree 2..5.
+    """
     tables = []
-    for n in ns:
-        for d in range(2, max_degree + 1):
+    for n in (3, 4):
+        for d in range(2, 6):
             for M, N in borel_incomparable_pairs(n, d):
                 tables.append(build_two_borel(M, N))
                 if len(tables) >= cap:

@@ -21,15 +21,28 @@ Monomial = tuple[int, ...]
 
 @dataclass(frozen=True)
 class VariableContext:
-    """An ordered variable alphabet; position 0 is the lex-greatest variable."""
+    """An ordered variable alphabet; position 0 is the lex-greatest variable.
+
+    Names are identifiers, and none is another followed by a letter or ``_``
+    (``x1`` and ``x12`` may meet, ``y`` and ``yy`` not: ``yyy^2`` reads two ways).
+    """
 
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.names:
             raise ValueError("need at least one variable")
-        if len(set(self.names)) != len(self.names):
+        names = set(self.names)
+        if len(names) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
+        for name in self.names:
+            if not (name.isascii() and name.isidentifier()):
+                raise ValueError(f"variable name {name!r} does not match [A-Za-z_][A-Za-z0-9_]*")
+            for k in range(1, len(name)):
+                if name[:k] in names and name[k] not in string.digits:
+                    raise ValueError(
+                        f"variable name {name!r} reads as {name[:k]!r} followed by {name[k:]!r}"
+                    )
 
     @property
     def n(self) -> int:

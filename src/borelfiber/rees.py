@@ -7,14 +7,13 @@ tracked structurally as the number of Y factors.  The Groebner basis of the
 Rees ideal is the union of the linear syzygies ``x_j Y_u - x_i Y_v`` (for
 generator pairs with ``x_j u = x_i v``) and the toric quadrics, marked by
 the elimination order: compare x-parts by lex first, break ties by the
-fiber sink order on Y-parts.
+fiber sink order on Y-parts.  Both kinds are the pairs within one fiber of
+the defining map, at t-degree 2 and at bidegree (1, 1).
 
 A toric point is a Rees monomial with no x variables, so both sides share
-one reduction engine, ``toric._Rules``.  A Rees monomial enters it as one
-ascending code tuple (see :func:`_codes`): x variable ``v`` of ``n`` codes as
-``v - n`` and generator ``g`` as ``g``.  This module defines no reduction of
-its own; :func:`rees_normal_form` and :func:`rees_buchberger_verify` code,
-call the engine, and decode.
+``toric``'s pair builder, reduction engine and verifier.  A Rees monomial
+enters them as one ascending code tuple (see :func:`_codes`): x variable
+``v`` of ``n`` codes as ``v - n`` and generator ``g`` as ``g``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import cached_property
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
 from borelfiber.monomials import Monomial, format_monomial, multiply, unit
-from borelfiber.toric import GroebnerReport, _check_overlaps, _Rules, quadric_generators
+from borelfiber.toric import GroebnerReport, _marked_pairs, _Rules, _verify, quadric_generators
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,21 @@ def rees_image(table: GeneratorTable, m: ReesMonomial) -> Monomial:
 
 
 def linear_syzygies(table: GeneratorTable) -> list[ReesBinomial]:
-    """All binomials x_j Y_u - x_i Y_v with x_j u = x_i v, marked, one per pair."""
+    """All binomials x_j Y_u - x_i Y_v with x_j u = x_i v, marked, one per pair.
+
+    The pairs within the fibers of bidegree (1, 1), the monomials x_v Y_g by
+    image, largest :func:`rees_key` first; ordered by their two Y indices.
+    """
     n = table.context.n
-    gens = table.generators
-    out: list[ReesBinomial] = []
-    for t in range(len(gens)):
-        for u in range(t + 1, len(gens)):
-            diff = [a - b for a, b in zip(gens[t], gens[u])]
-            plus = [pos for pos, v in enumerate(diff) if v == 1]
-            minus = [pos for pos, v in enumerate(diff) if v == -1]
-            if len(plus) != 1 or len(minus) != 1 or any(abs(v) > 1 for v in diff):
-                continue
-            i, j = plus[0], minus[0]
-            xi, xj = list(unit(n)), list(unit(n))
-            xi[i] += 1
-            xj[j] += 1
-            first = ReesMonomial(tuple(xj), (t,))
-            second = ReesMonomial(tuple(xi), (u,))
-            if rees_key(first) > rees_key(second):
-                out.append(ReesBinomial(lead=first, trail=second))
-            else:
-                out.append(ReesBinomial(lead=second, trail=first))
-    return out
+    groups: dict[Monomial, list[ReesMonomial]] = {}
+    for g in range(len(table.generators)):
+        for v in range(n):
+            m = ReesMonomial(tuple(int(k == v) for k in range(n)), (g,))
+            groups.setdefault(rees_image(table, m), []).append(m)
+    for group in groups.values():
+        group.sort(key=rees_key, reverse=True)
+    pairs = sorted(_marked_pairs(groups.values()), key=lambda p: sorted(p[0].ypart + p[1].ypart))
+    return [ReesBinomial(lead, trail) for lead, trail in pairs]
 
 
 def _codes(m: ReesMonomial) -> tuple[int, ...]:
@@ -136,20 +128,12 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     degree is not two.
     """
     table = basis.table
-    for el in basis.elements:
-        if rees_key(el.lead) <= rees_key(el.trail):
-            raise ValueError(
-                f"inconsistent marking: lead {el.lead} is not larger than trail {el.trail}"
-            )
     n = table.context.n
-    checked, failures = _check_overlaps(
-        basis._rules, lambda m: rees_image(table, _from_codes(m, n))
-    )
-    return GroebnerReport(
-        ok=not failures,
-        pairs_checked=checked,
-        failures=tuple(failures),
-        context_names=table.context.names,
+    return _verify(
+        table,
+        basis._rules,
+        lambda w: rees_key(_from_codes(w, n)),
+        lambda w: rees_image(table, _from_codes(w, n)),
     )
 
 

@@ -8,16 +8,17 @@ by overlap, and :func:`brute_force_gb` is the independent truncated-completion
 oracle.  Everything is coefficient free: binomials are ordered pairs of
 Y-monomials, and reduction replaces sub-multisets.
 
-:class:`_Rules` is the package's one reduction engine.  It rewrites
-ascending tuples of integer codes, so a toric point is its own word and a
-Rees monomial is one word once its x variables get negative codes (see
-``rees._codes``).  :func:`normal_form`, ``rees.rees_normal_form`` and the
-overlap check :func:`_check_overlaps` behind both Groebner verifiers all
-reduce through it.
+One code path per concept serves the toric and Rees sides alike.
+:func:`_marked_pairs` builds the quadrics, the completion seeds and the Rees
+linear syzygies.  :class:`_Rules` is the one reduction engine on ascending
+tuples of integer codes: a toric point is its own word, and a Rees monomial
+is coded by ``rees._codes``.  :func:`_verify`, a marking check and then the
+overlap check :func:`_check_overlaps`, is the one Groebner verifier.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,6 +146,14 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     return basis._rules.normal_form(point)
 
 
+def _marked_pairs(groups) -> list[tuple]:
+    """Every (lead, trail) pair of distinct words within one group.
+
+    Each group lists its words earliest first, as :func:`fibers` lists points.
+    """
+    return [pair for words in groups for pair in itertools.combinations(words, 2)]
+
+
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
     """All quadric binomials of the toric ideal, marked by the sink order.
 
@@ -152,36 +161,29 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     a multidegree.  With ``interreduce`` the basis is minimalized (duplicate
     leads dropped) and trails are fully reduced.
     """
-    elements: list[MarkedBinomial] = []
-    for points in fibers(table, 2).values():
-        for a in range(len(points)):
-            for b in range(a + 1, len(points)):
-                elements.append(MarkedBinomial(lead=points[a], trail=points[b]))
-    basis = MarkedBasis(table, tuple(elements))
+    pairs = _marked_pairs(fibers(table, 2).values())
+    basis = MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
     if interreduce:
         basis = _interreduce(basis)
     return basis
 
 
 def _interreduce(basis: MarkedBasis) -> MarkedBasis:
-    table = basis.table
+    """Keep the first element per lead in sink order, then reduce the trails.
+
+    Leads are quadratic, so one divides another only when the two are equal.
+    """
     ordered = sorted(
-        basis.elements,
-        key=lambda el: (
-            len(el.lead),
-            fiber_sink_key(el.lead),
-            fiber_sink_key(el.trail),
-        ),
+        basis.elements, key=lambda el: (fiber_sink_key(el.lead), fiber_sink_key(el.trail))
     )
-    kept: list[MarkedBinomial] = []
+    first: dict[FiberPoint, MarkedBinomial] = {}
     for el in ordered:
-        if not any(_contains(el.lead, other.lead) for other in kept):
-            kept.append(el)
-    minimal = MarkedBasis(table, tuple(kept))
-    reduced = tuple(
-        MarkedBinomial(lead=el.lead, trail=normal_form(el.trail, minimal)) for el in kept
+        first.setdefault(el.lead, el)
+    minimal = MarkedBasis(basis.table, tuple(first.values()))
+    return MarkedBasis(
+        basis.table,
+        tuple(MarkedBinomial(el.lead, normal_form(el.trail, minimal)) for el in minimal.elements),
     )
-    return MarkedBasis(table, tuple(dict.fromkeys(reduced)))
 
 
 @dataclass(frozen=True)
@@ -196,35 +198,22 @@ class GroebnerReport:
     ok: bool
     pairs_checked: int
     failures: tuple[SPairFailure, ...]
-    context_names: tuple[str, ...] = ()
+    context_names: tuple[str, ...]
 
     @property
     def status(self) -> str:
         return "PASS" if self.ok else "FAIL"
 
     def to_json(self) -> dict:
-        ctx = VariableContext(self.context_names) if self.context_names else None
+        ctx = VariableContext(self.context_names)
         return {
             "status": self.status,
             "pairs_checked": self.pairs_checked,
             "failures": [
-                {
-                    "pair": [f.first, f.second],
-                    "multidegree": format_monomial(f.multidegree, ctx)
-                    if ctx
-                    else list(f.multidegree),
-                }
+                {"pair": [f.first, f.second], "multidegree": format_monomial(f.multidegree, ctx)}
                 for f in self.failures
             ],
         }
-
-
-def _verify_marking(basis: MarkedBasis) -> None:
-    for el in basis.elements:
-        if fiber_sink_key(el.lead) <= fiber_sink_key(el.trail):
-            raise ValueError(
-                f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
-            )
 
 
 def _check_overlaps(
@@ -278,23 +267,36 @@ def _check_overlaps(
     return len(critical), failures
 
 
-def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
-    """Overlap check of a quadric basis; PASS exactly when it is Groebner.
+def _verify(
+    table: GeneratorTable, rules: _Rules, key: Callable, multidegree: Callable
+) -> GroebnerReport:
+    """Marking check, then the overlap check; the verifier behind both sides.
 
-    Checks every critical monomial of degree two or three (see
-    :func:`_check_overlaps`); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on a lead that is not later than its trail in the
-    fiber sink order, or on a lead that is not quadratic.
+    Raises ``ValueError`` unless every lead has a larger ``key`` than its
+    trail.  ``multidegree`` names a failure (see :func:`_check_overlaps`).
     """
-    _verify_marking(basis)
-    table = basis.table
-    checked, failures = _check_overlaps(basis._rules, lambda m: point_product(table, m))
+    for lead, trail in zip(rules.leads, rules.trails):
+        if key(lead) <= key(trail):
+            raise ValueError(f"inconsistent marking: lead {lead} is not earlier than trail {trail}")
+    checked, failures = _check_overlaps(rules, multidegree)
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
         failures=tuple(failures),
         context_names=table.context.names,
     )
+
+
+def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
+    """Overlap check of a quadric basis; PASS exactly when it is Groebner.
+
+    Checks every critical monomial of degree two or three (see
+    :func:`_check_overlaps`); ``pairs_checked`` counts those monomials.
+    Raises ``ValueError`` on a lead that is not earlier than its trail in the
+    fiber sink order, or on a lead that is not quadratic.
+    """
+    table = basis.table
+    return _verify(table, basis._rules, fiber_sink_key, lambda m: point_product(table, m))
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
@@ -306,11 +308,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
-    queue: deque[tuple[FiberPoint, FiberPoint]] = deque()
-    for points in fibers(table, degree_bound).values():
-        for a in range(len(points)):
-            for b in range(a + 1, len(points)):
-                queue.append((points[a], points[b]))
+    queue = deque(_marked_pairs(fibers(table, degree_bound).values()))
     working: list[MarkedBinomial] = []
     basis = MarkedBasis(table, ())
     while queue:
@@ -337,7 +335,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
 
 
 def closure_components(
-    table: GeneratorTable, mu: Monomial, max_swap: int = 2
+    table: GeneratorTable, mu: Monomial, max_swap: int
 ) -> list[list[FiberPoint]]:
     """Connected components of the fiber under bounded exchange moves.
 

@@ -12,16 +12,26 @@ from collections import deque
 from functools import lru_cache
 from typing import Callable
 
-from borelfiber.fiber import FiberPoint, point_product
+from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
     degree,
     divides,
     parse_monomial,
+    unit,
 )
-from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_image
-from borelfiber.toric import GroebnerReport, SPairFailure, _contains, _lcm, _replace, normal_form
+from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_image, rees_key
+from borelfiber.toric import (
+    GroebnerReport,
+    MarkedBasis,
+    MarkedBinomial,
+    SPairFailure,
+    _contains,
+    _lcm,
+    _replace,
+    normal_form,
+)
 
 ABC = VariableContext.default(3)
 
@@ -114,6 +124,71 @@ def has_gm_factorization(table, mu: Monomial) -> bool:
         and can_factor(table, tuple(r - e for r, e in zip(mu, g)))
         for g, tag in zip(table.generators, table.tags)
     )
+
+
+def sink_by_peeling(table, mu: Monomial) -> FiberPoint:
+    """The direct sink one factor at a time, for a mu that factors.
+
+    Peels the lex-last divisor in Borel(M) while some factorization of the
+    rest uses a G_M generator, else the one in Borel(N), by the searches
+    :func:`has_gm_factorization` and :func:`lex_last_divisor_by_scan`.
+    """
+    picked = []
+    while degree(mu):
+        root = table.roots[0] if has_gm_factorization(table, mu) else table.roots[-1]
+        factor = lex_last_divisor_by_scan(root, mu)
+        picked.append(table.index_of[factor])
+        mu = tuple(a - b for a, b in zip(mu, factor))
+    return tuple(sorted(picked))
+
+
+def linear_syzygies_by_diff(table) -> list[ReesBinomial]:
+    """Linear syzygies from the exponent difference of each generator pair.
+
+    A pair t < u gives x_j Y_t - x_i Y_u when gens[t] - gens[u] is +1 at i,
+    -1 at j and 0 elsewhere; the larger side under ``rees_key`` leads.
+    """
+    n = table.context.n
+    gens = table.generators
+    out = []
+    for t, u in itertools.combinations(range(len(gens)), 2):
+        diff = [a - b for a, b in zip(gens[t], gens[u])]
+        plus = [pos for pos, v in enumerate(diff) if v == 1]
+        minus = [pos for pos, v in enumerate(diff) if v == -1]
+        if len(plus) != 1 or len(minus) != 1 or any(abs(v) > 1 for v in diff):
+            continue
+        xi, xj = list(unit(n)), list(unit(n))
+        xi[plus[0]] += 1
+        xj[minus[0]] += 1
+        first = ReesMonomial(tuple(xj), (t,))
+        second = ReesMonomial(tuple(xi), (u,))
+        if rees_key(first) > rees_key(second):
+            out.append(ReesBinomial(lead=first, trail=second))
+        else:
+            out.append(ReesBinomial(lead=second, trail=first))
+    return out
+
+
+def interreduce_by_scan(basis: MarkedBasis) -> MarkedBasis:
+    """Minimalize by a divisibility scan over the kept leads, then reduce trails.
+
+    Elements are taken in (t-degree, lead, trail) sink order, and one is kept
+    when no kept lead divides its lead.
+    """
+    table = basis.table
+    ordered = sorted(
+        basis.elements,
+        key=lambda el: (len(el.lead), fiber_sink_key(el.lead), fiber_sink_key(el.trail)),
+    )
+    kept: list[MarkedBinomial] = []
+    for el in ordered:
+        if not any(_contains(el.lead, other.lead) for other in kept):
+            kept.append(el)
+    minimal = MarkedBasis(table, tuple(kept))
+    reduced = tuple(
+        MarkedBinomial(lead=el.lead, trail=normal_form(el.trail, minimal)) for el in kept
+    )
+    return MarkedBasis(table, tuple(dict.fromkeys(reduced)))
 
 
 def all_monomials(n: int, d: int) -> list[Monomial]:

@@ -264,6 +264,34 @@ class TestErrors:
         assert out == ""
         assert f"--format dot is only for 'fiber', not '{argv[0]}'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--r", "3", "--bound", "5"],
+            ["gens", "--ideal", FIG, "--jobs", "2"],
+            ["gens", "--ideal", FIG, "--bound", "5"],
+            ["toric-gb", "--ideal", FIG, "--bound", "5"],
+            ["rees-gb", "--ideal", FIG, "--jobs", "2"],
+            ["verify-buchberger", "--ideal", FIG, "--bound", "5"],
+            ["sink", "--ideal", FIG, "--mu", "a^2c^3", "--jobs", "2"],
+            ["oracle-gb", "--ideal", FIG, "--jobs", "2"],
+        ],
+    )
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("names", [["y", "yy"], ["a", "b", "ab"], ["a", "b c"]])
+    def test_ambiguous_or_invalid_alphabet_in_descriptor(self, capsys, tmp_path, names):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": names, "borel_generators": ["a^2", "b^2"]}))
+        code, out, err = run_cli(capsys, "gens", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: variable name")
+
     def test_crash_exits_3(self, capsys, monkeypatch):
         def crash(args):
             raise RecursionError("maximum recursion depth exceeded")

@@ -229,6 +229,25 @@ class TestParseFormat:
             VariableContext(("a", "a"))
         assert VariableContext.default(5).names == ("a", "b", "c", "d", "e")
 
+    @pytest.mark.parametrize(
+        "names,longer,shorter",
+        [(("y", "yy"), "yy", "y"), (("a", "b", "ab"), "ab", "a"), (("x1", "x1_"), "x1_", "x1")],
+    )
+    def test_ambiguous_alphabets_rejected(self, names, longer, shorter):
+        # ("y", "yy") would format (1, 2) as yyy^2 and read it back as (2, 1).
+        with pytest.raises(ValueError, match=f"'{longer}' reads as '{shorter}'"):
+            VariableContext(names)
+
+    @pytest.mark.parametrize("name", ["", "1a", "a b", "a^", "x-1", "\u00e9"])
+    def test_non_identifier_names_rejected(self, name):
+        with pytest.raises(ValueError, match="does not match"):
+            VariableContext(("a", name))
+
+    def test_digit_suffixes_allowed(self):
+        assert VariableContext(("x1", "x10")).n == 2
+        assert VariableContext(("x1", "x2", "x12")).n == 3
+        assert VariableContext(("A", "a", "_a")).n == 3
+
     def test_multi_letter_names(self):
         ctx = VariableContext(("x1", "x2", "x12"))
         assert parse_monomial("x1^2x12", ctx) == (2, 0, 1)

@@ -31,6 +31,7 @@ from borelfiber.fiber import (
     fiber_sink_key,
     fibers,
     find_sink_direct,
+    point_product,
     sinks,
 )
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
@@ -54,6 +55,7 @@ from helpers import (
     has_gm_factorization,
     lex_last_divisor_by_scan,
     principal_by_filter,
+    sink_by_peeling,
     split_rees_reducer,
 )
 
@@ -125,6 +127,21 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
                 assert find_sink_direct(table, mu) is None
     for mu, points in groups.items():
         assert sinks(build_fiber_graph(table, mu, points)) == [find_sink_direct(table, mu)]
+
+
+@st.composite
+def table_and_product(draw):
+    """A table and the product of 4 to 12 of its generators, drawn with repeats."""
+    table = draw(tables)
+    index = st.integers(min_value=0, max_value=len(table.generators) - 1)
+    return table, point_product(table, draw(st.lists(index, min_size=4, max_size=12)))
+
+
+@checked(150)
+@given(table_and_product())
+def test_direct_sink_matches_per_step_peeling(case):
+    table, mu = case
+    assert find_sink_direct(table, mu) == sink_by_peeling(table, mu)
 
 
 @checked(12)
@@ -209,9 +226,9 @@ def test_lex_last_divisor_matches_the_scan(mu):
         assert lex_last_divisor(root, mu) == lex_last_divisor_by_scan(root, mu)
 
 
-# Multi-letter names, one a prefix of another.  Names such as y and yy, where
-# "yyy^2" reads two ways, are left out: compact syntax cannot round-trip them.
-NAMES = ("a", "b", "x1", "x12", "y")
+# Multi-letter names, one a prefix of another.  With y and yy, or a, b and ab,
+# the alphabet is ambiguous ("yyy^2" reads two ways) and must be rejected.
+NAMES = ("a", "ab", "b", "x1", "x12", "y", "yy")
 
 
 @checked(150)
@@ -219,15 +236,24 @@ NAMES = ("a", "b", "x1", "x12", "y")
     st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.tuples(
             st.one_of(
-                st.just(VariableContext.default(n)),
-                st.permutations(NAMES).map(lambda names: VariableContext(tuple(names[:n]))),
+                st.just(VariableContext.default(n).names),
+                st.permutations(NAMES).map(lambda names: tuple(names[:n])),
             ),
             st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n),
         )
     )
 )
 def test_parse_and_format_round_trip(case):
-    context, exps = case
+    names, exps = case
+    ambiguous = any(
+        a != b and a.startswith(b) and not a[len(b)].isdigit() for a in names for b in names
+    )
+    try:
+        context = VariableContext(names)
+    except ValueError:
+        assert ambiguous
+        return
+    assert not ambiguous
     m = tuple(exps)
     text = format_monomial(m, context)
     assert parse_monomial(text, context) == m

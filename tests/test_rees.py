@@ -15,9 +15,10 @@ from borelfiber.rees import (
     rees_key,
     rees_normal_form,
 )
+from borelfiber.instances import suite_tables
 from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import mono, pairwise_rees_buchberger
+from helpers import linear_syzygies_by_diff, mono, pairwise_rees_buchberger
 
 CTX2 = VariableContext.default(2)
 
@@ -45,6 +46,10 @@ class TestLinearSyzygies:
     def test_single_generator_has_none(self):
         table = build_two_borel((2, 0), (2, 0), CTX2)
         assert linear_syzygies(table) == []
+
+    def test_matches_the_difference_oracle_in_order(self, fig_table):
+        for table in [fig_table] + suite_tables(cap=200)[::5]:
+            assert linear_syzygies(table) == linear_syzygies_by_diff(table)
 
     def test_defining_relation_holds(self, fig_table):
         for el in linear_syzygies(fig_table):
@@ -125,6 +130,12 @@ class TestReesVerify:
         el = rees_gb(square_table).elements[0]
         bad = ReesBasis(square_table, (ReesBinomial(lead=el.trail, trail=el.lead),))
         with pytest.raises(ValueError):
+            rees_buchberger_verify(bad)
+
+    def test_lead_equal_to_trail_rejected(self, square_table):
+        el = rees_gb(square_table).elements[0]
+        bad = ReesBasis(square_table, (ReesBinomial(lead=el.lead, trail=el.lead),))
+        with pytest.raises(ValueError, match="inconsistent marking"):
             rees_buchberger_verify(bad)
 
 

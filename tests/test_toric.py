@@ -23,7 +23,13 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
-from helpers import closure_components_by_search, mono, monos, pairwise_buchberger
+from helpers import (
+    closure_components_by_search,
+    interreduce_by_scan,
+    mono,
+    monos,
+    pairwise_buchberger,
+)
 
 CTX2 = VariableContext.default(2)
 
@@ -92,6 +98,13 @@ class TestQuadricGenerators:
             assert normal_form(el.trail, reduced) == el.trail
 
 
+    def test_interreduce_matches_the_scan_oracle(self):
+        families = [build_table(family_roots(r)) for r in (3, 4)]
+        for table in suite_tables(cap=200)[::5] + families:
+            reduced = quadric_generators(table, interreduce=True)
+            assert reduced.elements == interreduce_by_scan(quadric_generators(table)).elements
+
+
 class TestNormalForm:
     def test_source_reduces_to_sink(self, fig_table, fig_quadrics):
         source = point_of(fig_table, "b^4c", "b^4c", "a^3bc")
@@ -151,6 +164,12 @@ class TestBuchbergerVerify:
         el = fig_quadrics.elements[0]
         bad = MarkedBasis(fig_table, (MarkedBinomial(lead=el.trail, trail=el.lead),))
         with pytest.raises(ValueError):
+            buchberger_verify(bad)
+
+    def test_lead_equal_to_trail_rejected(self, fig_table, fig_quadrics):
+        el = fig_quadrics.elements[0]
+        bad = MarkedBasis(fig_table, (MarkedBinomial(lead=el.lead, trail=el.lead),))
+        with pytest.raises(ValueError, match="inconsistent marking"):
             buchberger_verify(bad)
 
     def test_report_json(self, fig_quadrics):
