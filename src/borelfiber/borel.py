@@ -113,14 +113,6 @@ class GeneratorTable:
     tags: tuple[str, ...]
 
     @property
-    def M(self) -> Optional[Monomial]:
-        return self.roots[0] if self.roots else None
-
-    @property
-    def N(self) -> Optional[Monomial]:
-        return self.roots[-1] if len(self.roots) >= 2 else None
-
-    @property
     def is_empty(self) -> bool:
         return not self.generators
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import string
 import sys
 from pathlib import Path
@@ -102,14 +101,6 @@ def _load_table(args: argparse.Namespace) -> GeneratorTable:
     return build_table(gens, context=context)
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    value = args.jobs if args.jobs is not None else os.environ.get("BORELFIBER_JOBS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise CliError(f"BORELFIBER_JOBS must be an integer, got {value!r}") from None
-
-
 def _emit(payload, fmt: str, text_lines) -> str:
     if fmt == "text":
         return "\n".join(text_lines) + "\n"
@@ -199,7 +190,7 @@ def cmd_rees_gb(args) -> tuple[int, str]:
 
 def cmd_verify_unique_sinks(args) -> tuple[int, str]:
     table = _load_table(args)
-    report = sweep_unique_sinks(table, args.bound, jobs=_jobs(args))
+    report = sweep_unique_sinks(table, args.bound, jobs=args.jobs)
     data = report.to_json()
     lines = [f"{report.status}: {report.multidegrees_checked} multidegrees checked"]
     lines += list(report.violations)
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[ideal, bound, fmt],
         help="sweep all fibers up to the t-degree bound",
     )
-    p.add_argument("--jobs", type=int, help="parallel workers (default $BORELFIBER_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_verify_unique_sinks)
 
     p = sub.add_parser(

@@ -86,13 +86,6 @@ def divides(m1: Monomial, m2: Monomial) -> bool:
     return all(a <= b for a, b in zip(m1, m2))
 
 
-def quotient(m: Monomial, by: Monomial) -> Monomial:
-    """m / by, defined only when ``by`` divides ``m``."""
-    if not divides(by, m):
-        raise ValueError(f"{by} does not divide {m}")
-    return tuple(a - b for a, b in zip(m, by))
-
-
 def sigma(m: Monomial) -> tuple[int, ...]:
     """Cumulative exponent vector: sigma_i = sum of exponents from position i on.
 
@@ -158,16 +151,6 @@ def find_reverse_move(m: Monomial, mp: Monomial, j: int) -> int:
         if s[i] != s[j]:
             return i
     raise RuntimeError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
-
-
-def lex_compare(m1: Monomial, m2: Monomial) -> int:
-    """1 when m1 is lex-earlier (greater) than m2, -1 when later, 0 when equal."""
-    _check_same_length(m1, m2)
-    if m1 > m2:
-        return 1
-    if m1 < m2:
-        return -1
-    return 0
 
 
 def degree_monomials(n: int, d: int) -> Iterator[Monomial]:

@@ -12,14 +12,18 @@ One code path per concept serves the toric and Rees sides alike.
 :func:`_marked_pairs` builds the quadrics, the completion seeds and the Rees
 linear syzygies.  :class:`_Rules` is the one reduction engine on ascending
 tuples of integer codes: a toric point is its own word, and a Rees monomial
-is coded by ``rees._codes``.  :func:`_verify`, a marking check and then the
-overlap check :func:`_check_overlaps`, is the one Groebner verifier.
+is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one place
+that says which rules carry a lead: the rewriter looks the word's sub-words
+up there, the overlap check finds its critical monomials and reducers there,
+and :func:`brute_force_gb` grows it one rule at a time.  :func:`_verify`, a
+marking check and then the overlap check :func:`_check_overlaps`, is the one
+Groebner verifier.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
+from itertools import combinations, combinations_with_replacement
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -34,18 +38,6 @@ from borelfiber.fiber import (
     point_product,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
-
-
-def _contains(point: FiberPoint, part: FiberPoint) -> bool:
-    """Multiset containment for ascending index tuples."""
-    i = 0
-    for x in part:
-        while i < len(point) and point[i] < x:
-            i += 1
-        if i >= len(point) or point[i] != x:
-            return False
-        i += 1
-    return True
 
 
 def _replace(point: FiberPoint, old: FiberPoint, new: FiberPoint) -> FiberPoint:
@@ -77,44 +69,68 @@ class MarkedBinomial:
 class _Rules:
     """Marked rewrite rules on ascending code tuples: the one reduction engine.
 
-    ``pairs`` lists (lead, trail) words, each an ascending tuple of integer
-    codes; a word contains a lead when the lead is a sub-multiset of it.
-    Toric points are their own words, and Rees monomials are coded by
-    ``rees._codes``.  Rules are indexed by the smallest code of their lead:
-    every lead a word contains has its smallest code in the word, so the
-    buckets of the word's codes hold every applicable rule.
+    ``leads`` and ``trails`` list the rules' words, each an ascending tuple of
+    integer codes; a word contains a lead when the lead is a sub-multiset of
+    it.  Toric points are their own words, and Rees monomials are coded by
+    ``rees._codes``.  ``by_lead`` is the one lead index: it maps each distinct
+    lead to the positions of its rules, ascending.  ``alphabets`` maps each
+    lead size to the codes that leads of that size use.
     """
 
-    def __init__(self, pairs) -> None:
-        self.leads = tuple(lead for lead, _ in pairs)
-        self.trails = tuple(trail for _, trail in pairs)
-        self.buckets: dict[int, list[int]] = {}
-        for pos, lead in enumerate(self.leads):
-            self.buckets.setdefault(lead[0], []).append(pos)
+    def __init__(self, pairs=()) -> None:
+        self.leads: list[tuple[int, ...]] = []
+        self.trails: list[tuple[int, ...]] = []
+        self.by_lead: dict[tuple[int, ...], list[int]] = {}
+        self.alphabets: dict[int, set[int]] = {}
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for lead, trail in pairs:
+            self.add(lead, trail)
+
+    def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
+        """Append a rule; a cached normal form may now reduce further, so drop them."""
+        self.by_lead.setdefault(lead, []).append(len(self.leads))
+        self.alphabets.setdefault(len(lead), set()).update(lead)
+        self.leads.append(lead)
+        self.trails.append(trail)
+        self.cache.clear()
 
     def step(self, pos: int, word: tuple[int, ...]) -> tuple[int, ...]:
-        """The one-step reduct of ``word`` by rule ``pos``, whose lead it contains."""
+        """The one-step reduct of ``word`` by rule ``pos``.
+
+        Raises ``ValueError`` when ``word`` does not contain the rule's lead.
+        """
         return _replace(word, self.leads[pos], self.trails[pos])
 
+    def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
+
+        Every multiset of the word's codes of each lead size is looked up in
+        ``by_lead``.  Such a multiset may use a code more often than the word
+        does; its rule then fails to apply, and the next lowest is tried.
+        Returns None when no lead is contained.
+        """
+        by_lead = self.by_lead
+        hits = []
+        for size, alphabet in self.alphabets.items():
+            codes = sorted(alphabet.intersection(word))
+            hits.extend(filter(None, map(by_lead.get, combinations_with_replacement(codes, size))))
+        while hits:
+            positions = min(hits)  # disjoint ascending lists: the least has the lowest position
+            try:
+                return self.step(positions[0], word)
+            except ValueError:  # the lead repeats a code more often than the word
+                hits.remove(positions)
+        return None
+
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        """Reduce by the lowest-index applicable lead; cache every word on the way."""
+        """Rewrite until no lead is contained; cache every word on the way."""
         cache = self.cache
         cached = cache.get(word)
         if cached is not None:
             return cached
-        leads, trails, buckets = self.leads, self.trails, self.buckets
         chain = [word]
         current = word
-        while True:
-            candidates = sorted({p for c in set(current) for p in buckets.get(c, ())})
-            nxt = None
-            for pos in candidates:
-                if _contains(current, leads[pos]):
-                    nxt = _replace(current, leads[pos], trails[pos])
-                    break
-            if nxt is None:
-                break
+        while (nxt := self.rewrite(current)) is not None:
             current = nxt
             cached = cache.get(current)
             if cached is not None:
@@ -151,7 +167,7 @@ def _marked_pairs(groups) -> list[tuple]:
 
     Each group lists its words earliest first, as :func:`fibers` lists points.
     """
-    return [pair for words in groups for pair in itertools.combinations(words, 2)]
+    return [pair for words in groups for pair in combinations(words, 2)]
 
 
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
@@ -230,11 +246,9 @@ def _check_overlaps(
     critical monomials.  Returns the number of critical monomials and one
     failure for each that disagrees.
     """
-    leads: dict[tuple[int, ...], list[int]] = {}
-    for pos, lead in enumerate(rules.leads):
-        leads.setdefault(lead, []).append(pos)
+    by_lead = rules.by_lead
     partners: dict[int, set[int]] = {}
-    for lead, positions in leads.items():
+    for lead, positions in by_lead.items():
         if len(lead) != 2:
             raise ValueError(
                 f"lead of element {positions[0]} has degree {len(lead)}; "
@@ -243,8 +257,8 @@ def _check_overlaps(
         a, b = lead
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
-    critical = {lead for lead, positions in leads.items() if len(positions) > 1}
-    for lead in leads:
+    critical = {lead for lead, positions in by_lead.items() if len(positions) > 1}
+    for lead in by_lead:
         for v in set(lead):
             for w in partners[v]:
                 if (min(v, w), max(v, w)) != lead:
@@ -252,7 +266,7 @@ def _check_overlaps(
     failures = []
     for m in sorted(critical):
         divisors = sorted({m[:i] + m[i + 1 :] for i in range(len(m))}) if len(m) == 3 else [m]
-        reducers = sorted(p for d in divisors for p in leads.get(d, ()))
+        reducers = sorted(p for d in divisors for p in by_lead.get(d, ()))
         reducts = {}
         for pos in reducers:
             reducts.setdefault(rules.step(pos, m), pos)
@@ -309,29 +323,24 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     queue = deque(_marked_pairs(fibers(table, degree_bound).values()))
-    working: list[MarkedBinomial] = []
-    basis = MarkedBasis(table, ())
+    rules = _Rules()
     while queue:
         x, y = queue.popleft()
-        a = normal_form(x, basis)
-        b = normal_form(y, basis)
+        a = rules.normal_form(x)
+        b = rules.normal_form(y)
         if a == b:
             continue
         if fiber_sink_key(a) < fiber_sink_key(b):
             a, b = b, a
-        new = MarkedBinomial(lead=a, trail=b)
-        for other in working:
-            if not set(new.lead) & set(other.lead):
+        for lead, trail in zip(rules.leads, rules.trails):
+            if not set(a) & set(lead):
                 continue
-            lcm = _lcm(new.lead, other.lead)
+            lcm = _lcm(a, lead)
             if len(lcm) > degree_bound:
                 continue
-            queue.append(
-                (_replace(lcm, new.lead, new.trail), _replace(lcm, other.lead, other.trail))
-            )
-        working.append(new)
-        basis = MarkedBasis(table, tuple(working))
-    return basis
+            queue.append((_replace(lcm, a, b), _replace(lcm, lead, trail)))
+        rules.add(a, b)
+    return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 
 def closure_components(

@@ -8,7 +8,7 @@ paths they check.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
@@ -27,13 +27,45 @@ from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
     SPairFailure,
-    _contains,
     _lcm,
     _replace,
     normal_form,
 )
 
 ABC = VariableContext.default(3)
+
+
+def contains(word: tuple[int, ...], part: tuple[int, ...]) -> bool:
+    """Multiset containment for ascending tuples, by one merge scan."""
+    i = 0
+    for x in part:
+        while i < len(word) and word[i] < x:
+            i += 1
+        if i >= len(word) or word[i] != x:
+            return False
+        i += 1
+    return True
+
+
+def swap(word: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
+    """``word`` with the sub-multiset ``old`` replaced by ``new``, ascending."""
+    return tuple(sorted((Counter(word) - Counter(old) + Counter(new)).elements()))
+
+
+def normal_form_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference normal form of a code word under marked (lead, trail) pairs.
+
+    Scans the pairs in order at every step and applies the first whose lead
+    is a sub-multiset of the word, until none is.  It keeps no lead index and
+    no cache, so it checks the lookup of ``toric._Rules``.
+    """
+    while True:
+        for lead, trail in pairs:
+            if contains(word, lead):
+                word = swap(word, lead, trail)
+                break
+        else:
+            return word
 
 
 def mono(text: str, context: VariableContext = ABC) -> Monomial:
@@ -182,7 +214,7 @@ def interreduce_by_scan(basis: MarkedBasis) -> MarkedBasis:
     )
     kept: list[MarkedBinomial] = []
     for el in ordered:
-        if not any(_contains(el.lead, other.lead) for other in kept):
+        if not any(contains(el.lead, other.lead) for other in kept):
             kept.append(el)
     minimal = MarkedBasis(table, tuple(kept))
     reduced = tuple(
@@ -321,7 +353,7 @@ def split_rees_reducer(basis: ReesBasis) -> Callable[[ReesMonomial], ReesMonomia
                     if xpart[v] < e:
                         break
                 else:
-                    if _contains(ypart, ylead):
+                    if contains(ypart, ylead):
                         current = rees_apply(current, elements[pos])
                         break
             else:

@@ -96,20 +96,18 @@ class TestBuildTwoBorel:
         t1 = build_two_borel(mono("a^2c^3"), mono("b^4c"))
         t2 = build_two_borel(mono("b^4c"), mono("a^2c^3"))
         assert t1 == t2
-        assert t1.M == mono("a^2c^3")
-        assert t1.N == mono("b^4c")
+        assert t1.roots == (mono("a^2c^3"), mono("b^4c"))
 
     def test_degenerate_equal_roots(self):
         table = build_two_borel(mono("b^4c"), mono("b^4c"))
         assert table.roots == (mono("b^4c"),)
         assert table.tags == ("G_M",) * 11
-        assert table.N is None
 
     def test_degenerate_comparable_roots_follow_the_definition(self):
         # ab lies in Borel(b^2): the ideal is principal but the pair still
         # partitions it, with b^2 alone outside Borel(ab)
         table = build_two_borel((1, 1), (0, 2))
-        assert table.M == (1, 1)
+        assert table.roots[0] == (1, 1)
         assert table.generators == ((0, 2), (2, 0), (1, 1))
         assert table.tags == ("G_N", "G_M", "G_M")
 
@@ -155,7 +153,7 @@ class TestBuildTwoBorel:
     def test_three_borel_extension_order(self):
         roots = monos("a^3c^3", "b^6", "a^2b^2c^2")
         table = build_table(roots)
-        assert table.M == mono("a^3c^3")
+        assert table.roots[0] == mono("a^3c^3")
         # lex-latest root's block first, M block last
         assert table.generators[-1] == mono("a^3c^3")
         assert set(table.roots) == set(roots)
@@ -225,7 +223,7 @@ class TestReduceForFiber:
 
     def test_product_of_roots_unchanged(self):
         table = build_two_borel(mono("a^2c^3"), mono("b^4c"))
-        mu = multiply(table.M, table.N)
+        mu = multiply(*table.roots)
         assert reduce_for_fiber(table, mu) == table
 
     def test_m_absent_gives_principal_table_of_reduced_n(self):

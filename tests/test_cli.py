@@ -146,23 +146,11 @@ class TestVerify:
 
     def test_unique_sinks_parallel_matches_serial(self, capsys):
         _, serial, _ = run_cli(capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2")
-        _, parallel, _ = run_cli(
-            capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2", "--jobs", "2"
-        )
-        assert serial == parallel
-
-    def test_jobs_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("BORELFIBER_JOBS", "2")
-        code, out, _ = run_cli(capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2")
-        assert code == 0
-        assert json.loads(out)["status"] == "PASS"
-
-    def test_jobs_env_var_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("BORELFIBER_JOBS", "abc")
-        code, out, err = run_cli(capsys, "verify-unique-sinks", "--ideal", "{b^2}", "--nvars", "2")
-        assert code == 2
-        assert out == ""
-        assert err == "error: BORELFIBER_JOBS must be an integer, got 'abc'\n"
+        for jobs in ("0", "2"):
+            _, other, _ = run_cli(
+                capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2", "--jobs", jobs
+            )
+            assert other == serial, f"--jobs {jobs}"
 
     def test_buchberger_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-buchberger", "--ideal", FIG)

@@ -32,10 +32,13 @@ from borelfiber.toric import (
 )
 
 from helpers import (
+    contains,
+    swap,
     mono,
     monos,
     pairwise_buchberger,
     pairwise_rees_buchberger,
+    rees_apply,
     split_rees_reducer,
 )
 
@@ -51,14 +54,6 @@ def cross_check_tables(fig_table):
     return [fig_table, three_borel] + suite_tables(cap=200)[::10]
 
 
-def _contains(big: tuple[int, ...], part: tuple[int, ...]) -> bool:
-    return not Counter(part) - Counter(big)
-
-
-def _swap(point: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((Counter(point) - Counter(old) + Counter(new)).elements()))
-
-
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((Counter(a) | Counter(b)).elements()))
 
@@ -70,16 +65,11 @@ def _toric_witnesses(basis, failure):
         z
         for z in enumerate_fiber(basis.table, failure.multidegree)
         if len(z) <= 3
-        and _contains(z, f.lead)
-        and _contains(z, g.lead)
-        and normal_form(_swap(z, f.lead, f.trail), basis)
-        != normal_form(_swap(z, g.lead, g.trail), basis)
+        and contains(z, f.lead)
+        and contains(z, g.lead)
+        and normal_form(swap(z, f.lead, f.trail), basis)
+        != normal_form(swap(z, g.lead, g.trail), basis)
     ]
-
-
-def _rees_apply(m: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
-    xpart = tuple(a - b + c for a, b, c in zip(m.xpart, el.lead.xpart, el.trail.xpart))
-    return ReesMonomial(xpart, _swap(m.ypart, el.lead.ypart, el.trail.ypart))
 
 
 def _rees_witnesses(basis, failure):
@@ -104,7 +94,7 @@ def _rees_witnesses(basis, failure):
         for m in candidates
         if sum(m.xpart) + len(m.ypart) <= 3
         and rees_image(table, m) == failure.multidegree
-        and reduce(_rees_apply(m, f)) != reduce(_rees_apply(m, g))
+        and reduce(rees_apply(m, f)) != reduce(rees_apply(m, g))
     ]
 
 

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from borelfiber.borel import build_table, build_two_borel
@@ -12,9 +15,11 @@ from borelfiber.fiber import (
 )
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import VariableContext
+from borelfiber.rees import _codes, rees_gb
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
+    _Rules,
     basis_to_json,
     brute_force_gb,
     buchberger_verify,
@@ -28,6 +33,7 @@ from helpers import (
     interreduce_by_scan,
     mono,
     monos,
+    normal_form_by_scan,
     pairwise_buchberger,
 )
 
@@ -216,6 +222,61 @@ class TestBruteForceOracle:
     def test_bound_validation(self, fig_table):
         with pytest.raises(ValueError):
             brute_force_gb(fig_table, 1)
+
+
+class TestLeadIndex:
+    """``_Rules`` finds the lowest-position applicable rule through ``by_lead``.
+
+    ``normal_form_by_scan`` scans the rules in order instead.  Both must give
+    the same normal forms, also on bases that are not Groebner bases, where
+    the choice of rule shows in the result.
+    """
+
+    @pytest.fixture(scope="class")
+    def completion(self, three_borel):
+        pairs = [(el.lead, el.trail) for el in brute_force_gb(three_borel, 3).elements]
+        assert any(len(lead) == 3 for lead, _ in pairs)
+        return pairs
+
+    @staticmethod
+    def agree(pairs, words):
+        rules = _Rules(pairs)
+        for word in words:
+            assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
+
+    def test_drop_one_mutants_of_the_figure_quadrics(self, fig_table, fig_quadrics):
+        pairs = [(el.lead, el.trail) for el in fig_quadrics.elements]
+        words = [z for points in fibers(fig_table, 3).values() for z in points]
+        for i in range(len(pairs)):
+            # a tenth of the words per mutant, every word over all mutants
+            self.agree(pairs[:i] + pairs[i + 1 :], words[i % 10 :: 10])
+
+    def test_completion_with_a_cubic_lead(self, three_borel, completion):
+        self.agree(completion, [z for points in fibers(three_borel, 3).values() for z in points])
+
+    def test_rees_codes(self, fig_table):
+        pairs = [(_codes(el.lead), _codes(el.trail)) for el in rees_gb(fig_table).elements]
+        codes = range(-fig_table.context.n, len(fig_table.generators))
+        words = [w for k in (1, 2, 3) for w in combinations_with_replacement(codes, k)]
+        self.agree(pairs, words)
+        self.agree(pairs[::2], words)
+
+    @pytest.mark.parametrize("t", [20, 60, 150])
+    def test_long_words(self, fig_table, fig_quadrics, three_borel, completion, t):
+        rng = random.Random(t)
+        quadrics = [(el.lead, el.trail) for el in fig_quadrics.elements]
+        bases = [(fig_table, quadrics), (fig_table, quadrics[::2]), (three_borel, completion)]
+        for table, pairs in bases:
+            size = len(table.generators)
+            self.agree(pairs, [tuple(sorted(rng.choices(range(size), k=t))) for _ in range(3)])
+
+    def test_add_drops_cached_normal_forms(self, completion):
+        # Each completion lead was a normal form when its rule was added.
+        rules = _Rules()
+        for lead, trail in completion:
+            assert rules.normal_form(lead) == lead
+            rules.add(lead, trail)
+            assert rules.normal_form(lead) == trail
 
 
 class TestClosureComponents:
