@@ -223,10 +223,6 @@ def build_two_borel(
     M: Monomial, N: Monomial, context: Optional[VariableContext] = None
 ) -> GeneratorTable:
     """Table for the smallest Borel ideal containing M and N."""
-    if len(M) != len(N):
-        raise ValueError("generators live in different variable contexts")
-    if degree(M) != degree(N):
-        raise ValueError(f"degree mismatch: {M} vs {N}")
     return build_table([M, N], context=context)
 
 

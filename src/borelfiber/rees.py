@@ -129,12 +129,7 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     """
     table = basis.table
     n = table.context.n
-    return _verify(
-        table,
-        basis._rules,
-        lambda w: rees_key(_from_codes(w, n)),
-        lambda w: rees_image(table, _from_codes(w, n)),
-    )
+    return _verify(basis, rees_key, lambda w: rees_image(table, _from_codes(w, n)))
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

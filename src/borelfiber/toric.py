@@ -8,6 +8,10 @@ by overlap, and :func:`brute_force_gb` is the independent truncated-completion
 oracle.  Everything is coefficient free: binomials are ordered pairs of
 Y-monomials, and reduction replaces sub-multisets.
 
+A point with k later points in its degree-2 fiber leads k quadrics, but
+reduction applies only the first.  So the reduced basis is read off the
+fibers, and the overlap check uses every copy of a lead only at the lead.
+
 One code path per concept serves the toric and Rees sides alike.
 :func:`_marked_pairs` builds the quadrics, the completion seeds and the Rees
 linear syzygies.  :class:`_Rules` is the one reduction engine on ascending
@@ -174,32 +178,21 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     """All quadric binomials of the toric ideal, marked by the sink order.
 
     One element per unordered pair of distinct degree-2 fiber points sharing
-    a multidegree.  With ``interreduce`` the basis is minimalized (duplicate
-    leads dropped) and trails are fully reduced.
+    a multidegree.  With ``interreduce`` the basis is the reduced one, read
+    off the fibers: every point of a fiber but the last leads once, with the
+    fiber's last point as its trail.  No element leads with a last point, so
+    every trail is already reduced.  Elements come in ascending sink order of
+    their leads.
     """
-    pairs = _marked_pairs(fibers(table, 2).values())
-    basis = MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
+    groups = fibers(table, 2).values()
     if interreduce:
-        basis = _interreduce(basis)
-    return basis
-
-
-def _interreduce(basis: MarkedBasis) -> MarkedBasis:
-    """Keep the first element per lead in sink order, then reduce the trails.
-
-    Leads are quadratic, so one divides another only when the two are equal.
-    """
-    ordered = sorted(
-        basis.elements, key=lambda el: (fiber_sink_key(el.lead), fiber_sink_key(el.trail))
-    )
-    first: dict[FiberPoint, MarkedBinomial] = {}
-    for el in ordered:
-        first.setdefault(el.lead, el)
-    minimal = MarkedBasis(basis.table, tuple(first.values()))
-    return MarkedBasis(
-        basis.table,
-        tuple(MarkedBinomial(el.lead, normal_form(el.trail, minimal)) for el in minimal.elements),
-    )
+        pairs = sorted(
+            ((lead, words[-1]) for words in groups for lead in words[:-1]),
+            key=lambda pair: fiber_sink_key(pair[0]),
+        )
+    else:
+        pairs = _marked_pairs(groups)
+    return MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
 
 
 @dataclass(frozen=True)
@@ -243,8 +236,17 @@ def _check_overlaps(
     reaches the same normal form.  Two leads that share no code commute
     (product criterion), and two overlapping quadratic leads have as lcm
     either a lead carried twice or a lead times one more code; those are the
-    critical monomials.  Returns the number of critical monomials and one
-    failure for each that disagrees.
+    critical monomials.
+
+    A lead carried by several rules is checked with all its copies.  At the
+    lcm of two distinct leads only the first rule of each lead reduces, so a
+    cubic critical monomial is reduced by at most three rules.  That is
+    enough: copies that join at their lead join at every multiple of it, and
+    in the induction along the reduction order that proves Newman's lemma,
+    every monomial below the one at hand has one normal form, so joining each
+    copy to the first, and the first rules to each other, joins all one-step
+    reducts.  Returns the number of critical monomials and one failure for
+    each that disagrees.
     """
     by_lead = rules.by_lead
     partners: dict[int, set[int]] = {}
@@ -265,8 +267,11 @@ def _check_overlaps(
                     critical.add(tuple(sorted(lead + (w,))))
     failures = []
     for m in sorted(critical):
-        divisors = sorted({m[:i] + m[i + 1 :] for i in range(len(m))}) if len(m) == 3 else [m]
-        reducers = sorted(p for d in divisors for p in by_lead.get(d, ()))
+        if len(m) == 2:
+            reducers = by_lead[m]
+        else:
+            divisors = {m[:i] + m[i + 1 :] for i in range(3)}
+            reducers = sorted(by_lead[d][0] for d in divisors if d in by_lead)
         reducts = {}
         for pos in reducers:
             reducts.setdefault(rules.step(pos, m), pos)
@@ -281,23 +286,24 @@ def _check_overlaps(
     return len(critical), failures
 
 
-def _verify(
-    table: GeneratorTable, rules: _Rules, key: Callable, multidegree: Callable
-) -> GroebnerReport:
+def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
     """Marking check, then the overlap check; the verifier behind both sides.
 
-    Raises ``ValueError`` unless every lead has a larger ``key`` than its
-    trail.  ``multidegree`` names a failure (see :func:`_check_overlaps`).
+    ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` unless every
+    element's lead has a larger ``key`` than its trail.  ``multidegree``
+    names a failure (see :func:`_check_overlaps`).
     """
-    for lead, trail in zip(rules.leads, rules.trails):
-        if key(lead) <= key(trail):
-            raise ValueError(f"inconsistent marking: lead {lead} is not earlier than trail {trail}")
-    checked, failures = _check_overlaps(rules, multidegree)
+    for el in basis.elements:
+        if key(el.lead) <= key(el.trail):
+            raise ValueError(
+                f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
+            )
+    checked, failures = _check_overlaps(basis._rules, multidegree)
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
         failures=tuple(failures),
-        context_names=table.context.names,
+        context_names=basis.table.context.names,
     )
 
 
@@ -309,8 +315,7 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
     Raises ``ValueError`` on a lead that is not earlier than its trail in the
     fiber sink order, or on a lead that is not quadratic.
     """
-    table = basis.table
-    return _verify(table, basis._rules, fiber_sink_key, lambda m: point_product(table, m))
+    return _verify(basis, fiber_sink_key, lambda m: point_product(basis.table, m))
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:

@@ -33,23 +33,25 @@ def check_unique_sink(
     graph = build_fiber_graph(table, mu, points)
     if not graph.vertices:
         return []
-    label = format_monomial(mu, table.context)
     violations = []
     keys = [fiber_sink_key(v) for v in graph.vertices]
     for a, b in graph.edges:
         if keys[a] <= keys[b]:
-            violations.append(f"{label}: edge {a}->{b} does not decrease in the sink order")
+            violations.append(f"edge {a}->{b} does not decrease in the sink order")
     if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
-        violations.append(f"{label}: fiber graph is disconnected")
+        violations.append("fiber graph is disconnected")
     graph_sinks = sinks(graph)
     if len(graph_sinks) != 1:
-        violations.append(f"{label}: {len(graph_sinks)} sinks instead of one")
+        violations.append(f"{len(graph_sinks)} sinks instead of one")
     else:
         if graph_sinks[0] != graph.vertices[-1]:
-            violations.append(f"{label}: sink differs from the sink-order minimum")
+            violations.append("sink differs from the sink-order minimum")
         if find_sink_direct(table, mu) != graph_sinks[0]:
-            violations.append(f"{label}: direct sink disagrees with the graph sink")
-    return violations
+            violations.append("direct sink disagrees with the graph sink")
+    if not violations:
+        return []
+    label = format_monomial(mu, table.context)
+    return [f"{label}: {v}" for v in violations]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ paths they check.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from functools import lru_cache
 from typing import Callable
 
@@ -27,8 +27,6 @@ from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
     SPairFailure,
-    _lcm,
-    _replace,
     normal_form,
 )
 
@@ -48,8 +46,23 @@ def contains(word: tuple[int, ...], part: tuple[int, ...]) -> bool:
 
 
 def swap(word: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
-    """``word`` with the sub-multiset ``old`` replaced by ``new``, ascending."""
-    return tuple(sorted((Counter(word) - Counter(old) + Counter(new)).elements()))
+    """``word`` with the sub-multiset ``old`` replaced by ``new``, ascending.
+
+    Raises ``ValueError`` when ``old`` is not a sub-multiset of ``word``.
+    """
+    rest = list(word)
+    for x in old:
+        rest.remove(x)
+    return tuple(sorted(rest + list(new)))
+
+
+def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Least common multiple of two ascending tuples, as multisets."""
+    rest = list(b)
+    for x in a:
+        if x in rest:
+            rest.remove(x)
+    return tuple(sorted(a + tuple(rest)))
 
 
 def normal_form_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...]:
@@ -317,7 +330,7 @@ def count_vector_sink_key(table, point: FiberPoint) -> tuple:
 def rees_apply(m: ReesMonomial, el: ReesBinomial) -> ReesMonomial:
     """One-step reduct of m by el, whose lead divides m."""
     xpart = tuple(a - b + c for a, b, c in zip(m.xpart, el.lead.xpart, el.trail.xpart))
-    return ReesMonomial(xpart, _replace(m.ypart, el.lead.ypart, el.trail.ypart))
+    return ReesMonomial(xpart, swap(m.ypart, el.lead.ypart, el.trail.ypart))
 
 
 def split_rees_reducer(basis: ReesBasis) -> Callable[[ReesMonomial], ReesMonomial]:
@@ -395,11 +408,11 @@ def pairwise_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
     failures = []
     for p, q in sorted(pairs):
         f, g = elements[p], elements[q]
-        lcm = _lcm(f.lead, g.lead)
-        a = _replace(lcm, f.lead, f.trail)
-        b = _replace(lcm, g.lead, g.trail)
+        top = lcm(f.lead, g.lead)
+        a = swap(top, f.lead, f.trail)
+        b = swap(top, g.lead, g.trail)
         if a != b and normal_form(a, basis) != normal_form(b, basis):
-            failures.append(SPairFailure(p, q, point_product(table, lcm)))
+            failures.append(SPairFailure(p, q, point_product(table, top)))
     return _report(failures, pairs, table)
 
 
@@ -428,14 +441,14 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
     failures = []
     for p, q in sorted(pairs):
         f, g = elements[p], elements[q]
-        lcm = ReesMonomial(
+        top = ReesMonomial(
             tuple(max(a, b) for a, b in zip(f.lead.xpart, g.lead.xpart)),
-            _lcm(f.lead.ypart, g.lead.ypart),
+            lcm(f.lead.ypart, g.lead.ypart),
         )
-        a = rees_apply(lcm, f)
-        b = rees_apply(lcm, g)
+        a = rees_apply(top, f)
+        b = rees_apply(top, g)
         if a != b and reduce(a) != reduce(b):
-            failures.append(SPairFailure(p, q, rees_image(table, lcm)))
+            failures.append(SPairFailure(p, q, rees_image(table, top)))
     return _report(failures, pairs, table)
 
 

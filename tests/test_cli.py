@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,10 +294,14 @@ class TestErrors:
 
 
 def test_console_entry_point():
+    # the checkout's src first, so the module runs without the package installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "borelfiber.cli", "sink", "--ideal", FIG, "--mu", "a^2c^3", "--format", "text"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Y_{a^2c^3}"

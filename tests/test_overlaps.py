@@ -7,12 +7,10 @@ on the drop-one mutants of the figure ideal's bases, which are the negative
 controls.
 """
 
-from collections import Counter
-
 import pytest
 
 from borelfiber.borel import build_table, build_two_borel
-from borelfiber.fiber import enumerate_fiber, fiber_sink_key, point_product
+from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers, point_product
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import unit
 from borelfiber.rees import (
@@ -33,6 +31,7 @@ from borelfiber.toric import (
 
 from helpers import (
     contains,
+    lcm,
     swap,
     mono,
     monos,
@@ -52,10 +51,6 @@ def fig_table():
 def cross_check_tables(fig_table):
     three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
     return [fig_table, three_borel] + suite_tables(cap=200)[::10]
-
-
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((Counter(a) | Counter(b)).elements()))
 
 
 def _toric_witnesses(basis, failure):
@@ -78,16 +73,16 @@ def _rees_witnesses(basis, failure):
     table = basis.table
     n = table.context.n
     f, g = basis.elements[failure.first], basis.elements[failure.second]
-    lcm = ReesMonomial(
+    top = ReesMonomial(
         tuple(max(a, b) for a, b in zip(f.lead.xpart, g.lead.xpart)),
-        _lcm(f.lead.ypart, g.lead.ypart),
+        lcm(f.lead.ypart, g.lead.ypart),
     )
-    candidates = [lcm]
+    candidates = [top]
     for v in range(n):
-        xpart = tuple(e + (i == v) for i, e in enumerate(lcm.xpart))
-        candidates.append(ReesMonomial(xpart, lcm.ypart))
+        xpart = tuple(e + (i == v) for i, e in enumerate(top.xpart))
+        candidates.append(ReesMonomial(xpart, top.ypart))
     for gen in range(len(table.generators)):
-        candidates.append(ReesMonomial(lcm.xpart, tuple(sorted(lcm.ypart + (gen,)))))
+        candidates.append(ReesMonomial(top.xpart, tuple(sorted(top.ypart + (gen,)))))
     reduce = split_rees_reducer(basis)
     return [
         m
@@ -112,6 +107,38 @@ class TestAgreementWithOracle:
             report = rees_buchberger_verify(basis)
             assert report.ok
             assert report.ok == pairwise_rees_buchberger(basis).ok
+
+
+class TestCopiesOfOneLead:
+    """Two copies of one lead whose trails are distinct normal forms.
+
+    The lead is the first point of a degree-2 fiber with three points, and
+    the trails are the other two; no element leads with either, so the
+    copies disagree at the lead itself.
+    """
+
+    @pytest.fixture(scope="class")
+    def fiber(self, fig_table):
+        return next(words for words in fibers(fig_table, 2).values() if len(words) == 3)
+
+    def test_toric(self, fig_table, fiber):
+        lead, *trails = fiber
+        basis = MarkedBasis(fig_table, tuple(MarkedBinomial(lead, z) for z in trails))
+        report = buchberger_verify(basis)
+        assert report.status == "FAIL"
+        assert report.pairs_checked == 1
+        assert [f.multidegree for f in report.failures] == [point_product(fig_table, lead)]
+        assert (report.failures[0].first, report.failures[0].second) == (0, 1)
+        assert not pairwise_buchberger(basis).ok
+
+    def test_rees(self, fig_table, fiber):
+        one = unit(3)
+        lead, *trails = (ReesMonomial(one, z) for z in fiber)
+        basis = ReesBasis(fig_table, tuple(ReesBinomial(lead, z) for z in trails))
+        report = rees_buchberger_verify(basis)
+        assert report.status == "FAIL"
+        assert [f.multidegree for f in report.failures] == [rees_image(fig_table, lead)]
+        assert not pairwise_rees_buchberger(basis).ok
 
 
 class TestDropOneMutants:

@@ -119,6 +119,7 @@ class TestReesVerify:
     def test_fig_table_passes(self, fig_table):
         report = rees_buchberger_verify(rees_gb(fig_table))
         assert report.ok
+        assert report.pairs_checked == 484
 
     def test_agrees_with_all_pairs_oracle(self, square_table, fig_table):
         for table in (square_table, fig_table):
