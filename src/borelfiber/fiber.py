@@ -90,7 +90,8 @@ def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoi
                 groups.setdefault(grown_product, []).append(grown)
         level = extended
     for points in groups.values():
-        points.sort(key=fiber_sink_key, reverse=True)
+        # A fiber's points share one length, so reversed tuples ascend in descending sink order.
+        points.sort(key=lambda p: p[::-1])
     return {mu: groups[mu] for mu in sorted(groups, key=lambda m: (degree(m), m))}
 
 

@@ -129,7 +129,10 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     """
     table = basis.table
     n = table.context.n
-    return _verify(basis, rees_key, lambda w: rees_image(table, _from_codes(w, n)))
+    # Code c indexes its exponent vector here: generator g at g, and x
+    # variable v, coded v - n, among the n unit vectors at the end.
+    vectors = list(table.generators) + [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    return _verify(basis, rees_key, lambda w: tuple(map(sum, zip(*[vectors[c] for c in w]))))
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

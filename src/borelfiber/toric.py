@@ -20,13 +20,21 @@ is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one place
 that says which rules carry a lead: the rewriter looks the word's sub-words
 up there, the overlap check finds its critical monomials and reducers there,
 and :func:`brute_force_gb` grows it one rule at a time.  :func:`_verify`, a
-marking check and then the overlap check :func:`_check_overlaps`, is the one
-Groebner verifier.
+marking and homogeneity check and then the overlap check
+:func:`_check_overlaps`, is the one Groebner verifier.
+
+Both pair generators look their pairs up instead of scanning for them.
+:func:`brute_force_gb` keeps a code index (each code to the rules whose lead
+uses it) and pairs a new lead only with the rules it shares a code with.
+:func:`_check_overlaps` builds the cubic critical monomials of a lead from
+the codes that share a lead with one of its codes, and writes the one-step
+reducts of a cubic monomial in closed form, as a quadratic trail with one
+code put in place.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations, combinations_with_replacement
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,12 +61,21 @@ def _replace(point: FiberPoint, old: FiberPoint, new: FiberPoint) -> FiberPoint:
     return tuple(out)
 
 
-def _lcm(a: FiberPoint, b: FiberPoint) -> FiberPoint:
-    ca, cb = Counter(a), Counter(b)
+def _merge_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Least common multiple of two ascending tuples, as multisets, by one merge."""
     out: list[int] = []
-    for g in ca.keys() | cb.keys():
-        out.extend([g] * max(ca[g], cb[g]))
-    out.sort()
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x <= y:
+            out.append(x)
+            i += 1
+            j += x == y
+        else:
+            out.append(y)
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
     return tuple(out)
 
 
@@ -247,6 +264,15 @@ def _check_overlaps(
     copy to the first, and the first rules to each other, joins all one-step
     reducts.  Returns the number of critical monomials and one failure for
     each that disagrees.
+
+    Critical monomials are looked up, not searched for.  ``partners[c]``
+    holds the codes that share a lead with code ``c``, so the cubic critical
+    monomials of a lead (a, b) are the lead times each w in
+    (partners[a] - {b}) | (partners[b] - {a}), or in partners[a] - {a} when
+    a = b, with w put in place.  Every trail is quadratic (``_verify`` checks
+    that lead and trail have one length), so the one-step reduct of a cubic
+    m by the first rule of the divisor m - {r} is that rule's trail with r
+    put in place.
     """
     by_lead = rules.by_lead
     partners: dict[int, set[int]] = {}
@@ -260,21 +286,37 @@ def _check_overlaps(
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
     critical = {lead for lead, positions in by_lead.items() if len(positions) > 1}
-    for lead in by_lead:
-        for v in set(lead):
-            for w in partners[v]:
-                if (min(v, w), max(v, w)) != lead:
-                    critical.add(tuple(sorted(lead + (w,))))
+    add = critical.add
+    for a, b in by_lead:
+        if a == b:
+            extra = partners[a] - {a}
+        else:
+            extra = (partners[a] - {b}) | (partners[b] - {a})
+        for w in extra:
+            if w <= a:
+                add((w, a, b))
+            elif w <= b:
+                add((a, w, b))
+            else:
+                add((a, b, w))
+    trails = rules.trails
     failures = []
     for m in sorted(critical):
-        if len(m) == 2:
-            reducers = by_lead[m]
-        else:
-            divisors = {m[:i] + m[i + 1 :] for i in range(3)}
-            reducers = sorted(by_lead[d][0] for d in divisors if d in by_lead)
         reducts = {}
-        for pos in reducers:
-            reducts.setdefault(rules.step(pos, m), pos)
+        if len(m) == 2:
+            for pos in by_lead[m]:
+                reducts.setdefault(rules.step(pos, m), pos)
+        else:
+            x, y, z = m
+            hits = []
+            for d, r in (((y, z), x), ((x, z), y), ((x, y), z)):
+                positions = by_lead.get(d)
+                if positions is not None:
+                    hits.append((positions[0], r))
+            hits.sort()  # a repeated code repeats a hit, and so its reduct
+            for pos, r in hits:
+                p, q = trails[pos]  # the first rule of d times r: its trail with r put in place
+                reducts.setdefault((r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r), pos)
         if len(reducts) == 1:
             continue
         first, *rest = reducts.items()
@@ -290,15 +332,25 @@ def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
     """Marking check, then the overlap check; the verifier behind both sides.
 
     ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` unless every
-    element's lead has a larger ``key`` than its trail.  ``multidegree``
-    names a failure (see :func:`_check_overlaps`).
+    element's lead has a larger ``key`` than its trail, and unless its lead
+    and trail have the same code length (t-degree, or joint degree) and the
+    same ``multidegree``: a binomial that is not homogeneous is not in the
+    ideal.  ``multidegree`` also names a failure (see :func:`_check_overlaps`).
     """
-    for el in basis.elements:
+    rules = basis._rules
+    for pos, el in enumerate(basis.elements):
         if key(el.lead) <= key(el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
-    checked, failures = _check_overlaps(basis._rules, multidegree)
+        lead, trail = rules.leads[pos], rules.trails[pos]
+        if len(lead) != len(trail) or multidegree(lead) != multidegree(trail):
+            what = "degree" if len(lead) != len(trail) else "multidegree"
+            raise ValueError(
+                f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
+                f"differ in {what}"
+            )
+    checked, failures = _check_overlaps(rules, multidegree)
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
@@ -324,11 +376,19 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     Seeds with every binomial between fiber points of t-degree up to the
     bound, then completes, discarding S-pairs whose lcm exceeds the bound.
     Independent of the unique-sink theory; used as the oracle.
+
+    A new lead is paired only with the rules whose leads share a code with
+    it (two coprime leads need no S-pair), found through a local index from
+    each code to the positions of the rules whose lead uses it.  Those rules
+    are visited in ascending position order, as a scan over all rules would
+    visit them, so the queue and the basis come out the same.
     """
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     queue = deque(_marked_pairs(fibers(table, degree_bound).values()))
     rules = _Rules()
+    leads, trails = rules.leads, rules.trails
+    by_code: dict[int, list[int]] = {}
     while queue:
         x, y = queue.popleft()
         a = rules.normal_form(x)
@@ -337,15 +397,20 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
             continue
         if fiber_sink_key(a) < fiber_sink_key(b):
             a, b = b, a
-        for lead, trail in zip(rules.leads, rules.trails):
-            if not set(a) & set(lead):
-                continue
-            lcm = _lcm(a, lead)
+        codes = set(a)
+        overlapping = set()
+        for code in codes:
+            overlapping.update(by_code.get(code, ()))
+        for pos in sorted(overlapping):
+            lead = leads[pos]
+            lcm = _merge_lcm(a, lead)
             if len(lcm) > degree_bound:
                 continue
-            queue.append((_replace(lcm, a, b), _replace(lcm, lead, trail)))
+            queue.append((_replace(lcm, a, b), _replace(lcm, lead, trails[pos])))
+        for code in codes:
+            by_code.setdefault(code, []).append(len(leads))
         rules.add(a, b)
-    return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
+    return MarkedBasis(table, tuple(map(MarkedBinomial, leads, trails)))
 
 
 def closure_components(

@@ -8,11 +8,13 @@ paths they check.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
-from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
+from borelfiber.borel import build_table
+from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers, point_product
+from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -81,12 +83,74 @@ def normal_form_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...]:
             return word
 
 
+def completion_by_scan(table, bound: int) -> list[tuple[FiberPoint, FiberPoint]]:
+    """Reference truncated Buchberger completion: every new lead meets every rule.
+
+    Seeds with the pairs within each fiber of t-degree up to ``bound``, in
+    :func:`fibers` order, and pairs each new lead with every earlier rule in
+    position order, queueing an S-pair when the two leads share a code and
+    their lcm has at most ``bound`` codes.  Normal forms come from
+    :func:`normal_form_by_scan`, remembered until the next rule is added.
+    Returns the (lead, trail) rules in order.
+    """
+    queue = deque(
+        pair for points in fibers(table, bound).values() for pair in itertools.combinations(points, 2)
+    )
+    rules: list[tuple[FiberPoint, FiberPoint]] = []
+    known: dict[FiberPoint, FiberPoint] = {}
+    while queue:
+        x, y = queue.popleft()
+        for word in (x, y):
+            if word not in known:
+                known[word] = normal_form_by_scan(rules, word)
+        a, b = known[x], known[y]
+        if a == b:
+            continue
+        if fiber_sink_key(a) < fiber_sink_key(b):
+            a, b = b, a
+        for lead, trail in rules:
+            if not set(a) & set(lead):
+                continue
+            top = lcm(a, lead)
+            if len(top) <= bound:
+                queue.append((swap(top, a, b), swap(top, lead, trail)))
+        rules.append((a, b))
+        known.clear()
+    return rules
+
+
+def rees_word(m: ReesMonomial) -> tuple:
+    """A Rees monomial as an ascending tuple of tagged variables ("x", v) and ("y", g)."""
+    xs = [("x", v) for v, e in enumerate(m.xpart) for _ in range(e)]
+    return tuple(sorted(xs + [("y", g) for g in m.ypart]))
+
+
+def critical_monomials_by_pairs(leads: list[tuple]) -> set[tuple]:
+    """Critical monomials of a rule list, from all pairs of its leads.
+
+    The lcm of every two distinct leads that share a variable, and every lead
+    carried by two rules or more.  Leads are ascending tuples of variables.
+    """
+    carried = Counter(leads)
+    out = {lead for lead, count in carried.items() if count > 1}
+    for p, q in itertools.combinations(carried, 2):
+        if set(p) & set(q):
+            out.add(lcm(p, q))
+    return out
+
+
 def mono(text: str, context: VariableContext = ABC) -> Monomial:
     return parse_monomial(text, context)
 
 
 def monos(*texts: str, context: VariableContext = ABC) -> list[Monomial]:
     return [parse_monomial(t, context) for t in texts]
+
+
+def cross_check_tables() -> list:
+    """The figure ideal, the three-Borel example and every 10th suite table."""
+    three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
+    return [build_table(monos("a^2c^3", "b^4c")), three_borel] + suite_tables(cap=200)[::10]
 
 
 def borel_reachable(mp: Monomial) -> set[Monomial]:

@@ -9,9 +9,8 @@ controls.
 
 import pytest
 
-from borelfiber.borel import build_table, build_two_borel
+from borelfiber.borel import build_two_borel
 from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers, point_product
-from borelfiber.instances import suite_tables
 from borelfiber.monomials import unit
 from borelfiber.rees import (
     ReesBasis,
@@ -29,15 +28,17 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
+import helpers
 from helpers import (
     contains,
+    critical_monomials_by_pairs,
     lcm,
     swap,
     mono,
-    monos,
     pairwise_buchberger,
     pairwise_rees_buchberger,
     rees_apply,
+    rees_word,
     split_rees_reducer,
 )
 
@@ -48,9 +49,8 @@ def fig_table():
 
 
 @pytest.fixture(scope="module")
-def cross_check_tables(fig_table):
-    three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
-    return [fig_table, three_borel] + suite_tables(cap=200)[::10]
+def cross_check_tables():
+    return helpers.cross_check_tables()
 
 
 def _toric_witnesses(basis, failure):
@@ -174,6 +174,43 @@ class TestDropOneMutants:
                     assert failure.first != failure.second
                     assert _rees_witnesses(mutant, failure), f"deletion {i}: {failure}"
         assert failing == 46
+
+
+class TestCriticalMonomialCount:
+    """``pairs_checked`` counts the critical monomials built from all pairs.
+
+    The overlap check builds them from the codes that share a lead with a
+    lead's codes; ``critical_monomials_by_pairs`` takes the lcm of every two
+    overlapping leads and adds every lead carried twice.
+    """
+
+    @staticmethod
+    def toric_count(basis):
+        return len(critical_monomials_by_pairs([el.lead for el in basis.elements]))
+
+    @staticmethod
+    def rees_count(basis):
+        return len(critical_monomials_by_pairs([rees_word(el.lead) for el in basis.elements]))
+
+    def test_toric(self, cross_check_tables):
+        for table in cross_check_tables:
+            for basis in (quadric_generators(table), quadric_generators(table, interreduce=True)):
+                assert buchberger_verify(basis).pairs_checked == self.toric_count(basis)
+
+    def test_rees(self, cross_check_tables):
+        for table in cross_check_tables:
+            basis = rees_gb(table)
+            assert rees_buchberger_verify(basis).pairs_checked == self.rees_count(basis)
+
+    def test_drop_one_mutants(self, fig_table):
+        elements = quadric_generators(fig_table).elements
+        for i in range(len(elements)):
+            mutant = MarkedBasis(fig_table, elements[:i] + elements[i + 1 :])
+            assert buchberger_verify(mutant).pairs_checked == self.toric_count(mutant), i
+        elements = rees_gb(fig_table).elements
+        for i in range(len(elements)):
+            mutant = ReesBasis(fig_table, elements[:i] + elements[i + 1 :])
+            assert rees_buchberger_verify(mutant).pairs_checked == self.rees_count(mutant), i
 
 
 class TestQuadraticLeads:

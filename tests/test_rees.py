@@ -139,6 +139,22 @@ class TestReesVerify:
         with pytest.raises(ValueError, match="inconsistent marking"):
             rees_buchberger_verify(bad)
 
+    @pytest.mark.parametrize(
+        "lead, trail, what",
+        [
+            (ReesMonomial((1, 0), (2,)), ReesMonomial((0, 1), (0,)), "multidegree"),
+            (ReesMonomial((0, 0), (0, 1)), ReesMonomial((0, 0), (2,)), "degree"),
+        ],
+        ids=["x_a*b^2-x_b*a^2", "joint-degree-2-vs-1"],
+    )
+    def test_binomial_outside_the_ideal_rejected(self, square_table, lead, trail, what):
+        assert rees_key(lead) > rees_key(trail)
+        assert rees_image(square_table, lead) != rees_image(square_table, trail)
+        good = rees_gb(square_table).elements[0]
+        bad = ReesBasis(square_table, (good, ReesBinomial(lead, trail)))
+        with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
+            rees_buchberger_verify(bad)
+
 
 class TestReesReduction:
     def test_common_x_part_reduces_like_the_toric_side(self, fig_table):

@@ -30,6 +30,8 @@ from borelfiber.toric import (
 
 from helpers import (
     closure_components_by_search,
+    completion_by_scan,
+    cross_check_tables,
     interreduce_by_scan,
     mono,
     monos,
@@ -178,6 +180,21 @@ class TestBuchbergerVerify:
         with pytest.raises(ValueError, match="inconsistent marking"):
             buchberger_verify(bad)
 
+    @pytest.mark.parametrize(
+        "lead, trail, what",
+        [((1, 1), (0, 2), "multidegree"), ((0, 1), (2,), "degree")],
+        ids=["a^4-ab^3", "t-degree-2-vs-1"],
+    )
+    def test_binomial_outside_the_ideal_rejected(self, lead, trail, what):
+        # Both are marked consistently and pass the overlap check, so only
+        # the comparison of the two sides' degrees can reject them.
+        table = suite_tables(cap=3)[0]
+        assert point_product(table, lead) != point_product(table, trail)
+        good = quadric_generators(table).elements[0]
+        bad = MarkedBasis(table, (good, MarkedBinomial(lead, trail)))
+        with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
+            buchberger_verify(bad)
+
     def test_report_json(self, fig_quadrics):
         data = buchberger_verify(fig_quadrics).to_json()
         assert data["status"] == "PASS"
@@ -222,6 +239,14 @@ class TestBruteForceOracle:
     def test_bound_validation(self, fig_table):
         with pytest.raises(ValueError):
             brute_force_gb(fig_table, 1)
+
+    def test_matches_the_scan_completion_in_order(self):
+        # The oracle pairs a new lead only with the rules that share a code
+        # with it; the scan pairs it with every rule.  Elements and their
+        # order must agree.
+        for table in cross_check_tables():
+            oracle = brute_force_gb(table, 3)
+            assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, 3)
 
 
 class TestLeadIndex:
