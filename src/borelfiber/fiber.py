@@ -10,10 +10,10 @@ graded reverse lex order on the table's variable order.
 
 Fibers come from two enumerations.  :func:`fibers` builds every point of
 t-degree up to a bound in one pass, level by level, and groups the points by
-product; sweeps and the quadric and completion seeds use it, because they
-need every fiber up to the bound anyway.  :func:`enumerate_fiber` factors a
-single multidegree by one iterative depth-first search; it serves one-mu
-callers, whose t can be far too large to list every product up to it.
+product; sweeps, the quadrics and the completion oracle use it, because
+they need every fiber up to the bound anyway.  :func:`enumerate_fiber`
+factors a single multidegree by one iterative depth-first search; it serves
+one-mu callers, whose t can be far too large to list every product up to it.
 
 No fiber state outlives a call, except the table's own paired-move rows
 (``GeneratorTable.pair_transitions``), which live and die with the table.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Optional
 
 from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, lex_last_divisor
@@ -85,7 +86,7 @@ def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoi
         for point, product in level:
             for idx in range(point[-1] if point else 0, len(gens)):
                 grown = point + (idx,)
-                grown_product = tuple(a + b for a, b in zip(product, gens[idx]))
+                grown_product = tuple(map(add, product, gens[idx]))
                 extended.append((grown, grown_product))
                 groups.setdefault(grown_product, []).append(grown)
         level = extended

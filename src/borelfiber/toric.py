@@ -5,37 +5,34 @@ generated by differences of fiber points with equal product.  For two-Borel
 tables the set of *all* quadric binomials, marked by the fiber sink order,
 is a Groebner basis; :func:`buchberger_verify` rechecks that claim overlap
 by overlap, and :func:`brute_force_gb` is the independent truncated-completion
-oracle.  Everything is coefficient free: binomials are ordered pairs of
-Y-monomials, and reduction replaces sub-multisets.
+oracle, which reduces every fiber up to a bound to one normal form.
+Everything is coefficient free: binomials are ordered pairs of Y-monomials,
+and reduction replaces sub-multisets.
 
 A point with k later points in its degree-2 fiber leads k quadrics, but
 reduction applies only the first.  So the reduced basis is read off the
 fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.
-:func:`_marked_pairs` builds the quadrics, the completion seeds and the Rees
-linear syzygies.  :class:`_Rules` is the one reduction engine on ascending
-tuples of integer codes: a toric point is its own word, and a Rees monomial
-is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one place
-that says which rules carry a lead: the rewriter looks the word's sub-words
-up there, the overlap check finds its critical monomials and reducers there,
-and :func:`brute_force_gb` grows it one rule at a time.  :func:`_verify`, a
-marking and homogeneity check and then the overlap check
-:func:`_check_overlaps`, is the one Groebner verifier.
+:func:`_marked_pairs` builds the quadrics and the Rees linear syzygies.
+:class:`_Rules` is the one reduction engine on ascending tuples of integer
+codes: a toric point is its own word, and a Rees monomial is coded by
+``rees._codes``.  Its lead index ``by_lead`` is the one place that says
+which rules carry a lead: the rewriter looks up the word's own
+sub-multisets of each lead size there, the overlap check finds its critical
+monomials and reducers there, and :func:`brute_force_gb` grows it one rule
+at a time.  :func:`_verify`, a marking and homogeneity check and then the
+overlap check :func:`_check_overlaps`, is the one Groebner verifier.
 
-Both pair generators look their pairs up instead of scanning for them.
-:func:`brute_force_gb` keeps a code index (each code to the rules whose lead
-uses it) and pairs a new lead only with the rules it shares a code with.
-:func:`_check_overlaps` builds the cubic critical monomials of a lead from
-the codes that share a lead with one of its codes, and writes the one-step
-reducts of a cubic monomial in closed form, as a quadratic trail with one
-code put in place.
+The overlap check looks its pairs up instead of scanning for them: it
+builds the cubic critical monomials of a lead from the codes that share a
+lead with one of its codes, and writes the one-step reducts of a cubic
+monomial in closed form, as a quadratic trail with one code put in place.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -58,24 +55,6 @@ def _replace(point: FiberPoint, old: FiberPoint, new: FiberPoint) -> FiberPoint:
         out.remove(x)
     out.extend(new)
     out.sort()
-    return tuple(out)
-
-
-def _merge_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Least common multiple of two ascending tuples, as multisets, by one merge."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x <= y:
-            out.append(x)
-            i += 1
-            j += x == y
-        else:
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
     return tuple(out)
 
 
@@ -125,23 +104,22 @@ class _Rules:
     def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
-        Every multiset of the word's codes of each lead size is looked up in
-        ``by_lead``.  Such a multiset may use a code more often than the word
-        does; its rule then fails to apply, and the next lowest is tried.
+        For each lead size k, the k-combinations of the word's codes in that
+        size's alphabet are exactly the word's sub-multisets that can be a
+        lead of size k.  Each is looked up in ``by_lead``, so every hit
+        applies.  A code is kept at most k times, which leaves the set of
+        combinations as it is but keeps long words from multiplying it.
         Returns None when no lead is contained.
         """
         by_lead = self.by_lead
         hits = []
         for size, alphabet in self.alphabets.items():
-            codes = sorted(alphabet.intersection(word))
-            hits.extend(filter(None, map(by_lead.get, combinations_with_replacement(codes, size))))
-        while hits:
-            positions = min(hits)  # disjoint ascending lists: the least has the lowest position
-            try:
-                return self.step(positions[0], word)
-            except ValueError:  # the lead repeats a code more often than the word
-                hits.remove(positions)
-        return None
+            codes = list(filter(alphabet.__contains__, word))
+            if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
+                codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
+            hits.extend(filter(None, map(by_lead.get, set(combinations(codes, size)))))
+        # disjoint ascending lists: the least has the lowest position
+        return self.step(min(hits)[0], word) if hits else None
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -371,46 +349,45 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
-    """Degree-truncated Buchberger completion from all low-degree binomials.
+    """Degree-truncated completion: one normal form per fiber up to the bound.
 
-    Seeds with every binomial between fiber points of t-degree up to the
-    bound, then completes, discarding S-pairs whose lcm exceeds the bound.
-    Independent of the unique-sink theory; used as the oracle.
+    Walks the fibers of t-degree up to the bound in :func:`fibers` order and
+    reduces the star of each: the pairs (first point, w) for every later
+    point w.  When the normal forms differ, the later one in the fiber sink
+    order becomes a lead, rewritten to the earlier one.  Independent of the
+    unique-sink theory and of the overlap check; used as the oracle.
 
-    A new lead is paired only with the rules whose leads share a code with
-    it (two coprime leads need no S-pair), found through a local index from
-    each code to the positions of the rules whose lead uses it.  Those rules
-    are visited in ascending position order, as a scan over all rules would
-    visit them, so the queue and the basis come out the same.
+    The result is the truncated Buchberger completion seeded with every
+    binomial between two points of one fiber, element for element and in
+    order, although no S-pair is formed:
+
+    - The rewriter applies the lowest-position applicable rule, and rules
+      are only appended.  So once two words have one normal form they keep
+      it: both chains still reach the old common normal form and continue
+      from it together.
+    - So after a fiber's star every point of that fiber has one normal
+      form, and the completion's other seeds within the fiber reduce to
+      zero when they are reached.
+    - An S-pair joins two points of one fiber of t-degree at most the bound,
+      and it is queued behind every seed, so it reduces to zero too.
+
+    Every binomial of the toric ideal of t-degree at most the bound thus
+    reduces to zero, so the result is a Groebner basis through the bound
+    (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, ch. 4).
     """
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
-    queue = deque(_marked_pairs(fibers(table, degree_bound).values()))
     rules = _Rules()
-    leads, trails = rules.leads, rules.trails
-    by_code: dict[int, list[int]] = {}
-    while queue:
-        x, y = queue.popleft()
-        a = rules.normal_form(x)
-        b = rules.normal_form(y)
-        if a == b:
-            continue
-        if fiber_sink_key(a) < fiber_sink_key(b):
-            a, b = b, a
-        codes = set(a)
-        overlapping = set()
-        for code in codes:
-            overlapping.update(by_code.get(code, ()))
-        for pos in sorted(overlapping):
-            lead = leads[pos]
-            lcm = _merge_lcm(a, lead)
-            if len(lcm) > degree_bound:
+    for first, *rest in fibers(table, degree_bound).values():
+        for w in rest:
+            a = rules.normal_form(first)
+            b = rules.normal_form(w)
+            if a == b:
                 continue
-            queue.append((_replace(lcm, a, b), _replace(lcm, lead, trails[pos])))
-        for code in codes:
-            by_code.setdefault(code, []).append(len(leads))
-        rules.add(a, b)
-    return MarkedBasis(table, tuple(map(MarkedBinomial, leads, trails)))
+            if fiber_sink_key(a) < fiber_sink_key(b):
+                a, b = b, a
+            rules.add(a, b)
+    return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 
 def closure_components(

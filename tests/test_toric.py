@@ -240,13 +240,22 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_gb(fig_table, 1)
 
-    def test_matches_the_scan_completion_in_order(self):
-        # The oracle pairs a new lead only with the rules that share a code
-        # with it; the scan pairs it with every rule.  Elements and their
-        # order must agree.
-        for table in cross_check_tables():
-            oracle = brute_force_gb(table, 3)
-            assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, 3)
+    @pytest.fixture(scope="class")
+    def completions(self, fig_table, three_borel):
+        inputs = [(table, 3) for table in cross_check_tables()]
+        inputs += [(fig_table, 4), (three_borel, 4)]
+        return [(table, bound, brute_force_gb(table, bound)) for table, bound in inputs]
+
+    def test_matches_the_scan_completion_in_order(self, completions):
+        # The oracle reduces one star per fiber and forms no S-pair; the scan
+        # runs the full Buchberger loop.  Elements and their order must agree.
+        for table, bound, oracle in completions:
+            assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, bound)
+
+    def test_every_fiber_has_one_normal_form(self, completions):
+        for table, bound, oracle in completions:
+            for mu, points in fibers(table, bound).items():
+                assert len({normal_form(z, oracle) for z in points}) == 1, (table.generators, mu)
 
 
 class TestLeadIndex:
@@ -294,6 +303,16 @@ class TestLeadIndex:
         for table, pairs in bases:
             size = len(table.generators)
             self.agree(pairs, [tuple(sorted(rng.choices(range(size), k=t))) for _ in range(3)])
+
+    def test_a_lead_that_repeats_a_code_needs_it_twice(self):
+        # Position 0 leads with c twice; a word holding c once must use the
+        # next applicable rule, and a word holding c twice must use position 0.
+        c, d = 1, 2
+        rules = _Rules([((c, c), (0, 0)), ((c, d), (0, 3))])
+        assert rules.rewrite((c, d)) == (0, 3)
+        assert rules.rewrite((0, c, d)) == (0, 0, 3)
+        assert rules.rewrite((c, c, d)) == (0, 0, d)
+        assert rules.rewrite((c, 3)) is None
 
     def test_add_drops_cached_normal_forms(self, completion):
         # Each completion lead was a normal form when its rule was added.
