@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
-import itertools
 import random
-from functools import lru_cache
+from itertools import combinations
+from operator import ge, le
 
-from borelfiber.borel import GeneratorTable, build_two_borel
+from borelfiber.borel import GeneratorTable, build_two_borel, expand_principal
 from borelfiber.fiber import fibers
-from borelfiber.monomials import Monomial, degree_monomials, sigma
+from borelfiber.monomials import Monomial, sigma
 
 
-@lru_cache(maxsize=None)
 def borel_incomparable_pairs(n: int, d: int) -> tuple[tuple[Monomial, Monomial], ...]:
-    """All pairs (M, N), M lex-earlier, incomparable in the Borel order."""
-    monomials = list(degree_monomials(n, d))
-    sigmas = {m: sigma(m) for m in monomials}
-    pairs = []
-    for M, N in itertools.combinations(monomials, 2):
-        sm, sn = sigmas[M], sigmas[N]
-        below = all(a <= b for a, b in zip(sm, sn))
-        above = all(a >= b for a, b in zip(sm, sn))
-        if not below and not above:
-            pairs.append((M, N) if M > N else (N, M))
-    return tuple(pairs)
+    """All pairs (M, N), M lex-earlier, incomparable in the Borel order.
+
+    M and N range over the degree-d monomials in n variables, d >= 1: these
+    are Borel(x_n^d), listed lex-earliest first, so each pair comes out in
+    order.  Nothing is cached; callers that need a table twice keep it.
+    """
+    with_sigma = [(m, sigma(m)) for m in expand_principal((0,) * (n - 1) + (d,))]
+    return tuple(
+        (M, N)
+        for (M, sm), (N, sn) in combinations(with_sigma, 2)
+        if not all(map(le, sm, sn)) and not all(map(ge, sm, sn))
+    )
 
 
 def suite_tables(cap: int = 200) -> list[GeneratorTable]:
@@ -42,20 +42,15 @@ def suite_tables(cap: int = 200) -> list[GeneratorTable]:
 
 
 def random_tables(count: int, seed: int) -> list[GeneratorTable]:
-    """Seeded random two-Borel instances drawn from the incomparable pairs."""
+    """Seeded random two-Borel instances drawn from the incomparable pairs.
+
+    Each draw picks a nonempty pair table of the suite's shapes, then a pair
+    from it; the eight pair tables are built once per call.
+    """
     rng = random.Random(seed)
-    choices = [
-        (n, d)
-        for n in (3, 4)
-        for d in range(2, 6)
-        if borel_incomparable_pairs(n, d)
-    ]
-    tables = []
-    for _ in range(count):
-        n, d = rng.choice(choices)
-        M, N = rng.choice(borel_incomparable_pairs(n, d))
-        tables.append(build_two_borel(M, N))
-    return tables
+    shapes = [borel_incomparable_pairs(n, d) for n in (3, 4) for d in range(2, 6)]
+    choices = [pairs for pairs in shapes if pairs]
+    return [build_two_borel(*rng.choice(rng.choice(choices))) for _ in range(count)]
 
 
 def sweep_multidegrees(table: GeneratorTable, max_tdeg: int) -> list[Monomial]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterator
 
 Monomial = tuple[int, ...]
 
@@ -151,16 +150,6 @@ def find_reverse_move(m: Monomial, mp: Monomial, j: int) -> int:
         if s[i] != s[j]:
             return i
     raise RuntimeError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
-
-
-def degree_monomials(n: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in n variables, lex-earliest (greatest) first."""
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in degree_monomials(n - 1, d - e):
-            yield (e,) + rest
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

@@ -94,13 +94,6 @@ class _Rules:
         self.trails.append(trail)
         self.cache.clear()
 
-    def step(self, pos: int, word: tuple[int, ...]) -> tuple[int, ...]:
-        """The one-step reduct of ``word`` by rule ``pos``.
-
-        Raises ``ValueError`` when ``word`` does not contain the rule's lead.
-        """
-        return _replace(word, self.leads[pos], self.trails[pos])
-
     def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
@@ -118,8 +111,10 @@ class _Rules:
             if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
                 codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
             hits.extend(filter(None, map(by_lead.get, set(combinations(codes, size)))))
-        # disjoint ascending lists: the least has the lowest position
-        return self.step(min(hits)[0], word) if hits else None
+        if not hits:
+            return None
+        pos = min(hits)[0]  # disjoint ascending lists: the least has the lowest position
+        return _replace(word, self.leads[pos], self.trails[pos])
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -283,7 +278,7 @@ def _check_overlaps(
         reducts = {}
         if len(m) == 2:
             for pos in by_lead[m]:
-                reducts.setdefault(rules.step(pos, m), pos)
+                reducts.setdefault(trails[pos], pos)  # a lead's reduct by its own rule
         else:
             x, y, z = m
             hits = []

@@ -1,4 +1,4 @@
-"""Sweep-style checks of the unique-sink claim, fanned out per multidegree."""
+"""Sweep-style checks of the unique-sink claim, fanned out in interleaved shares."""
 
 from __future__ import annotations
 
@@ -75,18 +75,9 @@ class SweepReport:
         }
 
 
-_WORKER_TABLE: GeneratorTable | None = None
-
-
-def _init_worker(table: GeneratorTable) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = table
-
-
-def _check_one(mu: Monomial, points: list[FiberPoint]) -> list[str]:
-    if _WORKER_TABLE is None:
-        raise RuntimeError("_check_one runs only in a worker started by _init_worker")
-    return check_unique_sink(_WORKER_TABLE, mu, points)
+def _check_fibers(table: GeneratorTable, items) -> list[list[str]]:
+    """Violations of each (mu, points) fiber in ``items``, in order."""
+    return [check_unique_sink(table, mu, points) for mu, points in items]
 
 
 def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> SweepReport:
@@ -94,17 +85,19 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
 
     The fibers come from one grouped pass (:func:`~borelfiber.fiber.fibers`).
     At most ``jobs`` worker processes check them, never more than the CPUs or
-    the multidegrees; results are merged in multidegree order, so the report
-    is identical at any parallelism width.
+    the multidegrees.  Worker i gets the table and the interleaved share
+    ``items[i::workers]``, and its results go back to the same slots, so the
+    report lists violations in multidegree order at any parallelism width.
     """
-    groups = fibers(table, max_tdeg)
-    workers = min(jobs, os.cpu_count() or 1, len(groups))
+    items = list(fibers(table, max_tdeg).items())
+    workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(table,)
-        ) as pool:
-            results = list(pool.map(_check_one, groups, groups.values(), chunksize=64))
+        results: list[list[str]] = [[]] * len(items)
+        shares = [items[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, part in enumerate(pool.map(_check_fibers, [table] * workers, shares)):
+                results[i::workers] = part
     else:
-        results = [check_unique_sink(table, mu, points) for mu, points in groups.items()]
+        results = _check_fibers(table, items)
     violations = [v for vs in results for v in vs]
-    return SweepReport(multidegrees_checked=len(groups), violations=tuple(violations))
+    return SweepReport(multidegrees_checked=len(items), violations=tuple(violations))

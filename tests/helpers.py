@@ -521,9 +521,8 @@ class SerialPool:
 
     widths: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         SerialPool.widths.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -531,5 +530,5 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
+    def map(self, fn, *iterables):
         return map(fn, *iterables)

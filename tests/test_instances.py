@@ -1,15 +1,17 @@
+import pytest
+
 from borelfiber.instances import (
     borel_incomparable_pairs,
     random_tables,
     suite_tables,
     sweep_multidegrees,
 )
-from borelfiber.borel import build_two_borel
+from borelfiber.borel import build_two_borel, expand_principal
 from borelfiber.fiber import enumerate_fiber
 from borelfiber.monomials import degree, sigma
 from borelfiber.verify import check_unique_sink, sweep_unique_sinks
 
-from helpers import mono
+from helpers import all_monomials, mono, monos
 
 
 class TestIncomparablePairs:
@@ -27,6 +29,18 @@ class TestIncomparablePairs:
     def test_degree_one_has_none(self):
         assert borel_incomparable_pairs(3, 1) == ()
 
+    def test_pair_counts(self):
+        counts = {
+            (3, 2): 1, (3, 3): 5, (3, 4): 15, (3, 5): 35,
+            (4, 2): 5, (4, 3): 35, (4, 4): 140, (4, 5): 420,
+        }
+        assert {nd: len(borel_incomparable_pairs(*nd)) for nd in counts} == counts
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (2, 4), (3, 1), (3, 5), (4, 3), (5, 2)])
+    def test_last_variable_power_generates_every_monomial(self, n, d):
+        # the pairs range over Borel(x_n^d), which must be every degree-d monomial
+        assert expand_principal((0,) * (n - 1) + (d,)) == all_monomials(n, d)
+
 
 class TestSuite:
     def test_cap(self):
@@ -36,6 +50,24 @@ class TestSuite:
 
     def test_small_cap_prefix(self):
         assert suite_tables(cap=3) == suite_tables(cap=200)[:3]
+
+    def test_full_suite_size(self):
+        assert len(suite_tables(10**6)) == 656
+
+    def test_random_roots_are_pinned(self):
+        # the benchmark keys its reference answers by these roots
+        roots = [table.roots for table in random_tables(30, 20250809)[:8]]
+        ac_b2 = tuple(monos("ac", "b^2"))
+        assert roots == [
+            ac_b2,
+            ((0, 1, 0, 1), (0, 0, 2, 0)),
+            ac_b2,
+            ac_b2,
+            ac_b2,
+            ac_b2,
+            tuple(monos("ac^2", "b^2c")),
+            ((2, 0, 1, 2), (1, 2, 0, 2)),
+        ]
 
     def test_random_tables_deterministic(self):
         a = random_tables(10, seed=7)

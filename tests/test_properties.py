@@ -37,7 +37,6 @@ from borelfiber.fiber import (
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
 from borelfiber.monomials import (
     VariableContext,
-    degree_monomials,
     format_monomial,
     parse_monomial,
     sigma,
@@ -88,7 +87,7 @@ def small_roots() -> tuple:
         root
         for n in (3, 4)
         for d in range(2, 6)
-        for root in degree_monomials(n, d)
+        for root in all_monomials(n, d)
         if len(expand_principal(root)) <= MAX_GENERATORS
     )
 
@@ -119,7 +118,7 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
     groups = fibers(table, 3)
     s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
     for t in range(1, 4):
-        for mu in degree_monomials(table.context.n, t * table.degree):
+        for mu in all_monomials(table.context.n, t * table.degree):
             lo, hi = _m_share_bounds(t, sigma(mu), s_m, s_n)
             assert (lo <= hi) == can_factor(table, mu) == (mu in groups)
             assert (lo <= hi and hi >= 1) == has_gm_factorization(table, mu)
@@ -280,7 +279,6 @@ def test_sweep_report_does_not_depend_on_the_width(table, max_tdeg):
     serial = verify.sweep_unique_sinks(table, max_tdeg, jobs=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        patch.setattr(verify, "_WORKER_TABLE", None)
         patch.setattr(verify.os, "cpu_count", lambda: 2)
         SerialPool.widths = []
         fanned = verify.sweep_unique_sinks(table, max_tdeg, jobs=2)

@@ -1,9 +1,11 @@
-"""The README's library example runs as written against the package exports."""
+"""The README's library example and command lines run as written against the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import borelfiber
+from borelfiber import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,20 @@ def test_exports_are_the_example_imports_and_the_table():
     imported = re.search(r"from borelfiber import \((.*?)\)", library_example(), re.S).group(1)
     names = {name.strip() for name in imported.split(",") if name.strip()}
     assert set(borelfiber.__all__) == names | {"GeneratorTable", "build_table"}
+
+
+def readme_cli_lines() -> list[str]:
+    """Every ``borelfiber ...`` line of the README's ``sh`` blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("borelfiber ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = readme_cli_lines()
+    assert len(lines) >= 9  # at least one line per subcommand
+    parser = cli.build_parser()
+    for line in lines:
+        words = shlex.split(line, comments=True)[1:]
+        if ">" in words:  # a shell redirection, not an argument
+            words = words[: words.index(">")]
+        parser.parse_args(words)

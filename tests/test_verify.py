@@ -110,7 +110,6 @@ class TestJobsClamp:
     def serial_pool(self, monkeypatch):
         SerialPool.widths = []
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify, "_WORKER_TABLE", None)
         return SerialPool
 
     @pytest.fixture(scope="class")
