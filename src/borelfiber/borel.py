@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from math import comb
+from operator import sub
 from typing import Optional, Sequence
 
 from borelfiber.monomials import (
@@ -33,6 +36,25 @@ from borelfiber.monomials import (
 )
 
 
+MAX_BLOCK_GENERATORS = 1_000_000
+
+
+def count_principal(root: Monomial) -> int:
+    """Number of minimal generators of the principal Borel ideal of ``root``.
+
+    Counts the suffix-sum sequences of :func:`expand_principal` one variable
+    at a time without listing them: ``ways[s]`` is the number of prefixes
+    whose rest has suffix sum s, and the next sum is any s' <= s within the
+    next bound.
+    """
+    d = degree(root)
+    ways = [0] * d + [1]
+    for bound in sigma(root)[1:]:
+        at_least = list(accumulate(reversed(ways)))[::-1]  # at_least[s] = sum of ways[s:]
+        ways = at_least[: bound + 1] + [0] * (d - bound)
+    return sum(ways)
+
+
 def expand_principal(root: Monomial) -> list[Monomial]:
     """Minimal generators of the principal Borel ideal of ``root``.
 
@@ -41,11 +63,21 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     are built one variable at a time from their suffix sums d = s_0 >= s_1
     >= ... >= s_{n-1} >= 0 with s_k <= sigma_k(root): exponent k is
     s_k - s_{k+1}, and taking each s_{k+1} in ascending order lists the
-    monomials lex-earliest first.
+    monomials lex-earliest first.  A block of more than
+    ``MAX_BLOCK_GENERATORS`` raises ``ValueError`` before any is listed.
     """
     d = degree(root)
     if d < 1:
         raise ValueError("the unit monomial generates no proper Borel ideal")
+    # Borel(root) lies among the C(d + n - 1, n - 1) monomials of degree d;
+    # only when those exceed the cap is the block itself counted.
+    if comb(d + len(root) - 1, d) > MAX_BLOCK_GENERATORS:
+        size = count_principal(root)
+        if size > MAX_BLOCK_GENERATORS:
+            raise ValueError(
+                f"Borel{root} has {size:,} minimal generators,"
+                f" more than the cap of {MAX_BLOCK_GENERATORS:,}"
+            )
     prefixes = [((), d)]  # (exponents so far, suffix sum of the rest)
     for bound in sigma(root)[1:]:
         prefixes = [
@@ -66,21 +98,24 @@ def minimal_borel_generators(gens: Sequence[Monomial]) -> list[Monomial]:
 
 def _from_sigma(sums: Sequence[int]) -> Monomial:
     """The monomial with the given cumulative exponent vector."""
-    return tuple(a - b for a, b in zip(sums, (*sums[1:], 0)))
+    return tuple(map(sub, sums, (*sums[1:], 0)))
 
 
-def _lex_last_sigma(bound: Sequence[int], mu: Monomial) -> Optional[tuple[int, ...]]:
-    """Suffix sums of the lex-latest divisor of mu with sigma at most ``bound``.
+def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Suffix sums of the lex-latest divisor with sigma at most ``bound``.
 
-    With c_n = 0 and c_k = min(bound_k, mu_k + c_{k+1}), c_k is the largest
-    suffix sum from position k that a divisor of mu within the bound can
-    reach, and taking every suffix sum at its largest gives the lex-latest
-    such divisor.  One of degree bound_0 exists exactly when c_0 = bound_0.
+    ``rest`` holds the suffix sums of the monomial mu to divide.  With c_n = 0
+    and c_k = min(bound_k, mu_k + c_{k+1}), c_k is the largest suffix sum
+    from position k that a divisor of mu within the bound can reach, and
+    taking every suffix sum at its largest gives the lex-latest such divisor.
+    One of degree bound_0 exists exactly when c_0 = bound_0.
     """
-    sums = [0] * len(mu)
-    c = 0
-    for k in range(len(mu) - 1, -1, -1):
-        c = min(bound[k], mu[k] + c)
+    sums = [0] * len(rest)
+    c = below = 0  # below = rest_{k+1}, so mu_k = rest_k - below
+    for k in range(len(rest) - 1, -1, -1):
+        r = rest[k]
+        c = min(bound[k], r - below + c)
+        below = r
         sums[k] = c
     return tuple(sums) if c == bound[0] else None
 
@@ -93,7 +128,7 @@ def lex_last_divisor(root: Monomial, mu: Monomial) -> Optional[Monomial]:
     """
     if len(mu) != len(root):
         raise ValueError(f"variable contexts differ: {len(root)} vs {len(mu)} variables")
-    sums = _lex_last_sigma(sigma(root), mu)
+    sums = _lex_last_sigma(sigma(root), sigma(mu))
     return None if sums is None else _from_sigma(sums)
 
 
@@ -121,37 +156,46 @@ class GeneratorTable:
         return {g: i for i, g in enumerate(self.generators)}
 
     @cached_property
-    def pair_transitions(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """For each ordered generator pair, the paired-move replacements.
+    def later_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """For each index pair a <= b, the pairs one paired move away that come later.
 
-        ``pair_transitions[g1][g2]`` lists the pairs ``(h1, h2)`` where h1
-        arises from g1 by a Borel move and h2 from g2 by the matching reverse
-        move, with both results again minimal generators.  The rows live and
-        die with the table.
+        A paired move applies a Borel move x_j -> x_i (i < j) to one factor
+        and the reverse move x_i -> x_j to the other, both results again
+        minimal generators.  ``later_pairs[a, b]`` lists, ascending, the
+        index pairs (c, d) with c <= d so reached from {a, b} that are later
+        than (a, b) in the fiber sink order, that is (d, c) > (b, a); pairs
+        with no such move are absent.  The inverse moves lead back, so a move
+        is listed once, from its earlier end.  The rows live and die with the
+        table.
         """
-        gens = self.generators
         index_of = self.index_of
         n = self.context.n
-        rows = []
-        for e1 in gens:
-            row = []
-            for e2 in gens:
-                moves = []
-                for j in range(1, n):
-                    if e1[j] == 0:
-                        continue
-                    for i in range(j):
-                        if e2[i] == 0:
-                            continue
-                        h1 = index_of.get(borel_move(e1, j, i))
-                        if h1 is None:
-                            continue
-                        h2 = index_of.get(reverse_borel_move(e2, i, j))
-                        if h2 is not None:
-                            moves.append((h1, h2))
-                row.append(tuple(moves))
-            rows.append(tuple(row))
-        return tuple(rows)
+        # For each move (j, i): the (generator, result) pairs it raises, and
+        # those its reverse lowers.
+        raised: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        lowered: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for p, e in enumerate(self.generators):
+            for j in range(1, n):
+                for i in range(j):
+                    if e[j]:
+                        h = index_of.get(borel_move(e, j, i))
+                        if h is not None:
+                            raised.setdefault((j, i), []).append((p, h))
+                    if e[i]:
+                        h = index_of.get(reverse_borel_move(e, i, j))
+                        if h is not None:
+                            lowered.setdefault((j, i), []).append((p, h))
+        later: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for move, ups in raised.items():
+            downs = lowered.get(move, ())
+            for p, h1 in ups:
+                for q, h2 in downs:
+                    a, b = (p, q) if p <= q else (q, p)
+                    c, d = (h1, h2) if h1 <= h2 else (h2, h1)
+                    if (d, c) > (b, a):
+                        later.setdefault((a, b), []).append((c, d))
+        # Two moves can reach one pair: list it once.
+        return {pair: tuple(sorted(set(moves))) for pair, moves in later.items()}
 
     def to_json(self) -> dict:
         return {

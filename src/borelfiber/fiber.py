@@ -16,7 +16,8 @@ factors a single multidegree by one iterative depth-first search; it serves
 one-mu callers, whose t can be far too large to list every product up to it.
 
 No fiber state outlives a call, except the table's own paired-move rows
-(``GeneratorTable.pair_transitions``), which live and die with the table.
+(``GeneratorTable.later_pairs``, each move listed from its earlier end),
+which live and die with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, neg, sub
 from typing import Optional
 
 from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, lex_last_divisor
@@ -64,7 +65,7 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     one.  On ascending index tuples that is the first difference between the
     reversed tuples, where the smaller index wins.
     """
-    return (len(point), tuple(-i for i in reversed(point)))
+    return (len(point), tuple(map(neg, point[::-1])))
 
 
 def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoint]]:
@@ -173,6 +174,12 @@ def build_fiber_graph(
     acyclic by construction.  A caller that already holds the whole fiber in
     that order, as :func:`fibers` returns it, passes it as ``points`` and
     skips the enumeration.
+
+    The sink order is a monomial order on the factor multiplicities, so a
+    move replacing the pair p of a point by q leads to a later point exactly
+    when q is later than p.  Moves are symmetric, so each edge is found
+    once, from its earlier end, through the table's ``later_pairs`` on each
+    distinct value pair of the point.
     """
     if points is None:
         vertices = enumerate_fiber(table, mu)
@@ -180,24 +187,24 @@ def build_fiber_graph(
     else:
         vertices = points
     vindex = {v: i for i, v in enumerate(vertices)}
-    transitions = table.pair_transitions if vertices else ()
+    later = table.later_pairs if vertices else {}
     edges: set[tuple[int, int]] = set()
     for vi, z in enumerate(vertices):
         t = len(z)
-        for s1 in range(t):
-            row = transitions[z[s1]]
-            for s2 in range(t):
-                if s1 == s2:
+        for s1 in range(t - 1):
+            a = z[s1]
+            if s1 and z[s1 - 1] == a:
+                continue
+            for s2 in range(s1 + 1, t):
+                b = z[s2]
+                if s2 > s1 + 1 and z[s2 - 1] == b:
+                    continue  # each distinct value pair once, at its first positions
+                moves = later.get((a, b))
+                if moves is None:
                     continue
-                for h1, h2 in row[z[s2]]:
-                    moved = list(z)
-                    moved[s1] = h1
-                    moved[s2] = h2
-                    moved.sort()
-                    w = tuple(moved)
-                    if w == z:
-                        continue
-                    wi = vindex[w]
+                rest = z[:s1] + z[s1 + 1 : s2] + z[s2 + 1 :]
+                for pair in moves:
+                    wi = vindex[tuple(sorted(rest + pair))]
                     edges.add((vi, wi) if vi < wi else (wi, vi))
     return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
 
@@ -309,6 +316,8 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     With lo..hi the interval of :func:`_m_share_bounds` (empty exactly when
     the fiber is; then None), the sink peels the lex-last divisor M' of the
     rest in Borel(M) hi times, then N' in Borel(N) t - hi times, O(n) each.
+    The rest is kept as suffix sums, and each peeled factor's sums are
+    subtracted from it.
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -327,18 +336,18 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         return None
     s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
     t = degree(mu) // table.degree
-    lo, hi = _m_share_bounds(t, sigma(mu), s_m, s_n)
+    s_mu = sigma(mu)
+    lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
     if lo > hi:
         return None
-    current = mu
+    rest = s_mu
     picked: list[int] = []
     for bound in [s_m] * hi + [s_n] * (t - hi):
-        s_factor = _lex_last_sigma(bound, current)
+        s_factor = _lex_last_sigma(bound, rest)
         if s_factor is None:
             raise RuntimeError("a factorable multidegree admits a block divisor")
-        factor = _from_sigma(s_factor)
-        picked.append(table.index_of[factor])
-        current = tuple(a - b for a, b in zip(current, factor))
+        picked.append(table.index_of[_from_sigma(s_factor)])
+        rest = tuple(map(sub, rest, s_factor))
     return tuple(sorted(picked))
 
 

@@ -25,22 +25,26 @@ def check_unique_sink(
     """Violation descriptions for the fiber graph at mu; empty when all good.
 
     Checks the oriented edges decrease in the fiber sink order, the graph is
-    connected, the sink is unique and equal to the order minimum, and the
-    direct sink algorithm returns the same point.  ``points`` is the fiber in
-    descending sink order when the caller already has it (see
+    connected (implied, and not recounted, when the edges all decrease and
+    there is one sink), the sink is unique and equal to the order minimum,
+    and the direct sink algorithm returns the same point.  ``points`` is the
+    fiber in descending sink order when the caller already has it (see
     :func:`~borelfiber.fiber.fibers`); otherwise the fiber is enumerated.
     """
     graph = build_fiber_graph(table, mu, points)
     if not graph.vertices:
         return []
     violations = []
-    keys = [fiber_sink_key(v) for v in graph.vertices]
+    keys = list(map(fiber_sink_key, graph.vertices))
     for a, b in graph.edges:
         if keys[a] <= keys[b]:
             violations.append(f"edge {a}->{b} does not decrease in the sink order")
-    if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
-        violations.append("fiber graph is disconnected")
     graph_sinks = sinks(graph)
+    # With every edge forward and one sink, each vertex walks forward to that
+    # sink, so the graph is connected; only otherwise are components counted.
+    if violations or len(graph_sinks) != 1:
+        if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
+            violations.append("fiber graph is disconnected")
     if len(graph_sinks) != 1:
         violations.append(f"{len(graph_sinks)} sinks instead of one")
     else:

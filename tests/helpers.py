@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Callable
 
 from borelfiber.borel import build_table
-from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers, point_product
+from borelfiber.fiber import FiberGraph, FiberPoint, fiber_sink_key, fibers, point_product
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
     Monomial,
@@ -151,6 +151,63 @@ def cross_check_tables() -> list:
     """The figure ideal, the three-Borel example and every 10th suite table."""
     three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
     return [build_table(monos("a^2c^3", "b^4c")), three_borel] + suite_tables(cap=200)[::10]
+
+
+def pair_transitions(table) -> list[list[list[tuple[int, int]]]]:
+    """``rows[p][q]``: the (h1, h2) with h1 = g_p x_i / x_j and h2 = g_q x_j / x_i.
+
+    That is, h1 arises from generator p by a Borel move j -> i (i < j) and
+    h2 from generator q by the matching reverse move, both again minimal
+    generators.  Every ordered pair (p, q) gets a row, so each move is
+    listed from both of its ends.
+    """
+    gens, index_of, n = table.generators, table.index_of, table.context.n
+    rows = []
+    for e1 in gens:
+        row = []
+        for e2 in gens:
+            moves = []
+            for j in range(1, n):
+                for i in range(j):
+                    if e1[j] == 0 or e2[i] == 0:
+                        continue
+                    up = list(e1)
+                    up[j] -= 1
+                    up[i] += 1
+                    down = list(e2)
+                    down[i] -= 1
+                    down[j] += 1
+                    h1, h2 = index_of.get(tuple(up)), index_of.get(tuple(down))
+                    if h1 is not None and h2 is not None:
+                        moves.append((h1, h2))
+            row.append(moves)
+        rows.append(row)
+    return rows
+
+
+def fiber_graph_by_pair_walk(table, mu: Monomial, points: list[FiberPoint], rows=None):
+    """The fiber graph by the walk over every ordered pair of factor positions.
+
+    ``points`` is the fiber in descending sink order.  From every vertex,
+    every move of every ordered position pair is followed, in both
+    directions, and each edge joins its two endpoints from the smaller
+    vertex index to the larger.  ``rows`` is :func:`pair_transitions` of the
+    table, computed when not given.
+    """
+    if rows is None:
+        rows = pair_transitions(table)
+    vindex = {v: i for i, v in enumerate(points)}
+    edges = set()
+    for vi, z in enumerate(points):
+        for s1, s2 in itertools.permutations(range(len(z)), 2):
+            for h1, h2 in rows[z[s1]][z[s2]]:
+                moved = list(z)
+                moved[s1], moved[s2] = h1, h2
+                w = tuple(sorted(moved))
+                if w != z:
+                    wi = vindex[w]
+                    edges.add((min(vi, wi), max(vi, wi)))
+    return FiberGraph(table=table, mu=mu, vertices=tuple(points), edges=tuple(sorted(edges)))
 
 
 def borel_reachable(mp: Monomial) -> set[Monomial]:

@@ -1,8 +1,12 @@
+from math import comb
+
 import pytest
 
+from borelfiber import borel
 from borelfiber.borel import (
     build_table,
     build_two_borel,
+    count_principal,
     expand_principal,
     lex_last_divisor,
     minimal_borel_generators,
@@ -78,6 +82,22 @@ class TestExpandPrincipal:
     def test_rejects_unit(self):
         with pytest.raises(ValueError):
             expand_principal((0, 0, 0))
+
+    @pytest.mark.parametrize("n, d", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 2)])
+    def test_count_matches_the_listing(self, n, d):
+        for root in all_monomials(n, d):
+            assert count_principal(root) == len(expand_principal(root))
+
+    def test_count_of_every_degree_40_monomial_in_8_variables(self):
+        assert count_principal((0,) * 7 + (40,)) == comb(47, 7) == 62_891_499
+
+    def test_block_over_the_cap_is_refused_before_listing(self, monkeypatch):
+        root = mono("b^4c")  # 11 generators
+        monkeypatch.setattr(borel, "MAX_BLOCK_GENERATORS", 10)
+        with pytest.raises(ValueError, match="11 minimal generators, more than the cap of 10"):
+            expand_principal(root)
+        monkeypatch.setattr(borel, "MAX_BLOCK_GENERATORS", 11)
+        assert len(expand_principal(root)) == 11
 
 
 class TestBuildTwoBorel:

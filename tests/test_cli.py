@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,20 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: variable name")
 
+    def test_oversized_block_is_counted_not_listed(self, capsys):
+        # Borel(h^40) on 8 variables is every degree-40 monomial: C(47, 7) of them.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gens", "--ideal", "{h^40}", "--nvars", "8")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "62,891,499 minimal generators" in err
+
+    def test_first_variable_power_is_its_own_block(self, capsys):
+        code, out, _ = run_cli(capsys, "gens", "--ideal", "{a^40}", "--nvars", "8")
+        assert code == 0
+        assert [g["monomial"] for g in json.loads(out)["generators"]] == ["a^40"]
+
     def test_crash_exits_3(self, capsys, monkeypatch):
         def crash(args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -293,15 +308,29 @@ class TestErrors:
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
-def test_console_entry_point():
-    # the checkout's src first, so the module runs without the package installed
+def checkout_env() -> dict:
+    """The environment with the checkout's src first, so modules run without the package installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "borelfiber.cli", "sink", "--ideal", FIG, "--mu", "a^2c^3", "--format", "text"],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Y_{a^2c^3}"
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelfiber", "gens", "--ideal", "{ac,b^2}"],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["borel_generators"] == ["ac", "b^2"]

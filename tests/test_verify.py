@@ -59,6 +59,21 @@ class TestNegativeControls:
         assert f"{fig_label}: fiber graph is disconnected" in violations
         assert f"{fig_label}: 7 sinks instead of one" in violations
 
+    def test_two_cycle_beside_a_lone_sink(self, monkeypatch, fig_table, fig_label):
+        # One true edge and its flip form a 2-cycle; every other vertex points
+        # at the true sink.  One sink, yet two components: the check may not
+        # infer connectivity from the lone sink once an edge goes backward.
+        graph = build_fiber_graph(fig_table, FIG_MU)
+        last = len(graph.vertices) - 1
+        a, b = next(e for e in graph.edges if last not in e)
+        edges = ((a, b), (b, a)) + tuple((v, last) for v in range(last) if v not in (a, b))
+        patch_graph(monkeypatch, lambda g: dataclasses.replace(g, edges=edges))
+        violations = verify.check_unique_sink(fig_table, FIG_MU)
+        assert violations == [
+            f"{fig_label}: edge {b}->{a} does not decrease in the sink order",
+            f"{fig_label}: fiber graph is disconnected",
+        ]
+
     def test_two_sinks(self, monkeypatch, fig_table, fig_label):
         graph = build_fiber_graph(fig_table, FIG_MU)
         source = graph.edges[0][0]
