@@ -15,19 +15,22 @@ fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.
 :func:`_marked_pairs` builds the quadrics and the Rees linear syzygies.
-:class:`_Rules` is the one reduction engine on ascending tuples of integer
-codes: a toric point is its own word, and a Rees monomial is coded by
-``rees._codes``.  Its lead index ``by_lead`` is the one place that says
-which rules carry a lead: the rewriter looks up the word's own
-sub-multisets of each lead size there, the overlap check finds its critical
-monomials and reducers there, and :func:`brute_force_gb` grows it one rule
-at a time.  :func:`_verify`, a marking and homogeneity check and then the
-overlap check :func:`_check_overlaps`, is the one Groebner verifier.
+:class:`_Rules` is the one reduction engine for words of any length, on
+ascending tuples of integer codes: a toric point is its own word, and a Rees
+monomial is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one
+place that says which rules carry a lead: the rewriter looks up the word's
+own sub-multisets of each lead size there, :func:`brute_force_gb` grows it
+one rule at a time, and the overlap check reads its critical monomials and
+first rules off it.  :func:`_verify`, a marking and homogeneity check and
+then the overlap check :func:`_check_overlaps`, is the one Groebner verifier.
 
-The overlap check looks its pairs up instead of scanning for them: it
-builds the cubic critical monomials of a lead from the codes that share a
-lead with one of its codes, and writes the one-step reducts of a cubic
-monomial in closed form, as a quadratic trail with one code put in place.
+The overlap check looks its pairs up instead of scanning for them, and it
+reduces in closed form instead of through the rewriter.  It builds the cubic
+critical monomials of a lead from the codes that share a lead with one of its
+codes.  Every word it reduces has length two or three and every lead and
+trail is quadratic, so :func:`_closed_form_reducer` keeps only each lead's
+first rule and steps a cubic word by :func:`_cubic_steps`: a quadratic trail
+with one code put in place.
 """
 
 from __future__ import annotations
@@ -215,6 +218,62 @@ class GroebnerReport:
         }
 
 
+def _cubic_steps(first: dict, word: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The one-step reducts of a cubic word as ``(position, reduct)``, lowest position first.
+
+    The word's quadratic divisors are the word less one code r.  The first
+    rule of a divisor rewrites the word to that rule's trail with r put in
+    place.  A repeated code repeats a divisor, and so its step.
+    """
+    x, y, z = word
+    steps = []
+    for rule, r in ((first.get((y, z)), x), (first.get((x, z)), y), (first.get((x, y)), z)):
+        if rule is not None:
+            pos, (p, q) = rule
+            steps.append((pos, (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)))
+    steps.sort()
+    return steps
+
+
+def _closed_form_reducer(rules: _Rules) -> tuple[dict, Callable]:
+    """Each lead's first rule, and a normal form for words of length two and three.
+
+    Every lead and trail must be quadratic, as in :func:`_check_overlaps`.
+    ``first`` maps each lead to ``(position, trail)`` of its first rule:
+    :meth:`_Rules.rewrite` applies the lowest-position rule among the leads a
+    word contains, so a lead's later copies never rewrite anything.  The
+    returned ``normal_form`` walks those first rules and agrees with
+    :meth:`_Rules.normal_form` on every such word: a quadratic word steps to
+    the trail of its own first rule, and a cubic word by the least hit of
+    :func:`_cubic_steps`.  Its memo lives as long as the returned function,
+    so each distinct word is stepped once.
+    """
+    trails = rules.trails
+    first = {lead: (positions[0], trails[positions[0]]) for lead, positions in rules.by_lead.items()}
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def normal_form(word: tuple[int, ...]) -> tuple[int, ...]:
+        chain = []
+        current = word
+        while (done := memo.get(current)) is None:
+            chain.append(current)
+            if len(current) == 2:
+                rule = first.get(current)
+                step = None if rule is None else rule[1]
+            else:
+                steps = _cubic_steps(first, current)
+                step = steps[0][1] if steps else None
+            if step is None:
+                done = current
+                break
+            current = step
+        for z in chain:
+            memo[z] = done
+        return done
+
+    return first, normal_form
+
+
 def _check_overlaps(
     rules: _Rules, multidegree: Callable[[tuple[int, ...]], Monomial]
 ) -> tuple[int, list[SPairFailure]]:
@@ -242,10 +301,16 @@ def _check_overlaps(
     holds the codes that share a lead with code ``c``, so the cubic critical
     monomials of a lead (a, b) are the lead times each w in
     (partners[a] - {b}) | (partners[b] - {a}), or in partners[a] - {a} when
-    a = b, with w put in place.  Every trail is quadratic (``_verify`` checks
-    that lead and trail have one length), so the one-step reduct of a cubic
-    m by the first rule of the divisor m - {r} is that rule's trail with r
-    put in place.
+    a = b, with w put in place.
+
+    Every word the check reduces has length two or three, and every trail is
+    quadratic (``_verify`` checks that lead and trail have one length), so
+    the check reduces in closed form with :func:`_closed_form_reducer` and
+    never through the generic rewriter.  The one-step reducts of a cubic
+    critical monomial are all its :func:`_cubic_steps`, and its normal-form
+    walk takes the least of them, the step that :meth:`_Rules.rewrite`
+    takes.  So the verdicts, positions and order of the failures are those
+    of a check through :meth:`_Rules.normal_form`.
     """
     by_lead = rules.by_lead
     partners: dict[int, set[int]] = {}
@@ -273,6 +338,7 @@ def _check_overlaps(
             else:
                 add((a, b, w))
     trails = rules.trails
+    first, normal_form = _closed_form_reducer(rules)
     failures = []
     for m in sorted(critical):
         reducts = {}
@@ -280,23 +346,15 @@ def _check_overlaps(
             for pos in by_lead[m]:
                 reducts.setdefault(trails[pos], pos)  # a lead's reduct by its own rule
         else:
-            x, y, z = m
-            hits = []
-            for d, r in (((y, z), x), ((x, z), y), ((x, y), z)):
-                positions = by_lead.get(d)
-                if positions is not None:
-                    hits.append((positions[0], r))
-            hits.sort()  # a repeated code repeats a hit, and so its reduct
-            for pos, r in hits:
-                p, q = trails[pos]  # the first rule of d times r: its trail with r put in place
-                reducts.setdefault((r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r), pos)
+            for pos, z in _cubic_steps(first, m):
+                reducts.setdefault(z, pos)
         if len(reducts) == 1:
             continue
-        first, *rest = reducts.items()
-        target = rules.normal_form(first[0])
+        first_reduct, *rest = reducts.items()
+        target = normal_form(first_reduct[0])
         for z, pos in rest:
-            if rules.normal_form(z) != target:
-                failures.append(SPairFailure(first[1], pos, multidegree(m)))
+            if normal_form(z) != target:
+                failures.append(SPairFailure(first_reduct[1], pos, multidegree(m)))
                 break
     return len(critical), failures
 
@@ -309,15 +367,29 @@ def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
     and trail have the same code length (t-degree, or joint degree) and the
     same ``multidegree``: a binomial that is not homogeneous is not in the
     ideal.  ``multidegree`` also names a failure (see :func:`_check_overlaps`).
+
+    A word recurs across elements (in the full toric basis a trail is shared
+    by up to 50), so ``key`` and ``multidegree`` are taken once per distinct
+    code word, when an element first needs them.
     """
     rules = basis._rules
-    for pos, el in enumerate(basis.elements):
-        if key(el.lead) <= key(el.trail):
+    keys: dict = {}
+    degrees: dict = {}
+
+    def once(memo: dict, measure: Callable, word: tuple[int, ...], arg):
+        value = memo.get(word)
+        if value is None:
+            value = memo[word] = measure(arg)
+        return value
+
+    for pos, (el, lead, trail) in enumerate(zip(basis.elements, rules.leads, rules.trails)):
+        if once(keys, key, lead, el.lead) <= once(keys, key, trail, el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
-        lead, trail = rules.leads[pos], rules.trails[pos]
-        if len(lead) != len(trail) or multidegree(lead) != multidegree(trail):
+        if len(lead) != len(trail) or once(degrees, multidegree, lead, lead) != once(
+            degrees, multidegree, trail, trail
+        ):
             what = "degree" if len(lead) != len(trail) else "multidegree"
             raise ValueError(
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "

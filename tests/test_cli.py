@@ -179,6 +179,16 @@ class TestCounterexample:
         assert data["relation_reduces_modulo_quadrics"] is False
         assert data["finding"] == "cubic minimal toric generator at a^6b^6c^6"
 
+    @pytest.mark.parametrize("r, pairs", [(3, 402), (4, 26588)])
+    def test_quadrics_pass_the_overlap_check(self, capsys, r, pairs):
+        code, out, _ = run_cli(capsys, "counterexample", "--r", str(r))
+        assert code == 0
+        assert json.loads(out)["quadric_buchberger"] == {
+            "status": "PASS",
+            "pairs_checked": pairs,
+            "failures": [],
+        }
+
     def test_r3_text(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--r", "3", "--format", "text")
         assert code == 0

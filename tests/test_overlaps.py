@@ -4,8 +4,14 @@
 (diamond lemma); the oracles in ``helpers`` reduce both sides of every S-pair
 with overlapping leads.  Both must give the same verdict on passing bases and
 on the drop-one mutants of the figure ideal's bases, which are the negative
-controls.
+controls.  The check reduces in closed form; ``TestClosedFormReducer`` holds
+that reducer to ``_Rules.normal_form``, and ``TestPinnedMutantReports`` holds
+every mutant's report to the one the generic rewriter gave.
 """
+
+import json
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +22,7 @@ from borelfiber.rees import (
     ReesBasis,
     ReesBinomial,
     ReesMonomial,
+    _codes,
     rees_buchberger_verify,
     rees_gb,
     rees_image,
@@ -23,6 +30,9 @@ from borelfiber.rees import (
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
+    _closed_form_reducer,
+    _cubic_steps,
+    _Rules,
     buchberger_verify,
     normal_form,
     quadric_generators,
@@ -46,6 +56,9 @@ from helpers import (
 @pytest.fixture(scope="module")
 def fig_table():
     return build_two_borel(mono("a^2c^3"), mono("b^4c"))
+
+
+DROP_ONE_REPORTS = Path(__file__).resolve().parent / "data" / "drop_one_reports.json"
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +245,104 @@ class TestQuadraticLeads:
         el = ReesBinomial(ReesMonomial(unit(3), lead), ReesMonomial(unit(3), trail))
         with pytest.raises(ValueError, match="quadratic"):
             rees_buchberger_verify(ReesBasis(fig_table, (el,)))
+
+
+def _drop_one(elements):
+    return [elements[:i] + elements[i + 1 :] for i in range(len(elements))]
+
+
+class TestClosedFormReducer:
+    """The overlap check's reducer gives ``_Rules.normal_form`` on its words.
+
+    Every word of length two and three over the figure ideal's codes is
+    reduced both ways, over the full, the reduced and the Rees basis and over
+    every drop-one mutant of the full and the Rees basis.  The mutants are not
+    confluent, so there a normal form depends on which rule applies first,
+    and the two reducers agree only if both take the lowest position.
+    """
+
+    @staticmethod
+    def agree(pairs, codes):
+        rules = _Rules(pairs)
+        first, normal_form = _closed_form_reducer(rules)
+        for word in combinations_with_replacement(codes, 3):
+            steps = _cubic_steps(first, word)
+            assert (steps[0][1] if steps else None) == rules.rewrite(word), word
+            assert normal_form(word) == rules.normal_form(word), word
+        for word in combinations_with_replacement(codes, 2):
+            assert normal_form(word) == rules.normal_form(word), word
+
+    @staticmethod
+    def toric_pairs(elements):
+        return [(el.lead, el.trail) for el in elements]
+
+    @staticmethod
+    def rees_pairs(elements):
+        return [(_codes(el.lead), _codes(el.trail)) for el in elements]
+
+    def test_toric(self, fig_table):
+        codes = range(len(fig_table.generators))
+        for interreduce in (False, True):
+            self.agree(self.toric_pairs(quadric_generators(fig_table, interreduce).elements), codes)
+
+    def test_rees(self, fig_table):
+        codes = range(-fig_table.context.n, len(fig_table.generators))
+        self.agree(self.rees_pairs(rees_gb(fig_table).elements), codes)
+
+    def test_drop_one_mutants(self, fig_table):
+        codes = range(len(fig_table.generators))
+        mutants = _drop_one(quadric_generators(fig_table).elements)
+        assert len(mutants) == 105
+        for mutant in mutants:
+            self.agree(self.toric_pairs(mutant), codes)
+        codes = range(-fig_table.context.n, len(fig_table.generators))
+        mutants = _drop_one(rees_gb(fig_table).elements)
+        assert len(mutants) == 131
+        for mutant in mutants:
+            self.agree(self.rees_pairs(mutant), codes)
+
+    def test_the_check_leaves_the_generic_rewriter_cold(self, cross_check_tables):
+        # A basis caches the normal forms of its generic rewriter; the check
+        # reduces in closed form and so must leave that cache empty.
+        for table in cross_check_tables[:4]:
+            for basis, verify in (
+                (quadric_generators(table), buchberger_verify),
+                (rees_gb(table), rees_buchberger_verify),
+            ):
+                assert verify(basis).ok
+                assert basis._rules.cache == {}
+
+
+class TestPinnedMutantReports:
+    """Every drop-one mutant's full report is the one pinned in ``data``.
+
+    ``drop_one_reports.json`` lists the ``to_json()`` of each mutant of the
+    figure ideal's full toric and Rees bases, in deletion order, as computed
+    by the overlap check when it still reduced through ``_Rules``.  Failure
+    positions, multidegrees and their order must not move.
+    """
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(DROP_ONE_REPORTS.read_text())
+
+    @staticmethod
+    def tally(reports):
+        fails = [r for r in reports if r["status"] == "FAIL"]
+        return len(fails), sum(len(r["failures"]) for r in fails)
+
+    def test_toric(self, fig_table, pinned):
+        reports = [
+            buchberger_verify(MarkedBasis(fig_table, mutant)).to_json()
+            for mutant in _drop_one(quadric_generators(fig_table).elements)
+        ]
+        assert self.tally(pinned["toric"]) == (30, 308)
+        assert reports == pinned["toric"]
+
+    def test_rees(self, fig_table, pinned):
+        reports = [
+            rees_buchberger_verify(ReesBasis(fig_table, mutant)).to_json()
+            for mutant in _drop_one(rees_gb(fig_table).elements)
+        ]
+        assert self.tally(pinned["rees"]) == (46, 498)
+        assert reports == pinned["rees"]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from borelfiber.borel import build_two_borel
@@ -154,6 +156,32 @@ class TestReesVerify:
         bad = ReesBasis(square_table, (good, ReesBinomial(lead, trail)))
         with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
             rees_buchberger_verify(bad)
+
+
+    def test_shared_words_keep_both_marking_errors(self, square_table):
+        # As on the toric side: each bad element shares a word with the valid
+        # element before it, whose key and image are then taken from the memo.
+        good = rees_gb(square_table).elements[0]  # a Y_{ab} - b Y_{a^2}
+        late = ReesMonomial((0, 1), (2,))  # b Y_{b^2}
+        assert rees_key(late) < rees_key(good.trail)
+        assert rees_image(square_table, late) != rees_image(square_table, good.lead)
+        outside = ReesBinomial(good.lead, late)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"element 1 is not homogeneous: lead {good.lead} and trail {late} "
+                "differ in multidegree"
+            ),
+        ):
+            rees_buchberger_verify(ReesBasis(square_table, (good, outside)))
+        backwards = ReesBinomial(late, good.trail)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"inconsistent marking: lead {late} is not earlier than trail {good.trail}"
+            ),
+        ):
+            rees_buchberger_verify(ReesBasis(square_table, (good, backwards)))
 
 
 class TestReesReduction:

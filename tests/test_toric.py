@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -194,6 +195,33 @@ class TestBuchbergerVerify:
         bad = MarkedBasis(table, (good, MarkedBinomial(lead, trail)))
         with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
             buchberger_verify(bad)
+
+    def test_shared_words_keep_both_marking_errors(self, fig_table, fig_quadrics):
+        # Key and multidegree are taken once per distinct word, so each bad
+        # element below reads its shared word's measure from the valid
+        # element before it, and must still be rejected as before.
+        good = fig_quadrics.elements[0]
+        last = len(fig_table.generators) - 1
+        late = (last, last)  # the latest degree-2 point in the fiber sink order
+        assert fiber_sink_key(late) < fiber_sink_key(good.trail)
+        assert point_product(fig_table, late) != point_product(fig_table, good.lead)
+        outside = MarkedBinomial(good.lead, late)  # shares the lead, not homogeneous
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"element 1 is not homogeneous: lead {good.lead} and trail {late} "
+                "differ in multidegree"
+            ),
+        ):
+            buchberger_verify(MarkedBasis(fig_table, (good, outside)))
+        backwards = MarkedBinomial(late, good.trail)  # shares the trail, marked backwards
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"inconsistent marking: lead {late} is not earlier than trail {good.trail}"
+            ),
+        ):
+            buchberger_verify(MarkedBasis(fig_table, (good, backwards)))
 
     def test_report_json(self, fig_quadrics):
         data = buchberger_verify(fig_quadrics).to_json()
