@@ -24,7 +24,14 @@ from functools import cached_property
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
 from borelfiber.monomials import Monomial, format_monomial, multiply, unit
-from borelfiber.toric import GroebnerReport, _marked_pairs, _Rules, _verify, quadric_generators
+from borelfiber.toric import (
+    GroebnerReport,
+    _check_point,
+    _marked_pairs,
+    _Rules,
+    _verify,
+    quadric_generators,
+)
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,16 @@ class ReesBasis:
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
-    """Reduce by the lowest-index applicable lead until none applies."""
-    return _from_codes(basis._rules.normal_form(_codes(m)), len(m.xpart))
+    """Reduce by the lowest-index applicable lead until none applies.
+
+    Raises ``ValueError`` on an x-part with other than one exponent per
+    variable, or a Y-part that ``toric.normal_form`` refuses.
+    """
+    n = basis.table.context.n
+    if len(m.xpart) != n:
+        raise ValueError(f"the x-part must have {n} exponents, got {m.xpart}")
+    _check_point(m.ypart, basis.table)
+    return _from_codes(basis._rules.normal_form(_codes(m)), n)
 
 
 def rees_gb(table: GeneratorTable) -> ReesBasis:

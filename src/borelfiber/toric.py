@@ -20,17 +20,15 @@ ascending tuples of integer codes: a toric point is its own word, and a Rees
 monomial is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one
 place that says which rules carry a lead: the rewriter looks up the word's
 own sub-multisets of each lead size there, :func:`brute_force_gb` grows it
-one rule at a time, and the overlap check reads its critical monomials and
-first rules off it.  :func:`_verify`, a marking and homogeneity check and
-then the overlap check :func:`_check_overlaps`, is the one Groebner verifier.
+one rule at a time, and the overlap check reads its critical monomials off
+it.  :func:`_verify`, a marking and homogeneity check and then the overlap
+check :func:`_check_overlaps`, is the one Groebner verifier.
 
-The overlap check looks its pairs up instead of scanning for them, and it
-reduces in closed form instead of through the rewriter.  It builds the cubic
-critical monomials of a lead from the codes that share a lead with one of its
-codes.  Every word it reduces has length two or three and every lead and
-trail is quadratic, so :func:`_closed_form_reducer` keeps only each lead's
-first rule and steps a cubic word by :func:`_cubic_steps`: a quadratic trail
-with one code put in place.
+While every rule is quadratic, the rewriter steps a word of two or three
+codes in closed form: a quadratic word is a lead or nothing, and a cubic word
+steps by the least of its :func:`_cubic_steps`, a quadratic trail with one
+code put in place.  Those are the only words the overlap check reduces, and
+it looks its critical monomials up instead of scanning for them.
 """
 
 from __future__ import annotations
@@ -77,7 +75,8 @@ class _Rules:
     it.  Toric points are their own words, and Rees monomials are coded by
     ``rees._codes``.  ``by_lead`` is the one lead index: it maps each distinct
     lead to the positions of its rules, ascending.  ``alphabets`` maps each
-    lead size to the codes that leads of that size use.
+    lead size to the codes that leads of that size use.  ``quadratic`` holds
+    while every lead and trail has two codes (see :meth:`rewrite`).
     """
 
     def __init__(self, pairs=()) -> None:
@@ -85,12 +84,14 @@ class _Rules:
         self.trails: list[tuple[int, ...]] = []
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         self.alphabets: dict[int, set[int]] = {}
+        self.quadratic = False
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         for lead, trail in pairs:
             self.add(lead, trail)
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
         """Append a rule; a cached normal form may now reduce further, so drop them."""
+        self.quadratic = len(lead) == len(trail) == 2 and (self.quadratic or not self.leads)
         self.by_lead.setdefault(lead, []).append(len(self.leads))
         self.alphabets.setdefault(len(lead), set()).update(lead)
         self.leads.append(lead)
@@ -100,14 +101,25 @@ class _Rules:
     def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
-        For each lead size k, the k-combinations of the word's codes in that
-        size's alphabet are exactly the word's sub-multisets that can be a
-        lead of size k.  Each is looked up in ``by_lead``, so every hit
-        applies.  A code is kept at most k times, which leaves the set of
-        combinations as it is but keeps long words from multiplying it.
-        Returns None when no lead is contained.
+        While every rule is quadratic, a word of two codes contains a lead
+        only by being one, so it steps to that lead's first trail, and a word
+        of three codes by the least of its :func:`_cubic_steps`.  Any other
+        word is looked up by sub-multisets: for each lead size k, the
+        k-combinations of the word's codes in that size's alphabet are
+        exactly its sub-multisets that can be a lead of size k.  Each is
+        looked up in ``by_lead``, so every hit applies.  A code is kept at
+        most k times, which leaves the set of combinations as it is but keeps
+        long words from multiplying it.  Returns None when no lead is
+        contained.
         """
         by_lead = self.by_lead
+        if self.quadratic:
+            if len(word) == 2:
+                positions = by_lead.get(word)
+                return None if positions is None else self.trails[positions[0]]
+            if len(word) == 3:
+                steps = _cubic_steps(self, word)
+                return steps[0][1] if steps else None
         hits = []
         for size, alphabet in self.alphabets.items():
             codes = list(filter(alphabet.__contains__, word))
@@ -149,13 +161,23 @@ class MarkedBasis:
         return _Rules([(el.lead, el.trail) for el in self.elements])
 
 
+def _check_point(point: FiberPoint, table: GeneratorTable) -> None:
+    """Raise ``ValueError`` unless ``point`` lists generator indices of ``table``, ascending."""
+    if any(a > b for a, b in zip(point, point[1:])):
+        raise ValueError(f"generator indices must be ascending, got {point}")
+    if point and not 0 <= point[0] <= point[-1] < len(table.generators):
+        raise ValueError(f"generator indices must be in range({len(table.generators)}): {point}")
+
+
 def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     """Reduce by the lowest-index applicable lead until none applies.
 
     Each step is strictly later in the fiber sink order, so this terminates;
     when the basis is a Groebner basis the result only depends on the point's
-    multidegree class.
+    multidegree class.  Raises ``ValueError`` on a malformed point (see
+    :func:`_check_point`).
     """
+    _check_point(point, basis.table)
     return basis._rules.normal_form(point)
 
 
@@ -218,60 +240,26 @@ class GroebnerReport:
         }
 
 
-def _cubic_steps(first: dict, word: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+def _cubic_steps(rules: _Rules, word: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """The one-step reducts of a cubic word as ``(position, reduct)``, lowest position first.
 
-    The word's quadratic divisors are the word less one code r.  The first
-    rule of a divisor rewrites the word to that rule's trail with r put in
-    place.  A repeated code repeats a divisor, and so its step.
+    Every lead and trail must be quadratic.  The word's quadratic divisors
+    are the word less one code r.  Of the rules that lead with a divisor only
+    the first ever applies, since the rewriter takes the lowest position, and
+    it rewrites the word to its trail with r put in place.  A repeated code
+    repeats a divisor, and so its step.
     """
+    by_lead, trails = rules.by_lead, rules.trails
     x, y, z = word
     steps = []
-    for rule, r in ((first.get((y, z)), x), (first.get((x, z)), y), (first.get((x, y)), z)):
-        if rule is not None:
-            pos, (p, q) = rule
+    for lead, r in (((y, z), x), ((x, z), y), ((x, y), z)):
+        positions = by_lead.get(lead)
+        if positions is not None:
+            pos = positions[0]
+            p, q = trails[pos]
             steps.append((pos, (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)))
     steps.sort()
     return steps
-
-
-def _closed_form_reducer(rules: _Rules) -> tuple[dict, Callable]:
-    """Each lead's first rule, and a normal form for words of length two and three.
-
-    Every lead and trail must be quadratic, as in :func:`_check_overlaps`.
-    ``first`` maps each lead to ``(position, trail)`` of its first rule:
-    :meth:`_Rules.rewrite` applies the lowest-position rule among the leads a
-    word contains, so a lead's later copies never rewrite anything.  The
-    returned ``normal_form`` walks those first rules and agrees with
-    :meth:`_Rules.normal_form` on every such word: a quadratic word steps to
-    the trail of its own first rule, and a cubic word by the least hit of
-    :func:`_cubic_steps`.  Its memo lives as long as the returned function,
-    so each distinct word is stepped once.
-    """
-    trails = rules.trails
-    first = {lead: (positions[0], trails[positions[0]]) for lead, positions in rules.by_lead.items()}
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def normal_form(word: tuple[int, ...]) -> tuple[int, ...]:
-        chain = []
-        current = word
-        while (done := memo.get(current)) is None:
-            chain.append(current)
-            if len(current) == 2:
-                rule = first.get(current)
-                step = None if rule is None else rule[1]
-            else:
-                steps = _cubic_steps(first, current)
-                step = steps[0][1] if steps else None
-            if step is None:
-                done = current
-                break
-            current = step
-        for z in chain:
-            memo[z] = done
-        return done
-
-    return first, normal_form
 
 
 def _check_overlaps(
@@ -303,14 +291,11 @@ def _check_overlaps(
     (partners[a] - {b}) | (partners[b] - {a}), or in partners[a] - {a} when
     a = b, with w put in place.
 
-    Every word the check reduces has length two or three, and every trail is
-    quadratic (``_verify`` checks that lead and trail have one length), so
-    the check reduces in closed form with :func:`_closed_form_reducer` and
-    never through the generic rewriter.  The one-step reducts of a cubic
-    critical monomial are all its :func:`_cubic_steps`, and its normal-form
-    walk takes the least of them, the step that :meth:`_Rules.rewrite`
-    takes.  So the verdicts, positions and order of the failures are those
-    of a check through :meth:`_Rules.normal_form`.
+    Every word the check reduces has two or three codes, and every lead and
+    trail is quadratic (``_verify`` checks that lead and trail have one
+    length), so :meth:`_Rules.normal_form` walks them in closed form and keeps
+    them in the rules' cache.  A cubic critical monomial's one-step reducts
+    are all its :func:`_cubic_steps`.
     """
     by_lead = rules.by_lead
     partners: dict[int, set[int]] = {}
@@ -337,8 +322,7 @@ def _check_overlaps(
                 add((a, w, b))
             else:
                 add((a, b, w))
-    trails = rules.trails
-    first, normal_form = _closed_form_reducer(rules)
+    trails, normal_form = rules.trails, rules.normal_form
     failures = []
     for m in sorted(critical):
         reducts = {}
@@ -346,7 +330,7 @@ def _check_overlaps(
             for pos in by_lead[m]:
                 reducts.setdefault(trails[pos], pos)  # a lead's reduct by its own rule
         else:
-            for pos, z in _cubic_steps(first, m):
+            for pos, z in _cubic_steps(rules, m):
                 reducts.setdefault(z, pos)
         if len(reducts) == 1:
             continue

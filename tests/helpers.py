@@ -67,20 +67,27 @@ def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + tuple(rest)))
 
 
+def step_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Reference one-step reduct: by the first pair whose lead is a sub-multiset of the word.
+
+    Returns None when no lead is.
+    """
+    for lead, trail in pairs:
+        if contains(word, lead):
+            return swap(word, lead, trail)
+    return None
+
+
 def normal_form_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...]:
     """Reference normal form of a code word under marked (lead, trail) pairs.
 
-    Scans the pairs in order at every step and applies the first whose lead
-    is a sub-multiset of the word, until none is.  It keeps no lead index and
-    no cache, so it checks the lookup of ``toric._Rules``.
+    Takes :func:`step_by_scan` until no lead is a sub-multiset of the word.
+    It keeps no lead index and no cache, so it checks the lookup of
+    ``toric._Rules``.
     """
-    while True:
-        for lead, trail in pairs:
-            if contains(word, lead):
-                word = swap(word, lead, trail)
-                break
-        else:
-            return word
+    while (nxt := step_by_scan(pairs, word)) is not None:
+        word = nxt
+    return word
 
 
 def completion_by_scan(table, bound: int) -> list[tuple[FiberPoint, FiberPoint]]:

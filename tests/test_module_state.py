@@ -3,6 +3,11 @@
 A ``global`` statement rebinds module state from inside a function, and a
 ``functools.lru_cache`` or ``functools.cache`` decorator keeps every answer
 for the life of the process.  Neither may appear in ``src/borelfiber``.
+
+Every module must also parse as Python 3.10, the oldest version that
+``pyproject.toml`` admits (``requires-python = ">=3.10"``).  The parser's
+``feature_version`` rejects newer syntax such as ``except*`` or ``type``
+statements; it does not see newer library names.
 """
 
 import ast
@@ -45,3 +50,14 @@ def test_the_scan_sees_both_forms():
     assert any(isinstance(node, ast.Global) for node in ast.walk(tree))
     (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert decorator_name(func.decorator_list[0]) == "lru_cache"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_3_10_parse_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -4,9 +4,10 @@
 (diamond lemma); the oracles in ``helpers`` reduce both sides of every S-pair
 with overlapping leads.  Both must give the same verdict on passing bases and
 on the drop-one mutants of the figure ideal's bases, which are the negative
-controls.  The check reduces in closed form; ``TestClosedFormReducer`` holds
-that reducer to ``_Rules.normal_form``, and ``TestPinnedMutantReports`` holds
-every mutant's report to the one the generic rewriter gave.
+controls.  The check reduces through ``_Rules``, which steps its words of two
+and three codes in closed form; ``TestClosedFormReducer`` holds those steps
+to the scan helpers, and ``TestPinnedMutantReports`` holds every mutant's
+report to the one the generic lookup gave.
 """
 
 import json
@@ -30,7 +31,6 @@ from borelfiber.rees import (
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
-    _closed_form_reducer,
     _cubic_steps,
     _Rules,
     buchberger_verify,
@@ -45,11 +45,13 @@ from helpers import (
     lcm,
     swap,
     mono,
+    normal_form_by_scan,
     pairwise_buchberger,
     pairwise_rees_buchberger,
     rees_apply,
     rees_word,
     split_rees_reducer,
+    step_by_scan,
 )
 
 
@@ -252,25 +254,40 @@ def _drop_one(elements):
 
 
 class TestClosedFormReducer:
-    """The overlap check's reducer gives ``_Rules.normal_form`` on its words.
+    """``_Rules`` steps words of two and three codes as the scan helpers do.
 
-    Every word of length two and three over the figure ideal's codes is
-    reduced both ways, over the full, the reduced and the Rees basis and over
-    every drop-one mutant of the full and the Rees basis.  The mutants are not
-    confluent, so there a normal form depends on which rule applies first,
-    and the two reducers agree only if both take the lowest position.
+    While every rule is quadratic, ``_Rules.rewrite`` steps those words in
+    closed form.  Every word of length two and three over the figure ideal's
+    codes is stepped and reduced by ``_Rules`` and by ``step_by_scan`` and
+    ``normal_form_by_scan``, over the full, the reduced and the Rees basis and
+    over every drop-one mutant of the full and the Rees basis.  The mutants
+    are not confluent, so there a normal form depends on which rule applies
+    first, and the two agree only if both take the lowest position.
     """
 
     @staticmethod
-    def agree(pairs, codes):
+    def words(codes):
+        return [w for k in (2, 3) for w in combinations_with_replacement(codes, k)]
+
+    @staticmethod
+    def first_steps_by_scan(pairs, word):
+        """``(position, reduct)`` by the first rule of each distinct lead the word contains."""
+        steps = {}
+        for pos, (lead, trail) in enumerate(pairs):
+            if lead not in steps and contains(word, lead):
+                steps[lead] = (pos, swap(word, lead, trail))
+        return list(steps.values())
+
+    def agree(self, pairs, codes):
         rules = _Rules(pairs)
-        first, normal_form = _closed_form_reducer(rules)
-        for word in combinations_with_replacement(codes, 3):
-            steps = _cubic_steps(first, word)
-            assert (steps[0][1] if steps else None) == rules.rewrite(word), word
-            assert normal_form(word) == rules.normal_form(word), word
-        for word in combinations_with_replacement(codes, 2):
-            assert normal_form(word) == rules.normal_form(word), word
+        assert rules.quadratic
+        for word in self.words(codes):
+            assert rules.rewrite(word) == step_by_scan(pairs, word), word
+            assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
+            if len(word) == 3:
+                # the overlap check takes every one of these as a reduct
+                steps = sorted(set(_cubic_steps(rules, word)))
+                assert steps == self.first_steps_by_scan(pairs, word), word
 
     @staticmethod
     def toric_pairs(elements):
@@ -290,27 +307,54 @@ class TestClosedFormReducer:
         self.agree(self.rees_pairs(rees_gb(fig_table).elements), codes)
 
     def test_drop_one_mutants(self, fig_table):
-        codes = range(len(fig_table.generators))
-        mutants = _drop_one(quadric_generators(fig_table).elements)
-        assert len(mutants) == 105
-        for mutant in mutants:
-            self.agree(self.toric_pairs(mutant), codes)
-        codes = range(-fig_table.context.n, len(fig_table.generators))
-        mutants = _drop_one(rees_gb(fig_table).elements)
-        assert len(mutants) == 131
-        for mutant in mutants:
-            self.agree(self.rees_pairs(mutant), codes)
+        # Each word's applicable positions are scanned once per basis; a
+        # mutant's step is by the first of them that it keeps.  Normal forms
+        # are scanned for a tenth of the words per mutant, every word over
+        # all mutants.
+        toric = self.toric_pairs(quadric_generators(fig_table).elements)
+        rees = self.rees_pairs(rees_gb(fig_table).elements)
+        bases = [
+            (toric, range(len(fig_table.generators))),
+            (rees, range(-fig_table.context.n, len(fig_table.generators))),
+        ]
+        assert (len(toric), len(rees)) == (105, 131)
+        for pairs, codes in bases:
+            words = self.words(codes)
+            hits = {w: [pos for pos, (lead, _) in enumerate(pairs) if contains(w, lead)] for w in words}
+            for i, mutant in enumerate(_drop_one(pairs)):
+                rules = _Rules(mutant)
+                for word in words:
+                    pos = next((pos for pos in hits[word] if pos != i), None)
+                    expected = None if pos is None else swap(word, *pairs[pos])
+                    assert rules.rewrite(word) == expected, (i, word)
+                for word in words[i % 10 :: 10]:
+                    assert rules.normal_form(word) == normal_form_by_scan(mutant, word), (i, word)
 
-    def test_the_check_leaves_the_generic_rewriter_cold(self, cross_check_tables):
-        # A basis caches the normal forms of its generic rewriter; the check
-        # reduces in closed form and so must leave that cache empty.
-        for table in cross_check_tables[:4]:
-            for basis, verify in (
-                (quadric_generators(table), buchberger_verify),
-                (rees_gb(table), rees_buchberger_verify),
-            ):
-                assert verify(basis).ok
-                assert basis._rules.cache == {}
+    def test_other_lengths_take_the_generic_lookup(self, fig_table):
+        # Words of length 0, 1 and 4 fall outside the closed form.
+        bases = [
+            (self.toric_pairs(quadric_generators(fig_table).elements), range(len(fig_table.generators))),
+            (
+                self.rees_pairs(rees_gb(fig_table).elements),
+                range(-fig_table.context.n, len(fig_table.generators)),
+            ),
+        ]
+        for pairs, codes in bases:
+            rules = _Rules(pairs)
+            assert rules.quadratic
+            for k in (0, 1, 4):
+                for word in combinations_with_replacement(codes, k):
+                    assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
+
+    def test_a_trail_of_another_length_keeps_the_lookup(self):
+        # A quadratic lead with a cubic trail is not homogeneous, but the
+        # rewriter still answers as the scan does.
+        pairs = [((1, 2), (0, 0, 0)), ((0, 3), (4, 4))]
+        rules = _Rules(pairs)
+        assert not rules.quadratic
+        for word in [(1, 2), (1, 2, 3), (0, 1, 2), (0, 3), (0, 3, 5)]:
+            assert rules.rewrite(word) == step_by_scan(pairs, word), word
+            assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
 
 
 class TestPinnedMutantReports:
@@ -318,8 +362,9 @@ class TestPinnedMutantReports:
 
     ``drop_one_reports.json`` lists the ``to_json()`` of each mutant of the
     figure ideal's full toric and Rees bases, in deletion order, as computed
-    by the overlap check when it still reduced through ``_Rules``.  Failure
-    positions, multidegrees and their order must not move.
+    by the overlap check through the generic sub-multiset lookup, before any
+    closed-form step.  Failure positions, multidegrees and their order must
+    not move.
     """
 
     @pytest.fixture(scope="class")

@@ -205,6 +205,21 @@ class TestReesReduction:
         assert rees_image(fig_table, nf) == rees_image(fig_table, m)
         assert len(nf.ypart) == len(m.ypart)
 
+    @pytest.mark.parametrize(
+        "m, what",
+        [
+            (ReesMonomial((1, 0), (0,)), "x-part"),
+            (ReesMonomial((1, 0, 0, 0), (0,)), "x-part"),
+            (ReesMonomial((0, 0, 1), (8, 2)), "ascending"),
+            (ReesMonomial((0, 0, 1), (2, 14)), "in range"),
+            (ReesMonomial((0, 0, 1), (-1,)), "in range"),
+        ],
+    )
+    def test_malformed_monomials_rejected(self, fig_table, m, what):
+        # A two-exponent x-part would be coded as if it named b and c.
+        with pytest.raises(ValueError, match=what):
+            rees_normal_form(m, rees_gb(fig_table))
+
 
 class TestReesJson:
     def test_shape(self, square_table):

@@ -148,6 +148,18 @@ class TestNormalForm:
             for z in graph.vertices:
                 assert normal_form(z, fig_quadrics) == expected[0]
 
+    @pytest.mark.parametrize(
+        "point, what",
+        [((2, 1), "ascending"), ((0, 2, 1), "ascending"), ((0, 14), "in range"), ((-1, 3), "in range")],
+    )
+    def test_malformed_points_rejected(self, fig_table, fig_quadrics, point, what):
+        # The multiset {1, 2} reduces to (0, 3); written (2, 1) it must be
+        # refused, not returned unreduced.
+        assert len(fig_table.generators) == 14
+        assert normal_form((1, 2), fig_quadrics) == (0, 3)
+        with pytest.raises(ValueError, match=what):
+            normal_form(point, fig_quadrics)
+
 
 class TestBuchbergerVerify:
     def test_fig_passes(self, fig_quadrics):
