@@ -30,7 +30,6 @@ from borelfiber.monomials import (
     borel_move,
     degree,
     format_monomial,
-    is_borel_below,
     reverse_borel_move,
     sigma,
 )
@@ -86,16 +85,6 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     return [m + (rest,) for m, rest in prefixes]
 
 
-def minimal_borel_generators(gens: Sequence[Monomial]) -> list[Monomial]:
-    """Borel-order-maximal elements of an equigenerated list."""
-    unique = list(dict.fromkeys(gens))
-    return [
-        m
-        for m in unique
-        if not any(g != m and is_borel_below(m, g) for g in unique)
-    ]
-
-
 def _from_sigma(sums: Sequence[int]) -> Monomial:
     """The monomial with the given cumulative exponent vector."""
     return tuple(map(sub, sums, (*sums[1:], 0)))
@@ -118,18 +107,6 @@ def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple
         below = r
         sums[k] = c
     return tuple(sums) if c == bound[0] else None
-
-
-def lex_last_divisor(root: Monomial, mu: Monomial) -> Optional[Monomial]:
-    """Lex-latest generator of Borel(root) dividing mu, or None.
-
-    Every element of Borel(root) dividing mu is Borel-below the result, so
-    substituting the result for the root leaves fibers of mu untouched.
-    """
-    if len(mu) != len(root):
-        raise ValueError(f"variable contexts differ: {len(root)} vs {len(mu)} variables")
-    sums = _lex_last_sigma(sigma(root), sigma(mu))
-    return None if sums is None else _from_sigma(sums)
 
 
 @dataclass(frozen=True)
@@ -268,30 +245,3 @@ def build_two_borel(
 ) -> GeneratorTable:
     """Table for the smallest Borel ideal containing M and N."""
     return build_table([M, N], context=context)
-
-
-def reduce_for_fiber(table: GeneratorTable, mu: Monomial) -> GeneratorTable:
-    """Replace each root by its lex-latest divisor of mu.
-
-    Roots with no divisor of mu are dropped; if none survives the result is
-    an empty table.  The fiber graph at mu is unchanged by this reduction,
-    so the surviving roots keep their original roles rather than being
-    re-sorted by lex.
-    """
-    if len(mu) != table.context.n:
-        raise ValueError("mu lives in a different variable context")
-    survivors = []
-    for root in table.roots:
-        reduced = lex_last_divisor(root, mu)
-        if reduced is not None and reduced not in survivors:
-            survivors.append(reduced)
-    if not survivors:
-        return GeneratorTable(
-            context=table.context,
-            degree=table.degree,
-            roots=(),
-            generators=(),
-            tags=(),
-        )
-    return build_table(survivors, context=table.context, normalize=False)
-

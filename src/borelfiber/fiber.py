@@ -8,12 +8,15 @@ with the matching reverse Borel move on another; each edge is directed
 toward the point that is later (smaller) in the fiber sink order, the
 graded reverse lex order on the table's variable order.
 
-Fibers come from two enumerations.  :func:`fibers` builds every point of
-t-degree up to a bound in one pass, level by level, and groups the points by
-product; sweeps, the quadrics and the completion oracle use it, because
-they need every fiber up to the bound anyway.  :func:`enumerate_fiber`
-factors a single multidegree by one iterative depth-first search; it serves
-one-mu callers, whose t can be far too large to list every product up to it.
+Fibers come from two enumerations.  :func:`fibers` builds every point of a
+configuration (one vector per code) up to a degree bound in one pass, level
+by level, and groups the points by vector sum.  The toric configuration is
+the table's generators, and the Rees algebra is the toric ring of a larger
+one (see ``rees``).  Sweeps, the quadrics, the Rees lift and the completion
+oracle use it, because they need every fiber up to the bound anyway.
+:func:`enumerate_fiber` factors a single multidegree by one iterative
+depth-first search; it serves one-mu callers, whose t can be far too large
+to list every product up to it.
 
 No fiber state outlives a call, except the table's own paired-move rows
 (``GeneratorTable.later_pairs``, each move listed from its earlier end),
@@ -31,18 +34,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, neg, sub
-from typing import Optional
+from typing import Optional, Sequence
 
-from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, lex_last_divisor
-from borelfiber.monomials import (
-    Monomial,
-    borel_move,
-    degree,
-    find_reverse_move,
-    format_monomial,
-    reverse_borel_move,
-    sigma,
-)
+from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma
+from borelfiber.monomials import Monomial, degree, format_monomial, sigma
 
 FiberPoint = tuple[int, ...]
 
@@ -68,33 +63,37 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     return (len(point), tuple(map(neg, point[::-1])))
 
 
-def fibers(table: GeneratorTable, max_tdeg: int) -> dict[Monomial, list[FiberPoint]]:
-    """Every nonempty fiber of t-degree 1..max_tdeg, keyed by multidegree.
+def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[FiberPoint]]:
+    """Every nonempty fiber of degree 1..max_deg of a configuration, keyed by sum.
 
-    Builds the points one t-degree at a time: each point of level t - 1 is
-    extended by every generator index at least its last one, and its product
-    by one addition.  Multidegrees come in ascending (degree, mu) order, and
-    each fiber lists its points in descending sink order, as
+    A configuration lists one vector per code, and a point is an ascending
+    code tuple; the toric configuration is ``table.generators``.  Builds the
+    points one degree at a time, extending each point of the last level by
+    every code at least its last one and its sum by one addition.  Keys come
+    in ascending (point length, key) order, (degree, mu) order on the toric
+    side, and each fiber lists its points in descending sink order, as
     :func:`build_fiber_graph` orders its vertices.
     """
-    if max_tdeg < 1:
-        raise ValueError("the t-degree bound must be at least 1")
-    gens = table.generators
+    if max_deg < 1:
+        raise ValueError("the degree bound must be at least 1")
     groups: dict[Monomial, list[FiberPoint]] = {}
-    level: list[tuple[FiberPoint, Monomial]] = [((), (0,) * table.context.n)]
-    for _ in range(max_tdeg):
+    level: list[tuple[FiberPoint, Monomial]] = []
+    for idx, vector in enumerate(vectors):
+        level.append(((idx,), vector))
+        groups.setdefault(vector, []).append((idx,))
+    for _ in range(max_deg - 1):
         extended = []
-        for point, product in level:
-            for idx in range(point[-1] if point else 0, len(gens)):
+        for point, total in level:
+            for idx in range(point[-1], len(vectors)):
                 grown = point + (idx,)
-                grown_product = tuple(map(add, product, gens[idx]))
-                extended.append((grown, grown_product))
-                groups.setdefault(grown_product, []).append(grown)
+                grown_total = tuple(map(add, total, vectors[idx]))
+                extended.append((grown, grown_total))
+                groups.setdefault(grown_total, []).append(grown)
         level = extended
     for points in groups.values():
         # A fiber's points share one length, so reversed tuples ascend in descending sink order.
         points.sort(key=lambda p: p[::-1])
-    return {mu: groups[mu] for mu in sorted(groups, key=lambda m: (degree(m), m))}
+    return {key: groups[key] for key in sorted(groups, key=lambda k: (len(groups[k][0]), k))}
 
 
 def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
@@ -245,48 +244,6 @@ def fiber_point_type(table: GeneratorTable, point: FiberPoint) -> str:
     if not point:
         raise ValueError("the empty fiber point has no type")
     return "M" if table.tags[point[-1]] == "G_M" else "N"
-
-
-def replacement_move(table: GeneratorTable, mu: Monomial, point: FiberPoint) -> Optional[FiberPoint]:
-    """One strictly-later neighbor of ``point``, or None at the blocking factor.
-
-    For a type M point the last factor w is pushed lex-later by the reverse
-    Borel move toward the lex-last divisor M' of mu in Borel(M); the freed
-    variable is absorbed by a Borel move on another factor.  Type N works the
-    same way on the first factor toward N'.  No move exists once the point
-    contains Y_{M'} (type M) or Y_{N'} (type N).
-    """
-    if not point:
-        raise ValueError("the empty fiber point has no replacement")
-    if len(table.roots) > 2:
-        raise ValueError("replacement moves need a two-Borel or principal table")
-    if point_product(table, point) != mu:
-        raise ValueError("point is not in the fiber of mu")
-    typ = fiber_point_type(table, point)
-    if typ == "M":
-        root, slot = table.roots[0], len(point) - 1
-    else:
-        root, slot = table.roots[-1], 0
-    reduced_root = lex_last_divisor(root, mu)
-    if reduced_root is None:
-        raise ValueError("no generator of the relevant block divides mu")
-    w = table.generators[point[slot]]
-    if w == reduced_root:
-        return None
-    s, sp = sigma(w), sigma(reduced_root)
-    j = max(idx for idx in range(len(w)) if s[idx] < sp[idx])
-    i = find_reverse_move(w, reduced_root, j)
-    moved = table.index_of[reverse_borel_move(w, i, j)]
-    for r, pos in enumerate(point):
-        if r == slot or table.generators[pos][j] == 0:
-            continue
-        companion = table.index_of[borel_move(table.generators[pos], j, i)]
-        out = list(point)
-        out[slot] = moved
-        out[r] = companion
-        out.sort()
-        return tuple(out)
-    raise RuntimeError("another factor must carry the freed variable")
 
 
 def _m_share_bounds(

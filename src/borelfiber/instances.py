@@ -55,4 +55,4 @@ def random_tables(count: int, seed: int) -> list[GeneratorTable]:
 
 def sweep_multidegrees(table: GeneratorTable, max_tdeg: int) -> list[Monomial]:
     """Distinct products of up to ``max_tdeg`` generators: every nonempty fiber."""
-    return list(fibers(table, max_tdeg))
+    return list(fibers(table.generators, max_tdeg))

@@ -79,12 +79,6 @@ def multiply(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(m1, m2))
 
 
-def divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 divides m2, i.e. componentwise m1 <= m2."""
-    _check_same_length(m1, m2)
-    return all(a <= b for a, b in zip(m1, m2))
-
-
 def sigma(m: Monomial) -> tuple[int, ...]:
     """Cumulative exponent vector: sigma_i = sum of exponents from position i on.
 
@@ -121,35 +115,6 @@ def reverse_borel_move(m: Monomial, j: int, k: int) -> Monomial:
     out[j] -= 1
     out[k] += 1
     return tuple(out)
-
-
-def is_borel_below(m: Monomial, mp: Monomial) -> bool:
-    """True when m is reachable from mp by Borel moves.
-
-    Equivalent to sigma(m) <= sigma(mp) componentwise; both monomials must
-    have the same degree.
-    """
-    _check_same_length(m, mp)
-    if degree(m) != degree(mp):
-        raise ValueError(f"degree mismatch: {m} has degree {degree(m)}, {mp} has {degree(mp)}")
-    return all(a <= b for a, b in zip(sigma(m), sigma(mp)))
-
-
-def find_reverse_move(m: Monomial, mp: Monomial, j: int) -> int:
-    """Greatest i < j with sigma_i(m) != sigma_j(m).
-
-    Requires m Borel-below mp with sigma_j(m) != sigma_j(mp); then
-    reverse_borel_move(m, i, j) stays Borel-below mp.
-    """
-    if not is_borel_below(m, mp):
-        raise ValueError(f"{m} is not Borel-below {mp}")
-    s, sp = sigma(m), sigma(mp)
-    if s[j] == sp[j]:
-        raise ValueError(f"sigma agrees at position {j}; no reverse move needed")
-    for i in range(j - 1, -1, -1):
-        if s[i] != s[j]:
-            return i
-    raise RuntimeError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

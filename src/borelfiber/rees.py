@@ -1,37 +1,29 @@
-"""Rees ideals of Borel ideals: the lift from the toric side.
+"""Rees ideals of Borel ideals: the Rees algebra as a toric ring.
 
 A Rees monomial is a pair of an x-part (ordinary monomial) and a Y-part
-(multiset of generator indices); its image under the defining map is the
-product of the x-part with the images of the Y factors, with the t-degree
-tracked structurally as the number of Y factors.  The Groebner basis of the
-Rees ideal is the union of the linear syzygies ``x_j Y_u - x_i Y_v`` (for
-generator pairs with ``x_j u = x_i v``) and the toric quadrics, marked by
-the elimination order: compare x-parts by lex first, break ties by the
-fiber sink order on Y-parts.  Both kinds are the pairs within one fiber of
-the defining map, at t-degree 2 and at bidegree (1, 1).
-
-A toric point is a Rees monomial with no x variables, so both sides share
-``toric``'s pair builder, reduction engine and verifier.  A Rees monomial
-enters them as one ascending code tuple (see :func:`_codes`): x variable
-``v`` of ``n`` codes as ``v - n`` and generator ``g`` as ``g``.
+(multiset of generator indices).  The Rees algebra k[x, g t] is the toric
+ring of one configuration (Herzog-Hibi-Vladoiu, 2005), :func:`_configuration`:
+x variable ``v`` is code ``v`` with vector (e_v, 0), and generator ``g`` is
+code ``n + g`` with vector (g, 1), so a monomial's sum is its image followed
+by its t-degree.  The Groebner basis of the Rees ideal is the pairs within
+the fibers of joint degree two, marked by the elimination order: x-parts by
+lex first, ties by the fiber sink order on Y-parts.  The fibers of bidegree
+(1, 1) give the linear syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``)
+and those of t-degree 2 the toric quadrics.  Both sides share
+``fiber.fibers`` and ``toric``'s reduction engine and verifier, which take a
+Rees monomial as its ascending code tuple (see :func:`_codes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, fiber_sink_key, point_product
-from borelfiber.monomials import Monomial, format_monomial, multiply, unit
-from borelfiber.toric import (
-    GroebnerReport,
-    _check_point,
-    _marked_pairs,
-    _Rules,
-    _verify,
-    quadric_generators,
-)
+from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers
+from borelfiber.monomials import Monomial, format_monomial
+from borelfiber.toric import GroebnerReport, _check_point, _Rules, _verify
 
 
 @dataclass(frozen=True)
@@ -51,46 +43,29 @@ def rees_key(m: ReesMonomial) -> tuple:
     return (m.xpart, fiber_sink_key(m.ypart))
 
 
-def rees_image(table: GeneratorTable, m: ReesMonomial) -> Monomial:
-    """Multidegree of the monomial: x-part times the Y factors' product."""
-    return multiply(m.xpart, point_product(table, m.ypart))
-
-
-def linear_syzygies(table: GeneratorTable) -> list[ReesBinomial]:
-    """All binomials x_j Y_u - x_i Y_v with x_j u = x_i v, marked, one per pair.
-
-    The pairs within the fibers of bidegree (1, 1), the monomials x_v Y_g by
-    image, largest :func:`rees_key` first; ordered by their two Y indices.
-    """
+def _configuration(table: GeneratorTable) -> list[Monomial]:
+    """One vector per code: (e_v, 0) for x variable v, then (g, 1) for generator g."""
     n = table.context.n
-    groups: dict[Monomial, list[ReesMonomial]] = {}
-    for g in range(len(table.generators)):
-        for v in range(n):
-            m = ReesMonomial(tuple(int(k == v) for k in range(n)), (g,))
-            groups.setdefault(rees_image(table, m), []).append(m)
-    for group in groups.values():
-        group.sort(key=rees_key, reverse=True)
-    pairs = sorted(_marked_pairs(groups.values()), key=lambda p: sorted(p[0].ypart + p[1].ypart))
-    return [ReesBinomial(lead, trail) for lead, trail in pairs]
+    units = [tuple(int(k == v) for k in range(n)) + (0,) for v in range(n)]
+    return units + [g + (1,) for g in table.generators]
 
 
 def _codes(m: ReesMonomial) -> tuple[int, ...]:
-    """The monomial as an ascending tuple of variable codes.
+    """The monomial as an ascending tuple of configuration codes.
 
-    Variable ``v`` of ``n`` codes as ``v - n`` (negative) and generator ``g``
-    as ``g``, so one tuple holds both parts.
+    Variable ``v`` of ``n`` codes as ``v`` and generator ``g`` as ``n + g``,
+    so one tuple holds both parts, x factors first.
     """
     n = len(m.xpart)
-    xs = [v - n for v, e in enumerate(m.xpart) for _ in range(e)]
-    return tuple(xs) + m.ypart
+    return tuple([v for v, e in enumerate(m.xpart) for _ in range(e)] + [n + g for g in m.ypart])
 
 
 def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
     xpart = [0] * n
     for c in codes:
-        if c < 0:
-            xpart[c + n] += 1
-    return ReesMonomial(tuple(xpart), tuple(c for c in codes if c >= 0))
+        if c < n:
+            xpart[c] += 1
+    return ReesMonomial(tuple(xpart), tuple(c - n for c in codes if c >= n))
 
 
 @dataclass(frozen=True)
@@ -117,21 +92,32 @@ def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
 
 
 def rees_gb(table: GeneratorTable) -> ReesBasis:
-    """Linear syzygies plus the toric quadrics with unit x-parts.
+    """The pairs within the Rees fibers of joint degree two: syzygies, then quadrics.
+
+    One pass over the fibers of :func:`_configuration` up to degree two.  A
+    fiber of bidegree (1, 1), the monomials x_v Y_g of one image, is sorted
+    by :func:`rees_key`, largest first, and its pairs are the linear
+    syzygies, ordered by their two Y indices.  A fiber of t-degree 2 already
+    lists its monomials in descending sink order, so its pairs are the toric
+    quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
+    fiber has one monomial.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
     n = table.context.n
-    elements = list(linear_syzygies(table))
-    for el in quadric_generators(table).elements:
-        elements.append(
-            ReesBinomial(
-                lead=ReesMonomial(unit(n), el.lead),
-                trail=ReesMonomial(unit(n), el.trail),
-            )
-        )
-    return ReesBasis(table, tuple(elements))
+    syzygies, quadrics = [], []
+    for key, words in fibers(_configuration(table), 2).items():
+        if len(words) < 2:
+            continue
+        monomials = [_from_codes(w, n) for w in words]
+        if key[-1] == 1:
+            monomials.sort(key=rees_key, reverse=True)
+            syzygies.extend(combinations(monomials, 2))
+        else:
+            quadrics.extend(combinations(monomials, 2))
+    syzygies.sort(key=lambda pair: sorted(pair[0].ypart + pair[1].ypart))
+    return ReesBasis(table, tuple(ReesBinomial(lead, trail) for lead, trail in syzygies + quadrics))
 
 
 def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
@@ -139,14 +125,12 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
     Every critical monomial of joint degree two or three is checked (see
     ``toric._check_overlaps``); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on an inconsistent marking or a lead whose joint
-    degree is not two.
+    Raises ``ValueError`` on an inconsistent marking, on an element whose
+    sides differ in image or t-degree (their sums over
+    :func:`_configuration`), or on a lead whose joint degree is not two.  A
+    failure is named by the image of its critical monomial.
     """
-    table = basis.table
-    n = table.context.n
-    # Code c indexes its exponent vector here: generator g at g, and x
-    # variable v, coded v - n, among the n unit vectors at the end.
-    vectors = list(table.generators) + [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    vectors = _configuration(basis.table)
     return _verify(basis, rees_key, lambda w: tuple(map(sum, zip(*[vectors[c] for c in w]))))
 
 

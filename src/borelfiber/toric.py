@@ -13,16 +13,18 @@ A point with k later points in its degree-2 fiber leads k quadrics, but
 reduction applies only the first.  So the reduced basis is read off the
 fibers, and the overlap check uses every copy of a lead only at the lead.
 
-One code path per concept serves the toric and Rees sides alike.
-:func:`_marked_pairs` builds the quadrics and the Rees linear syzygies.
-:class:`_Rules` is the one reduction engine for words of any length, on
-ascending tuples of integer codes: a toric point is its own word, and a Rees
-monomial is coded by ``rees._codes``.  Its lead index ``by_lead`` is the one
-place that says which rules carry a lead: the rewriter looks up the word's
-own sub-multisets of each lead size there, :func:`brute_force_gb` grows it
-one rule at a time, and the overlap check reads its critical monomials off
-it.  :func:`_verify`, a marking and homogeneity check and then the overlap
-check :func:`_check_overlaps`, is the one Groebner verifier.
+One code path per concept serves the toric and Rees sides alike.  The Rees
+algebra is the toric ring of a larger configuration, so both sides take
+their degree-2 pairs from :func:`~borelfiber.fiber.fibers` (``rees_gb`` on
+the Rees configuration).  :class:`_Rules` is the one reduction engine for
+words of any length, on ascending tuples of integer codes: a toric point is
+its own word, and a Rees monomial is coded by ``rees._codes``, its codes in
+the Rees configuration.  Its lead index ``by_lead`` is the one place that
+says which rules carry a lead: the rewriter looks up the word's own
+sub-multisets of each lead size there, :func:`brute_force_gb` grows it one
+rule at a time, and the overlap check reads its critical monomials off it.
+:func:`_verify`, a marking and homogeneity check and then the overlap check
+:func:`_check_overlaps`, is the one Groebner verifier.
 
 While every rule is quadratic, the rewriter steps a word of two or three
 codes in closed form: a quadratic word is a lead or nothing, and a cubic word
@@ -181,14 +183,6 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     return basis._rules.normal_form(point)
 
 
-def _marked_pairs(groups) -> list[tuple]:
-    """Every (lead, trail) pair of distinct words within one group.
-
-    Each group lists its words earliest first, as :func:`fibers` lists points.
-    """
-    return [pair for words in groups for pair in combinations(words, 2)]
-
-
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
     """All quadric binomials of the toric ideal, marked by the sink order.
 
@@ -199,14 +193,14 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     every trail is already reduced.  Elements come in ascending sink order of
     their leads.
     """
-    groups = fibers(table, 2).values()
+    groups = fibers(table.generators, 2).values()
     if interreduce:
         pairs = sorted(
             ((lead, words[-1]) for words in groups for lead in words[:-1]),
             key=lambda pair: fiber_sink_key(pair[0]),
         )
     else:
-        pairs = _marked_pairs(groups)
+        pairs = [pair for words in groups for pair in combinations(words, 2)]
     return MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
 
 
@@ -349,8 +343,10 @@ def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
     ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` unless every
     element's lead has a larger ``key`` than its trail, and unless its lead
     and trail have the same code length (t-degree, or joint degree) and the
-    same ``multidegree``: a binomial that is not homogeneous is not in the
-    ideal.  ``multidegree`` also names a failure (see :func:`_check_overlaps`).
+    same ``multidegree``, the sum of the word's configuration vectors: a
+    binomial that is not homogeneous is not in the ideal.  A Rees word's sum
+    carries its t-degree after the image, so a failure is named by the
+    first n coordinates, the image (see :func:`_check_overlaps`).
 
     A word recurs across elements (in the full toric basis a trail is shared
     by up to 50), so ``key`` and ``multidegree`` are taken once per distinct
@@ -379,7 +375,8 @@ def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
-    checked, failures = _check_overlaps(rules, multidegree)
+    n = basis.table.context.n
+    checked, failures = _check_overlaps(rules, lambda m: multidegree(m)[:n])
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
@@ -429,7 +426,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
-    for first, *rest in fibers(table, degree_bound).values():
+    for first, *rest in fibers(table.generators, degree_bound).values():
         for w in rest:
             a = rules.normal_form(first)
             b = rules.normal_form(w)

@@ -93,7 +93,7 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
     ``items[i::workers]``, and its results go back to the same slots, so the
     report lists violations in multidegree order at any parallelism width.
     """
-    items = list(fibers(table, max_tdeg).items())
+    items = list(fibers(table.generators, max_tdeg).items())
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
         results: list[list[str]] = [[]] * len(items)

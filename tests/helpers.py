@@ -12,18 +12,29 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
-from borelfiber.borel import build_table
-from borelfiber.fiber import FiberGraph, FiberPoint, fiber_sink_key, fibers, point_product
+from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, build_table
+from borelfiber.fiber import (
+    FiberGraph,
+    FiberPoint,
+    fiber_point_type,
+    fiber_sink_key,
+    fibers,
+    point_product,
+)
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
+    _check_same_length,
+    borel_move,
     degree,
-    divides,
+    multiply,
     parse_monomial,
+    reverse_borel_move,
+    sigma,
     unit,
 )
-from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_image, rees_key
+from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_key
 from borelfiber.toric import (
     GroebnerReport,
     MarkedBasis,
@@ -33,6 +44,140 @@ from borelfiber.toric import (
 )
 
 ABC = VariableContext.default(3)
+
+
+# The paper's proof constructions that no library code calls.  They live
+# here, beside the oracles, and their tests import them from here.
+
+
+def divides(m1: Monomial, m2: Monomial) -> bool:
+    """True when m1 divides m2, i.e. componentwise m1 <= m2."""
+    _check_same_length(m1, m2)
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def is_borel_below(m: Monomial, mp: Monomial) -> bool:
+    """True when m is reachable from mp by Borel moves.
+
+    Equivalent to sigma(m) <= sigma(mp) componentwise; both monomials must
+    have the same degree.
+    """
+    _check_same_length(m, mp)
+    if degree(m) != degree(mp):
+        raise ValueError(f"degree mismatch: {m} has degree {degree(m)}, {mp} has {degree(mp)}")
+    return all(a <= b for a, b in zip(sigma(m), sigma(mp)))
+
+
+def find_reverse_move(m: Monomial, mp: Monomial, j: int) -> int:
+    """Greatest i < j with sigma_i(m) != sigma_j(m).
+
+    Requires m Borel-below mp with sigma_j(m) != sigma_j(mp); then
+    reverse_borel_move(m, i, j) stays Borel-below mp.
+    """
+    if not is_borel_below(m, mp):
+        raise ValueError(f"{m} is not Borel-below {mp}")
+    s, sp = sigma(m), sigma(mp)
+    if s[j] == sp[j]:
+        raise ValueError(f"sigma agrees at position {j}; no reverse move needed")
+    for i in range(j - 1, -1, -1):
+        if s[i] != s[j]:
+            return i
+    raise RuntimeError("unreachable: sigma_0 is the degree, which exceeds sigma_j here")
+
+
+def minimal_borel_generators(gens: list[Monomial]) -> list[Monomial]:
+    """Borel-order-maximal elements of an equigenerated list."""
+    unique = list(dict.fromkeys(gens))
+    return [
+        m
+        for m in unique
+        if not any(g != m and is_borel_below(m, g) for g in unique)
+    ]
+
+
+def lex_last_divisor(root: Monomial, mu: Monomial) -> Monomial | None:
+    """Lex-latest generator of Borel(root) dividing mu, or None.
+
+    Every element of Borel(root) dividing mu is Borel-below the result, so
+    substituting the result for the root leaves fibers of mu untouched.
+    """
+    if len(mu) != len(root):
+        raise ValueError(f"variable contexts differ: {len(root)} vs {len(mu)} variables")
+    sums = _lex_last_sigma(sigma(root), sigma(mu))
+    return None if sums is None else _from_sigma(sums)
+
+
+def reduce_for_fiber(table: GeneratorTable, mu: Monomial) -> GeneratorTable:
+    """Replace each root by its lex-latest divisor of mu.
+
+    Roots with no divisor of mu are dropped; if none survives the result is
+    an empty table.  The fiber graph at mu is unchanged by this reduction,
+    so the surviving roots keep their original roles rather than being
+    re-sorted by lex.
+    """
+    if len(mu) != table.context.n:
+        raise ValueError("mu lives in a different variable context")
+    survivors = []
+    for root in table.roots:
+        reduced = lex_last_divisor(root, mu)
+        if reduced is not None and reduced not in survivors:
+            survivors.append(reduced)
+    if not survivors:
+        return GeneratorTable(
+            context=table.context,
+            degree=table.degree,
+            roots=(),
+            generators=(),
+            tags=(),
+        )
+    return build_table(survivors, context=table.context, normalize=False)
+
+
+def replacement_move(table: GeneratorTable, mu: Monomial, point: FiberPoint) -> FiberPoint | None:
+    """One strictly-later neighbor of ``point``, or None at the blocking factor.
+
+    For a type M point the last factor w is pushed lex-later by the reverse
+    Borel move toward the lex-last divisor M' of mu in Borel(M); the freed
+    variable is absorbed by a Borel move on another factor.  Type N works the
+    same way on the first factor toward N'.  No move exists once the point
+    contains Y_{M'} (type M) or Y_{N'} (type N).
+    """
+    if not point:
+        raise ValueError("the empty fiber point has no replacement")
+    if len(table.roots) > 2:
+        raise ValueError("replacement moves need a two-Borel or principal table")
+    if point_product(table, point) != mu:
+        raise ValueError("point is not in the fiber of mu")
+    typ = fiber_point_type(table, point)
+    if typ == "M":
+        root, slot = table.roots[0], len(point) - 1
+    else:
+        root, slot = table.roots[-1], 0
+    reduced_root = lex_last_divisor(root, mu)
+    if reduced_root is None:
+        raise ValueError("no generator of the relevant block divides mu")
+    w = table.generators[point[slot]]
+    if w == reduced_root:
+        return None
+    s, sp = sigma(w), sigma(reduced_root)
+    j = max(idx for idx in range(len(w)) if s[idx] < sp[idx])
+    i = find_reverse_move(w, reduced_root, j)
+    moved = table.index_of[reverse_borel_move(w, i, j)]
+    for r, pos in enumerate(point):
+        if r == slot or table.generators[pos][j] == 0:
+            continue
+        companion = table.index_of[borel_move(table.generators[pos], j, i)]
+        out = list(point)
+        out[slot] = moved
+        out[r] = companion
+        out.sort()
+        return tuple(out)
+    raise RuntimeError("another factor must carry the freed variable")
+
+
+def rees_image(table, m: ReesMonomial) -> Monomial:
+    """Multidegree of a Rees monomial: the x-part times the Y factors' product."""
+    return multiply(m.xpart, point_product(table, m.ypart))
 
 
 def contains(word: tuple[int, ...], part: tuple[int, ...]) -> bool:
@@ -101,7 +246,9 @@ def completion_by_scan(table, bound: int) -> list[tuple[FiberPoint, FiberPoint]]
     Returns the (lead, trail) rules in order.
     """
     queue = deque(
-        pair for points in fibers(table, bound).values() for pair in itertools.combinations(points, 2)
+        pair
+        for points in fibers(table.generators, bound).values()
+        for pair in itertools.combinations(points, 2)
     )
     rules: list[tuple[FiberPoint, FiberPoint]] = []
     known: dict[FiberPoint, FiberPoint] = {}

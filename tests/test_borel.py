@@ -8,19 +8,20 @@ from borelfiber.borel import (
     build_two_borel,
     count_principal,
     expand_principal,
-    lex_last_divisor,
-    minimal_borel_generators,
-    reduce_for_fiber,
 )
-from borelfiber.monomials import (
-    borel_move,
+from borelfiber.monomials import borel_move, multiply, reverse_borel_move
+
+from helpers import (
+    all_monomials,
     divides,
     is_borel_below,
-    multiply,
-    reverse_borel_move,
+    lex_last_divisor,
+    minimal_borel_generators,
+    mono,
+    monos,
+    principal_gens_by_reachability,
+    reduce_for_fiber,
 )
-
-from helpers import all_monomials, mono, monos, principal_gens_by_reachability
 
 FIG_GM = monos(
     "a^5", "a^4b", "a^4c", "a^3b^2", "a^3bc", "a^3c^2",

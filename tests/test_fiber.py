@@ -1,6 +1,6 @@
 import pytest
 
-from borelfiber.borel import build_table, build_two_borel, reduce_for_fiber
+from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import (
     build_fiber_graph,
     enumerate_fiber,
@@ -10,14 +10,20 @@ from borelfiber.fiber import (
     find_sink_direct,
     graph_to_json,
     point_product,
-    replacement_move,
     sinks,
     to_dot,
     vertex_label,
 )
 from borelfiber.monomials import multiply
 
-from helpers import brute_factorizations, mono, monos
+from helpers import (
+    brute_factorizations,
+    lex_last_divisor,
+    mono,
+    monos,
+    reduce_for_fiber,
+    replacement_move,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +131,10 @@ class TestEnumerateFiber:
 
 class TestFibers:
     def test_figure_fiber_in_graph_order(self, fig_table, fig_graph):
-        assert fibers(fig_table, 3)[(3, 9, 3)] == list(fig_graph.vertices)
+        assert fibers(fig_table.generators, 3)[(3, 9, 3)] == list(fig_graph.vertices)
 
     def test_points_multiply_to_their_key(self, fig_table):
-        groups = fibers(fig_table, 2)
+        groups = fibers(fig_table.generators, 2)
         for mu, points in groups.items():
             assert points
             for z in points:
@@ -137,15 +143,15 @@ class TestFibers:
         assert sum(len(points) for points in groups.values()) == 14 + 14 * 15 // 2
 
     def test_generators_are_the_first_level(self, fig_table):
-        groups = fibers(fig_table, 1)
+        groups = fibers(fig_table.generators, 1)
         assert groups == {g: [(i,)] for i, g in enumerate(fig_table.generators)}
 
     def test_bound_below_one_rejected(self, fig_table):
         with pytest.raises(ValueError):
-            fibers(fig_table, 0)
+            fibers(fig_table.generators, 0)
 
     def test_graph_from_given_points_matches_enumeration(self, fig_table):
-        for mu, points in fibers(fig_table, 3).items():
+        for mu, points in fibers(fig_table.generators, 3).items():
             if len(points) > 2:
                 assert build_fiber_graph(fig_table, mu, points) == build_fiber_graph(fig_table, mu)
 
@@ -316,8 +322,6 @@ class TestSinks:
         assert len(sinks(g)) > 1 or undirected_components(g) > 1
 
     def test_sink_divisible_by_the_reduced_root_of_its_type(self, fig_table):
-        from borelfiber.borel import lex_last_divisor
-
         for mu in [(3, 9, 3), (2, 4, 4), (4, 8, 3), (2, 8, 5), (0, 10, 0), (1, 9, 0), (6, 9, 0)]:
             g = build_fiber_graph(fig_table, mu)
             for sink in sinks(g):

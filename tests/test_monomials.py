@@ -6,10 +6,7 @@ from borelfiber.monomials import (
     VariableContext,
     borel_move,
     degree,
-    divides,
-    find_reverse_move,
     format_monomial,
-    is_borel_below,
     multiply,
     parse_monomial,
     reverse_borel_move,
@@ -17,7 +14,16 @@ from borelfiber.monomials import (
     unit,
 )
 
-from helpers import ABC, all_monomials, borel_reachable, mono, monos
+from helpers import (
+    ABC,
+    all_monomials,
+    borel_reachable,
+    divides,
+    find_reverse_move,
+    is_borel_below,
+    mono,
+    monos,
+)
 
 
 class TestAlgebra:

@@ -26,7 +26,6 @@ from borelfiber.rees import (
     _codes,
     rees_buchberger_verify,
     rees_gb,
-    rees_image,
 )
 from borelfiber.toric import (
     MarkedBasis,
@@ -49,6 +48,7 @@ from helpers import (
     pairwise_buchberger,
     pairwise_rees_buchberger,
     rees_apply,
+    rees_image,
     rees_word,
     split_rees_reducer,
     step_by_scan,
@@ -134,7 +134,7 @@ class TestCopiesOfOneLead:
 
     @pytest.fixture(scope="class")
     def fiber(self, fig_table):
-        return next(words for words in fibers(fig_table, 2).values() if len(words) == 3)
+        return next(words for words in fibers(fig_table.generators, 2).values() if len(words) == 3)
 
     def test_toric(self, fig_table, fiber):
         lead, *trails = fiber
@@ -303,7 +303,7 @@ class TestClosedFormReducer:
             self.agree(self.toric_pairs(quadric_generators(fig_table, interreduce).elements), codes)
 
     def test_rees(self, fig_table):
-        codes = range(-fig_table.context.n, len(fig_table.generators))
+        codes = range(fig_table.context.n + len(fig_table.generators))
         self.agree(self.rees_pairs(rees_gb(fig_table).elements), codes)
 
     def test_drop_one_mutants(self, fig_table):
@@ -315,7 +315,7 @@ class TestClosedFormReducer:
         rees = self.rees_pairs(rees_gb(fig_table).elements)
         bases = [
             (toric, range(len(fig_table.generators))),
-            (rees, range(-fig_table.context.n, len(fig_table.generators))),
+            (rees, range(fig_table.context.n + len(fig_table.generators))),
         ]
         assert (len(toric), len(rees)) == (105, 131)
         for pairs, codes in bases:
@@ -336,7 +336,7 @@ class TestClosedFormReducer:
             (self.toric_pairs(quadric_generators(fig_table).elements), range(len(fig_table.generators))),
             (
                 self.rees_pairs(rees_gb(fig_table).elements),
-                range(-fig_table.context.n, len(fig_table.generators)),
+                range(fig_table.context.n + len(fig_table.generators)),
             ),
         ]
         for pairs, codes in bases:

@@ -1,26 +1,28 @@
 import re
+from collections import defaultdict
+from itertools import combinations_with_replacement
 
 import pytest
 
-from borelfiber.borel import build_two_borel
-from borelfiber.fiber import enumerate_fiber, fiber_sink_key
+from borelfiber.borel import build_table, build_two_borel
+from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
 from borelfiber.monomials import VariableContext, unit
 from borelfiber.rees import (
     ReesBasis,
     ReesBinomial,
     ReesMonomial,
-    linear_syzygies,
+    _configuration,
+    _from_codes,
     rees_basis_to_json,
     rees_buchberger_verify,
     rees_gb,
-    rees_image,
     rees_key,
     rees_normal_form,
 )
 from borelfiber.instances import suite_tables
 from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import linear_syzygies_by_diff, mono, pairwise_rees_buchberger
+from helpers import linear_syzygies_by_diff, mono, monos, pairwise_rees_buchberger, rees_image
 
 CTX2 = VariableContext.default(2)
 
@@ -33,6 +35,11 @@ def square_table():
 @pytest.fixture(scope="module")
 def fig_table():
     return build_two_borel(mono("a^2c^3"), mono("b^4c"))
+
+
+def linear_syzygies(table) -> list[ReesBinomial]:
+    """The elements of ``rees_gb`` with a nonzero x-part, in order."""
+    return [el for el in rees_gb(table).elements if any(el.lead.xpart)]
 
 
 class TestLinearSyzygies:
@@ -108,6 +115,31 @@ class TestReesGb:
             assert rees_image(fig_table, el.lead) == rees_image(fig_table, el.trail)
             assert len(el.lead.ypart) == len(el.trail.ypart)
 
+    def test_syzygies_then_the_quadrics_in_toric_order(self, fig_table):
+        for table in [fig_table] + suite_tables(cap=200)[::5]:
+            elements = rees_gb(table).elements
+            syzygies = linear_syzygies(table)
+            assert elements[: len(syzygies)] == tuple(syzygies)
+            one = unit(table.context.n)
+            assert elements[len(syzygies) :] == tuple(
+                ReesBinomial(ReesMonomial(one, el.lead), ReesMonomial(one, el.trail))
+                for el in quadric_generators(table).elements
+            )
+
+    def test_configuration_fibers_group_by_image_and_t_degree(self, square_table, fig_table):
+        # Grouping every code word by brute force; the t coordinate keeps
+        # x_a x_b, x_a Y_b and Y_a Y_b apart in Borel(b), of degree one.
+        tables = [square_table, fig_table, build_two_borel((0, 1), (0, 1), CTX2)]
+        for table in tables + suite_tables(cap=200)[::40]:
+            n = table.context.n
+            groups = defaultdict(set)
+            for k in (1, 2, 3):
+                for word in combinations_with_replacement(range(n + len(table.generators)), k):
+                    m = _from_codes(word, n)
+                    groups[rees_image(table, m), len(m.ypart)].add(word)
+            found = fibers(_configuration(table), 3)
+            assert {(key[:n], key[n]): set(words) for key, words in found.items()} == groups
+
 
 class TestReesVerify:
     def test_square_table_passes(self, square_table):
@@ -157,6 +189,17 @@ class TestReesVerify:
         with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
             rees_buchberger_verify(bad)
 
+    def test_t_degrees_that_differ_rejected(self):
+        # Borel(b) in two variables, of degree one: x_a x_b and x_a Y_b share
+        # the image ab but not the t-degree, so their difference is not in
+        # the Rees ideal.
+        table = build_two_borel((0, 1), (0, 1), CTX2)
+        lead, trail = ReesMonomial((1, 1), ()), ReesMonomial((1, 0), (1,))
+        assert rees_key(lead) > rees_key(trail)
+        assert rees_image(table, lead) == rees_image(table, trail)
+        bad = ReesBasis(table, (ReesBinomial(lead, trail),))
+        with pytest.raises(ValueError, match="element 0 is not homogeneous.* differ in multidegree$"):
+            rees_buchberger_verify(bad)
 
     def test_shared_words_keep_both_marking_errors(self, square_table):
         # As on the toric side: each bad element shares a word with the valid
@@ -219,6 +262,61 @@ class TestReesReduction:
         # A two-exponent x-part would be coded as if it named b and c.
         with pytest.raises(ValueError, match=what):
             rees_normal_form(m, rees_gb(fig_table))
+
+
+def split_fibers(table, max_deg: int) -> tuple[list, int]:
+    """The keys of the Rees fibers up to ``max_deg`` with two ``rees_gb`` normal forms.
+
+    Also returns the number of words walked.  A key is the image followed by
+    the t-degree.
+    """
+    rules = rees_gb(table)._rules
+    split, words_seen = [], 0
+    for key, words in fibers(_configuration(table), max_deg).items():
+        words_seen += len(words)
+        if len({rules.normal_form(w) for w in words}) > 1:
+            split.append(key)
+    return split, words_seen
+
+
+class TestLiftGeneratesTheReesIdeal:
+    """Every Rees fiber has one normal form, so the lift generates the Rees ideal.
+
+    The Rees ideal is spanned by the differences of words of one fiber, so
+    the lift generates it through the joint degree at which no fiber splits.
+    The overlap check only shows that the lift is a Groebner basis of the
+    ideal it generates; this is the other half.
+    """
+
+    def test_suite_at_joint_degree_3(self):
+        words = 0
+        for table in suite_tables(cap=200):
+            split, seen = split_fibers(table, 3)
+            assert split == [], table.roots
+            words += seen
+        assert words == 239_575
+
+    def test_every_tenth_suite_table_at_joint_degree_4(self):
+        words = 0
+        for table in suite_tables(cap=200)[::10]:
+            split, seen = split_fibers(table, 4)
+            assert split == [], table.roots
+            words += seen
+        assert words == 148_814
+
+    @pytest.mark.parametrize(
+        "roots, split",
+        [
+            (("a^3c^3", "b^6", "a^2b^2c^2"), [("a^6b^6c^6", 3)]),
+            (("a^4c^8", "b^12", "a^3b^3c^6"), [("a^9b^11c^16", 3), ("a^9b^12c^15", 3)]),
+        ],
+        ids=["r=3", "r=4"],
+    )
+    def test_three_borel_families_split(self, roots, split):
+        # The negative controls: the three-Borel families need a minimal
+        # generator of t-degree r, which no quadric of the lift reaches.
+        table = build_table(monos(*roots))
+        assert split_fibers(table, 3)[0] == [mono(m) + (t,) for m, t in split]
 
 
 class TestReesJson:
