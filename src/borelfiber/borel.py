@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
-from operator import sub
 from typing import Optional, Sequence
 
 from borelfiber.monomials import (
@@ -85,11 +84,6 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     return [m + (rest,) for m, rest in prefixes]
 
 
-def _from_sigma(sums: Sequence[int]) -> Monomial:
-    """The monomial with the given cumulative exponent vector."""
-    return tuple(map(sub, sums, (*sums[1:], 0)))
-
-
 def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Suffix sums of the lex-latest divisor with sigma at most ``bound``.
 
@@ -131,6 +125,16 @@ class GeneratorTable:
     @cached_property
     def index_of(self) -> dict[Monomial, int]:
         return {g: i for i, g in enumerate(self.generators)}
+
+    @cached_property
+    def _peel_sums(self) -> tuple[Monomial, Monomial, dict[Monomial, int]]:
+        """sigma(M), sigma(N) and each generator's index by its suffix sums.
+
+        The direct sink peels factors as suffix sums (see
+        ``fiber.find_sink_direct``) and reads each one's index here.
+        """
+        by_sums = {sigma(g): i for i, g in enumerate(self.generators)}
+        return sigma(self.roots[0]), sigma(self.roots[-1]), by_sums
 
     @cached_property
     def later_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:

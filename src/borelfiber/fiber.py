@@ -18,9 +18,14 @@ oracle use it, because they need every fiber up to the bound anyway.
 depth-first search; it serves one-mu callers, whose t can be far too large
 to list every product up to it.
 
-No fiber state outlives a call, except the table's own paired-move rows
-(``GeneratorTable.later_pairs``, each move listed from its earlier end),
-which live and die with the table.
+A point's later paired moves come from one generator,
+:func:`_later_moves`, which reads the table's paired-move rows
+(``GeneratorTable.later_pairs``, each move listed from its earlier end).
+:func:`build_fiber_graph` drains it for every point; the unique-sink check
+in ``verify`` takes only each point's first move, since a point is a sink
+exactly when it has none.  No fiber state outlives a call, except those
+rows and the suffix sums the direct sink reads, which live and die with
+the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -36,7 +41,7 @@ from functools import cached_property
 from operator import add, neg, sub
 from typing import Optional, Sequence
 
-from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma
+from borelfiber.borel import GeneratorTable, _lex_last_sigma
 from borelfiber.monomials import Monomial, degree, format_monomial, sigma
 
 FiberPoint = tuple[int, ...]
@@ -163,6 +168,39 @@ class FiberGraph:
         return tuple(out)
 
 
+def _fiber_in_sink_order(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
+    """The fiber of mu in descending sink order, as :func:`fibers` lists it."""
+    points = enumerate_fiber(table, mu)
+    points.sort(key=fiber_sink_key, reverse=True)
+    return points
+
+
+def _later_moves(later: dict, point: FiberPoint):
+    """Yield each point one listed paired move later than ``point``.
+
+    ``later`` is the table's ``later_pairs``.  The sink order is a monomial
+    order on the factor multiplicities, so a move replacing the pair p of a
+    point by q leads to a later point exactly when q is later than p; each
+    distinct value pair of the point is looked up once, at its first
+    positions, and its moves are yielded in row order.
+    """
+    t = len(point)
+    for s1 in range(t - 1):
+        a = point[s1]
+        if s1 and point[s1 - 1] == a:
+            continue
+        for s2 in range(s1 + 1, t):
+            b = point[s2]
+            if s2 > s1 + 1 and point[s2 - 1] == b:
+                continue
+            moves = later.get((a, b))
+            if moves is None:
+                continue
+            rest = point[:s1] + point[s1 + 1 : s2] + point[s2 + 1 :]
+            for pair in moves:
+                yield tuple(sorted(rest + pair))
+
+
 def build_fiber_graph(
     table: GeneratorTable, mu: Monomial, points: Optional[list[FiberPoint]] = None
 ) -> FiberGraph:
@@ -172,39 +210,17 @@ def build_fiber_graph(
     edge runs from a smaller vertex index to a larger one and the graph is
     acyclic by construction.  A caller that already holds the whole fiber in
     that order, as :func:`fibers` returns it, passes it as ``points`` and
-    skips the enumeration.
-
-    The sink order is a monomial order on the factor multiplicities, so a
-    move replacing the pair p of a point by q leads to a later point exactly
-    when q is later than p.  Moves are symmetric, so each edge is found
-    once, from its earlier end, through the table's ``later_pairs`` on each
-    distinct value pair of the point.
+    skips the enumeration.  Moves are symmetric, so each edge is found once,
+    from its earlier end, by :func:`_later_moves`.
     """
-    if points is None:
-        vertices = enumerate_fiber(table, mu)
-        vertices.sort(key=fiber_sink_key, reverse=True)
-    else:
-        vertices = points
+    vertices = _fiber_in_sink_order(table, mu) if points is None else points
     vindex = {v: i for i, v in enumerate(vertices)}
     later = table.later_pairs if vertices else {}
     edges: set[tuple[int, int]] = set()
     for vi, z in enumerate(vertices):
-        t = len(z)
-        for s1 in range(t - 1):
-            a = z[s1]
-            if s1 and z[s1 - 1] == a:
-                continue
-            for s2 in range(s1 + 1, t):
-                b = z[s2]
-                if s2 > s1 + 1 and z[s2 - 1] == b:
-                    continue  # each distinct value pair once, at its first positions
-                moves = later.get((a, b))
-                if moves is None:
-                    continue
-                rest = z[:s1] + z[s1 + 1 : s2] + z[s2 + 1 :]
-                for pair in moves:
-                    wi = vindex[tuple(sorted(rest + pair))]
-                    edges.add((vi, wi) if vi < wi else (wi, vi))
+        for w in _later_moves(later, z):
+            wi = vindex[w]
+            edges.add((vi, wi) if vi < wi else (wi, vi))
     return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
 
 
@@ -273,8 +289,8 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     With lo..hi the interval of :func:`_m_share_bounds` (empty exactly when
     the fiber is; then None), the sink peels the lex-last divisor M' of the
     rest in Borel(M) hi times, then N' in Borel(N) t - hi times, O(n) each.
-    The rest is kept as suffix sums, and each peeled factor's sums are
-    subtracted from it.
+    The rest is kept as suffix sums, each peeled factor's sums are
+    subtracted from it, and its index is read off the table by its sums.
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -291,7 +307,7 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         return ()
     if table.is_empty or degree(mu) % table.degree != 0:
         return None
-    s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
+    s_m, s_n, by_sums = table._peel_sums
     t = degree(mu) // table.degree
     s_mu = sigma(mu)
     lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
@@ -303,7 +319,7 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
         s_factor = _lex_last_sigma(bound, rest)
         if s_factor is None:
             raise RuntimeError("a factorable multidegree admits a block divisor")
-        picked.append(table.index_of[_from_sigma(s_factor)])
+        picked.append(by_sums[s_factor])
         rest = tuple(map(sub, rest, s_factor))
     return tuple(sorted(picked))
 

@@ -78,17 +78,25 @@ class ReesBasis:
         return _Rules([(_codes(el.lead), _codes(el.trail)) for el in self.elements])
 
 
+def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> None:
+    """Raise ``ValueError`` unless ``m`` is a monomial over ``table``.
+
+    The x-part must have one exponent per variable, and ``toric._check_point``
+    must accept the Y-part.
+    """
+    n = table.context.n
+    if len(m.xpart) != n:
+        raise ValueError(f"the x-part must have {n} exponents, got {m.xpart}")
+    _check_point(m.ypart, table)
+
+
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
     """Reduce by the lowest-index applicable lead until none applies.
 
-    Raises ``ValueError`` on an x-part with other than one exponent per
-    variable, or a Y-part that ``toric.normal_form`` refuses.
+    Raises ``ValueError`` on a monomial that :func:`_check_monomial` refuses.
     """
-    n = basis.table.context.n
-    if len(m.xpart) != n:
-        raise ValueError(f"the x-part must have {n} exponents, got {m.xpart}")
-    _check_point(m.ypart, basis.table)
-    return _from_codes(basis._rules.normal_form(_codes(m)), n)
+    _check_monomial(m, basis.table)
+    return _from_codes(basis._rules.normal_form(_codes(m)), basis.table.context.n)
 
 
 def rees_gb(table: GeneratorTable) -> ReesBasis:
@@ -125,13 +133,20 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
     Every critical monomial of joint degree two or three is checked (see
     ``toric._check_overlaps``); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on an inconsistent marking, on an element whose
+    Raises ``ValueError`` on a lead or trail that :func:`_check_monomial`
+    refuses, on an inconsistent marking, on an element whose
     sides differ in image or t-degree (their sums over
     :func:`_configuration`), or on a lead whose joint degree is not two.  A
     failure is named by the image of its critical monomial.
     """
-    vectors = _configuration(basis.table)
-    return _verify(basis, rees_key, lambda w: tuple(map(sum, zip(*[vectors[c] for c in w]))))
+    table = basis.table
+    vectors = _configuration(table)
+    return _verify(
+        basis,
+        lambda m: _check_monomial(m, table),
+        rees_key,
+        lambda w: tuple(map(sum, zip(*[vectors[c] for c in w]))),
+    )
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

@@ -165,7 +165,7 @@ class MarkedBasis:
 
 def _check_point(point: FiberPoint, table: GeneratorTable) -> None:
     """Raise ``ValueError`` unless ``point`` lists generator indices of ``table``, ascending."""
-    if any(a > b for a, b in zip(point, point[1:])):
+    if list(point) != sorted(point):
         raise ValueError(f"generator indices must be ascending, got {point}")
     if point and not 0 <= point[0] <= point[-1] < len(table.generators):
         raise ValueError(f"generator indices must be in range({len(table.generators)}): {point}")
@@ -337,24 +337,30 @@ def _check_overlaps(
     return len(critical), failures
 
 
-def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
+def _verify(basis, check: Callable, key: Callable, multidegree: Callable) -> GroebnerReport:
     """Marking check, then the overlap check; the verifier behind both sides.
 
-    ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` unless every
-    element's lead has a larger ``key`` than its trail, and unless its lead
-    and trail have the same code length (t-degree, or joint degree) and the
-    same ``multidegree``, the sum of the word's configuration vectors: a
-    binomial that is not homogeneous is not in the ideal.  A Rees word's sum
-    carries its t-degree after the image, so a failure is named by the
-    first n coordinates, the image (see :func:`_check_overlaps`).
+    ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` when
+    ``check`` refuses a lead or trail, and unless every element's lead has a
+    larger ``key`` than its trail and its lead and trail have the same code
+    length (t-degree, or joint degree) and the same ``multidegree``, the sum
+    of the word's configuration vectors: a binomial that is not homogeneous
+    is not in the ideal.  A Rees word's sum carries its t-degree after the
+    image, so a failure is named by the first n coordinates, the image (see
+    :func:`_check_overlaps`).
 
     A word recurs across elements (in the full toric basis a trail is shared
-    by up to 50), so ``key`` and ``multidegree`` are taken once per distinct
-    code word, when an element first needs them.
+    by up to 50), so ``check``, ``key`` and ``multidegree`` are taken once
+    per distinct code word, when an element first needs them; ``check`` runs
+    before the other two, so no generator index is read unchecked.
     """
     rules = basis._rules
     keys: dict = {}
     degrees: dict = {}
+
+    def checked_key(side):
+        check(side)
+        return key(side)
 
     def once(memo: dict, measure: Callable, word: tuple[int, ...], arg):
         value = memo.get(word)
@@ -363,7 +369,7 @@ def _verify(basis, key: Callable, multidegree: Callable) -> GroebnerReport:
         return value
 
     for pos, (el, lead, trail) in enumerate(zip(basis.elements, rules.leads, rules.trails)):
-        if once(keys, key, lead, el.lead) <= once(keys, key, trail, el.trail):
+        if once(keys, checked_key, lead, el.lead) <= once(keys, checked_key, trail, el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
@@ -390,10 +396,17 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
 
     Checks every critical monomial of degree two or three (see
     :func:`_check_overlaps`); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on a lead that is not earlier than its trail in the
-    fiber sink order, or on a lead that is not quadratic.
+    Raises ``ValueError`` on a lead or trail that :func:`_check_point`
+    refuses, on a lead that is not earlier than its trail in the fiber sink
+    order, or on a lead that is not quadratic.
     """
-    return _verify(basis, fiber_sink_key, lambda m: point_product(basis.table, m))
+    table = basis.table
+    return _verify(
+        basis,
+        lambda m: _check_point(m, table),
+        fiber_sink_key,
+        lambda m: point_product(table, m),
+    )
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:

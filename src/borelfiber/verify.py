@@ -1,4 +1,8 @@
-"""Sweep-style checks of the unique-sink claim, fanned out in interleaved shares."""
+"""Sweep-style checks of the unique-sink claim, fanned out in interleaved shares.
+
+Each fiber is checked by scanning one later paired move per point; the
+fiber graph is built only for a fiber that fails the scan.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +14,11 @@ from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
     _component_labels,
+    _fiber_in_sink_order,
+    _later_moves,
     build_fiber_graph,
-    fiber_sink_key,
     fibers,
     find_sink_direct,
-    sinks,
 )
 from borelfiber.monomials import Monomial, format_monomial
 
@@ -24,33 +28,40 @@ def check_unique_sink(
 ) -> list[str]:
     """Violation descriptions for the fiber graph at mu; empty when all good.
 
-    Checks the oriented edges decrease in the fiber sink order, the graph is
-    connected (implied, and not recounted, when the edges all decrease and
-    there is one sink), the sink is unique and equal to the order minimum,
-    and the direct sink algorithm returns the same point.  ``points`` is the
-    fiber in descending sink order when the caller already has it (see
-    :func:`~borelfiber.fiber.fibers`); otherwise the fiber is enumerated.
+    ``points`` is the fiber in descending sink order when the caller already
+    has it (see :func:`~borelfiber.fiber.fibers`); otherwise the fiber is
+    enumerated.  A point is a sink exactly when it has no later paired move,
+    so the check scans each point's first later move and builds no edges:
+    that move must lead to a larger index, the one point without a move is
+    the sink, which must be the last point, and the direct sink algorithm
+    must return it.  With every scanned move forward and one sink, each
+    point walks forward to that sink, so the graph is connected; only
+    otherwise is the fiber graph built and its components counted.
     """
-    graph = build_fiber_graph(table, mu, points)
-    if not graph.vertices:
+    if points is None:
+        points = _fiber_in_sink_order(table, mu)
+    if not points:
         return []
+    later = table.later_pairs
+    index = {p: i for i, p in enumerate(points)}
     violations = []
-    keys = list(map(fiber_sink_key, graph.vertices))
-    for a, b in graph.edges:
-        if keys[a] <= keys[b]:
-            violations.append(f"edge {a}->{b} does not decrease in the sink order")
-    graph_sinks = sinks(graph)
-    # With every edge forward and one sink, each vertex walks forward to that
-    # sink, so the graph is connected; only otherwise are components counted.
-    if violations or len(graph_sinks) != 1:
-        if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
+    fiber_sinks = []
+    for i, z in enumerate(points):
+        target = next(_later_moves(later, z), None)
+        if target is None:
+            fiber_sinks.append(z)
+        elif index[target] <= i:
+            violations.append(f"edge {i}->{index[target]} does not decrease in the sink order")
+    if violations or len(fiber_sinks) != 1:
+        graph = build_fiber_graph(table, mu, points)
+        if len(set(_component_labels(len(points), graph.edges))) != 1:
             violations.append("fiber graph is disconnected")
-    if len(graph_sinks) != 1:
-        violations.append(f"{len(graph_sinks)} sinks instead of one")
+    if len(fiber_sinks) != 1:
+        violations.append(f"{len(fiber_sinks)} sinks instead of one")
     else:
-        if graph_sinks[0] != graph.vertices[-1]:
+        if fiber_sinks[0] != points[-1]:
             violations.append("sink differs from the sink-order minimum")
-        if find_sink_direct(table, mu) != graph_sinks[0]:
+        if find_sink_direct(table, mu) != fiber_sinks[0]:
             violations.append("direct sink disagrees with the graph sink")
     if not violations:
         return []

@@ -7,19 +7,24 @@ paths they check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
-from borelfiber.borel import GeneratorTable, _from_sigma, _lex_last_sigma, build_table
+from borelfiber.borel import GeneratorTable, _lex_last_sigma, build_table
 from borelfiber.fiber import (
     FiberGraph,
     FiberPoint,
+    _component_labels,
+    build_fiber_graph,
     fiber_point_type,
     fiber_sink_key,
     fibers,
+    find_sink_direct,
     point_product,
+    sinks,
 )
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
@@ -28,6 +33,7 @@ from borelfiber.monomials import (
     _check_same_length,
     borel_move,
     degree,
+    format_monomial,
     multiply,
     parse_monomial,
     reverse_borel_move,
@@ -48,6 +54,11 @@ ABC = VariableContext.default(3)
 
 # The paper's proof constructions that no library code calls.  They live
 # here, beside the oracles, and their tests import them from here.
+
+
+def _from_sigma(sums) -> Monomial:
+    """The monomial with the given cumulative exponent vector."""
+    return tuple(a - b for a, b in zip(sums, (*sums[1:], 0)))
 
 
 def divides(m1: Monomial, m2: Monomial) -> bool:
@@ -444,6 +455,49 @@ def has_gm_factorization(table, mu: Monomial) -> bool:
         and can_factor(table, tuple(r - e for r, e in zip(mu, g)))
         for g, tag in zip(table.generators, table.tags)
     )
+
+
+def with_cached(table: GeneratorTable, **values) -> GeneratorTable:
+    """A copy of ``table`` whose cached properties read the given values.
+
+    The negative controls use it to hand the checks corrupted move rows
+    (``later_pairs``) or suffix sums (``_peel_sums``).
+    """
+    copy = dataclasses.replace(table)
+    copy.__dict__.update(values)
+    return copy
+
+
+def unique_sink_by_graph(table, mu: Monomial, points: list[FiberPoint] | None = None) -> list[str]:
+    """``verify.check_unique_sink`` read off the whole fiber graph.
+
+    Builds every edge with ``build_fiber_graph``, checks that each decreases
+    in the sink order by comparing the endpoints' sink keys, counts the
+    graph's sinks by out-degree, and counts components whenever an edge goes
+    backward or the sinks are not one.  Reports the same messages in the
+    same order as the check.
+    """
+    graph = build_fiber_graph(table, mu, points)
+    if not graph.vertices:
+        return []
+    violations = []
+    keys = list(map(fiber_sink_key, graph.vertices))
+    for a, b in graph.edges:
+        if keys[a] <= keys[b]:
+            violations.append(f"edge {a}->{b} does not decrease in the sink order")
+    graph_sinks = sinks(graph)
+    if violations or len(graph_sinks) != 1:
+        if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
+            violations.append("fiber graph is disconnected")
+    if len(graph_sinks) != 1:
+        violations.append(f"{len(graph_sinks)} sinks instead of one")
+    else:
+        if graph_sinks[0] != graph.vertices[-1]:
+            violations.append("sink differs from the sink-order minimum")
+        if find_sink_direct(table, mu) != graph_sinks[0]:
+            violations.append("direct sink disagrees with the graph sink")
+    label = format_monomial(mu, table.context)
+    return [f"{label}: {v}" for v in violations]
 
 
 def sink_by_peeling(table, mu: Monomial) -> FiberPoint:

@@ -1,6 +1,6 @@
 """Property tests of the grouped fiber pass, the sink key, the direct sink,
-the closed forms of Borel(root), the reduction engine, monomial syntax and
-the sweep's parallel merge.
+the unique-sink scan, the closed forms of Borel(root), the reduction engine,
+monomial syntax and the sweep's parallel merge.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
@@ -56,6 +56,8 @@ from helpers import (
     reduce_for_fiber,
     sink_by_peeling,
     split_rees_reducer,
+    unique_sink_by_graph,
+    with_cached,
 )
 
 MAX_GENERATORS = 21
@@ -126,6 +128,34 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
                 assert find_sink_direct(table, mu) is None
     for mu, points in groups.items():
         assert sinks(build_fiber_graph(table, mu, points)) == [find_sink_direct(table, mu)]
+
+
+@st.composite
+def tables_with_dropped_moves(draw):
+    """A table whose paired-move rows each lose a drawn share of their moves.
+
+    Every move left still leads forward, so the scan and the graph oracle
+    see the same sinks, and a fiber split by the dropped moves gives both
+    the same violations.
+    """
+    table = draw(tables)
+    drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = {}
+    for pair, moves in table.later_pairs.items():
+        kept = tuple(move for move in moves if rnd.random() >= drop)
+        if kept:
+            rows[pair] = kept
+    return with_cached(table, later_pairs=rows)
+
+
+@checked(30)
+@given(tables_with_dropped_moves())
+def test_unique_sink_scan_matches_the_graph_oracle(table):
+    for mu, points in fibers(table.generators, 3).items():
+        assert verify.check_unique_sink(table, mu, points) == unique_sink_by_graph(
+            table, mu, points
+        )
 
 
 @st.composite

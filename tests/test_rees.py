@@ -201,6 +201,22 @@ class TestReesVerify:
         with pytest.raises(ValueError, match="element 0 is not homogeneous.* differ in multidegree$"):
             rees_buchberger_verify(bad)
 
+    @pytest.mark.parametrize(
+        "trail, what",
+        [
+            (ReesMonomial((0, 0), (0, 7)), re.escape("must be in range(3): (0, 7)")),
+            (ReesMonomial((0, 0, 0), (0, 0)), "x-part"),
+        ],
+        ids=["y-index-out-of-range", "three-exponent-x-part"],
+    )
+    def test_malformed_sides_rejected(self, square_table, trail, what):
+        # Borel(b^2) has three generators: Y_7 names none, and a three-exponent
+        # x-part does not fit two variables.  Both are refused before the
+        # configuration is read.
+        lead = ReesMonomial((0, 0), (0, 1))
+        with pytest.raises(ValueError, match=what):
+            rees_buchberger_verify(ReesBasis(square_table, (ReesBinomial(lead, trail),)))
+
     def test_shared_words_keep_both_marking_errors(self, square_table):
         # As on the toric side: each bad element shares a word with the valid
         # element before it, whose key and image are then taken from the memo.

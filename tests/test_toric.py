@@ -208,6 +208,14 @@ class TestBuchbergerVerify:
         with pytest.raises(ValueError, match=f"element 1 is not homogeneous.* differ in {what}$"):
             buchberger_verify(bad)
 
+    def test_generator_index_out_of_range_rejected(self):
+        # Borel(b^2) in two variables has three generators, so the trail
+        # (0, 7) names none; it must be refused before its product is taken.
+        table = build_two_borel((0, 2), (0, 2), CTX2)
+        bad = MarkedBasis(table, (MarkedBinomial((1, 1), (0, 7)),))
+        with pytest.raises(ValueError, match=re.escape("must be in range(3): (0, 7)")):
+            buchberger_verify(bad)
+
     def test_shared_words_keep_both_marking_errors(self, fig_table, fig_quadrics):
         # Key and multidegree are taken once per distinct word, so each bad
         # element below reads its shared word's measure from the valid

@@ -1,23 +1,26 @@
-"""Negative controls for the unique-sink checker and the sweep's worker clamp.
+"""Negative controls, the fast path and the graph oracle of the unique-sink
+checker, and the sweep's worker clamp.
 
-Each control patches a corrupted graph or direct sink into ``verify`` and
-checks that the matching violation is reported; the CLI must then exit 1.
-The clamp tests swap in a serial stand-in for the process pool, so they start
-no processes.
+The check reads the table's paired-move rows (``later_pairs``), the order
+of the fiber's points and the table's suffix sums for the direct sink.
+Each control corrupts one of these and pins the full violation list; the
+CLI must then exit 1.  The clamp tests swap in a serial stand-in for the
+process pool, so they start no processes.
 """
-
-import dataclasses
 
 import pytest
 
 from borelfiber import cli, verify
-from borelfiber.borel import build_two_borel
-from borelfiber.fiber import build_fiber_graph
-from borelfiber.monomials import format_monomial
+from borelfiber.borel import GeneratorTable, build_two_borel
+from borelfiber.fiber import build_fiber_graph, fibers
+from borelfiber.instances import suite_tables
+from borelfiber.monomials import format_monomial, sigma
 
-from helpers import SerialPool, mono
+from helpers import SerialPool, mono, unique_sink_by_graph, with_cached
 
 FIG_MU = (3, 9, 3)
+# A fiber of t-degree 2 with three points, small enough to give its moves by hand.
+PAIR_MU = (2, 6, 2)
 
 
 @pytest.fixture(scope="module")
@@ -30,94 +33,146 @@ def fig_label(fig_table):
     return format_monomial(FIG_MU, fig_table.context)
 
 
-def patch_graph(monkeypatch, corrupt):
-    """Make ``verify`` see ``corrupt(graph)`` instead of the true fiber graph."""
+@pytest.fixture(scope="module")
+def fig_points(fig_table):
+    return fibers(fig_table.generators, 3)[FIG_MU]
 
-    def corrupted(table, mu, points=None):
-        return corrupt(build_fiber_graph(table, mu, points))
 
-    monkeypatch.setattr(verify, "build_fiber_graph", corrupted)
+@pytest.fixture(scope="module")
+def pair_points(fig_table):
+    points = fibers(fig_table.generators, 2)[PAIR_MU]
+    assert len(points) == 3 and all(len(p) == 2 for p in points)
+    return points
 
 
 class TestNegativeControls:
     def test_true_graph_passes(self, fig_table):
         assert verify.check_unique_sink(fig_table, FIG_MU) == []
 
-    def test_flipped_edge(self, monkeypatch, fig_table, fig_label):
-        graph = build_fiber_graph(fig_table, FIG_MU)
-        a, b = graph.edges[0]
-        patch_graph(
-            monkeypatch,
-            lambda g: dataclasses.replace(g, edges=((b, a),) + g.edges[1:]),
-        )
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert f"{fig_label}: edge {b}->{a} does not decrease in the sink order" in violations
-
-    def test_edges_removed(self, monkeypatch, fig_table, fig_label):
-        patch_graph(monkeypatch, lambda g: dataclasses.replace(g, edges=()))
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert f"{fig_label}: fiber graph is disconnected" in violations
-        assert f"{fig_label}: 7 sinks instead of one" in violations
-
-    def test_two_cycle_beside_a_lone_sink(self, monkeypatch, fig_table, fig_label):
-        # One true edge and its flip form a 2-cycle; every other vertex points
-        # at the true sink.  One sink, yet two components: the check may not
-        # infer connectivity from the lone sink once an edge goes backward.
-        graph = build_fiber_graph(fig_table, FIG_MU)
-        last = len(graph.vertices) - 1
-        a, b = next(e for e in graph.edges if last not in e)
-        edges = ((a, b), (b, a)) + tuple((v, last) for v in range(last) if v not in (a, b))
-        patch_graph(monkeypatch, lambda g: dataclasses.replace(g, edges=edges))
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert violations == [
-            f"{fig_label}: edge {b}->{a} does not decrease in the sink order",
-            f"{fig_label}: fiber graph is disconnected",
+    def test_flipped_edge(self, fig_table, fig_points, fig_label):
+        # The sink (1,3,13) gets a move back to (0,3,12) by swapping the pair
+        # (1,13) for (0,12).  The graph stores that edge as (5, 6), so the
+        # graph-wide check could not see it go backward.
+        assert fig_points[5:] == [(0, 3, 12), (1, 3, 13)]
+        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, (1, 13): ((0, 12),)})
+        assert verify.check_unique_sink(corrupt, FIG_MU) == [
+            f"{fig_label}: edge 6->5 does not decrease in the sink order",
+            f"{fig_label}: 0 sinks instead of one",
         ]
 
-    def test_two_sinks(self, monkeypatch, fig_table, fig_label):
-        graph = build_fiber_graph(fig_table, FIG_MU)
-        source = graph.edges[0][0]
-        patch_graph(
-            monkeypatch,
-            lambda g: dataclasses.replace(g, edges=tuple(e for e in g.edges if e[0] != source)),
-        )
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert f"{fig_label}: 2 sinks instead of one" in violations
+    def test_edges_removed(self, fig_table, fig_label):
+        corrupt = with_cached(fig_table, later_pairs={})
+        assert verify.check_unique_sink(corrupt, FIG_MU) == [
+            f"{fig_label}: fiber graph is disconnected",
+            f"{fig_label}: 7 sinks instead of one",
+        ]
 
-    def test_sink_is_not_the_order_minimum(self, monkeypatch, fig_table, fig_label):
-        # The same graph with its vertices listed in ascending sink order.
-        def ascending(g):
-            last = len(g.vertices) - 1
-            return dataclasses.replace(
-                g,
-                vertices=g.vertices[::-1],
-                edges=tuple(sorted((last - a, last - b) for a, b in g.edges)),
-            )
+    def test_two_cycle_beside_a_lone_sink(self, fig_table, pair_points):
+        # The first two points move to each other and the last has no move:
+        # one sink, yet two components.  The check may not infer connectivity
+        # from the lone sink once a move goes backward.
+        p0, p1, _ = pair_points
+        corrupt = with_cached(fig_table, later_pairs={p0: (p1,), p1: (p0,)})
+        label = format_monomial(PAIR_MU, fig_table.context)
+        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+            f"{label}: edge 1->0 does not decrease in the sink order",
+            f"{label}: fiber graph is disconnected",
+        ]
 
-        patch_graph(monkeypatch, ascending)
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert violations == [f"{fig_label}: sink differs from the sink-order minimum"]
+    def test_move_to_itself(self, fig_table, pair_points):
+        # A move that leaves the sink where it is goes nowhere later.
+        sink = pair_points[-1]
+        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, sink: (sink,)})
+        label = format_monomial(PAIR_MU, fig_table.context)
+        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+            f"{label}: edge 2->2 does not decrease in the sink order",
+            f"{label}: 0 sinks instead of one",
+        ]
 
-    def test_wrong_direct_sink(self, monkeypatch, fig_table, fig_label):
-        source = build_fiber_graph(fig_table, FIG_MU).vertices[0]
-        monkeypatch.setattr(verify, "find_sink_direct", lambda table, mu: source)
-        violations = verify.check_unique_sink(fig_table, FIG_MU)
-        assert violations == [f"{fig_label}: direct sink disagrees with the graph sink"]
+    def test_two_sinks(self, fig_table, pair_points):
+        # The first point moves to both others; the graph is connected.
+        p0, p1, p2 = pair_points
+        corrupt = with_cached(fig_table, later_pairs={p0: (p1, p2)})
+        label = format_monomial(PAIR_MU, fig_table.context)
+        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+            f"{label}: 2 sinks instead of one",
+        ]
 
-    def test_sweep_reports_every_corrupted_fiber(self, monkeypatch):
-        table = build_two_borel(mono("ac"), mono("b^2"))
-        patch_graph(monkeypatch, lambda g: dataclasses.replace(g, edges=()))
+    def test_sink_is_not_the_order_minimum(self, fig_table, fig_points, fig_label):
+        # The last two points swapped: the sink is no longer last, and the
+        # point now last moves back to it.
+        reordered = fig_points[:5] + [fig_points[6], fig_points[5]]
+        assert verify.check_unique_sink(fig_table, FIG_MU, reordered) == [
+            f"{fig_label}: edge 6->5 does not decrease in the sink order",
+            f"{fig_label}: sink differs from the sink-order minimum",
+        ]
+
+    def test_wrong_direct_sink(self, fig_table, fig_label):
+        # Generator 1's suffix sums read as generator 0's index, so the direct
+        # sink peels (0,3,13) instead of the sink (1,3,13).
+        s_m, s_n, by_sums = fig_table._peel_sums
+        wrong = {**by_sums, sigma(fig_table.generators[1]): 0}
+        corrupt = with_cached(fig_table, _peel_sums=(s_m, s_n, wrong))
+        assert verify.check_unique_sink(corrupt, FIG_MU) == [
+            f"{fig_label}: direct sink disagrees with the graph sink"
+        ]
+
+    def test_sweep_reports_every_corrupted_fiber(self):
+        table = with_cached(build_two_borel(mono("ac"), mono("b^2")), later_pairs={})
         report = verify.sweep_unique_sinks(table, 2)
         assert report.status == "FAIL"
         assert any("fiber graph is disconnected" in v for v in report.violations)
 
     def test_cli_exits_one_on_a_violation(self, monkeypatch, capsys):
-        patch_graph(monkeypatch, lambda g: dataclasses.replace(g, edges=()))
+        monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: {}))
         code = cli.main(
             ["verify-unique-sinks", "--ideal", "{ac,b^2}", "--bound", "2", "--jobs", "1"]
         )
         assert code == cli.EXIT_VIOLATION
         assert '"status": "FAIL"' in capsys.readouterr().out
+
+
+class TestFastPath:
+    @pytest.fixture
+    def graph_calls(self, monkeypatch):
+        calls = []
+
+        def counted(table, mu, points=None):
+            calls.append(mu)
+            return build_fiber_graph(table, mu, points)
+
+        monkeypatch.setattr(verify, "build_fiber_graph", counted)
+        return calls
+
+    def test_a_clean_sweep_builds_no_graph(self, fig_table, graph_calls):
+        report = verify.sweep_unique_sinks(fig_table, 3)
+        assert report.ok and report.multidegrees_checked > 100
+        assert graph_calls == []
+
+    def test_one_corrupted_fiber_builds_one_graph(
+        self, monkeypatch, fig_table, fig_label, graph_calls
+    ):
+        def one_reordered(vectors, max_deg):
+            groups = fibers(vectors, max_deg)
+            points = groups[FIG_MU]
+            points[-2], points[-1] = points[-1], points[-2]
+            return groups
+
+        monkeypatch.setattr(verify, "fibers", one_reordered)
+        report = verify.sweep_unique_sinks(fig_table, 3)
+        assert report.violations == (
+            f"{fig_label}: edge 6->5 does not decrease in the sink order",
+            f"{fig_label}: sink differs from the sink-order minimum",
+        )
+        assert graph_calls == [FIG_MU]
+
+
+def test_scan_matches_the_graph_oracle_on_every_tenth_suite_table():
+    for table in suite_tables(cap=200)[::10]:
+        for mu, points in fibers(table.generators, 3).items():
+            assert verify.check_unique_sink(table, mu, points) == unique_sink_by_graph(
+                table, mu, points
+            )
 
 
 class TestJobsClamp:
