@@ -47,15 +47,6 @@ from borelfiber.monomials import Monomial, degree, format_monomial, sigma
 FiberPoint = tuple[int, ...]
 
 
-def point_product(table: GeneratorTable, point: FiberPoint) -> Monomial:
-    """Product of the point's factors; the unit monomial for the empty point."""
-    out = [0] * table.context.n
-    for idx in point:
-        for pos, e in enumerate(table.generators[idx]):
-            out[pos] += e
-    return tuple(out)
-
-
 def fiber_sink_key(point: FiberPoint) -> tuple:
     """Sort key for the fiber sink order; larger key means earlier point.
 

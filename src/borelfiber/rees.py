@@ -139,14 +139,7 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     :func:`_configuration`), or on a lead whose joint degree is not two.  A
     failure is named by the image of its critical monomial.
     """
-    table = basis.table
-    vectors = _configuration(table)
-    return _verify(
-        basis,
-        lambda m: _check_monomial(m, table),
-        rees_key,
-        lambda w: tuple(map(sum, zip(*[vectors[c] for c in w]))),
-    )
+    return _verify(basis, _check_monomial, rees_key, _configuration(basis.table))
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

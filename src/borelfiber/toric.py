@@ -29,16 +29,28 @@ rule at a time, and the overlap check reads its critical monomials off it.
 While every rule is quadratic, the rewriter steps a word of two or three
 codes in closed form: a quadratic word is a lead or nothing, and a cubic word
 steps by the least of its :func:`_cubic_steps`, a quadratic trail with one
-code put in place.  Those are the only words the overlap check reduces, and
-it looks its critical monomials up instead of scanning for them.
+code put in place.  Those are the only words the overlap check reduces.
+
+The overlap check counts its critical monomials instead of building them, and
+reduces only where two standard words could disagree.  Every rule keeps its
+word's configuration sum (``_verify`` checks it), so every normal form of a
+critical monomial is a standard word, one with no lead in it, of the
+monomial's fiber.  A fiber with one standard word of that length leaves
+nothing to disagree.  So the check lists the standard words of two and three
+codes, extending each standard pair by the codes that keep it standard, at a
+cost of at most (standard pairs x codes), and walks only the critical
+monomials whose sum two of them share.  A Groebner basis of the whole toric
+ideal walks none, since its standard words meet each fiber once (Sturmfels,
+*Groebner Bases and Convex Polytopes*, 1996, ch. 4), and a basis with no
+critical monomial skips the scan.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
@@ -47,7 +59,6 @@ from borelfiber.fiber import (
     enumerate_fiber,
     fiber_sink_key,
     fibers,
-    point_product,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
 
@@ -256,12 +267,54 @@ def _cubic_steps(rules: _Rules, word: tuple[int, ...]) -> list[tuple[int, tuple[
     return steps
 
 
+def _sum(vectors: Sequence[Monomial], word: tuple[int, ...]) -> Monomial:
+    """The configuration sum of a code word: a toric multidegree, or a Rees image and t-degree."""
+    return tuple(map(sum, zip(*[vectors[c] for c in word])))
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _colliding_sums(partners: list[int], vectors: Sequence[Monomial]) -> set:
+    """The (length, sum) keys that two standard words of two or three codes share.
+
+    ``partners[c]`` has bit w set when (c, w) is a lead.  A word is standard
+    when none of its code pairs is a lead, so the standard words are closed
+    under division: a standard cubic word (a, b, c) extends a standard pair
+    (a, b) by a code c >= b with (a, c) and (b, c) standard too.  With
+    ``standard[a]`` the codes c >= a that make (a, c) standard, those c are
+    ``standard[a] & standard[b]``, so the scan costs one mask per standard
+    pair and one sum per standard word: at most (standard pairs x codes).
+    """
+    every = (1 << len(vectors)) - 1
+    standard = [every >> a << a & ~mask for a, mask in enumerate(partners)]
+    seen: set = set()
+    colliding: set = set()
+    for a, above in enumerate(standard):
+        for b in _bits(above):
+            words = [(a, b)]
+            words.extend((a, b, c) for c in _bits(above & standard[b]))
+            for word in words:
+                key = (len(word), _sum(vectors, word))
+                if key in seen:
+                    colliding.add(key)
+                else:
+                    seen.add(key)
+    return colliding
+
+
 def _check_overlaps(
-    rules: _Rules, multidegree: Callable[[tuple[int, ...]], Monomial]
+    rules: _Rules, vectors: Sequence[Monomial], n: int
 ) -> tuple[int, list[SPairFailure]]:
     """Diamond-lemma check of marked rules with quadratic leads.
 
-    ``multidegree(m)`` names the critical monomial ``m`` in a failure.
+    ``vectors`` is the configuration, one vector per code; the first ``n``
+    coordinates of a critical monomial's sum name it in a failure.
     Reduction terminates, so by Newman's lemma the rules form a Groebner
     basis exactly when every one-step reduct of every critical monomial
     reaches the same normal form.  Two leads that share no code commute
@@ -277,22 +330,35 @@ def _check_overlaps(
     every monomial below the one at hand has one normal form, so joining each
     copy to the first, and the first rules to each other, joins all one-step
     reducts.  Returns the number of critical monomials and one failure for
-    each that disagrees.
+    each that disagrees, in ascending order of the monomial.
 
-    Critical monomials are looked up, not searched for.  ``partners[c]``
-    holds the codes that share a lead with code ``c``, so the cubic critical
-    monomials of a lead (a, b) are the lead times each w in
-    (partners[a] - {b}) | (partners[b] - {a}), or in partners[a] - {a} when
-    a = b, with w put in place.
+    Reducts are walked only where two standard words could disagree.
+    ``_verify`` has checked that every rule keeps its word's length and
+    configuration sum, so every reduct of a critical monomial m, and every
+    normal form of one, lies in m's fiber, and a normal form is a standard
+    word: it contains no lead.  If m's fiber holds one standard word of m's
+    length, every reduct reaches it and m cannot fail.  So the standard
+    words of two and three codes are scanned by :func:`_colliding_sums`,
+    which costs at most (standard pairs x codes), and only the critical
+    monomials whose sum two standard words share are walked.  The scan is
+    skipped when there is no critical monomial, and the walk when no sum is
+    shared.
 
-    Every word the check reduces has two or three codes, and every lead and
+    Critical monomials are counted, not built: each once, from its least
+    lead divisor.  ``partners[c]`` has bit w set when (c, w) is a lead.  A
+    lead (a, b) with a < b counts the partners w of a or b, other than the
+    lead's own codes, with w >= b, and the partners w of b with a < w < b
+    that are not partners of a; a lead (a, a) counts the partners w > a; a
+    lead carried by two or more rules counts itself.
+
+    Every word the walk reduces has two or three codes, and every lead and
     trail is quadratic (``_verify`` checks that lead and trail have one
     length), so :meth:`_Rules.normal_form` walks them in closed form and keeps
     them in the rules' cache.  A cubic critical monomial's one-step reducts
     are all its :func:`_cubic_steps`.
     """
     by_lead = rules.by_lead
-    partners: dict[int, set[int]] = {}
+    partners = [0] * len(vectors)
     for lead, positions in by_lead.items():
         if len(lead) != 2:
             raise ValueError(
@@ -300,22 +366,32 @@ def _check_overlaps(
                 "the overlap check needs quadratic leads"
             )
         a, b = lead
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-    critical = {lead for lead, positions in by_lead.items() if len(positions) > 1}
-    add = critical.add
+        partners[a] |= 1 << b
+        partners[b] |= 1 << a
+    # Each lead's counted codes w: a mask of those with w >= b, and one of a < w < b.
+    extras = {}
     for a, b in by_lead:
+        pa, pb = partners[a], partners[b]
         if a == b:
-            extra = partners[a] - {a}
+            extras[a, b] = (pa >> (a + 1) << (a + 1), 0)
         else:
-            extra = (partners[a] - {b}) | (partners[b] - {a})
-        for w in extra:
-            if w <= a:
-                add((w, a, b))
-            elif w <= b:
-                add((a, w, b))
-            else:
-                add((a, b, w))
+            between = ((1 << b) - 1) >> (a + 1) << (a + 1)
+            extras[a, b] = ((pa & ~(1 << b) | pb) >> b << b, pb & ~pa & between)
+    checked = sum(len(positions) > 1 for positions in by_lead.values()) + sum(
+        (high | low).bit_count() for high, low in extras.values()
+    )
+    if not checked:
+        return 0, []
+    colliding = _colliding_sums(partners, vectors)
+    if not colliding:
+        return checked, []
+    critical = []
+    for lead, (high, low) in extras.items():
+        a, b = lead
+        if len(by_lead[lead]) > 1 and (2, _sum(vectors, lead)) in colliding:
+            critical.append(lead)
+        words = [(a, b, w) for w in _bits(high)] + [(a, w, b) for w in _bits(low)]
+        critical.extend(m for m in words if (3, _sum(vectors, m)) in colliding)
     trails, normal_form = rules.trails, rules.normal_form
     failures = []
     for m in sorted(critical):
@@ -332,34 +408,36 @@ def _check_overlaps(
         target = normal_form(first_reduct[0])
         for z, pos in rest:
             if normal_form(z) != target:
-                failures.append(SPairFailure(first_reduct[1], pos, multidegree(m)))
+                failures.append(SPairFailure(first_reduct[1], pos, _sum(vectors, m)[:n]))
                 break
-    return len(critical), failures
+    return checked, failures
 
 
-def _verify(basis, check: Callable, key: Callable, multidegree: Callable) -> GroebnerReport:
+def _verify(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
     """Marking check, then the overlap check; the verifier behind both sides.
 
-    ``basis`` is a toric or a Rees basis.  Raises ``ValueError`` when
-    ``check`` refuses a lead or trail, and unless every element's lead has a
-    larger ``key`` than its trail and its lead and trail have the same code
-    length (t-degree, or joint degree) and the same ``multidegree``, the sum
-    of the word's configuration vectors: a binomial that is not homogeneous
-    is not in the ideal.  A Rees word's sum carries its t-degree after the
-    image, so a failure is named by the first n coordinates, the image (see
+    ``basis`` is a toric or a Rees basis, and ``vectors`` its configuration:
+    the table's generators, or ``rees._configuration``.  Raises
+    ``ValueError`` when ``check(side, basis.table)`` refuses a lead or trail,
+    and unless every element's lead has a larger ``key`` than its trail and
+    its lead and trail have the same code length (t-degree, or joint degree)
+    and the same configuration sum (multidegree, or image and t-degree): a
+    binomial that is not homogeneous is not in the ideal.  A failure is named
+    by the first n coordinates of its sum, the multidegree or the image (see
     :func:`_check_overlaps`).
 
     A word recurs across elements (in the full toric basis a trail is shared
-    by up to 50), so ``check``, ``key`` and ``multidegree`` are taken once
-    per distinct code word, when an element first needs them; ``check`` runs
-    before the other two, so no generator index is read unchecked.
+    by up to 50), so ``check``, ``key`` and the sum are taken once per
+    distinct code word, when an element first needs them; ``check`` runs
+    before the other two, so no code is read unchecked.
     """
     rules = basis._rules
     keys: dict = {}
-    degrees: dict = {}
+    sums: dict = {}
+    total = partial(_sum, vectors)
 
     def checked_key(side):
-        check(side)
+        check(side, basis.table)
         return key(side)
 
     def once(memo: dict, measure: Callable, word: tuple[int, ...], arg):
@@ -373,16 +451,15 @@ def _verify(basis, check: Callable, key: Callable, multidegree: Callable) -> Gro
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
-        if len(lead) != len(trail) or once(degrees, multidegree, lead, lead) != once(
-            degrees, multidegree, trail, trail
+        if len(lead) != len(trail) or once(sums, total, lead, lead) != once(
+            sums, total, trail, trail
         ):
             what = "degree" if len(lead) != len(trail) else "multidegree"
             raise ValueError(
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
-    n = basis.table.context.n
-    checked, failures = _check_overlaps(rules, lambda m: multidegree(m)[:n])
+    checked, failures = _check_overlaps(rules, vectors, basis.table.context.n)
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,
@@ -400,13 +477,7 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
     refuses, on a lead that is not earlier than its trail in the fiber sink
     order, or on a lead that is not quadratic.
     """
-    table = basis.table
-    return _verify(
-        basis,
-        lambda m: _check_point(m, table),
-        fiber_sink_key,
-        lambda m: point_product(table, m),
-    )
+    return _verify(basis, _check_point, fiber_sink_key, basis.table.generators)
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:

@@ -23,7 +23,6 @@ from borelfiber.fiber import (
     fiber_sink_key,
     fibers,
     find_sink_direct,
-    point_product,
     sinks,
 )
 from borelfiber.instances import suite_tables
@@ -46,6 +45,7 @@ from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
     SPairFailure,
+    _cubic_steps,
     normal_form,
 )
 
@@ -186,6 +186,15 @@ def replacement_move(table: GeneratorTable, mu: Monomial, point: FiberPoint) -> 
     raise RuntimeError("another factor must carry the freed variable")
 
 
+def point_product(table: GeneratorTable, point: FiberPoint) -> Monomial:
+    """Product of the point's factors; the unit monomial for the empty point."""
+    out = [0] * table.context.n
+    for idx in point:
+        for pos, e in enumerate(table.generators[idx]):
+            out[pos] += e
+    return tuple(out)
+
+
 def rees_image(table, m: ReesMonomial) -> Monomial:
     """Multidegree of a Rees monomial: the x-part times the Y factors' product."""
     return multiply(m.xpart, point_product(table, m.ypart))
@@ -304,6 +313,47 @@ def critical_monomials_by_pairs(leads: list[tuple]) -> set[tuple]:
     return out
 
 
+def overlap_report_by_walk(basis, vectors) -> GroebnerReport:
+    """Reference overlap check: build, sort and reduce every critical monomial.
+
+    The overlap check as it was before it learned to skip the fibers with
+    one standard word: the critical monomials are built from the codes that
+    share a lead with a lead's codes, and every one of them is reduced, so
+    it checks which monomials ``toric._check_overlaps`` walks.  ``vectors``
+    is the basis's configuration; a failure is named by the first n
+    coordinates of its critical monomial's sum.  Assumes the marking and
+    homogeneity checks of ``toric._verify`` pass.
+    """
+    rules = basis._rules
+    by_lead, trails = rules.by_lead, rules.trails
+    partners: dict[int, set[int]] = {}
+    for a, b in by_lead:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    critical = {lead for lead, positions in by_lead.items() if len(positions) > 1}
+    for a, b in by_lead:
+        extra = partners[a] - {a} if a == b else (partners[a] - {b}) | (partners[b] - {a})
+        critical.update(tuple(sorted((a, b, w))) for w in extra)
+    n = basis.table.context.n
+    failures = []
+    for m in sorted(critical):
+        if len(m) == 2:
+            steps = [(pos, trails[pos]) for pos in by_lead[m]]
+        else:
+            steps = _cubic_steps(rules, m)
+        reducts: dict = {}
+        for pos, z in steps:
+            reducts.setdefault(z, pos)
+        first, *rest = reducts.items()
+        target = rules.normal_form(first[0])
+        for z, pos in rest:
+            if rules.normal_form(z) != target:
+                total = tuple(map(sum, zip(*[vectors[c] for c in m])))
+                failures.append(SPairFailure(first[1], pos, total[:n]))
+                break
+    return _report(failures, critical, basis.table)
+
+
 def mono(text: str, context: VariableContext = ABC) -> Monomial:
     return parse_monomial(text, context)
 
@@ -316,6 +366,14 @@ def cross_check_tables() -> list:
     """The figure ideal, the three-Borel example and every 10th suite table."""
     three_borel = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
     return [build_table(monos("a^2c^3", "b^4c")), three_borel] + suite_tables(cap=200)[::10]
+
+
+def family_table(r: int) -> GeneratorTable:
+    """The three-Borel table of ``counterexample --r r``: f, g and h in three variables."""
+    f = (r, 0, r * (r - 2))
+    g = (0, r * (r - 1), 0)
+    h = (r - 1, r - 1, (r - 1) * (r - 2))
+    return build_table([f, g, h], ABC)
 
 
 def pair_transitions(table) -> list[list[list[tuple[int, int]]]]:

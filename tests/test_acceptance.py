@@ -24,7 +24,7 @@ from borelfiber.toric import (
     quadric_generators,
 )
 from borelfiber.rees import rees_buchberger_verify, rees_gb
-from borelfiber.verify import check_unique_sink
+from borelfiber.verify import sweep_unique_sinks
 
 from helpers import mono, monos
 
@@ -100,13 +100,20 @@ def test_criterion_2_generator_counts():
 
 
 def test_criterion_3_unique_sink_sweep(suite):
+    # One grouped pass per table; test_grouped_pass_matches_per_fiber_enumeration
+    # holds that pass to the per-fiber enumeration.
     start = time.monotonic()
     violations = []
     fibers = 0
-    for table in suite:
-        for mu in sweep_multidegrees(table, 3):
-            fibers += 1
-            violations.extend(check_unique_sink(table, mu))
+    for idx, table in enumerate(suite):
+        report = sweep_unique_sinks(table, 3, jobs=1)
+        expected = len(sweep_multidegrees(table, 3))
+        if report.multidegrees_checked != expected:
+            violations.append(
+                f"instance {idx}: {report.multidegrees_checked} fibers checked, {expected} expected"
+            )
+        fibers += report.multidegrees_checked
+        violations.extend(report.violations)
     elapsed = time.monotonic() - start
     ok = not violations and elapsed < 300.0
     verdict(

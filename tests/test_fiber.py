@@ -9,7 +9,6 @@ from borelfiber.fiber import (
     fibers,
     find_sink_direct,
     graph_to_json,
-    point_product,
     sinks,
     to_dot,
     vertex_label,
@@ -21,6 +20,7 @@ from helpers import (
     lex_last_divisor,
     mono,
     monos,
+    point_product,
     reduce_for_fiber,
     replacement_move,
 )

@@ -7,29 +7,39 @@ on the drop-one mutants of the figure ideal's bases, which are the negative
 controls.  The check reduces through ``_Rules``, which steps its words of two
 and three codes in closed form; ``TestClosedFormReducer`` holds those steps
 to the scan helpers, and ``TestPinnedMutantReports`` holds every mutant's
-report to the one the generic lookup gave.
+report to the one the generic lookup gave.  The check walks reducts only in
+fibers that hold two standard words; ``TestWalkOnlyCollidingFibers`` holds
+its reports to the walk over every critical monomial and pins the fibers it
+walks.
 """
 
 import json
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelfiber.borel import build_two_borel
-from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers, point_product
-from borelfiber.monomials import unit
+from borelfiber import toric
+from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
+from borelfiber.instances import random_tables, suite_tables
+from borelfiber.monomials import format_monomial, unit
 from borelfiber.rees import (
     ReesBasis,
     ReesBinomial,
     ReesMonomial,
     _codes,
+    _configuration,
     rees_buchberger_verify,
     rees_gb,
 )
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
+    _colliding_sums,
     _cubic_steps,
     _Rules,
     buchberger_verify,
@@ -41,17 +51,20 @@ import helpers
 from helpers import (
     contains,
     critical_monomials_by_pairs,
+    family_table,
     lcm,
-    swap,
     mono,
     normal_form_by_scan,
+    overlap_report_by_walk,
     pairwise_buchberger,
     pairwise_rees_buchberger,
+    point_product,
     rees_apply,
     rees_image,
     rees_word,
     split_rees_reducer,
     step_by_scan,
+    swap,
 )
 
 
@@ -391,3 +404,95 @@ class TestPinnedMutantReports:
         ]
         assert self.tally(pinned["rees"]) == (46, 498)
         assert reports == pinned["rees"]
+
+
+@lru_cache(maxsize=None)
+def reference_tables() -> tuple:
+    return tuple(suite_tables(cap=200) + random_tables(50, seed=20250809))
+
+
+BASES = {
+    "full": (quadric_generators, buchberger_verify, lambda table: table.generators),
+    "reduced": (
+        lambda table: quadric_generators(table, interreduce=True),
+        buchberger_verify,
+        lambda table: table.generators,
+    ),
+    "rees": (rees_gb, rees_buchberger_verify, _configuration),
+}
+
+
+@st.composite
+def sub_bases(draw):
+    """A toric or Rees basis of a suite or random table, with up to 3 elements dropped."""
+    table = draw(st.sampled_from(reference_tables()))
+    kind = draw(st.sampled_from(sorted(BASES)))
+    build, verify, configuration = BASES[kind]
+    basis = build(table)
+    size = len(basis.elements)
+    dropped = draw(st.sets(st.integers(0, size - 1), max_size=min(3, size))) if size else set()
+    elements = tuple(el for i, el in enumerate(basis.elements) if i not in dropped)
+    return type(basis)(table, elements), verify, configuration(table)
+
+
+def colliding_multidegrees(basis):
+    """The shared sums of the toric basis's standard words, as (length, multidegree text)."""
+    vectors = basis.table.generators
+    partners = [0] * len(vectors)
+    for a, b in basis._rules.by_lead:
+        partners[a] |= 1 << b
+        partners[b] |= 1 << a
+    return {
+        (length, format_monomial(total, basis.table.context))
+        for length, total in _colliding_sums(partners, vectors)
+    }
+
+
+class TestWalkOnlyCollidingFibers:
+    """The overlap check walks only the fibers that hold two standard words.
+
+    Its report, failures and their order included, must be the one of the
+    walk over every critical monomial (``overlap_report_by_walk``).
+    """
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(sub_bases())
+    def test_reports_match_the_full_walk(self, drawn):
+        basis, verify, vectors = drawn
+        assert verify(basis).to_json() == overlap_report_by_walk(basis, vectors).to_json()
+
+    def test_drop_one_mutants_of_the_reduced_basis(self, cross_check_tables):
+        # Every deletion from a reduced basis loses its lead, so most mutants fail.
+        failing = 0
+        for table in cross_check_tables[:4]:
+            elements = quadric_generators(table, interreduce=True).elements
+            for mutant in _drop_one(elements):
+                basis = MarkedBasis(table, mutant)
+                report = buchberger_verify(basis).to_json()
+                assert report == overlap_report_by_walk(basis, table.generators).to_json()
+                failing += report["status"] == "FAIL"
+        assert failing > 0
+
+    @pytest.mark.parametrize(
+        "r, expected",
+        [(3, {"a^6b^6c^6"}), (4, {"a^9b^11c^16", "a^9b^12c^15"})],
+    )
+    def test_counterexample_family(self, r, expected):
+        # The quadrics generate less than the toric ideal there: the cubic
+        # fibers with a minimal cubic generator hold two standard words.
+        # They are walked, and the quadrics still pass.
+        table = family_table(r)
+        for interreduce in (False, True):
+            basis = quadric_generators(table, interreduce)
+            assert colliding_multidegrees(basis) == {(3, mu) for mu in expected}
+            assert buchberger_verify(basis).status == "PASS"
+
+    def test_no_critical_monomial_skips_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scan ran without a critical monomial")
+
+        monkeypatch.setattr(toric, "_colliding_sums", refuse)
+        table = family_table(5)
+        assert len(table.generators) == 153
+        report = buchberger_verify(MarkedBasis(table, ()))
+        assert (report.status, report.pairs_checked) == ("PASS", 0)

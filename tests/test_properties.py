@@ -29,7 +29,6 @@ from borelfiber.fiber import (
     fiber_sink_key,
     fibers,
     find_sink_direct,
-    point_product,
     sinks,
 )
 from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
@@ -52,6 +51,7 @@ from helpers import (
     has_gm_factorization,
     lex_last_divisor,
     lex_last_divisor_by_scan,
+    point_product,
     principal_by_filter,
     reduce_for_fiber,
     sink_by_peeling,

@@ -11,7 +11,6 @@ from borelfiber.fiber import (
     fiber_sink_key,
     fibers,
     find_sink_direct,
-    point_product,
     sinks,
 )
 from borelfiber.instances import suite_tables
@@ -38,6 +37,7 @@ from helpers import (
     monos,
     normal_form_by_scan,
     pairwise_buchberger,
+    point_product,
 )
 
 CTX2 = VariableContext.default(2)
