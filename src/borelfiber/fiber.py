@@ -10,7 +10,8 @@ graded reverse lex order on the table's variable order.
 
 Fibers come from two enumerations.  :func:`fibers` builds every point of a
 configuration (one vector per code) up to a degree bound in one pass, level
-by level, and groups the points by vector sum.  The toric configuration is
+by level, and groups the points by vector sum, each sum carried as one
+packed integer (:func:`_pack`).  The toric configuration is
 the table's generators, and the Rees algebra is the toric ring of a larger
 one (see ``rees``).  Sweeps, the quadrics, the Rees lift and the completion
 oracle use it, because they need every fiber up to the bound anyway.
@@ -36,9 +37,10 @@ graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg, sub
+from operator import neg, sub
 from typing import Optional, Sequence
 
 from borelfiber.borel import GeneratorTable, _lex_last_sigma
@@ -59,37 +61,97 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     return (len(point), tuple(map(neg, point[::-1])))
 
 
+def _pack(vectors: Sequence[Monomial], length: int) -> tuple[list[int], int]:
+    """Each vector as one non-negative integer, and the bits of one coordinate.
+
+    Coordinate 0 takes the highest bits, and every coordinate gets ``width``
+    bits, enough for ``length`` times the largest coordinate.  So a sum of at
+    most ``length`` vectors never carries from one coordinate into the next:
+    the sum of the packed vectors is the packed sum, which :func:`_unpack`
+    reads back.  Packing is then injective on those sums, and integer order
+    on them is lex order on the unpacked sums.  Raises ``ValueError`` when the
+    vectors differ in length or a coordinate is negative.
+    """
+    size = len(vectors[0]) if vectors else 0
+    for vector in vectors:
+        if len(vector) != size:
+            raise ValueError(
+                f"configuration vectors differ in length: {tuple(vectors[0])} and {tuple(vector)}"
+            )
+    coordinates = [x for vector in vectors for x in vector]
+    if coordinates and min(coordinates) < 0:
+        raise ValueError(f"configuration coordinates must be non-negative, got {min(coordinates)}")
+    width = max(1, (length * max(coordinates, default=0)).bit_length())
+    packed = []
+    for vector in vectors:
+        total = 0
+        for x in vector:
+            total = total << width | x
+        packed.append(total)
+    return packed, width
+
+
+def _unpack(totals: list[int], width: int, size: int) -> list[Monomial]:
+    """The ``size`` coordinates of each sum packed by :func:`_pack` with ``width`` bits each.
+
+    One pass over the sums per coordinate; the tuples are zipped from the columns.
+    """
+    if not size:
+        return [()] * len(totals)
+    mask = (1 << width) - 1
+    shifts = range(width * (size - 1), -1, -width)
+    return list(zip(*[[total >> shift & mask for total in totals] for shift in shifts]))
+
+
 def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[FiberPoint]]:
     """Every nonempty fiber of degree 1..max_deg of a configuration, keyed by sum.
 
     A configuration lists one vector per code, and a point is an ascending
     code tuple; the toric configuration is ``table.generators``.  Builds the
     points one degree at a time, extending each point of the last level by
-    every code at least its last one and its sum by one addition.  Keys come
-    in ascending (point length, key) order, (degree, mu) order on the toric
-    side, and each fiber lists its points in descending sink order, as
-    :func:`build_fiber_graph` orders its vertices.
+    every code at least its last one.  A point's sum is carried packed into
+    one integer (:func:`_pack`, sized for ``max_deg`` codes), so extending a
+    point adds one integer, and each level's points are grouped by that
+    integer, which is injective on sums of up to ``max_deg`` vectors.  A
+    level's keys are sorted as integers, which is lex order on the sums, and
+    unpacked together.  So keys come in ascending (point length, key) order,
+    (degree, mu) order on the toric side, and each fiber lists its points in
+    descending sink order, as :func:`build_fiber_graph` orders its vertices.
+
+    Raises ``ValueError`` when the vectors differ in length, when a
+    coordinate is negative (packing needs non-negative sums), and when points
+    of two lengths share a sum, since a fiber holds points of one length.
     """
     if max_deg < 1:
         raise ValueError("the degree bound must be at least 1")
-    groups: dict[Monomial, list[FiberPoint]] = {}
-    level: list[tuple[FiberPoint, Monomial]] = []
-    for idx, vector in enumerate(vectors):
-        level.append(((idx,), vector))
-        groups.setdefault(vector, []).append((idx,))
+    packed, width = _pack(vectors, max_deg)
+    size = len(vectors[0]) if vectors else 0
+    singles = [(idx,) for idx in range(len(packed))]
+    groups: dict[int, list[FiberPoint]] = defaultdict(list)
+    for single, total in zip(singles, packed):
+        groups[total].append(single)
+    levels = [groups]
     for _ in range(max_deg - 1):
-        extended = []
-        for point, total in level:
-            for idx in range(point[-1], len(vectors)):
-                grown = point + (idx,)
-                grown_total = tuple(map(add, total, vectors[idx]))
-                extended.append((grown, grown_total))
-                groups.setdefault(grown_total, []).append(grown)
-        level = extended
-    for points in groups.values():
-        # A fiber's points share one length, so reversed tuples ascend in descending sink order.
-        points.sort(key=lambda p: p[::-1])
-    return {key: groups[key] for key in sorted(groups, key=lambda k: (len(groups[k][0]), k))}
+        grown: dict[int, list[FiberPoint]] = defaultdict(list)
+        for total, points in groups.items():
+            for point in points:
+                last = point[-1]
+                for single, vector in zip(singles[last:], packed[last:]):
+                    grown[total + vector].append(point + single)
+        levels.append(grown)
+        groups = grown
+    out: dict[Monomial, list[FiberPoint]] = {}
+    for groups in levels:
+        totals = sorted(groups)
+        for total, key in zip(totals, _unpack(totals, width, size)):
+            if key in out:
+                raise ValueError(f"points of different lengths share the sum {key}")
+            points = groups[total]
+            if len(points) > 1:
+                # One length per fiber: reversed tuples ascend in descending sink order.
+                points.sort(key=lambda p: p[::-1])
+            out[key] = points
+    return out
 
 
 def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:

@@ -43,19 +43,31 @@ monomials whose sum two of them share.  A Groebner basis of the whole toric
 ideal walks none, since its standard words meet each fiber once (Sturmfels,
 *Groebner Bases and Convex Polytopes*, 1996, ch. 4), and a basis with no
 critical monomial skips the scan.
+
+Every configuration sum here is one integer, packed by ``fiber._pack``, the
+one sum path that ``fiber.fibers`` uses too.  Each coordinate gets the bits
+of L times the largest coordinate, L the longest word summed (three for the
+scan, the longest lead or trail for the homogeneity check), so a sum of at
+most L vectors carries into no other coordinate.  A word's packed sum is
+then one integer addition per code, two words share it exactly when they
+share their sum, and a cubic word's sum is its pair's sum plus one packed
+vector.  A failure's name is unpacked from it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Sequence
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
     _component_labels,
+    _pack,
+    _unpack,
     enumerate_fiber,
     fiber_sink_key,
     fibers,
@@ -267,11 +279,6 @@ def _cubic_steps(rules: _Rules, word: tuple[int, ...]) -> list[tuple[int, tuple[
     return steps
 
 
-def _sum(vectors: Sequence[Monomial], word: tuple[int, ...]) -> Monomial:
-    """The configuration sum of a code word: a toric multidegree, or a Rees image and t-degree."""
-    return tuple(map(sum, zip(*[vectors[c] for c in word])))
-
-
 def _bits(mask: int):
     """The set bits of ``mask``, lowest first."""
     while mask:
@@ -280,32 +287,36 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _colliding_sums(partners: list[int], vectors: Sequence[Monomial]) -> set:
-    """The (length, sum) keys that two standard words of two or three codes share.
+def _colliding_sums(partners: list[int], packed: list[int]) -> tuple[set[int], set[int]]:
+    """The packed sums that two standard words share: of two codes, and of three.
 
-    ``partners[c]`` has bit w set when (c, w) is a lead.  A word is standard
-    when none of its code pairs is a lead, so the standard words are closed
-    under division: a standard cubic word (a, b, c) extends a standard pair
-    (a, b) by a code c >= b with (a, c) and (b, c) standard too.  With
+    ``packed`` is the configuration packed for words of three codes
+    (``fiber._pack``), so a word's packed sum is its configuration sum, one
+    integer per sum.  ``partners[c]`` has bit w set when (c, w) is a lead.  A
+    word is standard when none of its code pairs is a lead, so the standard
+    words are closed under division: a standard cubic word (a, b, c) extends
+    a standard pair (a, b) by a code c >= b with (a, c) and (b, c) standard
+    too, and its sum is the pair's sum plus one packed vector.  With
     ``standard[a]`` the codes c >= a that make (a, c) standard, those c are
     ``standard[a] & standard[b]``, so the scan costs one mask per standard
-    pair and one sum per standard word: at most (standard pairs x codes).
+    pair and one addition per standard word: at most (standard pairs x codes).
     """
-    every = (1 << len(vectors)) - 1
+    every = (1 << len(packed)) - 1
     standard = [every >> a << a & ~mask for a, mask in enumerate(partners)]
-    seen: set = set()
-    colliding: set = set()
+    pair_sums: list[int] = []
+    cubic_sums: list[int] = []
     for a, above in enumerate(standard):
+        first = packed[a]
         for b in _bits(above):
-            words = [(a, b)]
-            words.extend((a, b, c) for c in _bits(above & standard[b]))
-            for word in words:
-                key = (len(word), _sum(vectors, word))
-                if key in seen:
-                    colliding.add(key)
-                else:
-                    seen.add(key)
-    return colliding
+            pair = first + packed[b]
+            pair_sums.append(pair)
+            cubic_sums.extend([pair + packed[c] for c in _bits(above & standard[b])])
+    return _shared(pair_sums), _shared(cubic_sums)
+
+
+def _shared(sums: list[int]) -> set[int]:
+    """The values that occur more than once in ``sums``."""
+    return {total for total, count in Counter(sums).items() if count > 1}
 
 
 def _check_overlaps(
@@ -382,16 +393,18 @@ def _check_overlaps(
     )
     if not checked:
         return 0, []
-    colliding = _colliding_sums(partners, vectors)
-    if not colliding:
+    packed, width = _pack(vectors, 3)
+    pairs, cubics = _colliding_sums(partners, packed)
+    if not pairs and not cubics:
         return checked, []
     critical = []
     for lead, (high, low) in extras.items():
         a, b = lead
-        if len(by_lead[lead]) > 1 and (2, _sum(vectors, lead)) in colliding:
+        pair = packed[a] + packed[b]
+        if len(by_lead[lead]) > 1 and pair in pairs:
             critical.append(lead)
-        words = [(a, b, w) for w in _bits(high)] + [(a, w, b) for w in _bits(low)]
-        critical.extend(m for m in words if (3, _sum(vectors, m)) in colliding)
+        critical.extend((a, b, w) for w in _bits(high) if pair + packed[w] in cubics)
+        critical.extend((a, w, b) for w in _bits(low) if pair + packed[w] in cubics)
     trails, normal_form = rules.trails, rules.normal_form
     failures = []
     for m in sorted(critical):
@@ -408,7 +421,8 @@ def _check_overlaps(
         target = normal_form(first_reduct[0])
         for z, pos in rest:
             if normal_form(z) != target:
-                failures.append(SPairFailure(first_reduct[1], pos, _sum(vectors, m)[:n]))
+                (total,) = _unpack([sum(map(packed.__getitem__, m))], width, len(vectors[0]))
+                failures.append(SPairFailure(first_reduct[1], pos, total[:n]))
                 break
     return checked, failures
 
@@ -422,38 +436,37 @@ def _verify(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) 
     and unless every element's lead has a larger ``key`` than its trail and
     its lead and trail have the same code length (t-degree, or joint degree)
     and the same configuration sum (multidegree, or image and t-degree): a
-    binomial that is not homogeneous is not in the ideal.  A failure is named
-    by the first n coordinates of its sum, the multidegree or the image (see
-    :func:`_check_overlaps`).
+    binomial that is not homogeneous is not in the ideal.  The sums are
+    compared packed (``fiber._pack``), sized for the longest lead or trail,
+    so each is one integer addition per code and equal exactly when the sums
+    are.  A failure is named by the first n coordinates of its sum, the
+    multidegree or the image (see :func:`_check_overlaps`).
 
     A word recurs across elements (in the full toric basis a trail is shared
-    by up to 50), so ``check``, ``key`` and the sum are taken once per
-    distinct code word, when an element first needs them; ``check`` runs
-    before the other two, so no code is read unchecked.
+    by up to 50), so ``check`` and ``key`` are taken once per distinct code
+    word, when an element first needs them; ``check`` runs before ``key`` and
+    the sum, so no code is read unchecked.
     """
     rules = basis._rules
     keys: dict = {}
-    sums: dict = {}
-    total = partial(_sum, vectors)
+    packed, _ = _pack(vectors, max(map(len, rules.leads + rules.trails), default=0))
 
-    def checked_key(side):
-        check(side, basis.table)
-        return key(side)
-
-    def once(memo: dict, measure: Callable, word: tuple[int, ...], arg):
-        value = memo.get(word)
+    def checked_key(word: tuple[int, ...], side):
+        value = keys.get(word)
         if value is None:
-            value = memo[word] = measure(arg)
+            check(side, basis.table)
+            value = keys[word] = key(side)
         return value
 
+    def total(word: tuple[int, ...]) -> int:
+        return sum(map(packed.__getitem__, word))
+
     for pos, (el, lead, trail) in enumerate(zip(basis.elements, rules.leads, rules.trails)):
-        if once(keys, checked_key, lead, el.lead) <= once(keys, checked_key, trail, el.trail):
+        if checked_key(lead, el.lead) <= checked_key(trail, el.trail):
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
-        if len(lead) != len(trail) or once(sums, total, lead, lead) != once(
-            sums, total, trail, trail
-        ):
+        if len(lead) != len(trail) or total(lead) != total(trail):
             what = "degree" if len(lead) != len(trail) else "multidegree"
             raise ValueError(
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "

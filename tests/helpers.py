@@ -701,6 +701,20 @@ def cwr_multidegrees(table, max_tdeg: int) -> list[Monomial]:
     return sorted(mus, key=lambda m: (degree(m), m))
 
 
+def fibers_by_grouping(vectors, max_deg: int) -> dict[tuple[int, Monomial], list[FiberPoint]]:
+    """Every word of 1..max_deg codes, grouped by (length, tuple sum), by brute force.
+
+    Keys ascend, and each group lists its words in descending fiber sink
+    order: the order ``fibers`` promises for its keys and points.
+    """
+    groups: dict[tuple[int, Monomial], list[FiberPoint]] = {}
+    for length in range(1, max_deg + 1):
+        for word in itertools.combinations_with_replacement(range(len(vectors)), length):
+            total = tuple(map(sum, zip(*[vectors[c] for c in word])))
+            groups.setdefault((length, total), []).append(word)
+    return {key: sorted(groups[key], key=fiber_sink_key, reverse=True) for key in sorted(groups)}
+
+
 def count_vector_sink_key(table, point: FiberPoint) -> tuple:
     """The fiber sink order by multiplicity vectors; larger key, earlier point.
 

@@ -6,6 +6,10 @@ script ``bench/run.py`` names it (as a name, an attribute or a string, such
 as its ``LAYERS`` entries); the script is only read.  The functions that meet
 none of these are pinned: each is reachable from the tests alone, and a new
 one must either find a caller or move to ``tests/helpers.py``.
+
+Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
+whose src callers are pinned, and no src code sums vectors as tuples with
+``map(add, ...)`` or ``map(sum, zip(...))``.
 """
 
 import ast
@@ -18,6 +22,12 @@ BENCH_SCRIPT = ROOT / "bench" / "run.py"
 
 # Kept in the library as the Rees counterpart of ``toric.normal_form``.
 TEST_ONLY = ["rees.rees_normal_form"]
+
+# The one configuration-sum path and the src functions that use it.
+SUM_PATH = {
+    "_pack": ["fiber.fibers", "toric._check_overlaps", "toric._verify"],
+    "_unpack": ["fiber.fibers", "toric._check_overlaps"],
+}
 
 
 def named(tree: ast.AST, strings: bool = False) -> Counter:
@@ -81,3 +91,63 @@ def test_the_scan_sees_each_kind_of_caller():
     }
     outside = named(ast.parse("LAYERS = [('a', 'by_the_bench')]\nuser()\n"), strings=True)
     assert uncalled(modules, outside) == ["a.orphan", "a.recursive"]
+
+
+def callers(modules: dict[str, ast.Module], name: str) -> list[str]:
+    """``module.function`` for each src function that names ``name``.
+
+    A method counts as ``module.Class.method`` and module-level code as
+    ``module.<module>``.
+    """
+    out = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{getattr(f, 'name', '<body>')}", f) for f in node.body]
+            else:
+                scopes = [(getattr(node, "name", "<module>"), node)]
+            out.extend(f"{module}.{scope}" for scope, body in scopes if named(body)[name])
+    return sorted(set(out))
+
+
+def tuple_sums(tree: ast.AST) -> list[int]:
+    """Lines that map ``add`` or ``sum`` over vectors: the tuple-sum idioms."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "map"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id in {"add", "sum"}
+    ]
+
+
+def test_one_configuration_sum_path():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in SUM_PATH} == SUM_PATH
+    defined = [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert "toric._sum" not in defined
+    assert {module: tuple_sums(tree) for module, tree in modules.items()} == dict.fromkeys(
+        modules, []
+    )
+
+
+def test_the_sum_scans_see_each_kind_of_use():
+    tree = ast.parse(
+        "def _pack(): pass\n"
+        "def user():\n    return _pack()\n"
+        "class Holder:\n    def method(self):\n        return fiber._pack\n"
+        "FIRST = _pack()\n"
+        "def tuple_sum(u, v):\n    return tuple(map(add, u, v))\n"
+        "def zip_sum(vs):\n    return tuple(map(sum, zip(*vs)))\n"
+        "def difference(u, v):\n    return tuple(map(sub, u, v))\n"
+    )
+    assert callers({"m": tree}, "_pack") == ["m.<module>", "m.Holder.method", "m.user"]
+    assert tuple_sums(tree) == [9, 11]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from borelfiber.borel import build_table, build_two_borel
@@ -149,6 +151,26 @@ class TestFibers:
     def test_bound_below_one_rejected(self, fig_table):
         with pytest.raises(ValueError):
             fibers(fig_table.generators, 0)
+
+    def test_vectors_of_different_lengths_rejected(self):
+        # Pairwise addition would stop at the shorter vector and put (0, 0)
+        # and (0, 1) into one fiber keyed (2, 4).
+        message = "configuration vectors differ in length: (1, 2) and (1, 2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fibers([(1, 2), (1, 2, 3)], 2)
+
+    def test_negative_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="coordinates must be non-negative, got -1$"):
+            fibers([(1, 0), (0, -1)], 2)
+
+    def test_points_of_two_lengths_sharing_a_sum_rejected(self):
+        # (0, 0) and (1,) both sum to (2,); a fiber holds points of one length.
+        message = "points of different lengths share the sum (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fibers([(1,), (2,)], 2)
+
+    def test_vectors_without_coordinates_share_the_empty_sum(self):
+        assert fibers([(), ()], 1) == {(): [(0,), (1,)]}
 
     def test_graph_from_given_points_matches_enumeration(self, fig_table):
         for mu, points in fibers(fig_table.generators, 3).items():

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelfiber.borel import build_two_borel
+from borelfiber.borel import build_table, build_two_borel
 from borelfiber import toric
-from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
+from borelfiber.fiber import _pack, _unpack, enumerate_fiber, fiber_sink_key, fibers
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import format_monomial, unit
 from borelfiber.rees import (
@@ -442,9 +442,12 @@ def colliding_multidegrees(basis):
     for a, b in basis._rules.by_lead:
         partners[a] |= 1 << b
         partners[b] |= 1 << a
+    packed, width = _pack(vectors, 3)
+    context = basis.table.context
     return {
-        (length, format_monomial(total, basis.table.context))
-        for length, total in _colliding_sums(partners, vectors)
+        (length, format_monomial(total, context))
+        for length, sums in zip((2, 3), _colliding_sums(partners, packed))
+        for total in _unpack(list(sums), width, context.n)
     }
 
 
@@ -496,3 +499,70 @@ class TestWalkOnlyCollidingFibers:
         assert len(table.generators) == 153
         report = buchberger_verify(MarkedBasis(table, ()))
         assert (report.status, report.pairs_checked) == ("PASS", 0)
+
+
+class TestPackedSumWidth:
+    """Packed sums need bits for the longest word, not for one vector.
+
+    On the cubics in three variables, Borel(c^3), the largest exponent 3
+    fits in two bits, but a quadric's multidegree reaches 6 and a cubic
+    critical monomial's 9.  Two bits per coordinate would let a^2c . c^3 =
+    a^2c^4 and ab^2 . b^3 = ab^5 share a packed sum (2 * 16 + 4 = 16 + 5 * 4),
+    and would misname failures whose exponents pass 3.  On the septics,
+    Borel(c^7), bits for two vectors instead of three make the overlap scan
+    walk fibers that hold one standard word.
+    """
+
+    NOT_HOMOGENEOUS = "element 0 is not homogeneous.* differ in multidegree$"
+
+    @pytest.fixture(scope="class")
+    def cubics(self):
+        return build_table([mono("c^3")], helpers.ABC)
+
+    def sides(self, table):
+        """The two degree-2 points a^2c . c^3 and ab^2 . b^3, earlier first."""
+        points = [
+            tuple(sorted(table.index_of[mono(text)] for text in pair))
+            for pair in (("a^2c", "c^3"), ("ab^2", "b^3"))
+        ]
+        assert [point_product(table, z) for z in points] == [mono("a^2c^4"), mono("ab^5")]
+        return sorted(points, key=fiber_sink_key, reverse=True)
+
+    def test_toric_sides_sharing_only_a_narrow_packing_rejected(self, cubics):
+        lead, trail = self.sides(cubics)
+        basis = MarkedBasis(cubics, (MarkedBinomial(lead, trail),))
+        with pytest.raises(ValueError, match=self.NOT_HOMOGENEOUS):
+            buchberger_verify(basis)
+
+    def test_rees_sides_sharing_only_a_narrow_packing_rejected(self, cubics):
+        lead, trail = (ReesMonomial(unit(3), z) for z in self.sides(cubics))
+        basis = ReesBasis(cubics, (ReesBinomial(lead, trail),))
+        with pytest.raises(ValueError, match=self.NOT_HOMOGENEOUS):
+            rees_buchberger_verify(basis)
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_a_groebner_basis_walks_nothing(self, kind, monkeypatch):
+        # The septics' standard words meet each fiber once.  The scan sums
+        # three vectors: with bits for two (4, for 2 * 7), the standard words
+        # of a^4b^17 and a^5c^16 would share a packed sum (4 * 256 + 17 * 16 =
+        # 5 * 256 + 16), and 113 to 141 critical monomials would be walked.
+        def refuse(*args):
+            raise AssertionError("a critical monomial was walked")
+
+        build, verify, _ = BASES[kind]
+        basis = build(build_table([mono("c^7")], helpers.ABC))
+        monkeypatch.setattr(toric, "_cubic_steps", refuse)
+        assert verify(basis).status == "PASS"
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_failures_named_past_one_vectors_bits(self, cubics, kind):
+        build, verify, configuration = BASES[kind]
+        elements = build(cubics).elements
+        names = []
+        for mutant in _drop_one(elements):
+            basis = type(build(cubics))(cubics, mutant)
+            report = verify(basis)
+            reference = overlap_report_by_walk(basis, configuration(cubics))
+            assert report.to_json() == reference.to_json()
+            names.extend(f.multidegree for f in report.failures)
+        assert max(map(max, names)) > 3

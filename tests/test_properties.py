@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelfiber import verify
@@ -31,7 +31,7 @@ from borelfiber.fiber import (
     find_sink_direct,
     sinks,
 )
-from borelfiber.instances import borel_incomparable_pairs, sweep_multidegrees
+from borelfiber.instances import borel_incomparable_pairs, suite_tables, sweep_multidegrees
 from borelfiber.monomials import (
     VariableContext,
     format_monomial,
@@ -39,7 +39,7 @@ from borelfiber.monomials import (
     sigma,
     unit,
 )
-from borelfiber.rees import ReesBasis, ReesMonomial, rees_gb, rees_normal_form
+from borelfiber.rees import ReesBasis, ReesMonomial, _configuration, rees_gb, rees_normal_form
 from borelfiber.toric import normal_form, quadric_generators
 
 from helpers import (
@@ -48,6 +48,7 @@ from helpers import (
     can_factor,
     count_vector_sink_key,
     cwr_multidegrees,
+    fibers_by_grouping,
     has_gm_factorization,
     lex_last_divisor,
     lex_last_divisor_by_scan,
@@ -180,6 +181,56 @@ def test_grouped_pass_matches_per_fiber_enumeration(table):
     for mu, points in groups.items():
         expected = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
         assert points == expected
+
+
+@st.composite
+def configurations(draw):
+    """Vectors of 1 to 5 coordinates and a degree bound of 1 to 4, summed up to the carry.
+
+    For a drawn bit count w, the largest coordinate is the largest ``top``
+    with max_deg * top < 2^w, so a word of max_deg copies of the vector that
+    holds it fills its coordinate's w bits: exactly 2^w - 1 when max_deg
+    divides that (always at bound 1, at even w for bound 3; an even bound
+    never reaches an odd sum).  Half the configurations end in a coordinate
+    1, so their sums determine the word length.
+    """
+    max_deg = draw(st.integers(min_value=1, max_value=4))
+    graded = draw(st.booleans())
+    size = draw(st.integers(min_value=1, max_value=5))
+    bits = draw(st.integers(min_value=max_deg.bit_length(), max_value=9))
+    top = (2**bits - 1) // max_deg
+    free = size - graded
+    entry = st.integers(min_value=0, max_value=top)
+    vectors = draw(st.lists(st.lists(entry, min_size=free, max_size=free), min_size=1, max_size=6))
+    if free:
+        holder = draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+        vectors[holder][draw(st.integers(min_value=0, max_value=free - 1))] = top
+    return [tuple(v) + (1,) * graded for v in vectors], max_deg
+
+
+def assert_fibers_match_grouping(vectors, max_deg):
+    expected = fibers_by_grouping(vectors, max_deg)
+    sums = [total for _, total in expected]
+    if len(set(sums)) < len(sums):
+        with pytest.raises(ValueError, match="points of different lengths share the sum"):
+            fibers(vectors, max_deg)
+    else:
+        want = [(total, points) for (_, total), points in expected.items()]
+        assert list(fibers(vectors, max_deg).items()) == want
+
+
+@checked(200)
+@given(configurations())
+@example(([(5, 0), (0, 5), (4, 1)], 3))  # 3 * 5 = 2^4 - 1 in both coordinates
+@example(([(7, 1), (3, 1), (0, 1)], 1))  # 7 = 2^3 - 1
+def test_grouped_pass_matches_grouping_by_tuple_sums(case):
+    assert_fibers_match_grouping(*case)
+
+
+def test_grouped_pass_matches_grouping_on_suite_configurations():
+    for table in suite_tables(200)[::10]:
+        assert_fibers_match_grouping(table.generators, 3)
+        assert_fibers_match_grouping(_configuration(table), 3)
 
 
 @checked(25)

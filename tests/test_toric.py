@@ -217,9 +217,9 @@ class TestBuchbergerVerify:
             buchberger_verify(bad)
 
     def test_shared_words_keep_both_marking_errors(self, fig_table, fig_quadrics):
-        # Key and multidegree are taken once per distinct word, so each bad
-        # element below reads its shared word's measure from the valid
-        # element before it, and must still be rejected as before.
+        # The marking key is taken once per distinct word, so each bad
+        # element below reads its shared word's key from the valid element
+        # before it, and must still be rejected as before.
         good = fig_quadrics.elements[0]
         last = len(fig_table.generators) - 1
         late = (last, last)  # the latest degree-2 point in the fiber sink order
