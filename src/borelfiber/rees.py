@@ -75,18 +75,35 @@ class ReesBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _Rules([(_codes(el.lead), _codes(el.trail)) for el in self.elements])
+        """The elements' rules on code words, each side object coded once.
+
+        ``rees_gb`` shares one object among every element with that side, so
+        the memo is keyed by identity; the elements keep every key alive.
+        """
+        words: dict[int, tuple[int, ...]] = {}
+        pairs = []
+        for el in self.elements:
+            lead = words.get(id(el.lead))
+            if lead is None:
+                lead = words[id(el.lead)] = _codes(el.lead)
+            trail = words.get(id(el.trail))
+            if trail is None:
+                trail = words[id(el.trail)] = _codes(el.trail)
+            pairs.append((lead, trail))
+        return _Rules(pairs)
 
 
 def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> None:
     """Raise ``ValueError`` unless ``m`` is a monomial over ``table``.
 
-    The x-part must have one exponent per variable, and ``toric._check_point``
-    must accept the Y-part.
+    The x-part must have one non-negative exponent per variable, and
+    ``toric._check_point`` must accept the Y-part.
     """
-    n = table.context.n
-    if len(m.xpart) != n:
-        raise ValueError(f"the x-part must have {n} exponents, got {m.xpart}")
+    xpart, n = m.xpart, table.context.n
+    if len(xpart) != n:
+        raise ValueError(f"the x-part must have {n} exponents, got {xpart}")
+    if min(xpart, default=0) < 0:
+        raise ValueError(f"x exponents must be non-negative, got {xpart}")
     _check_point(m.ypart, table)
 
 
@@ -108,21 +125,28 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     syzygies, ordered by their two Y indices.  A fiber of t-degree 2 already
     lists its monomials in descending sink order, so its pairs are the toric
     quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
-    fiber has one monomial.
+    fiber has one monomial.  Monomials are built from their words with shared
+    x-parts, the zero vector at t-degree 2 and ``e_v`` at bidegree (1, 1), and
+    each is one object shared by every pair of its fiber.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
     n = table.context.n
+    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    zero = (0,) * n
     syzygies, quadrics = [], []
     for key, words in fibers(_configuration(table), 2).items():
         if len(words) < 2:
             continue
-        monomials = [_from_codes(w, n) for w in words]
         if key[-1] == 1:
-            monomials.sort(key=rees_key, reverse=True)
+            # Each word is (v, n + g): x variable v times generator g.  The
+            # image fixes g given v, so descending rees_key is ascending v.
+            monomials = [ReesMonomial(units[v], (c - n,)) for v, c in sorted(words)]
             syzygies.extend(combinations(monomials, 2))
         else:
+            # Each word is two generator codes, so the x-part is the unit monomial.
+            monomials = [ReesMonomial(zero, (c - n, d - n)) for c, d in words]
             quadrics.extend(combinations(monomials, 2))
     syzygies.sort(key=lambda pair: sorted(pair[0].ypart + pair[1].ypart))
     return ReesBasis(table, tuple(ReesBinomial(lead, trail) for lead, trail in syzygies + quadrics))

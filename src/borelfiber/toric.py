@@ -33,8 +33,8 @@ code put in place.  Those are the only words the overlap check reduces.
 
 The overlap check counts its critical monomials instead of building them, and
 reduces only where two standard words could disagree.  Every rule keeps its
-word's configuration sum (``_verify`` checks it), so every normal form of a
-critical monomial is a standard word, one with no lead in it, of the
+word's configuration sum (``_check_marking`` checks it), so every normal form
+of a critical monomial is a standard word, one with no lead in it, of the
 monomial's fiber.  A fiber with one standard word of that length leaves
 nothing to disagree.  So the check lists the standard words of two and three
 codes, extending each standard pair by the codes that keep it standard, at a
@@ -344,8 +344,8 @@ def _check_overlaps(
     each that disagrees, in ascending order of the monomial.
 
     Reducts are walked only where two standard words could disagree.
-    ``_verify`` has checked that every rule keeps its word's length and
-    configuration sum, so every reduct of a critical monomial m, and every
+    ``_check_marking`` has checked that every rule keeps its word's length
+    and configuration sum, so every reduct of a critical monomial m, and every
     normal form of one, lies in m's fiber, and a normal form is a standard
     word: it contains no lead.  If m's fiber holds one standard word of m's
     length, every reduct reaches it and m cannot fail.  So the standard
@@ -363,7 +363,7 @@ def _check_overlaps(
     lead carried by two or more rules counts itself.
 
     Every word the walk reduces has two or three codes, and every lead and
-    trail is quadratic (``_verify`` checks that lead and trail have one
+    trail is quadratic (``_check_marking`` checks that lead and trail have one
     length), so :meth:`_Rules.normal_form` walks them in closed form and keeps
     them in the rules' cache.  A cubic critical monomial's one-step reducts
     are all its :func:`_cubic_steps`.
@@ -427,52 +427,66 @@ def _check_overlaps(
     return checked, failures
 
 
-def _verify(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
-    """Marking check, then the overlap check; the verifier behind both sides.
+def _check_marking(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> None:
+    """Raise ``ValueError`` on a malformed side, a bad marking or a binomial outside the ideal.
 
     ``basis`` is a toric or a Rees basis, and ``vectors`` its configuration:
-    the table's generators, or ``rees._configuration``.  Raises
-    ``ValueError`` when ``check(side, basis.table)`` refuses a lead or trail,
-    and unless every element's lead has a larger ``key`` than its trail and
-    its lead and trail have the same code length (t-degree, or joint degree)
-    and the same configuration sum (multidegree, or image and t-degree): a
-    binomial that is not homogeneous is not in the ideal.  The sums are
-    compared packed (``fiber._pack``), sized for the longest lead or trail,
-    so each is one integer addition per code and equal exactly when the sums
-    are.  A failure is named by the first n coordinates of its sum, the
-    multidegree or the image (see :func:`_check_overlaps`).
+    the table's generators, or ``rees._configuration``.  Raises when
+    ``check(side, basis.table)`` refuses a lead or trail, and unless every
+    element's lead has a larger ``key`` than its trail and its lead and trail
+    have the same code length (t-degree, or joint degree) and the same
+    configuration sum (multidegree, or image and t-degree): a binomial that
+    is not homogeneous is not in the ideal.  The sums are compared packed
+    (``fiber._pack``), sized for the longest lead or trail, so each is one
+    integer addition per code and equal exactly when the sums are.
 
-    A word recurs across elements (in the full toric basis a trail is shared
-    by up to 50), so ``check`` and ``key`` are taken once per distinct code
-    word, when an element first needs them; ``check`` runs before ``key`` and
-    the sum, so no code is read unchecked.
+    A side recurs across elements (in the full toric basis a trail is shared
+    by up to 50, and ``quadric_generators`` and ``rees_gb`` share one object
+    among them), so each side object is checked once, on its first use, and
+    then its ``key`` and packed sum are taken and kept; every later use costs
+    a lookup.  ``check`` runs before ``key`` and the sum, so no code is read
+    unchecked.  The memo is keyed by the side's identity, which the elements
+    keep alive, and not by its code word: coding is not injective on
+    unchecked sides (a Rees x-part of the wrong length can code to a
+    well-formed monomial's word), and a side that shared a checked word would
+    skip its own check.  An equal side that is another object is checked
+    again, which costs time and changes no answer.  The memo is dropped on
+    return, before the overlap check runs.
     """
     rules = basis._rules
-    keys: dict = {}
     packed, _ = _pack(vectors, max(map(len, rules.leads + rules.trails), default=0))
+    seen: dict = {}
 
-    def checked_key(word: tuple[int, ...], side):
-        value = keys.get(word)
-        if value is None:
-            check(side, basis.table)
-            value = keys[word] = key(side)
+    def first_use(side, word: tuple[int, ...]) -> tuple:
+        check(side, basis.table)
+        value = seen[id(side)] = (key(side), sum(map(packed.__getitem__, word)))
         return value
 
-    def total(word: tuple[int, ...]) -> int:
-        return sum(map(packed.__getitem__, word))
-
     for pos, (el, lead, trail) in enumerate(zip(basis.elements, rules.leads, rules.trails)):
-        if checked_key(lead, el.lead) <= checked_key(trail, el.trail):
+        lead_key, lead_sum = seen.get(id(el.lead)) or first_use(el.lead, lead)
+        trail_key, trail_sum = seen.get(id(el.trail)) or first_use(el.trail, trail)
+        if lead_key <= trail_key:
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
-        if len(lead) != len(trail) or total(lead) != total(trail):
+        if len(lead) != len(trail) or lead_sum != trail_sum:
             what = "degree" if len(lead) != len(trail) else "multidegree"
             raise ValueError(
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
-    checked, failures = _check_overlaps(rules, vectors, basis.table.context.n)
+
+
+def _verify(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
+    """Marking check, then the overlap check; the verifier behind both sides.
+
+    :func:`_check_marking` raises ``ValueError`` on a basis that is not a set
+    of marked binomials of the ideal, and :func:`_check_overlaps` reports
+    the critical monomials whose reducts disagree.  A failure is named by the
+    first n coordinates of its sum, the multidegree or the image.
+    """
+    _check_marking(basis, check, key, vectors)
+    checked, failures = _check_overlaps(basis._rules, vectors, basis.table.context.n)
     return GroebnerReport(
         ok=not failures,
         pairs_checked=checked,

@@ -10,6 +10,10 @@ one must either find a caller or move to ``tests/helpers.py``.
 Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
 ``map(add, ...)`` or ``map(sum, zip(...))``.
+
+``rees_gb`` builds its monomials from shared x-parts, so ``rees._from_codes``
+is called only by ``rees_normal_form`` to decode its answer; that caller is
+pinned.
 """
 
 import ast
@@ -25,9 +29,12 @@ TEST_ONLY = ["rees.rees_normal_form"]
 
 # The one configuration-sum path and the src functions that use it.
 SUM_PATH = {
-    "_pack": ["fiber.fibers", "toric._check_overlaps", "toric._verify"],
+    "_pack": ["fiber.fibers", "toric._check_marking", "toric._check_overlaps"],
     "_unpack": ["fiber.fibers", "toric._check_overlaps"],
 }
+
+# Decoding a word back to a Rees monomial, and its only src caller.
+DECODE_PATH = {"_from_codes": ["rees.rees_normal_form"]}
 
 
 def named(tree: ast.AST, strings: bool = False) -> Counter:
@@ -151,3 +158,8 @@ def test_the_sum_scans_see_each_kind_of_use():
     )
     assert callers({"m": tree}, "_pack") == ["m.<module>", "m.Holder.method", "m.user"]
     assert tuple_sums(tree) == [9, 11]
+
+
+def test_one_decode_path():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in DECODE_PATH} == DECODE_PATH

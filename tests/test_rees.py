@@ -11,6 +11,7 @@ from borelfiber.rees import (
     ReesBasis,
     ReesBinomial,
     ReesMonomial,
+    _codes,
     _configuration,
     _from_codes,
     rees_basis_to_json,
@@ -242,6 +243,25 @@ class TestReesVerify:
         ):
             rees_buchberger_verify(ReesBasis(square_table, (good, backwards)))
 
+    def test_a_side_that_codes_to_a_checked_word_is_still_checked(self):
+        # On Borel(b^2) in three variables, a Y_{ab} codes to (0, 4), and so
+        # does the two-exponent x-part (1, 0) with Y_{b^2}: coding is not
+        # injective on unchecked sides.  Either order refuses the bad side.
+        table = build_table([(0, 2, 0)])
+        good = rees_gb(table).elements[0]
+        bad = ReesBinomial(ReesMonomial((1, 0), (2,)), good.trail)
+        assert _codes(bad.lead) == _codes(good.lead) == (0, 4)
+        for elements in [(good, bad), (bad, good)]:
+            with pytest.raises(ValueError, match=re.escape("must have 3 exponents, got (1, 0)")):
+                rees_buchberger_verify(ReesBasis(table, elements))
+
+    def test_negative_x_exponent_rejected(self):
+        # Coded, (-1, 1, 0) would drop its -1 and read as b alone.
+        table = build_table([(0, 2, 0)])
+        lead, trail = ReesMonomial((1, 0, 0), (2,)), ReesMonomial((-1, 1, 0), (1,))
+        with pytest.raises(ValueError, match=re.escape("non-negative, got (-1, 1, 0)")):
+            rees_buchberger_verify(ReesBasis(table, (ReesBinomial(lead, trail),)))
+
 
 class TestReesReduction:
     def test_common_x_part_reduces_like_the_toric_side(self, fig_table):
@@ -278,6 +298,11 @@ class TestReesReduction:
         # A two-exponent x-part would be coded as if it named b and c.
         with pytest.raises(ValueError, match=what):
             rees_normal_form(m, rees_gb(fig_table))
+
+    def test_negative_x_exponent_rejected(self):
+        table = build_table([(0, 2, 0)])
+        with pytest.raises(ValueError, match=re.escape("non-negative, got (-1, 2, 0)")):
+            rees_normal_form(ReesMonomial((-1, 2, 0), (0,)), rees_gb(table))
 
 
 def split_fibers(table, max_deg: int) -> tuple[list, int]:
