@@ -10,20 +10,21 @@ the fibers of joint degree two, marked by the elimination order: x-parts by
 lex first, ties by the fiber sink order on Y-parts.  The fibers of bidegree
 (1, 1) give the linear syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``)
 and those of t-degree 2 the toric quadrics.  Both sides share
-``fiber.fibers`` and ``toric``'s reduction engine and verifier, which take a
-Rees monomial as its ascending code tuple (see :func:`_codes`).
+``fiber.fibers`` and ``toric``'s reduction engine and verifier, which run on
+words: a :class:`ReesBasis` holds each element as its pair of code words
+(see :func:`_codes`), decoded only where a monomial is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers
 from borelfiber.monomials import Monomial, format_monomial
-from borelfiber.toric import GroebnerReport, _check_point, _Rules, _verify
+from borelfiber.toric import GroebnerReport, _check_ints, _check_point, _Rules, _verify
 
 
 @dataclass(frozen=True)
@@ -68,43 +69,50 @@ def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
     return ReesMonomial(tuple(xpart), tuple(c - n for c in codes if c >= n))
 
 
-@dataclass(frozen=True)
-class ReesBasis:
-    table: GeneratorTable
-    elements: tuple[ReesBinomial, ...]
+def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
+    """Return ``m``'s code word; raise ``ValueError`` unless ``m`` is a monomial over ``table``.
 
-    @cached_property
-    def _rules(self) -> _Rules:
-        """The elements' rules on code words, each side object coded once.
-
-        ``rees_gb`` shares one object among every element with that side, so
-        the memo is keyed by identity; the elements keep every key alive.
-        """
-        words: dict[int, tuple[int, ...]] = {}
-        pairs = []
-        for el in self.elements:
-            lead = words.get(id(el.lead))
-            if lead is None:
-                lead = words[id(el.lead)] = _codes(el.lead)
-            trail = words.get(id(el.trail))
-            if trail is None:
-                trail = words[id(el.trail)] = _codes(el.trail)
-            pairs.append((lead, trail))
-        return _Rules(pairs)
-
-
-def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> None:
-    """Raise ``ValueError`` unless ``m`` is a monomial over ``table``.
-
-    The x-part must have one non-negative exponent per variable, and
-    ``toric._check_point`` must accept the Y-part.
+    Both parts must be tuples of ints, the x-part must have one non-negative
+    exponent per variable, and ``toric._check_point`` must accept the Y-part.
     """
     xpart, n = m.xpart, table.context.n
+    _check_ints(xpart, "the x-part")
+    _check_ints(m.ypart, "the Y-part")
     if len(xpart) != n:
         raise ValueError(f"the x-part must have {n} exponents, got {xpart}")
     if min(xpart, default=0) < 0:
         raise ValueError(f"x exponents must be non-negative, got {xpart}")
-    _check_point(m.ypart, table)
+    _check_point(m.ypart, len(table.generators))
+    return _codes(m)
+
+
+@dataclass(frozen=True, init=False)
+class ReesBasis:
+    """Each element's (lead, trail) code words over :func:`_configuration`, in ``pairs``.
+
+    ``ReesBasis(table, elements)`` checks and codes each side of each
+    :class:`ReesBinomial` once (:func:`_check_monomial`), so a malformed side
+    raises ``ValueError`` here.  ``rees_gb`` passes its words as ``pairs``.
+    """
+
+    table: GeneratorTable
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    def __init__(self, table: GeneratorTable, elements=(), *, pairs=None) -> None:
+        if pairs is None:
+            code = partial(_check_monomial, table=table)
+            pairs = [(code(el.lead), code(el.trail)) for el in elements]
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "pairs", tuple(pairs))
+
+    @cached_property
+    def elements(self) -> tuple[ReesBinomial, ...]:
+        decode = partial(_from_codes, n=self.table.context.n)
+        return tuple(ReesBinomial(decode(lead), decode(trail)) for lead, trail in self.pairs)
+
+    @cached_property
+    def _rules(self) -> _Rules:
+        return _Rules(self.pairs)
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
@@ -112,8 +120,8 @@ def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
 
     Raises ``ValueError`` on a monomial that :func:`_check_monomial` refuses.
     """
-    _check_monomial(m, basis.table)
-    return _from_codes(basis._rules.normal_form(_codes(m)), basis.table.context.n)
+    word = _check_monomial(m, basis.table)
+    return _from_codes(basis._rules.normal_form(word), basis.table.context.n)
 
 
 def rees_gb(table: GeneratorTable) -> ReesBasis:
@@ -125,16 +133,12 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     syzygies, ordered by their two Y indices.  A fiber of t-degree 2 already
     lists its monomials in descending sink order, so its pairs are the toric
     quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
-    fiber has one monomial.  Monomials are built from their words with shared
-    x-parts, the zero vector at t-degree 2 and ``e_v`` at bidegree (1, 1), and
-    each is one object shared by every pair of its fiber.
+    fiber has one monomial.  The pairs are taken as words straight off the
+    fibers; no monomial is built.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
-    n = table.context.n
-    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
-    zero = (0,) * n
     syzygies, quadrics = [], []
     for key, words in fibers(_configuration(table), 2).items():
         if len(words) < 2:
@@ -142,14 +146,12 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
         if key[-1] == 1:
             # Each word is (v, n + g): x variable v times generator g.  The
             # image fixes g given v, so descending rees_key is ascending v.
-            monomials = [ReesMonomial(units[v], (c - n,)) for v, c in sorted(words)]
-            syzygies.extend(combinations(monomials, 2))
+            syzygies.extend(combinations(sorted(words), 2))
         else:
             # Each word is two generator codes, so the x-part is the unit monomial.
-            monomials = [ReesMonomial(zero, (c - n, d - n)) for c, d in words]
-            quadrics.extend(combinations(monomials, 2))
-    syzygies.sort(key=lambda pair: sorted(pair[0].ypart + pair[1].ypart))
-    return ReesBasis(table, tuple(ReesBinomial(lead, trail) for lead, trail in syzygies + quadrics))
+            quadrics.extend(combinations(words, 2))
+    syzygies.sort(key=lambda pair: sorted((pair[0][1], pair[1][1])))
+    return ReesBasis(table, pairs=syzygies + quadrics)
 
 
 def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
@@ -157,13 +159,15 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
     Every critical monomial of joint degree two or three is checked (see
     ``toric._check_overlaps``); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on a lead or trail that :func:`_check_monomial`
-    refuses, on an inconsistent marking, on an element whose
-    sides differ in image or t-degree (their sums over
+    A malformed side was already refused when the basis was built (see
+    :class:`ReesBasis`).  Raises ``ValueError`` on an inconsistent marking,
+    on an element whose sides differ in image or t-degree (their sums over
     :func:`_configuration`), or on a lead whose joint degree is not two.  A
-    failure is named by the image of its critical monomial.
+    word is ordered by :func:`rees_key` of its decoded monomial.  A failure
+    is named by the image of its critical monomial.
     """
-    return _verify(basis, _check_monomial, rees_key, _configuration(basis.table))
+    n = basis.table.context.n
+    return _verify(basis, lambda word: rees_key(_from_codes(word, n)), _configuration(basis.table))
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

@@ -16,15 +16,16 @@ fibers, and the overlap check uses every copy of a lead only at the lead.
 One code path per concept serves the toric and Rees sides alike.  The Rees
 algebra is the toric ring of a larger configuration, so both sides take
 their degree-2 pairs from :func:`~borelfiber.fiber.fibers` (``rees_gb`` on
-the Rees configuration).  :class:`_Rules` is the one reduction engine for
-words of any length, on ascending tuples of integer codes: a toric point is
-its own word, and a Rees monomial is coded by ``rees._codes``, its codes in
-the Rees configuration.  Its lead index ``by_lead`` is the one place that
-says which rules carry a lead: the rewriter looks up the word's own
-sub-multisets of each lead size there, :func:`brute_force_gb` grows it one
-rule at a time, and the overlap check reads its critical monomials off it.
-:func:`_verify`, a marking and homogeneity check and then the overlap check
-:func:`_check_overlaps`, is the one Groebner verifier.
+the Rees configuration), and both bases hold each element as a pair of
+words, ascending tuples of integer codes: a :class:`MarkedBinomial` is its
+pair of points, and ``rees.ReesBasis`` codes its sides once, when built.
+:class:`_Rules`, the one reduction engine, is built straight from the pairs.
+Its lead index ``by_lead`` is the one place that says which rules carry a
+lead: the rewriter looks up the word's own sub-multisets of each lead size
+there, :func:`brute_force_gb` grows it one rule at a time, and the overlap
+check reads its critical monomials off it.  :func:`_verify`, a marking and
+homogeneity check and then the overlap check :func:`_check_overlaps`, is the
+one Groebner verifier.
 
 While every rule is quadratic, the rewriter steps a word of two or three
 codes in closed form: a quadratic word is a lead or nothing, and a cubic word
@@ -32,17 +33,11 @@ steps by the least of its :func:`_cubic_steps`, a quadratic trail with one
 code put in place.  Those are the only words the overlap check reduces.
 
 The overlap check counts its critical monomials instead of building them, and
-reduces only where two standard words could disagree.  Every rule keeps its
-word's configuration sum (``_check_marking`` checks it), so every normal form
-of a critical monomial is a standard word, one with no lead in it, of the
-monomial's fiber.  A fiber with one standard word of that length leaves
-nothing to disagree.  So the check lists the standard words of two and three
-codes, extending each standard pair by the codes that keep it standard, at a
-cost of at most (standard pairs x codes), and walks only the critical
-monomials whose sum two of them share.  A Groebner basis of the whole toric
-ideal walks none, since its standard words meet each fiber once (Sturmfels,
-*Groebner Bases and Convex Polytopes*, 1996, ch. 4), and a basis with no
-critical monomial skips the scan.
+walks only those whose fiber holds two standard words (words with no lead in
+them) of their length, where two normal forms could disagree; see
+:func:`_check_overlaps`.  A Groebner basis of the whole toric ideal walks
+none, since its standard words meet each fiber once (Sturmfels, *Groebner
+Bases and Convex Polytopes*, 1996, ch. 4).
 
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
 one sum path that ``fiber.fibers`` uses too.  Each coordinate gets the bits
@@ -60,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
@@ -84,9 +79,8 @@ def _replace(point: FiberPoint, old: FiberPoint, new: FiberPoint) -> FiberPoint:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MarkedBinomial:
-    """Ordered difference of two Y-monomials with the same multidegree."""
+class MarkedBinomial(NamedTuple):
+    """Ordered difference of two Y-monomials with the same multidegree: a word pair."""
 
     lead: FiberPoint
     trail: FiberPoint
@@ -97,11 +91,11 @@ class _Rules:
 
     ``leads`` and ``trails`` list the rules' words, each an ascending tuple of
     integer codes; a word contains a lead when the lead is a sub-multiset of
-    it.  Toric points are their own words, and Rees monomials are coded by
-    ``rees._codes``.  ``by_lead`` is the one lead index: it maps each distinct
-    lead to the positions of its rules, ascending.  ``alphabets`` maps each
-    lead size to the codes that leads of that size use.  ``quadratic`` holds
-    while every lead and trail has two codes (see :meth:`rewrite`).
+    it; ``pairs`` are a basis's (lead, trail) words.  ``by_lead`` is the one
+    lead index: it maps each distinct lead to the positions of its rules,
+    ascending.  ``alphabets`` maps each lead size to the codes that leads of
+    that size use.  ``quadratic`` holds while every lead and trail has two
+    codes (see :meth:`rewrite`).
     """
 
     def __init__(self, pairs=()) -> None:
@@ -183,15 +177,21 @@ class MarkedBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _Rules([(el.lead, el.trail) for el in self.elements])
+        return _Rules(self.elements)
 
 
-def _check_point(point: FiberPoint, table: GeneratorTable) -> None:
-    """Raise ``ValueError`` unless ``point`` lists generator indices of ``table``, ascending."""
+def _check_ints(value, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a tuple of ints: outside input's first check."""
+    if not isinstance(value, tuple) or not all(type(c) is int for c in value):
+        raise ValueError(f"{what} must be a tuple of ints, got {value!r}")
+
+
+def _check_point(point: FiberPoint, size: int) -> None:
+    """Raise ``ValueError`` unless ``point`` lists indices in ``range(size)``, ascending."""
     if list(point) != sorted(point):
         raise ValueError(f"generator indices must be ascending, got {point}")
-    if point and not 0 <= point[0] <= point[-1] < len(table.generators):
-        raise ValueError(f"generator indices must be in range({len(table.generators)}): {point}")
+    if point and not 0 <= point[0] <= point[-1] < size:
+        raise ValueError(f"generator indices must be in range({size}): {point}")
 
 
 def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
@@ -199,10 +199,11 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
 
     Each step is strictly later in the fiber sink order, so this terminates;
     when the basis is a Groebner basis the result only depends on the point's
-    multidegree class.  Raises ``ValueError`` on a malformed point (see
-    :func:`_check_point`).
+    multidegree class.  Raises ``ValueError`` on a point that is not a tuple
+    of ints or that :func:`_check_point` refuses.
     """
-    _check_point(point, basis.table)
+    _check_ints(point, "a point")
+    _check_point(point, len(basis.table.generators))
     return basis._rules.normal_form(point)
 
 
@@ -316,6 +317,8 @@ def _colliding_sums(partners: list[int], packed: list[int]) -> tuple[set[int], s
 
 def _shared(sums: list[int]) -> set[int]:
     """The values that occur more than once in ``sums``."""
+    if len(set(sums)) == len(sums):
+        return set()
     return {total for total, count in Counter(sums).items() if count > 1}
 
 
@@ -427,49 +430,39 @@ def _check_overlaps(
     return checked, failures
 
 
-def _check_marking(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> None:
-    """Raise ``ValueError`` on a malformed side, a bad marking or a binomial outside the ideal.
+def _check_marking(basis, key: Callable, vectors: Sequence[Monomial]) -> None:
+    """Raise ``ValueError`` on a malformed word, a bad marking or a binomial outside the ideal.
 
     ``basis`` is a toric or a Rees basis, and ``vectors`` its configuration:
     the table's generators, or ``rees._configuration``.  Raises when
-    ``check(side, basis.table)`` refuses a lead or trail, and unless every
-    element's lead has a larger ``key`` than its trail and its lead and trail
-    have the same code length (t-degree, or joint degree) and the same
-    configuration sum (multidegree, or image and t-degree): a binomial that
-    is not homogeneous is not in the ideal.  The sums are compared packed
-    (``fiber._pack``), sized for the longest lead or trail, so each is one
-    integer addition per code and equal exactly when the sums are.
-
-    A side recurs across elements (in the full toric basis a trail is shared
-    by up to 50, and ``quadric_generators`` and ``rees_gb`` share one object
-    among them), so each side object is checked once, on its first use, and
-    then its ``key`` and packed sum are taken and kept; every later use costs
-    a lookup.  ``check`` runs before ``key`` and the sum, so no code is read
-    unchecked.  The memo is keyed by the side's identity, which the elements
-    keep alive, and not by its code word: coding is not injective on
-    unchecked sides (a Rees x-part of the wrong length can code to a
-    well-formed monomial's word), and a side that shared a checked word would
-    skip its own check.  An equal side that is another object is checked
-    again, which costs time and changes no answer.  The memo is dropped on
-    return, before the overlap check runs.
+    :func:`_check_point` refuses a lead or trail word over ``vectors``, and
+    unless every element's lead word has a larger ``key`` than its trail and
+    its lead and trail have the same code length (t-degree, or joint degree)
+    and the same configuration sum (multidegree, or image and t-degree): a
+    binomial that is not homogeneous is not in the ideal.  The sums are
+    compared packed (``fiber._pack``), sized for the longest lead or trail,
+    so each is one integer addition per code and equal exactly when the sums
+    are.  A word recurs across elements (in the full toric basis a trail is
+    shared by up to 50), so each distinct word is checked once and its key
+    and packed sum are kept.  A message names the failing element, decoded
+    from ``basis.elements``.
     """
     rules = basis._rules
     packed, _ = _pack(vectors, max(map(len, rules.leads + rules.trails), default=0))
     seen: dict = {}
-
-    def first_use(side, word: tuple[int, ...]) -> tuple:
-        check(side, basis.table)
-        value = seen[id(side)] = (key(side), sum(map(packed.__getitem__, word)))
-        return value
-
-    for pos, (el, lead, trail) in enumerate(zip(basis.elements, rules.leads, rules.trails)):
-        lead_key, lead_sum = seen.get(id(el.lead)) or first_use(el.lead, lead)
-        trail_key, trail_sum = seen.get(id(el.trail)) or first_use(el.trail, trail)
+    for pos, (lead, trail) in enumerate(zip(rules.leads, rules.trails)):
+        for word in (lead, trail):
+            if word not in seen:
+                _check_point(word, len(vectors))
+                seen[word] = (key(word), sum(map(packed.__getitem__, word)))
+        (lead_key, lead_sum), (trail_key, trail_sum) = seen[lead], seen[trail]
         if lead_key <= trail_key:
+            el = basis.elements[pos]
             raise ValueError(
                 f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
             )
         if len(lead) != len(trail) or lead_sum != trail_sum:
+            el = basis.elements[pos]
             what = "degree" if len(lead) != len(trail) else "multidegree"
             raise ValueError(
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
@@ -477,15 +470,16 @@ def _check_marking(basis, check: Callable, key: Callable, vectors: Sequence[Mono
             )
 
 
-def _verify(basis, check: Callable, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
+def _verify(basis, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
     """Marking check, then the overlap check; the verifier behind both sides.
 
     :func:`_check_marking` raises ``ValueError`` on a basis that is not a set
     of marked binomials of the ideal, and :func:`_check_overlaps` reports
-    the critical monomials whose reducts disagree.  A failure is named by the
-    first n coordinates of its sum, the multidegree or the image.
+    the critical monomials whose reducts disagree.  ``key`` orders the words
+    as the monomial order does.  A failure is named by the first n
+    coordinates of its sum, the multidegree or the image.
     """
-    _check_marking(basis, check, key, vectors)
+    _check_marking(basis, key, vectors)
     checked, failures = _check_overlaps(basis._rules, vectors, basis.table.context.n)
     return GroebnerReport(
         ok=not failures,
@@ -504,7 +498,7 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
     refuses, on a lead that is not earlier than its trail in the fiber sink
     order, or on a lead that is not quadratic.
     """
-    return _verify(basis, _check_point, fiber_sink_key, basis.table.generators)
+    return _verify(basis, fiber_sink_key, basis.table.generators)
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:

@@ -11,9 +11,10 @@ Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
 ``map(add, ...)`` or ``map(sum, zip(...))``.
 
-``rees_gb`` builds its monomials from shared x-parts, so ``rees._from_codes``
-is called only by ``rees_normal_form`` to decode its answer; that caller is
-pinned.
+A ``ReesBasis`` holds word pairs, and ``rees_gb`` builds no monomial, so
+``rees._from_codes`` decodes words only where a monomial is read: the
+``ReesBasis.elements`` view, the answer of ``rees_normal_form`` and the
+marking key of ``rees_buchberger_verify``; those callers are pinned.
 """
 
 import ast
@@ -33,8 +34,10 @@ SUM_PATH = {
     "_unpack": ["fiber.fibers", "toric._check_overlaps"],
 }
 
-# Decoding a word back to a Rees monomial, and its only src caller.
-DECODE_PATH = {"_from_codes": ["rees.rees_normal_form"]}
+# Decoding a word back to a Rees monomial, and its src callers.
+DECODE_PATH = {
+    "_from_codes": ["rees.ReesBasis.elements", "rees.rees_buchberger_verify", "rees.rees_normal_form"]
+}
 
 
 def named(tree: ast.AST, strings: bool = False) -> Counter:

@@ -3,6 +3,8 @@
 A ``global`` statement rebinds module state from inside a function, and a
 ``functools.lru_cache`` or ``functools.cache`` decorator keeps every answer
 for the life of the process.  Neither may appear in ``src/borelfiber``.
+Nor may a call to ``id()``: a memo keyed by object identity ties an answer
+to which objects built the input, so bases hold words instead.
 
 Every module must also parse as Python 3.10, the oldest version that
 ``pyproject.toml`` admits (``requires-python = ">=3.10"``).  The parser's
@@ -42,6 +44,25 @@ def test_no_globals_and_no_process_caches(path):
                 if decorator_name(dec) in CACHES:
                     found.append(f"line {dec.lineno}: @{ast.unparse(dec)} on {node.name}")
     assert not found, found
+
+
+def id_calls(tree: ast.AST) -> list[int]:
+    """Lines that call the builtin ``id``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_identity_memos(path):
+    assert id_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_id_scan_sees_a_call():
+    source = "def f(side, memo):\n    key = side.id\n    return memo.get(id(side))\n"
+    assert id_calls(ast.parse(source)) == [3]
 
 
 def test_the_scan_sees_both_forms():

@@ -304,6 +304,22 @@ class TestReesReduction:
         with pytest.raises(ValueError, match=re.escape("non-negative, got (-1, 2, 0)")):
             rees_normal_form(ReesMonomial((-1, 2, 0), (0,)), rees_gb(table))
 
+    @pytest.mark.parametrize(
+        "reduce, what",
+        [
+            (lambda t: normal_form([0, 1], quadric_generators(t)), "a point"),
+            (lambda t: normal_form((0.0, 1), quadric_generators(t)), "a point"),
+            (lambda t: rees_normal_form(ReesMonomial((1.0, 0, 0), (0,)), rees_gb(t)), "the x-part"),
+            (lambda t: rees_normal_form(ReesMonomial((1, 0, 0), [0]), rees_gb(t)), "the Y-part"),
+        ],
+        ids=["list-point", "float-point", "float-x-exponent", "list-y-part"],
+    )
+    def test_non_int_tuples_rejected(self, fig_table, reduce, what):
+        # Before this check a list point raised TypeError, a float point came
+        # back unreduced, and a float x exponent failed in the coding.
+        with pytest.raises(ValueError, match=f"{what} must be a tuple of ints"):
+            reduce(fig_table)
+
 
 def split_fibers(table, max_deg: int) -> tuple[list, int]:
     """The keys of the Rees fibers up to ``max_deg`` with two ``rees_gb`` normal forms.

@@ -1,9 +1,11 @@
-"""The Groebner verifiers' per-side setup keeps no answer tied to object sharing.
+"""Bases hold word pairs, and no answer depends on which objects built them.
 
-``toric._check_marking`` checks each side object once and
-``ReesBasis._rules`` codes each side object once, both keyed by identity;
+A ``MarkedBinomial`` is its (lead, trail) word pair, and a ``ReesBasis``
+codes each side of its elements once, when it is built, into ``pairs``;
+``toric._check_marking`` then checks each distinct word once.
 ``TestNoObjectSharing`` holds every answer on fresh copies of every side to
-the answer on the shared originals.
+the answer on the originals, and ``TestRoundTrip`` holds a Rees basis rebuilt
+from its decoded elements to the basis itself.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from borelfiber.borel import build_two_borel
-from borelfiber.instances import suite_tables
+from borelfiber.instances import random_tables, suite_tables
 from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_buchberger_verify, rees_gb
 from borelfiber.toric import MarkedBinomial, _Rules, buchberger_verify, quadric_generators
 
@@ -95,7 +97,17 @@ class TestNoObjectSharing:
             assert index(copy._rules) == index(basis._rules)
             assert verifier(copy)(copy).to_json() == verifier(basis)(basis).to_json()
 
-    def test_rees_gb_shares_one_monomial_per_side(self, fig_table):
-        # Equal sides of rees_gb are one object, so the per-side memos hit.
-        sides = [side for el in rees_gb(fig_table).elements for side in (el.lead, el.trail)]
-        assert len({id(side) for side in sides}) == len(set(sides)) < len(sides)
+
+def round_trip_tables() -> list:
+    """Every 10th suite table and the bench's four random tables (at most 21 generators)."""
+    randoms = [t for t in random_tables(30, 20250809) if len(t.generators) <= 21][:4]
+    return suite_tables()[::10] + randoms
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("table", round_trip_tables(), ids=lambda t: str(t.roots))
+    def test_rees_basis_from_its_elements(self, table):
+        basis = rees_gb(table)
+        again = ReesBasis(table, basis.elements)
+        assert again == basis
+        assert index(again._rules) == index(basis._rules)
