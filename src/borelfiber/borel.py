@@ -23,13 +23,12 @@ from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence
 
+from borelfiber.fiber import _pack, fibers
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
-    borel_move,
     degree,
     format_monomial,
-    reverse_borel_move,
     sigma,
 )
 
@@ -84,25 +83,6 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     return [m + (rest,) for m, rest in prefixes]
 
 
-def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Suffix sums of the lex-latest divisor with sigma at most ``bound``.
-
-    ``rest`` holds the suffix sums of the monomial mu to divide.  With c_n = 0
-    and c_k = min(bound_k, mu_k + c_{k+1}), c_k is the largest suffix sum
-    from position k that a divisor of mu within the bound can reach, and
-    taking every suffix sum at its largest gives the lex-latest such divisor.
-    One of degree bound_0 exists exactly when c_0 = bound_0.
-    """
-    sums = [0] * len(rest)
-    c = below = 0  # below = rest_{k+1}, so mu_k = rest_k - below
-    for k in range(len(rest) - 1, -1, -1):
-        r = rest[k]
-        c = min(bound[k], r - below + c)
-        below = r
-        sums[k] = c
-    return tuple(sums) if c == bound[0] else None
-
-
 @dataclass(frozen=True)
 class GeneratorTable:
     """Minimal generators of a Borel ideal in fiber sink variable order.
@@ -140,43 +120,33 @@ class GeneratorTable:
     def later_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
         """For each index pair a <= b, the pairs one paired move away that come later.
 
-        A paired move applies a Borel move x_j -> x_i (i < j) to one factor
-        and the reverse move x_i -> x_j to the other, both results again
-        minimal generators.  ``later_pairs[a, b]`` lists, ascending, the
-        index pairs (c, d) with c <= d so reached from {a, b} that are later
-        than (a, b) in the fiber sink order, that is (d, c) > (b, a); pairs
-        with no such move are absent.  The inverse moves lead back, so a move
-        is listed once, from its earlier end.  The rows live and die with the
-        table.
+        A paired move (a Borel move on one factor, the reverse move on the
+        other) keeps the product: it joins points (a, b) and (c, d) of one
+        degree-2 fiber where g_a - g_c or g_a - g_d is a unit move e_i - e_j,
+        and every such pair of points is one move apart.  ``later_pairs[a, b]``
+        lists, ascending, those points after (a, b) in its fiber of
+        ``fiber.fibers``, whose order is the sink order; pairs with none are
+        absent.  The differences are packed (``fiber._pack`` for sums of two):
+        a coordinate gets more bits than twice the largest one, so each
+        coordinate of a difference lies strictly between -2^(width-1) and
+        2^(width-1), and the integer determines the vector.
         """
-        index_of = self.index_of
-        n = self.context.n
-        # For each move (j, i): the (generator, result) pairs it raises, and
-        # those its reverse lowers.
-        raised: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        lowered: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for p, e in enumerate(self.generators):
-            for j in range(1, n):
-                for i in range(j):
-                    if e[j]:
-                        h = index_of.get(borel_move(e, j, i))
-                        if h is not None:
-                            raised.setdefault((j, i), []).append((p, h))
-                    if e[i]:
-                        h = index_of.get(reverse_borel_move(e, i, j))
-                        if h is not None:
-                            lowered.setdefault((j, i), []).append((p, h))
-        later: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for move, ups in raised.items():
-            downs = lowered.get(move, ())
-            for p, h1 in ups:
-                for q, h2 in downs:
-                    a, b = (p, q) if p <= q else (q, p)
-                    c, d = (h1, h2) if h1 <= h2 else (h2, h1)
-                    if (d, c) > (b, a):
-                        later.setdefault((a, b), []).append((c, d))
-        # Two moves can reach one pair: list it once.
-        return {pair: tuple(sorted(set(moves))) for pair, moves in later.items()}
+        packed, width = _pack(self.generators, 2)
+        units = [1 << shift for shift in range(0, width * self.context.n, width)]
+        moves = {u - v for u in units for v in units if u != v}
+        later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for points in fibers(self.generators, 2).values():
+            # A fiber's last point has nothing later; a degree-1 fiber has one point.
+            for k, (a, b) in enumerate(points[:-1]):
+                first = packed[a]
+                row = [
+                    (c, d)
+                    for c, d in points[k + 1 :]
+                    if first - packed[c] in moves or first - packed[d] in moves
+                ]
+                if row:
+                    later[a, b] = tuple(sorted(row))
+        return later
 
     def to_json(self) -> dict:
         return {
@@ -198,8 +168,8 @@ def build_table(
     """Assemble a GeneratorTable from 1..3 Borel generators of equal degree.
 
     With ``normalize`` the roots are deduplicated and sorted lex-earliest
-    first, the convention for fresh ideals.  Fiber reduction passes
-    ``normalize=False`` to keep the surviving roots in their original roles.
+    first, the convention for fresh ideals.  Without it they keep their
+    roles, as the tests' ``helpers.reduce_for_fiber`` needs.
     """
     roots = list(roots)
     if not roots:

@@ -19,9 +19,9 @@ oracle use it, because they need every fiber up to the bound anyway.
 depth-first search; it serves one-mu callers, whose t can be far too large
 to list every product up to it.
 
-A point's later paired moves come from one generator,
-:func:`_later_moves`, which reads the table's paired-move rows
-(``GeneratorTable.later_pairs``, each move listed from its earlier end).
+A point's later paired moves come from :func:`_later_moves`, which reads the
+table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
+fibers of :func:`fibers`, so each move is listed from its earlier end).
 :func:`build_fiber_graph` drains it for every point; the unique-sink check
 in ``verify`` takes only each point's first move, since a point is a sink
 exactly when it has none.  No fiber state outlives a call, except those
@@ -41,10 +41,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import neg, sub
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from borelfiber.borel import GeneratorTable, _lex_last_sigma
 from borelfiber.monomials import Monomial, degree, format_monomial, sigma
+
+if TYPE_CHECKING:
+    from borelfiber.borel import GeneratorTable
 
 FiberPoint = tuple[int, ...]
 
@@ -336,6 +338,25 @@ def _m_share_bounds(
     return lo, hi
 
 
+def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Suffix sums of the lex-latest divisor with sigma at most ``bound``.
+
+    ``rest`` holds the suffix sums of the monomial mu to divide.  With c_n = 0
+    and c_k = min(bound_k, mu_k + c_{k+1}), c_k is the largest suffix sum
+    from position k that a divisor of mu within the bound can reach, and
+    taking every suffix sum at its largest gives the lex-latest such divisor.
+    One of degree bound_0 exists exactly when c_0 = bound_0.
+    """
+    sums = [0] * len(rest)
+    c = below = 0  # below = rest_{k+1}, so mu_k = rest_k - below
+    for k in range(len(rest) - 1, -1, -1):
+        r = rest[k]
+        c = min(bound[k], r - below + c)
+        below = r
+        sums[k] = c
+    return tuple(sums) if c == bound[0] else None
+
+
 def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint]:
     """The unique sink of the fiber of mu, computed without the graph.
 
@@ -356,6 +377,8 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     """
     if len(table.roots) > 2:
         raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
+    if len(mu) != table.context.n:
+        raise ValueError("mu lives in a different variable context")
     if degree(mu) == 0:
         return ()
     if table.is_empty or degree(mu) % table.degree != 0:

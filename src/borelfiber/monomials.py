@@ -1,4 +1,4 @@
-"""Monomials as exponent vectors, with the Borel and reverse Borel move calculus.
+"""Monomials as exponent vectors: variable contexts, products, parsing, printing.
 
 A monomial in ``n`` ordered variables is a plain tuple of ``n`` nonnegative
 integer exponents.  Position 0 holds the lex-greatest variable (``a`` when the
@@ -91,30 +91,6 @@ def sigma(m: Monomial) -> tuple[int, ...]:
         total += e
         out.append(total)
     return tuple(reversed(out))
-
-
-def borel_move(m: Monomial, j: int, i: int) -> Monomial:
-    """Replace one factor of the variable at position j by the one at i < j."""
-    if not 0 <= i < j < len(m):
-        raise ValueError(f"borel move needs 0 <= i < j < {len(m)}, got i={i}, j={j}")
-    if m[j] == 0:
-        raise ValueError(f"variable {j} does not divide {m}")
-    out = list(m)
-    out[j] -= 1
-    out[i] += 1
-    return tuple(out)
-
-
-def reverse_borel_move(m: Monomial, j: int, k: int) -> Monomial:
-    """Replace one factor of the variable at position j by the one at k > j."""
-    if not 0 <= j < k < len(m):
-        raise ValueError(f"reverse borel move needs 0 <= j < k < {len(m)}, got j={j}, k={k}")
-    if m[j] == 0:
-        raise ValueError(f"variable {j} does not divide {m}")
-    out = list(m)
-    out[j] -= 1
-    out[k] += 1
-    return tuple(out)
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

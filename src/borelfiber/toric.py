@@ -494,11 +494,17 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
 
     Checks every critical monomial of degree two or three (see
     :func:`_check_overlaps`); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on a lead or trail that :func:`_check_point`
-    refuses, on a lead that is not earlier than its trail in the fiber sink
-    order, or on a lead that is not quadratic.
+    Raises ``ValueError`` on a lead or trail that is not a tuple of ints or
+    that :func:`_check_point` refuses, on a lead that is not earlier than its
+    trail in the fiber sink order, or on a lead that is not quadratic.
     """
-    return _verify(basis, fiber_sink_key, basis.table.generators)
+    try:
+        return _verify(basis, fiber_sink_key, basis.table.generators)
+    except TypeError:  # no side is checked up front; find the one that broke the check
+        for pos, (lead, trail) in enumerate(basis.elements):
+            _check_ints(lead, f"the lead of element {pos}")
+            _check_ints(trail, f"the trail of element {pos}")
+        raise
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:

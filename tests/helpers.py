@@ -13,11 +13,12 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
-from borelfiber.borel import GeneratorTable, _lex_last_sigma, build_table
+from borelfiber.borel import GeneratorTable, build_table
 from borelfiber.fiber import (
     FiberGraph,
     FiberPoint,
     _component_labels,
+    _lex_last_sigma,
     build_fiber_graph,
     fiber_point_type,
     fiber_sink_key,
@@ -30,12 +31,10 @@ from borelfiber.monomials import (
     Monomial,
     VariableContext,
     _check_same_length,
-    borel_move,
     degree,
     format_monomial,
     multiply,
     parse_monomial,
-    reverse_borel_move,
     sigma,
     unit,
 )
@@ -374,6 +373,30 @@ def family_table(r: int) -> GeneratorTable:
     g = (0, r * (r - 1), 0)
     h = (r - 1, r - 1, (r - 1) * (r - 2))
     return build_table([f, g, h], ABC)
+
+
+def borel_move(m: Monomial, j: int, i: int) -> Monomial:
+    """Replace one factor of the variable at position j by the one at i < j."""
+    if not 0 <= i < j < len(m):
+        raise ValueError(f"borel move needs 0 <= i < j < {len(m)}, got i={i}, j={j}")
+    if m[j] == 0:
+        raise ValueError(f"variable {j} does not divide {m}")
+    out = list(m)
+    out[j] -= 1
+    out[i] += 1
+    return tuple(out)
+
+
+def reverse_borel_move(m: Monomial, j: int, k: int) -> Monomial:
+    """Replace one factor of the variable at position j by the one at k > j."""
+    if not 0 <= j < k < len(m):
+        raise ValueError(f"reverse borel move needs 0 <= j < k < {len(m)}, got j={j}, k={k}")
+    if m[j] == 0:
+        raise ValueError(f"variable {j} does not divide {m}")
+    out = list(m)
+    out[j] -= 1
+    out[k] += 1
+    return tuple(out)
 
 
 def pair_transitions(table) -> list[list[list[tuple[int, int]]]]:

@@ -9,10 +9,11 @@ from borelfiber.borel import (
     count_principal,
     expand_principal,
 )
-from borelfiber.monomials import borel_move, multiply, reverse_borel_move
+from borelfiber.monomials import multiply
 
 from helpers import (
     all_monomials,
+    borel_move,
     divides,
     is_borel_below,
     lex_last_divisor,
@@ -21,6 +22,7 @@ from helpers import (
     monos,
     principal_gens_by_reachability,
     reduce_for_fiber,
+    reverse_borel_move,
 )
 
 FIG_GM = monos(

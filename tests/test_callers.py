@@ -9,7 +9,9 @@ one must either find a caller or move to ``tests/helpers.py``.
 
 Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
-``map(add, ...)`` or ``map(sum, zip(...))``.
+``map(add, ...)`` or ``map(sum, zip(...))``.  The paired-move rows
+(``GeneratorTable.later_pairs``) take differences on the same packed
+generators, to spot the unit moves within a degree-2 fiber.
 
 A ``ReesBasis`` holds word pairs, and ``rees_gb`` builds no monomial, so
 ``rees._from_codes`` decodes words only where a monomial is read: the
@@ -30,7 +32,12 @@ TEST_ONLY = ["rees.rees_normal_form"]
 
 # The one configuration-sum path and the src functions that use it.
 SUM_PATH = {
-    "_pack": ["fiber.fibers", "toric._check_marking", "toric._check_overlaps"],
+    "_pack": [
+        "borel.GeneratorTable.later_pairs",
+        "fiber.fibers",
+        "toric._check_marking",
+        "toric._check_overlaps",
+    ],
     "_unpack": ["fiber.fibers", "toric._check_overlaps"],
 }
 

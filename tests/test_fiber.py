@@ -375,6 +375,13 @@ class TestFindSinkDirect:
         assert find_sink_direct(fig_table, (0, 0, 7)) is None
         assert find_sink_direct(fig_table, (3, 9, 1)) is None
 
+    @pytest.mark.parametrize("mu", [(5, 0), (2, 0, 3, 0)], ids=["short", "long"])
+    def test_mu_of_another_length_rejected(self, fig_table, mu):
+        # The same refusal as the enumeration's, not a lookup error.
+        for find in (enumerate_fiber, find_sink_direct):
+            with pytest.raises(ValueError, match="mu lives in a different variable context"):
+                find(fig_table, mu)
+
     def test_agrees_with_graph_sinks(self, fig_table):
         mus = [
             (2, 4, 4), (3, 9, 3), (4, 8, 3), (2, 8, 5), (1, 9, 0),

@@ -6,6 +6,12 @@ for the life of the process.  Neither may appear in ``src/borelfiber``.
 Nor may a call to ``id()``: a memo keyed by object identity ties an answer
 to which objects built the input, so bases hold words instead.
 
+The modules import each other without a cycle at run time, so importing any
+one of them never meets a half-initialized module: a module-level ``from
+borelfiber.X import ...`` or ``import borelfiber.X`` is an edge, and an
+``if TYPE_CHECKING:`` block, which only a type checker runs, is not.  No
+import sits inside a function, where it would hide such an edge.
+
 Every module must also parse as Python 3.10, the oldest version that
 ``pyproject.toml`` admits (``requires-python = ">=3.10"``).  The parser's
 ``feature_version`` rejects newer syntax such as ``except*`` or ``type``
@@ -13,12 +19,14 @@ statements; it does not see newer library names.
 """
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "borelfiber"
 CACHES = {"lru_cache", "cache"}
+PACKAGE = "borelfiber."
 
 
 def decorator_name(node: ast.expr) -> str | None:
@@ -71,6 +79,72 @@ def test_the_scan_sees_both_forms():
     assert any(isinstance(node, ast.Global) for node in ast.walk(tree))
     (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert decorator_name(func.decorator_list[0]) == "lru_cache"
+
+
+def runtime_imports(tree: ast.Module) -> set[str]:
+    """The package modules that a module imports at module level when it runs.
+
+    Reads ``from borelfiber.X import ...`` and ``import borelfiber.X`` in the
+    module body and in module-level ``if`` blocks, but not in the body of an
+    ``if TYPE_CHECKING:``.
+    """
+    out = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If):
+            checking = ast.unparse(node.test) in {"TYPE_CHECKING", "typing.TYPE_CHECKING"}
+            todo.extend(node.orelse if checking else node.body + node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        out.update(name.removeprefix(PACKAGE) for name in names if name.startswith(PACKAGE))
+    return out
+
+
+def import_cycle(modules: dict[str, ast.Module]) -> list[str]:
+    """One cycle of the run-time import graph, or ``[]`` when it is acyclic."""
+    graph = {name: runtime_imports(tree) for name, tree in modules.items()}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        return err.args[1]
+    return []
+
+
+def nested_imports(tree: ast.AST) -> list[int]:
+    """Lines of import statements inside a function."""
+    return sorted(
+        {
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_no_import_cycle_and_no_import_in_a_function():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert import_cycle(modules) == []
+    assert {name: nested_imports(tree) for name, tree in modules.items()} == dict.fromkeys(
+        modules, []
+    )
+
+
+def test_the_import_scans_see_a_cycle_and_a_nested_import():
+    first = ast.parse("from borelfiber.b import g\n")
+    second = "import borelfiber.a\n"
+    checked = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import borelfiber.a\n"
+    assert import_cycle({"a": first, "b": ast.parse(second)}) in (["a", "b", "a"], ["b", "a", "b"])
+    assert import_cycle({"a": first, "b": ast.parse(checked)}) == []
+    nested = ast.parse("import os\ndef f():\n    from borelfiber.b import g\n    return g\n")
+    assert nested_imports(nested) == [3]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

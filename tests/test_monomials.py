@@ -4,12 +4,10 @@ import pytest
 
 from borelfiber.monomials import (
     VariableContext,
-    borel_move,
     degree,
     format_monomial,
     multiply,
     parse_monomial,
-    reverse_borel_move,
     sigma,
     unit,
 )
@@ -17,12 +15,14 @@ from borelfiber.monomials import (
 from helpers import (
     ABC,
     all_monomials,
+    borel_move,
     borel_reachable,
     divides,
     find_reverse_move,
     is_borel_below,
     mono,
     monos,
+    reverse_borel_move,
 )
 
 

@@ -16,7 +16,7 @@ from borelfiber.fiber import build_fiber_graph, fibers
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import degree
 
-from helpers import fiber_graph_by_pair_walk, mono, monos, pair_transitions
+from helpers import family_table, fiber_graph_by_pair_walk, mono, monos, pair_transitions
 
 FIG_MU = (3, 9, 3)
 
@@ -78,7 +78,14 @@ def test_seeded_random_tables(seed):
 
 @pytest.mark.parametrize(
     "table",
-    [build_table(monos("a^2c^3", "b^4c")), counterexample_table()] + suite_tables(cap=200)[::10],
+    [
+        build_table(monos("a^2c^3", "b^4c")),
+        counterexample_table(),
+        build_table([(0, 2, 3)]),
+        family_table(4),
+        max(random_tables(50, 20250809), key=lambda t: len(t.generators)),
+    ]
+    + suite_tables(cap=200)[::10],
     ids=lambda t: "+".join(map(str, t.roots)),
 )
 def test_later_pairs_are_the_later_moves_and_lead_back(table):

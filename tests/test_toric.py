@@ -216,6 +216,16 @@ class TestBuchbergerVerify:
         with pytest.raises(ValueError, match=re.escape("must be in range(3): (0, 7)")):
             buchberger_verify(bad)
 
+    @pytest.mark.parametrize("lead", [[1, 1], (1.0, 1)], ids=["list", "float"])
+    def test_non_int_tuple_side_rejected(self, lead):
+        # A list side cannot key the rule index, and a float side cannot
+        # index the packed configuration; both must read as bad input.
+        table = build_table([(0, 2)])
+        bad = MarkedBasis(table, (MarkedBinomial(lead, (0, 2)),))
+        message = f"the lead of element 0 must be a tuple of ints, got {lead!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            buchberger_verify(bad)
+
     def test_shared_words_keep_both_marking_errors(self, fig_table, fig_quadrics):
         # The marking key is taken once per distinct word, so each bad
         # element below reads its shared word's key from the valid element
