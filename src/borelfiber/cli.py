@@ -19,6 +19,7 @@ from borelfiber.fiber import (
     build_fiber_graph,
     find_sink_direct,
     graph_to_json,
+    point_factors,
     sinks,
     to_dot,
     vertex_label,
@@ -152,9 +153,7 @@ def cmd_sink(args) -> tuple[int, str]:
         agrees = graph_sinks == ([direct] if direct is not None else [])
     data = {
         "mu": format_monomial(mu, table.context),
-        "sink": None
-        if direct is None
-        else [format_monomial(table.generators[i], table.context) for i in direct],
+        "sink": None if direct is None else point_factors(table, direct),
         "label": None if direct is None else vertex_label(table, direct),
         "agrees_with_graph": agrees,
     }
@@ -218,9 +217,7 @@ def cmd_oracle_gb(args) -> tuple[int, str]:
     extras = [el.lead for el in oracle.elements if el.lead not in quadric_leads]
     data = basis_to_json(oracle)
     data["bound"] = args.bound
-    data["leads_outside_quadric_leads"] = [
-        [format_monomial(table.generators[i], table.context) for i in lead] for lead in extras
-    ]
+    data["leads_outside_quadric_leads"] = [point_factors(table, lead) for lead in extras]
     lines = [
         f"{len(oracle.elements)} basis elements at bound {args.bound}; "
         f"{len(extras)} leads outside the quadric leads"

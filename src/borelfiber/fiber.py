@@ -36,8 +36,7 @@ graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import neg, sub
@@ -400,16 +399,18 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     return tuple(sorted(picked))
 
 
+def point_factors(table: GeneratorTable, point: FiberPoint) -> list[str]:
+    """The point's factors as formatted generators, one per index, e.g. ``["b^5", "ab^4"]``."""
+    return [format_monomial(table.generators[idx], table.context) for idx in point]
+
+
 def vertex_label(table: GeneratorTable, point: FiberPoint) -> str:
-    """Product-style label, e.g. ``Y_{b^5}Y_{ab^4}Y_{a^2c^3}``."""
-    if not point:
-        return "1"
-    parts = []
-    for idx, group in itertools.groupby(point):
-        mult = len(list(group))
-        name = "Y_{%s}" % format_monomial(table.generators[idx], table.context)
-        parts.append(name + (f"^{mult}" if mult > 1 else ""))
-    return "".join(parts)
+    """Product-style label, e.g. ``Y_{b^5}Y_{ab^4}Y_{a^2c^3}``; ``1`` for the empty point."""
+    counts = Counter(point)  # ascending, as the point is
+    names = point_factors(table, counts)
+    return "".join(
+        f"Y_{{{name}}}" + (f"^{k}" if k > 1 else "") for name, k in zip(names, counts.values())
+    ) or "1"
 
 
 def to_dot(graph: FiberGraph) -> str:
@@ -429,9 +430,7 @@ def graph_to_json(graph: FiberGraph) -> dict:
         "mu": format_monomial(graph.mu, table.context),
         "vertices": [
             {
-                "factors": [
-                    format_monomial(table.generators[idx], table.context) for idx in v
-                ],
+                "factors": point_factors(table, v),
                 "type": fiber_point_type(table, v) if v else None,
             }
             for v in graph.vertices

@@ -6,25 +6,29 @@ ring of one configuration (Herzog-Hibi-Vladoiu, 2005), :func:`_configuration`:
 x variable ``v`` is code ``v`` with vector (e_v, 0), and generator ``g`` is
 code ``n + g`` with vector (g, 1), so a monomial's sum is its image followed
 by its t-degree.  The Groebner basis of the Rees ideal is the pairs within
-the fibers of joint degree two, marked by the elimination order: x-parts by
-lex first, ties by the fiber sink order on Y-parts.  The fibers of bidegree
-(1, 1) give the linear syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``)
-and those of t-degree 2 the toric quadrics.  Both sides share
-``fiber.fibers`` and ``toric``'s reduction engine and verifier, which run on
-words: a :class:`ReesBasis` holds each element as its pair of code words
-(see :func:`_codes`), decoded only where a monomial is read.
+the fibers of joint degree two, marked by the elimination order, defined
+once on code words (:func:`_word_key`): x-parts by lex first, ties by the
+fiber sink order on Y-parts.  The fibers of bidegree (1, 1) give the linear
+syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``) and those of t-degree
+2 the toric quadrics.  Both sides share ``fiber.fibers`` and ``toric``'s
+basis check, reduction engine and verifier, which run on words: a
+:class:`ReesBasis` holds each element as its pair of code words (see
+:func:`_codes`), decoded only where a monomial is read, never to rank it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
+from operator import neg
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers
+from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers, point_factors
 from borelfiber.monomials import Monomial, format_monomial
-from borelfiber.toric import GroebnerReport, _check_ints, _check_point, _Rules, _verify
+from borelfiber.toric import GroebnerReport, _checked_rules, _Rules, _verify
+from borelfiber.toric import _check_ints, _check_point
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,6 @@ class ReesMonomial:
 class ReesBinomial:
     lead: ReesMonomial
     trail: ReesMonomial
-
-
-def rees_key(m: ReesMonomial) -> tuple:
-    """Elimination-order sort key; larger key means larger monomial."""
-    return (m.xpart, fiber_sink_key(m.ypart))
 
 
 def _configuration(table: GeneratorTable) -> list[Monomial]:
@@ -69,6 +68,18 @@ def _from_codes(codes: tuple[int, ...], n: int) -> ReesMonomial:
     return ReesMonomial(tuple(xpart), tuple(c - n for c in codes if c >= n))
 
 
+def _word_key(word: tuple[int, ...], n: int) -> tuple:
+    """Elimination-order sort key of a code word; larger key means larger monomial.
+
+    The x codes (below ``n``), negated, compare as the exponent vectors in
+    lex: where two x parts first differ, the smaller code names an earlier
+    variable its word has more of, and a proper prefix ranks lower.  Ties
+    go to :func:`~borelfiber.fiber.fiber_sink_key` of the Y codes.
+    """
+    split = bisect_left(word, n)
+    return tuple(map(neg, word[:split])), fiber_sink_key(word[split:])
+
+
 def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
     """Return ``m``'s code word; raise ``ValueError`` unless ``m`` is a monomial over ``table``.
 
@@ -77,12 +88,11 @@ def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
     """
     xpart, n = m.xpart, table.context.n
     _check_ints(xpart, "the x-part")
-    _check_ints(m.ypart, "the Y-part")
     if len(xpart) != n:
         raise ValueError(f"the x-part must have {n} exponents, got {xpart}")
     if min(xpart, default=0) < 0:
         raise ValueError(f"x exponents must be non-negative, got {xpart}")
-    _check_point(m.ypart, len(table.generators))
+    _check_point(m.ypart, len(table.generators), "the Y-part")
     return _codes(m)
 
 
@@ -92,7 +102,9 @@ class ReesBasis:
 
     ``ReesBasis(table, elements)`` checks and codes each side of each
     :class:`ReesBinomial` once (:func:`_check_monomial`), so a malformed side
-    raises ``ValueError`` here.  ``rees_gb`` passes its words as ``pairs``.
+    raises ``ValueError`` here, before coding can hide it.  ``rees_gb``
+    passes its words as ``pairs``.  The words themselves are checked where
+    the rule index is built (``toric._checked_rules``).
     """
 
     table: GeneratorTable
@@ -112,13 +124,15 @@ class ReesBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _Rules(self.pairs)
+        key = partial(_word_key, n=self.table.context.n)
+        return _checked_rules(self, self.pairs, key, _configuration(self.table))
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
     """Reduce by the lowest-index applicable lead until none applies.
 
-    Raises ``ValueError`` on a monomial that :func:`_check_monomial` refuses.
+    Raises ``ValueError`` on a monomial that :func:`_check_monomial` refuses,
+    and on a basis that ``toric._checked_rules`` refuses.
     """
     word = _check_monomial(m, basis.table)
     return _from_codes(basis._rules.normal_form(word), basis.table.context.n)
@@ -129,7 +143,7 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
 
     One pass over the fibers of :func:`_configuration` up to degree two.  A
     fiber of bidegree (1, 1), the monomials x_v Y_g of one image, is sorted
-    by :func:`rees_key`, largest first, and its pairs are the linear
+    by :func:`_word_key`, largest first, and its pairs are the linear
     syzygies, ordered by their two Y indices.  A fiber of t-degree 2 already
     lists its monomials in descending sink order, so its pairs are the toric
     quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
@@ -145,7 +159,7 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
             continue
         if key[-1] == 1:
             # Each word is (v, n + g): x variable v times generator g.  The
-            # image fixes g given v, so descending rees_key is ascending v.
+            # image fixes g given v, so descending _word_key is ascending v.
             syzygies.extend(combinations(sorted(words), 2))
         else:
             # Each word is two generator codes, so the x-part is the unit monomial.
@@ -159,30 +173,25 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
     Every critical monomial of joint degree two or three is checked (see
     ``toric._check_overlaps``); ``pairs_checked`` counts those monomials.
-    A malformed side was already refused when the basis was built (see
-    :class:`ReesBasis`).  Raises ``ValueError`` on an inconsistent marking,
-    on an element whose sides differ in image or t-degree (their sums over
-    :func:`_configuration`), or on a lead whose joint degree is not two.  A
-    word is ordered by :func:`rees_key` of its decoded monomial.  A failure
-    is named by the image of its critical monomial.
+    Raises ``ValueError`` on a basis that ``toric._checked_rules`` refuses:
+    a malformed word, a lead that is not larger than its trail under
+    :func:`_word_key`, or an element whose sides differ in image or t-degree
+    (their sums over :func:`_configuration`); and on a lead whose joint
+    degree is not two.  A failure is named by the image of its critical
+    monomial.
     """
-    n = basis.table.context.n
-    return _verify(basis, lambda word: rees_key(_from_codes(word, n)), _configuration(basis.table))
+    return _verify(basis, _configuration(basis.table))
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:
     table = basis.table
-
-    def fmt_y(point: FiberPoint) -> list[str]:
-        return [format_monomial(table.generators[i], table.context) for i in point]
-
     return {
         "elements": [
             {
                 "x_lead": format_monomial(el.lead.xpart, table.context),
-                "y_lead": fmt_y(el.lead.ypart),
+                "y_lead": point_factors(table, el.lead.ypart),
                 "x_trail": format_monomial(el.trail.xpart, table.context),
-                "y_trail": fmt_y(el.trail.ypart),
+                "y_trail": point_factors(table, el.trail.ypart),
             }
             for el in basis.elements
         ],

@@ -15,46 +15,39 @@ fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.  The Rees
 algebra is the toric ring of a larger configuration, so both sides take
-their degree-2 pairs from :func:`~borelfiber.fiber.fibers` (``rees_gb`` on
-the Rees configuration), and both bases hold each element as a pair of
-words, ascending tuples of integer codes: a :class:`MarkedBinomial` is its
-pair of points, and ``rees.ReesBasis`` codes its sides once, when built.
-:class:`_Rules`, the one reduction engine, is built straight from the pairs.
-Its lead index ``by_lead`` is the one place that says which rules carry a
-lead: the rewriter looks up the word's own sub-multisets of each lead size
-there, :func:`brute_force_gb` grows it one rule at a time, and the overlap
-check reads its critical monomials off it.  :func:`_verify`, a marking and
-homogeneity check and then the overlap check :func:`_check_overlaps`, is the
-one Groebner verifier.
+their degree-2 pairs from :func:`~borelfiber.fiber.fibers`, and both bases
+hold each element as a pair of words, ascending tuples of integer codes.  A
+basis's :class:`_Rules`, the one reduction engine, is built only by
+:func:`_checked_rules`, the one check of words, marking and homogeneity, so
+:func:`normal_form`, ``rees.rees_normal_form`` and both verifiers refuse a
+malformed basis alike and never reduce by a rule that fails to end.  The
+lead index ``by_lead`` is the one place that says which rules carry a lead:
+the rewriter looks up a word's sub-multisets there, :func:`brute_force_gb`
+grows it one rule at a time, and :func:`_check_overlaps`, the one Groebner
+verifier, reads its critical monomials off it.
 
-While every rule is quadratic, the rewriter steps a word of two or three
-codes in closed form: a quadratic word is a lead or nothing, and a cubic word
-steps by the least of its :func:`_cubic_steps`, a quadratic trail with one
-code put in place.  Those are the only words the overlap check reduces.
-
+While every rule is quadratic, the rewriter steps the words the overlap
+check reduces, of two or three codes, in closed form (:meth:`_Rules.rewrite`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
-them) of their length, where two normal forms could disagree; see
-:func:`_check_overlaps`.  A Groebner basis of the whole toric ideal walks
-none, since its standard words meet each fiber once (Sturmfels, *Groebner
-Bases and Convex Polytopes*, 1996, ch. 4).
+them) of their length.  A Groebner basis of the whole toric ideal walks none,
+since its standard words meet each fiber once (Sturmfels, *Groebner Bases and
+Convex Polytopes*, 1996, ch. 4).
 
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
-one sum path that ``fiber.fibers`` uses too.  Each coordinate gets the bits
-of L times the largest coordinate, L the longest word summed (three for the
-scan, the longest lead or trail for the homogeneity check), so a sum of at
-most L vectors carries into no other coordinate.  A word's packed sum is
-then one integer addition per code, two words share it exactly when they
-share their sum, and a cubic word's sum is its pair's sum plus one packed
-vector.  A failure's name is unpacked from it.
+one sum path that ``fiber.fibers`` uses too, with bits for the longest word
+summed, so a word's packed sum is one integer addition per code and two
+words share it exactly when they share their sum.  A failure's name is
+unpacked from it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import chain, combinations
+from operator import eq, gt
 from typing import Callable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
@@ -66,6 +59,7 @@ from borelfiber.fiber import (
     enumerate_fiber,
     fiber_sink_key,
     fibers,
+    point_factors,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
 
@@ -172,26 +166,78 @@ class _Rules:
 
 @dataclass(frozen=True)
 class MarkedBasis:
+    """A table's marked binomials, each its (lead, trail) word pair."""
+
     table: GeneratorTable
     elements: tuple[MarkedBinomial, ...]
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _Rules(self.elements)
+        return _checked_rules(self, self.elements, fiber_sink_key, self.table.generators)
 
 
 def _check_ints(value, what: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a tuple of ints: outside input's first check."""
-    if not isinstance(value, tuple) or not all(type(c) is int for c in value):
+    """Raise ``ValueError`` unless ``value`` is a tuple of ints; a bool is not an int here."""
+    if type(value) is not tuple or not all(type(c) is int for c in value):
         raise ValueError(f"{what} must be a tuple of ints, got {value!r}")
 
 
-def _check_point(point: FiberPoint, size: int) -> None:
-    """Raise ``ValueError`` unless ``point`` lists indices in ``range(size)``, ascending."""
+def _check_point(point: FiberPoint, size: int, what: str = "a point") -> None:
+    """Raise ``ValueError`` unless ``point`` is a tuple of ints in ``range(size)``, ascending."""
+    _check_ints(point, what)
     if list(point) != sorted(point):
-        raise ValueError(f"generator indices must be ascending, got {point}")
+        raise ValueError(f"{what} must be ascending, got {point}")
     if point and not 0 <= point[0] <= point[-1] < size:
-        raise ValueError(f"generator indices must be in range({size}): {point}")
+        raise ValueError(f"{what} must be in range({size}): {point}")
+
+
+def _well_formed(words: list, size: int) -> bool:
+    """:func:`_check_point` in bulk: whether every word is an ascending tuple of ints in range."""
+    if not {tuple} >= set(map(type, words)):
+        return False
+    codes = list(chain.from_iterable(words))
+    if not {int} >= set(map(type, codes)) or (codes and not 0 <= min(codes) <= max(codes) < size):
+        return False
+    distinct = set(words)
+    return all(map(eq, distinct, map(tuple, map(sorted, distinct))))
+
+
+def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> _Rules:
+    """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
+
+    Both sides call it, with their configuration ``vectors`` and word
+    ``key``.  Raises ``ValueError`` on a word that :func:`_check_point`
+    refuses, then unless every lead has a larger ``key`` than its trail and
+    the same length and configuration sum: a binomial that is not
+    homogeneous is not in the ideal.  So every rewrite ends and keeps its
+    word's fiber.  The words are checked in bulk, each distinct word's key
+    and packed sum taken once; only a failure walks the elements in order,
+    to name the first, a malformed word before any marking.
+    """
+    leads, trails = [lead for lead, _ in pairs], [trail for _, trail in pairs]
+    sides = leads + trails
+    if not _well_formed(sides, len(vectors)):
+        for pos, (lead, trail) in enumerate(pairs):
+            _check_point(lead, len(vectors), f"the lead of element {pos}")
+            _check_point(trail, len(vectors), f"the trail of element {pos}")
+    words = set(sides)
+    packed, _ = _pack(vectors, max(map(len, words), default=0))
+    key_of = {word: key(word) for word in words}
+    sum_of = {word: (len(word), sum(map(packed.__getitem__, word))) for word in words}
+    marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
+    if not marked or list(map(sum_of.__getitem__, leads)) != list(map(sum_of.__getitem__, trails)):
+        for pos, (lead, trail, el) in enumerate(zip(leads, trails, basis.elements)):
+            if key_of[lead] <= key_of[trail]:
+                raise ValueError(
+                    f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
+                )
+            if sum_of[lead] != sum_of[trail]:
+                what = "degree" if len(lead) != len(trail) else "multidegree"
+                raise ValueError(
+                    f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
+                    f"differ in {what}"
+                )
+    return _Rules(pairs)
 
 
 def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
@@ -199,10 +245,10 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
 
     Each step is strictly later in the fiber sink order, so this terminates;
     when the basis is a Groebner basis the result only depends on the point's
-    multidegree class.  Raises ``ValueError`` on a point that is not a tuple
-    of ints or that :func:`_check_point` refuses.
+    multidegree class.  Raises ``ValueError`` on a point that
+    :func:`_check_point` refuses, and on a basis that :func:`_checked_rules`
+    refuses.
     """
-    _check_ints(point, "a point")
     _check_point(point, len(basis.table.generators))
     return basis._rules.normal_form(point)
 
@@ -329,7 +375,7 @@ def _check_overlaps(
 
     ``vectors`` is the configuration, one vector per code; the first ``n``
     coordinates of a critical monomial's sum name it in a failure.
-    Reduction terminates, so by Newman's lemma the rules form a Groebner
+    Reduction terminates (:func:`_checked_rules`), so by Newman's lemma the rules form a Groebner
     basis exactly when every one-step reduct of every critical monomial
     reaches the same normal form.  Two leads that share no code commute
     (product criterion), and two overlapping quadratic leads have as lcm
@@ -347,7 +393,7 @@ def _check_overlaps(
     each that disagrees, in ascending order of the monomial.
 
     Reducts are walked only where two standard words could disagree.
-    ``_check_marking`` has checked that every rule keeps its word's length
+    ``_checked_rules`` has checked that every rule keeps its word's length
     and configuration sum, so every reduct of a critical monomial m, and every
     normal form of one, lies in m's fiber, and a normal form is a standard
     word: it contains no lead.  If m's fiber holds one standard word of m's
@@ -365,11 +411,9 @@ def _check_overlaps(
     that are not partners of a; a lead (a, a) counts the partners w > a; a
     lead carried by two or more rules counts itself.
 
-    Every word the walk reduces has two or three codes, and every lead and
-    trail is quadratic (``_check_marking`` checks that lead and trail have one
-    length), so :meth:`_Rules.normal_form` walks them in closed form and keeps
-    them in the rules' cache.  A cubic critical monomial's one-step reducts
-    are all its :func:`_cubic_steps`.
+    Every word the walk reduces has two or three codes, and every rule is
+    quadratic, so :meth:`_Rules.normal_form` steps them in closed form, and a
+    cubic critical monomial's one-step reducts are all its :func:`_cubic_steps`.
     """
     by_lead = rules.by_lead
     partners = [0] * len(vectors)
@@ -430,56 +474,15 @@ def _check_overlaps(
     return checked, failures
 
 
-def _check_marking(basis, key: Callable, vectors: Sequence[Monomial]) -> None:
-    """Raise ``ValueError`` on a malformed word, a bad marking or a binomial outside the ideal.
+def _verify(basis, vectors: Sequence[Monomial]) -> GroebnerReport:
+    """The overlap check of a basis over its configuration; the verifier behind both sides.
 
-    ``basis`` is a toric or a Rees basis, and ``vectors`` its configuration:
-    the table's generators, or ``rees._configuration``.  Raises when
-    :func:`_check_point` refuses a lead or trail word over ``vectors``, and
-    unless every element's lead word has a larger ``key`` than its trail and
-    its lead and trail have the same code length (t-degree, or joint degree)
-    and the same configuration sum (multidegree, or image and t-degree): a
-    binomial that is not homogeneous is not in the ideal.  The sums are
-    compared packed (``fiber._pack``), sized for the longest lead or trail,
-    so each is one integer addition per code and equal exactly when the sums
-    are.  A word recurs across elements (in the full toric basis a trail is
-    shared by up to 50), so each distinct word is checked once and its key
-    and packed sum are kept.  A message names the failing element, decoded
-    from ``basis.elements``.
+    Building ``basis._rules`` has checked the words, the marking and the
+    homogeneity (:func:`_checked_rules`), so only :func:`_check_overlaps`
+    runs here, and reports the critical monomials whose reducts disagree.  A
+    failure is named by the first n coordinates of its sum, the multidegree
+    or the image.
     """
-    rules = basis._rules
-    packed, _ = _pack(vectors, max(map(len, rules.leads + rules.trails), default=0))
-    seen: dict = {}
-    for pos, (lead, trail) in enumerate(zip(rules.leads, rules.trails)):
-        for word in (lead, trail):
-            if word not in seen:
-                _check_point(word, len(vectors))
-                seen[word] = (key(word), sum(map(packed.__getitem__, word)))
-        (lead_key, lead_sum), (trail_key, trail_sum) = seen[lead], seen[trail]
-        if lead_key <= trail_key:
-            el = basis.elements[pos]
-            raise ValueError(
-                f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
-            )
-        if len(lead) != len(trail) or lead_sum != trail_sum:
-            el = basis.elements[pos]
-            what = "degree" if len(lead) != len(trail) else "multidegree"
-            raise ValueError(
-                f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
-                f"differ in {what}"
-            )
-
-
-def _verify(basis, key: Callable, vectors: Sequence[Monomial]) -> GroebnerReport:
-    """Marking check, then the overlap check; the verifier behind both sides.
-
-    :func:`_check_marking` raises ``ValueError`` on a basis that is not a set
-    of marked binomials of the ideal, and :func:`_check_overlaps` reports
-    the critical monomials whose reducts disagree.  ``key`` orders the words
-    as the monomial order does.  A failure is named by the first n
-    coordinates of its sum, the multidegree or the image.
-    """
-    _check_marking(basis, key, vectors)
     checked, failures = _check_overlaps(basis._rules, vectors, basis.table.context.n)
     return GroebnerReport(
         ok=not failures,
@@ -494,17 +497,12 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
 
     Checks every critical monomial of degree two or three (see
     :func:`_check_overlaps`); ``pairs_checked`` counts those monomials.
-    Raises ``ValueError`` on a lead or trail that is not a tuple of ints or
-    that :func:`_check_point` refuses, on a lead that is not earlier than its
-    trail in the fiber sink order, or on a lead that is not quadratic.
+    Raises ``ValueError`` on a basis that :func:`_checked_rules` refuses: a
+    lead or trail that :func:`_check_point` refuses, a lead that is not
+    earlier than its trail in the fiber sink order, or an element that is
+    not homogeneous; and on a lead that is not quadratic.
     """
-    try:
-        return _verify(basis, fiber_sink_key, basis.table.generators)
-    except TypeError:  # no side is checked up front; find the one that broke the check
-        for pos, (lead, trail) in enumerate(basis.elements):
-            _check_ints(lead, f"the lead of element {pos}")
-            _check_ints(trail, f"the trail of element {pos}")
-        raise
+    return _verify(basis, basis.table.generators)
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
@@ -586,11 +584,7 @@ def closure_components(
 
 
 def basis_to_json(basis: MarkedBasis) -> dict:
-    table = basis.table
-
-    def fmt(point: FiberPoint) -> list[str]:
-        return [format_monomial(table.generators[i], table.context) for i in point]
-
+    table, fmt = basis.table, partial(point_factors, basis.table)
     return {
         "variable_order": [format_monomial(g, table.context) for g in table.generators],
         "elements": [{"lead": fmt(el.lead), "trail": fmt(el.trail)} for el in basis.elements],

@@ -38,7 +38,7 @@ from borelfiber.monomials import (
     sigma,
     unit,
 )
-from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_key
+from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial
 from borelfiber.toric import (
     GroebnerReport,
     MarkedBasis,
@@ -192,6 +192,15 @@ def point_product(table: GeneratorTable, point: FiberPoint) -> Monomial:
         for pos, e in enumerate(table.generators[idx]):
             out[pos] += e
     return tuple(out)
+
+
+def rees_key(m: ReesMonomial) -> tuple:
+    """Elimination-order sort key of a Rees monomial; larger key means larger monomial.
+
+    The x-parts by lex first, ties by the fiber sink order on the Y-parts:
+    the monomial oracle of the code-word key ``rees._word_key``.
+    """
+    return (m.xpart, fiber_sink_key(m.ypart))
 
 
 def rees_image(table, m: ReesMonomial) -> Monomial:

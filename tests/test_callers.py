@@ -11,12 +11,16 @@ Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
 ``map(add, ...)`` or ``map(sum, zip(...))``.  The paired-move rows
 (``GeneratorTable.later_pairs``) take differences on the same packed
-generators, to spot the unit moves within a degree-2 fiber.
+generators, to spot the unit moves within a degree-2 fiber.  Besides them,
+``toric._checked_rules``, the one check of a basis, packs its words' sums
+for the homogeneity check, and ``toric._check_overlaps`` its critical
+monomials' sums.
 
-A ``ReesBasis`` holds word pairs, and ``rees_gb`` builds no monomial, so
+A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
+elimination order is defined once, on code words (``rees._word_key``), so
 ``rees._from_codes`` decodes words only where a monomial is read: the
-``ReesBasis.elements`` view, the answer of ``rees_normal_form`` and the
-marking key of ``rees_buchberger_verify``; those callers are pinned.
+``ReesBasis.elements`` view and the answer of ``rees_normal_form``; those
+callers are pinned.  No word is decoded in order to rank it.
 """
 
 import ast
@@ -35,15 +39,15 @@ SUM_PATH = {
     "_pack": [
         "borel.GeneratorTable.later_pairs",
         "fiber.fibers",
-        "toric._check_marking",
         "toric._check_overlaps",
+        "toric._checked_rules",
     ],
     "_unpack": ["fiber.fibers", "toric._check_overlaps"],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.
 DECODE_PATH = {
-    "_from_codes": ["rees.ReesBasis.elements", "rees.rees_buchberger_verify", "rees.rees_normal_form"]
+    "_from_codes": ["rees.ReesBasis.elements", "rees.rees_normal_form"]
 }
 
 

@@ -4,7 +4,10 @@ A ``global`` statement rebinds module state from inside a function, and a
 ``functools.lru_cache`` or ``functools.cache`` decorator keeps every answer
 for the life of the process.  Neither may appear in ``src/borelfiber``.
 Nor may a call to ``id()``: a memo keyed by object identity ties an answer
-to which objects built the input, so bases hold words instead.
+to which objects built the input, so bases hold words instead.  Nor may an
+``except`` clause name ``TypeError``: bad input is refused by a check, never
+by catching what it breaks, so the error names the input instead of the
+line it broke.
 
 The modules import each other without a cycle at run time, so importing any
 one of them never meets a half-initialized module: a module-level ``from
@@ -71,6 +74,35 @@ def test_no_identity_memos(path):
 def test_the_id_scan_sees_a_call():
     source = "def f(side, memo):\n    key = side.id\n    return memo.get(id(side))\n"
     assert id_calls(ast.parse(source)) == [3]
+
+
+def type_error_handlers(tree: ast.AST) -> list[int]:
+    """Lines of ``except`` clauses that name ``TypeError``, alone, in a tuple or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(
+            getattr(name, "id", getattr(name, "attr", None)) == "TypeError"
+            for name in ast.walk(node.type)
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_type_error_handlers(path):
+    assert type_error_handlers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_type_error_scan_sees_each_form():
+    source = (
+        "try:\n    f()\nexcept TypeError:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, TypeError) as err:\n    pass\n"
+        "try:\n    f()\nexcept builtins.TypeError:\n    pass\n"
+        "try:\n    f()\nexcept ValueError:\n    pass\nexcept:\n    raise\n"
+    )
+    assert type_error_handlers(ast.parse(source)) == [3, 7, 11]
 
 
 def test_the_scan_sees_both_forms():

@@ -1,8 +1,11 @@
+import random
 import re
 from collections import defaultdict
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import enumerate_fiber, fiber_sink_key, fibers
@@ -14,16 +17,23 @@ from borelfiber.rees import (
     _codes,
     _configuration,
     _from_codes,
+    _word_key,
     rees_basis_to_json,
     rees_buchberger_verify,
     rees_gb,
-    rees_key,
     rees_normal_form,
 )
 from borelfiber.instances import suite_tables
 from borelfiber.toric import normal_form, quadric_generators
 
-from helpers import linear_syzygies_by_diff, mono, monos, pairwise_rees_buchberger, rees_image
+from helpers import (
+    linear_syzygies_by_diff,
+    mono,
+    monos,
+    pairwise_rees_buchberger,
+    rees_image,
+    rees_key,
+)
 
 CTX2 = VariableContext.default(2)
 
@@ -93,6 +103,49 @@ class TestReesCompare:
         a = ReesMonomial((1, 0), ())
         b = ReesMonomial((0, 1), ())
         assert rees_key(a) > rees_key(b)
+
+
+def sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def misranked(words, n: int) -> list[tuple]:
+    """The pairs of ``words`` that ``_word_key`` and ``rees_key`` of their monomials rank apart."""
+    keyed = [(w, _word_key(w, n), rees_key(_from_codes(w, n))) for w in words]
+    return [
+        (u, w)
+        for (u, key_u, mono_u), (w, key_w, mono_w) in combinations(keyed, 2)
+        if sign(key_u, key_w) != sign(mono_u, mono_w)
+    ]
+
+
+def code_words(size: int):
+    """Ascending words of 0 to 4 codes in ``range(size)``."""
+    return st.lists(st.integers(0, size - 1), max_size=4).map(lambda codes: tuple(sorted(codes)))
+
+
+class TestWordKey:
+    """``rees._word_key`` on code words is ``rees_key`` on the monomials they decode to."""
+
+    def test_every_pair_of_words_of_every_tenth_suite_basis(self):
+        pairs = 0
+        for table in suite_tables(cap=200)[::10]:
+            words = sorted({w for pair in rees_gb(table).pairs for w in pair})
+            assert misranked(words, table.context.n) == [], table.roots
+            pairs += len(words) * (len(words) - 1) // 2
+        assert pairs == 203_191
+
+    def test_random_words_mixing_x_and_y_codes(self, fig_table):
+        rng = random.Random(20250809)
+        n, size = 3, 3 + len(fig_table.generators)
+        words = {tuple(sorted(rng.choices(range(size), k=rng.randint(0, 4)))) for _ in range(400)}
+        assert any(w and w[0] < n <= w[-1] for w in words)
+        assert misranked(sorted(words), n) == []
+
+    @given(st.integers(1, 4), code_words(10), code_words(10))
+    def test_any_two_words(self, n, u, w):
+        # Codes below n are x codes, the rest Y codes.
+        assert misranked([u, w], n) == []
 
 
 class TestReesGb:

@@ -1,22 +1,41 @@
 """Bases hold word pairs, and no answer depends on which objects built them.
 
 A ``MarkedBinomial`` is its (lead, trail) word pair, and a ``ReesBasis``
-codes each side of its elements once, when it is built, into ``pairs``;
-``toric._check_marking`` then checks each distinct word once.
+codes each side of its elements once, when it is built, into ``pairs``.
+``toric._checked_rules`` checks the words, the marking and the homogeneity
+of either basis before it builds the rule index, each distinct word once.
 ``TestNoObjectSharing`` holds every answer on fresh copies of every side to
 the answer on the originals, and ``TestRoundTrip`` holds a Rees basis rebuilt
-from its decoded elements to the basis itself.
+from its decoded elements to the basis itself.  ``TestRulesOnlyFromCheckedBases``
+holds reduction and verification on malformed bases to one ``ValueError``.
 """
 
 import json
+import re
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from borelfiber.borel import build_two_borel
+from borelfiber.borel import build_table, build_two_borel
 from borelfiber.instances import random_tables, suite_tables
-from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, rees_buchberger_verify, rees_gb
-from borelfiber.toric import MarkedBinomial, _Rules, buchberger_verify, quadric_generators
+from borelfiber.rees import (
+    ReesBasis,
+    ReesBinomial,
+    ReesMonomial,
+    rees_buchberger_verify,
+    rees_gb,
+    rees_normal_form,
+)
+from borelfiber.toric import (
+    MarkedBasis,
+    MarkedBinomial,
+    _Rules,
+    buchberger_verify,
+    normal_form,
+    quadric_generators,
+)
 
 from helpers import mono
 
@@ -111,3 +130,89 @@ class TestRoundTrip:
         again = ReesBasis(table, basis.elements)
         assert again == basis
         assert index(again._rules) == index(basis._rules)
+
+
+@contextmanager
+def within(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``: a loop fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRulesOnlyFromCheckedBases:
+    """A malformed basis raises ``ValueError`` before any rule is built.
+
+    On Borel(b^2) in two variables, with generators a^2, ab, b^2 and Rees
+    codes a, b, Y_{a^2}, Y_{ab}, Y_{b^2} as 0..4.  A pair and its reverse
+    would rewrite a word back and forth forever, so both reductions run
+    under a timeout.
+    """
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_table([(0, 2)])
+
+    def test_a_pair_and_its_reverse_under_normal_form(self, table):
+        el = quadric_generators(table).elements[0]
+        basis = MarkedBasis(table, (el, MarkedBinomial(el.trail, el.lead)))
+        message = "inconsistent marking: lead (0, 2) is not earlier than trail (1, 1)"
+        with within(3), pytest.raises(ValueError, match=re.escape(message)):
+            normal_form((0, 2), basis)
+
+    def test_a_pair_and_its_reverse_under_rees_normal_form(self, table):
+        el = rees_gb(table).elements[0]
+        basis = ReesBasis(table, (el, ReesBinomial(el.trail, el.lead)))
+        message = f"inconsistent marking: lead {el.trail} is not earlier than trail {el.lead}"
+        with within(3), pytest.raises(ValueError, match=re.escape(message)):
+            rees_normal_form(el.lead, basis)
+
+    def test_a_list_lead_under_normal_form(self, table):
+        basis = MarkedBasis(table, (MarkedBinomial([1, 1], (0, 2)),))
+        message = "the lead of element 0 must be a tuple of ints, got [1, 1]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normal_form((0, 2), basis)
+
+    def test_a_bool_lead_under_buchberger_verify(self, table):
+        # (True, True) == (1, 1), which leads the one quadric correctly.
+        basis = MarkedBasis(table, (MarkedBinomial((True, True), (0, 2)),))
+        message = "the lead of element 0 must be a tuple of ints, got (True, True)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            buchberger_verify(basis)
+
+    @pytest.mark.parametrize("lead", [[0, 4], (True, 4)], ids=["list", "bool"])
+    def test_a_malformed_rees_word_under_rees_buchberger_verify(self, table, lead):
+        # (0, 4) codes a Y_{b^2} and (1, 3) codes b Y_{ab}: a syzygy, marked correctly.
+        basis = ReesBasis(table, pairs=(((0, 3), (1, 2)), (lead, (1, 3))))
+        message = f"the lead of element 1 must be a tuple of ints, got {lead!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rees_buchberger_verify(basis)
+
+    def test_a_malformed_word_before_a_marking_error(self, table):
+        el = quadric_generators(table).elements[0]
+        backwards, unsorted = MarkedBinomial(el.trail, el.lead), MarkedBinomial((1, 1), (2, 0))
+        basis = MarkedBasis(table, (backwards, unsorted))
+        with pytest.raises(ValueError, match=re.escape("the trail of element 1 must be ascending")):
+            normal_form((0, 2), basis)
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([((1, 1), (0, 5)), ([1, 1], (0, 2))], "the trail of element 0 must be in range(3)"),
+            ([((2, 1), [0, 2])], "the lead of element 0 must be ascending, got (2, 1)"),
+            ([((1, 1), (0, 2)), ((-1, 0), (True, 1))], "the lead of element 1 must be in range(3)"),
+        ],
+        ids=["element-order", "lead-before-trail", "range-before-type"],
+    )
+    def test_the_first_malformed_word_is_named(self, table, elements, message):
+        basis = MarkedBasis(table, tuple(MarkedBinomial(*pair) for pair in elements))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            buchberger_verify(basis)
