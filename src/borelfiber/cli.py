@@ -198,7 +198,7 @@ def cmd_verify_unique_sinks(args) -> tuple[int, str]:
 
 def cmd_verify_buchberger(args) -> tuple[int, str]:
     table = _load_table(args)
-    toric_report = buchberger_verify(quadric_generators(table))
+    toric_report = buchberger_verify(quadric_generators(table, interreduce=True))
     data = {"toric": toric_report.to_json()}
     ok = toric_report.ok
     lines = [f"toric: {toric_report.status} ({toric_report.pairs_checked} overlaps)"]
@@ -242,7 +242,7 @@ def cmd_counterexample(args) -> tuple[int, str]:
     components = closure_components(table, mu, max_swap=r - 1)
     location = {z: i for i, comp in enumerate(components) for z in comp}
     separated = location[point_a] != location[point_b]
-    quadrics = quadric_generators(table)
+    quadrics = quadric_generators(table, interreduce=True)
     reduces = normal_form(point_a, quadrics) == normal_form(point_b, quadrics)
     mu_text = format_monomial(mu, context)
     if separated:

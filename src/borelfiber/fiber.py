@@ -16,8 +16,9 @@ the table's generators, and the Rees algebra is the toric ring of a larger
 one (see ``rees``).  Sweeps, the quadrics, the Rees lift and the completion
 oracle use it, because they need every fiber up to the bound anyway.
 :func:`enumerate_fiber` factors a single multidegree by one iterative
-depth-first search; it serves one-mu callers, whose t can be far too large
-to list every product up to it.
+depth-first search, which never enters a rest that no generators factor
+(:func:`_factorable`); it serves one-mu callers, whose t can be far too
+large to list every product up to it.
 
 A point's later paired moves come from :func:`_later_moves`, which reads the
 table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg, sub
+from operator import le, neg, sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from borelfiber.monomials import Monomial, degree, format_monomial, sigma
@@ -163,7 +164,10 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
     depth-first search: a partial point is extended by every generator index
     at least its last one that divides the rest, the last factor is looked up
     directly, and a (rest, least index) state that completed no point is
-    remembered for the rest of the call and not searched again.
+    remembered for the rest of the call and not searched again.  A rest of
+    t-degree k is entered only when some k generators factor it
+    (:func:`_factorable`), so a search that cannot complete a point stops
+    where it would first go wrong rather than after trying every divisor.
     """
     if len(mu) != table.context.n:
         raise ValueError("mu lives in a different variable context")
@@ -174,6 +178,10 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
     gens, index_of, d = table.generators, table.index_of, table.degree
     if degree(mu) == d:
         return [(index_of[mu],)] if mu in index_of else []
+    t = degree(mu) // d
+    root_sums = [sigma(root) for root in table.roots]
+    if not _factorable(root_sums, sigma(mu), t):
+        return []
     out: list[FiberPoint] = []
     dead: set[tuple[Monomial, int]] = set()
     picked: list[int] = []
@@ -192,14 +200,15 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
             continue
         frame[2] = idx + 1
         g = gens[idx]
-        if any(e > r for e, r in zip(g, rest)):
+        if not all(map(le, g, rest)):
             continue
-        smaller = tuple(r - e for r, e in zip(rest, g))
-        if degree(smaller) == d:
+        smaller = tuple(map(sub, rest, g))
+        k = t - len(picked) - 1  # the t-degree of smaller
+        if k == 1:
             last = index_of.get(smaller)
             if last is not None and last >= idx:
                 out.append((*picked, idx, last))
-        elif (smaller, idx) not in dead:
+        elif (smaller, idx) not in dead and _factorable(root_sums, sigma(smaller), k):
             picked.append(idx)
             frames.append([smaller, idx, idx, len(out)])
     return out
@@ -335,6 +344,29 @@ def _m_share_bounds(
         elif need > 0:
             return 1, 0
     return lo, hi
+
+
+def _factorable(root_sums: list[tuple[int, ...]], s_rest: tuple[int, ...], k: int) -> bool:
+    """Whether a monomial of degree k*d with suffix sums ``s_rest`` factors into k generators.
+
+    ``root_sums`` holds sigma of each of the table's one to three roots.  The
+    degree-kd part of I^k is the union of Borel(f^a g^b h^c) over a+b+c = k,
+    since Borel(f)^a Borel(g)^b Borel(h)^c = Borel(f^a g^b h^c)
+    (Francisco-Mermin-Schweig, "Borel generators", 2011), and a monomial of
+    its degree lies in Borel(u) exactly when its sigma is at most sigma(u).
+    So one root is one comparison with k*sigma(root), two roots the interval
+    of :func:`_m_share_bounds`, and three roots the two-root test on g and h
+    once per share a of f, with a*sigma(f) taken off the rest.
+    """
+    if len(root_sums) == 1:
+        return all(map(le, s_rest, [k * s for s in root_sums[0]]))
+    if len(root_sums) == 2:
+        lo, hi = _m_share_bounds(k, s_rest, *root_sums)
+        return lo <= hi
+    s_f, *others = root_sums
+    return any(
+        _factorable(others, [s - a * f for s, f in zip(s_rest, s_f)], k - a) for a in range(k + 1)
+    )
 
 
 def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import accumulate
 
 Monomial = tuple[int, ...]
 
@@ -85,12 +86,7 @@ def sigma(m: Monomial) -> tuple[int, ...]:
     The result is weakly decreasing, starts at deg(m), and two consecutive
     entries differ exactly when the variable at the first position divides m.
     """
-    out = []
-    total = 0
-    for e in reversed(m):
-        total += e
-        out.append(total)
-    return tuple(reversed(out))
+    return tuple(accumulate(reversed(m)))[::-1]
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

@@ -206,14 +206,20 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
     """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
 
     Both sides call it, with their configuration ``vectors`` and word
-    ``key``.  Raises ``ValueError`` on a word that :func:`_check_point`
-    refuses, then unless every lead has a larger ``key`` than its trail and
-    the same length and configuration sum: a binomial that is not
-    homogeneous is not in the ideal.  So every rewrite ends and keeps its
-    word's fiber.  The words are checked in bulk, each distinct word's key
-    and packed sum taken once; only a failure walks the elements in order,
-    to name the first, a malformed word before any marking.
+    ``key``.  Raises ``ValueError`` on an element that is not a (lead,
+    trail) tuple of two, then on a word that :func:`_check_point` refuses,
+    then unless every lead has a larger ``key`` than its trail and the same
+    length and configuration sum: a binomial that is not homogeneous is not
+    in the ideal.  So every rewrite ends and keeps its word's fiber.  The
+    words are checked in bulk, each distinct word's key and packed sum taken
+    once; only a failure walks the elements in order, to name the first, a
+    malformed word before any marking.
     """
+    tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
+    if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
+        for pos, pair in enumerate(pairs):
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
     leads, trails = [lead for lead, _ in pairs], [trail for _, trail in pairs]
     sides = leads + trails
     if not _well_formed(sides, len(vectors)):
@@ -368,6 +374,42 @@ def _shared(sums: list[int]) -> set[int]:
     return {total for total, count in Counter(sums).items() if count > 1}
 
 
+def _walked(
+    by_lead: dict, extras: dict, packed: list[int], pairs: set[int], cubics: set[int]
+) -> list[tuple[int, ...]]:
+    """The critical monomials whose sum two standard words share, ascending.
+
+    ``extras`` maps each lead (a, b) to its counted codes w (see
+    :func:`_check_overlaps`): a mask ``high`` of those that give (a, b, w)
+    and a mask ``low`` of those that give (a, w, b).  ``pairs`` and
+    ``cubics`` are the shared sums of :func:`_colliding_sums`.  A lead carried
+    twice is walked when its own sum is shared.  The cubic critical monomials
+    of a lead are found from the shared sums, not by stepping its bits: w
+    completes (a, b) to a shared sum s exactly when packed[w] = s -
+    (packed[a] + packed[b]), so each shared sum names its codes w by one
+    lookup, and the lead keeps those among its counted codes.  That costs
+    one lookup per lead and shared cubic sum, and the bases that reach the
+    walk share few sums.
+    """
+    code_of: dict[int, int] = {}
+    for code, vector in enumerate(packed):
+        code_of[vector] = code_of.get(vector, 0) | 1 << code
+    critical = []
+    for lead, (high, low) in extras.items():
+        a, b = lead
+        pair = packed[a] + packed[b]
+        if pair in pairs and len(by_lead[lead]) > 1:
+            critical.append(lead)
+        hits = 0
+        for total in cubics:
+            hits |= code_of.get(total - pair, 0)
+        if hits:
+            critical.extend((a, b, w) for w in _bits(high & hits))
+            critical.extend((a, w, b) for w in _bits(low & hits))
+    critical.sort()
+    return critical
+
+
 def _check_overlaps(
     rules: _Rules, vectors: Sequence[Monomial], n: int
 ) -> tuple[int, list[SPairFailure]]:
@@ -400,9 +442,9 @@ def _check_overlaps(
     length, every reduct reaches it and m cannot fail.  So the standard
     words of two and three codes are scanned by :func:`_colliding_sums`,
     which costs at most (standard pairs x codes), and only the critical
-    monomials whose sum two standard words share are walked.  The scan is
-    skipped when there is no critical monomial, and the walk when no sum is
-    shared.
+    monomials whose sum two standard words share are walked, found from the
+    shared sums by :func:`_walked`.  The scan is skipped when there is no
+    critical monomial, and the walk when no sum is shared.
 
     Critical monomials are counted, not built: each once, from its least
     lead divisor.  ``partners[c]`` has bit w set when (c, w) is a lead.  A
@@ -444,17 +486,9 @@ def _check_overlaps(
     pairs, cubics = _colliding_sums(partners, packed)
     if not pairs and not cubics:
         return checked, []
-    critical = []
-    for lead, (high, low) in extras.items():
-        a, b = lead
-        pair = packed[a] + packed[b]
-        if len(by_lead[lead]) > 1 and pair in pairs:
-            critical.append(lead)
-        critical.extend((a, b, w) for w in _bits(high) if pair + packed[w] in cubics)
-        critical.extend((a, w, b) for w in _bits(low) if pair + packed[w] in cubics)
     trails, normal_form = rules.trails, rules.normal_form
     failures = []
-    for m in sorted(critical):
+    for m in _walked(by_lead, extras, packed, pairs, cubics):
         reducts = {}
         if len(m) == 2:
             for pos in by_lead[m]:

@@ -362,6 +362,29 @@ def overlap_report_by_walk(basis, vectors) -> GroebnerReport:
     return _report(failures, critical, basis.table)
 
 
+def walked_by_bits(by_lead, extras, packed, pairs, cubics) -> list[tuple[int, ...]]:
+    """Reference for ``toric._walked``: step every counted code of every lead.
+
+    The walk as it was before it read its codes off the shared sums: for a
+    lead (a, b), each w in its ``high`` mask gives (a, b, w) and each in its
+    ``low`` mask (a, w, b), kept when the sum of the three codes is shared;
+    a lead carried twice is kept when its own sum is.  Sorted ascending.
+    """
+    critical = []
+    for lead, (high, low) in extras.items():
+        a, b = lead
+        pair = packed[a] + packed[b]
+        if len(by_lead[lead]) > 1 and pair in pairs:
+            critical.append(lead)
+        for w in range(max(high, low).bit_length()):
+            if pair + packed[w] in cubics:
+                if high >> w & 1:
+                    critical.append((a, b, w))
+                if low >> w & 1:
+                    critical.append((a, w, b))
+    return sorted(critical)
+
+
 def mono(text: str, context: VariableContext = ABC) -> Monomial:
     return parse_monomial(text, context)
 
@@ -504,6 +527,52 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
                 rec(tuple(r - e for r, e in zip(remaining, g)), idx, picked + (idx,))
 
     rec(mu, 0, ())
+    return out
+
+
+def enumerate_fiber_unpruned(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
+    """``fiber.enumerate_fiber`` without its Borel-product prune, as it was before it.
+
+    The same iterative depth-first search, in the same order: a partial
+    point is extended by every generator index at least its last one that
+    divides the rest, the last factor is looked up directly, and a (rest,
+    least index) state that completed no point is not searched again.  It
+    never asks whether a rest can be factored at all, so it shares no Borel
+    theory with the pruned search or the direct sink.
+    """
+    if degree(mu) == 0:
+        return [()]
+    if table.is_empty or degree(mu) % table.degree != 0:
+        return []
+    gens, index_of, d = table.generators, table.index_of, table.degree
+    if degree(mu) == d:
+        return [(index_of[mu],)] if mu in index_of else []
+    out: list[FiberPoint] = []
+    dead: set[tuple[Monomial, int]] = set()
+    picked: list[int] = []
+    frames = [[mu, 0, 0, 0]]  # rest, least index, next index, points found before
+    while frames:
+        frame = frames[-1]
+        rest, start, idx, found = frame
+        if idx == len(gens):
+            frames.pop()
+            if len(out) == found:
+                dead.add((rest, start))
+            if picked:
+                picked.pop()
+            continue
+        frame[2] = idx + 1
+        g = gens[idx]
+        if any(e > r for e, r in zip(g, rest)):
+            continue
+        smaller = tuple(r - e for r, e in zip(rest, g))
+        if degree(smaller) == d:
+            last = index_of.get(smaller)
+            if last is not None and last >= idx:
+                out.append((*picked, idx, last))
+        elif (smaller, idx) not in dead:
+            picked.append(idx)
+            frames.append([smaller, idx, idx, len(out)])
     return out
 
 

@@ -179,15 +179,58 @@ class TestCounterexample:
         assert data["relation_reduces_modulo_quadrics"] is False
         assert data["finding"] == "cubic minimal toric generator at a^6b^6c^6"
 
-    @pytest.mark.parametrize("r, pairs", [(3, 402), (4, 26588)])
+    # The harness checks the reduced quadric basis, whose critical monomials
+    # these are; the full list has 402, 26,588 and 592,058.
+    @pytest.mark.parametrize("r, pairs", [(3, 365), (4, 25446), (5, 581477)])
     def test_quadrics_pass_the_overlap_check(self, capsys, r, pairs):
         code, out, _ = run_cli(capsys, "counterexample", "--r", str(r))
         assert code == 0
-        assert json.loads(out)["quadric_buchberger"] == {
+        data = json.loads(out)
+        assert data["quadric_buchberger"] == {
             "status": "PASS",
             "pairs_checked": pairs,
             "failures": [],
         }
+        assert (data["components"], data["separated"]) == (2, True)
+        assert data["relation_reduces_modulo_quadrics"] is False
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_the_full_quadric_list_gives_the_same_answer(self, capsys, monkeypatch, r):
+        # Same ideal and leads: the full list is Groebner exactly when the
+        # reduced basis is, and both give the same normal forms then.
+        _, reduced, _ = run_cli(capsys, "counterexample", "--r", str(r))
+        build = cli.quadric_generators
+        monkeypatch.setattr(cli, "quadric_generators", lambda table, interreduce=False: build(table))
+        _, full, _ = run_cli(capsys, "counterexample", "--r", str(r))
+        reduced, full = json.loads(reduced), json.loads(full)
+        assert full["quadric_buchberger"]["pairs_checked"] > reduced["quadric_buchberger"]["pairs_checked"]
+        for data in (reduced, full):
+            del data["quadric_buchberger"]["pairs_checked"]
+        assert full == reduced
+        assert (full["components"], full["quadric_buchberger"]["status"]) == (2, "PASS")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--r", "3"],
+            ["counterexample", "--r", "4"],
+            ["verify-buchberger", "--ideal", FIG],
+            ["verify-buchberger", "--ideal", "{ac,b^2}", "--rees"],
+        ],
+    )
+    def test_verifiers_take_the_reduced_basis(self, capsys, monkeypatch, argv):
+        # The full quadric list has the same ideal and leads, so it is Groebner
+        # exactly when the reduced basis is; the verifiers check the smaller one.
+        build = cli.quadric_generators
+
+        def reduced_only(table, interreduce=False):
+            if not interreduce:
+                raise AssertionError("the full quadric list was built")
+            return build(table, interreduce)
+
+        monkeypatch.setattr(cli, "quadric_generators", reduced_only)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
     def test_r3_text(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--r", "3", "--format", "text")

@@ -15,10 +15,13 @@ from borelfiber.fiber import (
     to_dot,
     vertex_label,
 )
+from borelfiber.instances import suite_tables
 from borelfiber.monomials import multiply
 
 from helpers import (
+    all_monomials,
     brute_factorizations,
+    family_table,
     lex_last_divisor,
     mono,
     monos,
@@ -129,6 +132,35 @@ class TestEnumerateFiber:
         fiber = set(enumerate_fiber(table, mu))
         assert point_of(table, "a^3c^3", "a^3c^3", "b^6") in fiber
         assert point_of(table, "a^2b^2c^2", "a^2b^2c^2", "a^2b^2c^2") in fiber
+
+
+class TestPrunedSearch:
+    """``enumerate_fiber`` skips rests that no k generators can factor.
+
+    The prune reads the Borel-product bounds that the direct sink reads too,
+    so it is pinned here against the grouped pass, which knows no Borel
+    theory: every multidegree of t-degree at most 3, factorable or not.
+    ``test_properties`` holds it to the unpruned search on random tables.
+    """
+
+    def test_matches_the_fiber_groups_on_every_10th_suite_table(self):
+        for i, table in enumerate(suite_tables(cap=200)[::10]):
+            groups = fibers(table.generators, 3)
+            for t in (1, 2, 3):
+                for mu in all_monomials(table.context.n, t * table.degree):
+                    fiber = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
+                    assert fiber == groups.get(mu, []), (10 * i, mu)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_the_family_multidegree(self, r):
+        # The three-root prune at the counterexample's multidegree h^r = f^(r-1) g.
+        table = family_table(r)
+        f, g, h = (r, 0, r * (r - 2)), (0, r * (r - 1), 0), (r - 1, r - 1, (r - 1) * (r - 2))
+        mu = tuple(r * e for e in h)
+        assert mu == point_product(table, sorted([table.index_of[f]] * (r - 1) + [table.index_of[g]]))
+        fiber = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
+        assert fiber == fibers(table.generators, r)[mu]
+        assert len(fiber) == 2
 
 
 class TestFibers:

@@ -10,7 +10,9 @@ to the scan helpers, and ``TestPinnedMutantReports`` holds every mutant's
 report to the one the generic lookup gave.  The check walks reducts only in
 fibers that hold two standard words; ``TestWalkOnlyCollidingFibers`` holds
 its reports to the walk over every critical monomial and pins the fibers it
-walks.
+walks.  The check finds the critical monomials it walks from the shared
+sums; wherever a test reaches that walk, the ``walks`` fixture holds its list
+to the one of stepping every counted code (``walked_by_bits``).
 """
 
 import json
@@ -65,6 +67,7 @@ from helpers import (
     split_rees_reducer,
     step_by_scan,
     swap,
+    walked_by_bits,
 )
 
 
@@ -266,6 +269,27 @@ def _drop_one(elements):
     return [elements[:i] + elements[i + 1 :] for i in range(len(elements))]
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Every call of ``toric._walked`` in the test, as (arguments, answer)."""
+    calls = []
+    walked = toric._walked
+
+    def record(*args):
+        answer = walked(*args)
+        calls.append((args, answer))
+        return answer
+
+    monkeypatch.setattr(toric, "_walked", record)
+    return calls
+
+
+def assert_walks_match_the_bits(walks):
+    """Each recorded walk, read off the shared sums, lists what stepping every bit lists."""
+    for args, answer in walks:
+        assert answer == walked_by_bits(*args)
+
+
 class TestClosedFormReducer:
     """``_Rules`` steps words of two and three codes as the scan helpers do.
 
@@ -389,21 +413,25 @@ class TestPinnedMutantReports:
         fails = [r for r in reports if r["status"] == "FAIL"]
         return len(fails), sum(len(r["failures"]) for r in fails)
 
-    def test_toric(self, fig_table, pinned):
+    def test_toric(self, fig_table, pinned, walks):
         reports = [
             buchberger_verify(MarkedBasis(fig_table, mutant)).to_json()
             for mutant in _drop_one(quadric_generators(fig_table).elements)
         ]
         assert self.tally(pinned["toric"]) == (30, 308)
         assert reports == pinned["toric"]
+        assert len(walks) >= 30
+        assert_walks_match_the_bits(walks)
 
-    def test_rees(self, fig_table, pinned):
+    def test_rees(self, fig_table, pinned, walks):
         reports = [
             rees_buchberger_verify(ReesBasis(fig_table, mutant)).to_json()
             for mutant in _drop_one(rees_gb(fig_table).elements)
         ]
         assert self.tally(pinned["rees"]) == (46, 498)
         assert reports == pinned["rees"]
+        assert len(walks) >= 46
+        assert_walks_match_the_bits(walks)
 
 
 @lru_cache(maxsize=None)
@@ -455,7 +483,9 @@ class TestWalkOnlyCollidingFibers:
     """The overlap check walks only the fibers that hold two standard words.
 
     Its report, failures and their order included, must be the one of the
-    walk over every critical monomial (``overlap_report_by_walk``).
+    walk over every critical monomial (``overlap_report_by_walk``).  The
+    critical monomials it walks are found from the shared sums; each such
+    list must be the one of stepping every counted code (``walked_by_bits``).
     """
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -464,7 +494,7 @@ class TestWalkOnlyCollidingFibers:
         basis, verify, vectors = drawn
         assert verify(basis).to_json() == overlap_report_by_walk(basis, vectors).to_json()
 
-    def test_drop_one_mutants_of_the_reduced_basis(self, cross_check_tables):
+    def test_drop_one_mutants_of_the_reduced_basis(self, cross_check_tables, walks):
         # Every deletion from a reduced basis loses its lead, so most mutants fail.
         failing = 0
         for table in cross_check_tables[:4]:
@@ -475,6 +505,22 @@ class TestWalkOnlyCollidingFibers:
                 assert report == overlap_report_by_walk(basis, table.generators).to_json()
                 failing += report["status"] == "FAIL"
         assert failing > 0
+        assert len(walks) >= failing
+        assert_walks_match_the_bits(walks)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_walks_of_the_counterexample_family(self, r, walks):
+        # The CLI checks the reduced basis; the full list walks the same
+        # fibers and is checked where it is cheap.
+        table = family_table(r)
+        bases = [quadric_generators(table, interreduce=True)]
+        if r < 5:
+            bases.append(quadric_generators(table))
+        for basis in bases:
+            assert buchberger_verify(basis).ok
+        # Every basis shares a cubic sum, so every check reaches the walk.
+        assert len(walks) == len(bases) and all(args[-1] for args, _ in walks)
+        assert_walks_match_the_bits(walks)
 
     @pytest.mark.parametrize(
         "r, expected",
@@ -555,7 +601,7 @@ class TestPackedSumWidth:
         assert verify(basis).status == "PASS"
 
     @pytest.mark.parametrize("kind", sorted(BASES))
-    def test_failures_named_past_one_vectors_bits(self, cubics, kind):
+    def test_failures_named_past_one_vectors_bits(self, cubics, kind, walks):
         build, verify, configuration = BASES[kind]
         elements = build(cubics).elements
         names = []
@@ -566,3 +612,4 @@ class TestPackedSumWidth:
             assert report.to_json() == reference.to_json()
             names.extend(f.multidegree for f in report.failures)
         assert max(map(max, names)) > 3
+        assert_walks_match_the_bits(walks)

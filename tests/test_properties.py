@@ -4,8 +4,9 @@ monomial syntax and the sweep's parallel merge.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
-tables, tables with comparable roots and fiber-reduced tables, and the sweep
-test tables on five variables.  Examples are derandomized, so every run
+tables, tables with comparable roots and fiber-reduced tables, the pruned
+search test principal and three-root tables, and the sweep test tables on
+five variables.  Examples are derandomized, so every run
 checks the same tables.
 """
 
@@ -48,6 +49,7 @@ from helpers import (
     can_factor,
     count_vector_sink_key,
     cwr_multidegrees,
+    enumerate_fiber_unpruned,
     fibers_by_grouping,
     has_gm_factorization,
     lex_last_divisor,
@@ -172,6 +174,49 @@ def table_and_product(draw):
 def test_direct_sink_matches_per_step_peeling(case):
     table, mu = case
     assert find_sink_direct(table, mu) == sink_by_peeling(table, mu)
+
+
+@st.composite
+def three_root_tables(draw):
+    """Three distinct roots of one degree in one variable count."""
+    first = draw(st.sampled_from(small_roots()))
+    same = [root for root in small_roots() if len(root) == len(first) and sum(root) == sum(first)]
+    others = draw(st.lists(st.sampled_from(same), min_size=2, max_size=2, unique=True))
+    return build_table([first, *others])
+
+
+@st.composite
+def table_and_multidegree(draw):
+    """A one-, two- or three-root table and a multidegree of 2 to 4 times its degree.
+
+    The multidegree is a product of generators, such a product with one
+    unit moved to a later variable (the reverse of a Borel move), or any
+    monomial of its degree; the last two are often not factorable.
+    """
+    # Three roots twice: their test has the most branches, one per share of the first root.
+    table = draw(st.one_of(principal_tables, tables, three_root_tables(), three_root_tables()))
+    n, k = table.context.n, draw(st.integers(2, 4))
+    index = st.integers(min_value=0, max_value=len(table.generators) - 1)
+    mu = list(point_product(table, draw(st.lists(index, min_size=k, max_size=k))))
+    kind = draw(st.sampled_from(["product", "moved", "any"]))
+    if kind == "moved":
+        source = draw(st.integers(0, n - 2))
+        if mu[source]:
+            mu[source] -= 1
+            mu[draw(st.integers(source + 1, n - 1))] += 1
+    elif kind == "any":
+        units = st.integers(0, n - 1)
+        mu = [0] * n
+        for v in draw(st.lists(units, min_size=k * table.degree, max_size=k * table.degree)):
+            mu[v] += 1
+    return table, tuple(mu)
+
+
+@checked(150)
+@given(table_and_multidegree())
+def test_pruned_search_matches_the_unpruned_search(case):
+    table, mu = case
+    assert enumerate_fiber(table, mu) == enumerate_fiber_unpruned(table, mu)
 
 
 @checked(12)

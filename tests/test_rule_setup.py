@@ -204,6 +204,27 @@ class TestRulesOnlyFromCheckedBases:
             normal_form((0, 2), basis)
 
     @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([5], "element 0 must be a (lead, trail) pair of words, got 5"),
+            (
+                [((0, 3), (1, 2)), ((0, 3), (1, 2), (0, 4))],
+                "element 1 must be a (lead, trail) pair of words, got ((0, 3), (1, 2), (0, 4))",
+            ),
+        ],
+        ids=["int", "triple"],
+    )
+    @pytest.mark.parametrize("kind", ["toric", "rees"])
+    def test_an_element_that_is_not_a_pair(self, table, pairs, message, kind):
+        # Both are refused before any word is unpacked, on both sides.
+        if kind == "toric":
+            basis, verify = MarkedBasis(table, tuple(pairs)), buchberger_verify
+        else:
+            basis, verify = ReesBasis(table, pairs=pairs), rees_buchberger_verify
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify(basis)
+
+    @pytest.mark.parametrize(
         "elements, message",
         [
             ([((1, 1), (0, 5)), ([1, 1], (0, 2))], "the trail of element 0 must be in range(3)"),
