@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import comb
 from typing import Optional, Sequence
 
 from borelfiber.fiber import _pack, fibers
@@ -61,20 +60,18 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     >= ... >= s_{n-1} >= 0 with s_k <= sigma_k(root): exponent k is
     s_k - s_{k+1}, and taking each s_{k+1} in ascending order lists the
     monomials lex-earliest first.  A block of more than
-    ``MAX_BLOCK_GENERATORS`` raises ``ValueError`` before any is listed.
+    ``MAX_BLOCK_GENERATORS`` raises ``ValueError`` before any is listed: it
+    is counted first (:func:`count_principal`, O(n * d)).
     """
     d = degree(root)
     if d < 1:
         raise ValueError("the unit monomial generates no proper Borel ideal")
-    # Borel(root) lies among the C(d + n - 1, n - 1) monomials of degree d;
-    # only when those exceed the cap is the block itself counted.
-    if comb(d + len(root) - 1, d) > MAX_BLOCK_GENERATORS:
-        size = count_principal(root)
-        if size > MAX_BLOCK_GENERATORS:
-            raise ValueError(
-                f"Borel{root} has {size:,} minimal generators,"
-                f" more than the cap of {MAX_BLOCK_GENERATORS:,}"
-            )
+    size = count_principal(root)
+    if size > MAX_BLOCK_GENERATORS:
+        raise ValueError(
+            f"Borel{root} has {size:,} minimal generators,"
+            f" more than the cap of {MAX_BLOCK_GENERATORS:,}"
+        )
     prefixes = [((), d)]  # (exponents so far, suffix sum of the rest)
     for bound in sigma(root)[1:]:
         prefixes = [
@@ -126,13 +123,16 @@ class GeneratorTable:
         and every such pair of points is one move apart.  ``later_pairs[a, b]``
         lists, ascending, those points after (a, b) in its fiber of
         ``fiber.fibers``, whose order is the sink order; pairs with none are
-        absent.  The differences are packed (``fiber._pack`` for sums of two):
-        a coordinate gets more bits than twice the largest one, so each
-        coordinate of a difference lies strictly between -2^(width-1) and
-        2^(width-1), and the integer determines the vector.
+        absent.  The differences are packed, the n unit vectors with the
+        generators (``fiber._pack`` for sums of two): a coordinate gets more
+        bits than twice the largest one, so each coordinate of a difference
+        lies strictly between -2^(width-1) and 2^(width-1), and the integer
+        determines the vector.
         """
-        packed, width = _pack(self.generators, 2)
-        units = [1 << shift for shift in range(0, width * self.context.n, width)]
+        n = self.context.n
+        identity = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+        packed, _ = _pack(identity + list(self.generators), 2)
+        units, packed = packed[:n], packed[n:]
         moves = {u - v for u in units for v in units if u != v}
         later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for points in fibers(self.generators, 2).values():

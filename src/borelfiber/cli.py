@@ -239,7 +239,7 @@ def cmd_counterexample(args) -> tuple[int, str]:
         raise RuntimeError("h^r and f^(r-1) g must share a multidegree")
     point_a = tuple(sorted([table.index_of[f]] * (r - 1) + [table.index_of[g]]))
     point_b = tuple(sorted([table.index_of[h]] * r))
-    components = closure_components(table, mu, max_swap=r - 1)
+    components = closure_components(table, mu)
     location = {z: i for i, comp in enumerate(components) for z in comp}
     separated = location[point_a] != location[point_b]
     quadrics = quadric_generators(table, interreduce=True)

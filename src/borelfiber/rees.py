@@ -180,7 +180,7 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
     degree is not two.  A failure is named by the image of its critical
     monomial.
     """
-    return _verify(basis, _configuration(basis.table))
+    return _verify(basis)
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:

@@ -37,8 +37,9 @@ Convex Polytopes*, 1996, ch. 4).
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
 one sum path that ``fiber.fibers`` uses too, with bits for the longest word
 summed, so a word's packed sum is one integer addition per code and two
-words share it exactly when they share their sum.  A failure's name is
-unpacked from it.
+words share it exactly when they share their sum.  A basis's rule index
+keeps its configuration packed (:func:`_checked_rules`), for the overlap
+check too, and a failure's name is unpacked from its sum.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class _Rules:
     lead index: it maps each distinct lead to the positions of its rules,
     ascending.  ``alphabets`` maps each lead size to the codes that leads of
     that size use.  ``quadratic`` holds while every lead and trail has two
-    codes (see :meth:`rewrite`).
+    codes (see :meth:`rewrite`).  An index from :func:`_checked_rules` also
+    keeps its configuration's ``packed`` codes, ``width`` and vector ``size``.
     """
 
     def __init__(self, pairs=()) -> None:
@@ -206,14 +208,15 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
     """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
 
     Both sides call it, with their configuration ``vectors`` and word
-    ``key``.  Raises ``ValueError`` on an element that is not a (lead,
-    trail) tuple of two, then on a word that :func:`_check_point` refuses,
-    then unless every lead has a larger ``key`` than its trail and the same
-    length and configuration sum: a binomial that is not homogeneous is not
-    in the ideal.  So every rewrite ends and keeps its word's fiber.  The
-    words are checked in bulk, each distinct word's key and packed sum taken
-    once; only a failure walks the elements in order, to name the first, a
-    malformed word before any marking.
+    ``key``; the index keeps ``vectors`` packed for sums of three codes or
+    of the longest word.  Raises ``ValueError`` on an element that is not a
+    (lead, trail) tuple of two, then on a word that :func:`_check_point`
+    refuses, then unless every lead has a larger ``key`` than its trail and
+    the same length and configuration sum: a binomial that is not
+    homogeneous is not in the ideal.  So every rewrite ends and keeps its
+    word's fiber.  The words are checked in bulk, each distinct word's key
+    and packed sum taken once; only a failure walks the elements in order,
+    to name the first, a malformed word before any marking.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
@@ -227,7 +230,7 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
             _check_point(lead, len(vectors), f"the lead of element {pos}")
             _check_point(trail, len(vectors), f"the trail of element {pos}")
     words = set(sides)
-    packed, _ = _pack(vectors, max(map(len, words), default=0))
+    packed, width = _pack(vectors, max([3, *map(len, words)]))
     key_of = {word: key(word) for word in words}
     sum_of = {word: (len(word), sum(map(packed.__getitem__, word))) for word in words}
     marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
@@ -243,7 +246,10 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
                     f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                     f"differ in {what}"
                 )
-    return _Rules(pairs)
+    rules = _Rules(pairs)
+    rules.packed, rules.width = packed, width
+    rules.size = len(vectors[0]) if vectors else 0
+    return rules
 
 
 def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
@@ -289,10 +295,13 @@ class SPairFailure:
 
 @dataclass(frozen=True)
 class GroebnerReport:
-    ok: bool
     pairs_checked: int
     failures: tuple[SPairFailure, ...]
     context_names: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     @property
     def status(self) -> str:
@@ -343,8 +352,8 @@ def _bits(mask: int):
 def _colliding_sums(partners: list[int], packed: list[int]) -> tuple[set[int], set[int]]:
     """The packed sums that two standard words share: of two codes, and of three.
 
-    ``packed`` is the configuration packed for words of three codes
-    (``fiber._pack``), so a word's packed sum is its configuration sum, one
+    ``packed`` is the configuration packed for words of three codes or more
+    (``_Rules.packed``), so a word's packed sum is its configuration sum, one
     integer per sum.  ``partners[c]`` has bit w set when (c, w) is a lead.  A
     word is standard when none of its code pairs is a lead, so the standard
     words are closed under division: a standard cubic word (a, b, c) extends
@@ -410,13 +419,11 @@ def _walked(
     return critical
 
 
-def _check_overlaps(
-    rules: _Rules, vectors: Sequence[Monomial], n: int
-) -> tuple[int, list[SPairFailure]]:
+def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     """Diamond-lemma check of marked rules with quadratic leads.
 
-    ``vectors`` is the configuration, one vector per code; the first ``n``
-    coordinates of a critical monomial's sum name it in a failure.
+    ``rules`` keep their configuration packed (:func:`_checked_rules`); the
+    first ``n`` coordinates of a critical monomial's sum name it in a failure.
     Reduction terminates (:func:`_checked_rules`), so by Newman's lemma the rules form a Groebner
     basis exactly when every one-step reduct of every critical monomial
     reaches the same normal form.  Two leads that share no code commute
@@ -457,8 +464,8 @@ def _check_overlaps(
     quadratic, so :meth:`_Rules.normal_form` steps them in closed form, and a
     cubic critical monomial's one-step reducts are all its :func:`_cubic_steps`.
     """
-    by_lead = rules.by_lead
-    partners = [0] * len(vectors)
+    by_lead, packed = rules.by_lead, rules.packed
+    partners = [0] * len(packed)
     for lead, positions in by_lead.items():
         if len(lead) != 2:
             raise ValueError(
@@ -482,7 +489,6 @@ def _check_overlaps(
     )
     if not checked:
         return 0, []
-    packed, width = _pack(vectors, 3)
     pairs, cubics = _colliding_sums(partners, packed)
     if not pairs and not cubics:
         return checked, []
@@ -502,24 +508,23 @@ def _check_overlaps(
         target = normal_form(first_reduct[0])
         for z, pos in rest:
             if normal_form(z) != target:
-                (total,) = _unpack([sum(map(packed.__getitem__, m))], width, len(vectors[0]))
+                (total,) = _unpack([sum(map(packed.__getitem__, m))], rules.width, rules.size)
                 failures.append(SPairFailure(first_reduct[1], pos, total[:n]))
                 break
     return checked, failures
 
 
-def _verify(basis, vectors: Sequence[Monomial]) -> GroebnerReport:
-    """The overlap check of a basis over its configuration; the verifier behind both sides.
+def _verify(basis) -> GroebnerReport:
+    """The overlap check of a basis; the verifier behind both sides.
 
     Building ``basis._rules`` has checked the words, the marking and the
-    homogeneity (:func:`_checked_rules`), so only :func:`_check_overlaps`
-    runs here, and reports the critical monomials whose reducts disagree.  A
-    failure is named by the first n coordinates of its sum, the multidegree
-    or the image.
+    homogeneity and packed the configuration (:func:`_checked_rules`), so
+    only :func:`_check_overlaps` runs here, and reports the critical
+    monomials whose reducts disagree.  A failure is named by the first n
+    coordinates of its sum, the multidegree or the image.
     """
-    checked, failures = _check_overlaps(basis._rules, vectors, basis.table.context.n)
+    checked, failures = _check_overlaps(basis._rules, basis.table.context.n)
     return GroebnerReport(
-        ok=not failures,
         pairs_checked=checked,
         failures=tuple(failures),
         context_names=basis.table.context.names,
@@ -536,7 +541,7 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
     earlier than its trail in the fiber sink order, or an element that is
     not homogeneous; and on a lead that is not quadratic.
     """
-    return _verify(basis, basis.table.generators)
+    return _verify(basis)
 
 
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
@@ -544,8 +549,9 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
 
     Walks the fibers of t-degree up to the bound in :func:`fibers` order and
     reduces the star of each: the pairs (first point, w) for every later
-    point w.  When the normal forms differ, the later one in the fiber sink
-    order becomes a lead, rewritten to the earlier one.  Independent of the
+    point w.  When the normal forms differ, the earlier one in the fiber sink
+    order (the larger ``fiber_sink_key``) becomes a lead, rewritten to the
+    later one, whichever point it came from.  Independent of the
     unique-sink theory and of the overlap check; used as the oracle.
 
     The result is the truncated Buchberger completion seeded with every
@@ -581,35 +587,28 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 
-def closure_components(
-    table: GeneratorTable, mu: Monomial, max_swap: int
-) -> list[list[FiberPoint]]:
-    """Connected components of the fiber under bounded exchange moves.
+def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPoint]]:
+    """Connected components of the fiber of mu under exchanges of fewer than t factors.
 
     Two points are adjacent when one becomes the other by replacing at most
-    ``max_swap`` factors with another factorization of the same sub-product.
-    Points in distinct components witness a toric minimal generator of
-    t-degree above ``max_swap`` at mu.
+    max(2, t - 1) factors, t the fiber's t-degree, with another factorization
+    of the same sub-product; an exchange moves at least two.  Points in
+    distinct components witness a minimal generator of the toric ideal of
+    t-degree t at mu.
 
-    Only two swap bounds mean anything for a fiber of t-degree t.  At
-    ``max_swap >= t`` any point becomes any other in one exchange, so the
-    fiber is one component.  At ``max_swap == t - 1`` two points are adjacent
-    exactly when they share a factor (keep it, exchange the other t - 1; and
-    an exchange of at most t - 1 factors keeps one), so the components are
-    the classes of a union-find over the generator indices that the points
-    use.  A bound below t - 1 raises ``ValueError``.  Components come in the
-    order of their first point, and each lists its points in fiber order.
+    At t <= 2 the bound is 2 >= t, so any point becomes any other in one
+    exchange and the fiber is one component.  From t = 3 on two points are
+    adjacent exactly when they share a factor (keep it, exchange the other
+    t - 1; and an exchange of at most t - 1 factors keeps one), so the
+    components are the classes of a union-find over the generator indices
+    that the points use.  Components come in the order of their first point,
+    and each lists its points in fiber order; an empty fiber has none.
     """
-    if max_swap < 2:
-        raise ValueError("exchange moves involve at least two factors")
     fiber = enumerate_fiber(table, mu)
     if not fiber:
         return []
-    t = len(fiber[0])
-    if max_swap >= t:
+    if len(fiber[0]) <= 2:
         return [fiber]
-    if max_swap < t - 1:
-        raise ValueError(f"swap bounds below t - 1 = {t - 1} are not supported, got {max_swap}")
     labels = _component_labels(len(table.generators), fiber)
     components: dict[int, list[FiberPoint]] = {}
     for z in fiber:

@@ -882,7 +882,6 @@ def split_rees_reducer(basis: ReesBasis) -> Callable[[ReesMonomial], ReesMonomia
 
 def _report(failures: list[SPairFailure], pairs: set, table) -> GroebnerReport:
     return GroebnerReport(
-        ok=not failures,
         pairs_checked=len(pairs),
         failures=tuple(failures),
         context_names=table.context.names,

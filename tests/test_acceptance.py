@@ -165,7 +165,7 @@ def test_criterion_6_negative_controls():
     problems = []
 
     table = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
-    comps = closure_components(table, (6, 6, 6), max_swap=2)
+    comps = closure_components(table, (6, 6, 6))
     location = {z: i for i, comp in enumerate(comps) for z in comp}
     fg2 = tuple(sorted([table.index_of[mono("a^3c^3")]] * 2 + [table.index_of[mono("b^6")]]))
     h3 = (table.index_of[mono("a^2b^2c^2")],) * 3
@@ -178,7 +178,7 @@ def test_criterion_6_negative_controls():
         h = (r - 1, r - 1, (r - 1) * (r - 2))
         family = build_table([f, g, h], ctx)
         mu = tuple(a * r for a in h)
-        comps = closure_components(family, mu, max_swap=r - 1)
+        comps = closure_components(family, mu)
         location = {z: i for i, comp in enumerate(comps) for z in comp}
         point_a = tuple(sorted([family.index_of[f]] * (r - 1) + [family.index_of[g]]))
         point_b = (family.index_of[h],) * r

@@ -11,10 +11,11 @@ Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
 ``map(add, ...)`` or ``map(sum, zip(...))``.  The paired-move rows
 (``GeneratorTable.later_pairs``) take differences on the same packed
-generators, to spot the unit moves within a degree-2 fiber.  Besides them,
-``toric._checked_rules``, the one check of a basis, packs its words' sums
-for the homogeneity check, and ``toric._check_overlaps`` its critical
-monomials' sums.
+generators and unit vectors, to spot the unit moves within a degree-2
+fiber.  Besides them, ``toric._checked_rules``, the one check of a basis,
+packs its configuration once, for its words' sums in the homogeneity check
+and, kept on its rule index, for the critical monomials' sums of
+``toric._check_overlaps``, which only unpacks a failure's name.
 
 A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
 elimination order is defined once, on code words (``rees._word_key``), so
@@ -39,7 +40,6 @@ SUM_PATH = {
     "_pack": [
         "borel.GeneratorTable.later_pairs",
         "fiber.fibers",
-        "toric._check_overlaps",
         "toric._checked_rules",
     ],
     "_unpack": ["fiber.fibers", "toric._check_overlaps"],

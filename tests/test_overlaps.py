@@ -508,6 +508,23 @@ class TestWalkOnlyCollidingFibers:
         assert len(walks) >= failing
         assert_walks_match_the_bits(walks)
 
+    def test_a_lead_carried_twice_with_one_trail(self, fig_table, walks):
+        # Dropping element 1 of the reduced basis makes its lead standard, so
+        # fibers collide; the copy of element 24 carries its lead twice with
+        # one trail, which is walked but has a single reduct.
+        elements = quadric_generators(fig_table, interreduce=True).elements
+        copied = elements[24]
+        basis = MarkedBasis(fig_table, elements[:1] + elements[2:] + (copied,))
+        report = buchberger_verify(basis).to_json()
+        assert (report["status"], report["pairs_checked"]) == ("FAIL", 290)
+        assert report == overlap_report_by_walk(basis, fig_table.generators).to_json()
+        ((_, walked),) = walks
+        assert copied.lead in walked
+        assert {basis.elements[pos].trail for pos in basis._rules.by_lead[copied.lead]} == {
+            copied.trail
+        }
+        assert_walks_match_the_bits(walks)
+
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_walks_of_the_counterexample_family(self, r, walks):
         # The CLI checks the reduced basis; the full list walks the same

@@ -310,6 +310,15 @@ class TestBruteForceOracle:
         for table, bound, oracle in completions:
             assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, bound)
 
+    def test_a_later_point_can_lead(self):
+        # On {a^3, ac^2, b^2c} at bound 3, twice a star's first point reduces
+        # to the normal form with the smaller sink key, so the later point's
+        # normal form leads; the scan completion agrees element for element.
+        table = build_table([(3, 0, 0), (1, 0, 2), (0, 2, 1)])
+        oracle = brute_force_gb(table, 3)
+        assert len(oracle.elements) == 17
+        assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, 3)
+
     def test_every_fiber_has_one_normal_form(self, completions):
         for table, bound, oracle in completions:
             for mu, points in fibers(table.generators, bound).items():
@@ -384,7 +393,7 @@ class TestLeadIndex:
 
 class TestClosureComponents:
     def test_counterexample_separation(self, three_borel):
-        comps = closure_components(three_borel, (6, 6, 6), max_swap=2)
+        comps = closure_components(three_borel, (6, 6, 6))
         fg2 = point_of(three_borel, "a^3c^3", "a^3c^3", "b^6")
         h3 = point_of(three_borel, "a^2b^2c^2", "a^2b^2c^2", "a^2b^2c^2")
         locations = {z: i for i, comp in enumerate(comps) for z in comp}
@@ -393,19 +402,19 @@ class TestClosureComponents:
     def test_two_borel_low_degree_fibers_are_single_components(self, fig_table):
         count = 0
         for mu in [(2, 4, 4), (3, 9, 3), (4, 8, 3), (2, 8, 5), (4, 4, 2), (6, 9, 0)]:
-            comps = closure_components(fig_table, mu, max_swap=2)
+            comps = closure_components(fig_table, mu)
             if comps:
                 assert len(comps) == 1
                 count += 1
         assert count >= 4
 
     def test_single_point_fiber(self, fig_table):
-        comps = closure_components(fig_table, (1, 9, 0), max_swap=2)
+        comps = closure_components(fig_table, (1, 9, 0))
         assert len(comps) == 1
         assert len(comps[0]) == 1
 
     def test_degree_r_generator_family(self):
-        # f^(r-1) g = h^r stays separated even allowing (r-1)-factor swaps
+        # f^(r-1) g = h^r stays separated under (r-1)-factor swaps, the fiber's own bound
         ctx = VariableContext.default(3)
         for r in (3, 4):
             f = (r, 0, r * (r - 2))
@@ -413,19 +422,15 @@ class TestClosureComponents:
             h = (r - 1, r - 1, (r - 1) * (r - 2))
             table = build_table([f, g, h], ctx)
             mu = tuple(a * r for a in h)
-            comps = closure_components(table, mu, max_swap=r - 1)
+            comps = closure_components(table, mu)
             locations = {z: i for i, comp in enumerate(comps) for z in comp}
             a = tuple(sorted([table.index_of[f]] * (r - 1) + [table.index_of[g]]))
             b = tuple(sorted([table.index_of[h]] * r))
             assert locations[a] != locations[b]
 
-    def test_swap_bound_validation(self, fig_table):
-        with pytest.raises(ValueError):
-            closure_components(fig_table, (2, 4, 4), max_swap=1)
-
-    def test_swap_bound_below_t_minus_one_rejected(self, fig_table):
-        with pytest.raises(ValueError, match="below t - 1"):
-            closure_components(fig_table, (4, 12, 4), max_swap=2)
+    def test_empty_fiber_has_no_components(self, fig_table):
+        # c^10 has degree 10 = 2 * 5 but no factorization into generators.
+        assert closure_components(fig_table, (0, 0, 10)) == []
 
     @pytest.mark.parametrize(
         "r, stride, cubic_splits",
@@ -437,19 +442,17 @@ class TestClosureComponents:
         family_mu = tuple(a * r for a in family_roots(r)[2])
         for mu in list(fibers(table.generators, 3))[::stride] + cubic_splits + [family_mu]:
             t = sum(mu) // table.degree
-            for max_swap in sorted({max(2, t - 1), max(2, t)}):
-                got = closure_components(table, mu, max_swap)
-                assert got == closure_components_by_search(table, mu, max_swap)
-                if mu in cubic_splits + [family_mu]:
-                    assert len(got) == (2 if max_swap == t - 1 else 1)
+            got = closure_components(table, mu)
+            assert got == closure_components_by_search(table, mu, max(2, t - 1))
+            if mu in cubic_splits + [family_mu]:
+                assert len(got) == 2
 
     def test_suite_fibers_match_the_subset_search(self):
         for table in suite_tables(cap=200)[::50]:
             for mu, points in fibers(table.generators, 3).items():
                 t = len(points[0])
-                for max_swap in sorted({max(2, t - 1), max(2, t)}):
-                    got = closure_components(table, mu, max_swap)
-                    assert got == closure_components_by_search(table, mu, max_swap)
+                got = closure_components(table, mu)
+                assert got == closure_components_by_search(table, mu, max(2, t - 1))
 
 
 class TestBasisJson:

@@ -167,6 +167,11 @@ class TestFastPath:
         assert graph_calls == [FIG_MU]
 
 
+def test_an_empty_fiber_has_no_violation(fig_table):
+    # c^10 has degree 10 = 2 * 5 but no factorization into generators.
+    assert verify.check_unique_sink(fig_table, (0, 0, 10)) == []
+
+
 def test_scan_matches_the_graph_oracle_on_every_tenth_suite_table():
     for table in suite_tables(cap=200)[::10]:
         for mu, points in fibers(table.generators, 3).items():
