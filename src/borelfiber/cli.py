@@ -189,7 +189,7 @@ def cmd_rees_gb(args) -> tuple[int, str]:
 
 def cmd_verify_unique_sinks(args) -> tuple[int, str]:
     table = _load_table(args)
-    report = sweep_unique_sinks(table, args.bound, jobs=args.jobs)
+    report = sweep_unique_sinks(table, args.bound)
     data = report.to_json()
     lines = [f"{report.status}: {report.multidegrees_checked} multidegrees checked"]
     lines += list(report.violations)
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[ideal, bound, fmt],
         help="sweep all fibers up to the t-degree bound",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_verify_unique_sinks)
 
     p = sub.add_parser(

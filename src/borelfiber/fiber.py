@@ -13,8 +13,8 @@ configuration (one vector per code) up to a degree bound in one pass, level
 by level, and groups the points by vector sum, each sum carried as one
 packed integer (:func:`_pack`).  The toric configuration is
 the table's generators, and the Rees algebra is the toric ring of a larger
-one (see ``rees``).  Sweeps, the quadrics, the Rees lift and the completion
-oracle use it, because they need every fiber up to the bound anyway.
+one (see ``rees``).  The quadrics, the Rees lift and the completion oracle
+use it, because they need every fiber up to the bound anyway.
 :func:`enumerate_fiber` factors a single multidegree by one iterative
 depth-first search, which never enters a rest that no generators factor
 (:func:`_factorable`); it serves one-mu callers, whose t can be far too
@@ -25,9 +25,11 @@ table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
 fibers of :func:`fibers`, so each move is listed from its earlier end).
 :func:`build_fiber_graph` drains it for every point; the unique-sink check
 in ``verify`` takes only each point's first move, since a point is a sink
-exactly when it has none.  No fiber state outlives a call, except those
-rows and the suffix sums the direct sink reads, which live and die with
-the table.
+exactly when it has none.  So the sinks are the standard words of the
+rows' keys, and :func:`_standard_levels`, the one scan of standard words,
+serves the sweep in ``verify`` and the overlap check in ``toric``.  No
+fiber state outlives a call, except those rows and the suffix sums the
+direct sink reads, which live and die with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -154,6 +156,53 @@ def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[Fib
                 points.sort(key=lambda p: p[::-1])
             out[key] = points
     return out
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _partners(pairs, size: int) -> list[int]:
+    """For each code c < ``size``, a mask with bit w set when (c, w) or (w, c) is in ``pairs``."""
+    partners = [0] * size
+    for a, b in pairs:
+        partners[a] |= 1 << b
+        partners[b] |= 1 << a
+    return partners
+
+
+def _standard_levels(partners: list[int], packed: list[int], max_len: int):
+    """Yield the standard words of each length 1..max_len as (word, sum, allowed) triples.
+
+    A word is standard when none of its code pairs is a lead, (c, w) with bit
+    w of ``partners[c]``; ``packed`` is packed for sums of ``max_len`` codes
+    (:func:`_pack`).  Standard words are closed under division, so each one
+    extends its prefix by a code c of the prefix's ``allowed`` mask, and the
+    codes allowed after c are ``allowed & standard[c]``, with ``standard[c]``
+    the codes d >= c that make (c, d) standard.  A level lives until the next.
+    """
+    every = (1 << len(packed)) - 1
+    standard = [every >> a << a & ~mask for a, mask in enumerate(partners)]
+    level = [((a,), total, standard[a]) for a, total in enumerate(packed)]
+    for _ in range(max_len - 1):
+        yield level
+        level = [
+            (word + (c,), total + packed[c], allowed & standard[c])
+            for word, total, allowed in level
+            for c in _bits(allowed)
+        ]
+    yield level
+
+
+def _shared(sums: list[int]) -> set[int]:
+    """The values that occur more than once in ``sums``."""
+    if len(set(sums)) == len(sums):
+        return set()
+    return {total for total, count in Counter(sums).items() if count > 1}
 
 
 def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:

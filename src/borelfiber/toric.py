@@ -30,7 +30,8 @@ While every rule is quadratic, the rewriter steps the words the overlap
 check reduces, of two or three codes, in closed form (:meth:`_Rules.rewrite`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
-them) of their length.  A Groebner basis of the whole toric ideal walks none,
+them) of their length, found by ``fiber._standard_levels``, the scan behind
+the unique-sink sweep too.  A Groebner basis of the whole toric ideal walks none,
 since its standard words meet each fiber once (Sturmfels, *Groebner Bases and
 Convex Polytopes*, 1996, ch. 4).
 
@@ -44,7 +45,6 @@ check too, and a failure's name is unpacked from its sum.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
@@ -54,8 +54,12 @@ from typing import Callable, NamedTuple, Sequence
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
+    _bits,
     _component_labels,
     _pack,
+    _partners,
+    _shared,
+    _standard_levels,
     _unpack,
     enumerate_fiber,
     fiber_sink_key,
@@ -341,64 +345,19 @@ def _cubic_steps(rules: _Rules, word: tuple[int, ...]) -> list[tuple[int, tuple[
     return steps
 
 
-def _bits(mask: int):
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _colliding_sums(partners: list[int], packed: list[int]) -> tuple[set[int], set[int]]:
-    """The packed sums that two standard words share: of two codes, and of three.
-
-    ``packed`` is the configuration packed for words of three codes or more
-    (``_Rules.packed``), so a word's packed sum is its configuration sum, one
-    integer per sum.  ``partners[c]`` has bit w set when (c, w) is a lead.  A
-    word is standard when none of its code pairs is a lead, so the standard
-    words are closed under division: a standard cubic word (a, b, c) extends
-    a standard pair (a, b) by a code c >= b with (a, c) and (b, c) standard
-    too, and its sum is the pair's sum plus one packed vector.  With
-    ``standard[a]`` the codes c >= a that make (a, c) standard, those c are
-    ``standard[a] & standard[b]``, so the scan costs one mask per standard
-    pair and one addition per standard word: at most (standard pairs x codes).
-    """
-    every = (1 << len(packed)) - 1
-    standard = [every >> a << a & ~mask for a, mask in enumerate(partners)]
-    pair_sums: list[int] = []
-    cubic_sums: list[int] = []
-    for a, above in enumerate(standard):
-        first = packed[a]
-        for b in _bits(above):
-            pair = first + packed[b]
-            pair_sums.append(pair)
-            cubic_sums.extend([pair + packed[c] for c in _bits(above & standard[b])])
-    return _shared(pair_sums), _shared(cubic_sums)
-
-
-def _shared(sums: list[int]) -> set[int]:
-    """The values that occur more than once in ``sums``."""
-    if len(set(sums)) == len(sums):
-        return set()
-    return {total for total, count in Counter(sums).items() if count > 1}
-
-
 def _walked(
     by_lead: dict, extras: dict, packed: list[int], pairs: set[int], cubics: set[int]
 ) -> list[tuple[int, ...]]:
     """The critical monomials whose sum two standard words share, ascending.
 
     ``extras`` maps each lead (a, b) to its counted codes w (see
-    :func:`_check_overlaps`): a mask ``high`` of those that give (a, b, w)
-    and a mask ``low`` of those that give (a, w, b).  ``pairs`` and
-    ``cubics`` are the shared sums of :func:`_colliding_sums`.  A lead carried
-    twice is walked when its own sum is shared.  The cubic critical monomials
-    of a lead are found from the shared sums, not by stepping its bits: w
-    completes (a, b) to a shared sum s exactly when packed[w] = s -
-    (packed[a] + packed[b]), so each shared sum names its codes w by one
-    lookup, and the lead keeps those among its counted codes.  That costs
-    one lookup per lead and shared cubic sum, and the bases that reach the
-    walk share few sums.
+    :func:`_check_overlaps`): a mask ``high`` giving (a, b, w) and a mask
+    ``low`` giving (a, w, b).  ``pairs`` and ``cubics`` are the sums shared
+    by two standard words of two, and of three, codes.  A lead carried twice
+    is walked when its own sum is shared.  w completes (a, b) to a shared
+    sum s exactly when packed[w] = s - (packed[a] + packed[b]), so instead of
+    stepping its bits, a lead looks up each shared cubic sum once and keeps
+    the codes it names among its counted codes; walked bases share few sums.
     """
     code_of: dict[int, int] = {}
     for code, vector in enumerate(packed):
@@ -441,16 +400,13 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     reducts.  Returns the number of critical monomials and one failure for
     each that disagrees, in ascending order of the monomial.
 
-    Reducts are walked only where two standard words could disagree.
-    ``_checked_rules`` has checked that every rule keeps its word's length
-    and configuration sum, so every reduct of a critical monomial m, and every
-    normal form of one, lies in m's fiber, and a normal form is a standard
-    word: it contains no lead.  If m's fiber holds one standard word of m's
-    length, every reduct reaches it and m cannot fail.  So the standard
-    words of two and three codes are scanned by :func:`_colliding_sums`,
-    which costs at most (standard pairs x codes), and only the critical
-    monomials whose sum two standard words share are walked, found from the
-    shared sums by :func:`_walked`.  The scan is skipped when there is no
+    Reducts are walked only where two standard words could disagree.  Every
+    rule keeps its word's length and configuration sum (:func:`_checked_rules`),
+    so every normal form of a critical monomial m is a standard word of m's
+    fiber, and if that fiber holds one standard word of m's length, m cannot
+    fail.  So only the critical monomials whose sum two standard words of two
+    or three codes share (``fiber._standard_levels``) are walked, found from
+    the shared sums by :func:`_walked`.  The scan is skipped when there is no
     critical monomial, and the walk when no sum is shared.
 
     Critical monomials are counted, not built: each once, from its least
@@ -465,16 +421,13 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     cubic critical monomial's one-step reducts are all its :func:`_cubic_steps`.
     """
     by_lead, packed = rules.by_lead, rules.packed
-    partners = [0] * len(packed)
     for lead, positions in by_lead.items():
         if len(lead) != 2:
             raise ValueError(
                 f"lead of element {positions[0]} has degree {len(lead)}; "
                 "the overlap check needs quadratic leads"
             )
-        a, b = lead
-        partners[a] |= 1 << b
-        partners[b] |= 1 << a
+    partners = _partners(by_lead, len(packed))
     # Each lead's counted codes w: a mask of those with w >= b, and one of a < w < b.
     extras = {}
     for a, b in by_lead:
@@ -489,7 +442,8 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     )
     if not checked:
         return 0, []
-    pairs, cubics = _colliding_sums(partners, packed)
+    levels = _standard_levels(partners, packed, 3)
+    _, pairs, cubics = [_shared([total for _, total, _ in level]) for level in levels]
     if not pairs and not cubics:
         return checked, []
     trails, normal_form = rules.trails, rules.normal_form

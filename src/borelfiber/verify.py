@@ -1,45 +1,38 @@
-"""Sweep-style checks of the unique-sink claim, fanned out in interleaved shares.
-
-Each fiber is checked by scanning one later paired move per point; the
-fiber graph is built only for a fiber that fails the scan.
+"""Sweep-style checks of the unique-sink claim: one scan of standard words,
+and a point-by-point check (:func:`check_unique_sink`) of each multidegree
+that fails it, the only fibers a sweep enumerates.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
-    FiberPoint,
     _component_labels,
     _fiber_in_sink_order,
     _later_moves,
+    _pack,
+    _partners,
+    _standard_levels,
+    _unpack,
     build_fiber_graph,
-    fibers,
+    fiber_sink_key,
     find_sink_direct,
 )
 from borelfiber.monomials import Monomial, format_monomial
 
 
-def check_unique_sink(
-    table: GeneratorTable, mu: Monomial, points: list[FiberPoint] | None = None
-) -> list[str]:
+def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
     """Violation descriptions for the fiber graph at mu; empty when all good.
 
-    ``points`` is the fiber in descending sink order when the caller already
-    has it (see :func:`~borelfiber.fiber.fibers`); otherwise the fiber is
-    enumerated.  A point is a sink exactly when it has no later paired move,
-    so the check scans each point's first later move and builds no edges:
-    that move must lead to a larger index, the one point without a move is
-    the sink, which must be the last point, and the direct sink algorithm
-    must return it.  With every scanned move forward and one sink, each
-    point walks forward to that sink, so the graph is connected; only
-    otherwise is the fiber graph built and its components counted.
+    The fiber is enumerated in descending sink order, and its graph built.
+    A point is a sink exactly when it has no later paired move, so the check
+    scans each point's first later move: it must lead to a larger index, the
+    one point without a move is the sink, which must be the last point, and
+    the direct sink algorithm must return it.  The graph must be connected.
     """
-    if points is None:
-        points = _fiber_in_sink_order(table, mu)
+    points = _fiber_in_sink_order(table, mu)
     if not points:
         return []
     later = table.later_pairs
@@ -52,10 +45,9 @@ def check_unique_sink(
             fiber_sinks.append(z)
         elif index[target] <= i:
             violations.append(f"edge {i}->{index[target]} does not decrease in the sink order")
-    if violations or len(fiber_sinks) != 1:
-        graph = build_fiber_graph(table, mu, points)
-        if len(set(_component_labels(len(points), graph.edges))) != 1:
-            violations.append("fiber graph is disconnected")
+    graph = build_fiber_graph(table, mu, points)
+    if len(set(_component_labels(len(points), graph.edges))) != 1:
+        violations.append("fiber graph is disconnected")
     if len(fiber_sinks) != 1:
         violations.append(f"{len(fiber_sinks)} sinks instead of one")
     else:
@@ -90,29 +82,51 @@ class SweepReport:
         }
 
 
-def _check_fibers(table: GeneratorTable, items) -> list[list[str]]:
-    """Violations of each (mu, points) fiber in ``items``, in order."""
-    return [check_unique_sink(table, mu, points) for mu, points in items]
-
-
 def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> SweepReport:
-    """Check every nonempty fiber of t-degree up to the bound.
+    """Check every nonempty fiber of t-degree 1..max_tdeg, in four steps.
 
-    The fibers come from one grouped pass (:func:`~borelfiber.fiber.fibers`).
-    At most ``jobs`` worker processes check them, never more than the CPUs or
-    the multidegrees.  Worker i gets the table and the interleaved share
-    ``items[i::workers]``, and its results go back to the same slots, so the
-    report lists violations in multidegree order at any parallelism width.
+    1. Every entry q of a row ``later_pairs[p]`` has p's sum and a smaller
+       sink key; a row that fails gets a violation line of its own.
+    2. A pair with a nonempty row is a lead, so the standard words are the
+       points without a later move (``fiber._later_moves``): the sinks.
+    3. Standard words are scanned up to ``max_tdeg`` codes.
+    4. A standard word that is not ``find_sink_direct`` of its sum marks
+       its multidegree.  Of two that share a sum at most one is the direct
+       sink, so a shared sum is marked too.
+
+    Proof.  Step 1 makes every move keep the sum and go forward, so every
+    fiber's last point is standard.  With no sum shared, that point is the
+    fiber's one sink and every point walks forward to it, so the graph is
+    connected, and the distinct sums, ``multidegrees_checked``, are the
+    nonempty fibers.  Each marked multidegree, in (degree, mu) order, gets
+    its lines from :func:`check_unique_sink`, the only place a sweep
+    enumerates a fiber or builds a graph; one it finds no fault in raises
+    ``RuntimeError``.  ``jobs`` other than 1 raises ``ValueError``.
     """
-    items = list(fibers(table.generators, max_tdeg).items())
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers > 1:
-        results: list[list[str]] = [[]] * len(items)
-        shares = [items[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, part in enumerate(pool.map(_check_fibers, [table] * workers, shares)):
-                results[i::workers] = part
-    else:
-        results = _check_fibers(table, items)
-    violations = [v for vs in results for v in vs]
-    return SweepReport(multidegrees_checked=len(items), violations=tuple(violations))
+    if jobs != 1:
+        raise ValueError(f"sweeps no longer run in a process pool, so jobs must be 1, got {jobs}")
+    if max_tdeg < 1:
+        raise ValueError("the degree bound must be at least 1")
+    later, context = table.later_pairs, table.context
+    packed, width = _pack(table.generators, max(max_tdeg, 2))
+    violations = []
+    for p, row in later.items():
+        total = sum(map(packed.__getitem__, p))
+        for q in row:
+            if sum(map(packed.__getitem__, q)) != total or fiber_sink_key(q) >= fiber_sink_key(p):
+                label = format_monomial(_unpack([total], width, context.n)[0], context)
+                violations.append(f"{label}: row {p} lists {q}, not a later point of its fiber")
+    partners = _partners([p for p, row in later.items() if row], len(packed))
+    checked, marked = 0, {}
+    for length, level in enumerate(_standard_levels(partners, packed, max_tdeg), 1):
+        totals = [total for _, total, _ in level]
+        checked += len(set(totals))
+        for (word, total, _), mu in zip(level, _unpack(totals, width, context.n)):
+            if find_sink_direct(table, mu) != word:
+                marked[length, total] = mu
+    for _, mu in sorted(marked.items()):
+        found = check_unique_sink(table, mu)
+        if not found:
+            raise RuntimeError(f"the scan marks {mu}, but its fiber has no fault")
+        violations.extend(found)
+    return SweepReport(multidegrees_checked=checked, violations=tuple(violations))

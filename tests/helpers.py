@@ -627,6 +627,23 @@ def with_cached(table: GeneratorTable, **values) -> GeneratorTable:
     return copy
 
 
+def standard_words_by_fibers(table, max_deg: int) -> dict[int, list[FiberPoint]]:
+    """The points of ``fibers`` through ``max_deg`` that contain no lead pair, by length.
+
+    A lead is a point of a degree-2 fiber other than its last point, read off
+    the fibers rather than the table's paired-move rows; a point contains
+    one when two of its positions form it.  Each length's points are sorted.
+    """
+    groups = fibers(table.generators, max_deg)
+    leads = {p for points in groups.values() if len(points[0]) == 2 for p in points[:-1]}
+    out: dict[int, list[FiberPoint]] = {}
+    for points in groups.values():
+        for p in points:
+            if leads.isdisjoint(itertools.combinations(p, 2)):
+                out.setdefault(len(p), []).append(p)
+    return {length: sorted(words) for length, words in out.items()}
+
+
 def unique_sink_by_graph(table, mu: Monomial, points: list[FiberPoint] | None = None) -> list[str]:
     """``verify.check_unique_sink`` read off the whole fiber graph.
 
@@ -951,21 +968,3 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
         if a != b and reduce(a) != reduce(b):
             failures.append(SPairFailure(p, q, rees_image(table, top)))
     return _report(failures, pairs, table)
-
-
-class SerialPool:
-    """Stand-in for ProcessPoolExecutor: records its width, maps in-process."""
-
-    widths: list[int] = []
-
-    def __init__(self, max_workers):
-        SerialPool.widths.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)

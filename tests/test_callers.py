@@ -15,7 +15,9 @@ generators and unit vectors, to spot the unit moves within a degree-2
 fiber.  Besides them, ``toric._checked_rules``, the one check of a basis,
 packs its configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
-``toric._check_overlaps``, which only unpacks a failure's name.
+``toric._check_overlaps``, which only unpacks a failure's name.  The
+unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators for
+its standard words' sums and unpacks those sums into multidegrees.
 
 A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
 elimination order is defined once, on code words (``rees._word_key``), so
@@ -41,8 +43,9 @@ SUM_PATH = {
         "borel.GeneratorTable.later_pairs",
         "fiber.fibers",
         "toric._checked_rules",
+        "verify.sweep_unique_sinks",
     ],
-    "_unpack": ["fiber.fibers", "toric._check_overlaps"],
+    "_unpack": ["fiber.fibers", "toric._check_overlaps", "verify.sweep_unique_sinks"],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.

@@ -147,13 +147,17 @@ class TestVerify:
         assert data["violations"] == []
         assert data["multidegrees_checked"] > 100
 
-    def test_unique_sinks_parallel_matches_serial(self, capsys):
-        _, serial, _ = run_cli(capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2")
-        for jobs in ("0", "2"):
-            _, other, _ = run_cli(
-                capsys, "verify-unique-sinks", "--ideal", FIG, "--bound", "2", "--jobs", jobs
-            )
-            assert other == serial, f"--jobs {jobs}"
+    def test_unique_sinks_at_bound_4_on_five_variables(self, capsys):
+        # 115 generators: the scan meets each of the 15813 fibers once.
+        code, out, _ = run_cli(
+            capsys, "verify-unique-sinks", "--ideal", "{ac^2e^3,b^3d^3}", "--bound", "4"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "PASS",
+            "multidegrees_checked": 15813,
+            "violations": [],
+        }
 
     def test_buchberger_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-buchberger", "--ideal", FIG)
@@ -319,6 +323,7 @@ class TestErrors:
             ["verify-buchberger", "--ideal", FIG, "--bound", "5"],
             ["sink", "--ideal", FIG, "--mu", "a^2c^3", "--jobs", "2"],
             ["oracle-gb", "--ideal", FIG, "--jobs", "2"],
+            ["verify-unique-sinks", "--ideal", FIG, "--jobs", "2"],
         ],
     )
     def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):

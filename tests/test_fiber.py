@@ -4,6 +4,9 @@ import pytest
 
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import (
+    _pack,
+    _partners,
+    _standard_levels,
     build_fiber_graph,
     enumerate_fiber,
     fiber_point_type,
@@ -15,7 +18,7 @@ from borelfiber.fiber import (
     to_dot,
     vertex_label,
 )
-from borelfiber.instances import suite_tables
+from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import multiply
 
 from helpers import (
@@ -28,6 +31,7 @@ from helpers import (
     point_product,
     reduce_for_fiber,
     replacement_move,
+    standard_words_by_fibers,
 )
 
 
@@ -480,3 +484,27 @@ class TestPointProduct:
         z = point_of(fig_table, "b^5", "ab^4", "a^2c^3")
         assert point_product(fig_table, z) == (3, 9, 3)
         assert point_product(fig_table, ()) == (0, 0, 0)
+
+
+def scanned_standard_words(table, max_len: int) -> dict[int, list[tuple[int, ...]]]:
+    """The scan's standard words by length, sorted, with the sweep's leads: the rows' keys."""
+    partners = _partners(table.later_pairs, len(table.generators))
+    packed, _ = _pack(table.generators, max_len)
+    levels = _standard_levels(partners, packed, max_len)
+    return {
+        length: sorted(word for word, _, _ in level)
+        for length, level in enumerate(levels, 1)
+        if level
+    }
+
+
+def test_standard_word_scan_matches_the_fiber_oracle():
+    # The rows' keys are the leads of the degree-2 fibers, and the scan finds
+    # every point of every fiber that holds none of them, at t <= 3 on the
+    # 250 tables and at t <= 4 on every 5th.
+    tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+    assert len(tables) == 250
+    for k, table in enumerate(tables):
+        max_len = 4 if k % 5 == 0 else 3
+        assert scanned_standard_words(table, max_len) == standard_words_by_fibers(table, max_len)
+

@@ -102,6 +102,14 @@ class TestSweepUniqueSinks:
         for mu in sweep_multidegrees(table, 3):
             assert check_unique_sink(table, mu) == []
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_only_one_job(self, jobs):
         table = build_two_borel(mono("ac"), mono("b^2"))
-        assert sweep_unique_sinks(table, 3, jobs=2) == sweep_unique_sinks(table, 3)
+        with pytest.raises(ValueError, match="no longer run in a process pool"):
+            sweep_unique_sinks(table, 3, jobs=jobs)
+        assert sweep_unique_sinks(table, 3, jobs=1) == sweep_unique_sinks(table, 3)
+
+    def test_a_bound_below_one_is_refused(self):
+        table = build_two_borel(mono("ac"), mono("b^2"))
+        with pytest.raises(ValueError, match="at least 1"):
+            sweep_unique_sinks(table, 0)

@@ -7,7 +7,9 @@ Nor may a call to ``id()``: a memo keyed by object identity ties an answer
 to which objects built the input, so bases hold words instead.  Nor may an
 ``except`` clause name ``TypeError``: bad input is refused by a check, never
 by catching what it breaks, so the error names the input instead of the
-line it broke.
+line it broke.  Nor may a module start worker processes: no
+``concurrent.futures``, no ``multiprocessing`` and no ``os.cpu_count``,
+since every check runs in the calling process.
 
 The modules import each other without a cycle at run time, so importing any
 one of them never meets a half-initialized module: a module-level ``from
@@ -111,6 +113,51 @@ def test_the_scan_sees_both_forms():
     assert any(isinstance(node, ast.Global) for node in ast.walk(tree))
     (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert decorator_name(func.decorator_list[0]) == "lru_cache"
+
+
+PROCESS_NAMES = ("concurrent.futures", "multiprocessing", "os.cpu_count")
+
+
+def process_uses(tree: ast.AST) -> list[int]:
+    """Lines that import or name ``concurrent.futures``, ``multiprocessing`` or ``os.cpu_count``.
+
+    An import is read by each dotted name it binds, ``from X import y`` as
+    ``X`` and ``X.y``, and an attribute chain such as ``os.cpu_count`` by its
+    source text; a name is refused when it is one of ``PROCESS_NAMES`` or
+    lies inside one.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        if any(name == p or name.startswith(p + ".") for name in names for p in PROCESS_NAMES):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_worker_processes(path):
+    assert process_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_process_scan_sees_each_form():
+    source = (
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import multiprocessing.pool\n"
+        "from concurrent import futures\n"
+        "from os import cpu_count\n"
+        "width = os.cpu_count() or 1\n"
+        "import os, concurrent\n"
+        "cpus = os.sched_getaffinity(0)\n"
+    )
+    assert process_uses(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
 def runtime_imports(tree: ast.Module) -> set[str]:

@@ -26,7 +26,16 @@ from hypothesis import strategies as st
 
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber import toric
-from borelfiber.fiber import _pack, _unpack, enumerate_fiber, fiber_sink_key, fibers
+from borelfiber.fiber import (
+    _pack,
+    _partners,
+    _shared,
+    _standard_levels,
+    _unpack,
+    enumerate_fiber,
+    fiber_sink_key,
+    fibers,
+)
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import format_monomial, unit
 from borelfiber.rees import (
@@ -41,7 +50,6 @@ from borelfiber.rees import (
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
-    _colliding_sums,
     _cubic_steps,
     _Rules,
     buchberger_verify,
@@ -466,16 +474,13 @@ def sub_bases(draw):
 def colliding_multidegrees(basis):
     """The shared sums of the toric basis's standard words, as (length, multidegree text)."""
     vectors = basis.table.generators
-    partners = [0] * len(vectors)
-    for a, b in basis._rules.by_lead:
-        partners[a] |= 1 << b
-        partners[b] |= 1 << a
+    partners = _partners(basis._rules.by_lead, len(vectors))
     packed, width = _pack(vectors, 3)
     context = basis.table.context
     return {
         (length, format_monomial(total, context))
-        for length, sums in zip((2, 3), _colliding_sums(partners, packed))
-        for total in _unpack(list(sums), width, context.n)
+        for length, level in enumerate(_standard_levels(partners, packed, 3), 1)
+        for total in _unpack(list(_shared([total for _, total, _ in level])), width, context.n)
     }
 
 
@@ -557,7 +562,7 @@ class TestWalkOnlyCollidingFibers:
         def refuse(*args):
             raise AssertionError("the scan ran without a critical monomial")
 
-        monkeypatch.setattr(toric, "_colliding_sums", refuse)
+        monkeypatch.setattr(toric, "_standard_levels", refuse)
         table = family_table(5)
         assert len(table.generators) == 153
         report = buchberger_verify(MarkedBasis(table, ()))

@@ -1,6 +1,6 @@
 """Property tests of the grouped fiber pass, the sink key, the direct sink,
 the unique-sink scan, the closed forms of Borel(root), the reduction engine,
-monomial syntax and the sweep's parallel merge.
+monomial syntax and the sweep against the graph oracle.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
@@ -44,7 +44,6 @@ from borelfiber.rees import ReesBasis, ReesMonomial, _configuration, rees_gb, re
 from borelfiber.toric import normal_form, quadric_generators
 
 from helpers import (
-    SerialPool,
     all_monomials,
     can_factor,
     count_vector_sink_key,
@@ -134,14 +133,14 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
 
 
 @st.composite
-def tables_with_dropped_moves(draw):
-    """A table whose paired-move rows each lose a drawn share of their moves.
+def tables_with_dropped_moves(draw, base=tables):
+    """A table of ``base`` whose paired-move rows each lose a drawn share of their moves.
 
     Every move left still leads forward, so the scan and the graph oracle
     see the same sinks, and a fiber split by the dropped moves gives both
     the same violations.
     """
-    table = draw(tables)
+    table = draw(base)
     drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
     rnd = draw(st.randoms(use_true_random=False))
     rows = {}
@@ -156,9 +155,7 @@ def tables_with_dropped_moves(draw):
 @given(tables_with_dropped_moves())
 def test_unique_sink_scan_matches_the_graph_oracle(table):
     for mu, points in fibers(table.generators, 3).items():
-        assert verify.check_unique_sink(table, mu, points) == unique_sink_by_graph(
-            table, mu, points
-        )
+        assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, points)
 
 
 @st.composite
@@ -396,17 +393,19 @@ def sweep_pairs() -> tuple:
     )
 
 
-@checked(15)
-@given(
-    st.deferred(lambda: st.sampled_from(sweep_pairs())).map(lambda pair: build_two_borel(*pair)),
-    st.integers(min_value=1, max_value=3),
+sweep_tables = st.deferred(lambda: st.sampled_from(sweep_pairs())).map(
+    lambda pair: build_two_borel(*pair)
 )
-def test_sweep_report_does_not_depend_on_the_width(table, max_tdeg):
-    serial = verify.sweep_unique_sinks(table, max_tdeg, jobs=1)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        patch.setattr(verify.os, "cpu_count", lambda: 2)
-        SerialPool.widths = []
-        fanned = verify.sweep_unique_sinks(table, max_tdeg, jobs=2)
-        assert SerialPool.widths == ([2] if serial.multidegrees_checked > 1 else [])
-    assert fanned == serial
+
+
+@checked(15)
+@given(tables_with_dropped_moves(sweep_tables), st.integers(min_value=1, max_value=3))
+def test_sweep_matches_the_graph_oracle_on_every_fiber(table, max_tdeg):
+    # The sweep checks only the multidegrees its scan marks; with every row
+    # still forward, those are exactly the fibers the oracle faults.
+    groups = fibers(table.generators, max_tdeg)
+    report = verify.sweep_unique_sinks(table, max_tdeg)
+    assert report.multidegrees_checked == len(groups)
+    assert report.violations == tuple(
+        v for mu, points in groups.items() for v in unique_sink_by_graph(table, mu, points)
+    )

@@ -1,11 +1,12 @@
 """Negative controls, the fast path and the graph oracle of the unique-sink
-checker, and the sweep's worker clamp.
+checker and the sweep.
 
 The check reads the table's paired-move rows (``later_pairs``), the order
 of the fiber's points and the table's suffix sums for the direct sink.
 Each control corrupts one of these and pins the full violation list; the
-CLI must then exit 1.  The clamp tests swap in a serial stand-in for the
-process pool, so they start no processes.
+CLI must then exit 1.  A control that reorders a fiber's points swaps in
+its own ``_fiber_in_sink_order``.  The sweep scans standard words and hands
+only the multidegrees that fail the scan to the check.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from borelfiber.fiber import build_fiber_graph, fibers
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import format_monomial, sigma
 
-from helpers import SerialPool, mono, unique_sink_by_graph, with_cached
+from helpers import mono, unique_sink_by_graph, with_cached
 
 FIG_MU = (3, 9, 3)
 # A fiber of t-degree 2 with three points, small enough to give its moves by hand.
@@ -74,7 +75,7 @@ class TestNegativeControls:
         p0, p1, _ = pair_points
         corrupt = with_cached(fig_table, later_pairs={p0: (p1,), p1: (p0,)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
             f"{label}: edge 1->0 does not decrease in the sink order",
             f"{label}: fiber graph is disconnected",
         ]
@@ -84,7 +85,7 @@ class TestNegativeControls:
         sink = pair_points[-1]
         corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, sink: (sink,)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
             f"{label}: edge 2->2 does not decrease in the sink order",
             f"{label}: 0 sinks instead of one",
         ]
@@ -94,15 +95,16 @@ class TestNegativeControls:
         p0, p1, p2 = pair_points
         corrupt = with_cached(fig_table, later_pairs={p0: (p1, p2)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU, pair_points) == [
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
             f"{label}: 2 sinks instead of one",
         ]
 
-    def test_sink_is_not_the_order_minimum(self, fig_table, fig_points, fig_label):
+    def test_sink_is_not_the_order_minimum(self, monkeypatch, fig_table, fig_points, fig_label):
         # The last two points swapped: the sink is no longer last, and the
         # point now last moves back to it.
         reordered = fig_points[:5] + [fig_points[6], fig_points[5]]
-        assert verify.check_unique_sink(fig_table, FIG_MU, reordered) == [
+        monkeypatch.setattr(verify, "_fiber_in_sink_order", lambda table, mu: list(reordered))
+        assert verify.check_unique_sink(fig_table, FIG_MU) == [
             f"{fig_label}: edge 6->5 does not decrease in the sink order",
             f"{fig_label}: sink differs from the sink-order minimum",
         ]
@@ -125,9 +127,23 @@ class TestNegativeControls:
 
     def test_cli_exits_one_on_a_violation(self, monkeypatch, capsys):
         monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: {}))
-        code = cli.main(
-            ["verify-unique-sinks", "--ideal", "{ac,b^2}", "--bound", "2", "--jobs", "1"]
+        code = cli.main(["verify-unique-sinks", "--ideal", "{ac,b^2}", "--bound", "2"])
+        assert code == cli.EXIT_VIOLATION
+        assert '"status": "FAIL"' in capsys.readouterr().out
+
+    def test_backward_row(self, monkeypatch, capsys, fig_table):
+        # A row that sends the standard pair (1,13) back to the earlier
+        # (0,12) of its fiber fails the row check; (1,13) becomes a lead, so
+        # the fibers that held it lose their sink and no later step sees them.
+        rows = {**fig_table.later_pairs, (1, 13): ((0, 12),)}
+        label = format_monomial(
+            tuple(map(sum, zip(fig_table.generators[1], fig_table.generators[13]))),
+            fig_table.context,
         )
+        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 3)
+        assert report.violations == (f"{label}: row (1, 13) lists (0, 12), not a later point of its fiber",)
+        monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: rows))
+        code = cli.main(["verify-unique-sinks", "--ideal", "{a^2c^3,b^4c}", "--bound", "3"])
         assert code == cli.EXIT_VIOLATION
         assert '"status": "FAIL"' in capsys.readouterr().out
 
@@ -144,27 +160,52 @@ class TestFastPath:
         monkeypatch.setattr(verify, "build_fiber_graph", counted)
         return calls
 
-    def test_a_clean_sweep_builds_no_graph(self, fig_table, graph_calls):
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        check = verify.check_unique_sink
+
+        def counted(table, mu):
+            calls.append(mu)
+            return check(table, mu)
+
+        monkeypatch.setattr(verify, "check_unique_sink", counted)
+        return calls
+
+    def test_a_clean_sweep_builds_no_graph(self, fig_table, graph_calls, checked):
         report = verify.sweep_unique_sinks(fig_table, 3)
         assert report.ok and report.multidegrees_checked > 100
-        assert graph_calls == []
+        assert graph_calls == checked == []
 
-    def test_one_corrupted_fiber_builds_one_graph(
-        self, monkeypatch, fig_table, fig_label, graph_calls
-    ):
-        def one_reordered(vectors, max_deg):
-            groups = fibers(vectors, max_deg)
-            points = groups[FIG_MU]
-            points[-2], points[-1] = points[-1], points[-2]
-            return groups
-
-        monkeypatch.setattr(verify, "fibers", one_reordered)
-        report = verify.sweep_unique_sinks(fig_table, 3)
+    def test_one_corrupted_fiber_builds_one_graph(self, fig_table, pair_points, graph_calls):
+        # Without its row the first point of PAIR_MU's fiber is a second
+        # standard word there; at t <= 2 no other fiber holds that pair.
+        p0, _, _ = pair_points
+        rows = {pair: row for pair, row in fig_table.later_pairs.items() if pair != p0}
+        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 2)
+        label = format_monomial(PAIR_MU, fig_table.context)
         assert report.violations == (
-            f"{fig_label}: edge 6->5 does not decrease in the sink order",
-            f"{fig_label}: sink differs from the sink-order minimum",
+            f"{label}: fiber graph is disconnected",
+            f"{label}: 2 sinks instead of one",
         )
-        assert graph_calls == [FIG_MU]
+        assert graph_calls == [PAIR_MU]
+
+    def test_a_wrong_direct_sink_builds_graphs_only_where_it_fails(
+        self, fig_table, graph_calls, checked
+    ):
+        # Generator 1's suffix sums read as generator 0's index, so each
+        # standard word holding generator 1 differs from its direct sink.
+        s_m, s_n, by_sums = fig_table._peel_sums
+        wrong = {**by_sums, sigma(fig_table.generators[1]): 0}
+        corrupt = with_cached(fig_table, _peel_sums=(s_m, s_n, wrong))
+        report = verify.sweep_unique_sinks(corrupt, 3)
+        holding = [mu for mu, points in fibers(fig_table.generators, 3).items() if 1 in points[-1]]
+        labels = [format_monomial(mu, fig_table.context) for mu in holding]
+        assert len(holding) > 1 and graph_calls == checked == holding
+        assert report.violations == tuple(
+            f"{label}: direct sink disagrees with the graph sink" for label in labels
+        )
+        assert report.multidegrees_checked == len(fibers(fig_table.generators, 3))
 
 
 def test_an_empty_fiber_has_no_violation(fig_table):
@@ -175,35 +216,4 @@ def test_an_empty_fiber_has_no_violation(fig_table):
 def test_scan_matches_the_graph_oracle_on_every_tenth_suite_table():
     for table in suite_tables(cap=200)[::10]:
         for mu, points in fibers(table.generators, 3).items():
-            assert verify.check_unique_sink(table, mu, points) == unique_sink_by_graph(
-                table, mu, points
-            )
-
-
-class TestJobsClamp:
-    @pytest.fixture
-    def serial_pool(self, monkeypatch):
-        SerialPool.widths = []
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        return SerialPool
-
-    @pytest.fixture(scope="class")
-    def table(self):
-        return build_two_borel(mono("ac"), mono("b^2"))
-
-    @pytest.fixture(scope="class")
-    def serial(self, table):
-        return verify.sweep_unique_sinks(table, 3)
-
-    @pytest.mark.parametrize(
-        "jobs, cpus, width",
-        [(1000, 4, 4), (3, 64, 3), (1000, 64, "mus"), (2, None, None), (1, 8, None)],
-    )
-    def test_width(self, monkeypatch, serial_pool, table, serial, jobs, cpus, width):
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        report = verify.sweep_unique_sinks(table, 3, jobs=jobs)
-        assert report == serial
-        if width == "mus":
-            width = serial.multidegrees_checked
-            assert width < 64
-        assert serial_pool.widths == ([] if width is None else [width])
+            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, points)
