@@ -23,13 +23,14 @@ large to list every product up to it.
 A point's later paired moves come from :func:`_later_moves`, which reads the
 table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
 fibers of :func:`fibers`, so each move is listed from its earlier end).
-:func:`build_fiber_graph` drains it for every point; the unique-sink check
-in ``verify`` takes only each point's first move, since a point is a sink
-exactly when it has none.  So the sinks are the standard words of the
-rows' keys, and :func:`_standard_levels`, the one scan of standard words,
-serves the sweep in ``verify`` and the overlap check in ``toric``.  No
-fiber state outlives a call, except those rows and the suffix sums the
-direct sink reads, which live and die with the table.
+:func:`build_fiber_graph` drains it for every point and keeps each move as
+the edge it yields, so the unique-sink check in ``verify`` reads every
+verdict, a backward move's included, off that one graph.  A point is a
+sink exactly when it has no later move, so the sinks are the standard
+words of the rows' keys, and :func:`_standard_levels`, the one scan of
+standard words, serves the sweep in ``verify`` and the overlap check in
+``toric``.  No fiber state outlives a call, except those rows and the
+suffix sums the direct sink reads, which live and die with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -265,7 +266,7 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
 
 @dataclass(frozen=True)
 class FiberGraph:
-    """Directed fiber graph; vertices sorted earliest-first, edges (from, to)."""
+    """Directed fiber graph; vertices sorted earliest-first, one edge (from, to) per listed move."""
 
     table: GeneratorTable
     mu: Monomial
@@ -281,7 +282,10 @@ class FiberGraph:
 
 
 def _fiber_in_sink_order(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
-    """The fiber of mu in descending sink order, as :func:`fibers` lists it."""
+    """The fiber of mu in descending sink order, as :func:`fibers` lists it.
+
+    The one source of :func:`build_fiber_graph`'s vertices.
+    """
     points = enumerate_fiber(table, mu)
     points.sort(key=fiber_sink_key, reverse=True)
     return points
@@ -313,26 +317,20 @@ def _later_moves(later: dict, point: FiberPoint):
                 yield tuple(sorted(rest + pair))
 
 
-def build_fiber_graph(
-    table: GeneratorTable, mu: Monomial, points: Optional[list[FiberPoint]] = None
-) -> FiberGraph:
-    """Enumerate the fiber of mu and orient its paired-move edges.
+def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
+    """Enumerate the fiber of mu and keep each listed paired move as an edge.
 
-    Vertices are sorted by descending fiber sink order, so every directed
-    edge runs from a smaller vertex index to a larger one and the graph is
-    acyclic by construction.  A caller that already holds the whole fiber in
-    that order, as :func:`fibers` returns it, passes it as ``points`` and
-    skips the enumeration.  Moves are symmetric, so each edge is found once,
-    from its earlier end, by :func:`_later_moves`.
+    Vertices come from :func:`_fiber_in_sink_order`, in descending fiber
+    sink order, and each move :func:`_later_moves` yields from a point is
+    the edge (point, target).  On a true table every move leads to a later
+    point, so every edge runs from a smaller vertex index to a larger one and
+    the graph is acyclic; an edge that does not stays as it is, for the
+    unique-sink check to report.
     """
-    vertices = _fiber_in_sink_order(table, mu) if points is None else points
+    vertices = _fiber_in_sink_order(table, mu)
     vindex = {v: i for i, v in enumerate(vertices)}
     later = table.later_pairs if vertices else {}
-    edges: set[tuple[int, int]] = set()
-    for vi, z in enumerate(vertices):
-        for w in _later_moves(later, z):
-            wi = vindex[w]
-            edges.add((vi, wi) if vi < wi else (wi, vi))
+    edges = {(vi, vindex[w]) for vi, z in enumerate(vertices) for w in _later_moves(later, z)}
     return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
 
 

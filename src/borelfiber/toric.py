@@ -281,9 +281,11 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     """
     groups = fibers(table.generators, 2).values()
     if interreduce:
+        # Leads of one length: descending reversed words are ascending sink keys.
         pairs = sorted(
             ((lead, words[-1]) for words in groups for lead in words[:-1]),
-            key=lambda pair: fiber_sink_key(pair[0]),
+            key=lambda pair: pair[0][::-1],
+            reverse=True,
         )
     else:
         pairs = [pair for words in groups for pair in combinations(words, 2)]

@@ -1,6 +1,6 @@
 """Sweep-style checks of the unique-sink claim: one scan of standard words,
-and a point-by-point check (:func:`check_unique_sink`) of each multidegree
-that fails it, the only fibers a sweep enumerates.
+and a check (:func:`check_unique_sink`) of each multidegree that fails it,
+read off its whole fiber graph, the only graphs a sweep builds.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     _component_labels,
-    _fiber_in_sink_order,
-    _later_moves,
     _pack,
     _partners,
     _standard_levels,
@@ -19,6 +17,7 @@ from borelfiber.fiber import (
     build_fiber_graph,
     fiber_sink_key,
     find_sink_direct,
+    sinks,
 )
 from borelfiber.monomials import Monomial, format_monomial
 
@@ -26,28 +25,22 @@ from borelfiber.monomials import Monomial, format_monomial
 def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
     """Violation descriptions for the fiber graph at mu; empty when all good.
 
-    The fiber is enumerated in descending sink order, and its graph built.
-    A point is a sink exactly when it has no later paired move, so the check
-    scans each point's first later move: it must lead to a larger index, the
-    one point without a move is the sink, which must be the last point, and
-    the direct sink algorithm must return it.  The graph must be connected.
+    Every verdict is read off :func:`build_fiber_graph`, which keeps each
+    listed move as its own edge: every edge must lead to a later point, a
+    larger index; the graph must be connected; its one sink, the one vertex
+    of out-degree 0, must be the last point; and the direct sink algorithm
+    must return it.
     """
-    points = _fiber_in_sink_order(table, mu)
+    graph = build_fiber_graph(table, mu)
+    points = graph.vertices
     if not points:
         return []
-    later = table.later_pairs
-    index = {p: i for i, p in enumerate(points)}
-    violations = []
-    fiber_sinks = []
-    for i, z in enumerate(points):
-        target = next(_later_moves(later, z), None)
-        if target is None:
-            fiber_sinks.append(z)
-        elif index[target] <= i:
-            violations.append(f"edge {i}->{index[target]} does not decrease in the sink order")
-    graph = build_fiber_graph(table, mu, points)
+    violations = [
+        f"edge {a}->{b} does not decrease in the sink order" for a, b in graph.edges if b <= a
+    ]
     if len(set(_component_labels(len(points), graph.edges))) != 1:
         violations.append("fiber graph is disconnected")
+    fiber_sinks = sinks(graph)
     if len(fiber_sinks) != 1:
         violations.append(f"{len(fiber_sinks)} sinks instead of one")
     else:

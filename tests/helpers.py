@@ -19,12 +19,11 @@ from borelfiber.fiber import (
     FiberPoint,
     _component_labels,
     _lex_last_sigma,
-    build_fiber_graph,
+    enumerate_fiber,
     fiber_point_type,
     fiber_sink_key,
     fibers,
     find_sink_direct,
-    sinks,
 )
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
@@ -644,31 +643,43 @@ def standard_words_by_fibers(table, max_deg: int) -> dict[int, list[FiberPoint]]
     return {length: sorted(words) for length, words in out.items()}
 
 
-def unique_sink_by_graph(table, mu: Monomial, points: list[FiberPoint] | None = None) -> list[str]:
-    """``verify.check_unique_sink`` read off the whole fiber graph.
+def unique_sink_by_graph(table, mu: Monomial) -> list[str]:
+    """``verify.check_unique_sink`` read off a fiber graph built here.
 
-    Builds every edge with ``build_fiber_graph``, checks that each decreases
-    in the sink order by comparing the endpoints' sink keys, counts the
-    graph's sinks by out-degree, and counts components whenever an edge goes
-    backward or the sinks are not one.  Reports the same messages in the
-    same order as the check.
+    The vertices are ``enumerate_fiber`` in descending sink order.  The edges
+    come straight from ``table.later_pairs``: for every point, every pair of
+    factor positions and every entry of that pair's row, the edge (point,
+    target).  Checks that each edge decreases by comparing the endpoints'
+    sink keys, counts the sinks by out-degree, and counts components
+    whenever an edge goes backward or the sinks are not one.  Reports the
+    same messages in the same order as the check.
     """
-    graph = build_fiber_graph(table, mu, points)
-    if not graph.vertices:
+    points = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
+    if not points:
         return []
+    index = {p: i for i, p in enumerate(points)}
+    edges = sorted(
+        {
+            (i, index[tuple(sorted(p[:s1] + p[s1 + 1 : s2] + p[s2 + 1 :] + q))])
+            for i, p in enumerate(points)
+            for s1, s2 in itertools.combinations(range(len(p)), 2)
+            for q in table.later_pairs.get((p[s1], p[s2]), ())
+        }
+    )
     violations = []
-    keys = list(map(fiber_sink_key, graph.vertices))
-    for a, b in graph.edges:
+    keys = list(map(fiber_sink_key, points))
+    for a, b in edges:
         if keys[a] <= keys[b]:
             violations.append(f"edge {a}->{b} does not decrease in the sink order")
-    graph_sinks = sinks(graph)
+    starts = {a for a, _ in edges}
+    graph_sinks = [p for i, p in enumerate(points) if i not in starts]
     if violations or len(graph_sinks) != 1:
-        if len(set(_component_labels(len(graph.vertices), graph.edges))) != 1:
+        if len(set(_component_labels(len(points), edges))) != 1:
             violations.append("fiber graph is disconnected")
     if len(graph_sinks) != 1:
         violations.append(f"{len(graph_sinks)} sinks instead of one")
     else:
-        if graph_sinks[0] != graph.vertices[-1]:
+        if graph_sinks[0] != points[-1]:
             violations.append("sink differs from the sink-order minimum")
         if find_sink_direct(table, mu) != graph_sinks[0]:
             violations.append("direct sink disagrees with the graph sink")

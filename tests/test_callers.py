@@ -24,6 +24,12 @@ elimination order is defined once, on code words (``rees._word_key``), so
 ``rees._from_codes`` decodes words only where a monomial is read: the
 ``ReesBasis.elements`` view and the answer of ``rees_normal_form``; those
 callers are pinned.  No word is decoded in order to rank it.
+
+Each private name that one src module imports from another is pinned too,
+so a new reach into another module's internals fails a list here.  The
+unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
+``fiber.build_fiber_graph`` builds and imports neither ``_later_moves`` nor
+``_fiber_in_sink_order``.
 """
 
 import ast
@@ -51,6 +57,34 @@ SUM_PATH = {
 # Decoding a word back to a Rees monomial, and its src callers.
 DECODE_PATH = {
     "_from_codes": ["rees.ReesBasis.elements", "rees.rees_normal_form"]
+}
+
+# Each private name one src module imports from another, by importing module.
+PRIVATE_IMPORTS = {
+    "borel": ["fiber._pack"],
+    "rees": [
+        "toric._Rules",
+        "toric._check_ints",
+        "toric._check_point",
+        "toric._checked_rules",
+        "toric._verify",
+    ],
+    "toric": [
+        "fiber._bits",
+        "fiber._component_labels",
+        "fiber._pack",
+        "fiber._partners",
+        "fiber._shared",
+        "fiber._standard_levels",
+        "fiber._unpack",
+    ],
+    "verify": [
+        "fiber._component_labels",
+        "fiber._pack",
+        "fiber._partners",
+        "fiber._standard_levels",
+        "fiber._unpack",
+    ],
 }
 
 
@@ -180,3 +214,43 @@ def test_the_sum_scans_see_each_kind_of_use():
 def test_one_decode_path():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in DECODE_PATH} == DECODE_PATH
+
+
+def private_imports(modules: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """``source.name`` for each private name a module imports from a package module.
+
+    A ``from`` import counts when it is relative or names ``borelfiber`` or
+    one of its modules; modules that import no private name are left out.
+    """
+    out = {}
+    for module, tree in modules.items():
+        names = sorted(
+            f"{(node.module or '').rpartition('.')[2]}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "borelfiber")
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        if names:
+            out[module] = names
+    return out
+
+
+def test_private_imports_are_pinned():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert private_imports(modules) == PRIVATE_IMPORTS
+
+
+def test_the_private_import_scan_sees_each_form():
+    modules = {
+        "m": ast.parse(
+            "from borelfiber.fiber import _pack, build_fiber_graph\n"
+            "from .toric import _Rules\n"
+            "from os import _exit\n"
+            "import borelfiber.rees\n"
+            "def user():\n    from borelfiber.verify import _hidden\n"
+        ),
+        "clean": ast.parse("from borelfiber.fiber import sinks\n"),
+    }
+    assert private_imports(modules) == {"m": ["fiber._pack", "toric._Rules", "verify._hidden"]}

@@ -208,11 +208,6 @@ class TestFibers:
     def test_vectors_without_coordinates_share_the_empty_sum(self):
         assert fibers([(), ()], 1) == {(): [(0,), (1,)]}
 
-    def test_graph_from_given_points_matches_enumeration(self, fig_table):
-        for mu, points in fibers(fig_table.generators, 3).items():
-            if len(points) > 2:
-                assert build_fiber_graph(fig_table, mu, points) == build_fiber_graph(fig_table, mu)
-
 
 class TestFiberSinkOrder:
     def test_two_variable_example(self):

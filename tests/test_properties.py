@@ -128,8 +128,8 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
             assert (lo <= hi and hi >= 1) == has_gm_factorization(table, mu)
             if mu not in groups:
                 assert find_sink_direct(table, mu) is None
-    for mu, points in groups.items():
-        assert sinks(build_fiber_graph(table, mu, points)) == [find_sink_direct(table, mu)]
+    for mu in groups:
+        assert sinks(build_fiber_graph(table, mu)) == [find_sink_direct(table, mu)]
 
 
 @st.composite
@@ -154,8 +154,8 @@ def tables_with_dropped_moves(draw, base=tables):
 @checked(30)
 @given(tables_with_dropped_moves())
 def test_unique_sink_scan_matches_the_graph_oracle(table):
-    for mu, points in fibers(table.generators, 3).items():
-        assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, points)
+    for mu in fibers(table.generators, 3):
+        assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu)
 
 
 @st.composite
@@ -407,5 +407,5 @@ def test_sweep_matches_the_graph_oracle_on_every_fiber(table, max_tdeg):
     report = verify.sweep_unique_sinks(table, max_tdeg)
     assert report.multidegrees_checked == len(groups)
     assert report.violations == tuple(
-        v for mu, points in groups.items() for v in unique_sink_by_graph(table, mu, points)
+        v for mu in groups for v in unique_sink_by_graph(table, mu)
     )

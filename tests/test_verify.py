@@ -1,17 +1,19 @@
 """Negative controls, the fast path and the graph oracle of the unique-sink
 checker and the sweep.
 
-The check reads the table's paired-move rows (``later_pairs``), the order
-of the fiber's points and the table's suffix sums for the direct sink.
-Each control corrupts one of these and pins the full violation list; the
-CLI must then exit 1.  A control that reorders a fiber's points swaps in
-its own ``_fiber_in_sink_order``.  The sweep scans standard words and hands
-only the multidegrees that fail the scan to the check.
+The check reads every verdict off one fiber graph, built from the table's
+paired-move rows (``later_pairs``) and the order of the fiber's points, and
+compares its sink with the direct sink, which reads the table's suffix
+sums.  Each control corrupts one of these and pins the full violation
+list; the CLI must then exit 1.  A control that reorders a fiber's points
+swaps in its own ``fiber._fiber_in_sink_order``, the graph's one source of
+vertices.  The sweep scans standard words and hands only the multidegrees
+that fail the scan to the check.
 """
 
 import pytest
 
-from borelfiber import cli, verify
+from borelfiber import cli, fiber, verify
 from borelfiber.borel import GeneratorTable, build_two_borel
 from borelfiber.fiber import build_fiber_graph, fibers
 from borelfiber.instances import suite_tables
@@ -52,8 +54,8 @@ class TestNegativeControls:
 
     def test_flipped_edge(self, fig_table, fig_points, fig_label):
         # The sink (1,3,13) gets a move back to (0,3,12) by swapping the pair
-        # (1,13) for (0,12).  The graph stores that edge as (5, 6), so the
-        # graph-wide check could not see it go backward.
+        # (1,13) for (0,12).  The graph keeps that move as the edge 6->5,
+        # beside the true move 5->6.
         assert fig_points[5:] == [(0, 3, 12), (1, 3, 13)]
         corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, (1, 13): ((0, 12),)})
         assert verify.check_unique_sink(corrupt, FIG_MU) == [
@@ -103,11 +105,26 @@ class TestNegativeControls:
         # The last two points swapped: the sink is no longer last, and the
         # point now last moves back to it.
         reordered = fig_points[:5] + [fig_points[6], fig_points[5]]
-        monkeypatch.setattr(verify, "_fiber_in_sink_order", lambda table, mu: list(reordered))
+        monkeypatch.setattr(fiber, "_fiber_in_sink_order", lambda table, mu: list(reordered))
         assert verify.check_unique_sink(fig_table, FIG_MU) == [
             f"{fig_label}: edge 6->5 does not decrease in the sink order",
             f"{fig_label}: sink differs from the sink-order minimum",
         ]
+
+    def test_backward_move_after_a_forward_one(self, fig_table, pair_points):
+        # The row of (0,11) lists the later (1,12) as before, then the
+        # earlier (2,2): the backward move follows a forward one, so the
+        # check must follow every listed move and keep its direction.
+        assert pair_points == [(2, 2), (0, 11), (1, 12)]
+        rows = {**fig_table.later_pairs, (0, 11): ((1, 12), (2, 2))}
+        corrupt = with_cached(fig_table, later_pairs=rows)
+        label = format_monomial(PAIR_MU, fig_table.context)
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
+            f"{label}: edge 1->0 does not decrease in the sink order"
+        ]
+        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
+            f"{label}: row (0, 11) lists (2, 2), not a later point of its fiber",
+        )
 
     def test_wrong_direct_sink(self, fig_table, fig_label):
         # Generator 1's suffix sums read as generator 0's index, so the direct
@@ -153,9 +170,9 @@ class TestFastPath:
     def graph_calls(self, monkeypatch):
         calls = []
 
-        def counted(table, mu, points=None):
+        def counted(table, mu):
             calls.append(mu)
-            return build_fiber_graph(table, mu, points)
+            return build_fiber_graph(table, mu)
 
         monkeypatch.setattr(verify, "build_fiber_graph", counted)
         return calls
@@ -215,5 +232,5 @@ def test_an_empty_fiber_has_no_violation(fig_table):
 
 def test_scan_matches_the_graph_oracle_on_every_tenth_suite_table():
     for table in suite_tables(cap=200)[::10]:
-        for mu, points in fibers(table.generators, 3).items():
-            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, points)
+        for mu in fibers(table.generators, 3):
+            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu)
