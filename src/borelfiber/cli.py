@@ -266,73 +266,91 @@ def cmd_counterexample(args) -> tuple[int, str]:
     return (EXIT_OK if separated else EXIT_VIOLATION), _emit(data, args.format, lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    One table lists each command's handler, help line and options, in the
+    order its help shows them; it is read at each call, so a handler
+    replaced on the module is the one parsed arguments carry.  A call
+    parses to the same namespace with either parser, and a usage error
+    from the one-command parser lists every command as the full one does,
+    so :func:`main` builds only the invoked command's parser.
+    """
+
+    def option(flag: str, **kwargs) -> tuple:
+        return ((flag, kwargs),)
+
+    ideal = (
+        option("--ideal", help="inline generators in compact syntax, e.g. '{a^2c^3,b^4c}'")
+        + option("--input", help="path to a JSON ideal descriptor")
+        + option("--nvars", type=int, help="variable count when inference is not enough")
+    )
+    bound = option("--bound", type=int, default=4, help="t-degree bound (default 4)")
+    fmt = option("--format", choices=("json", "dot", "text"), default="json")
+    commands = {
+        "gens": (cmd_gens, "dump the generator table", ideal + fmt),
+        "fiber": (
+            cmd_fiber,
+            "build one fiber graph",
+            ideal + bound + fmt
+            + option("--mu", required=True, help="multidegree, compact or [vector] syntax"),
+        ),
+        "sink": (
+            cmd_sink,
+            "direct sink, checked against the graph",
+            ideal + bound + fmt + option("--mu", required=True),
+        ),
+        "toric-gb": (
+            cmd_toric_gb,
+            "quadric Groebner basis",
+            ideal + fmt
+            + option(
+                "--interreduce", action="store_true", help="drop duplicate leads, reduce trails"
+            ),
+        ),
+        "rees-gb": (cmd_rees_gb, "Rees ideal Groebner basis", ideal + fmt),
+        "verify-unique-sinks": (
+            cmd_verify_unique_sinks,
+            "sweep all fibers up to the t-degree bound",
+            ideal + bound + fmt,
+        ),
+        "verify-buchberger": (
+            cmd_verify_buchberger,
+            "Groebner check of the quadric basis",
+            ideal + fmt + option("--rees", action="store_true", help="also verify the Rees basis"),
+        ),
+        "oracle-gb": (cmd_oracle_gb, "truncated Buchberger completion oracle", ideal + bound + fmt),
+        "counterexample": (
+            cmd_counterexample,
+            "three-Borel high-degree generator harness",
+            fmt
+            + option(
+                "--r",
+                type=int,
+                default=3,
+                help="family parameter (3 reproduces the classic example)",
+            ),
+        ),
+    }
     parser = argparse.ArgumentParser(
         prog="borelfiber",
         description="Fiber graphs and quadratic Groebner bases of two-Borel ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ideal = argparse.ArgumentParser(add_help=False)
-    ideal.add_argument("--ideal", help="inline generators in compact syntax, e.g. '{a^2c^3,b^4c}'")
-    ideal.add_argument("--input", help="path to a JSON ideal descriptor")
-    ideal.add_argument("--nvars", type=int, help="variable count when inference is not enough")
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "dot", "text"), default="json")
-
-    bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--bound", type=int, default=4, help="t-degree bound (default 4)")
-
-    p = sub.add_parser("gens", parents=[ideal, fmt], help="dump the generator table")
-    p.set_defaults(func=cmd_gens)
-
-    p = sub.add_parser("fiber", parents=[ideal, bound, fmt], help="build one fiber graph")
-    p.add_argument("--mu", required=True, help="multidegree, compact or [vector] syntax")
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser(
-        "sink", parents=[ideal, bound, fmt], help="direct sink, checked against the graph"
-    )
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_sink)
-
-    p = sub.add_parser("toric-gb", parents=[ideal, fmt], help="quadric Groebner basis")
-    p.add_argument("--interreduce", action="store_true", help="drop duplicate leads, reduce trails")
-    p.set_defaults(func=cmd_toric_gb)
-
-    p = sub.add_parser("rees-gb", parents=[ideal, fmt], help="Rees ideal Groebner basis")
-    p.set_defaults(func=cmd_rees_gb)
-
-    p = sub.add_parser(
-        "verify-unique-sinks",
-        parents=[ideal, bound, fmt],
-        help="sweep all fibers up to the t-degree bound",
-    )
-    p.set_defaults(func=cmd_verify_unique_sinks)
-
-    p = sub.add_parser(
-        "verify-buchberger", parents=[ideal, fmt], help="Groebner check of the quadric basis"
-    )
-    p.add_argument("--rees", action="store_true", help="also verify the Rees basis")
-    p.set_defaults(func=cmd_verify_buchberger)
-
-    p = sub.add_parser(
-        "oracle-gb", parents=[ideal, bound, fmt], help="truncated Buchberger completion oracle"
-    )
-    p.set_defaults(func=cmd_oracle_gb)
-
-    p = sub.add_parser(
-        "counterexample", parents=[fmt], help="three-Borel high-degree generator harness"
-    )
-    p.add_argument("--r", type=int, default=3, help="family parameter (3 reproduces the classic example)")
-    p.set_defaults(func=cmd_counterexample)
-
+    if command in commands:
+        sub.metavar = "{" + ",".join(commands) + "}"
+    for name in [command] if command in commands else commands:
+        func, help_text, options = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -35,7 +35,11 @@ suffix sums the direct sink reads, which live and die with the table.
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
 graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
-= Borel(M^i N^(t-i)); :func:`build_fiber_graph` is the explicit oracle.
+= Borel(M^i N^(t-i)) and then one peel per run of equal factors;
+:func:`build_fiber_graph` is the explicit oracle.  The
+peels after the first are the direct sink of the rest, so the sweep in
+``verify`` checks each standard word by its first peel (:func:`_peel`)
+against the word it accepted for the rest.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import le, neg, sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -266,12 +271,17 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
 
 @dataclass(frozen=True)
 class FiberGraph:
-    """Directed fiber graph; vertices sorted earliest-first, one edge (from, to) per listed move."""
+    """Directed fiber graph; vertices sorted earliest-first, one edge (from, to) per listed move.
+
+    ``strays`` holds each listed move to a point outside the fiber as
+    (from, point); only a corrupted row lists one, and it is no edge.
+    """
 
     table: GeneratorTable
     mu: Monomial
     vertices: tuple[FiberPoint, ...]
     edges: tuple[tuple[int, int], ...]
+    strays: tuple[tuple[int, FiberPoint], ...] = ()
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -324,14 +334,20 @@ def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     sink order, and each move :func:`_later_moves` yields from a point is
     the edge (point, target).  On a true table every move leads to a later
     point, so every edge runs from a smaller vertex index to a larger one and
-    the graph is acyclic; an edge that does not stays as it is, for the
-    unique-sink check to report.
+    the graph is acyclic; an edge that does not stays as it is, and a move
+    out of the fiber is kept as a stray, for the unique-sink check to report.
     """
     vertices = _fiber_in_sink_order(table, mu)
     vindex = {v: i for i, v in enumerate(vertices)}
     later = table.later_pairs if vertices else {}
-    edges = {(vi, vindex[w]) for vi, z in enumerate(vertices) for w in _later_moves(later, z)}
-    return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
+    moves = {(vi, w) for vi, z in enumerate(vertices) for w in _later_moves(later, z)}
+    return FiberGraph(
+        table=table,
+        mu=mu,
+        vertices=tuple(vertices),
+        edges=tuple(sorted((vi, vindex[w]) for vi, w in moves if w in vindex)),
+        strays=tuple(sorted((vi, w) for vi, w in moves if w not in vindex)),
+    )
 
 
 def _component_labels(size: int, groups) -> list[int]:
@@ -435,14 +451,60 @@ def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple
     return tuple(sums) if c == bound[0] else None
 
 
+def _sink_plan(table: GeneratorTable, mu: Monomial) -> Optional[tuple[tuple[int, ...], int, int]]:
+    """sigma(mu), the t-degree t of mu and the largest share hi of M-factors.
+
+    None when the fiber of mu is empty: when d does not divide the degree of
+    mu, or when the interval lo..hi of :func:`_m_share_bounds` is.  The unit
+    monomial has t = hi = 0.  Raises ``ValueError`` on a table of more than
+    two roots and on a mu of another variable context.
+    """
+    if len(table.roots) > 2:
+        raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
+    if len(mu) != table.context.n:
+        raise ValueError("mu lives in a different variable context")
+    s_mu = sigma(mu)
+    total = s_mu[0] if s_mu else 0
+    if not total:
+        return s_mu, 0, 0
+    if table.is_empty or total % table.degree:
+        return None
+    s_m, s_n, _ = table._peel_sums
+    t = total // table.degree
+    lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
+    return (s_mu, t, hi) if lo <= hi else None
+
+
+def _peel(table: GeneratorTable, rest: tuple[int, ...], hi: int) -> tuple[int, tuple[int, ...]]:
+    """The index and suffix sums of the factor the direct sink peels next.
+
+    ``rest`` holds the suffix sums of what is left to factor, and ``hi``
+    the M-factors still to peel: the factor is the lex-last divisor of the
+    rest in Borel(M) while hi > 0, in Borel(N) after.  The peels after it
+    are the direct sink of the rest, whose hi is max(hi - 1, 0) (the proof
+    of :func:`find_sink_direct`), so the sweep in ``verify`` checks a word
+    by this one peel.
+    """
+    s_m, s_n, by_sums = table._peel_sums
+    s_factor = _lex_last_sigma(s_m if hi else s_n, rest)
+    if s_factor is None:
+        raise RuntimeError("a factorable multidegree admits a block divisor")
+    return by_sums[s_factor], s_factor
+
+
 def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint]:
     """The unique sink of the fiber of mu, computed without the graph.
 
     With lo..hi the interval of :func:`_m_share_bounds` (empty exactly when
     the fiber is; then None), the sink peels the lex-last divisor M' of the
-    rest in Borel(M) hi times, then N' in Borel(N) t - hi times, O(n) each.
-    The rest is kept as suffix sums, each peeled factor's sums are
-    subtracted from it, and its index is read off the table by its sums.
+    rest in Borel(M) hi times, then N' in Borel(N) t - hi times.  The rest
+    is kept as suffix sums, each peeled factor's sums are subtracted from
+    it, and its index is read off the table by its sums (:func:`_peel`).
+    Each divisor f is peeled q times in one step, q the peels left in its
+    phase or, if fewer, the largest j with f^j dividing the rest: the least
+    e_k // phi_k over the k with phi_k > 0, e and phi the exponents of the
+    rest and of f, read off their suffix sums.  So the peels cost O(n) per
+    run of equal factors, and listing the sink O(t).
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -452,35 +514,33 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     k + 1, as sigma never rises with k.  So hi(rho) = h - 1, and the same
     argument with N' keeps hi at 0.  The rest stays factorable, and M' is
     peeled exactly while some factorization of the rest touches G_M.
+
+    Runs.  Every divisor of rest/f divides the rest, so while f divides
+    rest/f it is still the lex-latest divisor of rest/f within the bound;
+    once it does not, it is no longer a candidate, and as the rest only
+    shrinks it never is again.  So f is peeled exactly while f^(j+1)
+    divides the rest, j the peels of f so far, and the phase lasts.
     """
-    if len(table.roots) > 2:
-        raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
-    if len(mu) != table.context.n:
-        raise ValueError("mu lives in a different variable context")
-    if degree(mu) == 0:
-        return ()
-    if table.is_empty or degree(mu) % table.degree != 0:
+    plan = _sink_plan(table, mu)
+    if plan is None:
         return None
-    s_m, s_n, by_sums = table._peel_sums
-    t = degree(mu) // table.degree
-    s_mu = sigma(mu)
-    lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
-    if lo > hi:
-        return None
-    rest = s_mu
-    picked: list[int] = []
-    for bound in [s_m] * hi + [s_n] * (t - hi):
-        s_factor = _lex_last_sigma(bound, rest)
-        if s_factor is None:
-            raise RuntimeError("a factorable multidegree admits a block divisor")
-        picked.append(by_sums[s_factor])
-        rest = tuple(map(sub, rest, s_factor))
-    return tuple(sorted(picked))
+    rest, t, hi = plan
+    counts: Counter = Counter()
+    while t:
+        index, s_factor = _peel(table, rest, hi)
+        exponents = map(sub, rest, rest[1:] + (0,))
+        phi = map(sub, s_factor, s_factor[1:] + (0,))
+        q = min(hi or t, *[e // f for e, f in zip(exponents, phi) if f])
+        counts[index] += q
+        rest = tuple(r - q * f for r, f in zip(rest, s_factor))
+        t, hi = t - q, hi and hi - q
+    return tuple(chain.from_iterable(repeat(index, counts[index]) for index in sorted(counts)))
 
 
 def point_factors(table: GeneratorTable, point: FiberPoint) -> list[str]:
     """The point's factors as formatted generators, one per index, e.g. ``["b^5", "ab^4"]``."""
-    return [format_monomial(table.generators[idx], table.context) for idx in point]
+    names = {idx: format_monomial(table.generators[idx], table.context) for idx in set(point)}
+    return [names[idx] for idx in point]
 
 
 def vertex_label(table: GeneratorTable, point: FiberPoint) -> str:

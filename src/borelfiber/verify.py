@@ -5,6 +5,7 @@ read off its whole fiber graph, the only graphs a sweep builds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from borelfiber.borel import GeneratorTable
@@ -12,6 +13,8 @@ from borelfiber.fiber import (
     _component_labels,
     _pack,
     _partners,
+    _peel,
+    _sink_plan,
     _standard_levels,
     _unpack,
     build_fiber_graph,
@@ -27,9 +30,9 @@ def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
 
     Every verdict is read off :func:`build_fiber_graph`, which keeps each
     listed move as its own edge: every edge must lead to a later point, a
-    larger index; the graph must be connected; its one sink, the one vertex
-    of out-degree 0, must be the last point; and the direct sink algorithm
-    must return it.
+    larger index; no move may leave the fiber (the graph's strays); the
+    graph must be connected; its one sink, the one vertex of out-degree 0,
+    must be the last point; and the direct sink algorithm must return it.
     """
     graph = build_fiber_graph(table, mu)
     points = graph.vertices
@@ -38,6 +41,7 @@ def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
     violations = [
         f"edge {a}->{b} does not decrease in the sink order" for a, b in graph.edges if b <= a
     ]
+    violations += [f"vertex {a} moves to {w}, a point outside the fiber" for a, w in graph.strays]
     if len(set(_component_labels(len(points), graph.edges))) != 1:
         violations.append("fiber graph is disconnected")
     fiber_sinks = sinks(graph)
@@ -85,7 +89,16 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
     3. Standard words are scanned up to ``max_tdeg`` codes.
     4. A standard word that is not ``find_sink_direct`` of its sum marks
        its multidegree.  Of two that share a sum at most one is the direct
-       sink, so a shared sum is marked too.
+       sink, so a shared sum is marked too.  Each level keeps its accepted
+       words, {sum: (word, hi)}, the level before the first holding the
+       empty word at sum 0 with hi 0.  A word whose first peel
+       (``fiber._peel``) takes f1 at share hi (``fiber._sink_plan``; none
+       when the fiber is empty, which marks the word) is accepted when the
+       entry at its sum less f1's has hi max(hi - 1, 0) and, with f1
+       inserted, equals the word; otherwise it is held to
+       ``find_sink_direct`` itself.  The entry is the direct sink of the
+       rest at the share the peels go on with, so this is the direct sink's
+       own loop, and a clean sweep calls ``find_sink_direct`` not once.
 
     Proof.  Step 1 makes every move keep the sum and go forward, so every
     fiber's last point is standard.  With no sum shared, that point is the
@@ -110,12 +123,24 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
                 label = format_monomial(_unpack([total], width, context.n)[0], context)
                 violations.append(f"{label}: row {p} lists {q}, not a later point of its fiber")
     partners = _partners([p for p, row in later.items() if row], len(packed))
-    checked, marked = 0, {}
+    checked, marked, accepted = 0, {}, {0: ((), 0)}
     for length, level in enumerate(_standard_levels(partners, packed, max_tdeg), 1):
         totals = [total for _, total, _ in level]
         checked += len(set(totals))
+        shorter, accepted = accepted, {}
         for (word, total, _), mu in zip(level, _unpack(totals, width, context.n)):
-            if find_sink_direct(table, mu) != word:
+            plan = _sink_plan(table, mu)
+            if plan is None:
+                marked[length, total] = mu
+                continue
+            s_mu, _, hi = plan
+            f1, _ = _peel(table, s_mu, hi)
+            rest, rest_hi = shorter.get(total - packed[f1], ((), -1))
+            at = bisect_right(rest, f1)
+            one_peel = rest_hi == max(hi - 1, 0) and rest[:at] + (f1,) + rest[at:] == word
+            if one_peel or find_sink_direct(table, mu) == word:
+                accepted[total] = word, hi
+            else:
                 marked[length, total] = mu
     for _, mu in sorted(marked.items()):
         found = check_unique_sink(table, mu)

@@ -643,6 +643,23 @@ def standard_words_by_fibers(table, max_deg: int) -> dict[int, list[FiberPoint]]
     return {length: sorted(words) for length, words in out.items()}
 
 
+def marks_by_direct_sink(table, max_tdeg: int) -> list[Monomial]:
+    """The multidegrees a sweep must hand to its check, in (degree, mu) order.
+
+    Lists every fiber through ``max_tdeg`` by ``fibers`` and holds each of
+    its standard words, the points none of whose factor pairs has a
+    nonempty row in ``table.later_pairs``, to ``find_sink_direct``; a fiber
+    with a word that differs is marked.
+    """
+    leads = {pair for pair, row in table.later_pairs.items() if row}
+    out = []
+    for mu, points in fibers(table.generators, max_tdeg).items():
+        words = [p for p in points if leads.isdisjoint(itertools.combinations(p, 2))]
+        if any(word != find_sink_direct(table, mu) for word in words):
+            out.append(mu)
+    return out
+
+
 def unique_sink_by_graph(table, mu: Monomial) -> list[str]:
     """``verify.check_unique_sink`` read off a fiber graph built here.
 
@@ -687,16 +704,34 @@ def unique_sink_by_graph(table, mu: Monomial) -> list[str]:
     return [f"{label}: {v}" for v in violations]
 
 
-def sink_by_peeling(table, mu: Monomial) -> FiberPoint:
+def has_gm_factorization_by_shares(table, mu: Monomial) -> bool:
+    """:func:`has_gm_factorization` without a search, for products too long to search.
+
+    Some factorization of mu, of t-degree k, uses a G_M generator exactly
+    when mu lies in Borel(M)^i Borel(N)^(k-i) = Borel(M^i N^(k-i)) for some
+    share i >= 1, that is when sigma(mu) <= i sigma(M) + (k-i) sigma(N)
+    (Francisco-Mermin-Schweig, "Borel generators", 2011).  Each share is
+    tried in turn, with no interval solved.
+    """
+    k = degree(mu) // table.degree
+    s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
+    return any(
+        all(s <= i * m + (k - i) * n for s, m, n in zip(sigma(mu), s_m, s_n))
+        for i in range(1, k + 1)
+    )
+
+
+def sink_by_peeling(table, mu: Monomial, has_gm=has_gm_factorization) -> FiberPoint:
     """The direct sink one factor at a time, for a mu that factors.
 
     Peels the lex-last divisor in Borel(M) while some factorization of the
     rest uses a G_M generator, else the one in Borel(N), by the searches
-    :func:`has_gm_factorization` and :func:`lex_last_divisor_by_scan`.
+    :func:`has_gm_factorization` (or the given ``has_gm``) and
+    :func:`lex_last_divisor_by_scan`.
     """
     picked = []
     while degree(mu):
-        root = table.roots[0] if has_gm_factorization(table, mu) else table.roots[-1]
+        root = table.roots[0] if has_gm(table, mu) else table.roots[-1]
         factor = lex_last_divisor_by_scan(root, mu)
         picked.append(table.index_of[factor])
         mu = tuple(a - b for a, b in zip(mu, factor))

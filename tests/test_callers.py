@@ -29,7 +29,8 @@ Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
 unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
 ``fiber.build_fiber_graph`` builds and imports neither ``_later_moves`` nor
-``_fiber_in_sink_order``.
+``_fiber_in_sink_order``; the sweep takes the first step of the direct sink
+per standard word, ``fiber._sink_plan`` and ``fiber._peel``.
 """
 
 import ast
@@ -82,6 +83,8 @@ PRIVATE_IMPORTS = {
         "fiber._component_labels",
         "fiber._pack",
         "fiber._partners",
+        "fiber._peel",
+        "fiber._sink_plan",
         "fiber._standard_levels",
         "fiber._unpack",
     ],

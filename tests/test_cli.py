@@ -13,6 +13,8 @@ from borelfiber.cli import main
 from helpers import mono
 
 FIG = "{a^2c^3,b^4c}"
+# The full parser's usage line, whitespace collapsed.
+FULL_USAGE = "usage: borelfiber [-h] {gens,fiber,sink,toric-gb,rees-gb,verify-unique-sinks,"
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +275,26 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, usage",
+        [
+            ([], 2, FULL_USAGE),
+            (["-h"], 0, FULL_USAGE),
+            (["nosuch"], 2, FULL_USAGE),
+            (["sink", "-h"], 0, "usage: borelfiber sink [-h] [--ideal IDEAL]"),
+            (["gens", "--bound", "3", "--ideal", FIG], 2, FULL_USAGE),
+        ],
+    )
+    def test_usage_output_matches_the_full_parser(self, capsys, argv, code, usage):
+        # main builds only the named command's parser; help and usage errors
+        # read as the full parser's, whose usage lists every command.
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (exc.value.code or 0) == code
+        assert run_cli(capsys, *argv) == (code, full.out, full.err)
+        assert " ".join((full.out + full.err).split()).startswith(usage)
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "gens", "--input", "/nonexistent.json")

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from borelfiber import fiber
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import (
     _pack,
@@ -14,6 +15,7 @@ from borelfiber.fiber import (
     fibers,
     find_sink_direct,
     graph_to_json,
+    point_factors,
     sinks,
     to_dot,
     vertex_label,
@@ -426,6 +428,37 @@ class TestFindSinkDirect:
                 assert got is None
             else:
                 assert [got] == expected
+
+    def test_one_peel_per_run(self, fig_table, monkeypatch):
+        # t = 100,000 factors, 4 of them distinct: each run of equal factors
+        # is peeled in one step, so the divisor search runs once per run.
+        calls = []
+
+        def counted(bound, rest):
+            calls.append(rest)
+            return lex_last_sigma(bound, rest)
+
+        lex_last_sigma = fiber._lex_last_sigma
+        monkeypatch.setattr(fiber, "_lex_last_sigma", counted)
+        mu = (100000, 300000, 100000)
+        sink = find_sink_direct(fig_table, mu)
+        assert len(sink) == 100000 and point_product(fig_table, sink) == mu
+        assert len(calls) <= len(set(sink)) + 2
+
+    def test_factors_are_formatted_once_each(self, fig_table, monkeypatch):
+        formatted = []
+
+        def counted(m, context):
+            formatted.append(m)
+            return format_monomial(m, context)
+
+        format_monomial = fiber.format_monomial
+        monkeypatch.setattr(fiber, "format_monomial", counted)
+        sink = find_sink_direct(fig_table, (800, 2400, 800))
+        names = point_factors(fig_table, sink)
+        context = fig_table.context
+        assert names == [format_monomial(fig_table.generators[idx], context) for idx in sink]
+        assert len(formatted) == len(set(sink))
 
     def test_agrees_on_a_principal_table(self):
         table = build_two_borel(mono("b^4c"), mono("b^4c"))

@@ -35,6 +35,7 @@ from borelfiber.fiber import (
 from borelfiber.instances import borel_incomparable_pairs, suite_tables, sweep_multidegrees
 from borelfiber.monomials import (
     VariableContext,
+    degree,
     format_monomial,
     parse_monomial,
     sigma,
@@ -51,6 +52,7 @@ from helpers import (
     enumerate_fiber_unpruned,
     fibers_by_grouping,
     has_gm_factorization,
+    has_gm_factorization_by_shares,
     lex_last_divisor,
     lex_last_divisor_by_scan,
     point_product,
@@ -166,11 +168,25 @@ def table_and_product(draw):
     return table, point_product(table, draw(st.lists(index, min_size=4, max_size=12)))
 
 
+@st.composite
+def table_and_runs(draw):
+    """A table and a product of 1 to 3 of its generators, each up to 150 times: long runs."""
+    table = draw(tables)
+    index = st.integers(min_value=0, max_value=len(table.generators) - 1)
+    picked = draw(st.lists(index, min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, 150), min_size=len(picked), max_size=len(picked)))
+    point = [idx for idx, count in zip(picked, counts) for _ in range(count)]
+    return table, point_product(table, point)
+
+
 @checked(150)
-@given(table_and_product())
+@given(st.one_of(table_and_product(), table_and_runs()))
 def test_direct_sink_matches_per_step_peeling(case):
     table, mu = case
-    assert find_sink_direct(table, mu) == sink_by_peeling(table, mu)
+    # The factorization search takes minutes on a product of more than a few dozen factors.
+    short = degree(mu) <= 12 * table.degree
+    has_gm = has_gm_factorization if short else has_gm_factorization_by_shares
+    assert find_sink_direct(table, mu) == sink_by_peeling(table, mu, has_gm)
 
 
 @st.composite

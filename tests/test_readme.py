@@ -33,6 +33,8 @@ def readme_cli_lines() -> list[str]:
 
 
 def test_readme_cli_lines_parse():
+    # Each line parses, and the parser of its command alone, the one the
+    # command line builds, gives the same namespace as the full parser.
     lines = readme_cli_lines()
     assert len(lines) >= 9  # at least one line per subcommand
     parser = cli.build_parser()
@@ -40,4 +42,4 @@ def test_readme_cli_lines_parse():
         words = shlex.split(line, comments=True)[1:]
         if ">" in words:  # a shell redirection, not an argument
             words = words[: words.index(">")]
-        parser.parse_args(words)
+        assert cli.build_parser(words[0]).parse_args(words) == parser.parse_args(words)

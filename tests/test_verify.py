@@ -7,8 +7,10 @@ compares its sink with the direct sink, which reads the table's suffix
 sums.  Each control corrupts one of these and pins the full violation
 list; the CLI must then exit 1.  A control that reorders a fiber's points
 swaps in its own ``fiber._fiber_in_sink_order``, the graph's one source of
-vertices.  The sweep scans standard words and hands only the multidegrees
-that fail the scan to the check.
+vertices.  A row entry outside its pair's fiber is reported as a move out
+of the fiber, not a lookup error.  The sweep scans standard words, accepts
+each by one peel onto the direct sink of a shorter accepted word, and hands
+only the multidegrees that fail the scan to the check.
 """
 
 import pytest
@@ -16,10 +18,10 @@ import pytest
 from borelfiber import cli, fiber, verify
 from borelfiber.borel import GeneratorTable, build_two_borel
 from borelfiber.fiber import build_fiber_graph, fibers
-from borelfiber.instances import suite_tables
+from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import format_monomial, sigma
 
-from helpers import mono, unique_sink_by_graph, with_cached
+from helpers import marks_by_direct_sink, mono, unique_sink_by_graph, with_cached
 
 FIG_MU = (3, 9, 3)
 # A fiber of t-degree 2 with three points, small enough to give its moves by hand.
@@ -126,6 +128,22 @@ class TestNegativeControls:
             f"{label}: row (0, 11) lists (2, 2), not a later point of its fiber",
         )
 
+    def test_move_out_of_the_fiber(self, fig_table, pair_points):
+        # The row of (0,11) lists (0,12), a pair of another multidegree: the
+        # move leaves the fiber, so it is no edge, and (0,11) is left as a
+        # second sink apart from the true one.
+        rows = {**fig_table.later_pairs, (0, 11): ((0, 12),)}
+        corrupt = with_cached(fig_table, later_pairs=rows)
+        label = format_monomial(PAIR_MU, fig_table.context)
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
+            f"{label}: vertex 1 moves to (0, 12), a point outside the fiber",
+            f"{label}: fiber graph is disconnected",
+            f"{label}: 2 sinks instead of one",
+        ]
+        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
+            f"{label}: row (0, 11) lists (0, 12), not a later point of its fiber",
+        )
+
     def test_wrong_direct_sink(self, fig_table, fig_label):
         # Generator 1's suffix sums read as generator 0's index, so the direct
         # sink peels (0,3,13) instead of the sink (1,3,13).
@@ -189,10 +207,34 @@ class TestFastPath:
         monkeypatch.setattr(verify, "check_unique_sink", counted)
         return calls
 
-    def test_a_clean_sweep_builds_no_graph(self, fig_table, graph_calls, checked):
+    @pytest.fixture
+    def direct_calls(self, monkeypatch):
+        calls = []
+        direct = verify.find_sink_direct
+
+        def counted(table, mu):
+            calls.append(mu)
+            return direct(table, mu)
+
+        monkeypatch.setattr(verify, "find_sink_direct", counted)
+        return calls
+
+    def test_a_clean_sweep_builds_no_graph(self, fig_table, graph_calls, checked, direct_calls):
         report = verify.sweep_unique_sinks(fig_table, 3)
         assert report.ok and report.multidegrees_checked > 100
-        assert graph_calls == checked == []
+        assert graph_calls == checked == direct_calls == []
+
+    def test_every_standard_word_is_held_to_the_direct_sink(self, checked, direct_calls):
+        # Each word is accepted by one peel onto the direct sink of the
+        # rest; an oracle that calls find_sink_direct on every standard word
+        # of every fiber marks the same multidegrees, here none.
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        for max_tdeg, sample in ((3, tables), (4, tables[::5])):
+            for table in sample:
+                checked.clear()
+                report = verify.sweep_unique_sinks(table, max_tdeg)
+                assert checked == marks_by_direct_sink(table, max_tdeg) == []
+                assert report.ok and direct_calls == []
 
     def test_one_corrupted_fiber_builds_one_graph(self, fig_table, pair_points, graph_calls):
         # Without its row the first point of PAIR_MU's fiber is a second
