@@ -10,8 +10,10 @@ graded reverse lex order on the table's variable order.
 
 Fibers come from two enumerations.  :func:`fibers` builds every point of a
 configuration (one vector per code) up to a degree bound in one pass, level
-by level, and groups the points by vector sum, each sum carried as one
-packed integer (:func:`_pack`).  The toric configuration is
+by level, each level in colex order, and groups the points by vector sum,
+each sum carried as one packed integer (:func:`_pack`); so every fiber comes
+out in descending sink order without a sort.  It counts the points first and
+refuses more than ``MAX_FIBER_POINTS``.  The toric configuration is
 the table's generators, and the Rees algebra is the toric ring of a larger
 one (see ``rees``).  The quadrics, the Rees lift and the completion oracle
 use it, because they need every fiber up to the bound anyway.
@@ -47,7 +49,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from math import comb
 from operator import le, neg, sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -57,6 +60,8 @@ if TYPE_CHECKING:
     from borelfiber.borel import GeneratorTable
 
 FiberPoint = tuple[int, ...]
+
+MAX_FIBER_POINTS = 20_000_000
 
 
 def fiber_sink_key(point: FiberPoint) -> tuple:
@@ -118,49 +123,69 @@ def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[Fib
 
     A configuration lists one vector per code, and a point is an ascending
     code tuple; the toric configuration is ``table.generators``.  Builds the
-    points one degree at a time, extending each point of the last level by
-    every code at least its last one.  A point's sum is carried packed into
-    one integer (:func:`_pack`, sized for ``max_deg`` codes), so extending a
-    point adds one integer, and each level's points are grouped by that
-    integer, which is injective on sums of up to ``max_deg`` vectors.  A
-    level's keys are sorted as integers, which is lex order on the sums, and
-    unpacked together.  So keys come in ascending (point length, key) order,
-    (degree, mu) order on the toric side, and each fiber lists its points in
-    descending sink order, as :func:`build_fiber_graph` orders its vertices.
+    points one degree at a time, each level in colex order (reversed tuples
+    ascending), so each fiber's points come out in descending sink order, as
+    :func:`build_fiber_graph` orders its vertices, and no fiber is sorted.
+    The points of a level that end in code c are the points p + (c,) with p
+    in the level before and p's last code at most c.  In colex order those p
+    are a prefix of their level, as long as the count of its points ending
+    in a code at most c, and extending that prefix by c keeps its order; so
+    taking c ascending lists the level in colex order.  The level before is
+    kept as two lists, its points and their sums, with those counts taken as
+    it is built, and the last level is only grouped.  A point's sum is
+    carried packed into one integer (:func:`_pack`, sized for ``max_deg``
+    codes), so extending a point adds one integer, and each level's points
+    are grouped by that integer, which is injective on sums of up to
+    ``max_deg`` vectors.  A level's keys are sorted as integers, which is lex
+    order on the sums, and unpacked together.  So keys come in ascending
+    (point length, key) order, (degree, mu) order on the toric side.
 
-    Raises ``ValueError`` when the vectors differ in length, when a
-    coordinate is negative (packing needs non-negative sums), and when points
-    of two lengths share a sum, since a fiber holds points of one length.
+    Raises ``ValueError`` before listing anything when there are more than
+    ``MAX_FIBER_POINTS`` points, and then when the vectors differ in length,
+    when a coordinate is negative (packing needs non-negative sums), and
+    when points of two lengths share a sum, since a fiber holds points of
+    one length.
     """
     if max_deg < 1:
         raise ValueError("the degree bound must be at least 1")
+    count = sum(comb(len(vectors) + k - 1, k) for k in range(1, max_deg + 1))
+    if count > MAX_FIBER_POINTS:
+        raise ValueError(
+            f"{len(vectors):,} codes make {count:,} fiber points of degree 1..{max_deg},"
+            f" more than the cap of {MAX_FIBER_POINTS:,}"
+        )
     packed, width = _pack(vectors, max_deg)
     size = len(vectors[0]) if vectors else 0
-    singles = [(idx,) for idx in range(len(packed))]
-    groups: dict[int, list[FiberPoint]] = defaultdict(list)
-    for single, total in zip(singles, packed):
-        groups[total].append(single)
-    levels = [groups]
+    singles = [(c,) for c in range(len(packed))]
+    # The level before, its sums, and for each code c the count of its points ending in a
+    # code at most c; every code extends the empty point.
+    points, sums, ends = [()], [0], repeat(1)
+    levels = []
     for _ in range(max_deg - 1):
-        grown: dict[int, list[FiberPoint]] = defaultdict(list)
-        for total, points in groups.items():
-            for point in points:
-                last = point[-1]
-                for single, vector in zip(singles[last:], packed[last:]):
-                    grown[total + vector].append(point + single)
-        levels.append(grown)
-        groups = grown
+        groups: dict[int, list[FiberPoint]] = defaultdict(list)
+        grown, grown_sums, grown_ends = [], [], []
+        for single, vector, end in zip(singles, packed, ends):
+            words = [point + single for point in islice(points, end)]
+            totals = [total + vector for total in islice(sums, end)]
+            for total, word in zip(totals, words):
+                groups[total].append(word)
+            grown += words
+            grown_sums += totals
+            grown_ends.append(len(grown))
+        levels.append(groups)
+        points, sums, ends = grown, grown_sums, grown_ends
+    groups = defaultdict(list)
+    for single, vector, end in zip(singles, packed, ends):
+        for point, total in zip(islice(points, end), islice(sums, end)):
+            groups[total + vector].append(point + single)
+    levels.append(groups)
     out: dict[Monomial, list[FiberPoint]] = {}
     for groups in levels:
         totals = sorted(groups)
         for total, key in zip(totals, _unpack(totals, width, size)):
             if key in out:
                 raise ValueError(f"points of different lengths share the sum {key}")
-            points = groups[total]
-            if len(points) > 1:
-                # One length per fiber: reversed tuples ascend in descending sink order.
-                points.sort(key=lambda p: p[::-1])
-            out[key] = points
+            out[key] = groups[total]
     return out
 
 

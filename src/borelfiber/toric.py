@@ -121,10 +121,13 @@ class _Rules:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
         While every rule is quadratic, a word of two codes contains a lead
-        only by being one, so it steps to that lead's first trail, and a word
-        of three codes by the least of its :func:`_cubic_steps`.  Any other
-        word is looked up by sub-multisets: for each lead size k, the
-        k-combinations of the word's codes in that size's alphabet are
+        only by being one, so it steps to that lead's first trail.  A word of
+        three codes looks up its three quadratic divisors, the word less one
+        code r, keeps the one whose first rule has the lowest position, and
+        steps to that rule's trail with r put in place; only that reduct is
+        built (:func:`_cubic_steps` lists them all, for the overlap check).
+        Any other word is looked up by sub-multisets: for each lead size k,
+        the k-combinations of the word's codes in that size's alphabet are
         exactly its sub-multisets that can be a lead of size k.  Each is
         looked up in ``by_lead``, so every hit applies.  A code is kept at
         most k times, which leaves the set of combinations as it is but keeps
@@ -137,8 +140,16 @@ class _Rules:
                 positions = by_lead.get(word)
                 return None if positions is None else self.trails[positions[0]]
             if len(word) == 3:
-                steps = _cubic_steps(self, word)
-                return steps[0][1] if steps else None
+                x, y, z = word
+                pos = r = None
+                for lead, code in (((y, z), x), ((x, z), y), ((x, y), z)):
+                    positions = by_lead.get(lead)
+                    if positions is not None and (pos is None or positions[0] < pos):
+                        pos, r = positions[0], code
+                if pos is None:
+                    return None
+                p, q = self.trails[pos]
+                return (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)
         hits = []
         for size, alphabet in self.alphabets.items():
             codes = list(filter(alphabet.__contains__, word))
@@ -504,11 +515,22 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """Degree-truncated completion: one normal form per fiber up to the bound.
 
     Walks the fibers of t-degree up to the bound in :func:`fibers` order and
-    reduces the star of each: the pairs (first point, w) for every later
-    point w.  When the normal forms differ, the earlier one in the fiber sink
-    order (the larger ``fiber_sink_key``) becomes a lead, rewritten to the
-    later one, whichever point it came from.  Independent of the
-    unique-sink theory and of the overlap check; used as the oracle.
+    reduces the star of each with two or more points: the pairs (first
+    point, w) for every later point w.  When the normal forms differ, the
+    earlier one in the fiber sink order (the larger ``fiber_sink_key``)
+    becomes a lead, rewritten to the later one, whichever point it came
+    from.  Independent of the unique-sink theory and of the overlap check;
+    used as the oracle.
+
+    The first point's normal form a is computed once per star and carried,
+    so each point is reduced once.  Let b be w's normal form.  Rules are
+    only appended and the rewriter applies the lowest-position rule, so
+    after a new rule the first point's chain repeats every old step up to
+    a.  After ``add(a, b)`` it steps on to b, which is normal: b was normal
+    under the old rules, and the new lead a has b's length and differs from
+    it, so it does not divide b.  So the first point's normal form becomes
+    b.  After ``add(b, a)`` the new lead b likewise does not divide a, so it
+    stays a.  Either way it becomes the new rule's trail.
 
     The result is the truncated Buchberger completion seeded with every
     binomial between two points of one fiber, element for element and in
@@ -532,14 +554,18 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
     for first, *rest in fibers(table.generators, degree_bound).values():
+        if not rest:
+            continue
+        a = rules.normal_form(first)
         for w in rest:
-            a = rules.normal_form(first)
             b = rules.normal_form(w)
             if a == b:
                 continue
             if fiber_sink_key(a) < fiber_sink_key(b):
-                a, b = b, a
-            rules.add(a, b)
+                rules.add(b, a)
+            else:
+                rules.add(a, b)
+                a = b
     return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 

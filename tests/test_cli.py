@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from borelfiber import cli
+from borelfiber import cli, fiber
 from borelfiber.cli import main
 
 from helpers import mono
@@ -371,6 +371,24 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "62,891,499 minimal generators" in err
+
+    def test_oversized_fiber_listing_is_counted_not_listed(self, capsys):
+        # {ac^2e^3,b^3d^3} has 115 generators: 190,578,023 words of 1..5 of them.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle-gb", "--ideal", "{ac^2e^3,b^3d^3}", "--bound", "5")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "190,578,023 fiber points" in err
+
+    def test_fiber_point_cap_exits_2(self, capsys, monkeypatch):
+        # The figure ideal's 14 generators make 119 words of 1..2 of them.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 118)
+        code, out, err = run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: 14 codes make 119 fiber points of degree 1..2, more than the cap of 118\n"
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 119)
+        assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "2")[0] == 0
 
     def test_first_variable_power_is_its_own_block(self, capsys):
         code, out, _ = run_cli(capsys, "gens", "--ideal", "{a^40}", "--nvars", "8")

@@ -22,11 +22,13 @@ from borelfiber.fiber import (
 )
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import multiply
+from borelfiber.rees import _configuration
 
 from helpers import (
     all_monomials,
     brute_factorizations,
     family_table,
+    fibers_by_grouping,
     lex_last_divisor,
     mono,
     monos,
@@ -209,6 +211,66 @@ class TestFibers:
 
     def test_vectors_without_coordinates_share_the_empty_sum(self):
         assert fibers([(), ()], 1) == {(): [(0,), (1,)]}
+
+
+class TestFiberListing:
+    """``fibers`` lists each level in colex order and sorts no fiber.
+
+    ``fibers_by_grouping`` lists every word with
+    ``combinations_with_replacement``, sums it as a tuple, and sorts the keys
+    by (length, sum) and each fiber by ``fiber_sink_key``, descending.  The
+    two must agree item for item: the quadrics, ``later_pairs``, the oracle
+    and ``completion_by_scan`` all read this order.
+    """
+
+    @staticmethod
+    def assert_listed_as_grouped(vectors, max_deg):
+        grouped = fibers_by_grouping(vectors, max_deg)
+        want = [(total, words) for (_, total), words in grouped.items()]
+        assert list(fibers(vectors, max_deg).items()) == want
+
+    def test_every_table_and_its_rees_configuration(self):
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        assert len(tables) == 250
+        for table in tables:
+            self.assert_listed_as_grouped(table.generators, 3)
+            self.assert_listed_as_grouped(_configuration(table), 2)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_the_three_root_family(self, r):
+        self.assert_listed_as_grouped(family_table(r).generators, r)
+
+
+class TestFiberPointBudget:
+    """``fibers`` counts its points with ``math.comb`` before it lists any."""
+
+    def test_a_listing_over_the_cap_is_refused(self, fig_table, monkeypatch):
+        # 14 codes: 14 points of degree 1 and C(15, 2) = 105 of degree 2.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 118)
+        message = "14 codes make 119 fiber points of degree 1..2, more than the cap of 118"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fibers(fig_table.generators, 2)
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 119)
+        assert sum(map(len, fibers(fig_table.generators, 2).values())) == 119
+
+    def test_the_cap_admits_the_largest_measured_listings(self, monkeypatch):
+        # {ac^2e^3,b^3d^3} has 115 generators: 7,940,750 points at degree 4
+        # and 190,578,023 at degree 5; {a^2e^14,d^16} has 3,349, and
+        # 5,612,924 points at degree 2.  Packing is the first step after the
+        # count, so reaching it means the cap let the listing start.
+        class Listing(Exception):
+            pass
+
+        def listing(*args):
+            raise Listing
+
+        monkeypatch.setattr(fiber, "_pack", listing)
+        for codes, max_deg in [(115, 4), (3349, 2)]:
+            with pytest.raises(Listing):
+                fibers([(1,)] * codes, max_deg)
+        message = "115 codes make 190,578,023 fiber points of degree 1..5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fibers([(1,)] * 115, 5)
 
 
 class TestFiberSinkOrder:

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from borelfiber import toric
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import (
     build_fiber_graph,
@@ -318,6 +319,28 @@ class TestBruteForceOracle:
         oracle = brute_force_gb(table, 3)
         assert len(oracle.elements) == 17
         assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, 3)
+
+    @pytest.mark.parametrize("which, bound", [("figure", 3), ("three_borel", 4)])
+    def test_one_normal_form_per_point(self, fig_table, three_borel, monkeypatch, which, bound):
+        # The star carries its first point's normal form, and a cubic word
+        # steps by its least-position divisor alone, without _cubic_steps.
+        table = fig_table if which == "figure" else three_borel
+        calls = []
+        reduce = _Rules.normal_form
+
+        def counted(rules, word):
+            calls.append(word)
+            return reduce(rules, word)
+
+        def refuse(*args):
+            raise AssertionError("_cubic_steps ran in the completion")
+
+        monkeypatch.setattr(_Rules, "normal_form", counted)
+        monkeypatch.setattr(toric, "_cubic_steps", refuse)
+        oracle = brute_force_gb(table, bound)
+        groups = fibers(table.generators, bound).values()
+        assert calls == [z for points in groups if len(points) > 1 for z in points]
+        assert any(len(el.lead) == 3 for el in oracle.elements) == (which == "three_borel")
 
     def test_every_fiber_has_one_normal_form(self, completions):
         for table, bound, oracle in completions:
