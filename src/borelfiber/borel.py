@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from borelfiber.fiber import _pack, fibers
+from borelfiber.fiber import _fiber_groups, _pack
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -122,8 +122,8 @@ class GeneratorTable:
         degree-2 fiber where g_a - g_c or g_a - g_d is a unit move e_i - e_j,
         and every such pair of points is one move apart.  ``later_pairs[a, b]``
         lists, ascending, those points after (a, b) in its fiber of
-        ``fiber.fibers``, whose order is the sink order; pairs with none are
-        absent.  The differences are packed, the n unit vectors with the
+        ``fiber._fiber_groups``, whose order is the sink order; pairs with
+        none are absent.  The differences are packed, the n unit vectors with the
         generators (``fiber._pack`` for sums of two): a coordinate gets more
         bits than twice the largest one, so each coordinate of a difference
         lies strictly between -2^(width-1) and 2^(width-1), and the integer
@@ -135,7 +135,7 @@ class GeneratorTable:
         units, packed = packed[:n], packed[n:]
         moves = {u - v for u in units for v in units if u != v}
         later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for points in fibers(self.generators, 2).values():
+        for points in _fiber_groups(self.generators, 2)[0].values():
             # A fiber's last point has nothing later; a degree-1 fiber has one point.
             for k, (a, b) in enumerate(points[:-1]):
                 first = packed[a]

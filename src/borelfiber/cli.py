@@ -213,7 +213,8 @@ def cmd_verify_buchberger(args) -> tuple[int, str]:
 def cmd_oracle_gb(args) -> tuple[int, str]:
     table = _load_table(args)
     oracle = brute_force_gb(table, args.bound)
-    quadric_leads = {el.lead for el in quadric_generators(table).elements}
+    # The reduced list has every lead of the full one, and one element per lead.
+    quadric_leads = {el.lead for el in quadric_generators(table, interreduce=True).elements}
     extras = [el.lead for el in oracle.elements if el.lead not in quadric_leads]
     data = basis_to_json(oracle)
     data["bound"] = args.bound

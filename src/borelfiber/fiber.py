@@ -8,15 +8,18 @@ with the matching reverse Borel move on another; each edge is directed
 toward the point that is later (smaller) in the fiber sink order, the
 graded reverse lex order on the table's variable order.
 
-Fibers come from two enumerations.  :func:`fibers` builds every point of a
-configuration (one vector per code) up to a degree bound in one pass, level
-by level, each level in colex order, and groups the points by vector sum,
-each sum carried as one packed integer (:func:`_pack`); so every fiber comes
-out in descending sink order without a sort.  It counts the points first and
-refuses more than ``MAX_FIBER_POINTS``.  The toric configuration is
-the table's generators, and the Rees algebra is the toric ring of a larger
-one (see ``rees``).  The quadrics, the Rees lift and the completion oracle
-use it, because they need every fiber up to the bound anyway.
+Fibers come from two enumerations.  :func:`_fiber_groups` builds every
+point of a configuration (one vector per code) up to a degree bound in one
+pass, level by level, each level in colex order, and groups the points by
+vector sum, each sum carried as one packed integer (:func:`_pack`); so every
+fiber comes out in descending sink order without a sort.  It counts the
+points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
+keyed by packed sum, for callers that read only the points: the quadrics,
+the paired-move rows and the completion oracle.  :func:`fibers` is the
+keyed view of the same listing, each fiber named by its unpacked sum, for
+the Rees lift, which reads the t-degree off the sum.  The toric
+configuration is the table's generators, and the Rees algebra is the toric
+ring of a larger one (see ``rees``).
 :func:`enumerate_fiber` factors a single multidegree by one iterative
 depth-first search, which never enters a rest that no generators factor
 (:func:`_factorable`); it serves one-mu callers, whose t can be far too
@@ -24,7 +27,7 @@ large to list every product up to it.
 
 A point's later paired moves come from :func:`_later_moves`, which reads the
 table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
-fibers of :func:`fibers`, so each move is listed from its earlier end).
+fibers of :func:`_fiber_groups`, so each move is listed from its earlier end).
 :func:`build_fiber_graph` drains it for every point and keeps each move as
 the edge it yields, so the unique-sink check in ``verify`` reads every
 verdict, a backward move's included, off that one graph.  A point is a
@@ -118,8 +121,15 @@ def _unpack(totals: list[int], width: int, size: int) -> list[Monomial]:
     return list(zip(*[[total >> shift & mask for total in totals] for shift in shifts]))
 
 
-def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[FiberPoint]]:
-    """Every nonempty fiber of degree 1..max_deg of a configuration, keyed by sum.
+def _fiber_groups(
+    vectors: Sequence[Monomial], max_deg: int
+) -> tuple[dict[int, list[FiberPoint]], int]:
+    """Every nonempty fiber of degree 1..max_deg of a configuration, keyed by packed sum.
+
+    The listing behind :func:`fibers`, which names each fiber by its sum;
+    callers that read only the fibers take them here, in the same order,
+    with no sum unpacked.  Returns the fibers and the bits of one coordinate
+    of their keys (:func:`_pack`, sized for ``max_deg`` codes).
 
     A configuration lists one vector per code, and a point is an ascending
     code tuple; the toric configuration is ``table.generators``.  Builds the
@@ -133,18 +143,18 @@ def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[Fib
     taking c ascending lists the level in colex order.  The level before is
     kept as two lists, its points and their sums, with those counts taken as
     it is built, and the last level is only grouped.  A point's sum is
-    carried packed into one integer (:func:`_pack`, sized for ``max_deg``
-    codes), so extending a point adds one integer, and each level's points
-    are grouped by that integer, which is injective on sums of up to
-    ``max_deg`` vectors.  A level's keys are sorted as integers, which is lex
-    order on the sums, and unpacked together.  So keys come in ascending
-    (point length, key) order, (degree, mu) order on the toric side.
+    carried packed into one integer, so extending a point adds one integer,
+    and each level's points are grouped by that integer, which is injective
+    on sums of up to ``max_deg`` vectors.  A level's keys are sorted as
+    integers, which is lex order on the sums, so fibers come in ascending
+    (point length, sum) order, (degree, mu) order on the toric side.
 
     Raises ``ValueError`` before listing anything when there are more than
     ``MAX_FIBER_POINTS`` points, and then when the vectors differ in length,
     when a coordinate is negative (packing needs non-negative sums), and
     when points of two lengths share a sum, since a fiber holds points of
-    one length.
+    one length.  Every key has the same width, so two lengths share a sum
+    exactly when they share a key.
     """
     if max_deg < 1:
         raise ValueError("the degree bound must be at least 1")
@@ -155,7 +165,6 @@ def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[Fib
             f" more than the cap of {MAX_FIBER_POINTS:,}"
         )
     packed, width = _pack(vectors, max_deg)
-    size = len(vectors[0]) if vectors else 0
     singles = [(c,) for c in range(len(packed))]
     # The level before, its sums, and for each code c the count of its points ending in a
     # code at most c; every code extends the empty point.
@@ -179,14 +188,25 @@ def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[Fib
         for point, total in zip(islice(points, end), islice(sums, end)):
             groups[total + vector].append(point + single)
     levels.append(groups)
-    out: dict[Monomial, list[FiberPoint]] = {}
+    out: dict[int, list[FiberPoint]] = {}
     for groups in levels:
-        totals = sorted(groups)
-        for total, key in zip(totals, _unpack(totals, width, size)):
-            if key in out:
-                raise ValueError(f"points of different lengths share the sum {key}")
-            out[key] = groups[total]
-    return out
+        if not out.keys().isdisjoint(groups.keys()):
+            size = len(vectors[0])
+            (key,) = _unpack([min(out.keys() & groups.keys())], width, size)
+            raise ValueError(f"points of different lengths share the sum {key}")
+        out.update((total, groups[total]) for total in sorted(groups))
+    return out, width
+
+
+def fibers(vectors: Sequence[Monomial], max_deg: int) -> dict[Monomial, list[FiberPoint]]:
+    """Every nonempty fiber of degree 1..max_deg of a configuration, keyed by sum.
+
+    The keyed view of :func:`_fiber_groups`, in its order and with its
+    errors: all keys are unpacked together.
+    """
+    groups, width = _fiber_groups(vectors, max_deg)
+    size = len(vectors[0]) if vectors else 0
+    return dict(zip(_unpack(list(groups), width, size), groups.values()))
 
 
 def _bits(mask: int):

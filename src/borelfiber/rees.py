@@ -10,7 +10,7 @@ the fibers of joint degree two, marked by the elimination order, defined
 once on code words (:func:`_word_key`): x-parts by lex first, ties by the
 fiber sink order on Y-parts.  The fibers of bidegree (1, 1) give the linear
 syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``) and those of t-degree
-2 the toric quadrics.  Both sides share ``fiber.fibers`` and ``toric``'s
+2 the toric quadrics.  Both sides share the fiber listing and ``toric``'s
 basis check, reduction engine and verifier, which run on words: a
 :class:`ReesBasis` holds each element as its pair of code words (see
 :func:`_codes`), decoded only where a monomial is read, never to rank it.
@@ -27,7 +27,7 @@ from operator import neg
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers, point_factors
 from borelfiber.monomials import Monomial, format_monomial
-from borelfiber.toric import GroebnerReport, _checked_rules, _Rules, _verify
+from borelfiber.toric import GroebnerReport, _check_pair_count, _checked_rules, _Rules, _verify
 from borelfiber.toric import _check_ints, _check_point
 
 
@@ -148,13 +148,17 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     lists its monomials in descending sink order, so its pairs are the toric
     quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
     fiber has one monomial.  The pairs are taken as words straight off the
-    fibers; no monomial is built.
+    fibers; no monomial is built.  More than ``toric.MAX_BASIS_ELEMENTS``
+    pairs raise ``ValueError`` before any is taken
+    (``toric._check_pair_count``).
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
+    listing = fibers(_configuration(table), 2)
+    _check_pair_count(listing.values())
     syzygies, quadrics = [], []
-    for key, words in fibers(_configuration(table), 2).items():
+    for key, words in listing.items():
         if len(words) < 2:
             continue
         if key[-1] == 1:

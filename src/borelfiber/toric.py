@@ -15,19 +15,24 @@ fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.  The Rees
 algebra is the toric ring of a larger configuration, so both sides take
-their degree-2 pairs from :func:`~borelfiber.fiber.fibers`, and both bases
-hold each element as a pair of words, ascending tuples of integer codes.  A
-basis's :class:`_Rules`, the one reduction engine, is built only by
+their degree-2 pairs from one fiber listing (``fiber._fiber_groups``, and
+its keyed view :func:`~borelfiber.fiber.fibers` on the Rees side), and both
+bases hold each element as a pair of words, ascending tuples of integer
+codes.  A basis's :class:`_Rules`, the one reduction engine, is built only by
 :func:`_checked_rules`, the one check of words, marking and homogeneity, so
 :func:`normal_form`, ``rees.rees_normal_form`` and both verifiers refuse a
 malformed basis alike and never reduce by a rule that fails to end.  The
 lead index ``by_lead`` is the one place that says which rules carry a lead:
 the rewriter looks up a word's sub-multisets there, :func:`brute_force_gb`
 grows it one rule at a time, and :func:`_check_overlaps`, the one Groebner
-verifier, reads its critical monomials off it.
+verifier, reads its critical monomials off it.  A basis of every pair
+within the degree-2 fibers is counted before it is built, and refused
+above ``MAX_BASIS_ELEMENTS`` (:func:`_check_pair_count`).
 
 While every rule is quadratic, the rewriter steps the words the overlap
-check reduces, of two or three codes, in closed form (:meth:`_Rules.rewrite`).
+check reduces, of two or three codes, in closed form, and a longer word by
+looking up its code pairs (:meth:`_Rules.rewrite`).  The completion oracle
+reduces only the fibers that hold two normal words (:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -36,7 +41,7 @@ since its standard words meet each fiber once (Sturmfels, *Groebner Bases and
 Convex Polytopes*, 1996, ch. 4).
 
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
-one sum path that ``fiber.fibers`` uses too, with bits for the longest word
+one sum path that the fiber listing uses too, with bits for the longest word
 summed, so a word's packed sum is one integer addition per code and two
 words share it exactly when they share their sum.  A basis's rule index
 keeps its configuration packed (:func:`_checked_rules`), for the overlap
@@ -48,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
+from math import comb
 from operator import eq, gt
 from typing import Callable, NamedTuple, Sequence
 
@@ -56,6 +62,7 @@ from borelfiber.fiber import (
     FiberPoint,
     _bits,
     _component_labels,
+    _fiber_groups,
     _pack,
     _partners,
     _shared,
@@ -63,10 +70,13 @@ from borelfiber.fiber import (
     _unpack,
     enumerate_fiber,
     fiber_sink_key,
-    fibers,
     point_factors,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
+
+# Measured at about 140 bytes a full quadric and 85 a Rees element, so a capped basis
+# stays under about 1.7 GB.
+MAX_BASIS_ELEMENTS = 12_000_000
 
 
 def _replace(point: FiberPoint, old: FiberPoint, new: FiberPoint) -> FiberPoint:
@@ -126,13 +136,18 @@ class _Rules:
         code r, keeps the one whose first rule has the lowest position, and
         steps to that rule's trail with r put in place; only that reduct is
         built (:func:`_cubic_steps` lists them all, for the overlap check).
-        Any other word is looked up by sub-multisets: for each lead size k,
-        the k-combinations of the word's codes in that size's alphabet are
-        exactly its sub-multisets that can be a lead of size k.  Each is
-        looked up in ``by_lead``, so every hit applies.  A code is kept at
-        most k times, which leaves the set of combinations as it is but keeps
-        long words from multiplying it.  Returns None when no lead is
-        contained.
+        A longer word looks up each distinct code pair it holds, its
+        sub-multisets of two codes, in ``by_lead``.  Otherwise the word is
+        looked up by sub-multisets of every lead size k: the k-combinations
+        of its codes in that size's alphabet are exactly its sub-multisets
+        that can be a lead of size k.  A code is kept at most k times, which
+        leaves the set of combinations as it is but keeps long words from
+        multiplying it.  Either way every hit applies, and the step is by
+        the hit whose first rule has the lowest position.  Returns None when
+        no lead is contained.
+
+        So a word is normal exactly when this is None, which is how
+        :func:`brute_force_gb` finds a fiber's normal words.
         """
         by_lead = self.by_lead
         if self.quadratic:
@@ -150,12 +165,14 @@ class _Rules:
                     return None
                 p, q = self.trails[pos]
                 return (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)
-        hits = []
-        for size, alphabet in self.alphabets.items():
-            codes = list(filter(alphabet.__contains__, word))
-            if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
-                codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
-            hits.extend(filter(None, map(by_lead.get, set(combinations(codes, size)))))
+            hits = list(filter(None, map(by_lead.get, set(combinations(word, 2)))))
+        else:
+            hits = []
+            for size, alphabet in self.alphabets.items():
+                codes = list(filter(alphabet.__contains__, word))
+                if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
+                    codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
+                hits.extend(filter(None, map(by_lead.get, set(combinations(codes, size)))))
         if not hits:
             return None
         pos = min(hits)[0]  # disjoint ascending lists: the least has the lowest position
@@ -280,17 +297,33 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     return basis._rules.normal_form(point)
 
 
+def _check_pair_count(groups) -> None:
+    """Raise ``ValueError`` when the pairs within the fibers ``groups`` are too many.
+
+    A basis of every pair within its degree-2 fibers holds the sum of
+    C(k, 2) over fibers of k points; more than ``MAX_BASIS_ELEMENTS`` are
+    refused before any is paired.
+    """
+    count = sum(comb(len(words), 2) for words in groups)
+    if count > MAX_BASIS_ELEMENTS:
+        raise ValueError(
+            f"the pairs within the degree-2 fibers make {count:,} basis elements,"
+            f" more than the cap of {MAX_BASIS_ELEMENTS:,}"
+        )
+
+
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
     """All quadric binomials of the toric ideal, marked by the sink order.
 
     One element per unordered pair of distinct degree-2 fiber points sharing
-    a multidegree.  With ``interreduce`` the basis is the reduced one, read
-    off the fibers: every point of a fiber but the last leads once, with the
-    fiber's last point as its trail.  No element leads with a last point, so
-    every trail is already reduced.  Elements come in ascending sink order of
-    their leads.
+    a multidegree; more than ``MAX_BASIS_ELEMENTS`` raise ``ValueError``
+    (:func:`_check_pair_count`).  With ``interreduce`` the basis is the
+    reduced one, read off the fibers: every point of a fiber but the last
+    leads once, with the fiber's last point as its trail.  No element leads
+    with a last point, so every trail is already reduced.  Elements come in
+    ascending sink order of their leads.
     """
-    groups = fibers(table.generators, 2).values()
+    groups = _fiber_groups(table.generators, 2)[0].values()
     if interreduce:
         # Leads of one length: descending reversed words are ascending sink keys.
         pairs = sorted(
@@ -299,6 +332,7 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
             reverse=True,
         )
     else:
+        _check_pair_count(groups)
         pairs = [pair for words in groups for pair in combinations(words, 2)]
     return MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
 
@@ -514,23 +548,34 @@ def buchberger_verify(basis: MarkedBasis) -> GroebnerReport:
 def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """Degree-truncated completion: one normal form per fiber up to the bound.
 
-    Walks the fibers of t-degree up to the bound in :func:`fibers` order and
-    reduces the star of each with two or more points: the pairs (first
-    point, w) for every later point w.  When the normal forms differ, the
-    earlier one in the fiber sink order (the larger ``fiber_sink_key``)
-    becomes a lead, rewritten to the later one, whichever point it came
-    from.  Independent of the unique-sink theory and of the overlap check;
-    used as the oracle.
+    Walks the fibers of t-degree up to the bound in ``fiber._fiber_groups``
+    order and reduces the star of each that holds two normal words: the
+    pairs (first point, w) for every later point w.  When the normal forms
+    differ, the earlier one in the fiber sink order (the larger
+    ``fiber_sink_key``) becomes a lead, rewritten to the later one,
+    whichever point it came from.  Independent of the unique-sink theory
+    and of the overlap check; used as the oracle.
+
+    Only fibers with two normal words are reduced.  Every rule joins two
+    points of one fiber, and its lead comes earlier in the sink order than
+    its trail.  So a step keeps a word's fiber, and every normal form of a
+    point is a normal word of the point's own fiber: a point w for which
+    ``rules.rewrite(w)`` is None.  The fiber's last point is always normal:
+    a lead dividing it would rewrite it to a later point of its fiber, and
+    there is none, as the sink order is a monomial order.  So a fiber whose
+    other points all rewrite holds one normal word, every point's normal
+    form is that word, and its star adds nothing; the walk moves on as soon
+    as it finds one more normal word, and only then reduces the star.
 
     The first point's normal form a is computed once per star and carried,
-    so each point is reduced once.  Let b be w's normal form.  Rules are
-    only appended and the rewriter applies the lowest-position rule, so
-    after a new rule the first point's chain repeats every old step up to
-    a.  After ``add(a, b)`` it steps on to b, which is normal: b was normal
-    under the old rules, and the new lead a has b's length and differs from
-    it, so it does not divide b.  So the first point's normal form becomes
-    b.  After ``add(b, a)`` the new lead b likewise does not divide a, so it
-    stays a.  Either way it becomes the new rule's trail.
+    so each point of a star is reduced once.  Let b be w's normal form.
+    Rules are only appended and the rewriter applies the lowest-position
+    rule, so after a new rule the first point's chain repeats every old
+    step up to a.  After ``add(a, b)`` it steps on to b, which is normal: b
+    was normal under the old rules, and the new lead a has b's length and
+    differs from it, so it does not divide b.  So the first point's normal
+    form becomes b.  After ``add(b, a)`` the new lead b likewise does not
+    divide a, so it stays a.  Either way it becomes the new rule's trail.
 
     The result is the truncated Buchberger completion seeded with every
     binomial between two points of one fiber, element for element and in
@@ -553,9 +598,11 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
-    for first, *rest in fibers(table.generators, degree_bound).values():
-        if not rest:
+    for points in _fiber_groups(table.generators, degree_bound)[0].values():
+        # A reduct is a nonempty word, so this holds while each point but the last rewrites.
+        if all(map(rules.rewrite, points[:-1])):
             continue
+        first, *rest = points
         a = rules.normal_form(first)
         for w in rest:
             b = rules.normal_form(w)

@@ -117,9 +117,9 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
     packed, width = _pack(table.generators, max(max_tdeg, 2))
     violations = []
     for p, row in later.items():
-        total = sum(map(packed.__getitem__, p))
+        total, key = sum(map(packed.__getitem__, p)), fiber_sink_key(p)
         for q in row:
-            if sum(map(packed.__getitem__, q)) != total or fiber_sink_key(q) >= fiber_sink_key(p):
+            if sum(map(packed.__getitem__, q)) != total or fiber_sink_key(q) >= key:
                 label = format_monomial(_unpack([total], width, context.n)[0], context)
                 violations.append(f"{label}: row {p} lists {q}, not a later point of its fiber")
     partners = _partners([p for p, row in later.items() if row], len(packed))

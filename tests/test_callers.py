@@ -9,8 +9,10 @@ one must either find a caller or move to ``tests/helpers.py``.
 
 Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
-``map(add, ...)`` or ``map(sum, zip(...))``.  The paired-move rows
-(``GeneratorTable.later_pairs``) take differences on the same packed
+``map(add, ...)`` or ``map(sum, zip(...))``.  The fiber listing
+(``fiber._fiber_groups``) packs, and unpacks only the sum named in its
+error; its keyed view ``fiber.fibers`` unpacks every key.  The paired-move
+rows (``GeneratorTable.later_pairs``) take differences on the same packed
 generators and unit vectors, to spot the unit moves within a degree-2
 fiber.  Besides them, ``toric._checked_rules``, the one check of a basis,
 packs its configuration once, for its words' sums in the homogeneity check
@@ -31,6 +33,12 @@ unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
 ``fiber.build_fiber_graph`` builds and imports neither ``_later_moves`` nor
 ``_fiber_in_sink_order``; the sweep takes the first step of the direct sink
 per standard word, ``fiber._sink_plan`` and ``fiber._peel``.
+
+The oracles stay independent of the fast paths they check: the scan of
+standard words (``fiber._standard_levels``) serves only the sweep and the
+overlap check, and nothing that the completion oracle
+(``toric.brute_force_gb``) calls, directly or through other src functions,
+reaches the overlap check or the direct sink.
 """
 
 import ast
@@ -48,11 +56,16 @@ TEST_ONLY = ["rees.rees_normal_form"]
 SUM_PATH = {
     "_pack": [
         "borel.GeneratorTable.later_pairs",
-        "fiber.fibers",
+        "fiber._fiber_groups",
         "toric._checked_rules",
         "verify.sweep_unique_sinks",
     ],
-    "_unpack": ["fiber.fibers", "toric._check_overlaps", "verify.sweep_unique_sinks"],
+    "_unpack": [
+        "fiber._fiber_groups",
+        "fiber.fibers",
+        "toric._check_overlaps",
+        "verify.sweep_unique_sinks",
+    ],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.
@@ -62,10 +75,11 @@ DECODE_PATH = {
 
 # Each private name one src module imports from another, by importing module.
 PRIVATE_IMPORTS = {
-    "borel": ["fiber._pack"],
+    "borel": ["fiber._fiber_groups", "fiber._pack"],
     "rees": [
         "toric._Rules",
         "toric._check_ints",
+        "toric._check_pair_count",
         "toric._check_point",
         "toric._checked_rules",
         "toric._verify",
@@ -73,6 +87,7 @@ PRIVATE_IMPORTS = {
     "toric": [
         "fiber._bits",
         "fiber._component_labels",
+        "fiber._fiber_groups",
         "fiber._pack",
         "fiber._partners",
         "fiber._shared",
@@ -169,6 +184,47 @@ def callers(modules: dict[str, ast.Module], name: str) -> list[str]:
                 scopes = [(getattr(node, "name", "<module>"), node)]
             out.extend(f"{module}.{scope}" for scope, body in scopes if named(body)[name])
     return sorted(set(out))
+
+
+def reaching(modules: dict[str, ast.Module], name: str) -> set[str]:
+    """The names of the src functions from which a chain of callers reaches ``name``.
+
+    Grows :func:`callers` to a fixed point, each caller by its last name
+    component; a name that several functions share stands for all of them,
+    so the set errs toward too many.
+    """
+    found: set[str] = set()
+    todo = [name]
+    while todo:
+        for caller in callers(modules, todo.pop()):
+            short = caller.rpartition(".")[2]
+            if short not in found:
+                found.add(short)
+                todo.append(short)
+    return found
+
+
+def test_the_oracles_stay_off_the_fast_paths():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert callers(modules, "_standard_levels") == [
+        "toric._check_overlaps",
+        "verify.sweep_unique_sinks",
+    ]
+    for fast in ("_check_overlaps", "find_sink_direct"):
+        assert "brute_force_gb" not in reaching(modules, fast), fast
+
+
+def test_the_reach_scan_follows_chains():
+    modules = {
+        "m": ast.parse(
+            "def fast(): pass\n"
+            "def middle():\n    fast()\n"
+            "class Holder:\n    def method(self):\n        return middle()\n"
+            "def top(holder):\n    holder.method()\n"
+            "def apart(): pass\n"
+        ),
+    }
+    assert reaching(modules, "fast") == {"middle", "method", "top"}
 
 
 def tuple_sums(tree: ast.AST) -> list[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from borelfiber import cli, fiber
+from borelfiber import cli, fiber, toric
 from borelfiber.cli import main
 
 from helpers import mono
@@ -389,6 +389,23 @@ class TestErrors:
         assert err == "error: 14 codes make 119 fiber points of degree 1..2, more than the cap of 118\n"
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 119)
         assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "2")[0] == 0
+
+    def test_basis_element_cap_exits_2(self, capsys, monkeypatch):
+        # The figure ideal's full quadric list has 105 elements and its Rees basis 131.
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 104)
+        for command, count in [("toric-gb", 105), ("rees-gb", 131)]:
+            code, out, err = run_cli(capsys, command, "--ideal", FIG)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: the pairs within the degree-2 fibers make {count} basis elements,"
+                " more than the cap of 104\n"
+            )
+        # The reduced list is not capped, and oracle-gb reads its leads off it.
+        assert run_cli(capsys, "toric-gb", "--ideal", FIG, "--interreduce")[0] == 0
+        assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "3")[0] == 0
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 131)
+        assert run_cli(capsys, "toric-gb", "--ideal", FIG)[0] == 0
+        assert run_cli(capsys, "rees-gb", "--ideal", FIG)[0] == 0
 
     def test_first_variable_power_is_its_own_block(self, capsys):
         code, out, _ = run_cli(capsys, "gens", "--ideal", "{a^40}", "--nvars", "8")

@@ -39,6 +39,7 @@ from helpers import (
     normal_form_by_scan,
     pairwise_buchberger,
     point_product,
+    step_by_scan,
 )
 
 CTX2 = VariableContext.default(2)
@@ -113,6 +114,41 @@ class TestQuadricGenerators:
         for table in suite_tables(cap=200)[::5] + families:
             reduced = quadric_generators(table, interreduce=True)
             assert reduced.elements == interreduce_by_scan(quadric_generators(table)).elements
+
+
+class TestBasisElementBudget:
+    """The full quadric list and the Rees basis count their pairs before pairing any.
+
+    The figure ideal's full quadric list has 105 elements, its reduced list
+    61 and its Rees basis 131.
+    """
+
+    def test_a_basis_over_the_cap_is_refused(self, fig_table, monkeypatch):
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 104)
+        message = (
+            "the pairs within the degree-2 fibers make 105 basis elements,"
+            " more than the cap of 104"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quadric_generators(fig_table)
+        assert len(quadric_generators(fig_table, interreduce=True).elements) == 61
+        with pytest.raises(ValueError, match="make 131 basis elements"):
+            rees_gb(fig_table)
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 130)
+        assert len(quadric_generators(fig_table).elements) == 105
+        with pytest.raises(ValueError, match="more than the cap of 130"):
+            rees_gb(fig_table)
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 131)
+        assert len(rees_gb(fig_table).pairs) == 131
+
+    def test_nothing_is_paired_over_the_cap(self, fig_table, monkeypatch):
+        def pairing(*args):
+            raise AssertionError("a pair was taken over the cap")
+
+        monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 0)
+        monkeypatch.setattr(toric, "combinations", pairing)
+        with pytest.raises(ValueError, match="make 105 basis elements"):
+            quadric_generators(fig_table)
 
 
 class TestNormalForm:
@@ -321,9 +357,14 @@ class TestBruteForceOracle:
         assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, 3)
 
     @pytest.mark.parametrize("which, bound", [("figure", 3), ("three_borel", 4)])
-    def test_one_normal_form_per_point(self, fig_table, three_borel, monkeypatch, which, bound):
-        # The star carries its first point's normal form, and a cubic word
-        # steps by its least-position divisor alone, without _cubic_steps.
+    def test_only_fibers_with_two_normal_words_are_reduced(
+        self, fig_table, three_borel, monkeypatch, which, bound
+    ):
+        # Replays the oracle's elements fiber by fiber: the rules in force
+        # when a fiber is reached are those that lead in earlier fibers, and
+        # its normal words are its points that no lead of those rules divides
+        # (step_by_scan).  normal_form runs on the points of exactly the
+        # fibers with two normal words, and _cubic_steps never runs.
         table = fig_table if which == "figure" else three_borel
         calls = []
         reduce = _Rules.normal_form
@@ -338,9 +379,21 @@ class TestBruteForceOracle:
         monkeypatch.setattr(_Rules, "normal_form", counted)
         monkeypatch.setattr(toric, "_cubic_steps", refuse)
         oracle = brute_force_gb(table, bound)
-        groups = fibers(table.generators, bound).values()
-        assert calls == [z for points in groups if len(points) > 1 for z in points]
-        assert any(len(el.lead) == 3 for el in oracle.elements) == (which == "three_borel")
+        elements = [(el.lead, el.trail) for el in oracle.elements]
+        expected, reached = [], 0
+        for points in fibers(table.generators, bound).values():
+            rules = elements[:reached]
+            if sum(step_by_scan(rules, z) is None for z in points) > 1:
+                expected.extend(points)
+            while reached < len(elements) and elements[reached][0] in points:
+                reached += 1
+        assert reached == len(elements)
+        assert calls == expected
+        if which == "figure":
+            assert {len(z) for z in calls} == {2}
+        else:
+            assert any(len(lead) == 3 for lead, _ in elements)
+            assert any(len(z) == 3 for z in calls)
 
     def test_every_fiber_has_one_normal_form(self, completions):
         for table, bound, oracle in completions:
@@ -394,6 +447,27 @@ class TestLeadIndex:
         for table, pairs in bases:
             size = len(table.generators)
             self.agree(pairs, [tuple(sorted(rng.choices(range(size), k=t))) for _ in range(3)])
+
+    def test_quadratic_words_of_four_and_five_codes(self, fig_table, fig_quadrics):
+        # While every rule is quadratic, these words step by their code pairs.
+        # Steps are held to the scan on every word, and normal forms on a
+        # tenth, over the full, the reduced and the Rees basis.  Each
+        # drop-one mutant of the full basis, which is not a Groebner basis,
+        # takes both checks on a hundredth of the words.
+        full = [(el.lead, el.trail) for el in fig_quadrics.elements]
+        reduced = [(el.lead, el.trail) for el in quadric_generators(fig_table, True).elements]
+        rees = [(_codes(el.lead), _codes(el.trail)) for el in rees_gb(fig_table).elements]
+        size = len(fig_table.generators)
+        words = [w for k in (4, 5) for w in combinations_with_replacement(range(size), k)]
+        rees_words = list(combinations_with_replacement(range(fig_table.context.n + size), 4))
+        bases = [(full, words, 10), (reduced, words, 10), (rees, rees_words, 10)]
+        bases += [(full[:i] + full[i + 1 :], words[i::100], 1) for i in range(len(full))]
+        for pairs, some, every in bases:
+            rules = _Rules(pairs)
+            assert rules.quadratic
+            for word in some:
+                assert rules.rewrite(word) == step_by_scan(pairs, word), word
+            self.agree(pairs, some[::every])
 
     def test_a_lead_that_repeats_a_code_needs_it_twice(self):
         # Position 0 leads with c twice; a word holding c once must use the
