@@ -14,6 +14,8 @@ syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``) and those of t-degree
 basis check, reduction engine and verifier, which run on words: a
 :class:`ReesBasis` holds each element as its pair of code words (see
 :func:`_codes`), decoded only where a monomial is read, never to rank it.
+:func:`rees_gb` reads the fiber listing packed (``fiber._fiber_groups``):
+a fiber's t-degree is the low bits of its packed sum, so no sum is unpacked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations
 from operator import neg
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, fiber_sink_key, fibers, point_factors
+from borelfiber.fiber import FiberPoint, _fiber_groups, fiber_sink_key, point_factors
 from borelfiber.monomials import Monomial, format_monomial
 from borelfiber.toric import GroebnerReport, _check_pair_count, _checked_rules, _Rules, _verify
 from borelfiber.toric import _check_ints, _check_point
@@ -76,8 +78,7 @@ def _word_key(word: tuple[int, ...], n: int) -> tuple:
     variable its word has more of, and a proper prefix ranks lower.  Ties
     go to :func:`~borelfiber.fiber.fiber_sink_key` of the Y codes.
     """
-    split = bisect_left(word, n)
-    return tuple(map(neg, word[:split])), fiber_sink_key(word[split:])
+    return tuple(map(neg, word[: (split := bisect_left(word, n))])), fiber_sink_key(word[split:])
 
 
 def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
@@ -124,7 +125,11 @@ class ReesBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        key = partial(_word_key, n=self.table.context.n)
+        n = self.table.context.n
+
+        def key(word: tuple[int, ...]) -> tuple:
+            return _word_key(word, n)
+
         return _checked_rules(self, self.pairs, key, _configuration(self.table))
 
 
@@ -141,10 +146,12 @@ def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
 def rees_gb(table: GeneratorTable) -> ReesBasis:
     """The pairs within the Rees fibers of joint degree two: syzygies, then quadrics.
 
-    One pass over the fibers of :func:`_configuration` up to degree two.  A
-    fiber of bidegree (1, 1), the monomials x_v Y_g of one image, is sorted
-    by :func:`_word_key`, largest first, and its pairs are the linear
-    syzygies, ordered by their two Y indices.  A fiber of t-degree 2 already
+    One pass over the fibers of :func:`_configuration` up to degree two,
+    each keyed by its packed sum, whose low ``width`` bits are its last
+    coordinate, the t-degree (``fiber._pack``).  A fiber of bidegree (1, 1),
+    the monomials x_v Y_g of one image, is sorted by :func:`_word_key`,
+    largest first, and its pairs are the linear syzygies, ordered by their
+    two Y indices.  A fiber of t-degree 2 already
     lists its monomials in descending sink order, so its pairs are the toric
     quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
     fiber has one monomial.  The pairs are taken as words straight off the
@@ -155,13 +162,14 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
-    listing = fibers(_configuration(table), 2)
-    _check_pair_count(listing.values())
+    groups, width = _fiber_groups(_configuration(table), 2)
+    _check_pair_count(groups.values())
+    low = (1 << width) - 1
     syzygies, quadrics = [], []
-    for key, words in listing.items():
+    for total, words in groups.items():
         if len(words) < 2:
             continue
-        if key[-1] == 1:
+        if total & low == 1:
             # Each word is (v, n + g): x variable v times generator g.  The
             # image fixes g given v, so descending _word_key is ascending v.
             syzygies.extend(combinations(sorted(words), 2))

@@ -15,19 +15,22 @@ fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.  The Rees
 algebra is the toric ring of a larger configuration, so both sides take
-their degree-2 pairs from one fiber listing (``fiber._fiber_groups``, and
-its keyed view :func:`~borelfiber.fiber.fibers` on the Rees side), and both
-bases hold each element as a pair of words, ascending tuples of integer
-codes.  A basis's :class:`_Rules`, the one reduction engine, is built only by
-:func:`_checked_rules`, the one check of words, marking and homogeneity, so
-:func:`normal_form`, ``rees.rees_normal_form`` and both verifiers refuse a
-malformed basis alike and never reduce by a rule that fails to end.  The
+their degree-2 pairs from one fiber listing, ``fiber._fiber_groups``, read
+packed, and both bases hold each element as a pair of words, ascending
+tuples of integer codes.  A basis's :class:`_Rules`, the one reduction
+engine, is built only by :func:`_checked_rules`, the one check of words,
+marking and homogeneity, so :func:`normal_form`, ``rees.rees_normal_form``
+and both verifiers refuse a malformed basis alike and never reduce by a
+rule that fails to end.  The check runs in bulk, over the distinct words,
+and the index of a checked basis is built in one pass over its pairs.  The
 lead index ``by_lead`` is the one place that says which rules carry a lead:
 the rewriter looks up a word's sub-multisets there, :func:`brute_force_gb`
-grows it one rule at a time, and :func:`_check_overlaps`, the one Groebner
-verifier, reads its critical monomials off it.  A basis of every pair
-within the degree-2 fibers is counted before it is built, and refused
-above ``MAX_BASIS_ELEMENTS`` (:func:`_check_pair_count`).
+grows it one rule at a time and asks it only whether a word holds a lead
+(:meth:`_Rules.reducible`) until a fiber shows two normal words, and
+:func:`_check_overlaps`, the one Groebner verifier, reads its critical
+monomials off it.  A basis of every pair within the degree-2 fibers is
+counted before it is built, and refused above ``MAX_BASIS_ELEMENTS``
+(:func:`_check_pair_count`).
 
 While every rule is quadratic, the rewriter steps the words the overlap
 check reduces, of two or three codes, in closed form, and a longer word by
@@ -36,9 +39,10 @@ reduces only the fibers that hold two normal words (:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
-the unique-sink sweep too.  A Groebner basis of the whole toric ideal walks none,
-since its standard words meet each fiber once (Sturmfels, *Groebner Bases and
-Convex Polytopes*, 1996, ch. 4).
+the unique-sink sweep too; it lists the standard words of two codes and
+reads only the sums of those of three.  A Groebner basis of the whole toric
+ideal walks none, since its standard words meet each fiber once (Sturmfels,
+*Groebner Bases and Convex Polytopes*, 1996, ch. 4).
 
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
 one sum path that the fiber listing uses too, with bits for the longest word
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat, starmap
 from math import comb
 from operator import eq, gt
 from typing import Callable, NamedTuple, Sequence
@@ -106,17 +110,23 @@ class _Rules:
     that size use.  ``quadratic`` holds while every lead and trail has two
     codes (see :meth:`rewrite`).  An index from :func:`_checked_rules` also
     keeps its configuration's ``packed`` codes, ``width`` and vector ``size``.
+
+    ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
+    :meth:`add` would one pair at a time: positions ascending, leads in order
+    of first occurrence, one alphabet update per distinct lead.
     """
 
-    def __init__(self, pairs=()) -> None:
-        self.leads: list[tuple[int, ...]] = []
-        self.trails: list[tuple[int, ...]] = []
+    def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
+        self.leads: list[tuple[int, ...]] = [lead for lead, _ in pairs]
+        self.trails: list[tuple[int, ...]] = [trail for _, trail in pairs]
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
+        for pos, lead in enumerate(self.leads):
+            self.by_lead.setdefault(lead, []).append(pos)
         self.alphabets: dict[int, set[int]] = {}
-        self.quadratic = False
+        for lead in self.by_lead:
+            self.alphabets.setdefault(len(lead), set()).update(lead)
+        self.quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for lead, trail in pairs:
-            self.add(lead, trail)
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
         """Append a rule; a cached normal form may now reduce further, so drop them."""
@@ -138,16 +148,13 @@ class _Rules:
         built (:func:`_cubic_steps` lists them all, for the overlap check).
         A longer word looks up each distinct code pair it holds, its
         sub-multisets of two codes, in ``by_lead``.  Otherwise the word is
-        looked up by sub-multisets of every lead size k: the k-combinations
-        of its codes in that size's alphabet are exactly its sub-multisets
-        that can be a lead of size k.  A code is kept at most k times, which
-        leaves the set of combinations as it is but keeps long words from
-        multiplying it.  Either way every hit applies, and the step is by
-        the hit whose first rule has the lowest position.  Returns None when
-        no lead is contained.
+        looked up by its sub-multisets of every lead size
+        (:meth:`_alphabet_words`).  Either way every hit applies, and the
+        step is by the hit whose first rule has the lowest position.  Returns
+        None when no lead is contained.
 
-        So a word is normal exactly when this is None, which is how
-        :func:`brute_force_gb` finds a fiber's normal words.
+        So a word is normal exactly when this is None, and exactly when
+        :meth:`reducible` is False.
         """
         by_lead = self.by_lead
         if self.quadratic:
@@ -165,18 +172,39 @@ class _Rules:
                     return None
                 p, q = self.trails[pos]
                 return (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)
-            hits = list(filter(None, map(by_lead.get, set(combinations(word, 2)))))
+            candidates = combinations(word, 2)
         else:
-            hits = []
-            for size, alphabet in self.alphabets.items():
-                codes = list(filter(alphabet.__contains__, word))
-                if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
-                    codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
-                hits.extend(filter(None, map(by_lead.get, set(combinations(codes, size)))))
+            candidates = self._alphabet_words(word)
+        hits = list(filter(None, map(by_lead.get, set(candidates))))
         if not hits:
             return None
         pos = min(hits)[0]  # disjoint ascending lists: the least has the lowest position
         return _replace(word, self.leads[pos], self.trails[pos])
+
+    def reducible(self, word: tuple[int, ...]) -> bool:
+        """Whether ``word`` contains a lead: :meth:`rewrite` without building the reduct.
+
+        Looks up the sub-multisets that :meth:`rewrite` looks up, its code
+        pairs while every rule is quadratic and otherwise its combinations in
+        each lead size's alphabet, and stops at the first one in ``by_lead``.
+        This is how :func:`brute_force_gb` finds a fiber's normal words.
+        """
+        candidates = combinations(word, 2) if self.quadratic else self._alphabet_words(word)
+        return any(map(self.by_lead.__contains__, candidates))
+
+    def _alphabet_words(self, word: tuple[int, ...]):
+        """Yield the sub-multisets of ``word`` that can be a lead of any size, with repeats.
+
+        For each lead size k, the k-combinations of its codes in that size's
+        alphabet are exactly its sub-multisets that can be a lead of size k.
+        A code is kept at most k times, which leaves the set of combinations
+        as it is but keeps long words from multiplying it.
+        """
+        for size, alphabet in self.alphabets.items():
+            codes = list(filter(alphabet.__contains__, word))
+            if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
+                codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
+            yield from combinations(codes, size)
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -225,15 +253,18 @@ def _check_point(point: FiberPoint, size: int, what: str = "a point") -> None:
         raise ValueError(f"{what} must be in range({size}): {point}")
 
 
-def _well_formed(words: list, size: int) -> bool:
-    """:func:`_check_point` in bulk: whether every word is an ascending tuple of ints in range."""
+def _well_formed(words: list, size: int) -> set | None:
+    """:func:`_check_point` in bulk: the distinct words, or None unless every word passes.
+
+    The types come first, so the words are hashed only once they are tuples of ints.
+    """
     if not {tuple} >= set(map(type, words)):
-        return False
+        return None
     codes = list(chain.from_iterable(words))
     if not {int} >= set(map(type, codes)) or (codes and not 0 <= min(codes) <= max(codes) < size):
-        return False
+        return None
     distinct = set(words)
-    return all(map(eq, distinct, map(tuple, map(sorted, distinct))))
+    return distinct if all(map(eq, distinct, map(tuple, map(sorted, distinct)))) else None
 
 
 def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> _Rules:
@@ -246,8 +277,9 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
     refuses, then unless every lead has a larger ``key`` than its trail and
     the same length and configuration sum: a binomial that is not
     homogeneous is not in the ideal.  So every rewrite ends and keeps its
-    word's fiber.  The words are checked in bulk, each distinct word's key
-    and packed sum taken once; only a failure walks the elements in order,
+    word's fiber.  The words are checked in bulk (:func:`_well_formed`), each
+    distinct word's key and packed sum taken once, and the index is built in
+    one pass (:class:`_Rules`); only a failure walks the elements in order,
     to name the first, a malformed word before any marking.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
@@ -255,30 +287,31 @@ def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> 
         for pos, pair in enumerate(pairs):
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
-    leads, trails = [lead for lead, _ in pairs], [trail for _, trail in pairs]
-    sides = leads + trails
-    if not _well_formed(sides, len(vectors)):
+    words = _well_formed(list(chain.from_iterable(pairs)), len(vectors))
+    if words is None:  # some word fails, so this raises
         for pos, (lead, trail) in enumerate(pairs):
             _check_point(lead, len(vectors), f"the lead of element {pos}")
             _check_point(trail, len(vectors), f"the trail of element {pos}")
-    words = set(sides)
+    rules = _Rules(pairs)
+    leads, trails = rules.leads, rules.trails
     packed, width = _pack(vectors, max([3, *map(len, words)]))
-    key_of = {word: key(word) for word in words}
-    sum_of = {word: (len(word), sum(map(packed.__getitem__, word))) for word in words}
+    key_of = dict(zip(words, map(key, words)))
+    sum_of = {word: sum(map(packed.__getitem__, word)) for word in words}
     marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
-    if not marked or list(map(sum_of.__getitem__, leads)) != list(map(sum_of.__getitem__, trails)):
+    lengths = list(map(len, leads)) == list(map(len, trails))
+    sums = list(map(sum_of.__getitem__, leads)) == list(map(sum_of.__getitem__, trails))
+    if not (marked and lengths and sums):
         for pos, (lead, trail, el) in enumerate(zip(leads, trails, basis.elements)):
             if key_of[lead] <= key_of[trail]:
                 raise ValueError(
                     f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
                 )
-            if sum_of[lead] != sum_of[trail]:
+            if len(lead) != len(trail) or sum_of[lead] != sum_of[trail]:
                 what = "degree" if len(lead) != len(trail) else "multidegree"
                 raise ValueError(
                     f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                     f"differ in {what}"
                 )
-    rules = _Rules(pairs)
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
     return rules
@@ -304,7 +337,7 @@ def _check_pair_count(groups) -> None:
     C(k, 2) over fibers of k points; more than ``MAX_BASIS_ELEMENTS`` are
     refused before any is paired.
     """
-    count = sum(comb(len(words), 2) for words in groups)
+    count = sum(map(comb, map(len, groups), repeat(2)))
     if count > MAX_BASIS_ELEMENTS:
         raise ValueError(
             f"the pairs within the degree-2 fibers make {count:,} basis elements,"
@@ -334,7 +367,7 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     else:
         _check_pair_count(groups)
         pairs = [pair for words in groups for pair in combinations(words, 2)]
-    return MarkedBasis(table, tuple(MarkedBinomial(lead, trail) for lead, trail in pairs))
+    return MarkedBasis(table, tuple(starmap(MarkedBinomial, pairs)))
 
 
 @dataclass(frozen=True)
@@ -453,7 +486,9 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     fiber, and if that fiber holds one standard word of m's length, m cannot
     fail.  So only the critical monomials whose sum two standard words of two
     or three codes share (``fiber._standard_levels``) are walked, found from
-    the shared sums by :func:`_walked`.  The scan is skipped when there is no
+    the shared sums by :func:`_walked`.  The scan lists the standard words of
+    two codes; those of three are read only as sums, each standard pair's
+    sum plus each code it allows.  The scan is skipped when there is no
     critical monomial, and the walk when no sum is shared.
 
     Critical monomials are counted, not built: each once, from its least
@@ -468,29 +503,32 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     cubic critical monomial's one-step reducts are all its :func:`_cubic_steps`.
     """
     by_lead, packed = rules.by_lead, rules.packed
-    for lead, positions in by_lead.items():
-        if len(lead) != 2:
-            raise ValueError(
-                f"lead of element {positions[0]} has degree {len(lead)}; "
-                "the overlap check needs quadratic leads"
-            )
+    if not rules.quadratic:
+        for lead, positions in by_lead.items():
+            if len(lead) != 2:
+                raise ValueError(
+                    f"lead of element {positions[0]} has degree {len(lead)}; "
+                    "the overlap check needs quadratic leads"
+                )
     partners = _partners(by_lead, len(packed))
     # Each lead's counted codes w: a mask of those with w >= b, and one of a < w < b.
     extras = {}
-    for a, b in by_lead:
+    checked = 0
+    for (a, b), positions in by_lead.items():
         pa, pb = partners[a], partners[b]
         if a == b:
-            extras[a, b] = (pa >> (a + 1) << (a + 1), 0)
+            high, low = pa >> (a + 1) << (a + 1), 0
         else:
             between = ((1 << b) - 1) >> (a + 1) << (a + 1)
-            extras[a, b] = ((pa & ~(1 << b) | pb) >> b << b, pb & ~pa & between)
-    checked = sum(len(positions) > 1 for positions in by_lead.values()) + sum(
-        (high | low).bit_count() for high, low in extras.values()
-    )
+            high, low = (pa & ~(1 << b) | pb) >> b << b, pb & ~pa & between
+        extras[a, b] = high, low
+        checked += (high | low).bit_count() + (len(positions) > 1)
     if not checked:
         return 0, []
-    levels = _standard_levels(partners, packed, 3)
-    _, pairs, cubics = [_shared([total for _, total, _ in level]) for level in levels]
+    # Standard words of three codes are needed only for their sums.
+    _, level = _standard_levels(partners, packed, 2)
+    pairs = _shared([total for _, total, _ in level])
+    cubics = _shared([total + packed[c] for _, total, allowed in level for c in _bits(allowed)])
     if not pairs and not cubics:
         return checked, []
     trails, normal_form = rules.trails, rules.normal_form
@@ -560,7 +598,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     points of one fiber, and its lead comes earlier in the sink order than
     its trail.  So a step keeps a word's fiber, and every normal form of a
     point is a normal word of the point's own fiber: a point w for which
-    ``rules.rewrite(w)`` is None.  The fiber's last point is always normal:
+    ``rules.reducible(w)`` is False.  The fiber's last point is always normal:
     a lead dividing it would rewrite it to a later point of its fiber, and
     there is none, as the sink order is a monomial order.  So a fiber whose
     other points all rewrite holds one normal word, every point's normal
@@ -599,8 +637,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
     for points in _fiber_groups(table.generators, degree_bound)[0].values():
-        # A reduct is a nonempty word, so this holds while each point but the last rewrites.
-        if all(map(rules.rewrite, points[:-1])):
+        if all(map(rules.reducible, points[:-1])):
             continue
         first, *rest = points
         a = rules.normal_form(first)

@@ -21,11 +21,13 @@ and, kept on its rule index, for the critical monomials' sums of
 unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators for
 its standard words' sums and unpacks those sums into multidegrees.
 
-A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
-elimination order is defined once, on code words (``rees._word_key``), so
-``rees._from_codes`` decodes words only where a monomial is read: the
-``ReesBasis.elements`` view and the answer of ``rees_normal_form``; those
-callers are pinned.  No word is decoded in order to rank it.
+A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial and reads
+the fiber listing packed (``fiber._fiber_groups``, the t-degree in each
+key's low bits), and the elimination order is defined once, on code words
+(``rees._word_key``), so ``rees._from_codes`` decodes words only where a
+monomial is read: the ``ReesBasis.elements`` view and the answer of
+``rees_normal_form``; those callers are pinned.  No word is decoded in order
+to rank it.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -77,6 +79,7 @@ DECODE_PATH = {
 PRIVATE_IMPORTS = {
     "borel": ["fiber._fiber_groups", "fiber._pack"],
     "rees": [
+        "fiber._fiber_groups",
         "toric._Rules",
         "toric._check_ints",
         "toric._check_pair_count",

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -421,6 +422,91 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+class TestFuzz:
+    """Seeded small inputs across every command exit 0, 1 or 2, never 3.
+
+    Each call has at most three variables, Borel roots of one degree up to
+    6, ``--bound`` up to 3 and ``--r`` up to 4, and some carry a hostile
+    monomial, too many roots, a small ``--nvars``, a bound or ``--r`` out of
+    range, or ``--format dot``.  The ``--mu`` of a fiber or sink call is a
+    product of up to three roots, sometimes moved off by one.
+    """
+
+    COMMANDS = [
+        "gens",
+        "fiber",
+        "sink",
+        "toric-gb",
+        "rees-gb",
+        "verify-unique-sinks",
+        "verify-buchberger",
+        "oracle-gb",
+        "counterexample",
+    ]
+    HOSTILE = ["", "1", "a^", "^2", "a^-1", "a^2^3", "x", "a b", "a^02b", "{", "[1,2]", "[-1,2,0]"]
+
+    @staticmethod
+    def monomial(rng, exponents, vector=False):
+        if vector and rng.random() < 0.3:
+            return "[" + ",".join(map(str, exponents)) + "]"
+        return "".join(v + ("" if e == 1 else f"^{e}") for v, e in zip("abc", exponents) if e)
+
+    @staticmethod
+    def roots(rng):
+        """One to three exponent vectors of one degree, 1 to 6, in one to three variables."""
+        k, d = rng.randint(1, 3), rng.randint(1, 6)
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, d) for _ in range(k - 1))
+            out.append([b - a for a, b in zip([0, *cuts], [*cuts, d])])
+        return out
+
+    def argv(self, rng):
+        command = rng.choice(self.COMMANDS)
+        if command == "counterexample":
+            argv = [command, "--r", str(rng.choice([3, 3, 4, 2, -1]))]
+        else:
+            vectors = self.roots(rng)
+            gens = [self.monomial(rng, v) for v in vectors]
+            if rng.random() < 0.15:
+                gens[rng.randrange(len(gens))] = rng.choice(self.HOSTILE)
+            if rng.random() < 0.05:
+                gens *= 3
+            argv = [command, "--ideal", "{" + ",".join(gens) + "}"]
+            if rng.random() < 0.15:
+                argv += ["--nvars", str(rng.randint(0, 3))]
+            if command in ("fiber", "sink", "verify-unique-sinks", "oracle-gb"):
+                argv += ["--bound", str(rng.choice([1, 2, 2, 3, 3, 3, 0]))]
+            if command in ("fiber", "sink"):
+                mu = [sum(column) for column in zip(*rng.choices(vectors, k=rng.randint(1, 3)))]
+                if rng.random() < 0.2:
+                    mu[rng.randrange(len(mu))] += rng.choice([-1, 1])
+                hostile = rng.random() < 0.1
+                argv += ["--mu", rng.choice(self.HOSTILE) if hostile else self.monomial(rng, mu, True)]
+            if command == "toric-gb" and rng.random() < 0.5:
+                argv.append("--interreduce")
+            if command == "verify-buchberger" and rng.random() < 0.5:
+                argv.append("--rees")
+        if rng.random() < 0.4:
+            argv += ["--format", rng.choice(["json", "text", "text", "dot"])]
+        return argv
+
+    def test_every_exit_is_0_1_or_2(self, capsys):
+        rng = random.Random(20251019)
+        exits, crashes = {}, []
+        for _ in range(150):
+            argv = self.argv(rng)
+            code, _, err = run_cli(capsys, *argv)
+            exits.setdefault(argv[0], set()).add(code)
+            if code not in (0, 1, 2):
+                crashes.append((argv, code, err))
+        assert crashes == []
+        # Every command does real work at least once, and refuses at least once.
+        assert {command: {0, 2} <= codes for command, codes in exits.items()} == dict.fromkeys(
+            self.COMMANDS, True
+        )
 
 
 def checkout_env() -> dict:

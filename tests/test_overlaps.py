@@ -328,6 +328,7 @@ class TestClosedFormReducer:
         assert rules.quadratic
         for word in self.words(codes):
             assert rules.rewrite(word) == step_by_scan(pairs, word), word
+            assert rules.reducible(word) == (rules.rewrite(word) is not None), word
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
             if len(word) == 3:
                 # the overlap check takes every one of these as a reduct
@@ -375,8 +376,9 @@ class TestClosedFormReducer:
                 for word in words[i % 10 :: 10]:
                     assert rules.normal_form(word) == normal_form_by_scan(mutant, word), (i, word)
 
-    def test_other_lengths_take_the_generic_lookup(self, fig_table):
-        # Words of length 0, 1 and 4 fall outside the closed form.
+    def test_other_lengths_step_by_code_pairs(self, fig_table):
+        # Words of length 0, 1 and 4 fall outside the closed form and are
+        # looked up by their code pairs: none for 0 and 1, so they are normal.
         bases = [
             (self.toric_pairs(quadric_generators(fig_table).elements), range(len(fig_table.generators))),
             (

@@ -180,6 +180,21 @@ class TestReesGb:
                 for el in quadric_generators(table).elements
             )
 
+    def test_pairs_match_the_keyed_listing(self, square_table, fig_table):
+        # rees_gb reads the packed listing and its keys' low bits; the keyed
+        # view names each fiber by its image and t-degree instead.
+        for table in [square_table, fig_table] + suite_tables(cap=200):
+            syzygies, quadrics = [], []
+            for key, words in fibers(_configuration(table), 2).items():
+                if len(words) > 1:
+                    if key[-1] == 1:
+                        syzygies.extend(combinations(sorted(words), 2))
+                    else:
+                        assert key[-1] == 2
+                        quadrics.extend(combinations(words, 2))
+            syzygies.sort(key=lambda pair: sorted((pair[0][1], pair[1][1])))
+            assert rees_gb(table).pairs == tuple(syzygies + quadrics), table.generators
+
     def test_configuration_fibers_group_by_image_and_t_degree(self, square_table, fig_table):
         # Grouping every code word by brute force; the t coordinate keeps
         # x_a x_b, x_a Y_b and Y_a Y_b apart in Borel(b), of degree one.

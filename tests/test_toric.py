@@ -406,7 +406,8 @@ class TestLeadIndex:
 
     ``normal_form_by_scan`` scans the rules in order instead.  Both must give
     the same normal forms, also on bases that are not Groebner bases, where
-    the choice of rule shows in the result.
+    the choice of rule shows in the result, and ``_Rules.reducible`` must
+    find a lead in exactly the words that ``step_by_scan`` steps.
     """
 
     @pytest.fixture(scope="class")
@@ -419,6 +420,7 @@ class TestLeadIndex:
     def agree(pairs, words):
         rules = _Rules(pairs)
         for word in words:
+            assert rules.reducible(word) == (step_by_scan(pairs, word) is not None), word
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
 
     def test_drop_one_mutants_of_the_figure_quadrics(self, fig_table, fig_quadrics):
@@ -468,6 +470,43 @@ class TestLeadIndex:
             for word in some:
                 assert rules.rewrite(word) == step_by_scan(pairs, word), word
             self.agree(pairs, some[::every])
+
+    @staticmethod
+    def index(rules):
+        """What a rule index holds, with its position and key orders."""
+        return (
+            rules.leads,
+            rules.trails,
+            list(rules.by_lead.items()),
+            list(rules.alphabets.items()),
+            rules.quadratic,
+        )
+
+    @staticmethod
+    def added(pairs):
+        rules = _Rules()
+        for lead, trail in pairs:
+            rules.add(lead, trail)
+        return rules
+
+    def test_bulk_index_matches_adding_one_pair_at_a_time(self, completion):
+        bases = []
+        for table in suite_tables(cap=200):
+            bases.append([(el.lead, el.trail) for el in quadric_generators(table).elements])
+            bases.append([(el.lead, el.trail) for el in quadric_generators(table, True).elements])
+            bases.append(list(rees_gb(table).pairs))
+        assert any(len(pairs) > len(set(lead for lead, _ in pairs)) for pairs in bases)
+        bases += [
+            [],
+            [((1, 2), (0, 0, 0))],
+            [((1, 2), (0, 0, 0)), ((0, 3), (4, 4))],
+            [((0, 1, 2), (3, 3, 3)), ((1, 2), (0, 3)), ((0, 1, 2), (0, 3, 3))],
+            completion,
+            completion[::-1],
+        ]
+        for pairs in bases:
+            assert self.index(_Rules(pairs)) == self.index(self.added(pairs)), pairs
+        assert [_Rules(pairs).quadratic for pairs in bases[-6:]] == [False] * 6
 
     def test_a_lead_that_repeats_a_code_needs_it_twice(self):
         # Position 0 leads with c twice; a word holding c once must use the
