@@ -43,8 +43,10 @@ graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
 = Borel(M^i N^(t-i)) and then one peel per run of equal factors;
 :func:`build_fiber_graph` is the explicit oracle.  The
 peels after the first are the direct sink of the rest, so the sweep in
-``verify`` checks each standard word by its first peel (:func:`_peel`)
-against the word it accepted for the rest.
+``verify`` checks each standard word by one share test (:func:`_sink_plan`)
+and its first peel (:func:`_peel`) against the word it accepted for the
+rest; it sums packed suffix sums, so a word's sum unpacks to the suffix
+sums both read, and its length is t.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from math import comb
 from operator import le, neg, sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from borelfiber.monomials import Monomial, degree, format_monomial, sigma
+from borelfiber.monomials import Monomial, degree, format_monomial, from_sigma, sigma
 
 if TYPE_CHECKING:
     from borelfiber.borel import GeneratorTable
@@ -446,9 +448,13 @@ def _m_share_bounds(
     for s, m, n in zip(s_mu, s_m, s_n):
         need, step = s - t * n, m - n  # i * step >= need
         if step > 0:
-            lo = max(lo, -(-need // step))
+            bound = -(-need // step)
+            if bound > lo:
+                lo = bound
         elif step < 0:
-            hi = min(hi, need // step)
+            bound = need // step
+            if bound < hi:
+                hi = bound
         elif need > 0:
             return 1, 0
     return lo, hi
@@ -486,38 +492,30 @@ def _lex_last_sigma(bound: Sequence[int], rest: Sequence[int]) -> Optional[tuple
     taking every suffix sum at its largest gives the lex-latest such divisor.
     One of degree bound_0 exists exactly when c_0 = bound_0.
     """
-    sums = [0] * len(rest)
+    sums = []
     c = below = 0  # below = rest_{k+1}, so mu_k = rest_k - below
-    for k in range(len(rest) - 1, -1, -1):
-        r = rest[k]
-        c = min(bound[k], r - below + c)
+    for b, r in zip(reversed(bound), reversed(rest)):
+        c += r - below
+        if c > b:
+            c = b
         below = r
-        sums[k] = c
-    return tuple(sums) if c == bound[0] else None
+        sums.append(c)
+    return tuple(sums[::-1]) if c == bound[0] else None
 
 
-def _sink_plan(table: GeneratorTable, mu: Monomial) -> Optional[tuple[tuple[int, ...], int, int]]:
-    """sigma(mu), the t-degree t of mu and the largest share hi of M-factors.
+def _sink_plan(table: GeneratorTable, s_mu: tuple[int, ...], t: int) -> Optional[int]:
+    """The largest share hi of M-factors in the fiber of t-degree t at suffix sums s_mu.
 
-    None when the fiber of mu is empty: when d does not divide the degree of
-    mu, or when the interval lo..hi of :func:`_m_share_bounds` is.  The unit
-    monomial has t = hi = 0.  Raises ``ValueError`` on a table of more than
-    two roots and on a mu of another variable context.
+    None when that fiber is empty, that is when the interval lo..hi of
+    :func:`_m_share_bounds` is.  :func:`find_sink_direct` passes sigma(mu)
+    and t = deg(mu) / d.  The sweep in ``verify`` passes a standard word's
+    sum, summed as packed sigma and unpacked, and t = the word's length, so
+    it takes neither sigma nor a degree per word.  The table has one or two
+    roots; both callers refuse three before they call it.
     """
-    if len(table.roots) > 2:
-        raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
-    if len(mu) != table.context.n:
-        raise ValueError("mu lives in a different variable context")
-    s_mu = sigma(mu)
-    total = s_mu[0] if s_mu else 0
-    if not total:
-        return s_mu, 0, 0
-    if table.is_empty or total % table.degree:
-        return None
     s_m, s_n, _ = table._peel_sums
-    t = total // table.degree
     lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
-    return (s_mu, t, hi) if lo <= hi else None
+    return hi if lo <= hi else None
 
 
 def _peel(table: GeneratorTable, rest: tuple[int, ...], hi: int) -> tuple[int, tuple[int, ...]]:
@@ -528,7 +526,8 @@ def _peel(table: GeneratorTable, rest: tuple[int, ...], hi: int) -> tuple[int, t
     rest in Borel(M) while hi > 0, in Borel(N) after.  The peels after it
     are the direct sink of the rest, whose hi is max(hi - 1, 0) (the proof
     of :func:`find_sink_direct`), so the sweep in ``verify`` checks a word
-    by this one peel.
+    by this one peel, on the word's sum unpacked from packed sigma and the
+    hi of :func:`_sink_plan` at the word's length.
     """
     s_m, s_n, by_sums = table._peel_sums
     s_factor = _lex_last_sigma(s_m if hi else s_n, rest)
@@ -549,7 +548,9 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     phase or, if fewer, the largest j with f^j dividing the rest: the least
     e_k // phi_k over the k with phi_k > 0, e and phi the exponents of the
     rest and of f, read off their suffix sums.  So the peels cost O(n) per
-    run of equal factors, and listing the sink O(t).
+    run of equal factors, and listing the sink O(t).  Raises ``ValueError``
+    on a table of more than two roots and on a mu of another variable
+    context.
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -566,15 +567,24 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     shrinks it never is again.  So f is peeled exactly while f^(j+1)
     divides the rest, j the peels of f so far, and the phase lasts.
     """
-    plan = _sink_plan(table, mu)
-    if plan is None:
+    if len(table.roots) > 2:
+        raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
+    if len(mu) != table.context.n:
+        raise ValueError("mu lives in a different variable context")
+    rest = sigma(mu)
+    total = rest[0] if rest else 0
+    if not total:
+        return ()
+    if table.is_empty or total % table.degree:
         return None
-    rest, t, hi = plan
+    t = total // table.degree
+    hi = _sink_plan(table, rest, t)
+    if hi is None:
+        return None
     counts: Counter = Counter()
     while t:
         index, s_factor = _peel(table, rest, hi)
-        exponents = map(sub, rest, rest[1:] + (0,))
-        phi = map(sub, s_factor, s_factor[1:] + (0,))
+        exponents, phi = from_sigma(rest), from_sigma(s_factor)
         q = min(hi or t, *[e // f for e, f in zip(exponents, phi) if f])
         counts[index] += q
         rest = tuple(r - q * f for r, f in zip(rest, s_factor))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 Monomial = tuple[int, ...]
 
@@ -87,6 +88,14 @@ def sigma(m: Monomial) -> tuple[int, ...]:
     entries differ exactly when the variable at the first position divides m.
     """
     return tuple(accumulate(reversed(m)))[::-1]
+
+
+def from_sigma(sums: tuple[int, ...]) -> Monomial:
+    """The monomial whose cumulative exponent vector is ``sums``: sigma's inverse.
+
+    Exponent i is sums_i - sums_{i+1}, the last exponent the last sum.
+    """
+    return tuple(map(sub, sums, sums[1:] + (0,)))
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

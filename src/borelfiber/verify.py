@@ -22,7 +22,7 @@ from borelfiber.fiber import (
     find_sink_direct,
     sinks,
 )
-from borelfiber.monomials import Monomial, format_monomial
+from borelfiber.monomials import Monomial, format_monomial, from_sigma, sigma
 
 
 def check_unique_sink(table: GeneratorTable, mu: Monomial) -> list[str]:
@@ -86,19 +86,26 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
        sink key; a row that fails gets a violation line of its own.
     2. A pair with a nonempty row is a lead, so the standard words are the
        points without a later move (``fiber._later_moves``): the sinks.
-    3. Standard words are scanned up to ``max_tdeg`` codes.
+    3. Standard words are scanned up to ``max_tdeg`` codes.  The scan sums
+       the generators' suffix sums, packed (``fiber._pack``): sigma is
+       linear and injective, so a word's sum is sigma(mu) of its
+       multidegree mu, packed, one integer per multidegree, and unpacked it
+       is the suffix sums that the direct sink reads.
     4. A standard word that is not ``find_sink_direct`` of its sum marks
        its multidegree.  Of two that share a sum at most one is the direct
        sink, so a shared sum is marked too.  Each level keeps its accepted
        words, {sum: (word, hi)}, the level before the first holding the
-       empty word at sum 0 with hi 0.  A word whose first peel
-       (``fiber._peel``) takes f1 at share hi (``fiber._sink_plan``; none
-       when the fiber is empty, which marks the word) is accepted when the
-       entry at its sum less f1's has hi max(hi - 1, 0) and, with f1
-       inserted, equals the word; otherwise it is held to
-       ``find_sink_direct`` itself.  The entry is the direct sink of the
-       rest at the share the peels go on with, so this is the direct sink's
-       own loop, and a clean sweep calls ``find_sink_direct`` not once.
+       empty word at sum 0 with hi 0.  A word of length t makes one share
+       test (``fiber._sink_plan`` on its unpacked sum and t; none when the
+       fiber is empty, which marks the word) and one peel (``fiber._peel``),
+       which takes f1 at share hi.  It is accepted when the entry at its
+       sum less f1's has hi max(hi - 1, 0) and, with f1 inserted, equals
+       the word; otherwise it is held to ``find_sink_direct`` itself.  The
+       entry is the direct sink of the rest at the share the peels go on
+       with, so this is the direct sink's own loop, and a clean sweep calls
+       ``find_sink_direct`` not once.  mu is read back from its suffix sums
+       only for a word held to ``find_sink_direct`` or marked, and for a
+       row that fails step 1.
 
     Proof.  Step 1 makes every move keep the sum and go forward, so every
     fiber's last point is standard.  With no sum shared, that point is the
@@ -107,42 +114,46 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
     nonempty fibers.  Each marked multidegree, in (degree, mu) order, gets
     its lines from :func:`check_unique_sink`, the only place a sweep
     enumerates a fiber or builds a graph; one it finds no fault in raises
-    ``RuntimeError``.  ``jobs`` other than 1 raises ``ValueError``.
+    ``RuntimeError``.  ``jobs`` other than 1 raises ``ValueError``, and so
+    does a table of more than two roots, which the direct sink refuses.
     """
     if jobs != 1:
         raise ValueError(f"sweeps no longer run in a process pool, so jobs must be 1, got {jobs}")
     if max_tdeg < 1:
         raise ValueError("the degree bound must be at least 1")
+    if len(table.roots) > 2:
+        raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
     later, context = table.later_pairs, table.context
-    packed, width = _pack(table.generators, max(max_tdeg, 2))
+    packed, width = _pack([sigma(g) for g in table.generators], max(max_tdeg, 2))
     violations = []
     for p, row in later.items():
         total, key = sum(map(packed.__getitem__, p)), fiber_sink_key(p)
         for q in row:
             if sum(map(packed.__getitem__, q)) != total or fiber_sink_key(q) >= key:
-                label = format_monomial(_unpack([total], width, context.n)[0], context)
+                mu = from_sigma(_unpack([total], width, context.n)[0])
+                label = format_monomial(mu, context)
                 violations.append(f"{label}: row {p} lists {q}, not a later point of its fiber")
     partners = _partners([p for p, row in later.items() if row], len(packed))
-    checked, marked, accepted = 0, {}, {0: ((), 0)}
+    checked, marked, accepted = 0, set(), {0: ((), 0)}
     for length, level in enumerate(_standard_levels(partners, packed, max_tdeg), 1):
         totals = [total for _, total, _ in level]
         checked += len(set(totals))
         shorter, accepted = accepted, {}
-        for (word, total, _), mu in zip(level, _unpack(totals, width, context.n)):
-            plan = _sink_plan(table, mu)
-            if plan is None:
-                marked[length, total] = mu
+        for (word, total, _), s_mu in zip(level, _unpack(totals, width, context.n)):
+            hi = _sink_plan(table, s_mu, length)
+            if hi is None:
+                marked.add((length, from_sigma(s_mu)))
                 continue
-            s_mu, _, hi = plan
             f1, _ = _peel(table, s_mu, hi)
             rest, rest_hi = shorter.get(total - packed[f1], ((), -1))
             at = bisect_right(rest, f1)
             one_peel = rest_hi == max(hi - 1, 0) and rest[:at] + (f1,) + rest[at:] == word
-            if one_peel or find_sink_direct(table, mu) == word:
+            if one_peel or find_sink_direct(table, from_sigma(s_mu)) == word:
                 accepted[total] = word, hi
             else:
-                marked[length, total] = mu
-    for _, mu in sorted(marked.items()):
+                marked.add((length, from_sigma(s_mu)))
+    # Packed sigma does not sort as mu does, so the marks are sorted by mu.
+    for _, mu in sorted(marked):
         found = check_unique_sink(table, mu)
         if not found:
             raise RuntimeError(f"the scan marks {mu}, but its fiber has no fault")

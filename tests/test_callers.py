@@ -18,8 +18,9 @@ fiber.  Besides them, ``toric._checked_rules``, the one check of a basis,
 packs its configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
 ``toric._check_overlaps``, which only unpacks a failure's name.  The
-unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators for
-its standard words' sums and unpacks those sums into multidegrees.
+unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators'
+suffix sums for its standard words' sums and unpacks those sums into the
+suffix sums of the words' multidegrees.
 
 A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial and reads
 the fiber listing packed (``fiber._fiber_groups``, the t-degree in each
@@ -34,7 +35,8 @@ so a new reach into another module's internals fails a list here.  The
 unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
 ``fiber.build_fiber_graph`` builds and imports neither ``_later_moves`` nor
 ``_fiber_in_sink_order``; the sweep takes the first step of the direct sink
-per standard word, ``fiber._sink_plan`` and ``fiber._peel``.
+per standard word, on the word's unpacked suffix sums and its length: one
+share test (``fiber._sink_plan``) and one peel (``fiber._peel``).
 
 The oracles stay independent of the fast paths they check: the scan of
 standard words (``fiber._standard_levels``) serves only the sweep and the

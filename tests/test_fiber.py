@@ -3,8 +3,10 @@ import re
 import pytest
 
 from borelfiber import fiber
-from borelfiber.borel import build_table, build_two_borel
+from borelfiber.borel import build_table, build_two_borel, expand_principal
 from borelfiber.fiber import (
+    _lex_last_sigma,
+    _m_share_bounds,
     _pack,
     _partners,
     _standard_levels,
@@ -21,7 +23,7 @@ from borelfiber.fiber import (
     vertex_label,
 )
 from borelfiber.instances import random_tables, suite_tables
-from borelfiber.monomials import multiply
+from borelfiber.monomials import multiply, sigma
 from borelfiber.rees import _configuration
 
 from helpers import (
@@ -470,6 +472,14 @@ class TestFindSinkDirect:
         assert find_sink_direct(fig_table, (0, 0, 7)) is None
         assert find_sink_direct(fig_table, (3, 9, 1)) is None
 
+    def test_refusals(self, fig_table):
+        table = build_table(monos("a^3c^3", "b^6", "a^2b^2c^2"))
+        for mu in [(0, 0, 0), (6, 6, 6)]:
+            with pytest.raises(ValueError, match="^the direct sink algorithm needs a two-Borel"):
+                find_sink_direct(table, mu)
+        with pytest.raises(ValueError, match="^mu lives in a different variable context$"):
+            find_sink_direct(fig_table, (0, 0))
+
     @pytest.mark.parametrize("mu", [(5, 0), (2, 0, 3, 0)], ids=["short", "long"])
     def test_mu_of_another_length_rejected(self, fig_table, mu):
         # The same refusal as the enumeration's, not a lookup error.
@@ -531,6 +541,40 @@ class TestFindSinkDirect:
                 assert got is None
             else:
                 assert [got] == sinks(g)
+
+
+def peel_helper_tables():
+    return [build_two_borel(mono("a^2c^3"), mono("b^4c"))] + suite_tables(cap=200)[::20]
+
+
+@pytest.mark.parametrize("table", peel_helper_tables(), ids=lambda table: str(table.roots))
+class TestPeelHelpers:
+    """The share interval and the lex-last divisor, on every mu of t-degree 0..3,
+    against oracles that call neither helper."""
+
+    def test_share_bounds_are_the_brute_force_interval(self, table):
+        s_m, s_n = sigma(table.roots[0]), sigma(table.roots[-1])
+        for t in range(4):
+            for mu in all_monomials(table.context.n, t * table.degree):
+                s_mu = sigma(mu)
+                shares = [
+                    i
+                    for i in range(t + 1)
+                    if all(s <= i * m + (t - i) * n for s, m, n in zip(s_mu, s_m, s_n))
+                ]
+                lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
+                assert list(range(lo, hi + 1)) == shares, (t, mu)
+
+    def test_lex_last_sigma_is_the_lex_last_divisor(self, table):
+        # The larger exponent tuple is the lex-earlier monomial, so the
+        # lex-last divisor is the least one.
+        for root in table.roots:
+            block = expand_principal(root)
+            for t in range(4):
+                for mu in all_monomials(table.context.n, t * table.degree):
+                    divisors = [g for g in block if all(a <= b for a, b in zip(g, mu))]
+                    expected = sigma(min(divisors)) if divisors else None
+                    assert _lex_last_sigma(sigma(root), sigma(mu)) == expected, (root, mu)
 
 
 class TestDotAndJson:

@@ -6,6 +6,7 @@ from borelfiber.monomials import (
     VariableContext,
     degree,
     format_monomial,
+    from_sigma,
     multiply,
     parse_monomial,
     sigma,
@@ -63,6 +64,13 @@ class TestSigma:
         # consecutive entries differ exactly when the variable divides m
         for i in range(len(m) - 1):
             assert (s[i] != s[i + 1]) == (m[i] > 0)
+
+    def test_from_sigma_inverts_sigma(self):
+        assert from_sigma((6, 4, 4, 3, 1)) == (2, 0, 1, 2, 1)
+        assert from_sigma(()) == ()
+        for d in range(4):
+            for m in all_monomials(4, d):
+                assert from_sigma(sigma(m)) == m
 
 
 class TestMoves:

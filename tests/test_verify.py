@@ -9,23 +9,41 @@ list; the CLI must then exit 1.  A control that reorders a fiber's points
 swaps in its own ``fiber._fiber_in_sink_order``, the graph's one source of
 vertices.  A row entry outside its pair's fiber is reported as a move out
 of the fiber, not a lookup error.  The sweep scans standard words, accepts
-each by one peel onto the direct sink of a shorter accepted word, and hands
-only the multidegrees that fail the scan to the check.
+each by one share test and one peel onto the direct sink of a shorter
+accepted word, on the suffix sums its packed sum carries, and hands only the
+multidegrees that fail the scan to the check; it refuses a table of three
+roots before the scan.
 """
+
+import sys
 
 import pytest
 
-from borelfiber import cli, fiber, verify
-from borelfiber.borel import GeneratorTable, build_two_borel
+from borelfiber import cli, fiber, monomials, verify
+from borelfiber.borel import GeneratorTable, build_table, build_two_borel
 from borelfiber.fiber import build_fiber_graph, fibers
 from borelfiber.instances import random_tables, suite_tables
-from borelfiber.monomials import format_monomial, sigma
+from borelfiber.monomials import VariableContext, format_monomial, sigma
 
 from helpers import marks_by_direct_sink, mono, unique_sink_by_graph, with_cached
 
 FIG_MU = (3, 9, 3)
 # A fiber of t-degree 2 with three points, small enough to give its moves by hand.
 PAIR_MU = (2, 6, 2)
+# The figure multidegrees of t-degree up to 3 whose direct sink goes wrong
+# once sigma(M) and sigma(N) trade places, in (degree, mu) order.
+SWAPPED_ROOTS_MARKS = """
+a^2b^5c^3 a^2b^6c^2 a^2b^7c a^3b^4c^3 a^3b^5c^2 a^3b^6c a^3b^7 a^4b^3c^3 a^4b^4c^2 a^4b^5c
+a^4b^6 a^5b^2c^3 a^5b^3c^2 a^5b^4c a^5b^5 a^6bc^3 a^6b^2c^2 a^6b^3c a^6b^4 a^7c^3 a^7bc^2
+a^8c^2 a^2b^9c^4 a^2b^10c^3 a^2b^11c^2 a^2b^12c a^3b^8c^4 a^3b^9c^3 a^3b^10c^2 a^3b^11c
+a^3b^12 a^4b^5c^6 a^4b^6c^5 a^4b^7c^4 a^4b^8c^3 a^4b^9c^2 a^4b^10c a^4b^11 a^5b^4c^6
+a^5b^5c^5 a^5b^6c^4 a^5b^7c^3 a^5b^8c^2 a^5b^9c a^5b^10 a^6b^3c^6 a^6b^4c^5 a^6b^5c^4
+a^6b^6c^3 a^6b^7c^2 a^6b^8c a^6b^9 a^7b^2c^6 a^7b^3c^5 a^7b^4c^4 a^7b^5c^3 a^7b^6c^2
+a^7b^7c a^7b^8 a^8bc^6 a^8b^2c^5 a^8b^3c^4 a^8b^4c^3 a^8b^5c^2 a^8b^6c a^8b^7 a^9c^6
+a^9bc^5 a^9b^2c^4 a^9b^3c^3 a^9b^4c^2 a^9b^5c a^9b^6 a^10c^5 a^10bc^4 a^10b^2c^3 a^10b^3c^2
+a^10b^4c a^10b^5 a^11c^4 a^11bc^3 a^11b^2c^2 a^11b^3c a^11b^4 a^12c^3 a^12bc^2 a^13c^2
+""".split()
+TWO_ROOTS_ONLY = "the direct sink algorithm needs a two-Borel or principal table"
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +172,19 @@ class TestNegativeControls:
             f"{fig_label}: direct sink disagrees with the graph sink"
         ]
 
+    def test_swapped_share_bounds(self, fig_table):
+        # sigma(M) and sigma(N) trade places: the share test and every peel
+        # read the wrong root, and each fiber whose direct sink then differs
+        # from its graph sink is reported, in (degree, mu) order.
+        s_m, s_n, by_sums = fig_table._peel_sums
+        corrupt = with_cached(fig_table, _peel_sums=(s_n, s_m, by_sums))
+        report = verify.sweep_unique_sinks(corrupt, 3)
+        assert report.status == "FAIL" and report.multidegrees_checked == 149
+        assert len(SWAPPED_ROOTS_MARKS) == 87 and SWAPPED_ROOTS_MARKS[0] == "a^2b^5c^3"
+        assert report.violations == tuple(
+            f"{label}: direct sink disagrees with the graph sink" for label in SWAPPED_ROOTS_MARKS
+        )
+
     def test_sweep_reports_every_corrupted_fiber(self):
         table = with_cached(build_two_borel(mono("ac"), mono("b^2")), later_pairs={})
         report = verify.sweep_unique_sinks(table, 2)
@@ -236,6 +267,27 @@ class TestFastPath:
                 assert checked == marks_by_direct_sink(table, max_tdeg) == []
                 assert report.ok and direct_calls == []
 
+    def test_a_clean_sweep_takes_sigma_once_per_generator(self, monkeypatch, checked, direct_calls):
+        # Reading the table's peel sums takes sigma of each generator and
+        # root once; they are read first, so the count is the sweep's own.
+        # The words' suffix sums are packed sums, so no word takes sigma.
+        table = build_two_borel(mono("a^2c^3"), mono("b^4c"))
+        table._peel_sums
+        calls, original = [], monomials.sigma
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "borelfiber" and getattr(module, "sigma", None) is original:
+                monkeypatch.setattr(module, "sigma", counted)
+        assert fiber.sigma is counted
+        report = verify.sweep_unique_sinks(table, 3)
+        assert report.ok and report.multidegrees_checked == 149
+        assert len(calls) <= len(table.generators) + 2
+        assert checked == direct_calls == []
+
     def test_one_corrupted_fiber_builds_one_graph(self, fig_table, pair_points, graph_calls):
         # Without its row the first point of PAIR_MU's fiber is a second
         # standard word there; at t <= 2 no other fiber holds that pair.
@@ -265,6 +317,35 @@ class TestFastPath:
             f"{label}: direct sink disagrees with the graph sink" for label in labels
         )
         assert report.multidegrees_checked == len(fibers(fig_table.generators, 3))
+
+
+class TestRefusals:
+    def test_a_three_root_table_is_refused(self, monkeypatch):
+        # Refused once, before the scan: no word reaches the direct sink.
+        def direct(table, mu):
+            pytest.fail(f"the sweep computed the direct sink of {mu}")
+
+        monkeypatch.setattr(verify, "find_sink_direct", direct)
+        table = build_table([(3, 0, 3), (0, 6, 0), (2, 2, 2)])
+        with pytest.raises(ValueError) as refused:
+            verify.sweep_unique_sinks(table, 2)
+        assert str(refused.value) == TWO_ROOTS_ONLY
+
+    def test_the_cli_exits_two_on_a_three_root_ideal(self, capsys):
+        code = cli.main(
+            ["verify-unique-sinks", "--ideal", "{a^3c^3,b^6,a^2b^2c^2}", "--bound", "2"]
+        )
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert (out, err) == ("", f"error: {TWO_ROOTS_ONLY}\n")
+
+    def test_a_table_with_no_generators_passes(self):
+        empty = GeneratorTable(
+            context=VariableContext.default(3), degree=2, roots=(), generators=(), tags=()
+        )
+        report = verify.sweep_unique_sinks(empty, 3)
+        assert report.status == "PASS" and report.multidegrees_checked == 0
+        assert report.violations == ()
 
 
 def test_an_empty_fiber_has_no_violation(fig_table):
