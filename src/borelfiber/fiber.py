@@ -81,6 +81,17 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     return (len(point), tuple(map(neg, point[::-1])))
 
 
+def fiber_sink_ranks(points: Sequence[FiberPoint], size: int) -> list[int]:
+    """:func:`fiber_sink_key` of each two-code point as one integer: (a, b) ranks b * size + a.
+
+    The codes must lie in ``range(size)``.  Then the smaller rank is the
+    larger key, the earlier point.  Proof: the key of (a, b) is
+    (2, (-b, -a)), larger for the smaller b and then for the smaller a,
+    and as 0 <= a < size that is the smaller b * size + a.
+    """
+    return [b * size + a for a, b in points]
+
+
 def _pack(vectors: Sequence[Monomial], length: int) -> tuple[list[int], int]:
     """Each vector as one non-negative integer, and the bits of one coordinate.
 

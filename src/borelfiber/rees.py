@@ -81,6 +81,20 @@ def _word_key(word: tuple[int, ...], n: int) -> tuple:
     return tuple(map(neg, word[: (split := bisect_left(word, n))])), fiber_sink_key(word[split:])
 
 
+def _word_ranks(words: list[tuple[int, ...]], size: int, n: int) -> list[int]:
+    """:func:`_word_key` of each two-code word as one integer, the smaller rank the larger key.
+
+    The codes must lie in ``range(size)``.  A word (a, b) ranks a * size + b
+    when a is an x code (a < n), and b * size + a otherwise.  Proof: an x
+    part outranks an empty one, and x words rank below n * size <= every Y
+    word's rank.  Two x words first compare by -a, the smaller a winning;
+    with equal a the smaller b wins, since an x code b gives the longer x
+    part and otherwise both parts compare on -b.  Two Y words compare by
+    their sink keys, as ``fiber.fiber_sink_ranks`` ranks them.
+    """
+    return [a * size + b if a < n else b * size + a for a, b in words]
+
+
 def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
     """Return ``m``'s code word; raise ``ValueError`` unless ``m`` is a monomial over ``table``.
 
@@ -130,7 +144,9 @@ class ReesBasis:
         def key(word: tuple[int, ...]) -> tuple:
             return _word_key(word, n)
 
-        return _checked_rules(self, self.pairs, key, _configuration(self.table))
+        return _checked_rules(
+            self, self.pairs, key, partial(_word_ranks, n=n), _configuration(self.table)
+        )
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:

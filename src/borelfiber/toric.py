@@ -21,8 +21,13 @@ tuples of integer codes.  A basis's :class:`_Rules`, the one reduction
 engine, is built only by :func:`_checked_rules`, the one check of words,
 marking and homogeneity, so :func:`normal_form`, ``rees.rees_normal_form``
 and both verifiers refuse a malformed basis alike and never reduce by a
-rule that fails to end.  The check runs in bulk, over the distinct words,
-and the index of a checked basis is built in one pass over its pairs.  The
+rule that fails to end.  Every basis built here holds words of two codes,
+and those are checked by columns: one flat code list for the types, the
+range and the order, one packed sum and one integer rank per word, which
+orders two-code words as the side's marking key does
+(``fiber.fiber_sink_ranks`` on the toric side, ``rees._word_ranks`` on the
+Rees side).  Any other basis is checked in bulk over its distinct words,
+and either way the index is built in one pass over the pairs.  The
 lead index ``by_lead`` is the one place that says which rules carry a lead:
 the rewriter looks up a word's sub-multisets there, :func:`brute_force_gb`
 grows it one rule at a time and asks it only whether a word holds a lead
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations, repeat, starmap
 from math import comb
-from operator import eq, gt
+from operator import eq, gt, le, lt
 from typing import Callable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
@@ -74,6 +79,7 @@ from borelfiber.fiber import (
     _unpack,
     enumerate_fiber,
     fiber_sink_key,
+    fiber_sink_ranks,
     point_factors,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
@@ -113,7 +119,8 @@ class _Rules:
 
     ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
     :meth:`add` would one pair at a time: positions ascending, leads in order
-    of first occurrence, one alphabet update per distinct lead.
+    of first occurrence, each lead size's alphabet taken once over its
+    distinct leads, the sizes in order of first occurrence.
     """
 
     def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
@@ -122,9 +129,10 @@ class _Rules:
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         for pos, lead in enumerate(self.leads):
             self.by_lead.setdefault(lead, []).append(pos)
-        self.alphabets: dict[int, set[int]] = {}
-        for lead in self.by_lead:
-            self.alphabets.setdefault(len(lead), set()).update(lead)
+        self.alphabets: dict[int, set[int]] = {
+            size: set(chain.from_iterable(lead for lead in self.by_lead if len(lead) == size))
+            for size in dict.fromkeys(map(len, self.by_lead))
+        }
         self.quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -235,7 +243,9 @@ class MarkedBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _checked_rules(self, self.elements, fiber_sink_key, self.table.generators)
+        return _checked_rules(
+            self, self.elements, fiber_sink_key, fiber_sink_ranks, self.table.generators
+        )
 
 
 def _check_ints(value, what: str) -> None:
@@ -253,65 +263,92 @@ def _check_point(point: FiberPoint, size: int, what: str = "a point") -> None:
         raise ValueError(f"{what} must be in range({size}): {point}")
 
 
-def _well_formed(words: list, size: int) -> set | None:
-    """:func:`_check_point` in bulk: the distinct words, or None unless every word passes.
+def _well_formed(words: list, size: int) -> set[int] | None:
+    """:func:`_check_point` in bulk: the words' lengths, or None unless every word passes.
 
-    The types come first, so the words are hashed only once they are tuples of ints.
+    The types come first, so the words are hashed only once they are tuples
+    of ints.  Words that all have two codes are checked by columns and never
+    hashed: flattened, each word's first code sits at an even position and
+    its second next, so their order is one comparison of the two columns.
     """
     if not {tuple} >= set(map(type, words)):
         return None
     codes = list(chain.from_iterable(words))
     if not {int} >= set(map(type, codes)) or (codes and not 0 <= min(codes) <= max(codes) < size):
         return None
-    distinct = set(words)
-    return distinct if all(map(eq, distinct, map(tuple, map(sorted, distinct)))) else None
+    lengths = set(map(len, words))
+    if lengths == {2}:
+        ascending = all(map(le, codes[0::2], codes[1::2]))
+    else:
+        distinct = set(words)
+        ascending = all(map(eq, distinct, map(tuple, map(sorted, distinct))))
+    return lengths if ascending else None
 
 
-def _checked_rules(basis, pairs, key: Callable, vectors: Sequence[Monomial]) -> _Rules:
+def _checked_rules(
+    basis, pairs, key: Callable, ranks: Callable, vectors: Sequence[Monomial]
+) -> _Rules:
     """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
 
-    Both sides call it, with their configuration ``vectors`` and word
-    ``key``; the index keeps ``vectors`` packed for sums of three codes or
-    of the longest word.  Raises ``ValueError`` on an element that is not a
-    (lead, trail) tuple of two, then on a word that :func:`_check_point`
-    refuses, then unless every lead has a larger ``key`` than its trail and
-    the same length and configuration sum: a binomial that is not
-    homogeneous is not in the ideal.  So every rewrite ends and keeps its
-    word's fiber.  The words are checked in bulk (:func:`_well_formed`), each
-    distinct word's key and packed sum taken once, and the index is built in
-    one pass (:class:`_Rules`); only a failure walks the elements in order,
-    to name the first, a malformed word before any marking.
+    Both sides call it, with their configuration ``vectors``, word ``key``
+    and two-code ``ranks``; the index keeps ``vectors`` packed for sums of
+    three codes or of the longest word.  Raises ``ValueError`` on an element
+    that is not a (lead, trail) tuple of two, then on a word that
+    :func:`_check_point` refuses, then unless every lead has a larger
+    ``key`` than its trail and the same length and configuration sum: a
+    binomial that is not homogeneous is not in the ideal.  So every rewrite
+    ends and keeps its word's fiber.  The words are checked in bulk
+    (:func:`_well_formed`) and the index is built in one pass
+    (:class:`_Rules`).
+
+    Every basis built here holds words of two codes, and those are checked
+    by columns: each word's packed sum is two lookups and one add, and its
+    key is one integer, ``ranks(words, len(vectors))``, the smaller rank
+    the larger key, so a lead must have the smaller rank
+    (``fiber.fiber_sink_ranks``, ``rees._word_ranks``).  Any other basis,
+    and one that fails a column test, is checked word by word, each
+    distinct word's key and packed sum taken once; only a failure walks the
+    elements in order, to name the first, a malformed word before any
+    marking.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
         for pos, pair in enumerate(pairs):
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
-    words = _well_formed(list(chain.from_iterable(pairs)), len(vectors))
-    if words is None:  # some word fails, so this raises
+    words, count = list(chain.from_iterable(pairs)), len(vectors)
+    sizes = _well_formed(words, count)
+    if sizes is None:  # some word fails, so this raises
         for pos, (lead, trail) in enumerate(pairs):
-            _check_point(lead, len(vectors), f"the lead of element {pos}")
-            _check_point(trail, len(vectors), f"the trail of element {pos}")
+            _check_point(lead, count, f"the lead of element {pos}")
+            _check_point(trail, count, f"the trail of element {pos}")
     rules = _Rules(pairs)
     leads, trails = rules.leads, rules.trails
-    packed, width = _pack(vectors, max([3, *map(len, words)]))
-    key_of = dict(zip(words, map(key, words)))
-    sum_of = {word: sum(map(packed.__getitem__, word)) for word in words}
-    marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
-    lengths = list(map(len, leads)) == list(map(len, trails))
-    sums = list(map(sum_of.__getitem__, leads)) == list(map(sum_of.__getitem__, trails))
-    if not (marked and lengths and sums):
-        for pos, (lead, trail, el) in enumerate(zip(leads, trails, basis.elements)):
-            if key_of[lead] <= key_of[trail]:
-                raise ValueError(
-                    f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
-                )
-            if len(lead) != len(trail) or sum_of[lead] != sum_of[trail]:
-                what = "degree" if len(lead) != len(trail) else "multidegree"
-                raise ValueError(
-                    f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
-                    f"differ in {what}"
-                )
+    packed, width = _pack(vectors, max([3, *sizes]))
+    checked = sizes == {2}
+    if checked:
+        totals = [packed[a] + packed[b] for a, b in words]
+        ranked = ranks(words, count)
+        checked = totals[0::2] == totals[1::2] and all(map(lt, ranked[0::2], ranked[1::2]))
+    if not checked:
+        distinct = set(words)
+        key_of = dict(zip(distinct, map(key, distinct)))
+        sum_of = {word: sum(map(packed.__getitem__, word)) for word in distinct}
+        marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
+        lengths = list(map(len, leads)) == list(map(len, trails))
+        sums = list(map(sum_of.__getitem__, leads)) == list(map(sum_of.__getitem__, trails))
+        if not (marked and lengths and sums):
+            for pos, (lead, trail, el) in enumerate(zip(leads, trails, basis.elements)):
+                if key_of[lead] <= key_of[trail]:
+                    raise ValueError(
+                        f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
+                    )
+                if len(lead) != len(trail) or sum_of[lead] != sum_of[trail]:
+                    what = "degree" if len(lead) != len(trail) else "multidegree"
+                    raise ValueError(
+                        f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
+                        f"differ in {what}"
+                    )
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
     return rules

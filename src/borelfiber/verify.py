@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
@@ -18,7 +19,7 @@ from borelfiber.fiber import (
     _standard_levels,
     _unpack,
     build_fiber_graph,
-    fiber_sink_key,
+    fiber_sink_ranks,
     find_sink_direct,
     sinks,
 )
@@ -83,7 +84,9 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
     """Check every nonempty fiber of t-degree 1..max_tdeg, in four steps.
 
     1. Every entry q of a row ``later_pairs[p]`` has p's sum and a smaller
-       sink key; a row that fails gets a violation line of its own.
+       sink key; a row that fails gets a violation line of its own.  Rows
+       hold pairs, so each sum is two packed codes added and each key one
+       integer (``fiber.fiber_sink_ranks``), taken by columns.
     2. A pair with a nonempty row is a lead, so the standard words are the
        points without a later move (``fiber._later_moves``): the sinks.
     3. Standard words are scanned up to ``max_tdeg`` codes.  The scan sums
@@ -125,11 +128,16 @@ def sweep_unique_sinks(table: GeneratorTable, max_tdeg: int, jobs: int = 1) -> S
         raise ValueError("the direct sink algorithm needs a two-Borel or principal table")
     later, context = table.later_pairs, table.context
     packed, width = _pack([sigma(g) for g in table.generators], max(max_tdeg, 2))
-    violations = []
-    for p, row in later.items():
-        total, key = sum(map(packed.__getitem__, p)), fiber_sink_key(p)
-        for q in row:
-            if sum(map(packed.__getitem__, q)) != total or fiber_sink_key(q) >= key:
+    violations, size = [], len(packed)
+    entries = list(chain.from_iterable(later.values()))
+    # The rows' entries as columns; zip takes from a row first, so it stops
+    # at the row's end without taking from the columns.
+    ranks = iter(fiber_sink_ranks(entries, size))
+    sums = iter([packed[c] + packed[d] for c, d in entries])
+    for (p, row), rank in zip(later.items(), fiber_sink_ranks(later, size)):
+        total = packed[p[0]] + packed[p[1]]
+        for q, q_rank, q_sum in zip(row, ranks, sums):
+            if q_sum != total or q_rank <= rank:
                 mu = from_sigma(_unpack([total], width, context.n)[0])
                 label = format_monomial(mu, context)
                 violations.append(f"{label}: row {p} lists {q}, not a later point of its fiber")
