@@ -40,7 +40,9 @@ counted before it is built, and refused above ``MAX_BASIS_ELEMENTS``
 While every rule is quadratic, the rewriter steps the words the overlap
 check reduces, of two or three codes, in closed form, and a longer word by
 looking up its code pairs (:meth:`_Rules.rewrite`).  The completion oracle
-reduces only the fibers that hold two normal words (:func:`brute_force_gb`).
+tests those words for a lead in closed form too (:meth:`_Rules.reducible`),
+reduces only the fibers that hold two normal words, and marks each new rule
+by comparing its reversed words, not their sink keys (:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -192,13 +194,26 @@ class _Rules:
     def reducible(self, word: tuple[int, ...]) -> bool:
         """Whether ``word`` contains a lead: :meth:`rewrite` without building the reduct.
 
-        Looks up the sub-multisets that :meth:`rewrite` looks up, its code
-        pairs while every rule is quadratic and otherwise its combinations in
-        each lead size's alphabet, and stops at the first one in ``by_lead``.
-        This is how :func:`brute_force_gb` finds a fiber's normal words.
+        While every rule is quadratic it answers in closed form, as
+        :meth:`rewrite` steps: a word of two codes contains a lead only by
+        being one, and a word (x, y, z) exactly when (y, z), (x, z) or (x, y)
+        is one.  Otherwise it looks up the sub-multisets that :meth:`rewrite`
+        looks up, the code pairs of a longer word while every rule is
+        quadratic and else its combinations in each lead size's alphabet, and
+        stops at the first one in ``by_lead``.  This is how
+        :func:`brute_force_gb` finds a fiber's normal words.
         """
-        candidates = combinations(word, 2) if self.quadratic else self._alphabet_words(word)
-        return any(map(self.by_lead.__contains__, candidates))
+        by_lead = self.by_lead
+        if self.quadratic:
+            if len(word) == 2:
+                return word in by_lead
+            if len(word) == 3:
+                x, y, z = word
+                return (y, z) in by_lead or (x, z) in by_lead or (x, y) in by_lead
+            candidates = combinations(word, 2)
+        else:
+            candidates = self._alphabet_words(word)
+        return any(map(by_lead.__contains__, candidates))
 
     def _alphabet_words(self, word: tuple[int, ...]):
         """Yield the sub-multisets of ``word`` that can be a lead of any size, with repeats.
@@ -635,12 +650,14 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     points of one fiber, and its lead comes earlier in the sink order than
     its trail.  So a step keeps a word's fiber, and every normal form of a
     point is a normal word of the point's own fiber: a point w for which
-    ``rules.reducible(w)`` is False.  The fiber's last point is always normal:
-    a lead dividing it would rewrite it to a later point of its fiber, and
-    there is none, as the sink order is a monomial order.  So a fiber whose
-    other points all rewrite holds one normal word, every point's normal
-    form is that word, and its star adds nothing; the walk moves on as soon
-    as it finds one more normal word, and only then reduces the star.
+    ``rules.reducible(w)`` is False, answered in closed form for words of
+    two and three codes while every rule is quadratic.  The fiber's last
+    point is always normal: a lead dividing it would rewrite it to a later
+    point of its fiber, and there is none, as the sink order is a monomial
+    order.  So a fiber whose other points all rewrite holds one normal word,
+    every point's normal form is that word, and its star adds nothing; the
+    walk moves on as soon as it finds one more normal word, and only then
+    reduces the star.
 
     The first point's normal form a is computed once per star and carried,
     so each point of a star is reduced once.  Let b be w's normal form.
@@ -651,6 +668,16 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     differs from it, so it does not divide b.  So the first point's normal
     form becomes b.  After ``add(b, a)`` the new lead b likewise does not
     divide a, so it stays a.  Either way it becomes the new rule's trail.
+
+    The marking builds no sink key: b leads exactly when
+    ``a[::-1] > b[::-1]``.  Proof: a and b are normal forms of points of one
+    fiber, so they have one length, and ``fiber_sink_key`` of a word is (its
+    length, its reversed codes negated).  The lengths tie, so the keys
+    compare as the negated reversed words, which have one length and differ
+    as a != b.  At their first difference the word with the smaller code has
+    the larger key.  So b has the larger key, the earlier point in the sink
+    order, exactly when a's reversed word is the larger there, that is when
+    ``a[::-1] > b[::-1]``; one length leaves no prefix case.
 
     The result is the truncated Buchberger completion seeded with every
     binomial between two points of one fiber, element for element and in
@@ -682,7 +709,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
             b = rules.normal_form(w)
             if a == b:
                 continue
-            if fiber_sink_key(a) < fiber_sink_key(b):
+            if a[::-1] > b[::-1]:  # b has the larger fiber_sink_key: see the docstring
                 rules.add(b, a)
             else:
                 rules.add(a, b)

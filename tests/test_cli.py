@@ -140,6 +140,16 @@ class TestBases:
         assert data["bound"] == 3
         assert data["leads_outside_quadric_leads"] == []
 
+    def test_oracle_gb_with_a_cubic_lead(self, capsys):
+        # The three-Borel example's completion gains a cubic lead partway
+        # through its walk, so the rest of it reduces by the general path.
+        argv = ("oracle-gb", "--ideal", "{a^3c^3,b^6,a^2b^2c^2}", "--bound", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["count"] == 73
+        assert data["leads_outside_quadric_leads"] == [["a^2b^2c^2"] * 3]
+
 
 class TestVerify:
     def test_unique_sinks_pass(self, capsys):

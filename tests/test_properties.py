@@ -1,6 +1,7 @@
 """Property tests of the grouped fiber pass, the sink key, the direct sink,
-the unique-sink scan, the closed forms of Borel(root), the reduction engine,
-monomial syntax and the sweep against the graph oracle.
+the unique-sink scan, the closed forms of Borel(root), the reduction engine
+and its containment test, monomial syntax and the sweep against the graph
+oracle.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
@@ -11,6 +12,7 @@ checks the same tables.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -42,7 +44,7 @@ from borelfiber.monomials import (
     unit,
 )
 from borelfiber.rees import ReesBasis, ReesMonomial, _configuration, rees_gb, rees_normal_form
-from borelfiber.toric import normal_form, quadric_generators
+from borelfiber.toric import _Rules, normal_form, quadric_generators
 
 from helpers import (
     all_monomials,
@@ -345,6 +347,56 @@ def test_rees_engine_matches_the_split_reference(table):
         for z in points:
             expected = ReesMonomial(one, normal_form(z, quadrics))
             assert rees_normal_form(ReesMonomial(one, z), full) == expected
+
+
+CODES = range(6)
+EVERY_WORD = [w for k in range(5) for w in itertools.combinations_with_replacement(CODES, k)]
+
+
+def holds_a_lead(leads, word) -> bool:
+    """Whether some lead is a sub-multiset of ``word``, by counting codes."""
+    counts = Counter(word)
+    return any(not Counter(lead) - counts for lead in leads)
+
+
+def assert_reducible_by_counts(rules):
+    for word in EVERY_WORD:
+        expected = holds_a_lead(rules.leads, word)
+        assert rules.reducible(word) == expected, word
+        assert (rules.rewrite(word) is not None) == expected, word
+
+
+def ascending(size):
+    codes = st.lists(st.sampled_from(CODES), min_size=size, max_size=size)
+    return codes.map(lambda w: tuple(sorted(w)))
+
+
+@checked(120)
+@given(
+    st.lists(st.tuples(ascending(2), ascending(2)), max_size=10),
+    st.tuples(ascending(3), ascending(3)),
+)
+@example([((0, 1), (2, 3))], ((2, 3, 4), (1, 1, 5)))  # only the cubic lead divides (2, 3, 4)
+def test_reducible_is_multiset_containment(pairs, cubic):
+    # While every rule is quadratic, words of two and three codes are
+    # answered in closed form; a three-code rule moves every word to the
+    # alphabet path.  Both must find a lead exactly where counting does.
+    rules = _Rules(pairs)
+    assert rules.quadratic == bool(pairs)
+    assert_reducible_by_counts(rules)
+    rules.add(*cubic)
+    assert not rules.quadratic
+    assert_reducible_by_counts(rules)
+
+
+def test_reducible_on_the_outer_pair_and_a_repeated_code():
+    outer = _Rules([((0, 2), (1, 1))])
+    assert outer.reducible((0, 1, 2)) and not outer.reducible((0, 1, 1))
+    square = _Rules([((0, 0), (1, 2))])
+    assert not square.reducible((0, 1, 2))
+    assert square.reducible((0, 0, 1))
+    for rules in (outer, square):
+        assert_reducible_by_counts(rules)
 
 
 ROOTS_BY_N = {n: [root for d in range(1, 7) for root in all_monomials(n, d)] for n in range(1, 6)}

@@ -1,6 +1,7 @@
 import random
 import re
-from itertools import combinations_with_replacement
+import sys
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -346,6 +347,41 @@ class TestBruteForceOracle:
         # runs the full Buchberger loop.  Elements and their order must agree.
         for table, bound, oracle in completions:
             assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, bound)
+
+    def test_a_clean_completion_builds_no_combinations_and_no_key(self, fig_table, monkeypatch):
+        # Every rule of these completions is quadratic, so reducible tests each
+        # word of two or three codes in closed form, and each new rule is
+        # marked by its reversed words: no combinations iterator and no sink
+        # key, through any binding.  The elements are unchanged, in order.
+        tables = [fig_table] + suite_tables(cap=200)[::10]
+        expected = [completion_by_scan(table, 3) for table in tables]
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(toric, "combinations", counted("combinations", toric.combinations))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("borelfiber") and hasattr(module, "fiber_sink_key"):
+                monkeypatch.setattr(
+                    module, "fiber_sink_key", counted("fiber_sink_key", fiber_sink_key)
+                )
+        for table, pairs in zip(tables, expected):
+            oracle = brute_force_gb(table, 3)
+            assert [(el.lead, el.trail) for el in oracle.elements] == pairs
+        assert calls == []
+
+    def test_the_marking_compares_reversed_words(self):
+        # Two words of one length: the reversed word is the larger exactly
+        # when the sink key is the smaller, so the other word leads.
+        for k in (2, 3, 4):
+            words = list(combinations_with_replacement(range(6), k))
+            for a, b in permutations(words, 2):
+                assert (a[::-1] > b[::-1]) == (fiber_sink_key(a) < fiber_sink_key(b)), (a, b)
 
     def test_a_later_point_can_lead(self):
         # On {a^3, ac^2, b^2c} at bound 3, twice a star's first point reduces
