@@ -37,12 +37,13 @@ monomials off it.  A basis of every pair within the degree-2 fibers is
 counted before it is built, and refused above ``MAX_BASIS_ELEMENTS``
 (:func:`_check_pair_count`).
 
-While every rule is quadratic, the rewriter steps the words the overlap
-check reduces, of two or three codes, in closed form, and a longer word by
-looking up its code pairs (:meth:`_Rules.rewrite`).  The completion oracle
-tests those words for a lead in closed form too (:meth:`_Rules.reducible`),
-reduces only the fibers that hold two normal words, and marks each new rule
-by comparing its reversed words, not their sink keys (:func:`brute_force_gb`).
+The rewriter finds a word's leads by one lookup of its sub-multisets
+(:meth:`_Rules.hits`).  While every rule is quadratic it steps a word of two
+codes in closed form, and the completion oracle tests words of two and three
+codes for a lead in closed form (:meth:`_Rules.reducible`): the checks reduce
+those words by far the most often.  The oracle reduces only the fibers that
+hold two normal words, and marks each new rule by its reversed words
+(:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -66,7 +67,7 @@ from functools import cached_property, partial
 from itertools import chain, combinations, repeat, starmap
 from math import comb
 from operator import eq, gt, le, lt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
@@ -114,15 +115,16 @@ class _Rules:
     integer codes; a word contains a lead when the lead is a sub-multiset of
     it; ``pairs`` are a basis's (lead, trail) words.  ``by_lead`` is the one
     lead index: it maps each distinct lead to the positions of its rules,
-    ascending.  ``alphabets`` maps each lead size to the codes that leads of
-    that size use.  ``quadratic`` holds while every lead and trail has two
-    codes (see :meth:`rewrite`).  An index from :func:`_checked_rules` also
-    keeps its configuration's ``packed`` codes, ``width`` and vector ``size``.
+    ascending.  ``sizes`` holds the leads' lengths, and ``quadratic`` holds
+    while every lead and trail has two codes.  A word's leads are found by
+    one lookup (:meth:`hits`), which :meth:`rewrite` and :meth:`reducible`
+    skip only for the short words of closed form.  An index from
+    :func:`_checked_rules` also keeps its configuration's ``packed`` codes,
+    ``width`` and vector ``size``.
 
     ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
     :meth:`add` would one pair at a time: positions ascending, leads in order
-    of first occurrence, each lead size's alphabet taken once over its
-    distinct leads, the sizes in order of first occurrence.
+    of first occurrence.
     """
 
     def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
@@ -131,10 +133,7 @@ class _Rules:
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         for pos, lead in enumerate(self.leads):
             self.by_lead.setdefault(lead, []).append(pos)
-        self.alphabets: dict[int, set[int]] = {
-            size: set(chain.from_iterable(lead for lead in self.by_lead if len(lead) == size))
-            for size in dict.fromkeys(map(len, self.by_lead))
-        }
+        self.sizes: set[int] = set(map(len, self.by_lead))
         self.quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -142,66 +141,58 @@ class _Rules:
         """Append a rule; a cached normal form may now reduce further, so drop them."""
         self.quadratic = len(lead) == len(trail) == 2 and (self.quadratic or not self.leads)
         self.by_lead.setdefault(lead, []).append(len(self.leads))
-        self.alphabets.setdefault(len(lead), set()).update(lead)
+        self.sizes.add(len(lead))
         self.leads.append(lead)
         self.trails.append(trail)
         self.cache.clear()
+
+    def _sub_words(self, word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        """The sub-multisets of ``word`` that could be a lead, with repeats.
+
+        While every rule is quadratic these are the word's code pairs.
+        Otherwise they are its k-combinations for each lead length k in
+        ``sizes``, with each code kept at most k times: that leaves the set
+        of combinations as it is but keeps long words from multiplying it.
+        """
+        if self.quadratic:
+            return combinations(word, 2)
+        # ascending: a code past its k-th copy equals the code k before it
+        return chain.from_iterable(
+            combinations([c for i, c in enumerate(word) if i < k or word[i - k] != c], k)
+            for k in self.sizes
+        )
+
+    def hits(self, word: tuple[int, ...]) -> list[int]:
+        """The first position of each distinct lead that ``word`` contains, ascending."""
+        found = filter(None, map(self.by_lead.get, set(self._sub_words(word))))
+        return sorted(positions[0] for positions in found)
 
     def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
         While every rule is quadratic, a word of two codes contains a lead
-        only by being one, so it steps to that lead's first trail.  A word of
-        three codes looks up its three quadratic divisors, the word less one
-        code r, keeps the one whose first rule has the lowest position, and
-        steps to that rule's trail with r put in place; only that reduct is
-        built (:func:`_cubic_steps` lists them all, for the overlap check).
-        A longer word looks up each distinct code pair it holds, its
-        sub-multisets of two codes, in ``by_lead``.  Otherwise the word is
-        looked up by its sub-multisets of every lead size
-        (:meth:`_alphabet_words`).  Either way every hit applies, and the
-        step is by the hit whose first rule has the lowest position.  Returns
-        None when no lead is contained.
+        only by being one, so it steps to that lead's first trail.  Every
+        other word steps by its first hit (:meth:`hits`).  Returns None when
+        no lead is contained.
 
         So a word is normal exactly when this is None, and exactly when
         :meth:`reducible` is False.
         """
-        by_lead = self.by_lead
-        if self.quadratic:
-            if len(word) == 2:
-                positions = by_lead.get(word)
-                return None if positions is None else self.trails[positions[0]]
-            if len(word) == 3:
-                x, y, z = word
-                pos = r = None
-                for lead, code in (((y, z), x), ((x, z), y), ((x, y), z)):
-                    positions = by_lead.get(lead)
-                    if positions is not None and (pos is None or positions[0] < pos):
-                        pos, r = positions[0], code
-                if pos is None:
-                    return None
-                p, q = self.trails[pos]
-                return (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)
-            candidates = combinations(word, 2)
-        else:
-            candidates = self._alphabet_words(word)
-        hits = list(filter(None, map(by_lead.get, set(candidates))))
-        if not hits:
-            return None
-        pos = min(hits)[0]  # disjoint ascending lists: the least has the lowest position
-        return _replace(word, self.leads[pos], self.trails[pos])
+        if self.quadratic and len(word) == 2:
+            positions = self.by_lead.get(word)
+            return None if positions is None else self.trails[positions[0]]
+        hits = self.hits(word)
+        return _replace(word, self.leads[hits[0]], self.trails[hits[0]]) if hits else None
 
     def reducible(self, word: tuple[int, ...]) -> bool:
         """Whether ``word`` contains a lead: :meth:`rewrite` without building the reduct.
 
-        While every rule is quadratic it answers in closed form, as
-        :meth:`rewrite` steps: a word of two codes contains a lead only by
-        being one, and a word (x, y, z) exactly when (y, z), (x, z) or (x, y)
-        is one.  Otherwise it looks up the sub-multisets that :meth:`rewrite`
-        looks up, the code pairs of a longer word while every rule is
-        quadratic and else its combinations in each lead size's alphabet, and
-        stops at the first one in ``by_lead``.  This is how
-        :func:`brute_force_gb` finds a fiber's normal words.
+        While every rule is quadratic it answers in closed form for the words
+        the completion oracle tests: a word of two codes contains a lead only
+        by being one, and a word (x, y, z) exactly when (y, z), (x, z) or
+        (x, y) is one.  Any other word is answered by whether one of its
+        :meth:`_sub_words` is a lead.  This is how :func:`brute_force_gb`
+        finds a fiber's normal words.
         """
         by_lead = self.by_lead
         if self.quadratic:
@@ -210,24 +201,7 @@ class _Rules:
             if len(word) == 3:
                 x, y, z = word
                 return (y, z) in by_lead or (x, z) in by_lead or (x, y) in by_lead
-            candidates = combinations(word, 2)
-        else:
-            candidates = self._alphabet_words(word)
-        return any(map(by_lead.__contains__, candidates))
-
-    def _alphabet_words(self, word: tuple[int, ...]):
-        """Yield the sub-multisets of ``word`` that can be a lead of any size, with repeats.
-
-        For each lead size k, the k-combinations of its codes in that size's
-        alphabet are exactly its sub-multisets that can be a lead of size k.
-        A code is kept at most k times, which leaves the set of combinations
-        as it is but keeps long words from multiplying it.
-        """
-        for size, alphabet in self.alphabets.items():
-            codes = list(filter(alphabet.__contains__, word))
-            if len(codes) > size:  # ascending: a code past its k-th copy equals the code k before
-                codes = [c for i, c in enumerate(codes) if i < size or codes[i - size] != c]
-            yield from combinations(codes, size)
+        return any(map(by_lead.__contains__, self._sub_words(word)))
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -455,28 +429,6 @@ class GroebnerReport:
         }
 
 
-def _cubic_steps(rules: _Rules, word: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The one-step reducts of a cubic word as ``(position, reduct)``, lowest position first.
-
-    Every lead and trail must be quadratic.  The word's quadratic divisors
-    are the word less one code r.  Of the rules that lead with a divisor only
-    the first ever applies, since the rewriter takes the lowest position, and
-    it rewrites the word to its trail with r put in place.  A repeated code
-    repeats a divisor, and so its step.
-    """
-    by_lead, trails = rules.by_lead, rules.trails
-    x, y, z = word
-    steps = []
-    for lead, r in (((y, z), x), ((x, z), y), ((x, y), z)):
-        positions = by_lead.get(lead)
-        if positions is not None:
-            pos = positions[0]
-            p, q = trails[pos]
-            steps.append((pos, (r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r)))
-    steps.sort()
-    return steps
-
-
 def _walked(
     by_lead: dict, extras: dict, packed: list[int], pairs: set[int], cubics: set[int]
 ) -> list[tuple[int, ...]]:
@@ -550,9 +502,11 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     that are not partners of a; a lead (a, a) counts the partners w > a; a
     lead carried by two or more rules counts itself.
 
-    Every word the walk reduces has two or three codes, and every rule is
-    quadratic, so :meth:`_Rules.normal_form` steps them in closed form, and a
-    cubic critical monomial's one-step reducts are all its :func:`_cubic_steps`.
+    Every rule is quadratic.  A lead's one-step reducts are its rules'
+    trails, and a cubic critical monomial's are one for each distinct lead
+    it holds, by that lead's first rule (:meth:`_Rules.hits`).  Of the words
+    the walk reduces, :meth:`_Rules.rewrite` steps those of two codes in
+    closed form and those of three by :meth:`_Rules.hits`.
     """
     by_lead, packed = rules.by_lead, rules.packed
     if not rules.quadratic:
@@ -583,7 +537,7 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     cubics = _shared([total + packed[c] for _, total, allowed in level for c in _bits(allowed)])
     if not pairs and not cubics:
         return checked, []
-    trails, normal_form = rules.trails, rules.normal_form
+    leads, trails, normal_form = rules.leads, rules.trails, rules.normal_form
     failures = []
     for m in _walked(by_lead, extras, packed, pairs, cubics):
         reducts = {}
@@ -591,8 +545,8 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
             for pos in by_lead[m]:
                 reducts.setdefault(trails[pos], pos)  # a lead's reduct by its own rule
         else:
-            for pos, z in _cubic_steps(rules, m):
-                reducts.setdefault(z, pos)
+            for pos in rules.hits(m):
+                reducts.setdefault(_replace(m, leads[pos], trails[pos]), pos)
         if len(reducts) == 1:
             continue
         first_reduct, *rest = reducts.items()

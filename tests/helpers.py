@@ -43,7 +43,6 @@ from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
     SPairFailure,
-    _cubic_steps,
     normal_form,
 )
 
@@ -329,7 +328,9 @@ def overlap_report_by_walk(basis, vectors) -> GroebnerReport:
     it checks which monomials ``toric._check_overlaps`` walks.  ``vectors``
     is the basis's configuration; a failure is named by the first n
     coordinates of its critical monomial's sum.  Assumes the marking and
-    homogeneity checks of ``toric._verify`` pass.
+    homogeneity checks of ``toric._verify`` pass.  A cubic monomial's
+    one-step reducts are found by its own scan of the leads: one by the first
+    rule of each lead the monomial contains, lowest position first.
     """
     rules = basis._rules
     by_lead, trails = rules.by_lead, rules.trails
@@ -347,7 +348,8 @@ def overlap_report_by_walk(basis, vectors) -> GroebnerReport:
         if len(m) == 2:
             steps = [(pos, trails[pos]) for pos in by_lead[m]]
         else:
-            steps = _cubic_steps(rules, m)
+            firsts = [positions[0] for lead, positions in by_lead.items() if contains(m, lead)]
+            steps = [(pos, swap(m, rules.leads[pos], trails[pos])) for pos in sorted(firsts)]
         reducts: dict = {}
         for pos, z in steps:
             reducts.setdefault(z, pos)

@@ -11,7 +11,7 @@ each to the exact ``ValueError`` of the word-by-word check, and
 ``TestNoKeyCalls`` holds a clean basis, and a clean sweep's row check, to
 no key call at all.  ``TestSweepRows`` holds the sweep's row check, which
 reads its rows' sums and ranks off shared columns, to the lines it gave
-with a key per pair.  ``TestAlphabets`` holds the one-pass lead index of
+with a key per pair.  ``TestLeadSizes`` holds the one-pass lead index of
 ``_Rules`` to one built a rule at a time, over the whole suite.
 """
 
@@ -227,21 +227,20 @@ def one_at_a_time(pairs) -> _Rules:
     return rules
 
 
-class TestAlphabets:
+class TestLeadSizes:
     def test_the_one_pass_index_on_the_suite(self):
         for table in suite_tables():
             for basis in (quadric_generators(table), quadric_generators(table, interreduce=True)):
                 built, added = _Rules(basis.elements), one_at_a_time(basis.elements)
-                assert list(built.alphabets.items()) == list(added.alphabets.items())
+                assert built.sizes == added.sizes == {2}
                 assert built.by_lead == added.by_lead
             pairs = rees_gb(table).pairs
-            assert _Rules(pairs).alphabets == one_at_a_time(pairs).alphabets
+            assert _Rules(pairs).sizes == one_at_a_time(pairs).sizes == {2}
 
     def test_mixed_lead_sizes(self):
         pairs = [((0, 1, 2), (3, 3, 3)), ((1, 4), (2, 2)), ((0, 5, 6), (1, 1, 1)), ((7,), (8,))]
         built = _Rules(pairs)
-        assert list(built.alphabets.items()) == list(one_at_a_time(pairs).alphabets.items())
-        assert list(built.alphabets.items()) == [(3, {0, 1, 2, 5, 6}), (2, {1, 4}), (1, {7})]
+        assert built.sizes == one_at_a_time(pairs).sizes == {3, 2, 1}
 
 
 class TestSweepRows:

@@ -9,7 +9,9 @@ to which objects built the input, so bases hold words instead.  Nor may an
 by catching what it breaks, so the error names the input instead of the
 line it broke.  Nor may a module start worker processes: no
 ``concurrent.futures``, no ``multiprocessing`` and no ``os.cpu_count``,
-since every check runs in the calling process.
+since every check runs in the calling process.  Nor may a module import
+anything but the standard library (``sys.stdlib_module_names``) and the
+package itself, as ``pyproject.toml`` declares (``dependencies = []``).
 
 The modules import each other without a cycle at run time, so importing any
 one of them never meets a half-initialized module: a module-level ``from
@@ -25,6 +27,7 @@ statements; it does not see newer library names.
 
 import ast
 import graphlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,3 +238,32 @@ def test_the_3_10_parse_rejects_newer_syntax():
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=(3, 10))
+
+
+def third_party_imports(tree: ast.AST) -> list[str]:
+    """The top-level names of imported modules outside the standard library and the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    tops = {name.partition(".")[0] for name in names}
+    return sorted(tops - set(sys.stdlib_module_names) - {"borelfiber"})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_standard_library_imports(path):
+    assert third_party_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_import_origin_scan_sees_each_form():
+    source = (
+        "import numpy.linalg\n"
+        "from sympy.polys import groebner\n"
+        "from . import fiber\n"
+        "import os, borelfiber.toric\n"
+        "def f():\n    from scipy import sparse\n"
+        "from __future__ import annotations\n"
+    )
+    assert third_party_imports(ast.parse(source)) == ["numpy", "scipy", "sympy"]

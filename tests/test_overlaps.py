@@ -5,9 +5,11 @@
 with overlapping leads.  Both must give the same verdict on passing bases and
 on the drop-one mutants of the figure ideal's bases, which are the negative
 controls.  The check reduces through ``_Rules``, which steps its words of two
-and three codes in closed form; ``TestClosedFormReducer`` holds those steps
-to the scan helpers, and ``TestPinnedMutantReports`` holds every mutant's
-report to the one the generic lookup gave.  The check walks reducts only in
+codes in closed form and finds the leads of any other word by one
+sub-multiset lookup (``_Rules.hits``); ``TestClosedFormReducer`` holds those
+steps, and the hits the check takes as a cubic monomial's reducts, to the
+scan helpers, and ``TestPinnedMutantReports`` holds every mutant's report to
+the one the generic lookup gave.  The check walks reducts only in
 fibers that hold two standard words; ``TestWalkOnlyCollidingFibers`` holds
 its reports to the walk over every critical monomial and pins the fibers it
 walks.  The check finds the critical monomials it walks from the shared
@@ -50,7 +52,6 @@ from borelfiber.rees import (
 from borelfiber.toric import (
     MarkedBasis,
     MarkedBinomial,
-    _cubic_steps,
     _Rules,
     buchberger_verify,
     normal_form,
@@ -301,11 +302,14 @@ def assert_walks_match_the_bits(walks):
 class TestClosedFormReducer:
     """``_Rules`` steps words of two and three codes as the scan helpers do.
 
-    While every rule is quadratic, ``_Rules.rewrite`` steps those words in
-    closed form.  Every word of length two and three over the figure ideal's
-    codes is stepped and reduced by ``_Rules`` and by ``step_by_scan`` and
-    ``normal_form_by_scan``, over the full, the reduced and the Rees basis and
-    over every drop-one mutant of the full and the Rees basis.  The mutants
+    While every rule is quadratic, ``_Rules.rewrite`` steps a word of two
+    codes in closed form, ``_Rules.reducible`` answers for both lengths in
+    closed form, and a word of three codes steps by its first hit
+    (``_Rules.hits``).  Every word of length two and three over the figure
+    ideal's codes is stepped and reduced by ``_Rules`` and by
+    ``step_by_scan`` and ``normal_form_by_scan``, over the full, the reduced
+    and the Rees basis and over every drop-one mutant of the full and the
+    Rees basis.  The mutants
     are not confluent, so there a normal form depends on which rule applies
     first, and the two agree only if both take the lowest position.
     """
@@ -332,7 +336,7 @@ class TestClosedFormReducer:
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
             if len(word) == 3:
                 # the overlap check takes every one of these as a reduct
-                steps = sorted(set(_cubic_steps(rules, word)))
+                steps = [(pos, swap(word, *pairs[pos])) for pos in rules.hits(word)]
                 assert steps == self.first_steps_by_scan(pairs, word), word
 
     @staticmethod
@@ -621,7 +625,7 @@ class TestPackedSumWidth:
 
         build, verify, _ = BASES[kind]
         basis = build(build_table([mono("c^7")], helpers.ABC))
-        monkeypatch.setattr(toric, "_cubic_steps", refuse)
+        monkeypatch.setattr(toric, "_walked", refuse)
         assert verify(basis).status == "PASS"
 
     @pytest.mark.parametrize("kind", sorted(BASES))

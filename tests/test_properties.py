@@ -351,19 +351,25 @@ def test_rees_engine_matches_the_split_reference(table):
 
 CODES = range(6)
 EVERY_WORD = [w for k in range(5) for w in itertools.combinations_with_replacement(CODES, k)]
-
-
-def holds_a_lead(leads, word) -> bool:
-    """Whether some lead is a sub-multiset of ``word``, by counting codes."""
-    counts = Counter(word)
-    return any(not Counter(lead) - counts for lead in leads)
+# Words of up to 8 codes with one code 4 times, past every lead length's copies.
+REPEATED = [
+    tuple(sorted((c,) * 4 + rest))
+    for c in CODES
+    for k in range(5)
+    for rest in itertools.combinations([d for d in CODES if d != c], k)
+]
+COUNTED = [(word, Counter(word)) for word in EVERY_WORD + REPEATED]
 
 
 def assert_reducible_by_counts(rules):
-    for word in EVERY_WORD:
-        expected = holds_a_lead(rules.leads, word)
-        assert rules.reducible(word) == expected, word
-        assert (rules.rewrite(word) is not None) == expected, word
+    firsts = {}  # each distinct lead's first position and code counts
+    for pos, lead in enumerate(rules.leads):
+        firsts.setdefault(lead, (pos, Counter(lead)))
+    for word, counts in COUNTED:
+        expected = sorted(pos for pos, lead in firsts.values() if not lead - counts)
+        assert rules.hits(word) == expected, word
+        assert rules.reducible(word) == bool(expected), word
+        assert (rules.rewrite(word) is not None) == bool(expected), word
 
 
 def ascending(size):
@@ -375,17 +381,25 @@ def ascending(size):
 @given(
     st.lists(st.tuples(ascending(2), ascending(2)), max_size=10),
     st.tuples(ascending(3), ascending(3)),
+    st.lists(st.one_of(*(st.tuples(ascending(k), ascending(k)) for k in (1, 3))), max_size=4),
 )
-@example([((0, 1), (2, 3))], ((2, 3, 4), (1, 1, 5)))  # only the cubic lead divides (2, 3, 4)
-def test_reducible_is_multiset_containment(pairs, cubic):
+@example([((0, 1), (2, 3))], ((2, 3, 4), (1, 1, 5)), [])  # only the cubic lead divides (2, 3, 4)
+@example([((1, 1), (0, 2))], ((1, 1, 1), (0, 0, 3)), [((1,), (4,)), ((2, 2, 2), (5, 5, 5))])
+def test_reducible_is_multiset_containment(pairs, cubic, mixed):
     # While every rule is quadratic, words of two and three codes are
     # answered in closed form; a three-code rule moves every word to the
-    # alphabet path.  Both must find a lead exactly where counting does.
+    # one sub-multiset lookup, which keeps a code at most k times for a
+    # lead of k codes.  Leads of one and three codes, over words that hold a
+    # code 4 times, reach that trimming.  Every path must find the leads
+    # that counting finds, and hits must list their first positions.
     rules = _Rules(pairs)
     assert rules.quadratic == bool(pairs)
     assert_reducible_by_counts(rules)
     rules.add(*cubic)
     assert not rules.quadratic
+    assert_reducible_by_counts(rules)
+    for pair in mixed:
+        rules.add(*pair)
     assert_reducible_by_counts(rules)
 
 

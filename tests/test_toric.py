@@ -400,7 +400,7 @@ class TestBruteForceOracle:
         # when a fiber is reached are those that lead in earlier fibers, and
         # its normal words are its points that no lead of those rules divides
         # (step_by_scan).  normal_form runs on the points of exactly the
-        # fibers with two normal words, and _cubic_steps never runs.
+        # fibers with two normal words, and the overlap walk never runs.
         table = fig_table if which == "figure" else three_borel
         calls = []
         reduce = _Rules.normal_form
@@ -410,10 +410,10 @@ class TestBruteForceOracle:
             return reduce(rules, word)
 
         def refuse(*args):
-            raise AssertionError("_cubic_steps ran in the completion")
+            raise AssertionError("the overlap walk ran in the completion")
 
         monkeypatch.setattr(_Rules, "normal_form", counted)
-        monkeypatch.setattr(toric, "_cubic_steps", refuse)
+        monkeypatch.setattr(toric, "_walked", refuse)
         oracle = brute_force_gb(table, bound)
         elements = [(el.lead, el.trail) for el in oracle.elements]
         expected, reached = [], 0
@@ -514,7 +514,7 @@ class TestLeadIndex:
             rules.leads,
             rules.trails,
             list(rules.by_lead.items()),
-            list(rules.alphabets.items()),
+            rules.sizes,
             rules.quadratic,
         )
 
