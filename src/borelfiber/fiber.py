@@ -14,12 +14,12 @@ pass, level by level, each level in colex order, and groups the points by
 vector sum, each sum carried as one packed integer (:func:`_pack`); so every
 fiber comes out in descending sink order without a sort.  It counts the
 points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
-keyed by packed sum, for callers that read only the points: the quadrics,
-the paired-move rows and the completion oracle.  :func:`fibers` is the
-keyed view of the same listing, each fiber named by its unpacked sum, for
-the Rees lift, which reads the t-degree off the sum.  The toric
-configuration is the table's generators, and the Rees algebra is the toric
-ring of a larger one (see ``rees``).
+keyed by packed sum, for callers that read only the points: the degree-2
+pairs of both sides, the paired-move rows and the completion oracle.
+:func:`fibers` is the keyed view of the same listing, each fiber named by
+its unpacked sum, for the sweep's multidegrees.  The toric configuration is
+the table's generators, and the Rees algebra is the toric ring of a larger
+one (see ``rees``).
 :func:`enumerate_fiber` factors a single multidegree by one iterative
 depth-first search, which never enters a rest that no generators factor
 (:func:`_factorable`); it serves one-mu callers, whose t can be far too
@@ -57,7 +57,7 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 from math import comb
 from operator import le, neg, sub
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from borelfiber.monomials import Monomial, degree, format_monomial, from_sigma, sigma
 
@@ -81,7 +81,7 @@ def fiber_sink_key(point: FiberPoint) -> tuple:
     return (len(point), tuple(map(neg, point[::-1])))
 
 
-def fiber_sink_ranks(points: Sequence[FiberPoint], size: int) -> list[int]:
+def fiber_sink_ranks(points: Iterable[FiberPoint], size: int) -> list[int]:
     """:func:`fiber_sink_key` of each two-code point as one integer: (a, b) ranks b * size + a.
 
     The codes must lie in ``range(size)``.  Then the smaller rank is the

@@ -10,12 +10,11 @@ the fibers of joint degree two, marked by the elimination order, defined
 once on code words (:func:`_word_key`): x-parts by lex first, ties by the
 fiber sink order on Y-parts.  The fibers of bidegree (1, 1) give the linear
 syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``) and those of t-degree
-2 the toric quadrics.  Both sides share the fiber listing and ``toric``'s
-basis check, reduction engine and verifier, which run on words: a
-:class:`ReesBasis` holds each element as its pair of code words (see
-:func:`_codes`), decoded only where a monomial is read, never to rank it.
-:func:`rees_gb` reads the fiber listing packed (``fiber._fiber_groups``):
-a fiber's t-degree is the low bits of its packed sum, so no sum is unpacked.
+2 the toric quadrics.  Both sides share ``toric``'s pairing of degree-2
+fibers, basis check, reduction engine and verifier, each given a
+``toric.Configuration``, and all run on words: a :class:`ReesBasis` holds
+each element as its pair of code words (see :func:`_codes`), decoded only
+where a monomial is read, never to rank it.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations
 from operator import neg
+from typing import Iterable
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, _fiber_groups, fiber_sink_key, point_factors
+from borelfiber.fiber import FiberPoint, fiber_sink_key, point_factors
 from borelfiber.monomials import Monomial, format_monomial
-from borelfiber.toric import GroebnerReport, _check_pair_count, _checked_rules, _Rules, _verify
-from borelfiber.toric import _check_ints, _check_point
+from borelfiber.toric import Configuration, GroebnerReport, _checked_rules, _degree_two_pairs
+from borelfiber.toric import _check_ints, _check_point, _Rules, _verify
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,6 @@ class ReesMonomial:
 class ReesBinomial:
     lead: ReesMonomial
     trail: ReesMonomial
-
-
-def _configuration(table: GeneratorTable) -> list[Monomial]:
-    """One vector per code: (e_v, 0) for x variable v, then (g, 1) for generator g."""
-    n = table.context.n
-    units = [tuple(int(k == v) for k in range(n)) + (0,) for v in range(n)]
-    return units + [g + (1,) for g in table.generators]
 
 
 def _codes(m: ReesMonomial) -> tuple[int, ...]:
@@ -81,7 +73,7 @@ def _word_key(word: tuple[int, ...], n: int) -> tuple:
     return tuple(map(neg, word[: (split := bisect_left(word, n))])), fiber_sink_key(word[split:])
 
 
-def _word_ranks(words: list[tuple[int, ...]], size: int, n: int) -> list[int]:
+def _word_ranks(words: Iterable[tuple[int, ...]], size: int, n: int) -> list[int]:
     """:func:`_word_key` of each two-code word as one integer, the smaller rank the larger key.
 
     The codes must lie in ``range(size)``.  A word (a, b) ranks a * size + b
@@ -93,6 +85,14 @@ def _word_ranks(words: list[tuple[int, ...]], size: int, n: int) -> list[int]:
     their sink keys, as ``fiber.fiber_sink_ranks`` ranks them.
     """
     return [a * size + b if a < n else b * size + a for a, b in words]
+
+
+def _configuration(table: GeneratorTable) -> Configuration:
+    """(e_v, 0) for x variable v, then (g, 1) for generator g, marked by :func:`_word_key`."""
+    n = table.context.n
+    units = [tuple(int(k == v) for k in range(n)) + (0,) for v in range(n)]
+    vectors = units + [g + (1,) for g in table.generators]
+    return Configuration(vectors, partial(_word_key, n=n), partial(_word_ranks, n=n))
 
 
 def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
@@ -139,14 +139,7 @@ class ReesBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        n = self.table.context.n
-
-        def key(word: tuple[int, ...]) -> tuple:
-            return _word_key(word, n)
-
-        return _checked_rules(
-            self, self.pairs, key, partial(_word_ranks, n=n), _configuration(self.table)
-        )
+        return _checked_rules(self, self.pairs, _configuration(self.table))
 
 
 def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
@@ -162,38 +155,19 @@ def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
 def rees_gb(table: GeneratorTable) -> ReesBasis:
     """The pairs within the Rees fibers of joint degree two: syzygies, then quadrics.
 
-    One pass over the fibers of :func:`_configuration` up to degree two,
-    each keyed by its packed sum, whose low ``width`` bits are its last
-    coordinate, the t-degree (``fiber._pack``).  A fiber of bidegree (1, 1),
-    the monomials x_v Y_g of one image, is sorted by :func:`_word_key`,
-    largest first, and its pairs are the linear syzygies, ordered by their
-    two Y indices.  A fiber of t-degree 2 already
-    lists its monomials in descending sink order, so its pairs are the toric
-    quadrics with unit x-parts, in ``quadric_generators`` order.  Every other
-    fiber has one monomial.  The pairs are taken as words straight off the
-    fibers; no monomial is built.  More than ``toric.MAX_BASIS_ELEMENTS``
-    pairs raise ``ValueError`` before any is taken
-    (``toric._check_pair_count``).
+    The pairs of ``toric._degree_two_pairs`` over :func:`_configuration`,
+    taken as words, so no monomial is built, and counted before any is
+    taken.  A syzygy's words start with an x code; one stable sort puts the
+    syzygies first, ordered by their two Y indices, and keeps the quadrics,
+    whose x-parts are the unit monomial, in ``quadric_generators`` order.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
-    groups, width = _fiber_groups(_configuration(table), 2)
-    _check_pair_count(groups.values())
-    low = (1 << width) - 1
-    syzygies, quadrics = [], []
-    for total, words in groups.items():
-        if len(words) < 2:
-            continue
-        if total & low == 1:
-            # Each word is (v, n + g): x variable v times generator g.  The
-            # image fixes g given v, so descending _word_key is ascending v.
-            syzygies.extend(combinations(sorted(words), 2))
-        else:
-            # Each word is two generator codes, so the x-part is the unit monomial.
-            quadrics.extend(combinations(words, 2))
-    syzygies.sort(key=lambda pair: sorted((pair[0][1], pair[1][1])))
-    return ReesBasis(table, pairs=syzygies + quadrics)
+    n = table.context.n
+    pairs = _degree_two_pairs(_configuration(table))
+    pairs.sort(key=lambda pair: (0, *sorted((pair[0][1], pair[1][1]))) if pair[0][0] < n else (1,))
+    return ReesBasis(table, pairs=pairs)
 
 
 def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:

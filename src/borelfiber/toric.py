@@ -14,28 +14,26 @@ reduction applies only the first.  So the reduced basis is read off the
 fibers, and the overlap check uses every copy of a lead only at the lead.
 
 One code path per concept serves the toric and Rees sides alike.  The Rees
-algebra is the toric ring of a larger configuration, so both sides take
-their degree-2 pairs from one fiber listing, ``fiber._fiber_groups``, read
-packed, and both bases hold each element as a pair of words, ascending
-tuples of integer codes.  A basis's :class:`_Rules`, the one reduction
-engine, is built only by :func:`_checked_rules`, the one check of words,
-marking and homogeneity, so :func:`normal_form`, ``rees.rees_normal_form``
-and both verifiers refuse a malformed basis alike and never reduce by a
-rule that fails to end.  Every basis built here holds words of two codes,
-and those are checked by columns: one flat code list for the types, the
-range and the order, one packed sum and one integer rank per word, which
-orders two-code words as the side's marking key does
-(``fiber.fiber_sink_ranks`` on the toric side, ``rees._word_ranks`` on the
-Rees side).  Any other basis is checked in bulk over its distinct words,
-and either way the index is built in one pass over the pairs.  The
-lead index ``by_lead`` is the one place that says which rules carry a lead:
-the rewriter looks up a word's sub-multisets there, :func:`brute_force_gb`
-grows it one rule at a time and asks it only whether a word holds a lead
-(:meth:`_Rules.reducible`) until a fiber shows two normal words, and
-:func:`_check_overlaps`, the one Groebner verifier, reads its critical
-monomials off it.  A basis of every pair within the degree-2 fibers is
-counted before it is built, and refused above ``MAX_BASIS_ELEMENTS``
-(:func:`_check_pair_count`).
+algebra is the toric ring of a larger configuration, so each side is one
+:class:`Configuration`, its vectors and the marking of its words, and both
+take their full bases from one pairing of the degree-2 fibers
+(:func:`_degree_two_pairs`), which counts the pairs before it takes any.
+Both bases hold each element as a pair of words, ascending tuples of
+integer codes.  A basis's :class:`_Rules`, the one reduction engine, is
+built only by :func:`_checked_rules`, the one check of words, marking and
+homogeneity, so :func:`normal_form`, ``rees.rees_normal_form`` and both
+verifiers refuse a malformed basis alike and never reduce by a rule that
+fails to end.  Every basis built here holds words of two codes, and those
+are checked by columns: one flat code list for the types, the range and
+the order, one packed sum and one integer rank per word, which orders
+two-code words as the side's marking key does.  Any other basis is checked
+in bulk over its distinct words, and either way the index is built in one
+pass over the pairs.  The lead index ``by_lead`` is the one place that
+says which rules carry a lead: the rewriter looks up a word's sub-multisets
+there, :func:`brute_force_gb` grows it one rule at a time and asks it only
+whether a word holds a lead (:meth:`_Rules.reducible`) until a fiber shows
+two normal words, and :func:`_check_overlaps`, the one Groebner verifier,
+reads its critical monomials off it.
 
 The rewriter finds a word's leads by one lookup of its sub-multisets
 (:meth:`_Rules.hits`).  While every rule is quadratic it steps a word of two
@@ -64,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations, repeat, starmap
+from itertools import chain, combinations, compress, repeat, starmap
 from math import comb
 from operator import eq, gt, le, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -106,6 +104,23 @@ class MarkedBinomial(NamedTuple):
 
     lead: FiberPoint
     trail: FiberPoint
+
+
+class Configuration(NamedTuple):
+    """One vector per code, and the marking of its words, shared by the toric and Rees sides.
+
+    ``key(word)`` is larger for the earlier word, and ``ranks(words, len(vectors))``
+    gives each two-code word one integer, the smaller rank the larger key.
+    """
+
+    vectors: Sequence[Monomial]
+    key: Callable
+    ranks: Callable
+
+
+def _configuration(table: GeneratorTable) -> Configuration:
+    """The toric configuration: the table's generators, marked by the fiber sink order."""
+    return Configuration(table.generators, fiber_sink_key, fiber_sink_ranks)
 
 
 class _Rules:
@@ -232,9 +247,7 @@ class MarkedBasis:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _checked_rules(
-            self, self.elements, fiber_sink_key, fiber_sink_ranks, self.table.generators
-        )
+        return _checked_rules(self, self.elements, _configuration(self.table))
 
 
 def _check_ints(value, what: str) -> None:
@@ -274,26 +287,22 @@ def _well_formed(words: list, size: int) -> set[int] | None:
     return lengths if ascending else None
 
 
-def _checked_rules(
-    basis, pairs, key: Callable, ranks: Callable, vectors: Sequence[Monomial]
-) -> _Rules:
+def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
 
-    Both sides call it, with their configuration ``vectors``, word ``key``
-    and two-code ``ranks``; the index keeps ``vectors`` packed for sums of
-    three codes or of the longest word.  Raises ``ValueError`` on an element
-    that is not a (lead, trail) tuple of two, then on a word that
-    :func:`_check_point` refuses, then unless every lead has a larger
-    ``key`` than its trail and the same length and configuration sum: a
-    binomial that is not homogeneous is not in the ideal.  So every rewrite
-    ends and keeps its word's fiber.  The words are checked in bulk
-    (:func:`_well_formed`) and the index is built in one pass
-    (:class:`_Rules`).
+    Both sides call it with their :class:`Configuration`; the index keeps
+    its vectors packed for sums of three codes or of the longest word.
+    Raises ``ValueError`` on an element that is not a (lead, trail) tuple of
+    two, then on a word that :func:`_check_point` refuses, then unless every
+    lead has a larger ``key`` than its trail and the same length and
+    configuration sum: a binomial that is not homogeneous is not in the
+    ideal.  So every rewrite ends and keeps its word's fiber.  The words are
+    checked in bulk (:func:`_well_formed`) and the index is built in one
+    pass (:class:`_Rules`).
 
     Every basis built here holds words of two codes, and those are checked
     by columns: each word's packed sum is two lookups and one add, and its
-    key is one integer, ``ranks(words, len(vectors))``, the smaller rank
-    the larger key, so a lead must have the smaller rank
+    key is one integer, its ``ranks``, so a lead must have the smaller rank
     (``fiber.fiber_sink_ranks``, ``rees._word_ranks``).  Any other basis,
     and one that fails a column test, is checked word by word, each
     distinct word's key and packed sum taken once; only a failure walks the
@@ -305,6 +314,7 @@ def _checked_rules(
         for pos, pair in enumerate(pairs):
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
+    vectors, key, ranks = config
     words, count = list(chain.from_iterable(pairs)), len(vectors)
     sizes = _well_formed(words, count)
     if sizes is None:  # some word fails, so this raises
@@ -357,11 +367,9 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
 
 
 def _check_pair_count(groups) -> None:
-    """Raise ``ValueError`` when the pairs within the fibers ``groups`` are too many.
+    """Raise ``ValueError`` when the fibers ``groups`` hold more than ``MAX_BASIS_ELEMENTS`` pairs.
 
-    A basis of every pair within its degree-2 fibers holds the sum of
-    C(k, 2) over fibers of k points; more than ``MAX_BASIS_ELEMENTS`` are
-    refused before any is paired.
+    A fiber of k points holds C(k, 2) pairs, counted before any is taken.
     """
     count = sum(map(comb, map(len, groups), repeat(2)))
     if count > MAX_BASIS_ELEMENTS:
@@ -371,19 +379,37 @@ def _check_pair_count(groups) -> None:
         )
 
 
+def _degree_two_pairs(config: Configuration) -> list[tuple[FiberPoint, FiberPoint]]:
+    """Every pair of words within a degree-2 fiber of ``config``, each as (lead, trail).
+
+    The one pairing of degree-2 fibers, behind the full bases of both sides.
+    Fibers come in ``fiber._fiber_groups`` order and each fiber's pairs in
+    the order of its listing; one ``config.ranks`` call over every word
+    marks each pair, the smaller rank leading.  More than
+    ``MAX_BASIS_ELEMENTS`` pairs raise ``ValueError`` before any is taken
+    (:func:`_check_pair_count`).
+    """
+    groups = _fiber_groups(config.vectors, 2)[0].values()
+    _check_pair_count(groups)
+    pairs = list(chain.from_iterable(map(combinations, groups, repeat(2))))
+    ranked = config.ranks(chain.from_iterable(pairs), len(config.vectors))
+    for pos in compress(range(len(pairs)), map(gt, ranked[0::2], ranked[1::2])):
+        pairs[pos] = pairs[pos][::-1]
+    return pairs
+
+
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
     """All quadric binomials of the toric ideal, marked by the sink order.
 
     One element per unordered pair of distinct degree-2 fiber points sharing
-    a multidegree; more than ``MAX_BASIS_ELEMENTS`` raise ``ValueError``
-    (:func:`_check_pair_count`).  With ``interreduce`` the basis is the
-    reduced one, read off the fibers: every point of a fiber but the last
-    leads once, with the fiber's last point as its trail.  No element leads
-    with a last point, so every trail is already reduced.  Elements come in
-    ascending sink order of their leads.
+    a multidegree (:func:`_degree_two_pairs`).  With ``interreduce`` the
+    basis is the reduced one, read off the fibers: every point of a fiber
+    but the last leads once, with the fiber's last point as its trail.  No
+    element leads with a last point, so every trail is already reduced.
+    Elements come in ascending sink order of their leads.
     """
-    groups = _fiber_groups(table.generators, 2)[0].values()
     if interreduce:
+        groups = _fiber_groups(table.generators, 2)[0].values()
         # Leads of one length: descending reversed words are ascending sink keys.
         pairs = sorted(
             ((lead, words[-1]) for words in groups for lead in words[:-1]),
@@ -391,8 +417,7 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
             reverse=True,
         )
     else:
-        _check_pair_count(groups)
-        pairs = [pair for words in groups for pair in combinations(words, 2)]
+        pairs = _degree_two_pairs(_configuration(table))
     return MarkedBasis(table, tuple(starmap(MarkedBinomial, pairs)))
 
 

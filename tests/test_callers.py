@@ -22,13 +22,16 @@ unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators'
 suffix sums for its standard words' sums and unpacks those sums into the
 suffix sums of the words' multidegrees.
 
-A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial and reads
-the fiber listing packed (``fiber._fiber_groups``, the t-degree in each
-key's low bits), and the elimination order is defined once, on code words
-(``rees._word_key``), so ``rees._from_codes`` decodes words only where a
-monomial is read: the ``ReesBasis.elements`` view and the answer of
-``rees_normal_form``; those callers are pinned.  No word is decoded in order
-to rank it.
+A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
+elimination order is defined once, on code words (``rees._word_key``), so
+``rees._from_codes`` decodes words only where a monomial is read: the
+``ReesBasis.elements`` view and the answer of ``rees_normal_form``; those
+callers are pinned.  No word is decoded in order to rank it.  Both sides'
+full bases pair the degree-2 fibers in one place: ``toric._degree_two_pairs``,
+given a side's configuration, is the one caller of the pair count
+(``toric._check_pair_count``), and ``toric.quadric_generators`` and
+``rees.rees_gb`` are its only callers, so ``rees`` reads no fiber listing of
+its own.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -77,16 +80,21 @@ DECODE_PATH = {
     "_from_codes": ["rees.ReesBasis.elements", "rees.rees_normal_form"]
 }
 
+# The one pairing of degree-2 fibers, its count, and their src callers.
+PAIR_PATH = {
+    "_check_pair_count": ["toric._degree_two_pairs"],
+    "_degree_two_pairs": ["rees.rees_gb", "toric.quadric_generators"],
+}
+
 # Each private name one src module imports from another, by importing module.
 PRIVATE_IMPORTS = {
     "borel": ["fiber._fiber_groups", "fiber._pack"],
     "rees": [
-        "fiber._fiber_groups",
         "toric._Rules",
         "toric._check_ints",
-        "toric._check_pair_count",
         "toric._check_point",
         "toric._checked_rules",
+        "toric._degree_two_pairs",
         "toric._verify",
     ],
     "toric": [
@@ -278,6 +286,11 @@ def test_the_sum_scans_see_each_kind_of_use():
 def test_one_decode_path():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in DECODE_PATH} == DECODE_PATH
+
+
+def test_one_pairing_of_degree_two_fibers():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in PAIR_PATH} == PAIR_PATH
 
 
 def private_imports(modules: dict[str, ast.Module]) -> dict[str, list[str]]:

@@ -155,7 +155,7 @@ class TestNegativeControls:
     @pytest.mark.parametrize("kind", SPOILERS)
     def test_rees(self, fig_table, kind):
         pairs = rees_gb(fig_table).pairs
-        assert pairs[-1] == ((8, 8), (7, 10)) and len(rees._configuration(fig_table)) == 17
+        assert pairs[-1] == ((8, 8), (7, 10)) and len(rees._configuration(fig_table).vectors) == 17
         basis = ReesBasis(fig_table, pairs=pairs[:-1] + (SPOILERS[kind](*pairs[-1], 17),))
         with pytest.raises(ValueError) as raised:
             rees_buchberger_verify(basis)
@@ -180,9 +180,9 @@ def key_calls(monkeypatch):
     calls = []
 
     def counted(name, original):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return original(*args)
+            return original(*args, **kwargs)
 
         return wrapper
 

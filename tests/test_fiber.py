@@ -236,7 +236,7 @@ class TestFiberListing:
         assert len(tables) == 250
         for table in tables:
             self.assert_listed_as_grouped(table.generators, 3)
-            self.assert_listed_as_grouped(_configuration(table), 2)
+            self.assert_listed_as_grouped(_configuration(table).vectors, 2)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_the_three_root_family(self, r):

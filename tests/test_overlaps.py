@@ -460,7 +460,7 @@ BASES = {
         buchberger_verify,
         lambda table: table.generators,
     ),
-    "rees": (rees_gb, rees_buchberger_verify, _configuration),
+    "rees": (rees_gb, rees_buchberger_verify, lambda table: _configuration(table).vectors),
 }
 
 

@@ -290,7 +290,7 @@ def test_grouped_pass_matches_grouping_by_tuple_sums(case):
 def test_grouped_pass_matches_grouping_on_suite_configurations():
     for table in suite_tables(200)[::10]:
         assert_fibers_match_grouping(table.generators, 3)
-        assert_fibers_match_grouping(_configuration(table), 3)
+        assert_fibers_match_grouping(_configuration(table).vectors, 3)
 
 
 @checked(25)

@@ -23,7 +23,7 @@ from borelfiber.rees import (
     rees_gb,
     rees_normal_form,
 )
-from borelfiber.instances import suite_tables
+from borelfiber.instances import random_tables, suite_tables
 from borelfiber.toric import normal_form, quadric_generators
 
 from helpers import (
@@ -181,11 +181,13 @@ class TestReesGb:
             )
 
     def test_pairs_match_the_keyed_listing(self, square_table, fig_table):
-        # rees_gb reads the packed listing and its keys' low bits; the keyed
-        # view names each fiber by its image and t-degree instead.
-        for table in [square_table, fig_table] + suite_tables(cap=200):
+        # An independent reference for the pairs and their order: the keyed
+        # view names each fiber by its image and t-degree, and each kind of
+        # fiber is paired by its own rule.
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        for table in [square_table, fig_table] + tables:
             syzygies, quadrics = [], []
-            for key, words in fibers(_configuration(table), 2).items():
+            for key, words in fibers(_configuration(table).vectors, 2).items():
                 if len(words) > 1:
                     if key[-1] == 1:
                         syzygies.extend(combinations(sorted(words), 2))
@@ -206,7 +208,7 @@ class TestReesGb:
                 for word in combinations_with_replacement(range(n + len(table.generators)), k):
                     m = _from_codes(word, n)
                     groups[rees_image(table, m), len(m.ypart)].add(word)
-            found = fibers(_configuration(table), 3)
+            found = fibers(_configuration(table).vectors, 3)
             assert {(key[:n], key[n]): set(words) for key, words in found.items()} == groups
 
 
@@ -397,7 +399,7 @@ def split_fibers(table, max_deg: int) -> tuple[list, int]:
     """
     rules = rees_gb(table)._rules
     split, words_seen = [], 0
-    for key, words in fibers(_configuration(table), max_deg).items():
+    for key, words in fibers(_configuration(table).vectors, max_deg).items():
         words_seen += len(words)
         if len({rules.normal_form(w) for w in words}) > 1:
             split.append(key)

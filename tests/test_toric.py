@@ -150,6 +150,8 @@ class TestBasisElementBudget:
         monkeypatch.setattr(toric, "combinations", pairing)
         with pytest.raises(ValueError, match="make 105 basis elements"):
             quadric_generators(fig_table)
+        with pytest.raises(ValueError, match="make 131 basis elements"):
+            rees_gb(fig_table)
 
 
 class TestNormalForm:
