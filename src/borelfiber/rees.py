@@ -142,16 +142,6 @@ class ReesBasis:
         return _checked_rules(self, self.pairs, _configuration(self.table))
 
 
-def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
-    """Reduce by the lowest-index applicable lead until none applies.
-
-    Raises ``ValueError`` on a monomial that :func:`_check_monomial` refuses,
-    and on a basis that ``toric._checked_rules`` refuses.
-    """
-    word = _check_monomial(m, basis.table)
-    return _from_codes(basis._rules.normal_form(word), basis.table.context.n)
-
-
 def rees_gb(table: GeneratorTable) -> ReesBasis:
     """The pairs within the Rees fibers of joint degree two: syzygies, then quadrics.
 

@@ -21,14 +21,15 @@ take their full bases from one pairing of the degree-2 fibers
 Both bases hold each element as a pair of words, ascending tuples of
 integer codes.  A basis's :class:`_Rules`, the one reduction engine, is
 built only by :func:`_checked_rules`, the one check of words, marking and
-homogeneity, so :func:`normal_form`, ``rees.rees_normal_form`` and both
-verifiers refuse a malformed basis alike and never reduce by a rule that
-fails to end.  Every basis built here holds words of two codes, and those
-are checked by columns: one flat code list for the types, the range and
-the order, one packed sum and one integer rank per word, which orders
-two-code words as the side's marking key does.  Any other basis is checked
-in bulk over its distinct words, and either way the index is built in one
-pass over the pairs.  The lead index ``by_lead`` is the one place that
+homogeneity, so :func:`normal_form` and both verifiers refuse a malformed
+basis alike and never reduce by a rule that fails to end.  The check
+reaches its verdict one of two ways.  Every basis built here holds words of
+two codes, and those are checked by columns: one flat code list for the
+types, the range and the order, one packed sum and one integer rank per
+word, which orders two-code words as the side's marking key does.  Any
+other basis, and one that fails a column test, is walked in element order,
+which names the first fault; either way the index is built in one pass
+over the pairs.  The lead index ``by_lead`` is the one place that
 says which rules carry a lead: the rewriter looks up a word's sub-multisets
 there, :func:`brute_force_gb` grows it one rule at a time and asks it only
 whether a word holds a lead (:meth:`_Rules.reducible`) until a fiber shows
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations, compress, repeat, starmap
 from math import comb
-from operator import eq, gt, le, lt
+from operator import gt, le, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
@@ -265,26 +266,19 @@ def _check_point(point: FiberPoint, size: int, what: str = "a point") -> None:
         raise ValueError(f"{what} must be in range({size}): {point}")
 
 
-def _well_formed(words: list, size: int) -> set[int] | None:
-    """:func:`_check_point` in bulk: the words' lengths, or None unless every word passes.
+def _well_formed(words: list, size: int) -> bool:
+    """:func:`_check_point` by columns: whether every word is two ascending ints in ``range(size)``.
 
-    The types come first, so the words are hashed only once they are tuples
-    of ints.  Words that all have two codes are checked by columns and never
-    hashed: flattened, each word's first code sits at an even position and
-    its second next, so their order is one comparison of the two columns.
+    The types and lengths come first, then the codes, flattened: each word's
+    first code sits at an even position and its second next, so their order
+    is one comparison of the two columns, and no word is hashed.
     """
-    if not {tuple} >= set(map(type, words)):
-        return None
+    if not {tuple} >= set(map(type, words)) or not {2} >= set(map(len, words)):
+        return False
     codes = list(chain.from_iterable(words))
     if not {int} >= set(map(type, codes)) or (codes and not 0 <= min(codes) <= max(codes) < size):
-        return None
-    lengths = set(map(len, words))
-    if lengths == {2}:
-        ascending = all(map(le, codes[0::2], codes[1::2]))
-    else:
-        distinct = set(words)
-        ascending = all(map(eq, distinct, map(tuple, map(sorted, distinct))))
-    return lengths if ascending else None
+        return False
+    return all(map(le, codes[0::2], codes[1::2]))
 
 
 def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
@@ -296,18 +290,19 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     two, then on a word that :func:`_check_point` refuses, then unless every
     lead has a larger ``key`` than its trail and the same length and
     configuration sum: a binomial that is not homogeneous is not in the
-    ideal.  So every rewrite ends and keeps its word's fiber.  The words are
-    checked in bulk (:func:`_well_formed`) and the index is built in one
-    pass (:class:`_Rules`).
+    ideal.  So every rewrite ends and keeps its word's fiber.  The index is
+    built in one pass (:class:`_Rules`).
 
-    Every basis built here holds words of two codes, and those are checked
-    by columns: each word's packed sum is two lookups and one add, and its
-    key is one integer, its ``ranks``, so a lead must have the smaller rank
+    A verdict comes one of two ways.  Every basis built here holds words of
+    two codes, and those are checked by columns (:func:`_well_formed`):
+    each word's packed sum is two lookups and one add, and its key is one
+    integer, its ``ranks``, so a lead must have the smaller rank
     (``fiber.fiber_sink_ranks``, ``rees._word_ranks``).  Any other basis,
-    and one that fails a column test, is checked word by word, each
-    distinct word's key and packed sum taken once; only a failure walks the
-    elements in order, to name the first, a malformed word before any
-    marking.
+    and one that fails a column test, is walked in element order: first
+    :func:`_check_point` on every lead and trail, so a malformed word is
+    named before any marking, then each element's keys, lengths and packed
+    sums, raising at the first fault.  An element is read from
+    ``basis.elements`` only to name it.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
@@ -316,38 +311,32 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
     vectors, key, ranks = config
     words, count = list(chain.from_iterable(pairs)), len(vectors)
-    sizes = _well_formed(words, count)
-    if sizes is None:  # some word fails, so this raises
-        for pos, (lead, trail) in enumerate(pairs):
-            _check_point(lead, count, f"the lead of element {pos}")
-            _check_point(trail, count, f"the trail of element {pos}")
-    rules = _Rules(pairs)
-    leads, trails = rules.leads, rules.trails
-    packed, width = _pack(vectors, max([3, *sizes]))
-    checked = sizes == {2}
-    if checked:
+    if checked := _well_formed(words, count):
+        packed, width = _pack(vectors, 3)
         totals = [packed[a] + packed[b] for a, b in words]
         ranked = ranks(words, count)
         checked = totals[0::2] == totals[1::2] and all(map(lt, ranked[0::2], ranked[1::2]))
-    if not checked:
-        distinct = set(words)
-        key_of = dict(zip(distinct, map(key, distinct)))
-        sum_of = {word: sum(map(packed.__getitem__, word)) for word in distinct}
-        marked = all(map(gt, map(key_of.__getitem__, leads), map(key_of.__getitem__, trails)))
-        lengths = list(map(len, leads)) == list(map(len, trails))
-        sums = list(map(sum_of.__getitem__, leads)) == list(map(sum_of.__getitem__, trails))
-        if not (marked and lengths and sums):
-            for pos, (lead, trail, el) in enumerate(zip(leads, trails, basis.elements)):
-                if key_of[lead] <= key_of[trail]:
-                    raise ValueError(
-                        f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
-                    )
-                if len(lead) != len(trail) or sum_of[lead] != sum_of[trail]:
-                    what = "degree" if len(lead) != len(trail) else "multidegree"
-                    raise ValueError(
-                        f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
-                        f"differ in {what}"
-                    )
+    if not checked:  # the ordered walk: a malformed word first, then the first faulty element
+        for pos, (lead, trail) in enumerate(pairs):
+            _check_point(lead, count, f"the lead of element {pos}")
+            _check_point(trail, count, f"the trail of element {pos}")
+        packed, width = _pack(vectors, max([3, *map(len, words)]))
+        vector = packed.__getitem__
+        for pos, (lead, trail) in enumerate(pairs):
+            marked, same_length = key(lead) > key(trail), len(lead) == len(trail)
+            if marked and same_length and sum(map(vector, lead)) == sum(map(vector, trail)):
+                continue
+            el = basis.elements[pos]
+            if not marked:
+                raise ValueError(
+                    f"inconsistent marking: lead {el.lead} is not earlier than trail {el.trail}"
+                )
+            what = "multidegree" if same_length else "degree"
+            raise ValueError(
+                f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
+                f"differ in {what}"
+            )
+    rules = _Rules(pairs)
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
     return rules

@@ -37,7 +37,7 @@ from borelfiber.monomials import (
     sigma,
     unit,
 )
-from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial
+from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, _check_monomial, _from_codes
 from borelfiber.toric import (
     GroebnerReport,
     MarkedBasis,
@@ -199,6 +199,16 @@ def rees_key(m: ReesMonomial) -> tuple:
     the monomial oracle of the code-word key ``rees._word_key``.
     """
     return (m.xpart, fiber_sink_key(m.ypart))
+
+
+def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
+    """Reduce a Rees monomial by the basis's rule index, the Rees counterpart of ``normal_form``.
+
+    Raises ``ValueError`` on a monomial that ``rees._check_monomial``
+    refuses, and on a basis that ``toric._checked_rules`` refuses.
+    """
+    word = _check_monomial(m, basis.table)
+    return _from_codes(basis._rules.normal_form(word), basis.table.context.n)
 
 
 def rees_image(table, m: ReesMonomial) -> Monomial:

@@ -39,7 +39,7 @@ def test_every_traced_layer_resolves_to_a_distinct_function(monkeypatch):
     assert len({id(f) for f in functions}) == len(functions)
 
 
-@pytest.mark.parametrize("workload", ["oracle", "groebner"])
+@pytest.mark.parametrize("workload", ["sweep", "groebner", "oracle", "scale"])
 def test_quick_answers_match_the_reference(monkeypatch, workload):
     bench = load_bench(monkeypatch)
     # The package as the tests import it; the bench's fresh_import would
@@ -48,7 +48,8 @@ def test_quick_answers_match_the_reference(monkeypatch, workload):
     reference = bench.load_reference()[workload]
     inputs, op, answer, _ = bench.WORKLOADS[workload]
     items = inputs(bf, bench.DEFAULT_SEED, True)
-    assert len(items) == bench.QUICK_SUITE + bench.QUICK_RANDOM
+    quick = {"scale": len(bench.QUICK_SCALE_ARGVS)}
+    assert len(items) == quick.get(workload, bench.QUICK_SUITE + bench.QUICK_RANDOM)
     for item in items:
         key, ans, problems = answer(bf, item, op(bf, item))
         assert problems == [], key

@@ -4,8 +4,9 @@ A function counts as called when some module of ``src/borelfiber`` names it
 outside its own body, when ``__all__`` exports it, or when the benchmark
 script ``bench/run.py`` names it (as a name, an attribute or a string, such
 as its ``LAYERS`` entries); the script is only read.  The functions that meet
-none of these are pinned: each is reachable from the tests alone, and a new
-one must either find a caller or move to ``tests/helpers.py``.
+none of these, reachable from the tests alone, are pinned in ``TEST_ONLY``,
+which is empty: a new one must either find a caller or move to
+``tests/helpers.py``, as ``rees_normal_form`` has.
 
 Configuration sums have one path: ``fiber._pack`` and ``fiber._unpack``,
 whose src callers are pinned, and no src code sums vectors as tuples with
@@ -24,14 +25,13 @@ suffix sums of the words' multidegrees.
 
 A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
 elimination order is defined once, on code words (``rees._word_key``), so
-``rees._from_codes`` decodes words only where a monomial is read: the
-``ReesBasis.elements`` view and the answer of ``rees_normal_form``; those
-callers are pinned.  No word is decoded in order to rank it.  Both sides'
-full bases pair the degree-2 fibers in one place: ``toric._degree_two_pairs``,
-given a side's configuration, is the one caller of the pair count
-(``toric._check_pair_count``), and ``toric.quadric_generators`` and
-``rees.rees_gb`` are its only callers, so ``rees`` reads no fiber listing of
-its own.
+``rees._from_codes`` decodes words only where a monomial is read: its one
+src caller, the ``ReesBasis.elements`` view, is pinned.  No word is decoded
+in order to rank it.  Both sides' full bases pair the degree-2 fibers in one
+place: ``toric._degree_two_pairs``, given a side's configuration, is the one
+caller of the pair count (``toric._check_pair_count``), and
+``toric.quadric_generators`` and ``rees.rees_gb`` are its only callers, so
+``rees`` reads no fiber listing of its own.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -56,8 +56,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "borelfiber"
 BENCH_SCRIPT = ROOT / "bench" / "run.py"
 
-# Kept in the library as the Rees counterpart of ``toric.normal_form``.
-TEST_ONLY = ["rees.rees_normal_form"]
+# Functions that only the tests call; none is left.
+TEST_ONLY = []
 
 # The one configuration-sum path and the src functions that use it.
 SUM_PATH = {
@@ -77,7 +77,7 @@ SUM_PATH = {
 
 # Decoding a word back to a Rees monomial, and its src callers.
 DECODE_PATH = {
-    "_from_codes": ["rees.ReesBasis.elements", "rees.rees_normal_form"]
+    "_from_codes": ["rees.ReesBasis.elements"]
 }
 
 # The one pairing of degree-2 fibers, its count, and their src callers.

@@ -7,7 +7,7 @@ is one integer, ``fiber.fiber_sink_ranks`` on the toric side and
 ``TestRanksMirrorTheKeys`` holds each rank to its key on every pair of
 two-code words of every 10th suite table, and on random ones.
 ``TestNegativeControls`` spoils the last element of a real basis and holds
-each to the exact ``ValueError`` of the word-by-word check, and
+each to the exact ``ValueError`` of the ordered walk, and
 ``TestNoKeyCalls`` holds a clean basis, and a clean sweep's row check, to
 no key call at all.  ``TestSweepRows`` holds the sweep's row check, which
 reads its rows' sums and ranks off shared columns, to the lines it gave
@@ -106,7 +106,7 @@ SPOILERS = {
     "three-codes": lambda lead, trail, size: (lead, trail + trail[-1:]),
 }
 
-# The word-by-word check's message for each spoiled last element of the
+# The ordered walk's message for each spoiled last element of the
 # figure ideal's full basis, lead (5, 5) and trail (4, 7) over 14 codes.
 TORIC_MESSAGES = {
     "reversed": "inconsistent marking: lead (4, 7) is not earlier than trail (5, 5)",

@@ -1,19 +1,19 @@
 """Property tests of the grouped fiber pass, the sink key, the direct sink,
 the unique-sink scan, the closed forms of Borel(root), the reduction engine
-and its containment test, monomial syntax and the sweep against the graph
-oracle.
+and its containment test, the basis check, monomial syntax and the sweep
+against the graph oracle.
 
 Tables are two-Borel ideals on three or four variables, of degree 2 to 5,
 with at most 21 minimal generators; the direct sink test adds principal
 tables, tables with comparable roots and fiber-reduced tables, the pruned
-search test principal and three-root tables, and the sweep test tables on
-five variables.  Examples are derandomized, so every run
-checks the same tables.
+search test principal and three-root tables, the sweep test tables on
+five variables, and the basis check random bases over one small table.
+Examples are derandomized, so every run checks the same tables.
 """
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,8 +43,8 @@ from borelfiber.monomials import (
     sigma,
     unit,
 )
-from borelfiber.rees import ReesBasis, ReesMonomial, _configuration, rees_gb, rees_normal_form
-from borelfiber.toric import _Rules, normal_form, quadric_generators
+from borelfiber.rees import ReesBasis, ReesMonomial, _configuration, _word_key, rees_gb
+from borelfiber.toric import MarkedBasis, MarkedBinomial, _Rules, normal_form, quadric_generators
 
 from helpers import (
     all_monomials,
@@ -60,6 +60,7 @@ from helpers import (
     point_product,
     principal_by_filter,
     reduce_for_fiber,
+    rees_normal_form,
     sink_by_peeling,
     split_rees_reducer,
     unique_sink_by_graph,
@@ -411,6 +412,137 @@ def test_reducible_on_the_outer_pair_and_a_repeated_code():
     assert square.reducible((0, 0, 1))
     for rules in (outer, square):
         assert_reducible_by_counts(rules)
+
+
+# The one basis check (``toric._checked_rules``) against a reference walk,
+# on both sides of the table of a^2c and b^3: 5 generators, 8 Rees codes.
+CHECK_TABLE = build_two_borel((2, 0, 1), (0, 3, 0))
+
+
+def vector_sum(vectors, word) -> tuple:
+    return tuple(map(sum, zip(*(vectors[c] for c in word))))
+
+
+@lru_cache(maxsize=None)
+def check_side(side: str) -> tuple:
+    """The side's vectors, marking key and name of a word in a message, and its fibers.
+
+    The fibers are those that hold two or more words, of two codes and of three.
+    """
+    table, n = CHECK_TABLE, CHECK_TABLE.context.n
+    if side == "toric":
+        vectors, key, name = list(table.generators), fiber_sink_key, tuple
+    else:
+        units = [tuple(int(k == v) for k in range(n)) + (0,) for v in range(n)]
+        vectors, key = units + [g + (1,) for g in table.generators], partial(_word_key, n=n)
+
+        def name(word):
+            return ReesMonomial(tuple(map(word.count, range(n))), tuple(c - n for c in word if c >= n))
+
+    groups: dict = {}
+    for k in (2, 3):
+        for word in itertools.combinations_with_replacement(range(len(vectors)), k):
+            groups.setdefault(vector_sum(vectors, word), []).append(word)
+    shared = [words for words in groups.values() if len(words) > 1]
+    return vectors, key, name, [[words for words in shared if len(words[0]) == k] for k in (2, 3)]
+
+
+def reference_verdict(side: str, pairs) -> str | None:
+    """The basis check's message for ``pairs``, or None for a valid basis.
+
+    Shape first, then every word in element order, then each element's
+    marking, degree and multidegree in element order.
+    """
+    vectors, key, name, _ = check_side(side)
+    size = len(vectors)
+    for pos, pair in enumerate(pairs):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return f"element {pos} must be a (lead, trail) pair of words, got {pair!r}"
+    for pos, pair in enumerate(pairs):
+        for end, word in zip(("lead", "trail"), pair):
+            what = f"the {end} of element {pos}"
+            if type(word) is not tuple or any(type(c) is not int for c in word):
+                return f"{what} must be a tuple of ints, got {word!r}"
+            if list(word) != sorted(word):
+                return f"{what} must be ascending, got {word}"
+            if not all(0 <= c < size for c in word):
+                return f"{what} must be in range({size}): {word}"
+    for pos, (lead, trail) in enumerate(pairs):
+        sides = f"lead {name(lead)} and trail {name(trail)}"
+        if key(lead) <= key(trail):
+            return f"inconsistent marking: lead {name(lead)} is not earlier than trail {name(trail)}"
+        if len(lead) != len(trail):
+            return f"element {pos} is not homogeneous: {sides} differ in degree"
+        if vector_sum(vectors, lead) != vector_sum(vectors, trail):
+            return f"element {pos} is not homogeneous: {sides} differ in multidegree"
+    return None
+
+
+# Each spoils one word, or makes it longer, which spoils its element.
+WORD_SPOILERS = [
+    lambda word, size: tuple(sorted(word[:-1] + (size,))),
+    lambda word, size: tuple(sorted((-1,) + word[1:])),
+    lambda word, size: word[::-1],
+    lambda word, size: (True,) + word[1:],
+    lambda word, size: word[:-1] + (float(word[-1]),),
+    lambda word, size: list(word),
+    lambda word, size: word + word[-1:],
+]
+
+
+@st.composite
+def check_cases(draw):
+    """A side and a basis over it.
+
+    Its elements pair two words of one fiber or two random words, marked
+    either way; some have a spoiled word, and now and then one is not a pair.
+    """
+    side = draw(st.sampled_from(["toric", "rees"]))
+    vectors, key, _, groups = check_side(side)
+    size = len(vectors)
+    code = st.integers(min_value=0, max_value=size - 1)
+    elements = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["fiber"] * 12 + ["random"] * 2 + ["spoiled"] * 2 + ["shape"]))
+        if kind == "random":
+            pair = [tuple(sorted(draw(st.lists(code, min_size=2, max_size=3)))) for _ in "lt"]
+        else:
+            words = draw(st.sampled_from(groups[draw(st.sampled_from([0, 0, 1]))]))
+            pair = draw(st.lists(st.sampled_from(words), min_size=2, max_size=2, unique=True))
+        # Marked by the key three times in four, and otherwise backwards.
+        lead, trail = sorted(pair, key=key, reverse=draw(st.booleans() | st.just(True)))
+        if kind == "spoiled":
+            spoil = draw(st.sampled_from(WORD_SPOILERS))
+            if draw(st.booleans()):
+                lead = spoil(lead, size)
+            else:
+                trail = spoil(trail, size)
+        if kind == "shape":
+            elements.append(draw(st.sampled_from([len(elements), (lead, trail, lead)])))
+        else:
+            elements.append(MarkedBinomial(lead, trail) if side == "toric" else (lead, trail))
+    return side, tuple(elements)
+
+
+@checked(400)
+@given(check_cases())
+def test_the_basis_check_matches_a_reference_walk(case):
+    # Two-code bases take the column pass, and the rest (three-code words,
+    # a failed column test) the ordered walk; both must give the index of a
+    # valid basis and otherwise the reference's first message exactly.
+    side, pairs = case
+    expected = reference_verdict(side, pairs)
+    if side == "toric":
+        basis = MarkedBasis(CHECK_TABLE, pairs)
+    else:
+        basis = ReesBasis(CHECK_TABLE, pairs=pairs)
+    try:
+        rules = basis._rules
+    except ValueError as error:
+        assert str(error) == expected
+    else:
+        assert expected is None
+        assert list(zip(rules.leads, rules.trails)) == list(pairs)
 
 
 ROOTS_BY_N = {n: [root for d in range(1, 7) for root in all_monomials(n, d)] for n in range(1, 6)}

@@ -21,7 +21,6 @@ from borelfiber.rees import (
     rees_basis_to_json,
     rees_buchberger_verify,
     rees_gb,
-    rees_normal_form,
 )
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.toric import normal_form, quadric_generators
@@ -33,6 +32,7 @@ from helpers import (
     pairwise_rees_buchberger,
     rees_image,
     rees_key,
+    rees_normal_form,
 )
 
 CTX2 = VariableContext.default(2)

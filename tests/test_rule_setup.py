@@ -3,7 +3,8 @@
 A ``MarkedBinomial`` is its (lead, trail) word pair, and a ``ReesBasis``
 codes each side of its elements once, when it is built, into ``pairs``.
 ``toric._checked_rules`` checks the words, the marking and the homogeneity
-of either basis before it builds the rule index, each distinct word once.
+of either basis before it builds the rule index: by columns when every word
+has two codes, and otherwise by one walk in element order.
 ``TestNoObjectSharing`` holds every answer on fresh copies of every side to
 the answer on the originals, and ``TestRoundTrip`` holds a Rees basis rebuilt
 from its decoded elements to the basis itself.  ``TestRulesOnlyFromCheckedBases``
@@ -26,7 +27,6 @@ from borelfiber.rees import (
     ReesMonomial,
     rees_buchberger_verify,
     rees_gb,
-    rees_normal_form,
 )
 from borelfiber.toric import (
     MarkedBasis,
@@ -37,7 +37,7 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
-from helpers import mono
+from helpers import mono, rees_normal_form
 
 # The drop-one reports of the figure ideal's full and Rees bases, which
 # test_overlaps.py::TestPinnedMutantReports holds the shared originals to.

@@ -267,9 +267,9 @@ class TestBuchbergerVerify:
             buchberger_verify(bad)
 
     def test_shared_words_keep_both_marking_errors(self, fig_table, fig_quadrics):
-        # The marking key is taken once per distinct word, so each bad
-        # element below reads its shared word's key from the valid element
-        # before it, and must still be rejected as before.
+        # Each bad element below shares a word with the valid element
+        # before it, and the walk that follows a failed column test must
+        # still reject it with its own message.
         good = fig_quadrics.elements[0]
         last = len(fig_table.generators) - 1
         late = (last, last)  # the latest degree-2 point in the fiber sink order
