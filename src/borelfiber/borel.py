@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from borelfiber.fiber import _fiber_groups, _pack
+from borelfiber.fiber import _fiber_groups, _paired_moves
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -117,23 +117,16 @@ class GeneratorTable:
     def later_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
         """For each index pair a <= b, the pairs one paired move away that come later.
 
-        A paired move (a Borel move on one factor, the reverse move on the
-        other) keeps the product: it joins points (a, b) and (c, d) of one
-        degree-2 fiber where g_a - g_c or g_a - g_d is a unit move e_i - e_j,
-        and every such pair of points is one move apart.  ``later_pairs[a, b]``
-        lists, ascending, those points after (a, b) in its fiber of
+        A paired move keeps the product, so it joins points (a, b) and
+        (c, d) of one degree-2 fiber, and ``fiber._paired_moves`` tells
+        which such points are one move apart.  ``later_pairs[a, b]`` lists,
+        ascending, those points after (a, b) in its fiber of
         ``fiber._fiber_groups``, whose order is the sink order; pairs with
-        none are absent.  The differences are packed, the n unit vectors with the
-        generators (``fiber._pack`` for sums of two): a coordinate gets more
-        bits than twice the largest one, so each coordinate of a difference
-        lies strictly between -2^(width-1) and 2^(width-1), and the integer
-        determines the vector.
+        none are absent.  Only the unique-sink sweep reads these rows: its
+        scan takes the standard words from their keys, after checking every
+        entry.  Fiber graphs are built from their own points.
         """
-        n = self.context.n
-        identity = [tuple(int(k == v) for k in range(n)) for v in range(n)]
-        packed, _ = _pack(identity + list(self.generators), 2)
-        units, packed = packed[:n], packed[n:]
-        moves = {u - v for u in units for v in units if u != v}
+        packed, moves = _paired_moves(self)
         later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for points in _fiber_groups(self.generators, 2)[0].values():
             # A fiber's last point has nothing later; a degree-1 fiber has one point.

@@ -17,25 +17,29 @@ points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
 keyed by packed sum, for callers that read only the points: the degree-2
 pairs of both sides, the paired-move rows and the completion oracle.
 :func:`fibers` is the keyed view of the same listing, each fiber named by
-its unpacked sum, for the sweep's multidegrees.  The toric configuration is
-the table's generators, and the Rees algebra is the toric ring of a larger
-one (see ``rees``).
+its unpacked sum; its one src caller is ``instances.sweep_multidegrees``.
+The toric configuration is the table's generators, and the Rees algebra
+is the toric ring of a larger one (see ``rees``).
 :func:`enumerate_fiber` factors a single multidegree by one iterative
 depth-first search, which never enters a rest that no generators factor
 (:func:`_factorable`); it serves one-mu callers, whose t can be far too
 large to list every product up to it.
 
-A point's later paired moves come from :func:`_later_moves`, which reads the
-table's paired-move rows (``GeneratorTable.later_pairs``, read off the degree-2
-fibers of :func:`_fiber_groups`, so each move is listed from its earlier end).
-:func:`build_fiber_graph` drains it for every point and keeps each move as
-the edge it yields, so the unique-sink check in ``verify`` reads every
-verdict, a backward move's included, off that one graph.  A point is a
-sink exactly when it has no later move, so the sinks are the standard
-words of the rows' keys, and :func:`_standard_levels`, the one scan of
-standard words, serves the sweep in ``verify`` and the overlap check in
-``toric``.  No fiber state outlives a call, except those rows and the
-suffix sums the direct sink reads, which live and die with the table.
+What counts as a paired move is defined once, by :func:`_paired_moves`:
+two pairs with one sum are one move apart when a factor of one is a unit
+move e_i - e_j away from a factor of the other, tested on packed integers.
+:func:`build_fiber_graph` applies it to the fiber's own points, filed by
+the rest left once a pair of factors is taken out, and reads no table-wide
+rows, so a one-point fiber of a large table costs one point.  The
+unique-sink check in ``verify`` reads every verdict off that graph.  The
+table's paired-move rows (``GeneratorTable.later_pairs``, read off the
+degree-2 fibers of :func:`_fiber_groups` by the same test) serve the
+sweep alone: a point is a sink exactly when it has no later move, so the
+sinks are the standard words of the rows' keys, and
+:func:`_standard_levels`, the one scan of standard words, serves the sweep
+in ``verify`` and the overlap check in ``toric``.  No fiber state outlives
+a call, except those rows and the suffix sums the direct sink reads, which
+live and die with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -54,7 +58,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, permutations, repeat
 from math import comb
 from operator import le, neg, sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -329,17 +333,12 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
 
 @dataclass(frozen=True)
 class FiberGraph:
-    """Directed fiber graph; vertices sorted earliest-first, one edge (from, to) per listed move.
-
-    ``strays`` holds each listed move to a point outside the fiber as
-    (from, point); only a corrupted row lists one, and it is no edge.
-    """
+    """Directed fiber graph; vertices sorted earliest-first, one edge (from, to) per paired move."""
 
     table: GeneratorTable
     mu: Monomial
     vertices: tuple[FiberPoint, ...]
     edges: tuple[tuple[int, int], ...]
-    strays: tuple[tuple[int, FiberPoint], ...] = ()
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -359,53 +358,56 @@ def _fiber_in_sink_order(table: GeneratorTable, mu: Monomial) -> list[FiberPoint
     return points
 
 
-def _later_moves(later: dict, point: FiberPoint):
-    """Yield each point one listed paired move later than ``point``.
+def _paired_moves(table: GeneratorTable) -> tuple[list[int], set[int]]:
+    """The generators packed with the n unit vectors, and the packed unit moves e_i - e_j.
 
-    ``later`` is the table's ``later_pairs``.  The sink order is a monomial
-    order on the factor multiplicities, so a move replacing the pair p of a
-    point by q leads to a later point exactly when q is later than p; each
-    distinct value pair of the point is looked up once, at its first
-    positions, and its moves are yielded in row order.
+    The one test of a paired move (a Borel move on one factor, the reverse
+    move on another): two pairs (a, b) and (c, d) with one sum are one move
+    apart exactly when ``packed[a] - packed[c]`` or ``packed[a] - packed[d]``
+    is in the set, since g_a - g_c = g_d - g_b.  ``_pack`` sizes a
+    coordinate for sums of two, more bits than twice the largest one, so
+    each coordinate of a difference lies strictly between -2^(width-1) and
+    2^(width-1), and the integer determines the vector.  The table's rows
+    (``GeneratorTable.later_pairs``) and :func:`build_fiber_graph` both
+    take it.
     """
-    t = len(point)
-    for s1 in range(t - 1):
-        a = point[s1]
-        if s1 and point[s1 - 1] == a:
-            continue
-        for s2 in range(s1 + 1, t):
-            b = point[s2]
-            if s2 > s1 + 1 and point[s2 - 1] == b:
-                continue
-            moves = later.get((a, b))
-            if moves is None:
-                continue
-            rest = point[:s1] + point[s1 + 1 : s2] + point[s2 + 1 :]
-            for pair in moves:
-                yield tuple(sorted(rest + pair))
+    n = table.context.n
+    identity = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    packed, _ = _pack(identity + list(table.generators), 2)
+    return packed[n:], {u - v for u, v in permutations(packed[:n], 2)}
 
 
 def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
-    """Enumerate the fiber of mu and keep each listed paired move as an edge.
+    """Enumerate the fiber of mu and join the points one paired move apart.
 
     Vertices come from :func:`_fiber_in_sink_order`, in descending fiber
-    sink order, and each move :func:`_later_moves` yields from a point is
-    the edge (point, target).  On a true table every move leads to a later
-    point, so every edge runs from a smaller vertex index to a larger one and
-    the graph is acyclic; an edge that does not stays as it is, and a move
-    out of the fiber is kept as a stray, for the unique-sink check to report.
+    sink order.  Each vertex is filed under every rest left once two of its
+    factors, a pair of values, are taken out; two vertices filed under one
+    rest differ in that pair alone, and they are joined when
+    :func:`_paired_moves` finds a unit move between a factor of one pair
+    and a factor of the other.  Every edge runs from the smaller vertex
+    index to the larger, toward the later point, so the graph is acyclic
+    and its last vertex is a sink.  No table-wide rows are read, so a fiber
+    costs its own points, whatever the size of its table.
     """
     vertices = _fiber_in_sink_order(table, mu)
-    vindex = {v: i for i, v in enumerate(vertices)}
-    later = table.later_pairs if vertices else {}
-    moves = {(vi, w) for vi, z in enumerate(vertices) for w in _later_moves(later, z)}
-    return FiberGraph(
-        table=table,
-        mu=mu,
-        vertices=tuple(vertices),
-        edges=tuple(sorted((vi, vindex[w]) for vi, w in moves if w in vindex)),
-        strays=tuple(sorted((vi, w) for vi, w in moves if w not in vindex)),
-    )
+    packed, moves = _paired_moves(table) if len(vertices) > 1 else ([], set())
+    # rest -> {vertex index: the pair taken out}; a repeated value pair files once.
+    filed: dict[FiberPoint, dict[int, tuple[int, int]]] = defaultdict(dict)
+    for vi, z in enumerate(vertices):
+        for s1, s2 in combinations(range(len(z)), 2):
+            filed[z[:s1] + z[s1 + 1 : s2] + z[s2 + 1 :]][vi] = z[s1], z[s2]
+    edges = set()
+    for pairs in filed.values():
+        later = list(pairs.items())
+        for k, (vi, (a, _)) in enumerate(later[:-1]):
+            first = packed[a]
+            edges.update(
+                (vi, wi)
+                for wi, (c, d) in later[k + 1 :]
+                if first - packed[c] in moves or first - packed[d] in moves
+            )
+    return FiberGraph(table=table, mu=mu, vertices=tuple(vertices), edges=tuple(sorted(edges)))
 
 
 def _component_labels(size: int, groups) -> list[int]:

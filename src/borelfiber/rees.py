@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from operator import neg
 from typing import Iterable
 
@@ -147,15 +148,19 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
 
     The pairs of ``toric._degree_two_pairs`` over :func:`_configuration`,
     taken as words, so no monomial is built, and counted before any is
-    taken.  A syzygy's words start with an x code; one stable sort puts the
-    syzygies first, ordered by their two Y indices, and keeps the quadrics,
-    whose x-parts are the unit monomial, in ``quadric_generators`` order.
+    taken.  The listing does not follow the elimination order, so each pair
+    is marked by :func:`_word_ranks`, the smaller rank leading.  A syzygy's
+    words start with an x code; one stable sort puts the syzygies first,
+    ordered by their two Y indices, and keeps the quadrics, whose x-parts
+    are the unit monomial, in ``quadric_generators`` order.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
-    n = table.context.n
-    pairs = _degree_two_pairs(_configuration(table))
+    n, vectors = table.context.n, _configuration(table).vectors
+    pairs = _degree_two_pairs(vectors)
+    ranked = _word_ranks(chain.from_iterable(pairs), len(vectors), n)
+    pairs = [p if r < s else p[::-1] for p, r, s in zip(pairs, ranked[0::2], ranked[1::2])]
     pairs.sort(key=lambda pair: (0, *sorted((pair[0][1], pair[1][1]))) if pair[0][0] < n else (1,))
     return ReesBasis(table, pairs=pairs)
 

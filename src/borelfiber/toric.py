@@ -63,9 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations, compress, repeat, starmap
+from itertools import chain, combinations, repeat, starmap
 from math import comb
-from operator import gt, le, lt
+from operator import le, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from borelfiber.borel import GeneratorTable
@@ -368,23 +368,19 @@ def _check_pair_count(groups) -> None:
         )
 
 
-def _degree_two_pairs(config: Configuration) -> list[tuple[FiberPoint, FiberPoint]]:
-    """Every pair of words within a degree-2 fiber of ``config``, each as (lead, trail).
+def _degree_two_pairs(vectors: Sequence[Monomial]) -> list[tuple[FiberPoint, FiberPoint]]:
+    """Every pair of words within a degree-2 fiber of a configuration, earlier word first.
 
     The one pairing of degree-2 fibers, behind the full bases of both sides.
     Fibers come in ``fiber._fiber_groups`` order and each fiber's pairs in
-    the order of its listing; one ``config.ranks`` call over every word
-    marks each pair, the smaller rank leading.  More than
-    ``MAX_BASIS_ELEMENTS`` pairs raise ``ValueError`` before any is taken
-    (:func:`_check_pair_count`).
+    the order of its listing, which is descending sink order: on the toric
+    side every pair is already (lead, trail), and ``rees.rees_gb`` marks
+    its own.  More than ``MAX_BASIS_ELEMENTS`` pairs raise ``ValueError``
+    before any is taken (:func:`_check_pair_count`).
     """
-    groups = _fiber_groups(config.vectors, 2)[0].values()
+    groups = _fiber_groups(vectors, 2)[0].values()
     _check_pair_count(groups)
-    pairs = list(chain.from_iterable(map(combinations, groups, repeat(2))))
-    ranked = config.ranks(chain.from_iterable(pairs), len(config.vectors))
-    for pos in compress(range(len(pairs)), map(gt, ranked[0::2], ranked[1::2])):
-        pairs[pos] = pairs[pos][::-1]
-    return pairs
+    return list(chain.from_iterable(map(combinations, groups, repeat(2))))
 
 
 def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> MarkedBasis:
@@ -406,7 +402,7 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
             reverse=True,
         )
     else:
-        pairs = _degree_two_pairs(_configuration(table))
+        pairs = _degree_two_pairs(table.generators)
     return MarkedBasis(table, tuple(starmap(MarkedBinomial, pairs)))
 
 

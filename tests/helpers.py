@@ -630,8 +630,8 @@ def has_gm_factorization(table, mu: Monomial) -> bool:
 def with_cached(table: GeneratorTable, **values) -> GeneratorTable:
     """A copy of ``table`` whose cached properties read the given values.
 
-    The negative controls use it to hand the checks corrupted move rows
-    (``later_pairs``) or suffix sums (``_peel_sums``).
+    The negative controls use it to hand the sweep corrupted move rows
+    (``later_pairs``), or the checks corrupted suffix sums (``_peel_sums``).
     """
     copy = dataclasses.replace(table)
     copy.__dict__.update(values)
@@ -672,46 +672,42 @@ def marks_by_direct_sink(table, max_tdeg: int) -> list[Monomial]:
     return out
 
 
-def unique_sink_by_graph(table, mu: Monomial) -> list[str]:
+NOT_THE_SINK = "a standard word of the scan is not the graph's sink"
+
+
+def sweep_lines_by_direct_sink(table, max_tdeg: int) -> tuple[str, ...]:
+    """The sweep's violations when every row entry passes its check and every graph is sound.
+
+    Then the one fault is a row that misses a move, and each multidegree of
+    :func:`marks_by_direct_sink` gets the line :data:`NOT_THE_SINK`.
+    """
+    marks = marks_by_direct_sink(table, max_tdeg)
+    return tuple(f"{format_monomial(mu, table.context)}: {NOT_THE_SINK}" for mu in marks)
+
+
+def unique_sink_by_graph(table, mu: Monomial, rows=None) -> list[str]:
     """``verify.check_unique_sink`` read off a fiber graph built here.
 
-    The vertices are ``enumerate_fiber`` in descending sink order.  The edges
-    come straight from ``table.later_pairs``: for every point, every pair of
-    factor positions and every entry of that pair's row, the edge (point,
-    target).  Checks that each edge decreases by comparing the endpoints'
-    sink keys, counts the sinks by out-degree, and counts components
-    whenever an edge goes backward or the sinks are not one.  Reports the
-    same messages in the same order as the check.
+    The vertices are ``enumerate_fiber`` in descending sink order, and the
+    graph is :func:`fiber_graph_by_pair_walk` over ``rows``, the table's
+    :func:`pair_transitions` (computed when not given), so it reads no
+    paired-move row of the table and no packed sum.  Counts the sinks by
+    out-degree, and the components whenever the sinks are not one.  Reports
+    the same messages in the same order as the check.
     """
     points = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
     if not points:
         return []
-    index = {p: i for i, p in enumerate(points)}
-    edges = sorted(
-        {
-            (i, index[tuple(sorted(p[:s1] + p[s1 + 1 : s2] + p[s2 + 1 :] + q))])
-            for i, p in enumerate(points)
-            for s1, s2 in itertools.combinations(range(len(p)), 2)
-            for q in table.later_pairs.get((p[s1], p[s2]), ())
-        }
-    )
-    violations = []
-    keys = list(map(fiber_sink_key, points))
-    for a, b in edges:
-        if keys[a] <= keys[b]:
-            violations.append(f"edge {a}->{b} does not decrease in the sink order")
+    edges = fiber_graph_by_pair_walk(table, mu, points, rows).edges
     starts = {a for a, _ in edges}
     graph_sinks = [p for i, p in enumerate(points) if i not in starts]
-    if violations or len(graph_sinks) != 1:
+    violations = []
+    if len(graph_sinks) != 1:
         if len(set(_component_labels(len(points), edges))) != 1:
             violations.append("fiber graph is disconnected")
-    if len(graph_sinks) != 1:
         violations.append(f"{len(graph_sinks)} sinks instead of one")
-    else:
-        if graph_sinks[0] != points[-1]:
-            violations.append("sink differs from the sink-order minimum")
-        if find_sink_direct(table, mu) != graph_sinks[0]:
-            violations.append("direct sink disagrees with the graph sink")
+    elif find_sink_direct(table, mu) != graph_sinks[0]:
+        violations.append("direct sink disagrees with the graph sink")
     label = format_monomial(mu, table.context)
     return [f"{label}: {v}" for v in violations]
 

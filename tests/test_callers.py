@@ -13,9 +13,8 @@ whose src callers are pinned, and no src code sums vectors as tuples with
 ``map(add, ...)`` or ``map(sum, zip(...))``.  The fiber listing
 (``fiber._fiber_groups``) packs, and unpacks only the sum named in its
 error; its keyed view ``fiber.fibers`` unpacks every key.  The paired-move
-rows (``GeneratorTable.later_pairs``) take differences on the same packed
-generators and unit vectors, to spot the unit moves within a degree-2
-fiber.  Besides them, ``toric._checked_rules``, the one check of a basis,
+test (``fiber._paired_moves``) packs the generators with the unit vectors,
+whose differences are the unit moves.  Besides it, ``toric._checked_rules``, the one check of a basis,
 packs its configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
 ``toric._check_overlaps``, which only unpacks a failure's name.  The
@@ -28,24 +27,30 @@ elimination order is defined once, on code words (``rees._word_key``), so
 ``rees._from_codes`` decodes words only where a monomial is read: its one
 src caller, the ``ReesBasis.elements`` view, is pinned.  No word is decoded
 in order to rank it.  Both sides' full bases pair the degree-2 fibers in one
-place: ``toric._degree_two_pairs``, given a side's configuration, is the one
+place: ``toric._degree_two_pairs``, given a side's vectors, is the one
 caller of the pair count (``toric._check_pair_count``), and
 ``toric.quadric_generators`` and ``rees.rees_gb`` are its only callers, so
-``rees`` reads no fiber listing of its own.
+``rees`` reads no fiber listing of its own.  What counts as a paired move
+is defined once too: ``fiber._paired_moves`` serves the table's rows
+(``GeneratorTable.later_pairs``) and the fiber graph
+(``fiber.build_fiber_graph``), and nothing else.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
 unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
-``fiber.build_fiber_graph`` builds and imports neither ``_later_moves`` nor
-``_fiber_in_sink_order``; the sweep takes the first step of the direct sink
-per standard word, on the word's unpacked suffix sums and its length: one
-share test (``fiber._sink_plan``) and one peel (``fiber._peel``).
+``fiber.build_fiber_graph`` builds and imports none of its parts, neither
+the paired-move test nor ``_fiber_in_sink_order``; the sweep takes the
+first step of the direct sink per standard word, on the word's unpacked
+suffix sums and its length: one share test (``fiber._sink_plan``) and one
+peel (``fiber._peel``).
 
 The oracles stay independent of the fast paths they check: the scan of
 standard words (``fiber._standard_levels``) serves only the sweep and the
-overlap check, and nothing that the completion oracle
-(``toric.brute_force_gb``) calls, directly or through other src functions,
-reaches the overlap check or the direct sink.
+overlap check; the table's paired-move rows (``later_pairs``), which the
+sweep's scan trusts, are read by the sweep alone, and neither the fiber
+graph nor the unique-sink check reaches them; and nothing that the
+completion oracle (``toric.brute_force_gb``) calls, directly or through
+other src functions, reaches the overlap check or the direct sink.
 """
 
 import ast
@@ -62,8 +67,8 @@ TEST_ONLY = []
 # The one configuration-sum path and the src functions that use it.
 SUM_PATH = {
     "_pack": [
-        "borel.GeneratorTable.later_pairs",
         "fiber._fiber_groups",
+        "fiber._paired_moves",
         "toric._checked_rules",
         "verify.sweep_unique_sinks",
     ],
@@ -86,9 +91,14 @@ PAIR_PATH = {
     "_degree_two_pairs": ["rees.rees_gb", "toric.quadric_generators"],
 }
 
+# The one paired-move test and its src callers.
+MOVE_PATH = {
+    "_paired_moves": ["borel.GeneratorTable.later_pairs", "fiber.build_fiber_graph"],
+}
+
 # Each private name one src module imports from another, by importing module.
 PRIVATE_IMPORTS = {
-    "borel": ["fiber._fiber_groups", "fiber._pack"],
+    "borel": ["fiber._fiber_groups", "fiber._paired_moves"],
     "rees": [
         "toric._Rules",
         "toric._check_ints",
@@ -225,6 +235,9 @@ def test_the_oracles_stay_off_the_fast_paths():
     ]
     for fast in ("_check_overlaps", "find_sink_direct"):
         assert "brute_force_gb" not in reaching(modules, fast), fast
+    assert callers(modules, "later_pairs") == ["verify.sweep_unique_sinks"]
+    rows_reach = reaching(modules, "later_pairs")
+    assert not {"build_fiber_graph", "check_unique_sink"} & rows_reach, rows_reach
 
 
 def test_the_reach_scan_follows_chains():
@@ -291,6 +304,11 @@ def test_one_decode_path():
 def test_one_pairing_of_degree_two_fibers():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in PAIR_PATH} == PAIR_PATH
+
+
+def test_one_paired_move_test():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in MOVE_PATH} == MOVE_PATH
 
 
 def private_imports(modules: dict[str, ast.Module]) -> dict[str, list[str]]:

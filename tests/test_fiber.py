@@ -1,9 +1,10 @@
+import json
 import re
 
 import pytest
 
-from borelfiber import fiber
-from borelfiber.borel import build_table, build_two_borel, expand_principal
+from borelfiber import cli, fiber
+from borelfiber.borel import GeneratorTable, build_table, build_two_borel, expand_principal
 from borelfiber.fiber import (
     _lex_last_sigma,
     _m_share_bounds,
@@ -369,6 +370,36 @@ class TestBuildFiberGraph:
                 g2 = build_fiber_graph(reduced, mu)
                 assert as_monomial_sets(g1) == as_monomial_sets(g2)
         assert compared > 50
+
+
+class TestLoneFiber:
+    """A one-point fiber of a table of 3,349 generators builds from its own point.
+
+    The table-wide rows (``later_pairs``) of this table hold tens of
+    millions of moves; reading them is refused here, so the graph and the
+    ``fiber`` and ``sink`` commands must do without them.
+    """
+
+    IDEAL, MU = "{a^2e^14,d^16}", "[4,0,0,0,28]"
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("the table-wide paired-move rows were read")
+
+        monkeypatch.setattr(GeneratorTable, "later_pairs", property(refuse))
+
+    def test_graph(self, no_rows):
+        table = build_two_borel((2, 0, 0, 0, 14), (0, 0, 0, 16, 0))
+        assert len(table.generators) == 3349
+        graph = build_fiber_graph(table, (4, 0, 0, 0, 28))
+        assert graph.vertices == ((3348, 3348),) and graph.edges == ()
+
+    def test_fiber_and_sink_commands(self, no_rows, capsys):
+        assert cli.main(["fiber", "--ideal", self.IDEAL, "--mu", self.MU]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["edges"] == []
+        assert cli.main(["sink", "--ideal", self.IDEAL, "--mu", self.MU]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["agrees_with_graph"] is True
 
 
 class TestPointTypes:

@@ -1,12 +1,15 @@
-"""Forward-only paired moves build the same fiber graphs as the two-way walk.
+"""Fiber graphs built from their own points equal the two-way walk.
 
-``build_fiber_graph`` enumerates the fiber itself and follows each paired
-move once, from its earlier end, through the table's ``later_pairs``, and
-visits each distinct value pair of a point once.  The reference
-``helpers.fiber_graph_by_pair_walk`` takes the points of ``fibers`` and
-follows every move of every ordered factor position pair, from both ends.
-The graphs, vertices included, must be equal on every fiber checked, and
-every listed move must lead back.
+``build_fiber_graph`` enumerates the fiber itself, files each point under
+every rest left once a pair of its factors is taken out, and joins two
+points filed under one rest when the packed paired-move test
+(``fiber._paired_moves``) finds a unit move between their pairs.  The
+reference ``helpers.fiber_graph_by_pair_walk`` takes the points of
+``fibers`` and follows every move of every ordered factor position pair,
+from both ends, by exponent arithmetic (``helpers.pair_transitions``).  The
+graphs, vertices included, must be equal on every fiber checked.  The
+table's rows (``later_pairs``), which only the sweep reads, must list
+exactly the later moves of each pair, and every listed move must lead back.
 """
 
 import pytest

@@ -14,12 +14,13 @@ Examples are derandomized, so every run checks the same tables.
 import itertools
 from collections import Counter
 from functools import lru_cache, partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelfiber import verify
+from borelfiber import fiber, verify
 from borelfiber.borel import (
     build_table,
     build_two_borel,
@@ -57,12 +58,14 @@ from helpers import (
     has_gm_factorization_by_shares,
     lex_last_divisor,
     lex_last_divisor_by_scan,
+    pair_transitions,
     point_product,
     principal_by_filter,
     reduce_for_fiber,
     rees_normal_form,
     sink_by_peeling,
     split_rees_reducer,
+    sweep_lines_by_direct_sink,
     unique_sink_by_graph,
     with_cached,
 )
@@ -138,12 +141,12 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
 
 
 @st.composite
-def tables_with_dropped_moves(draw, base=tables):
+def tables_with_dropped_moves(draw, base):
     """A table of ``base`` whose paired-move rows each lose a drawn share of their moves.
 
-    Every move left still leads forward, so the scan and the graph oracle
-    see the same sinks, and a fiber split by the dropped moves gives both
-    the same violations.
+    Every move left still leads forward and stays in its fiber, so the row
+    check passes, and the fibers where the scan then finds a second standard
+    word are exactly those of ``helpers.marks_by_direct_sink``.
     """
     table = draw(base)
     drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
@@ -156,11 +159,35 @@ def tables_with_dropped_moves(draw, base=tables):
     return with_cached(table, later_pairs=rows)
 
 
+@st.composite
+def tables_with_dropped_unit_moves(draw):
+    """A table and a drawn share of its unit moves, to drop with their reverses.
+
+    Each move e_i - e_j with i < j is drawn as ``fiber._paired_moves`` packs it.
+    """
+    table = draw(tables)
+    drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    ups = sorted(move for move in fiber._paired_moves(table)[1] if move > 0)
+    return table, {move for move in ups if rnd.random() < drop}
+
+
 @checked(30)
-@given(tables_with_dropped_moves())
-def test_unique_sink_scan_matches_the_graph_oracle(table):
-    for mu in fibers(table.generators, 3):
-        assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu)
+@given(tables_with_dropped_unit_moves())
+def test_unique_sink_scan_matches_the_graph_oracle(case):
+    # Both sides lose the same moves: the graph through the one paired-move
+    # test, the reference walk through its transitions, each identified by
+    # its packed difference g_h1 - g_p.
+    table, dropped = case
+    packed, moves = fiber._paired_moves(table)
+    kept = {move for move in moves if abs(move) not in dropped}
+    rows = [
+        [[(h1, h2) for h1, h2 in row if abs(packed[h1] - packed[p]) not in dropped] for row in line]
+        for p, line in enumerate(pair_transitions(table))
+    ]
+    with mock.patch.object(fiber, "_paired_moves", lambda table: (packed, kept)):
+        for mu in fibers(table.generators, 3):
+            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, rows)
 
 
 @st.composite
@@ -616,10 +643,10 @@ sweep_tables = st.deferred(lambda: st.sampled_from(sweep_pairs())).map(
 @given(tables_with_dropped_moves(sweep_tables), st.integers(min_value=1, max_value=3))
 def test_sweep_matches_the_graph_oracle_on_every_fiber(table, max_tdeg):
     # The sweep checks only the multidegrees its scan marks; with every row
-    # still forward, those are exactly the fibers the oracle faults.
+    # still forward, the graph oracle finds no fault in any fiber, so each
+    # mark gets the scan's own line.
     groups = fibers(table.generators, max_tdeg)
     report = verify.sweep_unique_sinks(table, max_tdeg)
     assert report.multidegrees_checked == len(groups)
-    assert report.violations == tuple(
-        v for mu in groups for v in unique_sink_by_graph(table, mu)
-    )
+    assert not any(verify.check_unique_sink(table, mu) for mu in groups)
+    assert report.violations == sweep_lines_by_direct_sink(table, max_tdeg)

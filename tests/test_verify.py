@@ -1,18 +1,22 @@
 """Negative controls, the fast path and the graph oracle of the unique-sink
 checker and the sweep.
 
-The check reads every verdict off one fiber graph, built from the table's
-paired-move rows (``later_pairs``) and the order of the fiber's points, and
-compares its sink with the direct sink, which reads the table's suffix
-sums.  Each control corrupts one of these and pins the full violation
-list; the CLI must then exit 1.  A control that reorders a fiber's points
-swaps in its own ``fiber._fiber_in_sink_order``, the graph's one source of
-vertices.  A row entry outside its pair's fiber is reported as a move out
-of the fiber, not a lookup error.  The sweep scans standard words, accepts
-each by one share test and one peel onto the direct sink of a shorter
-accepted word, on the suffix sums its packed sum carries, and hands only the
-multidegrees that fail the scan to the check; it refuses a table of three
-roots before the scan.
+The check reads every verdict off one fiber graph, built from the fiber's
+own points and the paired-move test (``fiber._paired_moves``), and compares
+its sink with the direct sink, which reads the table's suffix sums.  The
+sweep reads the table's paired-move rows (``later_pairs``), which the graph
+never does.  Each control corrupts one of these and pins the full violation
+list; the CLI must then exit 1.  A corrupted row leaves the check with no
+fault, and the sweep reports it: by its row check when an entry is not a
+later point of its pair's fiber, and otherwise, when a row misses a move,
+by the line "a standard word of the scan is not the graph's sink" at each
+multidegree its scan marks (``helpers.marks_by_direct_sink``).  A control
+that reorders a fiber's points swaps in its own
+``fiber._fiber_in_sink_order``, the graph's one source of vertices.  The
+sweep scans standard words, accepts each by one share test and one peel
+onto the direct sink of a shorter accepted word, on the suffix sums its
+packed sum carries, and hands only the multidegrees that fail the scan to
+the check; it refuses a table of three roots before the scan.
 """
 
 import sys
@@ -25,7 +29,16 @@ from borelfiber.fiber import build_fiber_graph, fibers
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import VariableContext, format_monomial, sigma
 
-from helpers import marks_by_direct_sink, mono, unique_sink_by_graph, with_cached
+from helpers import (
+    NOT_THE_SINK,
+    marks_by_direct_sink,
+    mono,
+    pair_transitions,
+    point_product,
+    sweep_lines_by_direct_sink,
+    unique_sink_by_graph,
+    with_cached,
+)
 
 FIG_MU = (3, 9, 3)
 # A fiber of t-degree 2 with three points, small enough to give its moves by hand.
@@ -72,92 +85,102 @@ class TestNegativeControls:
     def test_true_graph_passes(self, fig_table):
         assert verify.check_unique_sink(fig_table, FIG_MU) == []
 
-    def test_flipped_edge(self, fig_table, fig_points, fig_label):
-        # The sink (1,3,13) gets a move back to (0,3,12) by swapping the pair
-        # (1,13) for (0,12).  The graph keeps that move as the edge 6->5,
-        # beside the true move 5->6.
-        assert fig_points[5:] == [(0, 3, 12), (1, 3, 13)]
-        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, (1, 13): ((0, 12),)})
-        assert verify.check_unique_sink(corrupt, FIG_MU) == [
-            f"{fig_label}: edge 6->5 does not decrease in the sink order",
-            f"{fig_label}: 0 sinks instead of one",
-        ]
-
-    def test_edges_removed(self, fig_table, fig_label):
-        corrupt = with_cached(fig_table, later_pairs={})
-        assert verify.check_unique_sink(corrupt, FIG_MU) == [
+    def test_no_paired_moves(self, monkeypatch, fig_table, fig_label):
+        # With no unit move every point is its own component and a sink.
+        paired_moves = fiber._paired_moves
+        monkeypatch.setattr(fiber, "_paired_moves", lambda table: (paired_moves(table)[0], set()))
+        assert verify.check_unique_sink(fig_table, FIG_MU) == [
             f"{fig_label}: fiber graph is disconnected",
             f"{fig_label}: 7 sinks instead of one",
         ]
 
+    def test_flipped_edge(self, fig_table, fig_points):
+        # The sink (1,3,13) gets a move back to (0,3,12) by swapping the pair
+        # (1,13) for (0,12).  The graph reads no rows, so the check passes;
+        # the sweep's row check reports the backward entry.
+        assert fig_points[5:] == [(0, 3, 12), (1, 3, 13)]
+        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, (1, 13): ((0, 12),)})
+        assert verify.check_unique_sink(corrupt, FIG_MU) == []
+        label = format_monomial(point_product(fig_table, (1, 13)), fig_table.context)
+        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
+            f"{label}: row (1, 13) lists (0, 12), not a later point of its fiber",
+        )
+
+    def test_edges_removed(self, fig_table, fig_label):
+        # With no rows every point is a standard word, so the scan marks each
+        # fiber of more than one point, and its graph has no fault.
+        corrupt = with_cached(fig_table, later_pairs={})
+        assert verify.check_unique_sink(corrupt, FIG_MU) == []
+        lines = verify.sweep_unique_sinks(corrupt, 3).violations
+        assert lines == sweep_lines_by_direct_sink(corrupt, 3)
+        assert f"{fig_label}: {NOT_THE_SINK}" in lines
+
     def test_two_cycle_beside_a_lone_sink(self, fig_table, pair_points):
-        # The first two points move to each other and the last has no move:
-        # one sink, yet two components.  The check may not infer connectivity
-        # from the lone sink once a move goes backward.
+        # The first two points move to each other and the last has no move.
+        # The row check reports the backward entry; every pair without a row
+        # is standard, so the scan marks the fibers that hold two of them.
         p0, p1, _ = pair_points
         corrupt = with_cached(fig_table, later_pairs={p0: (p1,), p1: (p0,)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
-            f"{label}: edge 1->0 does not decrease in the sink order",
-            f"{label}: fiber graph is disconnected",
-        ]
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
+        marks = sweep_lines_by_direct_sink(corrupt, 2)
+        assert marks and f"{label}: {NOT_THE_SINK}" not in marks
+        assert verify.sweep_unique_sinks(corrupt, 2).violations == (
+            f"{label}: row {p1} lists {p0}, not a later point of its fiber",
+            *marks,
+        )
 
     def test_move_to_itself(self, fig_table, pair_points):
         # A move that leaves the sink where it is goes nowhere later.
         sink = pair_points[-1]
         corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, sink: (sink,)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
-            f"{label}: edge 2->2 does not decrease in the sink order",
-            f"{label}: 0 sinks instead of one",
-        ]
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
+        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
+            f"{label}: row {sink} lists {sink}, not a later point of its fiber",
+        )
 
     def test_two_sinks(self, fig_table, pair_points):
-        # The first point moves to both others; the graph is connected.
+        # The first point moves to both others, and the rows of every other
+        # pair are gone: the last two points are both standard words.
         p0, p1, p2 = pair_points
         corrupt = with_cached(fig_table, later_pairs={p0: (p1, p2)})
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
-            f"{label}: 2 sinks instead of one",
-        ]
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
+        lines = verify.sweep_unique_sinks(corrupt, 2).violations
+        assert lines == sweep_lines_by_direct_sink(corrupt, 2)
+        assert f"{label}: {NOT_THE_SINK}" in lines
 
-    def test_sink_is_not_the_order_minimum(self, monkeypatch, fig_table, fig_points, fig_label):
-        # The last two points swapped: the sink is no longer last, and the
-        # point now last moves back to it.
+    def test_swapped_last_points_make_the_direct_sink_disagree(
+        self, monkeypatch, fig_table, fig_points, fig_label
+    ):
+        # The last two points swapped: the edge between them still runs to
+        # the last vertex, which is now (0,3,12), not the direct sink.
         reordered = fig_points[:5] + [fig_points[6], fig_points[5]]
         monkeypatch.setattr(fiber, "_fiber_in_sink_order", lambda table, mu: list(reordered))
         assert verify.check_unique_sink(fig_table, FIG_MU) == [
-            f"{fig_label}: edge 6->5 does not decrease in the sink order",
-            f"{fig_label}: sink differs from the sink-order minimum",
+            f"{fig_label}: direct sink disagrees with the graph sink",
         ]
 
     def test_backward_move_after_a_forward_one(self, fig_table, pair_points):
         # The row of (0,11) lists the later (1,12) as before, then the
-        # earlier (2,2): the backward move follows a forward one, so the
-        # check must follow every listed move and keep its direction.
+        # earlier (2,2): the row check must read every entry of a row.
         assert pair_points == [(2, 2), (0, 11), (1, 12)]
         rows = {**fig_table.later_pairs, (0, 11): ((1, 12), (2, 2))}
         corrupt = with_cached(fig_table, later_pairs=rows)
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
-            f"{label}: edge 1->0 does not decrease in the sink order"
-        ]
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
         assert verify.sweep_unique_sinks(corrupt, 3).violations == (
             f"{label}: row (0, 11) lists (2, 2), not a later point of its fiber",
         )
 
     def test_move_out_of_the_fiber(self, fig_table, pair_points):
         # The row of (0,11) lists (0,12), a pair of another multidegree: the
-        # move leaves the fiber, so it is no edge, and (0,11) is left as a
-        # second sink apart from the true one.
+        # row check reports it, not a lookup error.
         rows = {**fig_table.later_pairs, (0, 11): ((0, 12),)}
         corrupt = with_cached(fig_table, later_pairs=rows)
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == [
-            f"{label}: vertex 1 moves to (0, 12), a point outside the fiber",
-            f"{label}: fiber graph is disconnected",
-            f"{label}: 2 sinks instead of one",
-        ]
+        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
         assert verify.sweep_unique_sinks(corrupt, 3).violations == (
             f"{label}: row (0, 11) lists (0, 12), not a later point of its fiber",
         )
@@ -189,7 +212,7 @@ class TestNegativeControls:
         table = with_cached(build_two_borel(mono("ac"), mono("b^2")), later_pairs={})
         report = verify.sweep_unique_sinks(table, 2)
         assert report.status == "FAIL"
-        assert any("fiber graph is disconnected" in v for v in report.violations)
+        assert report.violations == sweep_lines_by_direct_sink(table, 2) != ()
 
     def test_cli_exits_one_on_a_violation(self, monkeypatch, capsys):
         monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: {}))
@@ -202,10 +225,7 @@ class TestNegativeControls:
         # (0,12) of its fiber fails the row check; (1,13) becomes a lead, so
         # the fibers that held it lose their sink and no later step sees them.
         rows = {**fig_table.later_pairs, (1, 13): ((0, 12),)}
-        label = format_monomial(
-            tuple(map(sum, zip(fig_table.generators[1], fig_table.generators[13]))),
-            fig_table.context,
-        )
+        label = format_monomial(point_product(fig_table, (1, 13)), fig_table.context)
         report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 3)
         assert report.violations == (f"{label}: row (1, 13) lists (0, 12), not a later point of its fiber",)
         monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: rows))
@@ -290,15 +310,15 @@ class TestFastPath:
 
     def test_one_corrupted_fiber_builds_one_graph(self, fig_table, pair_points, graph_calls):
         # Without its row the first point of PAIR_MU's fiber is a second
-        # standard word there; at t <= 2 no other fiber holds that pair.
+        # standard word there; at t <= 2 no other fiber holds that pair.  The
+        # graph has its move and no fault, so the scan's mark is the line.
         p0, _, _ = pair_points
         rows = {pair: row for pair, row in fig_table.later_pairs.items() if pair != p0}
-        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 2)
+        corrupt = with_cached(fig_table, later_pairs=rows)
+        report = verify.sweep_unique_sinks(corrupt, 2)
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert report.violations == (
-            f"{label}: fiber graph is disconnected",
-            f"{label}: 2 sinks instead of one",
-        )
+        assert report.violations == (f"{label}: {NOT_THE_SINK}",)
+        assert report.violations == sweep_lines_by_direct_sink(corrupt, 2)
         assert graph_calls == [PAIR_MU]
 
     def test_a_wrong_direct_sink_builds_graphs_only_where_it_fails(
@@ -355,5 +375,6 @@ def test_an_empty_fiber_has_no_violation(fig_table):
 
 def test_scan_matches_the_graph_oracle_on_every_tenth_suite_table():
     for table in suite_tables(cap=200)[::10]:
+        rows = pair_transitions(table)
         for mu in fibers(table.generators, 3):
-            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu)
+            assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, rows)
