@@ -126,7 +126,7 @@ class GeneratorTable:
         scan takes the standard words from their keys, after checking every
         entry.  Fiber graphs are built from their own points.
         """
-        packed, moves = _paired_moves(self)
+        packed, moves = _paired_moves(self, range(len(self.generators)))
         later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for points in _fiber_groups(self.generators, 2)[0].values():
             # A fiber's last point has nothing later; a degree-1 fiber has one point.

@@ -15,7 +15,9 @@ vector sum, each sum carried as one packed integer (:func:`_pack`); so every
 fiber comes out in descending sink order without a sort.  It counts the
 points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
 keyed by packed sum, for callers that read only the points: the degree-2
-pairs of both sides, the paired-move rows and the completion oracle.
+pairs of both sides, the paired-move rows and the completion oracle, which
+lists degrees 1 and 2 and, above them, every point only of a fiber that
+holds two normal words.
 :func:`fibers` is the keyed view of the same listing, each fiber named by
 its unpacked sum; its one src caller is ``instances.sweep_multidegrees``.
 The toric configuration is the table's generators, and the Rees algebra
@@ -29,9 +31,9 @@ What counts as a paired move is defined once, by :func:`_paired_moves`:
 two pairs with one sum are one move apart when a factor of one is a unit
 move e_i - e_j away from a factor of the other, tested on packed integers.
 :func:`build_fiber_graph` applies it to the fiber's own points, filed by
-the rest left once a pair of factors is taken out, and reads no table-wide
-rows, so a one-point fiber of a large table costs one point.  The
-unique-sink check in ``verify`` reads every verdict off that graph.  The
+the rest left once a pair of factors is taken out; it packs only the codes
+they use and reads no table-wide rows, so a one-point fiber of a large
+table costs one point.  The unique-sink check in ``verify`` reads every verdict off that graph.  The
 table's paired-move rows (``GeneratorTable.later_pairs``, read off the
 degree-2 fibers of :func:`_fiber_groups` by the same test) serve the
 sweep alone: a point is a sink exactly when it has no later move, so the
@@ -145,8 +147,11 @@ def _fiber_groups(
 
     The listing behind :func:`fibers`, which names each fiber by its sum;
     callers that read only the fibers take them here, in the same order,
-    with no sum unpacked.  Returns the fibers and the bits of one coordinate
-    of their keys (:func:`_pack`, sized for ``max_deg`` codes).
+    with no sum unpacked.  The completion oracle (``toric.brute_force_gb``)
+    takes degrees 1 and 2 here, and the whole listing up to its bound only
+    when a fiber above them holds two normal words.  Returns the fibers and
+    the bits of one coordinate of their keys (:func:`_pack`, sized for
+    ``max_deg`` codes).
 
     A configuration lists one vector per code, and a point is an ascending
     code tuple; the toric configuration is ``table.generators``.  Builds the
@@ -358,23 +363,23 @@ def _fiber_in_sink_order(table: GeneratorTable, mu: Monomial) -> list[FiberPoint
     return points
 
 
-def _paired_moves(table: GeneratorTable) -> tuple[list[int], set[int]]:
-    """The generators packed with the n unit vectors, and the packed unit moves e_i - e_j.
+def _paired_moves(table: GeneratorTable, codes: Sequence[int]) -> tuple[dict[int, int], set[int]]:
+    """The generators of ``codes`` packed with the n unit vectors, and the packed unit moves e_i - e_j.
 
     The one test of a paired move (a Borel move on one factor, the reverse
     move on another): two pairs (a, b) and (c, d) with one sum are one move
     apart exactly when ``packed[a] - packed[c]`` or ``packed[a] - packed[d]``
     is in the set, since g_a - g_c = g_d - g_b.  ``_pack`` sizes a
-    coordinate for sums of two, more bits than twice the largest one, so
-    each coordinate of a difference lies strictly between -2^(width-1) and
-    2^(width-1), and the integer determines the vector.  The table's rows
-    (``GeneratorTable.later_pairs``) and :func:`build_fiber_graph` both
-    take it.
+    coordinate for sums of two of the packed vectors, more bits than twice
+    the largest one, so each coordinate of a difference lies strictly
+    between -2^(width-1) and 2^(width-1), and the integer determines the
+    vector.  The table's rows (``GeneratorTable.later_pairs``) pack every
+    code; :func:`build_fiber_graph` packs only the codes its points use.
     """
     n = table.context.n
-    identity = [tuple(int(k == v) for k in range(n)) for v in range(n)]
-    packed, _ = _pack(identity + list(table.generators), 2)
-    return packed[n:], {u - v for u, v in permutations(packed[:n], 2)}
+    identity = [(0,) * v + (1,) + (0,) * (n - 1 - v) for v in range(n)]
+    packed, _ = _pack(identity + [table.generators[c] for c in codes], 2)
+    return dict(zip(codes, packed[n:])), {u - v for u, v in permutations(packed[:n], 2)}
 
 
 def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
@@ -387,11 +392,13 @@ def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     :func:`_paired_moves` finds a unit move between a factor of one pair
     and a factor of the other.  Every edge runs from the smaller vertex
     index to the larger, toward the later point, so the graph is acyclic
-    and its last vertex is a sink.  No table-wide rows are read, so a fiber
-    costs its own points, whatever the size of its table.
+    and its last vertex is a sink.  No table-wide rows are read and only the
+    codes of the fiber's points are packed, so a fiber costs its own points,
+    whatever the size of its table.
     """
     vertices = _fiber_in_sink_order(table, mu)
-    packed, moves = _paired_moves(table) if len(vertices) > 1 else ([], set())
+    codes = sorted(set(chain.from_iterable(vertices))) if len(vertices) > 1 else []
+    packed, moves = _paired_moves(table, codes) if codes else ({}, set())
     # rest -> {vertex index: the pair taken out}; a repeated value pair files once.
     filed: dict[FiberPoint, dict[int, tuple[int, int]]] = defaultdict(dict)
     for vi, z in enumerate(vertices):

@@ -5,7 +5,7 @@ generated by differences of fiber points with equal product.  For two-Borel
 tables the set of *all* quadric binomials, marked by the fiber sink order,
 is a Groebner basis; :func:`buchberger_verify` rechecks that claim overlap
 by overlap, and :func:`brute_force_gb` is the independent truncated-completion
-oracle, which reduces every fiber up to a bound to one normal form.
+oracle, which brings every fiber up to a bound to one normal form.
 Everything is coefficient free: binomials are ordered pairs of Y-monomials,
 and reduction replaces sub-multisets.
 
@@ -31,18 +31,20 @@ other basis, and one that fails a column test, is walked in element order,
 which names the first fault; either way the index is built in one pass
 over the pairs.  The lead index ``by_lead`` is the one place that
 says which rules carry a lead: the rewriter looks up a word's sub-multisets
-there, :func:`brute_force_gb` grows it one rule at a time and asks it only
-whether a word holds a lead (:meth:`_Rules.reducible`) until a fiber shows
-two normal words, and :func:`_check_overlaps`, the one Groebner verifier,
-reads its critical monomials off it.
+there, :func:`brute_force_gb` grows it one rule at a time and asks it
+whether a word holds a lead (:meth:`_Rules.reducible`) to find the normal
+words of each fiber, and :func:`_check_overlaps`, the one Groebner
+verifier, reads its critical monomials off it.
 
 The rewriter finds a word's leads by one lookup of its sub-multisets
 (:meth:`_Rules.hits`).  While every rule is quadratic it steps a word of two
 codes in closed form, and the completion oracle tests words of two and three
 codes for a lead in closed form (:meth:`_Rules.reducible`): the checks reduce
-those words by far the most often.  The oracle reduces only the fibers that
-hold two normal words, and marks each new rule by its reversed words
-(:func:`brute_force_gb`).
+those words by far the most often.  Above degree 2 the oracle builds only
+the normal words, each a normal word of the degree before extended by one
+code, since normal words are closed under division; it lists every point of
+a fiber only when the fiber holds two of them, reduces only those fibers,
+and marks each new rule by its reversed words (:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -56,7 +58,9 @@ one sum path that the fiber listing uses too, with bits for the longest word
 summed, so a word's packed sum is one integer addition per code and two
 words share it exactly when they share their sum.  A basis's rule index
 keeps its configuration packed (:func:`_checked_rules`), for the overlap
-check too, and a failure's name is unpacked from its sum.
+check too, and a failure's name is unpacked from its sum.  The oracle packs
+its normal words' sums at the width of the full listing up to its bound, so
+they are that listing's keys.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from math import comb
 from operator import le, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from borelfiber import fiber
 from borelfiber.borel import GeneratorTable
 from borelfiber.fiber import (
     FiberPoint,
@@ -603,25 +608,38 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """Degree-truncated completion: one normal form per fiber up to the bound.
 
     Walks the fibers of t-degree up to the bound in ``fiber._fiber_groups``
-    order and reduces the star of each that holds two normal words: the
-    pairs (first point, w) for every later point w.  When the normal forms
-    differ, the earlier one in the fiber sink order (the larger
-    ``fiber_sink_key``) becomes a lead, rewritten to the later one,
-    whichever point it came from.  Independent of the unique-sink theory
-    and of the overlap check; used as the oracle.
+    order, ascending degree and then ascending packed sum, and reduces the
+    star of each that holds two normal words: the pairs (first point, w)
+    for every later point w.  When the normal forms differ, the earlier one
+    in the fiber sink order (the larger ``fiber_sink_key``) becomes a lead,
+    rewritten to the later one, whichever point it came from.  Independent
+    of the unique-sink theory, of the scan of standard words and of the
+    overlap check: a word is normal when ``rules.reducible`` finds no lead
+    in it, answered in closed form for words of two and three codes while
+    every rule is quadratic.  Used as the oracle.
 
     Only fibers with two normal words are reduced.  Every rule joins two
     points of one fiber, and its lead comes earlier in the sink order than
     its trail.  So a step keeps a word's fiber, and every normal form of a
-    point is a normal word of the point's own fiber: a point w for which
-    ``rules.reducible(w)`` is False, answered in closed form for words of
-    two and three codes while every rule is quadratic.  The fiber's last
+    point is a normal word of the point's own fiber.  The fiber's last
     point is always normal: a lead dividing it would rewrite it to a later
     point of its fiber, and there is none, as the sink order is a monomial
     order.  So a fiber whose other points all rewrite holds one normal word,
-    every point's normal form is that word, and its star adds nothing; the
-    walk moves on as soon as it finds one more normal word, and only then
-    reduces the star.
+    every point's normal form is that word, and its star adds nothing.
+
+    The fibers come from :func:`_stars`.  Degrees 1 and 2 are listed in
+    full.  Above them only the normal words are built: a word's prefix
+    divides it, so a normal word's prefix is normal, and each normal word
+    of degree k is a normal word of degree k - 1 extended by a code at
+    least its last.  So no normal word is missed, and a fiber with at most
+    one of them is skipped unlisted.  A fiber with two or more is reduced
+    over all its points, taken from the full listing up to the bound, which
+    is built only when some fiber needs it; for two-Borel tables none does,
+    as the quadrics are a Groebner basis and each fiber holds one standard
+    word.  A level's normal words need no recheck as its rules are added: a
+    rule added at degree k leads by a word of length k and of its own
+    fiber's sum, so it divides no word of another fiber of the level, and
+    after the level exactly the words that became leads stop being normal.
 
     The first point's normal form a is computed once per star and carried,
     so each point of a star is reduced once.  Let b be w's normal form.
@@ -664,9 +682,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
-    for points in _fiber_groups(table.generators, degree_bound)[0].values():
-        if all(map(rules.reducible, points[:-1])):
-            continue
+    for points in _stars(table.generators, degree_bound, rules):
         first, *rest = points
         a = rules.normal_form(first)
         for w in rest:
@@ -679,6 +695,49 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
                 rules.add(a, b)
                 a = b
     return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
+
+
+def _stars(vectors: Sequence[Monomial], bound: int, rules: _Rules):
+    """Yield the points of each fiber up to ``bound`` that holds two normal words, in listing order.
+
+    The caller adds a fiber's rules before the next fiber is yielded.
+    Degrees 1 and 2 come from ``fiber._fiber_groups(vectors, 2)``.  At each
+    degree k above them, the words of degree k - 1 that did not become
+    leads are the normal ones; each is extended by every code from its last
+    on, the extensions that ``rules.reducible`` passes are kept, and they
+    are grouped by packed sum.  A fiber of two or more is yielded from the
+    full listing up to ``bound``, built at most once.  The argument is
+    :func:`brute_force_gb`'s.  Raises ``ValueError`` before building a
+    degree whose candidate words outnumber ``fiber.MAX_FIBER_POINTS``.
+    """
+    groups = _fiber_groups(vectors, 2)[0]
+    for points in groups.values():
+        if not all(map(rules.reducible, points[:-1])):
+            yield points
+    packed, _ = _pack(vectors, bound)
+    singles = [(c,) for c in range(len(packed))]
+    # The words of the level before, with their sums: no lead has one code, so each is
+    # normal unless it became a lead.
+    kept = [(w, packed[w[0]] + packed[w[1]]) for ws in groups.values() for w in ws if len(w) == 2]
+    listing = None
+    for k in range(3, bound + 1):
+        normal = [(word, total) for word, total in kept if word not in rules.by_lead]
+        count = sum(len(packed) - word[-1] for word, _ in normal)
+        if count > fiber.MAX_FIBER_POINTS:
+            raise ValueError(
+                f"the normal words of degree {k - 1} extend to {count:,} words of degree {k},"
+                f" more than the cap of {fiber.MAX_FIBER_POINTS:,}"
+            )
+        kept = [
+            (longer, total + packed[longer[-1]])
+            for word, total in normal
+            for longer in map(word.__add__, singles[word[-1] :])
+            if not rules.reducible(longer)
+        ]
+        for total in sorted(_shared([total for _, total in kept])):
+            if listing is None:
+                listing = _fiber_groups(vectors, bound)[0]
+            yield listing[total]
 
 
 def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPoint]]:

@@ -14,7 +14,10 @@ whose src callers are pinned, and no src code sums vectors as tuples with
 (``fiber._fiber_groups``) packs, and unpacks only the sum named in its
 error; its keyed view ``fiber.fibers`` unpacks every key.  The paired-move
 test (``fiber._paired_moves``) packs the generators with the unit vectors,
-whose differences are the unit moves.  Besides it, ``toric._checked_rules``, the one check of a basis,
+whose differences are the unit moves.  The completion oracle's fiber walk
+(``toric._stars``) packs the generators once per call, for the sums of the
+normal words it builds above degree 2, at the width of the full listing it
+falls back on.  Besides them, ``toric._checked_rules``, the one check of a basis,
 packs its configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
 ``toric._check_overlaps``, which only unpacks a failure's name.  The
@@ -50,7 +53,8 @@ overlap check; the table's paired-move rows (``later_pairs``), which the
 sweep's scan trusts, are read by the sweep alone, and neither the fiber
 graph nor the unique-sink check reaches them; and nothing that the
 completion oracle (``toric.brute_force_gb``) calls, directly or through
-other src functions, reaches the overlap check or the direct sink.
+other src functions, reaches the scan of standard words, the overlap check or
+the direct sink: it finds its normal words with its own rules.
 """
 
 import ast
@@ -70,6 +74,7 @@ SUM_PATH = {
         "fiber._fiber_groups",
         "fiber._paired_moves",
         "toric._checked_rules",
+        "toric._stars",
         "verify.sweep_unique_sinks",
     ],
     "_unpack": [
@@ -233,7 +238,7 @@ def test_the_oracles_stay_off_the_fast_paths():
         "toric._check_overlaps",
         "verify.sweep_unique_sinks",
     ]
-    for fast in ("_check_overlaps", "find_sink_direct"):
+    for fast in ("_standard_levels", "_check_overlaps", "find_sink_direct"):
         assert "brute_force_gb" not in reaching(modules, fast), fast
     assert callers(modules, "later_pairs") == ["verify.sweep_unique_sinks"]
     rows_reach = reaching(modules, "later_pairs")

@@ -140,6 +140,16 @@ class TestBases:
         assert data["bound"] == 3
         assert data["leads_outside_quadric_leads"] == []
 
+    def test_oracle_gb_lists_only_normal_words_above_degree_2(self, capsys):
+        # 115 generators make 190,578,023 words of 1..5 of them; the oracle
+        # builds only the normal ones above degree 2, one per fiber here.
+        start = time.perf_counter()
+        argv = ("oracle-gb", "--ideal", "{ac^2e^3,b^3d^3}", "--bound", "5", "--format", "text")
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out == "5698 basis elements at bound 5; 0 leads outside the quadric leads\n"
+
     def test_oracle_gb_with_a_cubic_lead(self, capsys):
         # The three-Borel example's completion gains a cubic lead partway
         # through its walk, so the rest of it reduces by the general path.
@@ -384,13 +394,27 @@ class TestErrors:
         assert "62,891,499 minimal generators" in err
 
     def test_oversized_fiber_listing_is_counted_not_listed(self, capsys):
-        # {ac^2e^3,b^3d^3} has 115 generators: 190,578,023 words of 1..5 of them.
+        # Borel(b^6400) on two variables has 6,401 generators: 20,496,002 words
+        # of one or two of them, which the oracle lists before any normal word.
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "oracle-gb", "--ideal", "{ac^2e^3,b^3d^3}", "--bound", "5")
+        code, out, err = run_cli(capsys, "oracle-gb", "--ideal", "b^6400", "--bound", "3")
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert "190,578,023 fiber points" in err
+        assert "20,496,002 fiber points" in err
+
+    def test_normal_word_cap_exits_2(self, capsys, monkeypatch):
+        # The figure ideal lists 119 words of degree 1..2, and its normal words
+        # of degree 2 extend to 187 candidate words of degree 3.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 186)
+        code, out, err = run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the normal words of degree 2 extend to 187 words of degree 3,"
+            " more than the cap of 186\n"
+        )
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 187)
+        assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "3")[0] == 0
 
     def test_fiber_point_cap_exits_2(self, capsys, monkeypatch):
         # The figure ideal's 14 generators make 119 words of 1..2 of them.

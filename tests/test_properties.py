@@ -163,12 +163,14 @@ def tables_with_dropped_moves(draw, base):
 def tables_with_dropped_unit_moves(draw):
     """A table and a drawn share of its unit moves, to drop with their reverses.
 
-    Each move e_i - e_j with i < j is drawn as ``fiber._paired_moves`` packs it.
+    Each move e_i - e_j with i < j is drawn as ``fiber._paired_moves`` packs it
+    with every code of the table.
     """
     table = draw(tables)
     drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
     rnd = draw(st.randoms(use_true_random=False))
-    ups = sorted(move for move in fiber._paired_moves(table)[1] if move > 0)
+    moves = fiber._paired_moves(table, range(len(table.generators)))[1]
+    ups = sorted(move for move in moves if move > 0)
     return table, {move for move in ups if rnd.random() < drop}
 
 
@@ -177,15 +179,16 @@ def tables_with_dropped_unit_moves(draw):
 def test_unique_sink_scan_matches_the_graph_oracle(case):
     # Both sides lose the same moves: the graph through the one paired-move
     # test, the reference walk through its transitions, each identified by
-    # its packed difference g_h1 - g_p.
+    # its packed difference g_h1 - g_p.  The graph gets the packing of every
+    # code, in which the moves were drawn, for whatever codes it asks.
     table, dropped = case
-    packed, moves = fiber._paired_moves(table)
+    packed, moves = fiber._paired_moves(table, range(len(table.generators)))
     kept = {move for move in moves if abs(move) not in dropped}
     rows = [
         [[(h1, h2) for h1, h2 in row if abs(packed[h1] - packed[p]) not in dropped] for row in line]
         for p, line in enumerate(pair_transitions(table))
     ]
-    with mock.patch.object(fiber, "_paired_moves", lambda table: (packed, kept)):
+    with mock.patch.object(fiber, "_paired_moves", lambda table, codes: (packed, kept)):
         for mu in fibers(table.generators, 3):
             assert verify.check_unique_sink(table, mu) == unique_sink_by_graph(table, mu, rows)
 

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from borelfiber import toric
+from borelfiber import fiber, toric
 from borelfiber.borel import build_table, build_two_borel
 from borelfiber.fiber import (
     build_fiber_graph,
@@ -432,6 +432,55 @@ class TestBruteForceOracle:
         else:
             assert any(len(lead) == 3 for lead, _ in elements)
             assert any(len(z) == 3 for z in calls)
+
+    @staticmethod
+    def record_listings(monkeypatch) -> list[int]:
+        """Patch every binding of ``fiber._fiber_groups`` to record its degree bound."""
+        listed = []
+        original = fiber._fiber_groups
+
+        def recording(vectors, max_deg):
+            listed.append(max_deg)
+            return original(vectors, max_deg)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("borelfiber") and hasattr(module, "_fiber_groups"):
+                monkeypatch.setattr(module, "_fiber_groups", recording)
+        return listed
+
+    def test_two_borel_completions_list_only_degrees_1_and_2(self, fig_table, monkeypatch):
+        # Above degree 2 a two-Borel completion builds only normal words, one
+        # per fiber, so no fiber needs the full listing.
+        tables = [fig_table] + suite_tables(cap=200)[::10]
+        listed = self.record_listings(monkeypatch)
+        for table in tables:
+            brute_force_gb(table, 3)
+        assert listed == [2] * len(tables)
+
+    def test_a_fiber_with_two_normal_words_reads_the_full_listing(self, three_borel, monkeypatch):
+        # The three-Borel table has fibers of degree 3 with two normal words,
+        # whose stars are read off the listing up to the bound.
+        expected = completion_by_scan(three_borel, 4)
+        listed = self.record_listings(monkeypatch)
+        oracle = brute_force_gb(three_borel, 4)
+        assert listed == [2, 4]
+        assert [(el.lead, el.trail) for el in oracle.elements] == expected
+
+    def test_matches_the_scan_completion_at_bound_4(self):
+        for table in suite_tables(cap=200)[::10]:
+            pairs = [(el.lead, el.trail) for el in brute_force_gb(table, 4).elements]
+            assert pairs == completion_by_scan(table, 4), table.roots
+
+    def test_candidate_words_over_the_cap_are_refused(self, fig_table, monkeypatch):
+        # The figure ideal lists 119 words of degree 1..2, and its normal words
+        # of degree 2 extend to 187 words of degree 3.
+        expected = brute_force_gb(fig_table, 3).elements
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 186)
+        message = "the normal words of degree 2 extend to 187 words of degree 3, more than the cap of 186"
+        with pytest.raises(ValueError, match=message):
+            brute_force_gb(fig_table, 3)
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 187)
+        assert brute_force_gb(fig_table, 3).elements == expected
 
     def test_every_fiber_has_one_normal_form(self, completions):
         for table, bound, oracle in completions:

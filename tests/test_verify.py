@@ -88,7 +88,9 @@ class TestNegativeControls:
     def test_no_paired_moves(self, monkeypatch, fig_table, fig_label):
         # With no unit move every point is its own component and a sink.
         paired_moves = fiber._paired_moves
-        monkeypatch.setattr(fiber, "_paired_moves", lambda table: (paired_moves(table)[0], set()))
+        monkeypatch.setattr(
+            fiber, "_paired_moves", lambda table, codes: (paired_moves(table, codes)[0], set())
+        )
         assert verify.check_unique_sink(fig_table, FIG_MU) == [
             f"{fig_label}: fiber graph is disconnected",
             f"{fig_label}: 7 sinks instead of one",
