@@ -22,7 +22,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from borelfiber.fiber import _fiber_groups, _paired_moves
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -108,38 +107,13 @@ class GeneratorTable:
         """sigma(M), sigma(N) and each generator's index by its suffix sums.
 
         The direct sink peels factors as suffix sums (see
-        ``fiber.find_sink_direct``) and reads each one's index here.
+        ``fiber.find_sink_direct``) and reads each one's index here; the
+        unique-sink sweep (``verify.sweep_unique_sinks``) reads the same
+        three for its packed share and peel tests, so a corrupted entry
+        reaches both.
         """
         by_sums = {sigma(g): i for i, g in enumerate(self.generators)}
         return sigma(self.roots[0]), sigma(self.roots[-1]), by_sums
-
-    @cached_property
-    def later_pairs(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """For each index pair a <= b, the pairs one paired move away that come later.
-
-        A paired move keeps the product, so it joins points (a, b) and
-        (c, d) of one degree-2 fiber, and ``fiber._paired_moves`` tells
-        which such points are one move apart.  ``later_pairs[a, b]`` lists,
-        ascending, those points after (a, b) in its fiber of
-        ``fiber._fiber_groups``, whose order is the sink order; pairs with
-        none are absent.  Only the unique-sink sweep reads these rows: its
-        scan takes the standard words from their keys, after checking every
-        entry.  Fiber graphs are built from their own points.
-        """
-        packed, moves = _paired_moves(self, range(len(self.generators)))
-        later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for points in _fiber_groups(self.generators, 2)[0].values():
-            # A fiber's last point has nothing later; a degree-1 fiber has one point.
-            for k, (a, b) in enumerate(points[:-1]):
-                first = packed[a]
-                row = [
-                    (c, d)
-                    for c, d in points[k + 1 :]
-                    if first - packed[c] in moves or first - packed[d] in moves
-                ]
-                if row:
-                    later[a, b] = tuple(sorted(row))
-        return later
 
     def to_json(self) -> dict:
         return {

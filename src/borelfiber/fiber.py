@@ -15,9 +15,9 @@ vector sum, each sum carried as one packed integer (:func:`_pack`); so every
 fiber comes out in descending sink order without a sort.  It counts the
 points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
 keyed by packed sum, for callers that read only the points: the degree-2
-pairs of both sides, the paired-move rows and the completion oracle, which
-lists degrees 1 and 2 and, above them, every point only of a fiber that
-holds two normal words.
+pairs of both sides and the completion oracle, which lists degrees 1 and
+2 and, above them, every point only of a fiber that holds two normal
+words.
 :func:`fibers` is the keyed view of the same listing, each fiber named by
 its unpacked sum; its one src caller is ``instances.sweep_multidegrees``.
 The toric configuration is the table's generators, and the Rees algebra
@@ -32,27 +32,26 @@ two pairs with one sum are one move apart when a factor of one is a unit
 move e_i - e_j away from a factor of the other, tested on packed integers.
 :func:`build_fiber_graph` applies it to the fiber's own points, filed by
 the rest left once a pair of factors is taken out; it packs only the codes
-they use and reads no table-wide rows, so a one-point fiber of a large
-table costs one point.  The unique-sink check in ``verify`` reads every verdict off that graph.  The
-table's paired-move rows (``GeneratorTable.later_pairs``, read off the
-degree-2 fibers of :func:`_fiber_groups` by the same test) serve the
-sweep alone: a point is a sink exactly when it has no later move, so the
-sinks are the standard words of the rows' keys, and
+they use and lists no pair of the table, so a one-point fiber of a large
+table costs one point.  The unique-sink check in ``verify`` reads every
+verdict off that graph.  The sweep alone reads :func:`_lead_masks`, one
+mask per code of the pairs with a later move, built from the unit moves of
+every code with no degree-2 pair listed: a point is a sink exactly when it
+has no later move, so the sinks are the standard words of the masks, and
 :func:`_standard_levels`, the one scan of standard words, serves the sweep
 in ``verify`` and the overlap check in ``toric``.  No fiber state outlives
-a call, except those rows and the suffix sums the direct sink reads, which
-live and die with the table.
+a call, except the suffix sums the direct sink reads, which live and die
+with the table.
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
 graph or searching, by one interval test on i from Borel(M)^i Borel(N)^(t-i)
 = Borel(M^i N^(t-i)) and then one peel per run of equal factors;
-:func:`build_fiber_graph` is the explicit oracle.  The
-peels after the first are the direct sink of the rest, so the sweep in
-``verify`` checks each standard word by one share test (:func:`_sink_plan`)
-and its first peel (:func:`_peel`) against the word it accepted for the
-rest; it sums packed suffix sums, so a word's sum unpacks to the suffix
-sums both read, and its length is t.
+:func:`build_fiber_graph` is the explicit oracle.  The peels after the
+first are the direct sink of the rest, so the sweep in ``verify`` checks
+each standard word by its first peel against the word it accepted for the
+rest, by a few integer operations on packed suffix sums, and hands any
+other word to :func:`find_sink_direct`.
 """
 
 from __future__ import annotations
@@ -257,12 +256,20 @@ def _standard_levels(partners: list[int], packed: list[int], max_len: int):
     extends its prefix by a code c of the prefix's ``allowed`` mask, and the
     codes allowed after c are ``allowed & standard[c]``, with ``standard[c]``
     the codes d >= c that make (c, d) standard.  A level lives until the next.
+    Before a level is built its words are counted, one popcount per word of
+    the level before, and more than ``MAX_FIBER_POINTS`` raise ``ValueError``.
     """
     every = (1 << len(packed)) - 1
     standard = [every >> a << a & ~mask for a, mask in enumerate(partners)]
     level = [((a,), total, standard[a]) for a, total in enumerate(packed)]
-    for _ in range(max_len - 1):
+    for length in range(2, max_len + 1):
         yield level
+        count = sum(allowed.bit_count() for _, _, allowed in level)
+        if count > MAX_FIBER_POINTS:
+            raise ValueError(
+                f"the standard words of length {length - 1} extend to {count:,} words"
+                f" of length {length}, more than the cap of {MAX_FIBER_POINTS:,}"
+            )
         level = [
             (word + (c,), total + packed[c], allowed & standard[c])
             for word, total, allowed in level
@@ -373,13 +380,57 @@ def _paired_moves(table: GeneratorTable, codes: Sequence[int]) -> tuple[dict[int
     coordinate for sums of two of the packed vectors, more bits than twice
     the largest one, so each coordinate of a difference lies strictly
     between -2^(width-1) and 2^(width-1), and the integer determines the
-    vector.  The table's rows (``GeneratorTable.later_pairs``) pack every
-    code; :func:`build_fiber_graph` packs only the codes its points use.
+    vector.  The sweep's lead masks (:func:`_lead_masks`) pack every code;
+    :func:`build_fiber_graph` packs only the codes its points use.
     """
     n = table.context.n
     identity = [(0,) * v + (1,) + (0,) * (n - 1 - v) for v in range(n)]
     packed, _ = _pack(identity + [table.generators[c] for c in codes], 2)
     return dict(zip(codes, packed[n:])), {u - v for u, v in permutations(packed[:n], 2)}
+
+
+def _lead_masks(table: GeneratorTable) -> list[int]:
+    """For each code b, the mask of the codes a for which the pair {a, b} is a lead.
+
+    A lead is a pair with a later paired move: a move m with g_a' = g_a + m
+    and g_b' = g_b - m both generators, where {a', b'} comes later in the
+    sink order than {a, b} (:func:`fiber_sink_ranks`: the larger maximum,
+    then the larger minimum).  One pass per unit move m of
+    :func:`_paired_moves` finds a' for every a; then, b' being the code
+    that reaches b, the a that make {a, b} a lead by m are
+
+    * every a with an a' and a < b', when b' > b;
+    * every a with a' > max(a, b), kept as a running mask while b descends.
+
+    Proof.  Either kind puts a code of {a', b'} above max(a, b).
+    Conversely a' != a and b' != b, so a move that keeps the larger code
+    swaps the two (a' = b, b' = a) and gives the same pair; a later pair
+    thus has a' or b' above max(a, b), and b' > max(a, b) is b' > b and
+    a < b'.  The move -m is m with the roles of a and b swapped, so the
+    masks come out symmetric.  Every move keeps the sum and goes forward by
+    construction, and no degree-2 pair is listed.
+    """
+    size = len(table.generators)
+    packed, moves = _paired_moves(table, range(size))
+    code_of = {total: c for c, total in packed.items()}
+    leads = [0] * size
+    for move in moves:
+        # back[a'] = a when g_a + move = g_a'; the codes with an a', and by a' those below it.
+        back, defined, rising = {}, 0, defaultdict(int)
+        for a, total in packed.items():
+            to = code_of.get(total + move)
+            if to is not None:
+                back[to] = a
+                defined |= 1 << a
+                if to > a:
+                    rising[to] |= 1 << a
+        running = 0  # the a with a' > max(a, b), for the current b
+        for b in range(size - 1, -1, -1):
+            running |= rising.get(b + 1, 0)
+            to = back.get(b)
+            if to is not None:
+                leads[b] |= running | defined & ((1 << to) - 1) if to > b else running
+    return leads
 
 
 def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
@@ -392,9 +443,9 @@ def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     :func:`_paired_moves` finds a unit move between a factor of one pair
     and a factor of the other.  Every edge runs from the smaller vertex
     index to the larger, toward the later point, so the graph is acyclic
-    and its last vertex is a sink.  No table-wide rows are read and only the
-    codes of the fiber's points are packed, so a fiber costs its own points,
-    whatever the size of its table.
+    and its last vertex is a sink.  No pair of the table is listed and only
+    the codes of the fiber's points are packed, so a fiber costs its own
+    points, whatever the size of its table.
     """
     vertices = _fiber_in_sink_order(table, mu)
     codes = sorted(set(chain.from_iterable(vertices))) if len(vertices) > 1 else []
@@ -528,10 +579,10 @@ def _sink_plan(table: GeneratorTable, s_mu: tuple[int, ...], t: int) -> Optional
 
     None when that fiber is empty, that is when the interval lo..hi of
     :func:`_m_share_bounds` is.  :func:`find_sink_direct` passes sigma(mu)
-    and t = deg(mu) / d.  The sweep in ``verify`` passes a standard word's
-    sum, summed as packed sigma and unpacked, and t = the word's length, so
-    it takes neither sigma nor a degree per word.  The table has one or two
-    roots; both callers refuse three before they call it.
+    and t = deg(mu) / d.  The sweep in ``verify`` passes the sum of a word
+    it holds to the whole direct sink, unpacked from packed sigma, and t =
+    the word's length.  The table has one or two roots; both callers refuse
+    three before they call it.
     """
     s_m, s_n, _ = table._peel_sums
     lo, hi = _m_share_bounds(t, s_mu, s_m, s_n)
@@ -545,9 +596,8 @@ def _peel(table: GeneratorTable, rest: tuple[int, ...], hi: int) -> tuple[int, t
     the M-factors still to peel: the factor is the lex-last divisor of the
     rest in Borel(M) while hi > 0, in Borel(N) after.  The peels after it
     are the direct sink of the rest, whose hi is max(hi - 1, 0) (the proof
-    of :func:`find_sink_direct`), so the sweep in ``verify`` checks a word
-    by this one peel, on the word's sum unpacked from packed sigma and the
-    hi of :func:`_sink_plan` at the word's length.
+    of :func:`find_sink_direct`); the sweep in ``verify`` checks the same
+    peel on packed suffix sums.
     """
     s_m, s_n, by_sums = table._peel_sums
     s_factor = _lex_last_sigma(s_m if hi else s_n, rest)

@@ -18,7 +18,10 @@ from borelfiber.fiber import (
     FiberGraph,
     FiberPoint,
     _component_labels,
+    _fiber_groups,
     _lex_last_sigma,
+    _paired_moves,
+    _partners,
     enumerate_fiber,
     fiber_point_type,
     fiber_sink_key,
@@ -630,8 +633,8 @@ def has_gm_factorization(table, mu: Monomial) -> bool:
 def with_cached(table: GeneratorTable, **values) -> GeneratorTable:
     """A copy of ``table`` whose cached properties read the given values.
 
-    The negative controls use it to hand the sweep corrupted move rows
-    (``later_pairs``), or the checks corrupted suffix sums (``_peel_sums``).
+    The negative controls use it to hand the checks corrupted suffix sums
+    (``_peel_sums``).
     """
     copy = dataclasses.replace(table)
     copy.__dict__.update(values)
@@ -655,18 +658,61 @@ def standard_words_by_fibers(table, max_deg: int) -> dict[int, list[FiberPoint]]
     return {length: sorted(words) for length, words in out.items()}
 
 
-def marks_by_direct_sink(table, max_tdeg: int) -> list[Monomial]:
+def later_pairs(table) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """For each index pair a <= b, the pairs one paired move away that come later.
+
+    The reference for the sweep's lead masks (``fiber._lead_masks``).  A
+    paired move keeps the product, so it joins points (a, b) and (c, d) of
+    one degree-2 fiber, and ``fiber._paired_moves`` tells which such points
+    are one move apart.  ``later_pairs(table)[a, b]`` lists, ascending,
+    those points after (a, b) in its fiber of ``fiber._fiber_groups``,
+    whose order is the sink order; pairs with none are absent.
+    """
+    packed, moves = _paired_moves(table, range(len(table.generators)))
+    later: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    for points in _fiber_groups(table.generators, 2)[0].values():
+        # A fiber's last point has nothing later; a degree-1 fiber has one point.
+        for k, (a, b) in enumerate(points[:-1]):
+            first = packed[a]
+            row = [
+                (c, d)
+                for c, d in points[k + 1 :]
+                if first - packed[c] in moves or first - packed[d] in moves
+            ]
+            if row:
+                later[a, b] = tuple(sorted(row))
+    return later
+
+
+def lead_masks_by_rows(table) -> list[int]:
+    """The lead masks of :func:`later_pairs`: bit b of mask a when (a, b) or (b, a) has a row."""
+    return _partners(later_pairs(table), len(table.generators))
+
+
+def with_lead_bits(masks: list[int], pairs, present: bool) -> list[int]:
+    """A copy of ``masks`` with the lead bits of ``pairs`` set, or cleared, both ways."""
+    out = list(masks)
+    for a, b in pairs:
+        for c, d in ((a, b), (b, a)):
+            out[c] = out[c] | 1 << d if present else out[c] & ~(1 << d)
+    return out
+
+
+def marks_by_direct_sink(table, max_tdeg: int, masks=None) -> list[Monomial]:
     """The multidegrees a sweep must hand to its check, in (degree, mu) order.
 
     Lists every fiber through ``max_tdeg`` by ``fibers`` and holds each of
-    its standard words, the points none of whose factor pairs has a
-    nonempty row in ``table.later_pairs``, to ``find_sink_direct``; a fiber
-    with a word that differs is marked.
+    its standard words, the points none of whose factor pairs is a lead of
+    ``masks`` (by default :func:`lead_masks_by_rows`), to
+    ``find_sink_direct``; a fiber with a word that differs is marked.
     """
-    leads = {pair for pair, row in table.later_pairs.items() if row}
+    if masks is None:
+        masks = lead_masks_by_rows(table)
     out = []
     for mu, points in fibers(table.generators, max_tdeg).items():
-        words = [p for p in points if leads.isdisjoint(itertools.combinations(p, 2))]
+        words = [
+            p for p in points if not any(masks[a] >> b & 1 for a, b in itertools.combinations(p, 2))
+        ]
         if any(word != find_sink_direct(table, mu) for word in words):
             out.append(mu)
     return out
@@ -675,13 +721,13 @@ def marks_by_direct_sink(table, max_tdeg: int) -> list[Monomial]:
 NOT_THE_SINK = "a standard word of the scan is not the graph's sink"
 
 
-def sweep_lines_by_direct_sink(table, max_tdeg: int) -> tuple[str, ...]:
-    """The sweep's violations when every row entry passes its check and every graph is sound.
+def sweep_lines_by_direct_sink(table, max_tdeg: int, masks=None) -> tuple[str, ...]:
+    """The sweep's violations on the lead masks ``masks`` when every graph is sound.
 
-    Then the one fault is a row that misses a move, and each multidegree of
+    Then the one fault is a mask that misses a lead, and each multidegree of
     :func:`marks_by_direct_sink` gets the line :data:`NOT_THE_SINK`.
     """
-    marks = marks_by_direct_sink(table, max_tdeg)
+    marks = marks_by_direct_sink(table, max_tdeg, masks)
     return tuple(f"{format_monomial(mu, table.context)}: {NOT_THE_SINK}" for mu in marks)
 
 

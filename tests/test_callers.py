@@ -22,8 +22,9 @@ packs its configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
 ``toric._check_overlaps``, which only unpacks a failure's name.  The
 unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators'
-suffix sums for its standard words' sums and unpacks those sums into the
-suffix sums of the words' multidegrees.
+and the roots' suffix sums for its standard words' sums and their share and
+peel tests, and unpacks the sum of a word only when it holds that word to
+the whole direct sink or marks it.
 
 A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
 elimination order is defined once, on code words (``rees._word_key``), so
@@ -34,24 +35,24 @@ place: ``toric._degree_two_pairs``, given a side's vectors, is the one
 caller of the pair count (``toric._check_pair_count``), and
 ``toric.quadric_generators`` and ``rees.rees_gb`` are its only callers, so
 ``rees`` reads no fiber listing of its own.  What counts as a paired move
-is defined once too: ``fiber._paired_moves`` serves the table's rows
-(``GeneratorTable.later_pairs``) and the fiber graph
-(``fiber.build_fiber_graph``), and nothing else.
+is defined once too: ``fiber._paired_moves`` serves the sweep's lead masks
+(``fiber._lead_masks``) and the fiber graph (``fiber.build_fiber_graph``),
+and nothing else.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
 unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
 ``fiber.build_fiber_graph`` builds and imports none of its parts, neither
-the paired-move test nor ``_fiber_in_sink_order``; the sweep takes the
-first step of the direct sink per standard word, on the word's unpacked
-suffix sums and its length: one share test (``fiber._sink_plan``) and one
-peel (``fiber._peel``).
+the paired-move test nor ``_fiber_in_sink_order``; the sweep takes its
+leads from ``fiber._lead_masks`` and checks the first peel of the direct
+sink per standard word on packed suffix sums, calling the share test
+(``fiber._sink_plan``) only for a word it holds to the whole direct sink.
 
 The oracles stay independent of the fast paths they check: the scan of
 standard words (``fiber._standard_levels``) serves only the sweep and the
-overlap check; the table's paired-move rows (``later_pairs``), which the
-sweep's scan trusts, are read by the sweep alone, and neither the fiber
-graph nor the unique-sink check reaches them; and nothing that the
+overlap check; the lead masks (``fiber._lead_masks``), which the sweep's
+scan trusts, are built for the sweep alone, and neither the fiber graph nor
+the unique-sink check reaches them; and nothing that the
 completion oracle (``toric.brute_force_gb``) calls, directly or through
 other src functions, reaches the scan of standard words, the overlap check or
 the direct sink: it finds its normal words with its own rules.
@@ -98,12 +99,11 @@ PAIR_PATH = {
 
 # The one paired-move test and its src callers.
 MOVE_PATH = {
-    "_paired_moves": ["borel.GeneratorTable.later_pairs", "fiber.build_fiber_graph"],
+    "_paired_moves": ["fiber._lead_masks", "fiber.build_fiber_graph"],
 }
 
 # Each private name one src module imports from another, by importing module.
 PRIVATE_IMPORTS = {
-    "borel": ["fiber._fiber_groups", "fiber._paired_moves"],
     "rees": [
         "toric._Rules",
         "toric._check_ints",
@@ -124,9 +124,8 @@ PRIVATE_IMPORTS = {
     ],
     "verify": [
         "fiber._component_labels",
+        "fiber._lead_masks",
         "fiber._pack",
-        "fiber._partners",
-        "fiber._peel",
         "fiber._sink_plan",
         "fiber._standard_levels",
         "fiber._unpack",
@@ -240,9 +239,10 @@ def test_the_oracles_stay_off_the_fast_paths():
     ]
     for fast in ("_standard_levels", "_check_overlaps", "find_sink_direct"):
         assert "brute_force_gb" not in reaching(modules, fast), fast
-    assert callers(modules, "later_pairs") == ["verify.sweep_unique_sinks"]
-    rows_reach = reaching(modules, "later_pairs")
-    assert not {"build_fiber_graph", "check_unique_sink"} & rows_reach, rows_reach
+    assert callers(modules, "_lead_masks") == ["verify.sweep_unique_sinks"]
+    masks_reach = reaching(modules, "_lead_masks")
+    assert not {"build_fiber_graph", "check_unique_sink"} & masks_reach, masks_reach
+    assert not callers(modules, "later_pairs")
 
 
 def test_the_reach_scan_follows_chains():

@@ -182,6 +182,23 @@ class TestVerify:
             "violations": [],
         }
 
+    @pytest.mark.parametrize(
+        "ideal, bound, checked",
+        [("{a^2e^14,d^16}", "2", 49318), ("{ac^3e^2f^4,b^2d^4e^4}", "3", 232826)],
+    )
+    def test_unique_sinks_on_a_large_table(self, capsys, ideal, bound, checked):
+        # 3,349 and 1,731 generators: the lead masks come from the unit
+        # moves, with no degree-2 pair listed, so each sweep takes seconds.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify-unique-sinks", "--ideal", ideal, "--bound", bound)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "PASS",
+            "multidegrees_checked": checked,
+            "violations": [],
+        }
+
     def test_buchberger_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-buchberger", "--ideal", FIG)
         assert code == 0
@@ -424,6 +441,19 @@ class TestErrors:
         assert err == "error: 14 codes make 119 fiber points of degree 1..2, more than the cap of 118\n"
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 119)
         assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "2")[0] == 0
+
+    def test_standard_word_cap_exits_2(self, capsys, monkeypatch):
+        # The figure ideal's 44 standard pairs extend to 91 standard words of length 3.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 90)
+        argv = ("verify-unique-sinks", "--ideal", FIG, "--bound", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the standard words of length 2 extend to 91 words of length 3,"
+            " more than the cap of 90\n"
+        )
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 91)
+        assert run_cli(capsys, *argv)[0] == 0
 
     def test_basis_element_cap_exits_2(self, capsys, monkeypatch):
         # The figure ideal's full quadric list has 105 elements and its Rees basis 131.

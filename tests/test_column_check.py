@@ -8,10 +8,11 @@ is one integer, ``fiber.fiber_sink_ranks`` on the toric side and
 two-code words of every 10th suite table, and on random ones.
 ``TestNegativeControls`` spoils the last element of a real basis and holds
 each to the exact ``ValueError`` of the ordered walk, and
-``TestNoKeyCalls`` holds a clean basis, and a clean sweep's row check, to
-no key call at all.  ``TestSweepRows`` holds the sweep's row check, which
-reads its rows' sums and ranks off shared columns, to the lines it gave
-with a key per pair.  ``TestLeadSizes`` holds the one-pass lead index of
+``TestNoKeyCalls`` holds a clean basis, and a clean sweep, to no key call
+at all.  ``TestSweepRows`` holds the sweep's lead masks, which take the
+place of the table's paired-move rows, at both ends: a spurious lead bit
+changes only the count, and dropped lead bits at the first and last codes
+are each marked where they sit.  ``TestLeadSizes`` holds the one-pass lead index of
 ``_Rules`` to one built a rule at a time, over the whole suite.
 """
 
@@ -34,7 +35,7 @@ from borelfiber.toric import (
     quadric_generators,
 )
 
-from helpers import mono, with_cached
+from helpers import later_pairs, mono, sweep_lines_by_direct_sink, with_lead_bits
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +215,6 @@ class TestNoKeyCalls:
 
     def test_a_clean_sweep_takes_no_key(self, key_calls):
         table = build_two_borel(mono("a^2c^3"), mono("b^4c"))
-        table.later_pairs
         key_calls.clear()
         assert verify.sweep_unique_sinks(table, 3).ok
         assert key_calls == []
@@ -244,31 +244,33 @@ class TestLeadSizes:
 
 
 class TestSweepRows:
-    """The sweep's row check takes its sums and ranks by columns; its lines stay as they were."""
+    """The sweep's lead masks at both ends; its lines stay as they were."""
 
-    def test_a_point_that_lists_itself(self, fig_table):
-        # (1, 12) is the last point of its fiber, so it has no row of its own.
-        assert (1, 12) not in fig_table.later_pairs
-        rows = {**fig_table.later_pairs, (1, 12): ((1, 12),)}
-        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 3)
+    def test_a_point_that_lists_itself(self, monkeypatch, fig_table):
+        # (1, 12) is the last point of its fiber, so it is no lead; a bit
+        # that makes it one leaves five fibers without a standard word.
+        masks = fiber._lead_masks(fig_table)
+        assert not masks[1] >> 12 & 1
+        spoiled = with_lead_bits(masks, [(1, 12)], True)
+        monkeypatch.setattr(verify, "_lead_masks", lambda table: spoiled)
+        report = verify.sweep_unique_sinks(fig_table, 3)
         assert report.multidegrees_checked == 144
-        assert report.violations == (
-            "a^2b^6c^2: row (1, 12) lists (1, 12), not a later point of its fiber",
-        )
+        assert report.violations == ()
 
-    def test_bad_entries_in_the_first_second_and_last_rows(self, fig_table):
-        # Each row's entries are read off the shared columns in order, so a
-        # bad entry first, last, or in the last row is named where it sits.
-        rows = dict(fig_table.later_pairs)
-        first, second, last = list(rows)[0], list(rows)[1], list(rows)[-1]
+    def test_bad_entries_in_the_first_second_and_last_rows(self, monkeypatch, fig_table):
+        # The first two leads and the last, in the rows' order, lose their
+        # bits: codes 0, 1, 2, 5 and 12 of the masks are read, and each
+        # fiber that then holds two standard words is marked where it sits.
+        rows = list(later_pairs(fig_table))
+        first, second, last = rows[0], rows[1], rows[-1]
         assert (first, second, last) == ((1, 2), (0, 12), (5, 5))
-        rows[first] = (first, *rows[first])
-        rows[second] = (*rows[second], (0, 0))
-        rows[last] = (*rows[last], last)
-        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 3)
+        spoiled = with_lead_bits(fiber._lead_masks(fig_table), [first, second, last], False)
+        monkeypatch.setattr(verify, "_lead_masks", lambda table: spoiled)
+        report = verify.sweep_unique_sinks(fig_table, 3)
         assert report.multidegrees_checked == 149
-        assert report.violations == (
-            "ab^8c: row (1, 2) lists (1, 2), not a later point of its fiber",
-            "a^2b^5c^3: row (0, 12) lists (0, 0), not a later point of its fiber",
-            "a^8b^2: row (5, 5) lists (5, 5), not a later point of its fiber",
+        assert report.violations == sweep_lines_by_direct_sink(fig_table, 3, spoiled)
+        assert report.violations[:3] == (
+            "ab^8c: a standard word of the scan is not the graph's sink",
+            "a^2b^5c^3: a standard word of the scan is not the graph's sink",
+            "a^8b^2: a standard word of the scan is not the graph's sink",
         )

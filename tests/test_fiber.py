@@ -3,13 +3,13 @@ import re
 
 import pytest
 
-from borelfiber import cli, fiber
-from borelfiber.borel import GeneratorTable, build_table, build_two_borel, expand_principal
+from borelfiber import cli, fiber, verify
+from borelfiber.borel import build_table, build_two_borel, expand_principal
 from borelfiber.fiber import (
+    _lead_masks,
     _lex_last_sigma,
     _m_share_bounds,
     _pack,
-    _partners,
     _standard_levels,
     build_fiber_graph,
     enumerate_fiber,
@@ -222,8 +222,9 @@ class TestFiberListing:
     ``fibers_by_grouping`` lists every word with
     ``combinations_with_replacement``, sums it as a tuple, and sorts the keys
     by (length, sum) and each fiber by ``fiber_sink_key``, descending.  The
-    two must agree item for item: the quadrics, ``later_pairs``, the oracle
-    and ``completion_by_scan`` all read this order.
+    two must agree item for item: the quadrics, the reference rows
+    ``helpers.later_pairs``, the oracle and ``completion_by_scan`` all read
+    this order.
     """
 
     @staticmethod
@@ -375,9 +376,10 @@ class TestBuildFiberGraph:
 class TestLoneFiber:
     """A one-point fiber of a table of 3,349 generators builds from its own point.
 
-    The table-wide rows (``later_pairs``) of this table hold tens of
-    millions of moves; reading them is refused here, so the graph and the
-    ``fiber`` and ``sink`` commands must do without them.
+    The table-wide paired-move rows of this table would hold tens of
+    millions of moves, and its lead masks (``fiber._lead_masks``) take every
+    unit move of every code; building the masks is refused here, so the
+    graph and the ``fiber`` and ``sink`` commands must do without them.
     """
 
     IDEAL, MU = "{a^2e^14,d^16}", "[4,0,0,0,28]"
@@ -385,9 +387,10 @@ class TestLoneFiber:
     @pytest.fixture
     def no_rows(self, monkeypatch):
         def refuse(table):
-            raise AssertionError("the table-wide paired-move rows were read")
+            raise AssertionError("the table-wide lead masks were built")
 
-        monkeypatch.setattr(GeneratorTable, "later_pairs", property(refuse))
+        monkeypatch.setattr(fiber, "_lead_masks", refuse)
+        monkeypatch.setattr(verify, "_lead_masks", refuse)
 
     def test_graph(self, no_rows):
         table = build_two_borel((2, 0, 0, 0, 14), (0, 0, 0, 16, 0))
@@ -652,10 +655,9 @@ class TestPointProduct:
 
 
 def scanned_standard_words(table, max_len: int) -> dict[int, list[tuple[int, ...]]]:
-    """The scan's standard words by length, sorted, with the sweep's leads: the rows' keys."""
-    partners = _partners(table.later_pairs, len(table.generators))
+    """The scan's standard words by length, sorted, with the sweep's leads: the lead masks."""
     packed, _ = _pack(table.generators, max_len)
-    levels = _standard_levels(partners, packed, max_len)
+    levels = _standard_levels(_lead_masks(table), packed, max_len)
     return {
         length: sorted(word for word, _, _ in level)
         for length, level in enumerate(levels, 1)
@@ -664,7 +666,7 @@ def scanned_standard_words(table, max_len: int) -> dict[int, list[tuple[int, ...
 
 
 def test_standard_word_scan_matches_the_fiber_oracle():
-    # The rows' keys are the leads of the degree-2 fibers, and the scan finds
+    # The lead masks are the leads of the degree-2 fibers, and the scan finds
     # every point of every fiber that holds none of them, at t <= 3 on the
     # 250 tables and at t <= 4 on every 5th.
     tables = suite_tables(cap=200) + random_tables(50, seed=20250809)

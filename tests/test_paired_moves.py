@@ -8,8 +8,10 @@ reference ``helpers.fiber_graph_by_pair_walk`` takes the points of
 ``fibers`` and follows every move of every ordered factor position pair,
 from both ends, by exponent arithmetic (``helpers.pair_transitions``).  The
 graphs, vertices included, must be equal on every fiber checked.  The
-table's rows (``later_pairs``), which only the sweep reads, must list
-exactly the later moves of each pair, and every listed move must lead back.
+reference rows (``helpers.later_pairs``, read off the degree-2 fibers) must
+list exactly the later moves of each pair, and every listed move must lead
+back; the sweep's lead masks (``fiber._lead_masks``), built from the unit
+moves with no pair listed, must be exactly the rows' keys.
 """
 
 import pytest
@@ -17,11 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelfiber.borel import build_table
-from borelfiber.fiber import build_fiber_graph, fibers
+from borelfiber.fiber import _lead_masks, build_fiber_graph, fibers
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import degree
 
-from helpers import family_table, fiber_graph_by_pair_walk, mono, monos, pair_transitions
+from helpers import (
+    family_table,
+    fiber_graph_by_pair_walk,
+    later_pairs,
+    lead_masks_by_rows,
+    mono,
+    monos,
+    pair_transitions,
+)
 
 FIG_MU = (3, 9, 3)
 
@@ -94,10 +104,20 @@ def test_seeded_random_tables(seed):
 def test_later_pairs_are_the_later_moves_and_lead_back(table):
     rows = pair_transitions(table)
     size = len(table.generators)
-    assert all(a <= b and moves for (a, b), moves in table.later_pairs.items())
+    listed = later_pairs(table)
+    assert all(a <= b and moves for (a, b), moves in listed.items())
     for a in range(size):
         for b in range(a, size):
             later = sorted((c, d) for c, d in moves_between(rows, a, b) if (d, c) > (b, a))
-            assert table.later_pairs.get((a, b), ()) == tuple(later)
+            assert listed.get((a, b), ()) == tuple(later)
             for c, d in later:
                 assert (a, b) in moves_between(rows, c, d)
+    assert _lead_masks(table) == lead_masks_by_rows(table)
+
+
+def test_lead_masks_are_the_rows_keys():
+    # On the 250 tables and the three-root family at r = 3..6.
+    tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+    tables += [family_table(r) for r in range(3, 7)]
+    for table in tables:
+        assert _lead_masks(table) == lead_masks_by_rows(table)

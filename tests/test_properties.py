@@ -27,6 +27,7 @@ from borelfiber.borel import (
     expand_principal,
 )
 from borelfiber.fiber import (
+    _bits,
     _m_share_bounds,
     build_fiber_graph,
     enumerate_fiber,
@@ -67,7 +68,7 @@ from helpers import (
     split_rees_reducer,
     sweep_lines_by_direct_sink,
     unique_sink_by_graph,
-    with_cached,
+    with_lead_bits,
 )
 
 MAX_GENERATORS = 21
@@ -142,21 +143,19 @@ def test_closed_form_sink_matches_the_search_and_the_graph(table):
 
 @st.composite
 def tables_with_dropped_moves(draw, base):
-    """A table of ``base`` whose paired-move rows each lose a drawn share of their moves.
+    """A table of ``base`` and its lead masks, each lead bit dropped with a drawn share.
 
-    Every move left still leads forward and stays in its fiber, so the row
-    check passes, and the fibers where the scan then finds a second standard
-    word are exactly those of ``helpers.marks_by_direct_sink``.
+    A dropped bit drops the lead both ways.  Every lead left still has a
+    later move in its fiber, so every fiber keeps its sink as a standard
+    word, and the fibers where the scan then finds a second standard word
+    are exactly those of ``helpers.marks_by_direct_sink`` on these masks.
     """
     table = draw(base)
     drop = draw(st.sampled_from([0.0, 0.1, 0.5]))
     rnd = draw(st.randoms(use_true_random=False))
-    rows = {}
-    for pair, moves in table.later_pairs.items():
-        kept = tuple(move for move in moves if rnd.random() >= drop)
-        if kept:
-            rows[pair] = kept
-    return with_cached(table, later_pairs=rows)
+    masks = fiber._lead_masks(table)
+    leads = [(a, b) for a, mask in enumerate(masks) for b in _bits(mask) if a <= b]
+    return table, with_lead_bits(masks, [p for p in leads if rnd.random() < drop], False)
 
 
 @st.composite
@@ -644,12 +643,14 @@ sweep_tables = st.deferred(lambda: st.sampled_from(sweep_pairs())).map(
 
 @checked(15)
 @given(tables_with_dropped_moves(sweep_tables), st.integers(min_value=1, max_value=3))
-def test_sweep_matches_the_graph_oracle_on_every_fiber(table, max_tdeg):
-    # The sweep checks only the multidegrees its scan marks; with every row
-    # still forward, the graph oracle finds no fault in any fiber, so each
-    # mark gets the scan's own line.
+def test_sweep_matches_the_graph_oracle_on_every_fiber(case, max_tdeg):
+    # The sweep checks only the multidegrees its scan marks; with every lead
+    # left still a lead, the graph oracle finds no fault in any fiber, so
+    # each mark gets the scan's own line.
+    table, masks = case
     groups = fibers(table.generators, max_tdeg)
-    report = verify.sweep_unique_sinks(table, max_tdeg)
+    with mock.patch.object(verify, "_lead_masks", lambda table: masks):
+        report = verify.sweep_unique_sinks(table, max_tdeg)
     assert report.multidegrees_checked == len(groups)
     assert not any(verify.check_unique_sink(table, mu) for mu in groups)
-    assert report.violations == sweep_lines_by_direct_sink(table, max_tdeg)
+    assert report.violations == sweep_lines_by_direct_sink(table, max_tdeg, masks)

@@ -4,22 +4,26 @@ checker and the sweep.
 The check reads every verdict off one fiber graph, built from the fiber's
 own points and the paired-move test (``fiber._paired_moves``), and compares
 its sink with the direct sink, which reads the table's suffix sums.  The
-sweep reads the table's paired-move rows (``later_pairs``), which the graph
-never does.  Each control corrupts one of these and pins the full violation
-list; the CLI must then exit 1.  A corrupted row leaves the check with no
-fault, and the sweep reports it: by its row check when an entry is not a
-later point of its pair's fiber, and otherwise, when a row misses a move,
-by the line "a standard word of the scan is not the graph's sink" at each
-multidegree its scan marks (``helpers.marks_by_direct_sink``).  A control
-that reorders a fiber's points swaps in its own
+sweep reads the lead masks (``fiber._lead_masks``, patched here as
+``verify._lead_masks``), which the graph never does.  Each control
+corrupts one of these and pins the full violation list; the CLI must then
+exit 1.  A corrupted mask leaves the check with no fault.  A mask that
+drops a lead bit is reported by the line "a standard word of the scan is
+not the graph's sink" at each multidegree its scan marks
+(``helpers.marks_by_direct_sink``).  A mask that adds a lead bit to a sink
+pair leaves the sweep at PASS: the fibers whose sink holds that pair drop
+out of ``multidegrees_checked``, and only a count of the fibers sees it.  A
+control that reorders a fiber's points swaps in its own
 ``fiber._fiber_in_sink_order``, the graph's one source of vertices.  The
-sweep scans standard words, accepts each by one share test and one peel
-onto the direct sink of a shorter accepted word, on the suffix sums its
-packed sum carries, and hands only the multidegrees that fail the scan to
-the check; it refuses a table of three roots before the scan.
+sweep scans standard words, accepts each by one packed peel onto the
+direct sink of a shorter accepted word, and hands only the multidegrees
+that fail the scan to the check; it refuses a table of three roots before
+the scan, and counts its standard words before it builds them.
 """
 
+import json
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -31,13 +35,15 @@ from borelfiber.monomials import VariableContext, format_monomial, sigma
 
 from helpers import (
     NOT_THE_SINK,
+    later_pairs,
+    lead_masks_by_rows,
     marks_by_direct_sink,
     mono,
     pair_transitions,
-    point_product,
     sweep_lines_by_direct_sink,
     unique_sink_by_graph,
     with_cached,
+    with_lead_bits,
 )
 
 FIG_MU = (3, 9, 3)
@@ -62,6 +68,27 @@ TWO_ROOTS_ONLY = "the direct sink algorithm needs a two-Borel or principal table
 @pytest.fixture(scope="module")
 def fig_table():
     return build_two_borel(mono("a^2c^3"), mono("b^4c"))
+
+
+@pytest.fixture(scope="module")
+def fig_masks(fig_table):
+    return fiber._lead_masks(fig_table)
+
+
+@pytest.fixture
+def use_masks(monkeypatch):
+    """Hand the sweep the given lead masks in place of the ones it builds."""
+
+    def use(masks):
+        monkeypatch.setattr(verify, "_lead_masks", lambda table: list(masks))
+        return masks
+
+    return use
+
+
+def only_leads(table, pairs):
+    """Lead masks that hold the given pairs and no other."""
+    return with_lead_bits([0] * len(table.generators), pairs, True)
 
 
 @pytest.fixture(scope="module")
@@ -96,61 +123,61 @@ class TestNegativeControls:
             f"{fig_label}: 7 sinks instead of one",
         ]
 
-    def test_flipped_edge(self, fig_table, fig_points):
+    def test_flipped_edge(self, fig_table, fig_masks, fig_points, use_masks):
         # The sink (1,3,13) gets a move back to (0,3,12) by swapping the pair
-        # (1,13) for (0,12).  The graph reads no rows, so the check passes;
-        # the sweep's row check reports the backward entry.
+        # (1,13) for (0,12): a lead bit on the sink pair (1,13).  The graph
+        # reads no masks, so the check passes; the scan loses every fiber
+        # whose sink holds (1,13), and only the count shows it.
         assert fig_points[5:] == [(0, 3, 12), (1, 3, 13)]
-        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, (1, 13): ((0, 12),)})
-        assert verify.check_unique_sink(corrupt, FIG_MU) == []
-        label = format_monomial(point_product(fig_table, (1, 13)), fig_table.context)
-        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
-            f"{label}: row (1, 13) lists (0, 12), not a later point of its fiber",
-        )
+        use_masks(with_lead_bits(fig_masks, [(1, 13)], True))
+        assert verify.check_unique_sink(fig_table, FIG_MU) == []
+        report = verify.sweep_unique_sinks(fig_table, 3)
+        groups = fibers(fig_table.generators, 3).values()
+        lost = [p for p in groups if (1, 13) in combinations(p[-1], 2)]
+        assert report.violations == () and report.multidegrees_checked == 149 - len(lost) == 141
 
-    def test_edges_removed(self, fig_table, fig_label):
-        # With no rows every point is a standard word, so the scan marks each
+    def test_edges_removed(self, fig_table, fig_label, use_masks):
+        # With no lead every point is a standard word, so the scan marks each
         # fiber of more than one point, and its graph has no fault.
-        corrupt = with_cached(fig_table, later_pairs={})
-        assert verify.check_unique_sink(corrupt, FIG_MU) == []
-        lines = verify.sweep_unique_sinks(corrupt, 3).violations
-        assert lines == sweep_lines_by_direct_sink(corrupt, 3)
+        masks = use_masks([0] * len(fig_table.generators))
+        assert verify.check_unique_sink(fig_table, FIG_MU) == []
+        lines = verify.sweep_unique_sinks(fig_table, 3).violations
+        assert lines == sweep_lines_by_direct_sink(fig_table, 3, masks)
         assert f"{fig_label}: {NOT_THE_SINK}" in lines
 
-    def test_two_cycle_beside_a_lone_sink(self, fig_table, pair_points):
-        # The first two points move to each other and the last has no move.
-        # The row check reports the backward entry; every pair without a row
-        # is standard, so the scan marks the fibers that hold two of them.
+    def test_two_cycle_beside_a_lone_sink(self, fig_table, pair_points, use_masks):
+        # The first two points move to each other and the last has no move:
+        # the two are the only leads.  Every other pair is standard, so the
+        # scan marks the fibers that hold two standard words; PAIR_MU holds
+        # one, its sink.
         p0, p1, _ = pair_points
-        corrupt = with_cached(fig_table, later_pairs={p0: (p1,), p1: (p0,)})
+        masks = use_masks(only_leads(fig_table, [p0, p1]))
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
-        marks = sweep_lines_by_direct_sink(corrupt, 2)
+        assert verify.check_unique_sink(fig_table, PAIR_MU) == []
+        marks = sweep_lines_by_direct_sink(fig_table, 2, masks)
         assert marks and f"{label}: {NOT_THE_SINK}" not in marks
-        assert verify.sweep_unique_sinks(corrupt, 2).violations == (
-            f"{label}: row {p1} lists {p0}, not a later point of its fiber",
-            *marks,
-        )
+        assert verify.sweep_unique_sinks(fig_table, 2).violations == marks
 
-    def test_move_to_itself(self, fig_table, pair_points):
-        # A move that leaves the sink where it is goes nowhere later.
+    def test_move_to_itself(self, fig_table, fig_masks, pair_points, use_masks):
+        # A move that leaves the sink where it is makes the sink pair a lead:
+        # PAIR_MU and every fiber whose sink holds (1,12) lose their one
+        # standard word, and the sweep passes at a lower count.
         sink = pair_points[-1]
-        corrupt = with_cached(fig_table, later_pairs={**fig_table.later_pairs, sink: (sink,)})
-        label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
-        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
-            f"{label}: row {sink} lists {sink}, not a later point of its fiber",
-        )
+        assert sink == (1, 12)
+        use_masks(with_lead_bits(fig_masks, [sink], True))
+        assert verify.check_unique_sink(fig_table, PAIR_MU) == []
+        report = verify.sweep_unique_sinks(fig_table, 3)
+        assert report.violations == () and report.multidegrees_checked == 144
 
-    def test_two_sinks(self, fig_table, pair_points):
-        # The first point moves to both others, and the rows of every other
-        # pair are gone: the last two points are both standard words.
-        p0, p1, p2 = pair_points
-        corrupt = with_cached(fig_table, later_pairs={p0: (p1, p2)})
+    def test_two_sinks(self, fig_table, pair_points, use_masks):
+        # The first point moves to both others, and every other pair is
+        # standard: the last two points are both standard words.
+        p0, _, _ = pair_points
+        masks = use_masks(only_leads(fig_table, [p0]))
         label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
-        lines = verify.sweep_unique_sinks(corrupt, 2).violations
-        assert lines == sweep_lines_by_direct_sink(corrupt, 2)
+        assert verify.check_unique_sink(fig_table, PAIR_MU) == []
+        lines = verify.sweep_unique_sinks(fig_table, 2).violations
+        assert lines == sweep_lines_by_direct_sink(fig_table, 2, masks)
         assert f"{label}: {NOT_THE_SINK}" in lines
 
     def test_swapped_last_points_make_the_direct_sink_disagree(
@@ -164,28 +191,25 @@ class TestNegativeControls:
             f"{fig_label}: direct sink disagrees with the graph sink",
         ]
 
-    def test_backward_move_after_a_forward_one(self, fig_table, pair_points):
-        # The row of (0,11) lists the later (1,12) as before, then the
-        # earlier (2,2): the row check must read every entry of a row.
+    def test_backward_move_after_a_forward_one(self, fig_table, fig_masks, pair_points, use_masks):
+        # (0,11) moves forward to (1,12), and a backward move to (2,2) as
+        # well changes nothing: its lead bit is already set, and a mask
+        # holds each pair once.
         assert pair_points == [(2, 2), (0, 11), (1, 12)]
-        rows = {**fig_table.later_pairs, (0, 11): ((1, 12), (2, 2))}
-        corrupt = with_cached(fig_table, later_pairs=rows)
-        label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
-        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
-            f"{label}: row (0, 11) lists (2, 2), not a later point of its fiber",
-        )
+        assert fig_masks[0] >> 11 & 1
+        use_masks(with_lead_bits(fig_masks, [(0, 11)], True))
+        assert verify.check_unique_sink(fig_table, PAIR_MU) == []
+        report = verify.sweep_unique_sinks(fig_table, 3)
+        assert report.violations == () and report.multidegrees_checked == 149
 
-    def test_move_out_of_the_fiber(self, fig_table, pair_points):
-        # The row of (0,11) lists (0,12), a pair of another multidegree: the
-        # row check reports it, not a lookup error.
-        rows = {**fig_table.later_pairs, (0, 11): ((0, 12),)}
-        corrupt = with_cached(fig_table, later_pairs=rows)
-        label = format_monomial(PAIR_MU, fig_table.context)
-        assert verify.check_unique_sink(corrupt, PAIR_MU) == []
-        assert verify.sweep_unique_sinks(corrupt, 3).violations == (
-            f"{label}: row (0, 11) lists (0, 12), not a later point of its fiber",
-        )
+    def test_move_out_of_the_fiber(self, fig_table, fig_masks):
+        # The masks take no move out of its fiber: each lead bit is a pair
+        # with a later point of its own degree-2 fiber one move away, the
+        # keys of the rows read off the fibers (``helpers.later_pairs``).
+        rows = later_pairs(fig_table)
+        assert fig_masks == lead_masks_by_rows(fig_table)
+        assert len(rows) == 61 and sum(a == b for a, b in rows) == 9
+        assert sum(mask.bit_count() for mask in fig_masks) == 2 * 61 - 9
 
     def test_wrong_direct_sink(self, fig_table, fig_label):
         # Generator 1's suffix sums read as generator 0's index, so the direct
@@ -210,30 +234,60 @@ class TestNegativeControls:
             f"{label}: direct sink disagrees with the graph sink" for label in SWAPPED_ROOTS_MARKS
         )
 
-    def test_sweep_reports_every_corrupted_fiber(self):
-        table = with_cached(build_two_borel(mono("ac"), mono("b^2")), later_pairs={})
+    def test_sweep_reports_every_corrupted_fiber(self, use_masks):
+        table = build_two_borel(mono("ac"), mono("b^2"))
+        masks = use_masks([0] * len(table.generators))
         report = verify.sweep_unique_sinks(table, 2)
         assert report.status == "FAIL"
-        assert report.violations == sweep_lines_by_direct_sink(table, 2) != ()
+        assert report.violations == sweep_lines_by_direct_sink(table, 2, masks) != ()
 
     def test_cli_exits_one_on_a_violation(self, monkeypatch, capsys):
-        monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: {}))
+        monkeypatch.setattr(verify, "_lead_masks", lambda table: [0] * len(table.generators))
         code = cli.main(["verify-unique-sinks", "--ideal", "{ac,b^2}", "--bound", "2"])
         assert code == cli.EXIT_VIOLATION
         assert '"status": "FAIL"' in capsys.readouterr().out
 
-    def test_backward_row(self, monkeypatch, capsys, fig_table):
-        # A row that sends the standard pair (1,13) back to the earlier
-        # (0,12) of its fiber fails the row check; (1,13) becomes a lead, so
-        # the fibers that held it lose their sink and no later step sees them.
-        rows = {**fig_table.later_pairs, (1, 13): ((0, 12),)}
-        label = format_monomial(point_product(fig_table, (1, 13)), fig_table.context)
-        report = verify.sweep_unique_sinks(with_cached(fig_table, later_pairs=rows), 3)
-        assert report.violations == (f"{label}: row (1, 13) lists (0, 12), not a later point of its fiber",)
-        monkeypatch.setattr(GeneratorTable, "later_pairs", property(lambda table: rows))
+    def test_backward_row(self, capsys, fig_masks, use_masks):
+        # A lead bit that sends the standard pair (1,13) back to the earlier
+        # (0,12) of its fiber makes (1,13) a lead, so the fibers that held it
+        # lose their sink and no later step sees them: the CLI passes, and
+        # only its count, 141 of the 149 fibers, shows the loss.
+        use_masks(with_lead_bits(fig_masks, [(1, 13)], True))
         code = cli.main(["verify-unique-sinks", "--ideal", "{a^2c^3,b^4c}", "--bound", "3"])
-        assert code == cli.EXIT_VIOLATION
-        assert '"status": "FAIL"' in capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "PASS",
+            "multidegrees_checked": 141,
+            "violations": [],
+        }
+
+
+class TestTheCount:
+    """``multidegrees_checked`` is the only witness to a spurious lead bit."""
+
+    def test_a_spurious_bit_on_any_sink_pair_passes_at_a_lower_count(
+        self, fig_table, fig_masks, use_masks
+    ):
+        # Each of the 44 degree-2 sinks made a lead: the sweep still passes,
+        # with 134 to 146 of the 149 fibers.
+        groups = fibers(fig_table.generators, 3)
+        pair_sinks = [points[-1] for points in groups.values() if len(points[-1]) == 2]
+        assert len(pair_sinks) == 44
+        counts = []
+        for sink in pair_sinks:
+            use_masks(with_lead_bits(fig_masks, [sink], True))
+            report = verify.sweep_unique_sinks(fig_table, 3)
+            lost = [p for p in groups.values() if sink in combinations(p[-1], 2)]
+            assert report.violations == ()
+            assert report.multidegrees_checked == len(groups) - len(lost) < 149
+            counts.append(report.multidegrees_checked)
+        assert (min(counts), max(counts)) == (134, 146)
+
+    def test_the_count_is_every_fiber(self):
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        for table in tables:
+            report = verify.sweep_unique_sinks(table, 3)
+            assert report.multidegrees_checked == len(fibers(table.generators, 3))
 
 
 class TestFastPath:
@@ -310,17 +364,18 @@ class TestFastPath:
         assert len(calls) <= len(table.generators) + 2
         assert checked == direct_calls == []
 
-    def test_one_corrupted_fiber_builds_one_graph(self, fig_table, pair_points, graph_calls):
-        # Without its row the first point of PAIR_MU's fiber is a second
+    def test_one_corrupted_fiber_builds_one_graph(
+        self, fig_table, pair_points, graph_calls, use_masks
+    ):
+        # Without its lead bit the first point of PAIR_MU's fiber is a second
         # standard word there; at t <= 2 no other fiber holds that pair.  The
         # graph has its move and no fault, so the scan's mark is the line.
         p0, _, _ = pair_points
-        rows = {pair: row for pair, row in fig_table.later_pairs.items() if pair != p0}
-        corrupt = with_cached(fig_table, later_pairs=rows)
-        report = verify.sweep_unique_sinks(corrupt, 2)
+        masks = use_masks(with_lead_bits(fiber._lead_masks(fig_table), [p0], False))
+        report = verify.sweep_unique_sinks(fig_table, 2)
         label = format_monomial(PAIR_MU, fig_table.context)
         assert report.violations == (f"{label}: {NOT_THE_SINK}",)
-        assert report.violations == sweep_lines_by_direct_sink(corrupt, 2)
+        assert report.violations == sweep_lines_by_direct_sink(fig_table, 2, masks)
         assert graph_calls == [PAIR_MU]
 
     def test_a_wrong_direct_sink_builds_graphs_only_where_it_fails(
@@ -360,6 +415,19 @@ class TestRefusals:
         out, err = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert (out, err) == ("", f"error: {TWO_ROOTS_ONLY}\n")
+
+    def test_the_standard_words_are_counted_before_they_are_built(self, monkeypatch, fig_table):
+        # The figure ideal's 44 standard pairs extend to 91 standard words of
+        # length 3, one per fiber of t-degree 3.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 90)
+        with pytest.raises(ValueError) as refused:
+            verify.sweep_unique_sinks(fig_table, 3)
+        assert str(refused.value) == (
+            "the standard words of length 2 extend to 91 words of length 3,"
+            " more than the cap of 90"
+        )
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 91)
+        assert verify.sweep_unique_sinks(fig_table, 3).multidegrees_checked == 149
 
     def test_a_table_with_no_generators_passes(self):
         empty = GeneratorTable(
