@@ -17,12 +17,12 @@ from pathlib import Path
 from borelfiber.borel import GeneratorTable, build_table
 from borelfiber.fiber import (
     build_fiber_graph,
+    factors_label,
     find_sink_direct,
     graph_to_json,
     point_factors,
     sinks,
     to_dot,
-    vertex_label,
 )
 from borelfiber.monomials import (
     Monomial,
@@ -102,20 +102,17 @@ def _load_table(args: argparse.Namespace) -> GeneratorTable:
     return build_table(gens, context=context)
 
 
-def _emit(payload, fmt: str, text_lines) -> str:
+def _emit(payload, fmt: str, text_view) -> str:
+    """The command's one payload as JSON, or as the text lines ``text_view`` reads off it."""
     if fmt == "text":
-        return "\n".join(text_lines) + "\n"
+        return "\n".join(text_view(payload)) + "\n"
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def cmd_gens(args) -> tuple[int, str]:
-    table = _load_table(args)
-    data = table.to_json()
-    lines = [
-        f"Y_{i}\t{entry['monomial']}\t{entry['tag']}"
-        for i, entry in enumerate(data["generators"])
-    ]
-    return EXIT_OK, _emit(data, args.format, lines)
+    return EXIT_OK, _emit(_load_table(args).to_json(), args.format, lambda d: [
+        f"Y_{i}\t{entry['monomial']}\t{entry['tag']}" for i, entry in enumerate(d["generators"])
+    ])
 
 
 def _guard_tdeg(table: GeneratorTable, mu: Monomial, bound: int) -> None:
@@ -134,12 +131,12 @@ def cmd_fiber(args) -> tuple[int, str]:
     graph = build_fiber_graph(table, mu)
     if args.format == "dot":
         return EXIT_OK, to_dot(graph)
-    data = graph_to_json(graph)
-    lines = [f"mu {data['mu']}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"]
-    lines += [f"v{i}: {vertex_label(table, v)}" for i, v in enumerate(graph.vertices)]
-    lines += [f"v{a} -> v{b}" for a, b in graph.edges]
-    lines += [f"sinks: {' '.join('v%d' % s for s in data['sinks'])}"]
-    return EXIT_OK, _emit(data, args.format, lines)
+    return EXIT_OK, _emit(graph_to_json(graph), args.format, lambda d: [
+        f"mu {d['mu']}: {len(d['vertices'])} vertices, {len(d['edges'])} edges",
+        *(f"v{i}: {factors_label(v['factors'])}" for i, v in enumerate(d["vertices"])),
+        *(f"v{a} -> v{b}" for a, b in d["edges"]),
+        f"sinks: {' '.join('v%d' % s for s in d['sinks'])}",
+    ])
 
 
 def cmd_sink(args) -> tuple[int, str]:
@@ -151,63 +148,53 @@ def cmd_sink(args) -> tuple[int, str]:
     if tdeg <= args.bound:
         graph_sinks = sinks(build_fiber_graph(table, mu))
         agrees = graph_sinks == ([direct] if direct is not None else [])
+    names = None if direct is None else point_factors(table, direct)
     data = {
         "mu": format_monomial(mu, table.context),
-        "sink": None if direct is None else point_factors(table, direct),
-        "label": None if direct is None else vertex_label(table, direct),
+        "sink": names,
+        "label": None if names is None else factors_label(names),
         "agrees_with_graph": agrees,
     }
-    lines = [data["label"] if direct is not None else "empty fiber"]
     code = EXIT_OK if agrees in (True, None) else EXIT_VIOLATION
-    return code, _emit(data, args.format, lines)
+    return code, _emit(data, args.format, lambda d: [d["label"] or "empty fiber"])
 
 
 def cmd_toric_gb(args) -> tuple[int, str]:
-    table = _load_table(args)
-    basis = quadric_generators(table, interreduce=args.interreduce)
-    data = basis_to_json(basis)
-    lines = [f"{len(basis.elements)} quadric binomials"]
-    lines += [
-        f"{vertex_label(table, el.lead)} -> {vertex_label(table, el.trail)}"
-        for el in basis.elements
-    ]
-    return EXIT_OK, _emit(data, args.format, lines)
+    basis = quadric_generators(_load_table(args), interreduce=args.interreduce)
+    return EXIT_OK, _emit(basis_to_json(basis), args.format, lambda d: [
+        f"{d['count']} quadric binomials",
+        *(f"{factors_label(el['lead'])} -> {factors_label(el['trail'])}" for el in d["elements"]),
+    ])
 
 
 def cmd_rees_gb(args) -> tuple[int, str]:
-    table = _load_table(args)
-    basis = rees_gb(table)
-    data = rees_basis_to_json(basis)
-    lines = [f"{len(basis.elements)} Rees basis binomials"]
-    for el in basis.elements:
-        lines.append(
-            f"{format_monomial(el.lead.xpart, table.context)}*{vertex_label(table, el.lead.ypart)}"
-            f" -> {format_monomial(el.trail.xpart, table.context)}*{vertex_label(table, el.trail.ypart)}"
-        )
-    return EXIT_OK, _emit(data, args.format, lines)
+    return EXIT_OK, _emit(rees_basis_to_json(rees_gb(_load_table(args))), args.format, lambda d: [
+        f"{d['count']} Rees basis binomials",
+        *(
+            f"{el['x_lead']}*{factors_label(el['y_lead'])}"
+            f" -> {el['x_trail']}*{factors_label(el['y_trail'])}"
+            for el in d["elements"]
+        ),
+    ])
 
 
 def cmd_verify_unique_sinks(args) -> tuple[int, str]:
-    table = _load_table(args)
-    report = sweep_unique_sinks(table, args.bound)
-    data = report.to_json()
-    lines = [f"{report.status}: {report.multidegrees_checked} multidegrees checked"]
-    lines += list(report.violations)
-    return (EXIT_OK if report.ok else EXIT_VIOLATION), _emit(data, args.format, lines)
+    data = sweep_unique_sinks(_load_table(args), args.bound).to_json()
+    code = EXIT_OK if data["status"] == "PASS" else EXIT_VIOLATION
+    return code, _emit(data, args.format, lambda d: [
+        f"{d['status']}: {d['multidegrees_checked']} multidegrees checked", *d["violations"]
+    ])
 
 
 def cmd_verify_buchberger(args) -> tuple[int, str]:
     table = _load_table(args)
-    toric_report = buchberger_verify(quadric_generators(table, interreduce=True))
-    data = {"toric": toric_report.to_json()}
-    ok = toric_report.ok
-    lines = [f"toric: {toric_report.status} ({toric_report.pairs_checked} overlaps)"]
+    data = {"toric": buchberger_verify(quadric_generators(table, interreduce=True)).to_json()}
     if args.rees:
-        rees_report = rees_buchberger_verify(rees_gb(table))
-        data["rees"] = rees_report.to_json()
-        ok = ok and rees_report.ok
-        lines.append(f"rees: {rees_report.status} ({rees_report.pairs_checked} overlaps)")
-    return (EXIT_OK if ok else EXIT_VIOLATION), _emit(data, args.format, lines)
+        data["rees"] = rees_buchberger_verify(rees_gb(table)).to_json()
+    code = EXIT_OK if all(side["status"] == "PASS" for side in data.values()) else EXIT_VIOLATION
+    return code, _emit(data, args.format, lambda d: [
+        f"{name}: {side['status']} ({side['pairs_checked']} overlaps)" for name, side in d.items()
+    ])
 
 
 def cmd_oracle_gb(args) -> tuple[int, str]:
@@ -215,15 +202,15 @@ def cmd_oracle_gb(args) -> tuple[int, str]:
     oracle = brute_force_gb(table, args.bound)
     # The reduced list has every lead of the full one, and one element per lead.
     quadric_leads = {el.lead for el in quadric_generators(table, interreduce=True).elements}
-    extras = [el.lead for el in oracle.elements if el.lead not in quadric_leads]
-    data = basis_to_json(oracle)
-    data["bound"] = args.bound
-    data["leads_outside_quadric_leads"] = [point_factors(table, lead) for lead in extras]
-    lines = [
-        f"{len(oracle.elements)} basis elements at bound {args.bound}; "
-        f"{len(extras)} leads outside the quadric leads"
+    data = {**basis_to_json(oracle), "bound": args.bound}
+    names = data["variable_order"]
+    data["leads_outside_quadric_leads"] = [
+        [names[c] for c in el.lead] for el in oracle.elements if el.lead not in quadric_leads
     ]
-    return EXIT_OK, _emit(data, args.format, lines)
+    return EXIT_OK, _emit(data, args.format, lambda d: [
+        f"{d['count']} basis elements at bound {d['bound']}; "
+        f"{len(d['leads_outside_quadric_leads'])} leads outside the quadric leads"
+    ])
 
 
 def cmd_counterexample(args) -> tuple[int, str]:
@@ -263,8 +250,8 @@ def cmd_counterexample(args) -> tuple[int, str]:
         "quadric_buchberger": buchberger_verify(quadrics).to_json(),
         "finding": finding,
     }
-    lines = [finding]
-    return (EXIT_OK if separated else EXIT_VIOLATION), _emit(data, args.format, lines)
+    code = EXIT_OK if separated else EXIT_VIOLATION
+    return code, _emit(data, args.format, lambda d: [d["finding"]])
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice, permutations, repeat
+from itertools import chain, combinations, groupby, islice, permutations, repeat
 from math import comb
 from operator import le, neg, sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -668,35 +668,34 @@ def point_factors(table: GeneratorTable, point: FiberPoint) -> list[str]:
     return [names[idx] for idx in point]
 
 
-def vertex_label(table: GeneratorTable, point: FiberPoint) -> str:
-    """Product-style label, e.g. ``Y_{b^5}Y_{ab^4}Y_{a^2c^3}``; ``1`` for the empty point."""
-    counts = Counter(point)  # ascending, as the point is
-    names = point_factors(table, counts)
-    return "".join(
-        f"Y_{{{name}}}" + (f"^{k}" if k > 1 else "") for name, k in zip(names, counts.values())
-    ) or "1"
+def factors_label(names: Sequence[str]) -> str:
+    """Product-style label of a point's factor names, e.g. ``Y_{b^5}Y_{ab^4}^2``; ``1`` for none.
+
+    A run-length pass: distinct generators have distinct names, so in the
+    point's ascending order each run of one name is one factor and its power.
+    """
+    runs = [(name, len(list(run))) for name, run in groupby(names)]
+    return "".join(f"Y_{{{name}}}^{k}" if k > 1 else f"Y_{{{name}}}" for name, k in runs) or "1"
 
 
 def to_dot(graph: FiberGraph) -> str:
-    """Deterministic DOT rendering with node ids v0..vk in vertex order."""
-    lines = ["digraph fiber {"]
-    for i, v in enumerate(graph.vertices):
-        lines.append(f'  v{i} [label="{vertex_label(graph.table, v)}"];')
-    for a, b in graph.edges:
-        lines.append(f"  v{a} -> v{b};")
+    """Deterministic DOT rendering, node ids v0..vk in vertex order, labels read off the JSON."""
+    data = graph_to_json(graph)
+    labels = [factors_label(v["factors"]) for v in data["vertices"]]
+    lines = ["digraph fiber {", *(f'  v{i} [label="{label}"];' for i, label in enumerate(labels))]
+    lines += [f"  v{a} -> v{b};" for a, b in data["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(graph: FiberGraph) -> dict:
-    table = graph.table
+    """Vertices as factor names and types, edges and sinks; each code the fiber uses named once."""
+    table, codes = graph.table, tuple(set(chain.from_iterable(graph.vertices)))
+    names = dict(zip(codes, point_factors(table, codes)))
     return {
         "mu": format_monomial(graph.mu, table.context),
         "vertices": [
-            {
-                "factors": point_factors(table, v),
-                "type": fiber_point_type(table, v) if v else None,
-            }
+            {"factors": [names[c] for c in v], "type": fiber_point_type(table, v) if v else None}
             for v in graph.vertices
         ],
         "edges": [list(e) for e in graph.edges],

@@ -27,7 +27,7 @@ from operator import neg
 from typing import Iterable
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, fiber_sink_key, point_factors
+from borelfiber.fiber import FiberPoint, fiber_sink_key
 from borelfiber.monomials import Monomial, format_monomial
 from borelfiber.toric import Configuration, GroebnerReport, _checked_rules, _degree_two_pairs
 from borelfiber.toric import _check_ints, _check_point, _Rules, _verify
@@ -96,12 +96,15 @@ def _configuration(table: GeneratorTable) -> Configuration:
     return Configuration(vectors, partial(_word_key, n=n), partial(_word_ranks, n=n))
 
 
-def _check_monomial(m: ReesMonomial, table: GeneratorTable) -> tuple[int, ...]:
+def _check_monomial(m: ReesMonomial, table: GeneratorTable, what: str) -> tuple[int, ...]:
     """Return ``m``'s code word; raise ``ValueError`` unless ``m`` is a monomial over ``table``.
 
-    Both parts must be tuples of ints, the x-part must have one non-negative
-    exponent per variable, and ``toric._check_point`` must accept the Y-part.
+    ``m`` must be a :class:`ReesMonomial` (else ``what`` names it), both parts
+    tuples of ints, the x-part one non-negative exponent per variable, and
+    ``toric._check_point`` must accept the Y-part.
     """
+    if not isinstance(m, ReesMonomial):
+        raise ValueError(f"{what} must be a ReesMonomial, got {m!r}")
     xpart, n = m.xpart, table.context.n
     _check_ints(xpart, "the x-part")
     if len(xpart) != n:
@@ -118,7 +121,8 @@ class ReesBasis:
 
     ``ReesBasis(table, elements)`` checks and codes each side of each
     :class:`ReesBinomial` once (:func:`_check_monomial`), so a malformed side
-    raises ``ValueError`` here, before coding can hide it.  ``rees_gb``
+    raises ``ValueError`` here, before coding can hide it, and so does an
+    element or side of the wrong type, named by position.  ``rees_gb``
     passes its words as ``pairs``.  The words themselves are checked where
     the rule index is built (``toric._checked_rules``).
     """
@@ -128,8 +132,13 @@ class ReesBasis:
 
     def __init__(self, table: GeneratorTable, elements=(), *, pairs=None) -> None:
         if pairs is None:
-            code = partial(_check_monomial, table=table)
-            pairs = [(code(el.lead), code(el.trail)) for el in elements]
+            pairs = []
+            for pos, el in enumerate(elements):
+                if not isinstance(el, ReesBinomial):
+                    raise ValueError(f"element {pos} must be a ReesBinomial, got {el!r}")
+                lead = _check_monomial(el.lead, table, f"the lead of element {pos}")
+                trail = _check_monomial(el.trail, table, f"the trail of element {pos}")
+                pairs.append((lead, trail))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "pairs", tuple(pairs))
 
@@ -181,14 +190,16 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:
-    table = basis.table
+    """Each element's x-parts as monomials and Y-parts as factor names, each generator once."""
+    context = basis.table.context
+    names = [format_monomial(g, context) for g in basis.table.generators]
     return {
         "elements": [
             {
-                "x_lead": format_monomial(el.lead.xpart, table.context),
-                "y_lead": point_factors(table, el.lead.ypart),
-                "x_trail": format_monomial(el.trail.xpart, table.context),
-                "y_trail": point_factors(table, el.trail.ypart),
+                "x_lead": format_monomial(el.lead.xpart, context),
+                "y_lead": [names[c] for c in el.lead.ypart],
+                "x_trail": format_monomial(el.trail.xpart, context),
+                "y_trail": [names[c] for c in el.trail.ypart],
             }
             for el in basis.elements
         ],

@@ -66,7 +66,7 @@ they are that listing's keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
 from math import comb
 from operator import le, lt
@@ -87,7 +87,6 @@ from borelfiber.fiber import (
     enumerate_fiber,
     fiber_sink_key,
     fiber_sink_ranks,
-    point_factors,
 )
 from borelfiber.monomials import Monomial, VariableContext, format_monomial
 
@@ -770,9 +769,13 @@ def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPo
 
 
 def basis_to_json(basis: MarkedBasis) -> dict:
-    table, fmt = basis.table, partial(point_factors, basis.table)
+    """Each element's sides as factor names, read off ``variable_order``: each generator once."""
+    names = [format_monomial(g, basis.table.context) for g in basis.table.generators]
     return {
-        "variable_order": [format_monomial(g, table.context) for g in table.generators],
-        "elements": [{"lead": fmt(el.lead), "trail": fmt(el.trail)} for el in basis.elements],
+        "variable_order": names,
+        "elements": [
+            {"lead": [names[c] for c in el.lead], "trail": [names[c] for c in el.trail]}
+            for el in basis.elements
+        ],
         "count": len(basis.elements),
     }

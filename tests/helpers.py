@@ -8,11 +8,14 @@ paths they check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import json
 from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable
 
+from borelfiber import cli
 from borelfiber.borel import GeneratorTable, build_table
 from borelfiber.fiber import (
     FiberGraph,
@@ -22,11 +25,14 @@ from borelfiber.fiber import (
     _lex_last_sigma,
     _paired_moves,
     _partners,
+    build_fiber_graph,
     enumerate_fiber,
     fiber_point_type,
     fiber_sink_key,
     fibers,
     find_sink_direct,
+    point_factors,
+    sinks,
 )
 from borelfiber.instances import suite_tables
 from borelfiber.monomials import (
@@ -41,13 +47,19 @@ from borelfiber.monomials import (
     unit,
 )
 from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, _check_monomial, _from_codes
+from borelfiber.rees import rees_buchberger_verify, rees_gb
 from borelfiber.toric import (
     GroebnerReport,
     MarkedBasis,
     MarkedBinomial,
     SPairFailure,
+    brute_force_gb,
+    buchberger_verify,
+    closure_components,
     normal_form,
+    quadric_generators,
 )
+from borelfiber.verify import sweep_unique_sinks
 
 ABC = VariableContext.default(3)
 
@@ -210,7 +222,7 @@ def rees_normal_form(m: ReesMonomial, basis: ReesBasis) -> ReesMonomial:
     Raises ``ValueError`` on a monomial that ``rees._check_monomial``
     refuses, and on a basis that ``toric._checked_rules`` refuses.
     """
-    word = _check_monomial(m, basis.table)
+    word = _check_monomial(m, basis.table, "the monomial")
     return _from_codes(basis._rules.normal_form(word), basis.table.context.n)
 
 
@@ -254,10 +266,13 @@ def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def step_by_scan(pairs, word: tuple[int, ...]) -> tuple[int, ...] | None:
     """Reference one-step reduct: by the first pair whose lead is a sub-multiset of the word.
 
+    The pairs are scanned in position order, with no index; a lead whose
+    first code is not in the word is skipped before the merge scan.
     Returns None when no lead is.
     """
+    codes = set(word)
     for lead, trail in pairs:
-        if contains(word, lead):
+        if (not lead or lead[0] in codes) and contains(word, lead):
             return swap(word, lead, trail)
     return None
 
@@ -1068,3 +1083,186 @@ def pairwise_rees_buchberger(basis, all_pairs: bool = False) -> GroebnerReport:
         if a != b and reduce(a) != reduce(b):
             failures.append(SPairFailure(p, q, rees_image(table, top)))
     return _report(failures, pairs, table)
+
+
+def vertex_label(table, point: FiberPoint) -> str:
+    """Reference label of a point from its counts, e.g. ``Y_{b^4c}^2Y_{a^3bc}``; ``1`` if empty."""
+    counts = Counter(point)  # ascending, as the point is
+    names = point_factors(table, counts)
+    return "".join(
+        f"Y_{{{name}}}" + (f"^{k}" if k > 1 else "") for name, k in zip(names, counts.values())
+    ) or "1"
+
+
+def graph_payload_by_points(graph: FiberGraph) -> dict:
+    """Reference ``fiber.graph_to_json``: every vertex's factors formatted afresh."""
+    table = graph.table
+    return {
+        "mu": format_monomial(graph.mu, table.context),
+        "vertices": [
+            {"factors": point_factors(table, v), "type": fiber_point_type(table, v) if v else None}
+            for v in graph.vertices
+        ],
+        "edges": [list(e) for e in graph.edges],
+        "sinks": [i for i, d in enumerate(graph.out_degrees) if d == 0],
+    }
+
+
+def dot_by_labels(graph: FiberGraph) -> str:
+    """Reference ``fiber.to_dot``, one :func:`vertex_label` per vertex."""
+    lines = ["digraph fiber {"]
+    labels = [vertex_label(graph.table, v) for v in graph.vertices]
+    lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  v{a} -> v{b};" for a, b in graph.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def basis_payload_by_points(basis: MarkedBasis) -> dict:
+    """Reference ``toric.basis_to_json``: every side's factors formatted afresh."""
+    table = basis.table
+    return {
+        "variable_order": [format_monomial(g, table.context) for g in table.generators],
+        "elements": [
+            {"lead": point_factors(table, el.lead), "trail": point_factors(table, el.trail)}
+            for el in basis.elements
+        ],
+        "count": len(basis.elements),
+    }
+
+
+def rees_payload_by_points(basis: ReesBasis) -> dict:
+    """Reference ``rees.rees_basis_to_json``: every side's factors formatted afresh."""
+    table = basis.table
+    return {
+        "elements": [
+            {
+                "x_lead": format_monomial(el.lead.xpart, table.context),
+                "y_lead": point_factors(table, el.lead.ypart),
+                "x_trail": format_monomial(el.trail.xpart, table.context),
+                "y_trail": point_factors(table, el.trail.ypart),
+            }
+            for el in basis.elements
+        ],
+        "count": len(basis.elements),
+    }
+
+
+def cli_by_objects(argv: list[str]) -> tuple[int, str]:
+    """Reference exit code and stdout of a CLI call that succeeds, laid out from the objects.
+
+    Each command builds its JSON payload and its text lines apart, both from
+    the library's objects, and labels points by :func:`vertex_label`; the
+    command's own payload and text view are not used.
+    """
+    args = cli.build_parser().parse_args(argv)
+    code, command = cli.EXIT_OK, args.command
+    if command == "counterexample":
+        return counterexample_by_objects(args.r, args.format)
+    table = cli._load_table(args)
+    label = functools.partial(vertex_label, table)
+    if command == "gens":
+        data = table.to_json()
+        lines = [f"Y_{i}\t{e['monomial']}\t{e['tag']}" for i, e in enumerate(data["generators"])]
+    elif command == "fiber":
+        graph = build_fiber_graph(table, parse_monomial(args.mu, table.context))
+        if args.format == "dot":
+            return code, dot_by_labels(graph)
+        data = graph_payload_by_points(graph)
+        lines = [f"mu {data['mu']}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"]
+        lines += [f"v{i}: {label(v)}" for i, v in enumerate(graph.vertices)]
+        lines += [f"v{a} -> v{b}" for a, b in graph.edges]
+        lines += [f"sinks: {' '.join('v%d' % s for s in data['sinks'])}"]
+    elif command == "sink":
+        mu = parse_monomial(args.mu, table.context)
+        direct = find_sink_direct(table, mu)
+        agrees = None
+        if (degree(mu) // table.degree if table.degree else 0) <= args.bound:
+            agrees = sinks(build_fiber_graph(table, mu)) == ([direct] if direct is not None else [])
+        data = {
+            "mu": format_monomial(mu, table.context),
+            "sink": None if direct is None else point_factors(table, direct),
+            "label": None if direct is None else label(direct),
+            "agrees_with_graph": agrees,
+        }
+        lines = [data["label"] if direct is not None else "empty fiber"]
+        code = cli.EXIT_OK if agrees in (True, None) else cli.EXIT_VIOLATION
+    elif command == "toric-gb":
+        basis = quadric_generators(table, interreduce=args.interreduce)
+        data = basis_payload_by_points(basis)
+        lines = [f"{len(basis.elements)} quadric binomials"]
+        lines += [f"{label(el.lead)} -> {label(el.trail)}" for el in basis.elements]
+    elif command == "rees-gb":
+        basis = rees_gb(table)
+        data = rees_payload_by_points(basis)
+        lines = [f"{len(basis.elements)} Rees basis binomials"]
+        x = functools.partial(format_monomial, context=table.context)
+        lines += [
+            f"{x(el.lead.xpart)}*{label(el.lead.ypart)}"
+            f" -> {x(el.trail.xpart)}*{label(el.trail.ypart)}"
+            for el in basis.elements
+        ]
+    elif command == "verify-unique-sinks":
+        report = sweep_unique_sinks(table, args.bound)
+        data = report.to_json()
+        lines = [f"{report.status}: {report.multidegrees_checked} multidegrees checked"]
+        lines += list(report.violations)
+        code = cli.EXIT_OK if report.ok else cli.EXIT_VIOLATION
+    elif command == "verify-buchberger":
+        reports = {"toric": buchberger_verify(quadric_generators(table, interreduce=True))}
+        if args.rees:
+            reports["rees"] = rees_buchberger_verify(rees_gb(table))
+        data = {side: report.to_json() for side, report in reports.items()}
+        lines = [f"{side}: {r.status} ({r.pairs_checked} overlaps)" for side, r in reports.items()]
+        code = cli.EXIT_OK if all(r.ok for r in reports.values()) else cli.EXIT_VIOLATION
+    elif command == "oracle-gb":
+        oracle = brute_force_gb(table, args.bound)
+        leads = {el.lead for el in quadric_generators(table, interreduce=True).elements}
+        extras = [el.lead for el in oracle.elements if el.lead not in leads]
+        data = basis_payload_by_points(oracle)
+        data["bound"] = args.bound
+        data["leads_outside_quadric_leads"] = [point_factors(table, lead) for lead in extras]
+        lines = [
+            f"{len(oracle.elements)} basis elements at bound {args.bound}; "
+            f"{len(extras)} leads outside the quadric leads"
+        ]
+    else:
+        raise ValueError(f"no reference for {command!r}")
+    return code, layout(data, lines, args.format)
+
+
+def layout(data: dict, lines: list[str], fmt: str) -> str:
+    """The text lines or the indented JSON, whichever ``fmt`` names."""
+    return "\n".join(lines) + "\n" if fmt == "text" else json.dumps(data, indent=2) + "\n"
+
+
+def counterexample_by_objects(r: int, fmt: str) -> tuple[int, str]:
+    """Reference ``counterexample --r r``: the three-Borel table f, g, h and the fiber of h^r."""
+    context = VariableContext.default(3)
+    f, g, h = (r, 0, r * (r - 2)), (0, r * (r - 1), 0), (r - 1, r - 1, (r - 1) * (r - 2))
+    table = build_table([f, g, h], context=context)
+    mu = tuple(a * r for a in h)
+    point_a = tuple(sorted([table.index_of[f]] * (r - 1) + [table.index_of[g]]))
+    point_b = tuple(sorted([table.index_of[h]] * r))
+    components = closure_components(table, mu)
+    separated = not any(point_a in comp and point_b in comp for comp in components)
+    quadrics = quadric_generators(table, interreduce=True)
+    mu_text = format_monomial(mu, context)
+    word = "cubic" if r == 3 else f"t-degree-{r}"
+    finding = f"{word} minimal toric generator at {mu_text}"
+    if not separated:
+        finding = f"no separation found at {mu_text}"
+    data = {
+        "r": r,
+        "variables": list(context.names),
+        "borel_generators": [format_monomial(m, context) for m in (f, g, h)],
+        "multidegree": mu_text,
+        "swap_bound": r - 1,
+        "components": len(components),
+        "separated": separated,
+        "relation_reduces_modulo_quadrics": (
+            normal_form(point_a, quadrics) == normal_form(point_b, quadrics)
+        ),
+        "quadric_buchberger": buchberger_verify(quadrics).to_json(),
+        "finding": finding,
+    }
+    return (cli.EXIT_OK if separated else cli.EXIT_VIOLATION), layout(data, [finding], fmt)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from borelfiber import cli, fiber, toric
+from borelfiber import cli, fiber, toric, verify
 from borelfiber.cli import main
+from borelfiber.instances import suite_tables
+from borelfiber.toric import SPairFailure
 
-from helpers import mono
+from helpers import cli_by_objects, mono
 
 FIG = "{a^2c^3,b^4c}"
 # The full parser's usage line, whitespace collapsed.
@@ -210,6 +212,84 @@ class TestVerify:
         data = json.loads(out)
         assert data["toric"]["status"] == "PASS"
         assert data["rees"]["status"] == "PASS"
+
+
+def contract_calls(table) -> list[list[str]]:
+    """Every command but ``counterexample`` on ``table``, in every format it takes."""
+    roots, g, n = table.to_json()["borel_generators"], table.generators, table.context.n
+    ideal = ["--ideal", "{%s}" % ",".join(roots), "--nvars", str(n)]
+    # Two products of generators, and one outside the semigroup: an empty fiber.
+    mus = [(g[0], g[-1]), (g[0], g[len(g) // 2], g[-1]), (g[0], (1,) + (0,) * (n - 1))]
+    mus = ["[%s]" % ",".join(map(str, map(sum, zip(*factors)))) for factors in mus]
+    calls = [["fiber", *ideal, "--mu", mu, "--format", "dot"] for mu in mus]
+    for fmt in ("json", "text"):
+        calls += [
+            [*argv, *ideal, "--format", fmt]
+            for argv in (
+                ["gens"],
+                ["toric-gb"],
+                ["toric-gb", "--interreduce"],
+                ["rees-gb"],
+                ["verify-unique-sinks", "--bound", "2"],
+                ["verify-buchberger", "--rees"],
+                ["oracle-gb", "--bound", "3"],
+                *(["fiber", "--mu", mu] for mu in mus),
+                *(["sink", "--mu", mu] for mu in mus),
+            )
+        ]
+    return calls
+
+
+class TestOutputContract:
+    """Each command's stdout and exit code equal the reference ``helpers.cli_by_objects``.
+
+    The reference lays out the JSON and the text apart from the library's
+    objects; the commands read their text off the JSON payload.
+    """
+
+    def assert_matches_the_reference(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (*cli_by_objects(argv), ""), argv
+
+    @pytest.mark.parametrize(
+        "table", [suite_tables(200)[i] for i in range(0, 200, 20)], ids=lambda t: str(t.roots)
+    )
+    def test_every_command_and_format(self, capsys, table):
+        for argv in contract_calls(table):
+            self.assert_matches_the_reference(capsys, argv)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_counterexample(self, capsys, fmt):
+        for r in (3, 4):
+            argv = ["counterexample", "--r", str(r), "--format", fmt]
+            self.assert_matches_the_reference(capsys, argv)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_violations_exit_one(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(verify, "_lead_masks", lambda table: [0] * len(table.generators))
+        failure = SPairFailure(0, 1, (1, 1, 2))
+        monkeypatch.setattr(toric, "_check_overlaps", lambda rules, n: (1, [failure]))
+        for command in (["verify-unique-sinks", "--bound", "2"], ["verify-buchberger", "--rees"]):
+            argv = [*command, "--ideal", "{ac,b^2}", "--format", fmt]
+            assert run_cli(capsys, *argv)[0] == cli.EXIT_VIOLATION
+            self.assert_matches_the_reference(capsys, argv)
+
+    def test_a_json_call_builds_no_text(self, capsys, monkeypatch):
+        calls = [
+            ["toric-gb", "--ideal", FIG],
+            ["rees-gb", "--ideal", FIG],
+            ["fiber", "--ideal", FIG, "--mu", "a^3b^9c^3"],
+        ]
+        expected = [run_cli(capsys, *argv) for argv in calls]
+
+        def refuse(names):
+            raise AssertionError("a JSON call labelled a point")
+
+        monkeypatch.setattr(cli, "factors_label", refuse)
+        assert [run_cli(capsys, *argv, "--format", "json") for argv in calls] == expected
+        assert all(code == cli.EXIT_OK for code, _, _ in expected)
+        # The text view reads the patched label, so the patch is live.
+        assert run_cli(capsys, *calls[0], "--format", "text")[0] == cli.EXIT_INTERNAL
 
 
 class TestCounterexample:

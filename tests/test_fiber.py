@@ -13,6 +13,7 @@ from borelfiber.fiber import (
     _standard_levels,
     build_fiber_graph,
     enumerate_fiber,
+    factors_label,
     fiber_point_type,
     fiber_sink_key,
     fibers,
@@ -21,7 +22,6 @@ from borelfiber.fiber import (
     point_factors,
     sinks,
     to_dot,
-    vertex_label,
 )
 from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import multiply, sigma
@@ -398,6 +398,22 @@ class TestLoneFiber:
         graph = build_fiber_graph(table, (4, 0, 0, 0, 28))
         assert graph.vertices == ((3348, 3348),) and graph.edges == ()
 
+    def test_payload_and_dot_name_only_the_fibers_codes(self, monkeypatch):
+        table = build_two_borel((2, 0, 0, 0, 14), (0, 0, 0, 16, 0))
+        graph = build_fiber_graph(table, (4, 0, 0, 0, 28))
+        formatted = []
+
+        def counted(m, context):
+            formatted.append(m)
+            return format_monomial(m, context)
+
+        format_monomial = fiber.format_monomial
+        monkeypatch.setattr(fiber, "format_monomial", counted)
+        assert graph_to_json(graph)["vertices"] == [{"factors": ["a^2e^14"] * 2, "type": "M"}]
+        assert to_dot(graph) == 'digraph fiber {\n  v0 [label="Y_{a^2e^14}^2"];\n}\n'
+        # Each call names the one generator the fiber uses, of 3,349, and mu.
+        assert formatted == [table.generators[3348], (4, 0, 0, 0, 28)] * 2
+
     def test_fiber_and_sink_commands(self, no_rows, capsys):
         assert cli.main(["fiber", "--ideal", self.IDEAL, "--mu", self.MU]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["edges"] == []
@@ -619,13 +635,17 @@ class TestDotAndJson:
         assert dot.startswith("digraph fiber {")
 
     def test_sink_label(self, fig_graph):
-        assert vertex_label(fig_graph.table, fig_graph.vertices[-1]) == "Y_{b^5}Y_{ab^4}Y_{a^2c^3}"
+        sink = point_factors(fig_graph.table, fig_graph.vertices[-1])
+        assert factors_label(sink) == "Y_{b^5}Y_{ab^4}Y_{a^2c^3}"
 
     def test_repeated_factor_label(self, fig_graph):
         cubed = point_of(fig_graph.table, "ab^3c", "ab^3c", "ab^3c")
-        assert vertex_label(fig_graph.table, cubed) == "Y_{ab^3c}^3"
+        assert factors_label(point_factors(fig_graph.table, cubed)) == "Y_{ab^3c}^3"
         doubled = point_of(fig_graph.table, "b^4c", "b^4c", "a^3bc")
-        assert vertex_label(fig_graph.table, doubled) == "Y_{b^4c}^2Y_{a^3bc}"
+        assert factors_label(point_factors(fig_graph.table, doubled)) == "Y_{b^4c}^2Y_{a^3bc}"
+
+    def test_empty_point_label(self):
+        assert factors_label([]) == "1"
 
     def test_empty_fiber_dot(self, fig_table):
         dot = to_dot(build_fiber_graph(fig_table, (0, 0, 7)))

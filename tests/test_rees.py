@@ -325,6 +325,21 @@ class TestReesVerify:
             with pytest.raises(ValueError, match=re.escape("must have 3 exponents, got (1, 0)")):
                 rees_buchberger_verify(ReesBasis(table, elements))
 
+    def test_an_element_that_is_no_binomial_is_named(self, square_table):
+        good = rees_gb(square_table).elements[0]
+        message = "element 1 must be a ReesBinomial, got ('x', 'y')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReesBasis(square_table, [good, ("x", "y")])
+
+    def test_a_side_that_is_no_monomial_is_named(self, square_table):
+        good = rees_gb(square_table).elements[0]
+        message = "the lead of element 0 must be a ReesMonomial, got (1, 0, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReesBasis(square_table, [ReesBinomial((1, 0, 0), (0, 1, 0))])
+        message = "the trail of element 1 must be a ReesMonomial, got (0, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReesBasis(square_table, [good, ReesBinomial(good.lead, (0, 1))])
+
     def test_negative_x_exponent_rejected(self):
         # Coded, (-1, 1, 0) would drop its -1 and read as b alone.
         table = build_table([(0, 2, 0)])
