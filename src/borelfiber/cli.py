@@ -21,7 +21,6 @@ from borelfiber.fiber import (
     find_sink_direct,
     graph_to_json,
     point_factors,
-    sinks,
     to_dot,
 )
 from borelfiber.monomials import (
@@ -40,7 +39,7 @@ from borelfiber.toric import (
     normal_form,
     quadric_generators,
 )
-from borelfiber.verify import sweep_unique_sinks
+from borelfiber.verify import check_unique_sink, sweep_unique_sinks
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -144,10 +143,7 @@ def cmd_sink(args) -> tuple[int, str]:
     mu = parse_monomial(args.mu, table.context)
     direct = find_sink_direct(table, mu)
     tdeg = degree(mu) // table.degree if table.degree else 0
-    agrees = None
-    if tdeg <= args.bound:
-        graph_sinks = sinks(build_fiber_graph(table, mu))
-        agrees = graph_sinks == ([direct] if direct is not None else [])
+    agrees = not check_unique_sink(table, mu) if tdeg <= args.bound else None
     names = None if direct is None else point_factors(table, direct)
     data = {
         "mu": format_monomial(mu, table.context),

@@ -15,17 +15,18 @@ vector sum, each sum carried as one packed integer (:func:`_pack`); so every
 fiber comes out in descending sink order without a sort.  It counts the
 points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
 keyed by packed sum, for callers that read only the points: the degree-2
-pairs of both sides and the completion oracle, which lists degrees 1 and
-2 and, above them, every point only of a fiber that holds two normal
-words.
+pairs of both sides and the completion oracle's degrees 1 and 2.
 :func:`fibers` is the keyed view of the same listing, each fiber named by
 its unpacked sum; its one src caller is ``instances.sweep_multidegrees``.
 The toric configuration is the table's generators, and the Rees algebra
 is the toric ring of a larger one (see ``rees``).
 :func:`enumerate_fiber` factors a single multidegree by one iterative
-depth-first search, which never enters a rest that no generators factor
-(:func:`_factorable`); it serves one-mu callers, whose t can be far too
-large to list every product up to it.
+depth-first search, which picks each point's codes from the largest down,
+so it lists the fiber in the same descending sink order, and never enters
+a rest that no generators factor (:func:`_factorable`).  It serves the
+one-mu callers, whose t can be far too large to list every product up to
+it: the fiber graph, the closure components, and each fiber above degree
+2 where the completion oracle finds two normal words.
 
 What counts as a paired move is defined once, by :func:`_paired_moves`:
 two pairs with one sum are one move apart when a factor of one is a unit
@@ -147,16 +148,14 @@ def _fiber_groups(
     The listing behind :func:`fibers`, which names each fiber by its sum;
     callers that read only the fibers take them here, in the same order,
     with no sum unpacked.  The completion oracle (``toric.brute_force_gb``)
-    takes degrees 1 and 2 here, and the whole listing up to its bound only
-    when a fiber above them holds two normal words.  Returns the fibers and
-    the bits of one coordinate of their keys (:func:`_pack`, sized for
-    ``max_deg`` codes).
+    takes degrees 1 and 2 here.  Returns the fibers and the bits of one
+    coordinate of their keys (:func:`_pack`, sized for ``max_deg`` codes).
 
     A configuration lists one vector per code, and a point is an ascending
     code tuple; the toric configuration is ``table.generators``.  Builds the
     points one degree at a time, each level in colex order (reversed tuples
     ascending), so each fiber's points come out in descending sink order, as
-    :func:`build_fiber_graph` orders its vertices, and no fiber is sorted.
+    :func:`enumerate_fiber` lists them, and no fiber is sorted.
     The points of a level that end in code c are the points p + (c,) with p
     in the level before and p's last code at most c.  In colex order those p
     are a prefix of their level, as long as the count of its points ending
@@ -286,17 +285,21 @@ def _shared(sums: list[int]) -> set[int]:
 
 
 def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
-    """All factorizations of mu into generators, ascending index tuples.
+    """All factorizations of mu into generators, ascending index tuples in descending sink order.
 
     Empty when the degree of mu is not a multiple of the generating degree;
     the fiber of the unit monomial is the single empty point.  One iterative
-    depth-first search: a partial point is extended by every generator index
-    at least its last one that divides the rest, the last factor is looked up
-    directly, and a (rest, least index) state that completed no point is
-    remembered for the rest of the call and not searched again.  A rest of
-    t-degree k is entered only when some k generators factor it
+    depth-first search that picks a point's codes from its largest down: the
+    largest code is taken ascending, and each next code ascending up to the
+    one before, among the codes that divide mu, listed once per call.  The
+    last factor is looked up directly and kept when it is at most the code
+    before.  So the points come out in colex order (reversed tuples
+    ascending), the order :func:`fibers` lists them in, with no sort.  A
+    rest of t-degree k is entered only when some k generators factor it
     (:func:`_factorable`), so a search that cannot complete a point stops
     where it would first go wrong rather than after trying every divisor.
+    Raises ``ValueError`` as soon as it has found more than
+    ``MAX_FIBER_POINTS`` points, and on a mu of another variable context.
     """
     if len(mu) != table.context.n:
         raise ValueError("mu lives in a different variable context")
@@ -311,35 +314,37 @@ def enumerate_fiber(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
     root_sums = [sigma(root) for root in table.roots]
     if not _factorable(root_sums, sigma(mu), t):
         return []
+    divisors = [c for c, g in enumerate(gens) if all(map(le, g, mu))]
     out: list[FiberPoint] = []
-    dead: set[tuple[Monomial, int]] = set()
-    picked: list[int] = []
-    # One frame per open state: the rest, its least index, the next index to
-    # try, and the number of points found before the state was entered.
-    frames = [[mu, 0, 0, 0]]
+    # One frame per open rest: the rest, its codes left to try, each with its
+    # position in divisors, and the codes taken so far, ascending.
+    frames = [(mu, enumerate(divisors), ())]
     while frames:
-        frame = frames[-1]
-        rest, start, idx, found = frame
-        if idx == len(gens):
-            frames.pop()
-            if len(out) == found:
-                dead.add((rest, start))
-            if picked:
-                picked.pop()
+        rest, codes, taken = frames[-1]
+        k = t - 1 - len(taken)  # the t-degree of rest / g
+        if k > 1:
+            for i, c in codes:
+                g = gens[c]
+                if all(map(le, g, rest)):
+                    smaller = tuple(map(sub, rest, g))
+                    if _factorable(root_sums, sigma(smaller), k):
+                        frames.append((smaller, enumerate(islice(divisors, i + 1)), (c, *taken)))
+                        break
+            else:
+                frames.pop()
             continue
-        frame[2] = idx + 1
-        g = gens[idx]
-        if not all(map(le, g, rest)):
-            continue
-        smaller = tuple(map(sub, rest, g))
-        k = t - len(picked) - 1  # the t-degree of smaller
-        if k == 1:
-            last = index_of.get(smaller)
-            if last is not None and last >= idx:
-                out.append((*picked, idx, last))
-        elif (smaller, idx) not in dead and _factorable(root_sums, sigma(smaller), k):
-            picked.append(idx)
-            frames.append([smaller, idx, idx, len(out)])
+        frames.pop()  # a rest of t-degree 2: each code left completes at most one point
+        for _, c in codes:
+            g = gens[c]
+            if all(map(le, g, rest)):
+                last = index_of.get(tuple(map(sub, rest, g)))
+                if last is not None and last <= c:
+                    out.append((last, c, *taken))
+        if len(out) > MAX_FIBER_POINTS:
+            name = format_monomial(mu, table.context)
+            raise ValueError(
+                f"the fiber of {name} holds more than the cap of {MAX_FIBER_POINTS:,} points"
+            )
     return out
 
 
@@ -358,16 +363,6 @@ class FiberGraph:
         for a, _ in self.edges:
             out[a] += 1
         return tuple(out)
-
-
-def _fiber_in_sink_order(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
-    """The fiber of mu in descending sink order, as :func:`fibers` lists it.
-
-    The one source of :func:`build_fiber_graph`'s vertices.
-    """
-    points = enumerate_fiber(table, mu)
-    points.sort(key=fiber_sink_key, reverse=True)
-    return points
 
 
 def _paired_moves(table: GeneratorTable, codes: Sequence[int]) -> tuple[dict[int, int], set[int]]:
@@ -436,8 +431,8 @@ def _lead_masks(table: GeneratorTable) -> list[int]:
 def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     """Enumerate the fiber of mu and join the points one paired move apart.
 
-    Vertices come from :func:`_fiber_in_sink_order`, in descending fiber
-    sink order.  Each vertex is filed under every rest left once two of its
+    Vertices come from :func:`enumerate_fiber`, in descending fiber sink
+    order.  Each vertex is filed under every rest left once two of its
     factors, a pair of values, are taken out; two vertices filed under one
     rest differ in that pair alone, and they are joined when
     :func:`_paired_moves` finds a unit move between a factor of one pair
@@ -447,7 +442,7 @@ def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     the codes of the fiber's points are packed, so a fiber costs its own
     points, whatever the size of its table.
     """
-    vertices = _fiber_in_sink_order(table, mu)
+    vertices = enumerate_fiber(table, mu)
     codes = sorted(set(chain.from_iterable(vertices))) if len(vertices) > 1 else []
     packed, moves = _paired_moves(table, codes) if codes else ({}, set())
     # rest -> {vertex index: the pair taken out}; a repeated value pair files once.
@@ -589,38 +584,21 @@ def _sink_plan(table: GeneratorTable, s_mu: tuple[int, ...], t: int) -> Optional
     return hi if lo <= hi else None
 
 
-def _peel(table: GeneratorTable, rest: tuple[int, ...], hi: int) -> tuple[int, tuple[int, ...]]:
-    """The index and suffix sums of the factor the direct sink peels next.
-
-    ``rest`` holds the suffix sums of what is left to factor, and ``hi``
-    the M-factors still to peel: the factor is the lex-last divisor of the
-    rest in Borel(M) while hi > 0, in Borel(N) after.  The peels after it
-    are the direct sink of the rest, whose hi is max(hi - 1, 0) (the proof
-    of :func:`find_sink_direct`); the sweep in ``verify`` checks the same
-    peel on packed suffix sums.
-    """
-    s_m, s_n, by_sums = table._peel_sums
-    s_factor = _lex_last_sigma(s_m if hi else s_n, rest)
-    if s_factor is None:
-        raise RuntimeError("a factorable multidegree admits a block divisor")
-    return by_sums[s_factor], s_factor
-
-
 def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint]:
     """The unique sink of the fiber of mu, computed without the graph.
 
     With lo..hi the interval of :func:`_m_share_bounds` (empty exactly when
     the fiber is; then None), the sink peels the lex-last divisor M' of the
     rest in Borel(M) hi times, then N' in Borel(N) t - hi times.  The rest
-    is kept as suffix sums, each peeled factor's sums are subtracted from
-    it, and its index is read off the table by its sums (:func:`_peel`).
-    Each divisor f is peeled q times in one step, q the peels left in its
-    phase or, if fewer, the largest j with f^j dividing the rest: the least
-    e_k // phi_k over the k with phi_k > 0, e and phi the exponents of the
-    rest and of f, read off their suffix sums.  So the peels cost O(n) per
-    run of equal factors, and listing the sink O(t).  Raises ``ValueError``
-    on a table of more than two roots and on a mu of another variable
-    context.
+    is kept as suffix sums: each peel reads the divisor's suffix sums off
+    the rest's (:func:`_lex_last_sigma`), subtracts them, and reads the
+    factor's index off the table by its sums.  Each divisor f is peeled q
+    times in one step, q the peels left in its phase or, if fewer, the
+    largest j with f^j dividing the rest: the least e_k // phi_k over the k
+    with phi_k > 0, e and phi the exponents of the rest and of f, read off
+    their suffix sums.  So the peels cost O(n) per run of equal factors,
+    and listing the sink O(t).  Raises ``ValueError`` on a table of more
+    than two roots and on a mu of another variable context.
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -651,9 +629,13 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     hi = _sink_plan(table, rest, t)
     if hi is None:
         return None
+    s_m, s_n, by_sums = table._peel_sums
     counts: Counter = Counter()
     while t:
-        index, s_factor = _peel(table, rest, hi)
+        s_factor = _lex_last_sigma(s_m if hi else s_n, rest)
+        if s_factor is None:
+            raise RuntimeError("a factorable multidegree admits a block divisor")
+        index = by_sums[s_factor]
         exponents, phi = from_sigma(rest), from_sigma(s_factor)
         q = min(hi or t, *[e // f for e, f in zip(exponents, phi) if f])
         counts[index] += q

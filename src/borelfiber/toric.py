@@ -43,8 +43,9 @@ codes for a lead in closed form (:meth:`_Rules.reducible`): the checks reduce
 those words by far the most often.  Above degree 2 the oracle builds only
 the normal words, each a normal word of the degree before extended by one
 code, since normal words are closed under division; it lists every point of
-a fiber only when the fiber holds two of them, reduces only those fibers,
-and marks each new rule by its reversed words (:func:`brute_force_gb`).
+a fiber (``fiber.enumerate_fiber``) only when the fiber holds two of them,
+reduces only those fibers, and marks each new rule by its reversed words
+(:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -59,8 +60,8 @@ summed, so a word's packed sum is one integer addition per code and two
 words share it exactly when they share their sum.  A basis's rule index
 keeps its configuration packed (:func:`_checked_rules`), for the overlap
 check too, and a failure's name is unpacked from its sum.  The oracle packs
-its normal words' sums at the width of the full listing up to its bound, so
-they are that listing's keys.
+its normal words' sums for words as long as its bound, and unpacks the sum
+of a fiber with two of them into the multidegree it enumerates.
 """
 
 from __future__ import annotations
@@ -632,13 +633,13 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     of degree k is a normal word of degree k - 1 extended by a code at
     least its last.  So no normal word is missed, and a fiber with at most
     one of them is skipped unlisted.  A fiber with two or more is reduced
-    over all its points, taken from the full listing up to the bound, which
-    is built only when some fiber needs it; for two-Borel tables none does,
-    as the quadrics are a Groebner basis and each fiber holds one standard
-    word.  A level's normal words need no recheck as its rules are added: a
-    rule added at degree k leads by a word of length k and of its own
-    fiber's sum, so it divides no word of another fiber of the level, and
-    after the level exactly the words that became leads stop being normal.
+    over all its points, which ``enumerate_fiber`` lists for that fiber
+    alone, in the listing's order; for two-Borel tables none is, as the
+    quadrics are a Groebner basis and each fiber holds one standard word.
+    A level's normal words need no recheck as its rules are added: a rule
+    added at degree k leads by a word of length k and of its own fiber's
+    sum, so it divides no word of another fiber of the level, and after the
+    level exactly the words that became leads stop being normal.
 
     The first point's normal form a is computed once per star and carried,
     so each point of a star is reduced once.  Let b be w's normal form.
@@ -681,7 +682,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
     rules = _Rules()
-    for points in _stars(table.generators, degree_bound, rules):
+    for points in _stars(table, degree_bound, rules):
         first, *rest = points
         a = rules.normal_form(first)
         for w in rest:
@@ -696,29 +697,30 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 
-def _stars(vectors: Sequence[Monomial], bound: int, rules: _Rules):
+def _stars(table: GeneratorTable, bound: int, rules: _Rules):
     """Yield the points of each fiber up to ``bound`` that holds two normal words, in listing order.
 
     The caller adds a fiber's rules before the next fiber is yielded.
-    Degrees 1 and 2 come from ``fiber._fiber_groups(vectors, 2)``.  At each
-    degree k above them, the words of degree k - 1 that did not become
-    leads are the normal ones; each is extended by every code from its last
-    on, the extensions that ``rules.reducible`` passes are kept, and they
-    are grouped by packed sum.  A fiber of two or more is yielded from the
-    full listing up to ``bound``, built at most once.  The argument is
-    :func:`brute_force_gb`'s.  Raises ``ValueError`` before building a
-    degree whose candidate words outnumber ``fiber.MAX_FIBER_POINTS``.
+    Degrees 1 and 2 come from ``fiber._fiber_groups(table.generators, 2)``.
+    At each degree k above them, the words of degree k - 1 that did not
+    become leads are the normal ones; each is extended by every code from
+    its last on, the extensions that ``rules.reducible`` passes are kept,
+    and they are grouped by packed sum.  A fiber of two or more is yielded
+    as ``enumerate_fiber`` lists it, its multidegree unpacked from the sum.
+    The argument is :func:`brute_force_gb`'s.  Raises ``ValueError`` before
+    building a degree whose candidate words outnumber
+    ``fiber.MAX_FIBER_POINTS``, and on a fiber of more points
+    (``enumerate_fiber``).
     """
-    groups = _fiber_groups(vectors, 2)[0]
+    groups = _fiber_groups(table.generators, 2)[0]
     for points in groups.values():
         if not all(map(rules.reducible, points[:-1])):
             yield points
-    packed, _ = _pack(vectors, bound)
+    packed, width = _pack(table.generators, bound)
     singles = [(c,) for c in range(len(packed))]
     # The words of the level before, with their sums: no lead has one code, so each is
     # normal unless it became a lead.
     kept = [(w, packed[w[0]] + packed[w[1]]) for ws in groups.values() for w in ws if len(w) == 2]
-    listing = None
     for k in range(3, bound + 1):
         normal = [(word, total) for word, total in kept if word not in rules.by_lead]
         count = sum(len(packed) - word[-1] for word, _ in normal)
@@ -733,10 +735,8 @@ def _stars(vectors: Sequence[Monomial], bound: int, rules: _Rules):
             for longer in map(word.__add__, singles[word[-1] :])
             if not rules.reducible(longer)
         ]
-        for total in sorted(_shared([total for _, total in kept])):
-            if listing is None:
-                listing = _fiber_groups(vectors, bound)[0]
-            yield listing[total]
+        for mu in _unpack(sorted(_shared([total for _, total in kept])), width, table.context.n):
+            yield enumerate_fiber(table, mu)
 
 
 def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPoint]]:
@@ -754,7 +754,8 @@ def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPo
     t - 1; and an exchange of at most t - 1 factors keeps one), so the
     components are the classes of a union-find over the generator indices
     that the points use.  Components come in the order of their first point,
-    and each lists its points in fiber order; an empty fiber has none.
+    and each lists its points in the fiber's descending sink order
+    (``enumerate_fiber``); an empty fiber has none.
     """
     fiber = enumerate_fiber(table, mu)
     if not fiber:

@@ -560,14 +560,15 @@ def brute_factorizations(gens: list[Monomial], mu: Monomial) -> set[tuple[int, .
 
 
 def enumerate_fiber_unpruned(table: GeneratorTable, mu: Monomial) -> list[FiberPoint]:
-    """``fiber.enumerate_fiber`` without its Borel-product prune, as it was before it.
+    """A depth-first search of the fiber of mu without the Borel-product prune.
 
-    The same iterative depth-first search, in the same order: a partial
-    point is extended by every generator index at least its last one that
-    divides the rest, the last factor is looked up directly, and a (rest,
-    least index) state that completed no point is not searched again.  It
-    never asks whether a rest can be factored at all, so it shares no Borel
-    theory with the pruned search or the direct sink.
+    Lists the points as ascending tuples in ascending order, not in
+    ``fiber.enumerate_fiber``'s sink order: a partial point is extended by
+    every generator index at least its last one that divides the rest, the
+    last factor is looked up directly, and a (rest, least index) state that
+    completed no point is not searched again.  It never asks whether a rest
+    can be factored at all, so it shares no Borel theory with the pruned
+    search or the direct sink.
     """
     if degree(mu) == 0:
         return [()]
@@ -893,11 +894,11 @@ def closure_components_by_search(table, mu: Monomial, max_swap: int) -> list[lis
 
     Searches every subset of at most ``max_swap`` factors of every point and
     every refactorization of its product, starting each component from the
-    first point not yet reached; components list their points in ascending
-    tuple order, the order of the library's enumeration.
+    first point not yet reached; components list their points in descending
+    sink order, the order of the library's enumeration.
     """
     gens = list(table.generators)
-    fiber = sorted(brute_factorizations(gens, mu))
+    fiber = sorted(brute_factorizations(gens, mu), key=fiber_sink_key, reverse=True)
     position = {z: i for i, z in enumerate(fiber)}
     refactor: dict[Monomial, list[tuple[int, ...]]] = {}
     seen = [False] * len(fiber)

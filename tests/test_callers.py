@@ -16,9 +16,10 @@ error; its keyed view ``fiber.fibers`` unpacks every key.  The paired-move
 test (``fiber._paired_moves``) packs the generators with the unit vectors,
 whose differences are the unit moves.  The completion oracle's fiber walk
 (``toric._stars``) packs the generators once per call, for the sums of the
-normal words it builds above degree 2, at the width of the full listing it
-falls back on.  Besides them, ``toric._checked_rules``, the one check of a basis,
-packs its configuration once, for its words' sums in the homogeneity check
+normal words it builds above degree 2, and unpacks a sum only when two
+normal words share it, into the multidegree it enumerates.  Besides them,
+``toric._checked_rules``, the one check of a basis, packs its
+configuration once, for its words' sums in the homogeneity check
 and, kept on its rule index, for the critical monomials' sums of
 ``toric._check_overlaps``, which only unpacks a failure's name.  The
 unique-sink sweep (``verify.sweep_unique_sinks``) packs the generators'
@@ -37,13 +38,15 @@ caller of the pair count (``toric._check_pair_count``), and
 ``rees`` reads no fiber listing of its own.  What counts as a paired move
 is defined once too: ``fiber._paired_moves`` serves the sweep's lead masks
 (``fiber._lead_masks``) and the fiber graph (``fiber.build_fiber_graph``),
-and nothing else.
+and nothing else.  A single fiber is enumerated in one place,
+``fiber.enumerate_fiber``, in sink order, and its src callers are pinned:
+the fiber graph, the closure components and the oracle's fiber walk.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
 unique-sink check (``verify.check_unique_sink``) reads the fiber graph that
 ``fiber.build_fiber_graph`` builds and imports none of its parts, neither
-the paired-move test nor ``_fiber_in_sink_order``; the sweep takes its
+the paired-move test nor the enumeration; the sweep takes its
 leads from ``fiber._lead_masks`` and checks the first peel of the direct
 sink per standard word on packed suffix sums, calling the share test
 (``fiber._sink_plan``) only for a word it holds to the whole direct sink.
@@ -82,8 +85,14 @@ SUM_PATH = {
         "fiber._fiber_groups",
         "fiber.fibers",
         "toric._check_overlaps",
+        "toric._stars",
         "verify.sweep_unique_sinks",
     ],
+}
+
+# The one enumeration of a single fiber and its src callers.
+ENUMERATE_PATH = {
+    "enumerate_fiber": ["fiber.build_fiber_graph", "toric._stars", "toric.closure_components"],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.
@@ -314,6 +323,11 @@ def test_one_pairing_of_degree_two_fibers():
 def test_one_paired_move_test():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in MOVE_PATH} == MOVE_PATH
+
+
+def test_one_enumeration_of_a_single_fiber():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in ENUMERATE_PATH} == ENUMERATE_PATH
 
 
 def private_imports(modules: dict[str, ast.Module]) -> dict[str, list[str]]:

@@ -522,6 +522,18 @@ class TestErrors:
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 119)
         assert run_cli(capsys, "oracle-gb", "--ideal", FIG, "--bound", "2")[0] == 0
 
+    def test_one_fiber_cap_exits_2(self, capsys, monkeypatch):
+        # The figure fiber a^3b^9c^3 has 7 points; the graph and the sink's
+        # check both enumerate it.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 6)
+        message = "error: the fiber of a^3b^9c^3 holds more than the cap of 6 points\n"
+        for command in ("fiber", "sink"):
+            argv = (command, "--ideal", FIG, "--mu", "a^3b^9c^3")
+            assert run_cli(capsys, *argv) == (2, "", message)
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 7)
+        for command in ("fiber", "sink"):
+            assert run_cli(capsys, command, "--ideal", FIG, "--mu", "a^3b^9c^3")[0] == 0
+
     def test_standard_word_cap_exits_2(self, capsys, monkeypatch):
         # The figure ideal's 44 standard pairs extend to 91 standard words of length 3.
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 90)

@@ -127,9 +127,9 @@ class TestEnumerateFiber:
         for mu in [(3, 9, 3), (2, 4, 4), (1, 9, 0), (4, 11, 0), (0, 10, 0), (5, 5, 5)]:
             assert set(enumerate_fiber(fig_table, mu)) == brute_factorizations(gens, mu)
 
-    def test_deterministic_ascending_order(self, fig_table):
+    def test_deterministic_sink_order(self, fig_table):
         fiber = enumerate_fiber(fig_table, mono("a^3b^9c^3"))
-        assert fiber == sorted(fiber)
+        assert fiber == sorted(fiber, key=fiber_sink_key, reverse=True)
 
     def test_deep_fiber(self):
         # 1,500 factors of b: deeper than the interpreter's recursion limit.
@@ -150,8 +150,9 @@ class TestPrunedSearch:
 
     The prune reads the Borel-product bounds that the direct sink reads too,
     so it is pinned here against the grouped pass, which knows no Borel
-    theory: every multidegree of t-degree at most 3, factorable or not.
-    ``test_properties`` holds it to the unpruned search on random tables.
+    theory: every multidegree of t-degree at most 3, factorable or not, and
+    each fiber in the pass's order, with no sort.  ``test_properties`` holds
+    it to the unpruned search on random tables.
     """
 
     def test_matches_the_fiber_groups_on_every_10th_suite_table(self):
@@ -159,8 +160,7 @@ class TestPrunedSearch:
             groups = fibers(table.generators, 3)
             for t in (1, 2, 3):
                 for mu in all_monomials(table.context.n, t * table.degree):
-                    fiber = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
-                    assert fiber == groups.get(mu, []), (10 * i, mu)
+                    assert enumerate_fiber(table, mu) == groups.get(mu, []), (10 * i, mu)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_the_family_multidegree(self, r):
@@ -169,7 +169,7 @@ class TestPrunedSearch:
         f, g, h = (r, 0, r * (r - 2)), (0, r * (r - 1), 0), (r - 1, r - 1, (r - 1) * (r - 2))
         mu = tuple(r * e for e in h)
         assert mu == point_product(table, sorted([table.index_of[f]] * (r - 1) + [table.index_of[g]]))
-        fiber = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
+        fiber = enumerate_fiber(table, mu)
         assert fiber == fibers(table.generators, r)[mu]
         assert len(fiber) == 2
 
@@ -246,7 +246,20 @@ class TestFiberListing:
 
 
 class TestFiberPointBudget:
-    """``fibers`` counts its points with ``math.comb`` before it lists any."""
+    """``fibers`` counts its points with ``math.comb`` before it lists any.
+
+    ``enumerate_fiber`` cannot count one fiber first, so it stops as soon
+    as it has found more points than the cap.
+    """
+
+    def test_one_fiber_over_the_cap_is_refused(self, fig_table, monkeypatch):
+        mu = mono("a^3b^9c^3")  # the figure fiber, 7 points
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 7)
+        assert len(enumerate_fiber(fig_table, mu)) == 7
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 6)
+        message = "the fiber of a^3b^9c^3 holds more than the cap of 6 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_fiber(fig_table, mu)
 
     def test_a_listing_over_the_cap_is_refused(self, fig_table, monkeypatch):
         # 14 codes: 14 points of degree 1 and C(15, 2) = 105 of degree 2.

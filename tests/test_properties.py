@@ -261,7 +261,8 @@ def table_and_multidegree(draw):
 @given(table_and_multidegree())
 def test_pruned_search_matches_the_unpruned_search(case):
     table, mu = case
-    assert enumerate_fiber(table, mu) == enumerate_fiber_unpruned(table, mu)
+    expected = sorted(enumerate_fiber_unpruned(table, mu), key=fiber_sink_key, reverse=True)
+    assert enumerate_fiber(table, mu) == expected
 
 
 @checked(12)
@@ -269,8 +270,7 @@ def test_pruned_search_matches_the_unpruned_search(case):
 def test_grouped_pass_matches_per_fiber_enumeration(table):
     groups = fibers(table.generators, 3)
     for mu, points in groups.items():
-        expected = sorted(enumerate_fiber(table, mu), key=fiber_sink_key, reverse=True)
-        assert points == expected
+        assert points == enumerate_fiber(table, mu)
 
 
 @st.composite

@@ -450,21 +450,36 @@ class TestBruteForceOracle:
 
     def test_two_borel_completions_list_only_degrees_1_and_2(self, fig_table, monkeypatch):
         # Above degree 2 a two-Borel completion builds only normal words, one
-        # per fiber, so no fiber needs the full listing.
+        # per fiber, so it lists no fiber above degree 2.
         tables = [fig_table] + suite_tables(cap=200)[::10]
         listed = self.record_listings(monkeypatch)
         for table in tables:
             brute_force_gb(table, 3)
         assert listed == [2] * len(tables)
 
-    def test_a_fiber_with_two_normal_words_reads_the_full_listing(self, three_borel, monkeypatch):
-        # The three-Borel table has fibers of degree 3 with two normal words,
-        # whose stars are read off the listing up to the bound.
+    def test_a_fiber_with_two_normal_words_is_enumerated_alone(self, three_borel, monkeypatch):
+        # The three-Borel table has a fiber above degree 2 with two normal
+        # words, whose star is read off that fiber's own enumeration.
         expected = completion_by_scan(three_borel, 4)
         listed = self.record_listings(monkeypatch)
         oracle = brute_force_gb(three_borel, 4)
-        assert listed == [2, 4]
+        assert listed == [2]
         assert [(el.lead, el.trail) for el in oracle.elements] == expected
+
+    def test_the_cap_bounds_the_words_built_not_the_listing(self, three_borel, monkeypatch):
+        # Its 15 generators make 3,875 words of degree 1..4, and its normal
+        # words of degree 3 extend to 287 words of degree 4, the most the
+        # oracle builds at once; the one fiber it enumerates has 2 points.
+        expected = brute_force_gb(three_borel, 4).elements
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 287)
+        assert brute_force_gb(three_borel, 4).elements == expected
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 286)
+        message = (
+            "the normal words of degree 3 extend to 287 words of degree 4,"
+            " more than the cap of 286"
+        )
+        with pytest.raises(ValueError, match=message):
+            brute_force_gb(three_borel, 4)
 
     def test_matches_the_scan_completion_at_bound_4(self):
         for table in suite_tables(cap=200)[::10]:

@@ -14,7 +14,7 @@ not the graph's sink" at each multidegree its scan marks
 pair leaves the sweep at PASS: the fibers whose sink holds that pair drop
 out of ``multidegrees_checked``, and only a count of the fibers sees it.  A
 control that reorders a fiber's points swaps in its own
-``fiber._fiber_in_sink_order``, the graph's one source of vertices.  The
+``fiber.enumerate_fiber``, the graph's one source of vertices.  The
 sweep scans standard words, accepts each by one packed peel onto the
 direct sink of a shorter accepted word, and hands only the multidegrees
 that fail the scan to the check; it refuses a table of three roots before
@@ -186,7 +186,7 @@ class TestNegativeControls:
         # The last two points swapped: the edge between them still runs to
         # the last vertex, which is now (0,3,12), not the direct sink.
         reordered = fig_points[:5] + [fig_points[6], fig_points[5]]
-        monkeypatch.setattr(fiber, "_fiber_in_sink_order", lambda table, mu: list(reordered))
+        monkeypatch.setattr(fiber, "enumerate_fiber", lambda table, mu: list(reordered))
         assert verify.check_unique_sink(fig_table, FIG_MU) == [
             f"{fig_label}: direct sink disagrees with the graph sink",
         ]
