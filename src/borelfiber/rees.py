@@ -170,7 +170,12 @@ def rees_gb(table: GeneratorTable) -> ReesBasis:
     pairs = _degree_two_pairs(vectors)
     ranked = _word_ranks(chain.from_iterable(pairs), len(vectors), n)
     pairs = [p if r < s else p[::-1] for p, r, s in zip(pairs, ranked[0::2], ranked[1::2])]
-    pairs.sort(key=lambda pair: (0, *sorted((pair[0][1], pair[1][1]))) if pair[0][0] < n else (1,))
+
+    def syzygies_first(pair):  # a syzygy by its two Y codes, ascending; every quadric ties
+        (x, u), (_, v) = pair
+        return (1,) if x >= n else (0, u, v) if u < v else (0, v, u)
+
+    pairs.sort(key=syzygies_first)
     return ReesBasis(table, pairs=pairs)
 
 
@@ -190,18 +195,24 @@ def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:
 
 
 def rees_basis_to_json(basis: ReesBasis) -> dict:
-    """Each element's x-parts as monomials and Y-parts as factor names, each generator once."""
-    context = basis.table.context
-    names = [format_monomial(g, context) for g in basis.table.generators]
-    return {
-        "elements": [
-            {
-                "x_lead": format_monomial(el.lead.xpart, context),
-                "y_lead": [names[c] for c in el.lead.ypart],
-                "x_trail": format_monomial(el.trail.xpart, context),
-                "y_trail": [names[c] for c in el.trail.ypart],
-            }
-            for el in basis.elements
-        ],
-        "count": len(basis.elements),
-    }
+    """Each element's x-parts as monomials and Y-parts as factor names, read off ``basis.pairs``.
+
+    No word is decoded: a word's x codes (below n) come first, and each
+    distinct run of them is formatted once, as is each generator.
+    """
+    context, n = basis.table.context, basis.table.context.n
+    names = [None] * n + [format_monomial(g, context) for g in basis.table.generators]
+    xparts: dict[tuple[int, ...], str] = {}
+
+    def sides(word: tuple[int, ...]) -> tuple[str, list[str]]:
+        split = bisect_left(word, n)
+        x = word[:split]
+        if x not in xparts:
+            xparts[x] = format_monomial(tuple(map(x.count, range(n))), context)
+        return xparts[x], [names[c] for c in word[split:]]
+
+    elements = []
+    for lead, trail in basis.pairs:
+        (x_lead, y_lead), (x_trail, y_trail) = sides(lead), sides(trail)
+        elements.append({"x_lead": x_lead, "y_lead": y_lead, "x_trail": x_trail, "y_trail": y_trail})
+    return {"elements": elements, "count": len(basis.pairs)}

@@ -31,21 +31,23 @@ other basis, and one that fails a column test, is walked in element order,
 which names the first fault; either way the index is built in one pass
 over the pairs.  The lead index ``by_lead`` is the one place that
 says which rules carry a lead: the rewriter looks up a word's sub-multisets
-there, :func:`brute_force_gb` grows it one rule at a time and asks it
-whether a word holds a lead (:meth:`_Rules.reducible`) to find the normal
-words of each fiber, and :func:`_check_overlaps`, the one Groebner
-verifier, reads its critical monomials off it.
+there, :func:`brute_force_gb` builds it from its degree-2 rules in one pass,
+grows it one rule at a time above degree 2 and looks up there whether a
+word holds a lead, to find the normal words of each fiber, and
+:func:`_check_overlaps`, the one Groebner verifier, reads its critical
+monomials off it.
 
 The rewriter finds a word's leads by one lookup of its sub-multisets
 (:meth:`_Rules.hits`).  While every rule is quadratic it steps a word of two
-codes in closed form, and the completion oracle tests words of two and three
-codes for a lead in closed form (:meth:`_Rules.reducible`): the checks reduce
-those words by far the most often.  Above degree 2 the oracle builds only
-the normal words, each a normal word of the degree before extended by one
-code, since normal words are closed under division; it lists every point of
-a fiber (``fiber.enumerate_fiber``) only when the fiber holds two of them,
-reduces only those fibers, and marks each new rule by its reversed words
-(:func:`brute_force_gb`).
+codes in closed form: the checks reduce those words by far the most often.
+The completion oracle reduces no word of degree 2: each degree-2 fiber adds
+the chain of its consecutive points, in closed form.  Above degree 2 it
+builds only the normal words, each a normal word of the degree before
+extended by one code, since normal words are closed under division, and
+tests only the extension's new pairs for a lead while every lead is
+quadratic.  It lists every point of a fiber (``fiber.enumerate_fiber``)
+only when the fiber holds two normal words, reduces only those fibers, and
+marks each new rule by its reversed words (:func:`brute_force_gb`).
 The overlap check counts its critical monomials instead of building them, and
 walks only those whose fiber holds two standard words (words with no lead in
 them) of their length, found by ``fiber._standard_levels``, the scan behind
@@ -138,8 +140,8 @@ class _Rules:
     lead index: it maps each distinct lead to the positions of its rules,
     ascending.  ``sizes`` holds the leads' lengths, and ``quadratic`` holds
     while every lead and trail has two codes.  A word's leads are found by
-    one lookup (:meth:`hits`), which :meth:`rewrite` and :meth:`reducible`
-    skip only for the short words of closed form.  An index from
+    one lookup (:meth:`hits`), which :meth:`rewrite` skips only for a word
+    of two codes while every rule is quadratic.  An index from
     :func:`_checked_rules` also keeps its configuration's ``packed`` codes,
     ``width`` and vector ``size``.
 
@@ -208,21 +210,11 @@ class _Rules:
     def reducible(self, word: tuple[int, ...]) -> bool:
         """Whether ``word`` contains a lead: :meth:`rewrite` without building the reduct.
 
-        While every rule is quadratic it answers in closed form for the words
-        the completion oracle tests: a word of two codes contains a lead only
-        by being one, and a word (x, y, z) exactly when (y, z), (x, z) or
-        (x, y) is one.  Any other word is answered by whether one of its
-        :meth:`_sub_words` is a lead.  This is how :func:`brute_force_gb`
-        finds a fiber's normal words.
+        Answered by whether one of its :meth:`_sub_words` is a lead.  The
+        completion oracle asks it only once a lead of more than two codes
+        exists (:func:`_stars`).
         """
-        by_lead = self.by_lead
-        if self.quadratic:
-            if len(word) == 2:
-                return word in by_lead
-            if len(word) == 3:
-                x, y, z = word
-                return (y, z) in by_lead or (x, z) in by_lead or (x, y) in by_lead
-        return any(map(by_lead.__contains__, self._sub_words(word)))
+        return any(map(self.by_lead.__contains__, self._sub_words(word)))
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -614,9 +606,22 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     in the fiber sink order (the larger ``fiber_sink_key``) becomes a lead,
     rewritten to the later one, whichever point it came from.  Independent
     of the unique-sink theory, of the scan of standard words and of the
-    overlap check: a word is normal when ``rules.reducible`` finds no lead
-    in it, answered in closed form for words of two and three codes while
-    every rule is quadratic.  Used as the oracle.
+    overlap check: a word is normal when no lead of the oracle's own rules
+    divides it.  Used as the oracle.
+
+    Degree 2 is in closed form.  When a fiber of degree 2 is reached, no
+    rule divides any of its points: the generators are distinct, so every
+    fiber of degree 1 is one point and adds no rule; every rule so far leads
+    in another fiber of degree 2 by a word of two codes, and a lead of two
+    codes divides a word of two codes only by being it.  So each point is
+    its own normal form.  The fiber p0, ..., p(k-1) is listed in descending
+    sink order, so when the star reaches w = p_i the carried normal form a
+    (below) is p(i-1), the earlier point: it adds p(i-1) -> p_i, and a
+    becomes p_i.  The stars of degree 2 thus add exactly the chains
+    p0 -> p1, ..., p(k-2) -> p(k-1), fiber after fiber in listing order,
+    and ``_Rules(pairs)`` builds them in one pass as :meth:`_Rules.add`
+    would one at a time.  Raises ``ValueError`` when two generators are
+    equal, as their fiber of degree 1 would add a rule of one code.
 
     Only fibers with two normal words are reduced.  Every rule joins two
     points of one fiber, and its lead comes earlier in the sink order than
@@ -626,20 +631,10 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     point of its fiber, and there is none, as the sink order is a monomial
     order.  So a fiber whose other points all rewrite holds one normal word,
     every point's normal form is that word, and its star adds nothing.
-
-    The fibers come from :func:`_stars`.  Degrees 1 and 2 are listed in
-    full.  Above them only the normal words are built: a word's prefix
-    divides it, so a normal word's prefix is normal, and each normal word
-    of degree k is a normal word of degree k - 1 extended by a code at
-    least its last.  So no normal word is missed, and a fiber with at most
-    one of them is skipped unlisted.  A fiber with two or more is reduced
-    over all its points, which ``enumerate_fiber`` lists for that fiber
-    alone, in the listing's order; for two-Borel tables none is, as the
-    quadrics are a Groebner basis and each fiber holds one standard word.
-    A level's normal words need no recheck as its rules are added: a rule
-    added at degree k leads by a word of length k and of its own fiber's
-    sum, so it divides no word of another fiber of the level, and after the
-    level exactly the words that became leads stop being normal.
+    Above degree 2 the fibers come from :func:`_stars`, which builds only
+    the normal words and lists a fiber only when it holds two of them; for
+    two-Borel tables none does, as the quadrics are a Groebner basis and
+    each fiber holds one standard word.
 
     The first point's normal form a is computed once per star and carried,
     so each point of a star is reduced once.  Let b be w's normal form.
@@ -681,8 +676,11 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     """
     if degree_bound < 2:
         raise ValueError("the completion bound must be at least 2")
-    rules = _Rules()
-    for points in _stars(table, degree_bound, rules):
+    if len(set(table.generators)) < len(table.generators):
+        raise ValueError("the completion needs distinct generators")
+    groups = list(_fiber_groups(table.generators, 2)[0].values())
+    rules = _Rules([pair for words in groups for pair in zip(words, words[1:])])
+    for points in _stars(table, degree_bound, rules, groups):
         first, *rest = points
         a = rules.normal_form(first)
         for w in rest:
@@ -697,46 +695,57 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
 
 
-def _stars(table: GeneratorTable, bound: int, rules: _Rules):
-    """Yield the points of each fiber up to ``bound`` that holds two normal words, in listing order.
+def _stars(table: GeneratorTable, bound: int, rules: _Rules, groups: list[list[FiberPoint]]):
+    """Yield the points of each fiber of degree 3 up to ``bound`` that holds two normal words.
 
-    The caller adds a fiber's rules before the next fiber is yielded.
-    Degrees 1 and 2 come from ``fiber._fiber_groups(table.generators, 2)``.
-    At each degree k above them, the words of degree k - 1 that did not
-    become leads are the normal ones; each is extended by every code from
-    its last on, the extensions that ``rules.reducible`` passes are kept,
-    and they are grouped by packed sum.  A fiber of two or more is yielded
-    as ``enumerate_fiber`` lists it, its multidegree unpacked from the sum.
-    The argument is :func:`brute_force_gb`'s.  Raises ``ValueError`` before
-    building a degree whose candidate words outnumber
-    ``fiber.MAX_FIBER_POINTS``, and on a fiber of more points
+    ``groups`` are the fibers of degrees 1 and 2 as :func:`brute_force_gb`
+    listed them, and ``rules`` hold their chains, so the normal words of
+    degree 2 are the last point of each fiber of degree 2.  The caller adds
+    a fiber's rules before the next fiber is yielded.  A word's prefix
+    divides it, so a normal word's prefix is normal, and each normal word of
+    degree k is a normal word w of degree k - 1 extended by a code z at
+    least its last; so no normal word is missed.  Every lead of two codes
+    is a link of those chains, and w's own pairs are not leads, so w + (z,)
+    holds a lead of two codes exactly when some pair (c, z) with c in w is
+    one: one set test per candidate, against an index of the chains built
+    once, and a word is built only when it is kept.  While every lead has
+    two codes that decides; once a longer lead exists, ``rules.reducible``
+    decides for the words that pass.  The normal words are grouped by
+    packed sum, and a fiber of two or more is yielded as ``enumerate_fiber``
+    lists it, its multidegree unpacked from the sum; a fiber with at most
+    one is skipped unlisted.  A rule added at degree k leads by a word of
+    length k and of its own fiber's sum, so it divides no word of another
+    fiber of the level, and after the level exactly the words that became
+    leads stop being normal; a level whose sums are all distinct adds no
+    rule.  Raises ``ValueError`` before building a degree whose candidate
+    words outnumber ``fiber.MAX_FIBER_POINTS``, and on a fiber of more points
     (``enumerate_fiber``).
     """
-    groups = _fiber_groups(table.generators, 2)[0]
-    for points in groups.values():
-        if not all(map(rules.reducible, points[:-1])):
-            yield points
     packed, width = _pack(table.generators, bound)
     singles = [(c,) for c in range(len(packed))]
-    # The words of the level before, with their sums: no lead has one code, so each is
-    # normal unless it became a lead.
-    kept = [(w, packed[w[0]] + packed[w[1]]) for ws in groups.values() for w in ws if len(w) == 2]
+    normal = [(w, packed[w[0]] + packed[w[1]]) for w in (ws[-1] for ws in groups) if len(w) == 2]
+    # For each code z, the codes c of the leads (c, z); no lead of two codes comes later.
+    below: list[set[int]] = [set() for _ in packed]
+    for c, z in rules.by_lead:
+        below[z].add(c)
     for k in range(3, bound + 1):
-        normal = [(word, total) for word, total in kept if word not in rules.by_lead]
         count = sum(len(packed) - word[-1] for word, _ in normal)
         if count > fiber.MAX_FIBER_POINTS:
             raise ValueError(
                 f"the normal words of degree {k - 1} extend to {count:,} words of degree {k},"
                 f" more than the cap of {fiber.MAX_FIBER_POINTS:,}"
             )
+        quadratic = rules.sizes <= {2}
         kept = [
-            (longer, total + packed[longer[-1]])
+            (word + singles[z], total + packed[z])
             for word, total in normal
-            for longer in map(word.__add__, singles[word[-1] :])
-            if not rules.reducible(longer)
+            for z in range(word[-1], len(packed))
+            if below[z].isdisjoint(word) and (quadratic or not rules.reducible(word + singles[z]))
         ]
-        for mu in _unpack(sorted(_shared([total for _, total in kept])), width, table.context.n):
+        shared = _shared([total for _, total in kept])
+        for mu in _unpack(sorted(shared), width, table.context.n):
             yield enumerate_fiber(table, mu)
+        normal = [(word, total) for word, total in kept if word not in rules.by_lead] if shared else kept
 
 
 def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPoint]]:

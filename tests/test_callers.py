@@ -41,6 +41,10 @@ is defined once too: ``fiber._paired_moves`` serves the sweep's lead masks
 and nothing else.  A single fiber is enumerated in one place,
 ``fiber.enumerate_fiber``, in sink order, and its src callers are pinned:
 the fiber graph, the closure components and the oracle's fiber walk.
+The completion oracle lists the fibers of degrees 1 and 2 once
+(``toric.brute_force_gb``), builds their rules in closed form and hands the
+listing to its fiber walk (``toric._stars``), which lists no fiber of its
+own; that walk is the one src caller of ``toric._Rules.reducible``.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -93,6 +97,19 @@ SUM_PATH = {
 # The one enumeration of a single fiber and its src callers.
 ENUMERATE_PATH = {
     "enumerate_fiber": ["fiber.build_fiber_graph", "toric._stars", "toric.closure_components"],
+}
+
+# The completion oracle's listing of degrees 1 and 2, its fiber walk, and the
+# one rule-index test of a word, by their src callers.
+ORACLE_PATH = {
+    "_fiber_groups": [
+        "fiber.fibers",
+        "toric._degree_two_pairs",
+        "toric.brute_force_gb",
+        "toric.quadric_generators",
+    ],
+    "_stars": ["toric.brute_force_gb"],
+    "reducible": ["toric._stars"],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.
@@ -313,6 +330,11 @@ def test_the_sum_scans_see_each_kind_of_use():
 def test_one_decode_path():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in DECODE_PATH} == DECODE_PATH
+
+
+def test_the_oracle_lists_degree_two_once():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in ORACLE_PATH} == ORACLE_PATH
 
 
 def test_one_pairing_of_degree_two_fibers():

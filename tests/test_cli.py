@@ -547,6 +547,18 @@ class TestErrors:
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 91)
         assert run_cli(capsys, *argv)[0] == 0
 
+    def test_lead_mask_cap_exits_2(self, capsys, monkeypatch):
+        # The figure ideal's 14 generators make lead masks of 24 bytes.
+        monkeypatch.setattr(fiber, "MAX_LEAD_MASK_BYTES", 23)
+        argv = ("verify-unique-sinks", "--ideal", FIG, "--bound", "3")
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: the lead masks of 14 generators take 24 bytes, more than the cap of 23\n",
+        )
+        monkeypatch.setattr(fiber, "MAX_LEAD_MASK_BYTES", 24)
+        assert run_cli(capsys, *argv)[0] == 0
+
     def test_basis_element_cap_exits_2(self, capsys, monkeypatch):
         # The figure ideal's full quadric list has 105 elements and its Rees basis 131.
         monkeypatch.setattr(toric, "MAX_BASIS_ELEMENTS", 104)

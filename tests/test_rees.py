@@ -33,6 +33,7 @@ from helpers import (
     rees_image,
     rees_key,
     rees_normal_form,
+    rees_payload_by_points,
 )
 
 CTX2 = VariableContext.default(2)
@@ -471,3 +472,22 @@ class TestReesJson:
             "x_trail": "b",
             "y_trail": ["a^2"],
         }
+
+    def test_a_user_built_basis_with_x_parts_of_degree_two(self, square_table):
+        # The payload reads the word pairs, not the decoded elements; x-parts
+        # of degree two, repeated, and the unit x-part format as the reference.
+        elements = [
+            ReesBinomial(ReesMonomial((2, 0), (0,)), ReesMonomial((1, 1), (1,))),
+            ReesBinomial(ReesMonomial((1, 1), ()), ReesMonomial((0, 0), (0, 2))),
+            ReesBinomial(ReesMonomial((2, 0), (2,)), ReesMonomial((0, 2), (0,))),
+        ]
+        basis = ReesBasis(square_table, elements)
+        data = rees_basis_to_json(basis)
+        assert "elements" not in vars(basis)  # no word was decoded
+        assert data == rees_payload_by_points(basis)
+        assert [(el["x_lead"], el["x_trail"]) for el in data["elements"]] == [
+            ("a^2", "ab"),
+            ("ab", "1"),
+            ("a^2", "b^2"),
+        ]
+        assert data["count"] == 3

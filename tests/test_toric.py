@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -15,7 +16,7 @@ from borelfiber.fiber import (
     find_sink_direct,
     sinks,
 )
-from borelfiber.instances import suite_tables
+from borelfiber.instances import random_tables, suite_tables
 from borelfiber.monomials import VariableContext
 from borelfiber.rees import _codes, rees_gb
 from borelfiber.toric import (
@@ -34,12 +35,14 @@ from helpers import (
     closure_components_by_search,
     completion_by_scan,
     cross_check_tables,
+    family_table,
     interreduce_by_scan,
     mono,
     monos,
     normal_form_by_scan,
     pairwise_buchberger,
     point_product,
+    reduce_for_fiber,
     step_by_scan,
 )
 
@@ -351,10 +354,10 @@ class TestBruteForceOracle:
             assert [(el.lead, el.trail) for el in oracle.elements] == completion_by_scan(table, bound)
 
     def test_a_clean_completion_builds_no_combinations_and_no_key(self, fig_table, monkeypatch):
-        # Every rule of these completions is quadratic, so reducible tests each
-        # word of two or three codes in closed form, and each new rule is
-        # marked by its reversed words: no combinations iterator and no sink
-        # key, through any binding.  The elements are unchanged, in order.
+        # Every rule of these completions is quadratic, so no word is tested
+        # by its sub-multisets, and a rule is marked by its reversed words:
+        # no combinations iterator and no sink key, through any binding.
+        # The elements are unchanged, in order.
         tables = [fig_table] + suite_tables(cap=200)[::10]
         expected = [completion_by_scan(table, 3) for table in tables]
         calls = []
@@ -401,8 +404,11 @@ class TestBruteForceOracle:
         # Replays the oracle's elements fiber by fiber: the rules in force
         # when a fiber is reached are those that lead in earlier fibers, and
         # its normal words are its points that no lead of those rules divides
-        # (step_by_scan).  normal_form runs on the points of exactly the
-        # fibers with two normal words, and the overlap walk never runs.
+        # (step_by_scan).  Every point of a degree-2 fiber is normal when it
+        # is reached, and the fiber's elements are its chain of consecutive
+        # points, built with no normal_form call.  Above degree 2 normal_form
+        # runs on the points of exactly the fibers with two normal words, and
+        # the overlap walk never runs.
         table = fig_table if which == "figure" else three_borel
         calls = []
         reduce = _Rules.normal_form
@@ -421,17 +427,79 @@ class TestBruteForceOracle:
         expected, reached = [], 0
         for points in fibers(table.generators, bound).values():
             rules = elements[:reached]
-            if sum(step_by_scan(rules, z) is None for z in points) > 1:
+            normal = sum(step_by_scan(rules, z) is None for z in points)
+            if len(points[0]) == 2:
+                assert normal == len(points)
+                chain = list(zip(points, points[1:]))
+                assert elements[reached : reached + len(chain)] == chain
+            elif normal > 1:
                 expected.extend(points)
             while reached < len(elements) and elements[reached][0] in points:
                 reached += 1
         assert reached == len(elements)
         assert calls == expected
         if which == "figure":
-            assert {len(z) for z in calls} == {2}
+            assert calls == []
         else:
             assert any(len(lead) == 3 for lead, _ in elements)
             assert any(len(z) == 3 for z in calls)
+
+    def test_degree_two_is_each_fibers_chain(self):
+        # The degree-2 elements are, in order, the consecutive points of each
+        # degree-2 fiber, on the 250 tables and the three-root family.
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        tables += [family_table(r) for r in range(3, 7)]
+        for table in tables:
+            chains = [
+                pair
+                for points in fibers(table.generators, 2).values()
+                for pair in zip(points, points[1:])
+            ]
+            elements = [(el.lead, el.trail) for el in brute_force_gb(table, 2).elements]
+            assert elements == chains, table.roots
+
+    def test_matches_the_scan_completion_at_bound_2(self):
+        for table in suite_tables(cap=200) + random_tables(50, seed=20250809):
+            pairs = [(el.lead, el.trail) for el in brute_force_gb(table, 2).elements]
+            assert pairs == completion_by_scan(table, 2), table.roots
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_one_generator_and_no_generator_give_an_empty_basis(self, bound):
+        one = build_table([mono("a^2", VariableContext.default(1))])
+        empty = reduce_for_fiber(build_two_borel(mono("a^2c"), mono("b^3")), mono("c^3"))
+        assert (len(one.generators), len(empty.generators)) == (1, 0)
+        for table in (one, empty):
+            assert brute_force_gb(table, bound).elements == ()
+
+    def test_equal_generators_are_refused(self, fig_table):
+        table = dataclasses.replace(fig_table, generators=fig_table.generators[:1] * 2)
+        with pytest.raises(ValueError, match="distinct generators"):
+            brute_force_gb(table, 2)
+
+    def test_a_two_borel_completion_neither_reduces_nor_tests_a_word(
+        self, fig_table, monkeypatch
+    ):
+        # Degree 2 is a chain per fiber, and degree 3 extends each normal word
+        # by its new pairs, looked up in the lead index: no _Rules.reducible
+        # and no _Rules.normal_form call.  The elements are unchanged.
+        tables = [fig_table] + suite_tables(cap=200)[::10]
+        expected = [completion_by_scan(table, 3) for table in tables]
+        calls = []
+
+        def counted(name):
+            original = getattr(_Rules, name)
+
+            def wrapper(rules, word):
+                calls.append(name)
+                return original(rules, word)
+
+            return wrapper
+
+        for name in ("reducible", "normal_form"):
+            monkeypatch.setattr(_Rules, name, counted(name))
+        for table, pairs in zip(tables, expected):
+            assert [(el.lead, el.trail) for el in brute_force_gb(table, 3).elements] == pairs
+        assert calls == []
 
     @staticmethod
     def record_listings(monkeypatch) -> list[int]:

@@ -429,6 +429,19 @@ class TestRefusals:
         monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 91)
         assert verify.sweep_unique_sinks(fig_table, 3).multidegrees_checked == 149
 
+    def test_the_lead_masks_are_counted_before_they_are_built(self, monkeypatch, fig_table):
+        # The figure ideal's 14 generators make masks of 14 * 14 // 8 = 24 bytes.
+        monkeypatch.setattr(fiber, "MAX_LEAD_MASK_BYTES", 23)
+        monkeypatch.setattr(fiber, "_paired_moves", None)  # refused before any move is packed
+        with pytest.raises(ValueError) as refused:
+            verify.sweep_unique_sinks(fig_table, 3)
+        assert str(refused.value) == (
+            "the lead masks of 14 generators take 24 bytes, more than the cap of 23"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(fiber, "MAX_LEAD_MASK_BYTES", 24)
+        assert verify.sweep_unique_sinks(fig_table, 3).multidegrees_checked == 149
+
     def test_a_table_with_no_generators_passes(self):
         empty = GeneratorTable(
             context=VariableContext.default(3), degree=2, roots=(), generators=(), tags=()
