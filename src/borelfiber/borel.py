@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
+from borelfiber.fiber import FiberPoint, _fiber_groups
 from borelfiber.monomials import (
     Monomial,
     VariableContext,
@@ -114,6 +115,20 @@ class GeneratorTable:
         """
         by_sums = {sigma(g): i for i, g in enumerate(self.generators)}
         return sigma(self.roots[0]), sigma(self.roots[-1]), by_sums
+
+    @cached_property
+    def _quadric_fibers(self) -> tuple[tuple[FiberPoint, ...], ...]:
+        """The fibers of degree 2 with two or more points, listed once, each a tuple of pairs.
+
+        ``fiber._fiber_groups`` lists the products of up to two generators,
+        fibers in (degree, multidegree) order and each in descending sink
+        order; the fibers kept are those of two-code words with more than one
+        point.  Both full quadric bases read them: ``toric.quadric_generators``,
+        and ``rees.rees_gb``, whose quadrics are these words with every code
+        shifted by n.  Tuples, as every reader shares them.
+        """
+        groups = _fiber_groups(self.generators, 2)[0].values()
+        return tuple(tuple(words) for words in groups if len(words) > 1 and len(words[0]) == 2)
 
     def to_json(self) -> dict:
         return {

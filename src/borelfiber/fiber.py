@@ -14,12 +14,14 @@ pass, level by level, each level in colex order, and groups the points by
 vector sum, each sum carried as one packed integer (:func:`_pack`); so every
 fiber comes out in descending sink order without a sort.  It counts the
 points first and refuses more than ``MAX_FIBER_POINTS``.  Its fibers stay
-keyed by packed sum, for callers that read only the points: the degree-2
-pairs of both sides and the completion oracle's degrees 1 and 2.
+keyed by packed sum, for callers that read only the points: the table's
+listing of degree 2, which both sides' full bases read, and the completion
+oracle's degrees 1 and 2.
 :func:`fibers` is the keyed view of the same listing, each fiber named by
 its unpacked sum; its one src caller is ``instances.sweep_multidegrees``.
 The toric configuration is the table's generators, and the Rees algebra
-is the toric ring of a larger one (see ``rees``).
+is the toric ring of a larger one (see ``rees``), whose degree-2 pairs are
+the toric ones and the unit moves, so it is never listed.
 :func:`enumerate_fiber` factors a single multidegree by one iterative
 depth-first search, which picks each point's codes from the largest down,
 so it lists the fiber in the same descending sink order, and never enters
@@ -41,8 +43,9 @@ every code with no degree-2 pair listed: a point is a sink exactly when it
 has no later move, so the sinks are the standard words of the masks, and
 :func:`_standard_levels`, the one scan of standard words, serves the sweep
 in ``verify`` and the overlap check in ``toric``.  No fiber state outlives
-a call, except the suffix sums the direct sink reads, which live and die
-with the table.
+a call, except what lives and dies with the table: the suffix sums the
+direct sink reads, and the fibers of two or more points of degree 2 that
+both full quadric bases read (``GeneratorTable._quadric_fibers``).
 
 For two-Borel tables every nonempty fiber graph is a connected DAG with a
 unique sink, which :func:`find_sink_direct` computes without building the
@@ -152,7 +155,8 @@ def _fiber_groups(
     The listing behind :func:`fibers`, which names each fiber by its sum;
     callers that read only the fibers take them here, in the same order,
     with no sum unpacked.  The completion oracle (``toric.brute_force_gb``)
-    takes degrees 1 and 2 here.  Returns the fibers and the bits of one
+    and the table's listing (``GeneratorTable._quadric_fibers``) take
+    degrees 1 and 2 here.  Returns the fibers and the bits of one
     coordinate of their keys (:func:`_pack`, sized for ``max_deg`` codes).
 
     A configuration lists one vector per code, and a point is an ascending
@@ -369,23 +373,29 @@ class FiberGraph:
         return tuple(out)
 
 
-def _paired_moves(table: GeneratorTable, codes: Sequence[int]) -> tuple[dict[int, int], set[int]]:
-    """The generators of ``codes`` packed with the n unit vectors, and the packed unit moves e_i - e_j.
+def _paired_moves(
+    table: GeneratorTable, codes: Sequence[int]
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """The generators of ``codes`` packed with the n unit vectors, and each packed unit move.
 
-    The one test of a paired move (a Borel move on one factor, the reverse
-    move on another): two pairs (a, b) and (c, d) with one sum are one move
-    apart exactly when ``packed[a] - packed[c]`` or ``packed[a] - packed[d]``
-    is in the set, since g_a - g_c = g_d - g_b.  ``_pack`` sizes a
-    coordinate for sums of two of the packed vectors, more bits than twice
-    the largest one, so each coordinate of a difference lies strictly
-    between -2^(width-1) and 2^(width-1), and the integer determines the
-    vector.  The sweep's lead masks (:func:`_lead_masks`) pack every code;
+    The moves map each packed e_i - e_j to its label (i, j).  The one test
+    of a paired move (a Borel move on one factor, the reverse move on
+    another): two pairs (a, b) and (c, d) with one sum are one move apart
+    exactly when ``packed[a] - packed[c]`` or ``packed[a] - packed[d]`` is
+    a move, since g_a - g_c = g_d - g_b.  ``_pack`` sizes a coordinate for
+    sums of two of the packed vectors, more bits than twice the largest
+    one, so each coordinate of a difference lies strictly between
+    -2^(width-1) and 2^(width-1), and the integer determines the vector.
+    The sweep's lead masks (:func:`_lead_masks`) and the Rees syzygies
+    (``rees.rees_gb``, which reads the labels) pack every code;
     :func:`build_fiber_graph` packs only the codes its points use.
     """
     n = table.context.n
     identity = [(0,) * v + (1,) + (0,) * (n - 1 - v) for v in range(n)]
     packed, _ = _pack(identity + [table.generators[c] for c in codes], 2)
-    return dict(zip(codes, packed[n:])), {u - v for u, v in permutations(packed[:n], 2)}
+    units = enumerate(packed[:n])
+    moves = {u - v: (i, j) for (i, u), (j, v) in permutations(units, 2)}
+    return dict(zip(codes, packed[n:])), moves
 
 
 def _lead_masks(table: GeneratorTable) -> list[int]:
@@ -456,7 +466,7 @@ def build_fiber_graph(table: GeneratorTable, mu: Monomial) -> FiberGraph:
     """
     vertices = enumerate_fiber(table, mu)
     codes = sorted(set(chain.from_iterable(vertices))) if len(vertices) > 1 else []
-    packed, moves = _paired_moves(table, codes) if codes else ({}, set())
+    packed, moves = _paired_moves(table, codes) if codes else ({}, {})
     # rest -> {vertex index: the pair taken out}; a repeated value pair files once.
     filed: dict[FiberPoint, dict[int, tuple[int, int]]] = defaultdict(dict)
     for vi, z in enumerate(vertices):
@@ -541,14 +551,16 @@ def _m_share_bounds(
 def _factorable(root_sums: list[tuple[int, ...]], s_rest: tuple[int, ...], k: int) -> bool:
     """Whether a monomial of degree k*d with suffix sums ``s_rest`` factors into k generators.
 
-    ``root_sums`` holds sigma of each of the table's one to three roots.  The
-    degree-kd part of I^k is the union of Borel(f^a g^b h^c) over a+b+c = k,
-    since Borel(f)^a Borel(g)^b Borel(h)^c = Borel(f^a g^b h^c)
-    (Francisco-Mermin-Schweig, "Borel generators", 2011), and a monomial of
-    its degree lies in Borel(u) exactly when its sigma is at most sigma(u).
-    So one root is one comparison with k*sigma(root), two roots the interval
-    of :func:`_m_share_bounds`, and three roots the two-root test on g and h
-    once per share a of f, with a*sigma(f) taken off the rest.
+    ``root_sums`` holds sigma of each root, one or more; tables have up to
+    three.  With roots f, g, ..., the degree-kd part of I^k is the union of
+    Borel(f^a g^b ...) over a + b + ... = k, since Borel(f)^a Borel(g)^b =
+    Borel(f^a g^b) (Francisco-Mermin-Schweig, "Borel generators", 2011), and
+    a monomial of its degree lies in Borel(u) exactly when its sigma is at
+    most sigma(u).  So one root is one comparison with k*sigma(root), two
+    roots the interval of :func:`_m_share_bounds`, and more roots the test
+    on the others once per share a of the first root f, with a*sigma(f)
+    taken off the rest: a recursion that ends at two roots, whatever their
+    number.
     """
     if len(root_sums) == 1:
         return all(map(le, s_rest, [k * s for s in root_sums[0]]))

@@ -9,8 +9,10 @@ by its t-degree.  The Groebner basis of the Rees ideal is the pairs within
 the fibers of joint degree two, marked by the elimination order, defined
 once on code words (:func:`_word_key`): x-parts by lex first, ties by the
 fiber sink order on Y-parts.  The fibers of bidegree (1, 1) give the linear
-syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``) and those of t-degree
-2 the toric quadrics.  Both sides share ``toric``'s pairing of degree-2
+syzygies ``x_j Y_u - x_i Y_v`` (for ``x_j u = x_i v``), read off the unit
+moves between generators, and those of t-degree 2 the toric quadrics, read
+off the table's own listing of its degree-2 fibers; no Rees fiber is listed
+(:func:`rees_gb`).  Both sides share ``toric``'s pairing of degree-2
 fibers, basis check, reduction engine and verifier, each given a
 ``toric.Configuration``, and all run on words: a :class:`ReesBasis` holds
 each element as its pair of code words (see :func:`_codes`), decoded only
@@ -22,12 +24,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from operator import neg
 from typing import Iterable
 
 from borelfiber.borel import GeneratorTable
-from borelfiber.fiber import FiberPoint, fiber_sink_key
+from borelfiber.fiber import FiberPoint, _paired_moves, fiber_sink_key
 from borelfiber.monomials import Monomial, format_monomial
 from borelfiber.toric import Configuration, GroebnerReport, _checked_rules, _degree_two_pairs
 from borelfiber.toric import _check_ints, _check_point, _Rules, _verify
@@ -91,7 +92,7 @@ def _word_ranks(words: Iterable[tuple[int, ...]], size: int, n: int) -> list[int
 def _configuration(table: GeneratorTable) -> Configuration:
     """(e_v, 0) for x variable v, then (g, 1) for generator g, marked by :func:`_word_key`."""
     n = table.context.n
-    units = [tuple(int(k == v) for k in range(n)) + (0,) for v in range(n)]
+    units = [(0,) * v + (1,) + (0,) * (n - v) for v in range(n)]
     vectors = units + [g + (1,) for g in table.generators]
     return Configuration(vectors, partial(_word_key, n=n), partial(_word_ranks, n=n))
 
@@ -155,28 +156,38 @@ class ReesBasis:
 def rees_gb(table: GeneratorTable) -> ReesBasis:
     """The pairs within the Rees fibers of joint degree two: syzygies, then quadrics.
 
-    The pairs of ``toric._degree_two_pairs`` over :func:`_configuration`,
-    taken as words, so no monomial is built, and counted before any is
-    taken.  The listing does not follow the elimination order, so each pair
-    is marked by :func:`_word_ranks`, the smaller rank leading.  A syzygy's
-    words start with an x code; one stable sort puts the syzygies first,
-    ordered by their two Y indices, and keeps the quadrics, whose x-parts
-    are the unit monomial, in ``quadric_generators`` order.
+    No Rees fiber is listed.  A fiber of bidegree (1, 1) holds the words
+    x_j Y_u with one image g_u + e_j, and two of them share it exactly when
+    g_v = g_u + e_j - e_i, a unit move of ``fiber._paired_moves``, which
+    labels the move e_j - e_i by (j, i).  So each pair u < v of generators
+    one move apart gives one syzygy, (j, n + u) against (i, n + v), led by
+    the word with the smaller x code, the larger x-part in lex; syzygies
+    come in (u, v) order.  A fiber of t-degree 2 is a toric fiber of
+    degree 2 with every code shifted by n, and its pairs are the toric ones
+    (``toric._degree_two_pairs`` over ``GeneratorTable._quadric_fibers``),
+    already marked, since Y words rank by the sink order, and in
+    ``quadric_generators`` order.  Fibers of two x codes are single points.
+    The syzygies are found as labels and counted with the quadrics before
+    any word is built; more than ``toric.MAX_BASIS_ELEMENTS`` raise
+    ``ValueError``.
 
     Every element has joint degree two, which is the executable form of
     Koszulness of the Rees algebra for two-Borel tables.
     """
-    n, vectors = table.context.n, _configuration(table).vectors
-    pairs = _degree_two_pairs(vectors)
-    ranked = _word_ranks(chain.from_iterable(pairs), len(vectors), n)
-    pairs = [p if r < s else p[::-1] for p, r, s in zip(pairs, ranked[0::2], ranked[1::2])]
-
-    def syzygies_first(pair):  # a syzygy by its two Y codes, ascending; every quadric ties
-        (x, u), (_, v) = pair
-        return (1,) if x >= n else (0, u, v) if u < v else (0, v, u)
-
-    pairs.sort(key=syzygies_first)
-    return ReesBasis(table, pairs=pairs)
+    n = table.context.n
+    packed, moves = _paired_moves(table, range(len(table.generators)))
+    code_of = {total: c for c, total in packed.items()}
+    linked = sorted(
+        (u, v, j, i)
+        for u, total in packed.items()
+        for move, (j, i) in moves.items()
+        if (v := code_of.get(total + move, -1)) > u
+    )
+    quadrics = _degree_two_pairs(table._quadric_fibers, shift=n, others=len(linked))
+    syzygies = [
+        ((j, n + u), (i, n + v)) if j < i else ((i, n + v), (j, n + u)) for u, v, j, i in linked
+    ]
+    return ReesBasis(table, pairs=syzygies + quadrics)
 
 
 def rees_buchberger_verify(basis: ReesBasis) -> GroebnerReport:

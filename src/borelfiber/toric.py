@@ -147,17 +147,24 @@ class _Rules:
 
     ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
     :meth:`add` would one pair at a time: positions ascending, leads in order
-    of first occurrence.
+    of first occurrence.  A caller that already knows whether every word has
+    two codes passes it as ``quadratic``; otherwise the words are measured.
     """
 
-    def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
+    def __init__(
+        self,
+        pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = (),
+        quadratic: bool | None = None,
+    ) -> None:
         self.leads: list[tuple[int, ...]] = [lead for lead, _ in pairs]
         self.trails: list[tuple[int, ...]] = [trail for _, trail in pairs]
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         for pos, lead in enumerate(self.leads):
             self.by_lead.setdefault(lead, []).append(pos)
         self.sizes: set[int] = set(map(len, self.by_lead))
-        self.quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
+        if quadratic is None:
+            quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
+        self.quadratic = quadratic
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
@@ -299,7 +306,9 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     :func:`_check_point` on every lead and trail, so a malformed word is
     named before any marking, then each element's keys, lengths and packed
     sums, raising at the first fault.  An element is read from
-    ``basis.elements`` only to name it.
+    ``basis.elements`` only to name it.  A verdict by columns has shown
+    every word to have two codes, so it hands the index ``quadratic``
+    rather than have it measure the words again.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
@@ -308,12 +317,12 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
     vectors, key, ranks = config
     words, count = list(chain.from_iterable(pairs)), len(vectors)
-    if checked := _well_formed(words, count):
+    if by_columns := _well_formed(words, count):
         packed, width = _pack(vectors, 3)
         totals = [packed[a] + packed[b] for a, b in words]
         ranked = ranks(words, count)
-        checked = totals[0::2] == totals[1::2] and all(map(lt, ranked[0::2], ranked[1::2]))
-    if not checked:  # the ordered walk: a malformed word first, then the first faulty element
+        by_columns = totals[0::2] == totals[1::2] and all(map(lt, ranked[0::2], ranked[1::2]))
+    if not by_columns:  # the ordered walk: a malformed word first, then the first faulty element
         for pos, (lead, trail) in enumerate(pairs):
             _check_point(lead, count, f"the lead of element {pos}")
             _check_point(trail, count, f"the trail of element {pos}")
@@ -333,7 +342,8 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
-    rules = _Rules(pairs)
+    # Words of two codes, shown by the columns: the rules are quadratic when there is a word.
+    rules = _Rules(pairs, bool(words) if by_columns else None)
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
     return rules
@@ -352,12 +362,14 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     return basis._rules.normal_form(point)
 
 
-def _check_pair_count(groups) -> None:
-    """Raise ``ValueError`` when the fibers ``groups`` hold more than ``MAX_BASIS_ELEMENTS`` pairs.
+def _check_pair_count(groups, others: int = 0) -> None:
+    """Raise ``ValueError`` when a basis would hold more than ``MAX_BASIS_ELEMENTS`` elements.
 
-    A fiber of k points holds C(k, 2) pairs, counted before any is taken.
+    The basis holds the pairs within the fibers ``groups`` and ``others``
+    elements besides.  A fiber of k points holds C(k, 2) pairs, counted
+    before any is taken.
     """
-    count = sum(map(comb, map(len, groups), repeat(2)))
+    count = others + sum(map(comb, map(len, groups), repeat(2)))
     if count > MAX_BASIS_ELEMENTS:
         raise ValueError(
             f"the pairs within the degree-2 fibers make {count:,} basis elements,"
@@ -365,18 +377,23 @@ def _check_pair_count(groups) -> None:
         )
 
 
-def _degree_two_pairs(vectors: Sequence[Monomial]) -> list[tuple[FiberPoint, FiberPoint]]:
-    """Every pair of words within a degree-2 fiber of a configuration, earlier word first.
+def _degree_two_pairs(
+    groups: Sequence[Sequence[FiberPoint]], shift: int = 0, others: int = 0
+) -> list[tuple[FiberPoint, FiberPoint]]:
+    """Every pair of words within each of the fibers ``groups``, earlier word first.
 
-    The one pairing of degree-2 fibers, behind the full bases of both sides.
-    Fibers come in ``fiber._fiber_groups`` order and each fiber's pairs in
-    the order of its listing, which is descending sink order: on the toric
-    side every pair is already (lead, trail), and ``rees.rees_gb`` marks
-    its own.  More than ``MAX_BASIS_ELEMENTS`` pairs raise ``ValueError``
-    before any is taken (:func:`_check_pair_count`).
+    The one pairing of degree-2 fibers, behind the full bases of both sides,
+    which pass a table's listing (``GeneratorTable._quadric_fibers``).  Each
+    fiber's pairs come in the order of its listing, descending sink order, so
+    every pair is already (lead, trail) on both sides.  ``shift`` is added
+    to every code: ``rees.rees_gb`` shifts the generators' codes by n.  The
+    pairs and the ``others`` elements of the caller's basis are counted
+    before any word is shifted or paired, and more than
+    ``MAX_BASIS_ELEMENTS`` raise ``ValueError`` (:func:`_check_pair_count`).
     """
-    groups = _fiber_groups(vectors, 2)[0].values()
-    _check_pair_count(groups)
+    _check_pair_count(groups, others)
+    if shift:
+        groups = [[(a + shift, b + shift) for a, b in words] for words in groups]
     return list(chain.from_iterable(map(combinations, groups, repeat(2))))
 
 
@@ -384,14 +401,16 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     """All quadric binomials of the toric ideal, marked by the sink order.
 
     One element per unordered pair of distinct degree-2 fiber points sharing
-    a multidegree (:func:`_degree_two_pairs`).  With ``interreduce`` the
-    basis is the reduced one, read off the fibers: every point of a fiber
-    but the last leads once, with the fiber's last point as its trail.  No
-    element leads with a last point, so every trail is already reduced.
-    Elements come in ascending sink order of their leads.
+    a multidegree (:func:`_degree_two_pairs`), read off the table's listing
+    of its fibers of two or more points (``GeneratorTable._quadric_fibers``).
+    With ``interreduce`` the basis is the reduced one, read off the same
+    fibers: every point of a fiber but the last leads once, with the fiber's
+    last point as its trail.  No element leads with a last point, so every
+    trail is already reduced.  Elements come in ascending sink order of
+    their leads.
     """
+    groups = table._quadric_fibers
     if interreduce:
-        groups = _fiber_groups(table.generators, 2)[0].values()
         # Leads of one length: descending reversed words are ascending sink keys.
         pairs = sorted(
             ((lead, words[-1]) for words in groups for lead in words[:-1]),
@@ -399,7 +418,7 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
             reverse=True,
         )
     else:
-        pairs = _degree_two_pairs(table.generators)
+        pairs = _degree_two_pairs(groups)
     return MarkedBasis(table, tuple(starmap(MarkedBinomial, pairs)))
 
 

@@ -47,6 +47,8 @@ from borelfiber.monomials import (
     unit,
 )
 from borelfiber.rees import ReesBasis, ReesBinomial, ReesMonomial, _check_monomial, _from_codes
+from borelfiber.rees import _configuration as _rees_configuration
+from borelfiber.rees import _word_ranks
 from borelfiber.rees import rees_buchberger_verify, rees_gb
 from borelfiber.toric import (
     GroebnerReport,
@@ -833,6 +835,29 @@ def linear_syzygies_by_diff(table) -> list[ReesBinomial]:
         else:
             out.append(ReesBinomial(lead=second, trail=first))
     return out
+
+
+def rees_pairs_by_listing(table) -> tuple:
+    """The reference for ``rees_gb(table).pairs``: the Rees configuration listed and paired.
+
+    Lists every fiber of up to two codes of ``rees._configuration``
+    (``fiber._fiber_groups``), takes each fiber's pairs of words in listing
+    order, marks each pair by ``rees._word_ranks`` (the smaller rank leads),
+    and then puts the syzygies, whose words start with an x code, first by
+    one stable sort on their two Y codes, ascending; the quadrics tie and
+    keep their listing order.
+    """
+    n, vectors = table.context.n, _rees_configuration(table).vectors
+    groups = _fiber_groups(vectors, 2)[0].values()
+    pairs = [pair for words in groups for pair in itertools.combinations(words, 2)]
+    ranked = _word_ranks(itertools.chain.from_iterable(pairs), len(vectors), n)
+    pairs = [p if r < s else p[::-1] for p, r, s in zip(pairs, ranked[0::2], ranked[1::2])]
+
+    def syzygies_first(pair):
+        (x, u), (_, v) = pair
+        return (1,) if x >= n else (0, min(u, v), max(u, v))
+
+    return tuple(sorted(pairs, key=syzygies_first))
 
 
 def interreduce_by_scan(basis: MarkedBasis) -> MarkedBasis:

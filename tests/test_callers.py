@@ -31,20 +31,26 @@ A ``ReesBasis`` holds word pairs, ``rees_gb`` builds no monomial, and the
 elimination order is defined once, on code words (``rees._word_key``), so
 ``rees._from_codes`` decodes words only where a monomial is read: its one
 src caller, the ``ReesBasis.elements`` view, is pinned.  No word is decoded
-in order to rank it.  Both sides' full bases pair the degree-2 fibers in one
-place: ``toric._degree_two_pairs``, given a side's vectors, is the one
-caller of the pair count (``toric._check_pair_count``), and
-``toric.quadric_generators`` and ``rees.rees_gb`` are its only callers, so
-``rees`` reads no fiber listing of its own.  What counts as a paired move
-is defined once too: ``fiber._paired_moves`` serves the sweep's lead masks
-(``fiber._lead_masks``) and the fiber graph (``fiber.build_fiber_graph``),
-and nothing else.  A single fiber is enumerated in one place,
-``fiber.enumerate_fiber``, in sink order, and its src callers are pinned:
-the fiber graph, the closure components and the oracle's fiber walk.
+in order to rank it.  A table lists its degree-2 fibers of two or more
+points once (``GeneratorTable._quadric_fibers``), and both sides' full
+bases read that listing and nothing else: ``toric.quadric_generators`` and
+``rees.rees_gb`` are its only readers, so ``rees`` lists no fiber, and
+neither the completion oracle (``toric.brute_force_gb``) nor its fiber walk
+(``toric._stars``) reaches it.  Both pair the fibers in one place:
+``toric._degree_two_pairs``, given the listing, is the one caller of the
+pair count (``toric._check_pair_count``), and those two are its only
+callers.  What counts as a paired move is defined once too:
+``fiber._paired_moves`` serves the sweep's lead masks
+(``fiber._lead_masks``), the fiber graph (``fiber.build_fiber_graph``) and
+the Rees syzygies (``rees.rees_gb``), and nothing else.  A single fiber is
+enumerated in one place, ``fiber.enumerate_fiber``, in sink order, and its
+src callers are pinned: the fiber graph, the closure components and the
+oracle's fiber walk.
 The completion oracle lists the fibers of degrees 1 and 2 once
-(``toric.brute_force_gb``), builds their rules in closed form and hands the
-listing to its fiber walk (``toric._stars``), which lists no fiber of its
-own; that walk is the one src caller of ``toric._Rules.reducible``.
+(``toric.brute_force_gb``), apart from the table's listing, builds their
+rules in closed form and hands the listing to its fiber walk
+(``toric._stars``), which lists no fiber of its own; that walk is the one
+src caller of ``toric._Rules.reducible``.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -103,10 +109,9 @@ ENUMERATE_PATH = {
 # one rule-index test of a word, by their src callers.
 ORACLE_PATH = {
     "_fiber_groups": [
+        "borel.GeneratorTable._quadric_fibers",
         "fiber.fibers",
-        "toric._degree_two_pairs",
         "toric.brute_force_gb",
-        "toric.quadric_generators",
     ],
     "_stars": ["toric.brute_force_gb"],
     "reducible": ["toric._stars"],
@@ -117,6 +122,11 @@ DECODE_PATH = {
     "_from_codes": ["rees.ReesBasis.elements"]
 }
 
+# A table's one listing of its degree-2 fibers, and its src readers.
+LISTING_PATH = {
+    "_quadric_fibers": ["rees.rees_gb", "toric.quadric_generators"],
+}
+
 # The one pairing of degree-2 fibers, its count, and their src callers.
 PAIR_PATH = {
     "_check_pair_count": ["toric._degree_two_pairs"],
@@ -125,12 +135,14 @@ PAIR_PATH = {
 
 # The one paired-move test and its src callers.
 MOVE_PATH = {
-    "_paired_moves": ["fiber._lead_masks", "fiber.build_fiber_graph"],
+    "_paired_moves": ["fiber._lead_masks", "fiber.build_fiber_graph", "rees.rees_gb"],
 }
 
 # Each private name one src module imports from another, by importing module.
 PRIVATE_IMPORTS = {
+    "borel": ["fiber._fiber_groups"],
     "rees": [
+        "fiber._paired_moves",
         "toric._Rules",
         "toric._check_ints",
         "toric._check_point",
@@ -335,6 +347,13 @@ def test_one_decode_path():
 def test_the_oracle_lists_degree_two_once():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     assert {name: callers(modules, name) for name in ORACLE_PATH} == ORACLE_PATH
+
+
+def test_one_listing_of_degree_two_fibers_per_table():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: callers(modules, name) for name in LISTING_PATH} == LISTING_PATH
+    listing_reach = reaching(modules, "_quadric_fibers")
+    assert not {"brute_force_gb", "_stars"} & listing_reach, listing_reach
 
 
 def test_one_pairing_of_degree_two_fibers():

@@ -26,6 +26,7 @@ from borelfiber.instances import random_tables, suite_tables
 from borelfiber.toric import normal_form, quadric_generators
 
 from helpers import (
+    family_table,
     linear_syzygies_by_diff,
     mono,
     monos,
@@ -33,6 +34,7 @@ from helpers import (
     rees_image,
     rees_key,
     rees_normal_form,
+    rees_pairs_by_listing,
     rees_payload_by_points,
 )
 
@@ -197,6 +199,15 @@ class TestReesGb:
                         quadrics.extend(combinations(words, 2))
             syzygies.sort(key=lambda pair: sorted((pair[0][1], pair[1][1])))
             assert rees_gb(table).pairs == tuple(syzygies + quadrics), table.generators
+
+    def test_pairs_match_the_rees_listing(self, square_table, fig_table):
+        # rees_gb lists no Rees fiber: its syzygies come from unit moves and
+        # its quadrics from the table's toric listing.  The reference lists
+        # the Rees configuration, marks each pair by rank and sorts.
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        tables += [family_table(r) for r in range(3, 7)]
+        for table in [square_table, fig_table] + tables:
+            assert rees_gb(table).pairs == rees_pairs_by_listing(table), table.generators
 
     def test_configuration_fibers_group_by_image_and_t_degree(self, square_table, fig_table):
         # Grouping every code word by brute force; the t coordinate keeps
