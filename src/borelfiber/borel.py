@@ -41,13 +41,15 @@ def count_principal(root: Monomial) -> int:
     Counts the suffix-sum sequences of :func:`expand_principal` one variable
     at a time without listing them: ``ways[s]`` is the number of prefixes
     whose rest has suffix sum s, and the next sum is any s' <= s within the
-    next bound.
+    next bound.  The first sum is any s <= sigma_1(root), each once, and the
+    bounds never rise, so each step keeps bound + 1 entries: O(n * sigma_1).
     """
-    d = degree(root)
-    ways = [0] * d + [1]
-    for bound in sigma(root)[1:]:
-        at_least = list(accumulate(reversed(ways)))[::-1]  # at_least[s] = sum of ways[s:]
-        ways = at_least[: bound + 1] + [0] * (d - bound)
+    bounds = sigma(root)[1:]
+    if not bounds:
+        return 1
+    ways = [1] * (bounds[0] + 1)
+    for bound in bounds[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][: bound + 1]  # sums of ways[s:]
     return sum(ways)
 
 
@@ -61,11 +63,19 @@ def expand_principal(root: Monomial) -> list[Monomial]:
     s_k - s_{k+1}, and taking each s_{k+1} in ascending order lists the
     monomials lex-earliest first.  A block of more than
     ``MAX_BLOCK_GENERATORS`` raises ``ValueError`` before any is listed: it
-    is counted first (:func:`count_principal`, O(n * d)).
+    is counted first (:func:`count_principal`, O(n * sigma_1)).  With two or
+    more variables each first sum s_1 <= sigma_1(root) starts a generator,
+    so a sigma_1 at the cap is refused before any count.
     """
     d = degree(root)
     if d < 1:
         raise ValueError("the unit monomial generates no proper Borel ideal")
+    first = sigma(root)[1:2]
+    if first and first[0] >= MAX_BLOCK_GENERATORS:
+        raise ValueError(
+            f"Borel{root} has at least {first[0] + 1:,} minimal generators,"
+            f" more than the cap of {MAX_BLOCK_GENERATORS:,}"
+        )
     size = count_principal(root)
     if size > MAX_BLOCK_GENERATORS:
         raise ValueError(

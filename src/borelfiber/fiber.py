@@ -622,7 +622,8 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     with phi_k > 0, e and phi the exponents of the rest and of f, read off
     their suffix sums.  So the peels cost O(n) per run of equal factors,
     and listing the sink O(t).  Raises ``ValueError`` on a table of more
-    than two roots and on a mu of another variable context.
+    than two roots, on a mu of another variable context, and before listing
+    a sink of more than ``MAX_FIBER_POINTS`` factors.
 
     Proof.  Let h = hi(mu) and rho = mu/M'.  If hi(rho) >= h, then mu lies in
     Borel(M^(h+1) N^(t-1-h)), against the choice of h; so hi(rho) <= h - 1.
@@ -653,6 +654,10 @@ def find_sink_direct(table: GeneratorTable, mu: Monomial) -> Optional[FiberPoint
     hi = _sink_plan(table, rest, t)
     if hi is None:
         return None
+    if t > MAX_FIBER_POINTS:
+        raise ValueError(
+            f"the sink of {t:,} factors is longer than the cap of {MAX_FIBER_POINTS:,}"
+        )
     s_m, s_n, by_sums = table._peel_sums
     counts: Counter = Counter()
     while t:

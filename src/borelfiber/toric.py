@@ -37,9 +37,9 @@ word holds a lead, to find the normal words of each fiber, and
 :func:`_check_overlaps`, the one Groebner verifier, reads its critical
 monomials off it.
 
-The rewriter finds a word's leads by one lookup of its sub-multisets
-(:meth:`_Rules.hits`).  While every rule is quadratic it steps a word of two
-codes in closed form: the checks reduce those words by far the most often.
+The rewriter finds a word's leads one way, by one lookup of its
+sub-multisets (:meth:`_Rules.hits`), whatever the lengths of the word and
+the rules; the oracle asks the same lookup whether a word holds a lead.
 The completion oracle reduces no word of degree 2: each degree-2 fiber adds
 the chain of its consecutive points, in closed form.  Above degree 2 it
 builds only the normal words, each a normal word of the degree before
@@ -138,90 +138,57 @@ class _Rules:
     integer codes; a word contains a lead when the lead is a sub-multiset of
     it; ``pairs`` are a basis's (lead, trail) words.  ``by_lead`` is the one
     lead index: it maps each distinct lead to the positions of its rules,
-    ascending.  ``sizes`` holds the leads' lengths, and ``quadratic`` holds
-    while every lead and trail has two codes.  A word's leads are found by
-    one lookup (:meth:`hits`), which :meth:`rewrite` skips only for a word
-    of two codes while every rule is quadratic.  An index from
+    ascending, and ``sizes`` holds the leads' lengths.  A word's leads are
+    found one way only, by one lookup of its sub-multisets (:meth:`hits`),
+    for a word of any length and rules of any length.  An index from
     :func:`_checked_rules` also keeps its configuration's ``packed`` codes,
     ``width`` and vector ``size``.
 
     ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
     :meth:`add` would one pair at a time: positions ascending, leads in order
-    of first occurrence.  A caller that already knows whether every word has
-    two codes passes it as ``quadratic``; otherwise the words are measured.
+    of first occurrence.
     """
 
-    def __init__(
-        self,
-        pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = (),
-        quadratic: bool | None = None,
-    ) -> None:
+    def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
         self.leads: list[tuple[int, ...]] = [lead for lead, _ in pairs]
         self.trails: list[tuple[int, ...]] = [trail for _, trail in pairs]
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         for pos, lead in enumerate(self.leads):
             self.by_lead.setdefault(lead, []).append(pos)
         self.sizes: set[int] = set(map(len, self.by_lead))
-        if quadratic is None:
-            quadratic = set(map(len, chain(self.leads, self.trails))) == {2}
-        self.quadratic = quadratic
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def add(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
         """Append a rule; a cached normal form may now reduce further, so drop them."""
-        self.quadratic = len(lead) == len(trail) == 2 and (self.quadratic or not self.leads)
         self.by_lead.setdefault(lead, []).append(len(self.leads))
         self.sizes.add(len(lead))
         self.leads.append(lead)
         self.trails.append(trail)
         self.cache.clear()
 
-    def _sub_words(self, word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        """The sub-multisets of ``word`` that could be a lead, with repeats.
+    def hits(self, word: tuple[int, ...]) -> list[int]:
+        """The first position of each distinct lead that ``word`` contains, ascending.
 
-        While every rule is quadratic these are the word's code pairs.
-        Otherwise they are its k-combinations for each lead length k in
-        ``sizes``, with each code kept at most k times: that leaves the set
+        The candidates are the word's k-combinations for each lead length k
+        in ``sizes``, with each code kept at most k times: that leaves the set
         of combinations as it is but keeps long words from multiplying it.
         """
-        if self.quadratic:
-            return combinations(word, 2)
         # ascending: a code past its k-th copy equals the code k before it
-        return chain.from_iterable(
+        subs = chain.from_iterable(
             combinations([c for i, c in enumerate(word) if i < k or word[i - k] != c], k)
             for k in self.sizes
         )
-
-    def hits(self, word: tuple[int, ...]) -> list[int]:
-        """The first position of each distinct lead that ``word`` contains, ascending."""
-        found = filter(None, map(self.by_lead.get, set(self._sub_words(word))))
+        found = filter(None, map(self.by_lead.get, set(subs)))
         return sorted(positions[0] for positions in found)
 
     def rewrite(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
         """The one-step reduct by the lowest-position rule whose lead ``word`` contains.
 
-        While every rule is quadratic, a word of two codes contains a lead
-        only by being one, so it steps to that lead's first trail.  Every
-        other word steps by its first hit (:meth:`hits`).  Returns None when
-        no lead is contained.
-
-        So a word is normal exactly when this is None, and exactly when
-        :meth:`reducible` is False.
+        That rule is the first of :meth:`hits`.  Returns None when no lead is
+        contained, so a word is normal exactly when this is None.
         """
-        if self.quadratic and len(word) == 2:
-            positions = self.by_lead.get(word)
-            return None if positions is None else self.trails[positions[0]]
         hits = self.hits(word)
         return _replace(word, self.leads[hits[0]], self.trails[hits[0]]) if hits else None
-
-    def reducible(self, word: tuple[int, ...]) -> bool:
-        """Whether ``word`` contains a lead: :meth:`rewrite` without building the reduct.
-
-        Answered by whether one of its :meth:`_sub_words` is a lead.  The
-        completion oracle asks it only once a lead of more than two codes
-        exists (:func:`_stars`).
-        """
-        return any(map(self.by_lead.__contains__, self._sub_words(word)))
 
     def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Rewrite until no lead is contained; cache every word on the way."""
@@ -306,9 +273,7 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     :func:`_check_point` on every lead and trail, so a malformed word is
     named before any marking, then each element's keys, lengths and packed
     sums, raising at the first fault.  An element is read from
-    ``basis.elements`` only to name it.  A verdict by columns has shown
-    every word to have two codes, so it hands the index ``quadratic``
-    rather than have it measure the words again.
+    ``basis.elements`` only to name it.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
@@ -342,8 +307,7 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
-    # Words of two codes, shown by the columns: the rules are quadratic when there is a word.
-    rules = _Rules(pairs, bool(words) if by_columns else None)
+    rules = _Rules(pairs)
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
     return rules
@@ -362,21 +326,6 @@ def normal_form(point: FiberPoint, basis: MarkedBasis) -> FiberPoint:
     return basis._rules.normal_form(point)
 
 
-def _check_pair_count(groups, others: int = 0) -> None:
-    """Raise ``ValueError`` when a basis would hold more than ``MAX_BASIS_ELEMENTS`` elements.
-
-    The basis holds the pairs within the fibers ``groups`` and ``others``
-    elements besides.  A fiber of k points holds C(k, 2) pairs, counted
-    before any is taken.
-    """
-    count = others + sum(map(comb, map(len, groups), repeat(2)))
-    if count > MAX_BASIS_ELEMENTS:
-        raise ValueError(
-            f"the pairs within the degree-2 fibers make {count:,} basis elements,"
-            f" more than the cap of {MAX_BASIS_ELEMENTS:,}"
-        )
-
-
 def _degree_two_pairs(
     groups: Sequence[Sequence[FiberPoint]], shift: int = 0, others: int = 0
 ) -> list[tuple[FiberPoint, FiberPoint]]:
@@ -387,11 +336,16 @@ def _degree_two_pairs(
     fiber's pairs come in the order of its listing, descending sink order, so
     every pair is already (lead, trail) on both sides.  ``shift`` is added
     to every code: ``rees.rees_gb`` shifts the generators' codes by n.  The
-    pairs and the ``others`` elements of the caller's basis are counted
-    before any word is shifted or paired, and more than
-    ``MAX_BASIS_ELEMENTS`` raise ``ValueError`` (:func:`_check_pair_count`).
+    pairs, C(k, 2) for a fiber of k points, and the ``others`` elements of
+    the caller's basis are counted before any word is shifted or paired, and
+    more than ``MAX_BASIS_ELEMENTS`` raise ``ValueError``.
     """
-    _check_pair_count(groups, others)
+    count = others + sum(map(comb, map(len, groups), repeat(2)))
+    if count > MAX_BASIS_ELEMENTS:
+        raise ValueError(
+            f"the pairs within the degree-2 fibers make {count:,} basis elements,"
+            f" more than the cap of {MAX_BASIS_ELEMENTS:,}"
+        )
     if shift:
         groups = [[(a + shift, b + shift) for a, b in words] for words in groups]
     return list(chain.from_iterable(map(combinations, groups, repeat(2))))
@@ -478,12 +432,12 @@ def _walked(
         pair = packed[a] + packed[b]
         if pair in pairs and len(by_lead[lead]) > 1:
             critical.append(lead)
-        hits = 0
+        completes = 0
         for total in cubics:
-            hits |= code_of.get(total - pair, 0)
-        if hits:
-            critical.extend((a, b, w) for w in _bits(high & hits))
-            critical.extend((a, w, b) for w in _bits(low & hits))
+            completes |= code_of.get(total - pair, 0)
+        if completes:
+            critical.extend((a, b, w) for w in _bits(high & completes))
+            critical.extend((a, w, b) for w in _bits(low & completes))
     critical.sort()
     return critical
 
@@ -528,14 +482,17 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     that are not partners of a; a lead (a, a) counts the partners w > a; a
     lead carried by two or more rules counts itself.
 
-    Every rule is quadratic.  A lead's one-step reducts are its rules'
-    trails, and a cubic critical monomial's are one for each distinct lead
-    it holds, by that lead's first rule (:meth:`_Rules.hits`).  Of the words
-    the walk reduces, :meth:`_Rules.rewrite` steps those of two codes in
-    closed form and those of three by :meth:`_Rules.hits`.
+    Every lead must be quadratic: a lead length other than 2 in
+    ``rules.sizes`` raises ``ValueError``, naming the first such lead's
+    rule.  Every trail then has two codes too, as :func:`_checked_rules`
+    keeps a rule's length.  A lead's one-step
+    reducts are its rules' trails, and a cubic critical monomial's are one
+    for each distinct lead it holds, by that lead's first rule
+    (:meth:`_Rules.hits`), the one lookup that :meth:`_Rules.rewrite` steps
+    every word by.
     """
     by_lead, packed = rules.by_lead, rules.packed
-    if not rules.quadratic:
+    if rules.sizes - {2}:
         for lead, positions in by_lead.items():
             if len(lead) != 2:
                 raise ValueError(
@@ -626,7 +583,8 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
     rewritten to the later one, whichever point it came from.  Independent
     of the unique-sink theory, of the scan of standard words and of the
     overlap check: a word is normal when no lead of the oracle's own rules
-    divides it.  Used as the oracle.
+    divides it, as the one lookup of their index finds (:meth:`_Rules.hits`),
+    which every reduction step takes too.  Used as the oracle.
 
     Degree 2 is in closed form.  When a fiber of degree 2 is reached, no
     rule divides any of its points: the generators are distinct, so every
@@ -728,17 +686,17 @@ def _stars(table: GeneratorTable, bound: int, rules: _Rules, groups: list[list[F
     holds a lead of two codes exactly when some pair (c, z) with c in w is
     one: one set test per candidate, against an index of the chains built
     once, and a word is built only when it is kept.  While every lead has
-    two codes that decides; once a longer lead exists, ``rules.reducible``
-    decides for the words that pass.  The normal words are grouped by
-    packed sum, and a fiber of two or more is yielded as ``enumerate_fiber``
-    lists it, its multidegree unpacked from the sum; a fiber with at most
-    one is skipped unlisted.  A rule added at degree k leads by a word of
-    length k and of its own fiber's sum, so it divides no word of another
-    fiber of the level, and after the level exactly the words that became
-    leads stop being normal; a level whose sums are all distinct adds no
-    rule.  Raises ``ValueError`` before building a degree whose candidate
-    words outnumber ``fiber.MAX_FIBER_POINTS``, and on a fiber of more points
-    (``enumerate_fiber``).
+    two codes that decides; once a longer lead exists, a word that passes is
+    normal when ``rules.hits`` finds no lead in it.  The normal words are
+    grouped by packed sum, and a fiber of two or more is yielded as
+    ``enumerate_fiber`` lists it, its multidegree unpacked from the sum; a
+    fiber with at most one is skipped unlisted.  A rule added at degree k
+    leads by a word of length k and of its own fiber's sum, so it divides no
+    word of another fiber of the level, and after the level exactly the
+    words that became leads stop being normal; a level whose sums are all
+    distinct adds no rule.  Raises ``ValueError`` before building a degree
+    whose candidate words outnumber ``fiber.MAX_FIBER_POINTS``, and on a
+    fiber of more points (``enumerate_fiber``).
     """
     packed, width = _pack(table.generators, bound)
     singles = [(c,) for c in range(len(packed))]
@@ -759,7 +717,7 @@ def _stars(table: GeneratorTable, bound: int, rules: _Rules, groups: list[list[F
             (word + singles[z], total + packed[z])
             for word, total in normal
             for z in range(word[-1], len(packed))
-            if below[z].isdisjoint(word) and (quadratic or not rules.reducible(word + singles[z]))
+            if below[z].isdisjoint(word) and (quadratic or not rules.hits(word + singles[z]))
         ]
         shared = _shared([total for _, total in kept])
         for mu in _unpack(sorted(shared), width, table.context.n):

@@ -102,6 +102,20 @@ class TestExpandPrincipal:
         monkeypatch.setattr(borel, "MAX_BLOCK_GENERATORS", 11)
         assert len(expand_principal(root)) == 11
 
+    def test_a_huge_degree_is_refused_before_any_count(self, monkeypatch):
+        # Each first suffix sum s_1 <= sigma_1 starts a generator, so a root
+        # with sigma_1 at the cap is refused before count_principal runs.
+        def uncounted(root):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(borel, "count_principal", uncounted)
+        for root in [(0, 0, 100_000_000_000), (1, 10**12)]:
+            with pytest.raises(ValueError, match="more than the cap of 1,000,000$"):
+                expand_principal(root)
+        monkeypatch.setattr(borel, "MAX_BLOCK_GENERATORS", 5)
+        with pytest.raises(ValueError, match="^Borel\\(0, 0, 5\\) has at least 6 minimal generators,"):
+            expand_principal((0, 0, 5))
+
 
 class TestBuildTwoBorel:
     def test_figure_table(self):

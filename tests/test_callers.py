@@ -36,10 +36,10 @@ points once (``GeneratorTable._quadric_fibers``), and both sides' full
 bases read that listing and nothing else: ``toric.quadric_generators`` and
 ``rees.rees_gb`` are its only readers, so ``rees`` lists no fiber, and
 neither the completion oracle (``toric.brute_force_gb``) nor its fiber walk
-(``toric._stars``) reaches it.  Both pair the fibers in one place:
-``toric._degree_two_pairs``, given the listing, is the one caller of the
-pair count (``toric._check_pair_count``), and those two are its only
-callers.  What counts as a paired move is defined once too:
+(``toric._stars``) reaches it.  Both pair the fibers in one place,
+``toric._degree_two_pairs``, given the listing, which counts the pairs
+before it takes any; those two are its only callers.  What counts as a
+paired move is defined once too:
 ``fiber._paired_moves`` serves the sweep's lead masks
 (``fiber._lead_masks``), the fiber graph (``fiber.build_fiber_graph``) and
 the Rees syzygies (``rees.rees_gb``), and nothing else.  A single fiber is
@@ -49,8 +49,9 @@ oracle's fiber walk.
 The completion oracle lists the fibers of degrees 1 and 2 once
 (``toric.brute_force_gb``), apart from the table's listing, builds their
 rules in closed form and hands the listing to its fiber walk
-(``toric._stars``), which lists no fiber of its own; that walk is the one
-src caller of ``toric._Rules.reducible``.
+(``toric._stars``), which lists no fiber of its own.  The rule index answers
+a word one way, by the sub-multiset lookup ``toric._Rules.hits``: its src
+callers are the rewriter, the overlap check and that walk.
 
 Each private name that one src module imports from another is pinned too,
 so a new reach into another module's internals fails a list here.  The
@@ -106,7 +107,7 @@ ENUMERATE_PATH = {
 }
 
 # The completion oracle's listing of degrees 1 and 2, its fiber walk, and the
-# one rule-index test of a word, by their src callers.
+# rule index's one lookup of a word, by their src callers.
 ORACLE_PATH = {
     "_fiber_groups": [
         "borel.GeneratorTable._quadric_fibers",
@@ -114,7 +115,7 @@ ORACLE_PATH = {
         "toric.brute_force_gb",
     ],
     "_stars": ["toric.brute_force_gb"],
-    "reducible": ["toric._stars"],
+    "hits": ["toric._Rules.rewrite", "toric._check_overlaps", "toric._stars"],
 }
 
 # Decoding a word back to a Rees monomial, and its src callers.
@@ -127,9 +128,8 @@ LISTING_PATH = {
     "_quadric_fibers": ["rees.rees_gb", "toric.quadric_generators"],
 }
 
-# The one pairing of degree-2 fibers, its count, and their src callers.
+# The one pairing of degree-2 fibers, which counts its pairs, and its src callers.
 PAIR_PATH = {
-    "_check_pair_count": ["toric._degree_two_pairs"],
     "_degree_two_pairs": ["rees.rees_gb", "toric.quadric_generators"],
 }
 

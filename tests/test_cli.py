@@ -490,6 +490,32 @@ class TestErrors:
         assert out == ""
         assert "62,891,499 minimal generators" in err
 
+    @pytest.mark.parametrize(
+        "argv, at_least",
+        [
+            (("gens", "--ideal", "c^100000000000"), "100,000,000,001"),
+            (("counterexample", "--r", "1000000"), "999,998,000,001"),
+        ],
+        ids=["gens", "counterexample"],
+    )
+    def test_huge_degree_is_refused_before_any_list(self, capsys, argv, at_least):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f" has at least {at_least} minimal generators, more than the cap of 1,000,000\n"
+        )
+
+    def test_sink_longer_than_the_cap_exits_2(self, capsys, monkeypatch):
+        # The figure fiber a^3b^9c^3 has a sink of 3 factors.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 2)
+        argv = ("sink", "--ideal", FIG, "--mu", "a^3b^9c^3", "--bound", "0")
+        message = "error: the sink of 3 factors is longer than the cap of 2\n"
+        assert run_cli(capsys, *argv) == (2, "", message)
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 3)
+        assert run_cli(capsys, *argv)[0] == 0
+
     def test_oversized_fiber_listing_is_counted_not_listed(self, capsys):
         # Borel(b^6400) on two variables has 6,401 generators: 20,496,002 words
         # of one or two of them, which the oracle lists before any normal word.

@@ -543,6 +543,15 @@ class TestFindSinkDirect:
         with pytest.raises(ValueError, match="^mu lives in a different variable context$"):
             find_sink_direct(fig_table, (0, 0))
 
+    def test_a_sink_longer_than_the_cap_is_refused(self, fig_table, monkeypatch):
+        # a^3b^9c^3 is the product of t = 3 factors; an empty fiber lists none.
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 2)
+        with pytest.raises(ValueError, match="^the sink of 3 factors is longer than the cap of 2$"):
+            find_sink_direct(fig_table, mono("a^3b^9c^3"))
+        assert find_sink_direct(fig_table, (3, 9, 1)) is None
+        monkeypatch.setattr(fiber, "MAX_FIBER_POINTS", 3)
+        assert len(find_sink_direct(fig_table, mono("a^3b^9c^3"))) == 3
+
     @pytest.mark.parametrize("mu", [(5, 0), (2, 0, 3, 0)], ids=["short", "long"])
     def test_mu_of_another_length_rejected(self, fig_table, mu):
         # The same refusal as the enumeration's, not a lookup error.

@@ -4,15 +4,14 @@
 (diamond lemma); the oracles in ``helpers`` reduce both sides of every S-pair
 with overlapping leads.  Both must give the same verdict on passing bases and
 on the drop-one mutants of the figure ideal's bases, which are the negative
-controls.  The check reduces through ``_Rules``, which steps its words of two
-codes in closed form and finds the leads of any other word by one
-sub-multiset lookup (``_Rules.hits``); ``TestClosedFormReducer`` holds those
-steps, and the hits the check takes as a cubic monomial's reducts, to the
-scan helpers, and ``TestPinnedMutantReports`` holds every mutant's report to
-the one the generic lookup gave.  The check walks reducts only in
-fibers that hold two standard words; ``TestWalkOnlyCollidingFibers`` holds
-its reports to the walk over every critical monomial and pins the fibers it
-walks.  The check finds the critical monomials it walks from the shared
+controls.  The check reduces through ``_Rules``, which finds the leads of
+every word by one sub-multiset lookup (``_Rules.hits``);
+``TestClosedFormReducer`` holds those steps, and the hits the check takes as
+a cubic monomial's reducts, to the scan helpers, and
+``TestPinnedMutantReports`` holds every mutant's report to a pinned one.
+The check walks reducts only in fibers that hold two standard words;
+``TestWalkOnlyCollidingFibers`` holds its reports to the walk over every
+critical monomial and pins the fibers it walks.  The check finds the critical monomials it walks from the shared
 sums; wherever a test reaches that walk, the ``walks`` fixture holds its list
 to the one of stepping every counted code (``walked_by_bits``).
 """
@@ -302,11 +301,9 @@ def assert_walks_match_the_bits(walks):
 class TestClosedFormReducer:
     """``_Rules`` steps words of two and three codes as the scan helpers do.
 
-    While every rule is quadratic, ``_Rules.rewrite`` steps a word of two
-    codes in closed form, ``_Rules.reducible`` answers for both lengths in
-    closed form, and a word of three codes steps by its first hit
-    (``_Rules.hits``).  Every word of length two and three over the figure
-    ideal's codes is stepped and reduced by ``_Rules`` and by
+    Every word steps by its first hit (``_Rules.hits``), and a word holds a
+    lead exactly when it has a hit.  Every word of length two and three over
+    the figure ideal's codes is stepped and reduced by ``_Rules`` and by
     ``step_by_scan`` and ``normal_form_by_scan``, over the full, the reduced
     and the Rees basis and over every drop-one mutant of the full and the
     Rees basis.  The mutants
@@ -329,10 +326,9 @@ class TestClosedFormReducer:
 
     def agree(self, pairs, codes):
         rules = _Rules(pairs)
-        assert rules.quadratic
         for word in self.words(codes):
             assert rules.rewrite(word) == step_by_scan(pairs, word), word
-            assert rules.reducible(word) == (rules.rewrite(word) is not None), word
+            assert bool(rules.hits(word)) == (rules.rewrite(word) is not None), word
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
             if len(word) == 3:
                 # the overlap check takes every one of these as a reduct
@@ -381,8 +377,8 @@ class TestClosedFormReducer:
                     assert rules.normal_form(word) == normal_form_by_scan(mutant, word), (i, word)
 
     def test_other_lengths_step_by_code_pairs(self, fig_table):
-        # Words of length 0, 1 and 4 fall outside the closed form and are
-        # looked up by their code pairs: none for 0 and 1, so they are normal.
+        # Words of length 0, 1 and 4 are looked up by their code pairs as
+        # every word is: none for 0 and 1, so they are normal.
         bases = [
             (self.toric_pairs(quadric_generators(fig_table).elements), range(len(fig_table.generators))),
             (
@@ -392,7 +388,6 @@ class TestClosedFormReducer:
         ]
         for pairs, codes in bases:
             rules = _Rules(pairs)
-            assert rules.quadratic
             for k in (0, 1, 4):
                 for word in combinations_with_replacement(codes, k):
                     assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
@@ -402,7 +397,6 @@ class TestClosedFormReducer:
         # rewriter still answers as the scan does.
         pairs = [((1, 2), (0, 0, 0)), ((0, 3), (4, 4))]
         rules = _Rules(pairs)
-        assert not rules.quadratic
         for word in [(1, 2), (1, 2, 3), (0, 1, 2), (0, 3), (0, 3, 5)]:
             assert rules.rewrite(word) == step_by_scan(pairs, word), word
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
@@ -413,8 +407,7 @@ class TestPinnedMutantReports:
 
     ``drop_one_reports.json`` lists the ``to_json()`` of each mutant of the
     figure ideal's full toric and Rees bases, in deletion order, as computed
-    by the overlap check through the generic sub-multiset lookup, before any
-    closed-form step.  Failure positions, multidegrees and their order must
+    by the overlap check through the sub-multiset lookup.  Failure positions, multidegrees and their order must
     not move.
     """
 

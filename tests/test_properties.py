@@ -398,7 +398,6 @@ def assert_reducible_by_counts(rules):
     for word, counts in COUNTED:
         expected = sorted(pos for pos, lead in firsts.values() if not lead - counts)
         assert rules.hits(word) == expected, word
-        assert rules.reducible(word) == bool(expected), word
         assert (rules.rewrite(word) is not None) == bool(expected), word
 
 
@@ -416,17 +415,14 @@ def ascending(size):
 @example([((0, 1), (2, 3))], ((2, 3, 4), (1, 1, 5)), [])  # only the cubic lead divides (2, 3, 4)
 @example([((1, 1), (0, 2))], ((1, 1, 1), (0, 0, 3)), [((1,), (4,)), ((2, 2, 2), (5, 5, 5))])
 def test_reducible_is_multiset_containment(pairs, cubic, mixed):
-    # While every rule is quadratic, words of two and three codes are
-    # answered in closed form; a three-code rule moves every word to the
-    # one sub-multiset lookup, which keeps a code at most k times for a
-    # lead of k codes.  Leads of one and three codes, over words that hold a
-    # code 4 times, reach that trimming.  Every path must find the leads
-    # that counting finds, and hits must list their first positions.
+    # Every word is answered by the one sub-multiset lookup, which keeps a
+    # code at most k times for a lead of k codes.  Leads of one, two and
+    # three codes, over words that hold a code 4 times, reach that
+    # trimming.  The lookup must find the leads that counting finds and list
+    # their first positions, with quadratic rules alone and with longer ones.
     rules = _Rules(pairs)
-    assert rules.quadratic == bool(pairs)
     assert_reducible_by_counts(rules)
     rules.add(*cubic)
-    assert not rules.quadratic
     assert_reducible_by_counts(rules)
     for pair in mixed:
         rules.add(*pair)
@@ -435,10 +431,10 @@ def test_reducible_is_multiset_containment(pairs, cubic, mixed):
 
 def test_reducible_on_the_outer_pair_and_a_repeated_code():
     outer = _Rules([((0, 2), (1, 1))])
-    assert outer.reducible((0, 1, 2)) and not outer.reducible((0, 1, 1))
+    assert outer.hits((0, 1, 2)) and not outer.hits((0, 1, 1))
     square = _Rules([((0, 0), (1, 2))])
-    assert not square.reducible((0, 1, 2))
-    assert square.reducible((0, 0, 1))
+    assert not square.hits((0, 1, 2))
+    assert square.hits((0, 0, 1))
     for rules in (outer, square):
         assert_reducible_by_counts(rules)
 

@@ -45,7 +45,7 @@ DROP_ONE_REPORTS = Path(__file__).resolve().parent / "data" / "drop_one_reports.
 
 
 def index(rules: _Rules) -> tuple:
-    return rules.leads, rules.trails, rules.by_lead, rules.sizes, rules.quadratic
+    return rules.leads, rules.trails, rules.by_lead, rules.sizes
 
 
 def bases(table) -> dict[str, object]:

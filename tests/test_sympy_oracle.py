@@ -10,8 +10,8 @@ could not hide there.  The tables are the suite tables with at most
   ``quadric_generators(interreduce=True)`` element for element: the paper's
   quadratic Groebner basis, with its marking.
 - Every word of three codes, 420 over the 15 tables, has the normal form by
-  the full quadric basis that sympy's remainder gives.  While every rule is
-  quadratic, those words step by ``_Rules.hits``.
+  the full quadric basis that sympy's remainder gives.  Those words step by
+  ``_Rules.hits``, the one lookup of the rule index.
 - The leads of sympy's reduced Rees basis are the minimal leads of
   ``rees_gb``.
 - ``TestMutantsAreSeen``: a dropped quadric, a swapped trail and a dropped

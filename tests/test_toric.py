@@ -480,8 +480,8 @@ class TestBruteForceOracle:
         self, fig_table, monkeypatch
     ):
         # Degree 2 is a chain per fiber, and degree 3 extends each normal word
-        # by its new pairs, looked up in the lead index: no _Rules.reducible
-        # and no _Rules.normal_form call.  The elements are unchanged.
+        # by its new pairs, looked up in the lead index: no _Rules.hits and
+        # no _Rules.normal_form call.  The elements are unchanged.
         tables = [fig_table] + suite_tables(cap=200)[::10]
         expected = [completion_by_scan(table, 3) for table in tables]
         calls = []
@@ -495,7 +495,7 @@ class TestBruteForceOracle:
 
             return wrapper
 
-        for name in ("reducible", "normal_form"):
+        for name in ("hits", "normal_form"):
             monkeypatch.setattr(_Rules, name, counted(name))
         for table, pairs in zip(tables, expected):
             assert [(el.lead, el.trail) for el in brute_force_gb(table, 3).elements] == pairs
@@ -576,8 +576,8 @@ class TestLeadIndex:
 
     ``normal_form_by_scan`` scans the rules in order instead.  Both must give
     the same normal forms, also on bases that are not Groebner bases, where
-    the choice of rule shows in the result, and ``_Rules.reducible`` must
-    find a lead in exactly the words that ``step_by_scan`` steps.
+    the choice of rule shows in the result, and ``_Rules.hits`` must find a
+    lead in exactly the words that ``step_by_scan`` steps.
     """
 
     @pytest.fixture(scope="class")
@@ -590,7 +590,7 @@ class TestLeadIndex:
     def agree(pairs, words):
         rules = _Rules(pairs)
         for word in words:
-            assert rules.reducible(word) == (step_by_scan(pairs, word) is not None), word
+            assert bool(rules.hits(word)) == (step_by_scan(pairs, word) is not None), word
             assert rules.normal_form(word) == normal_form_by_scan(pairs, word), word
 
     def test_drop_one_mutants_of_the_figure_quadrics(self, fig_table, fig_quadrics):
@@ -621,7 +621,7 @@ class TestLeadIndex:
             self.agree(pairs, [tuple(sorted(rng.choices(range(size), k=t))) for _ in range(3)])
 
     def test_quadratic_words_of_four_and_five_codes(self, fig_table, fig_quadrics):
-        # While every rule is quadratic, these words step by their code pairs.
+        # With every rule quadratic, these words step by their code pairs.
         # Steps are held to the scan on every word, and normal forms on a
         # tenth, over the full, the reduced and the Rees basis.  Each
         # drop-one mutant of the full basis, which is not a Groebner basis,
@@ -636,7 +636,6 @@ class TestLeadIndex:
         bases += [(full[:i] + full[i + 1 :], words[i::100], 1) for i in range(len(full))]
         for pairs, some, every in bases:
             rules = _Rules(pairs)
-            assert rules.quadratic
             for word in some:
                 assert rules.rewrite(word) == step_by_scan(pairs, word), word
             self.agree(pairs, some[::every])
@@ -649,7 +648,6 @@ class TestLeadIndex:
             rules.trails,
             list(rules.by_lead.items()),
             rules.sizes,
-            rules.quadratic,
         )
 
     @staticmethod
@@ -676,7 +674,6 @@ class TestLeadIndex:
         ]
         for pairs in bases:
             assert self.index(_Rules(pairs)) == self.index(self.added(pairs)), pairs
-        assert [_Rules(pairs).quadratic for pairs in bases[-6:]] == [False] * 6
 
     def test_a_lead_that_repeats_a_code_needs_it_twice(self):
         # Position 0 leads with c twice; a word holding c once must use the
