@@ -197,11 +197,11 @@ def cmd_oracle_gb(args) -> tuple[int, str]:
     table = _load_table(args)
     oracle = brute_force_gb(table, args.bound)
     # The reduced list has every lead of the full one, and one element per lead.
-    quadric_leads = {el.lead for el in quadric_generators(table, interreduce=True).elements}
+    quadric_leads = {lead for lead, _ in quadric_generators(table, interreduce=True).pairs}
     data = {**basis_to_json(oracle), "bound": args.bound}
     names = data["variable_order"]
     data["leads_outside_quadric_leads"] = [
-        [names[c] for c in el.lead] for el in oracle.elements if el.lead not in quadric_leads
+        [names[c] for c in lead] for lead, _ in oracle.pairs if lead not in quadric_leads
     ]
     return EXIT_OK, _emit(data, args.format, lambda d: [
         f"{d['count']} basis elements at bound {d['bound']}; "

@@ -18,52 +18,42 @@ algebra is the toric ring of a larger configuration, so each side is one
 :class:`Configuration`, its vectors and the marking of its words, and both
 take their full bases from one pairing of the degree-2 fibers
 (:func:`_degree_two_pairs`), which counts the pairs before it takes any.
-Both bases hold each element as a pair of words, ascending tuples of
-integer codes.  A basis's :class:`_Rules`, the one reduction engine, is
-built only by :func:`_checked_rules`, the one check of words, marking and
-homogeneity, so :func:`normal_form` and both verifiers refuse a malformed
-basis alike and never reduce by a rule that fails to end.  The check
-reaches its verdict one of two ways.  Every basis built here holds words of
-two codes, and those are checked by columns: one flat code list for the
-types, the range and the order, one packed sum and one integer rank per
-word, which orders two-code words as the side's marking key does.  Any
-other basis, and one that fails a column test, is walked in element order,
-which names the first fault; either way the index is built in one pass
-over the pairs.  The lead index ``by_lead`` is the one place that
-says which rules carry a lead: the rewriter looks up a word's sub-multisets
-there, :func:`brute_force_gb` builds it from its degree-2 rules in one pass,
-grows it one rule at a time above degree 2 and looks up there whether a
-word holds a lead, to find the normal words of each fiber, and
-:func:`_check_overlaps`, the one Groebner verifier, reads its critical
-monomials off it.
+Every basis holds its elements as (lead, trail) pairs of words, ascending
+tuples of integer codes, from construction through the check; a
+:class:`MarkedBinomial` or a Rees monomial is built only when a caller
+reads ``elements``.  A basis's :class:`_Rules`, the one reduction engine,
+is built only by :func:`_checked_rules`, the one check of words, marking
+and homogeneity, so :func:`normal_form` and both verifiers refuse a
+malformed basis alike and never reduce by a rule that fails to end.  Words
+of two codes, as in every basis built here, are checked by two columns,
+their first and second codes, and by one packed sum and one integer rank
+per word; any other basis, and one that fails a column test, is walked in
+element order, which names the first fault.  The lead index ``by_lead`` is
+the one place that says which rules carry a lead: the rewriter looks up a
+word's sub-multisets there (:meth:`_Rules.hits`), whatever the lengths of
+the word and the rules, :func:`brute_force_gb` asks it whether a word holds
+a lead, and :func:`_check_overlaps`, the one Groebner verifier, reads its
+critical monomials off it.
 
-The rewriter finds a word's leads one way, by one lookup of its
-sub-multisets (:meth:`_Rules.hits`), whatever the lengths of the word and
-the rules; the oracle asks the same lookup whether a word holds a lead.
 The completion oracle reduces no word of degree 2: each degree-2 fiber adds
 the chain of its consecutive points, in closed form.  Above degree 2 it
 builds only the normal words, each a normal word of the degree before
-extended by one code, since normal words are closed under division, and
-tests only the extension's new pairs for a lead while every lead is
-quadratic.  It lists every point of a fiber (``fiber.enumerate_fiber``)
-only when the fiber holds two normal words, reduces only those fibers, and
-marks each new rule by its reversed words (:func:`brute_force_gb`).
-The overlap check counts its critical monomials instead of building them, and
-walks only those whose fiber holds two standard words (words with no lead in
-them) of their length, found by ``fiber._standard_levels``, the scan behind
-the unique-sink sweep too; it lists the standard words of two codes and
-reads only the sums of those of three.  A Groebner basis of the whole toric
+extended by one code, and tests only the extension's new pairs for a lead
+while every lead is quadratic.  It lists a fiber (``fiber.enumerate_fiber``)
+only when the fiber holds two normal words, and reduces only those fibers.
+The overlap check counts its critical monomials from each lead's masks,
+built as it reaches the lead, again for a walk, and never kept in a table;
+it walks only those whose fiber holds two standard words (words with no
+lead in them) of their length, found by ``fiber._standard_levels``, the
+scan behind the unique-sink sweep too.  A Groebner basis of the whole toric
 ideal walks none, since its standard words meet each fiber once (Sturmfels,
 *Groebner Bases and Convex Polytopes*, 1996, ch. 4).
 
 Every configuration sum here is one integer, packed by ``fiber._pack``, the
-one sum path that the fiber listing uses too, with bits for the longest word
-summed, so a word's packed sum is one integer addition per code and two
-words share it exactly when they share their sum.  A basis's rule index
-keeps its configuration packed (:func:`_checked_rules`), for the overlap
-check too, and a failure's name is unpacked from its sum.  The oracle packs
-its normal words' sums for words as long as its bound, and unpacks the sum
-of a fiber with two of them into the multidegree it enumerates.
+one sum path of the fiber listing too, so a word's packed sum is one
+integer addition per code, and two words share it exactly when they share
+their sum.  A basis's rule index keeps its configuration packed, for the
+overlap check too, and a failure's name is unpacked from its sum.
 """
 
 from __future__ import annotations
@@ -72,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
 from math import comb
-from operator import le, lt
+from operator import countOf, itemgetter, le, lt, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from borelfiber import fiber
@@ -134,27 +124,28 @@ def _configuration(table: GeneratorTable) -> Configuration:
 class _Rules:
     """Marked rewrite rules on ascending code tuples: the one reduction engine.
 
-    ``leads`` and ``trails`` list the rules' words, each an ascending tuple of
+    ``leads`` and ``trails`` list the rules' words, ascending tuples of
     integer codes; a word contains a lead when the lead is a sub-multiset of
-    it; ``pairs`` are a basis's (lead, trail) words.  ``by_lead`` is the one
-    lead index: it maps each distinct lead to the positions of its rules,
-    ascending, and ``sizes`` holds the leads' lengths.  A word's leads are
-    found one way only, by one lookup of its sub-multisets (:meth:`hits`),
-    for a word of any length and rules of any length.  An index from
-    :func:`_checked_rules` also keeps its configuration's ``packed`` codes,
-    ``width`` and vector ``size``.
+    it.  ``by_lead``, the one lead index, maps each distinct lead to the
+    positions of its rules, ascending, and ``sizes`` holds the leads'
+    lengths; a word's leads are found by one lookup of its sub-multisets
+    (:meth:`hits`).  An index from :func:`_checked_rules` also keeps its
+    configuration's ``packed`` codes, ``width`` and vector ``size``.
 
-    ``_Rules(pairs)`` builds the index of a whole basis in one pass, as
-    :meth:`add` would one pair at a time: positions ascending, leads in order
-    of first occurrence.
+    ``_Rules(pairs)`` builds the index of a whole basis's (lead, trail)
+    words in one pass, as :meth:`add` would one pair at a time: positions
+    ascending, leads in order of first occurrence.
     """
 
     def __init__(self, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = ()) -> None:
-        self.leads: list[tuple[int, ...]] = [lead for lead, _ in pairs]
-        self.trails: list[tuple[int, ...]] = [trail for _, trail in pairs]
+        self.leads: list[tuple[int, ...]] = list(map(itemgetter(0), pairs))
+        self.trails: list[tuple[int, ...]] = list(map(itemgetter(1), pairs))
         self.by_lead: dict[tuple[int, ...], list[int]] = {}
         for pos, lead in enumerate(self.leads):
-            self.by_lead.setdefault(lead, []).append(pos)
+            if (positions := self.by_lead.get(lead)) is None:
+                self.by_lead[lead] = [pos]
+            else:
+                positions.append(pos)
         self.sizes: set[int] = set(map(len, self.by_lead))
         self.cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -212,14 +203,25 @@ class _Rules:
 
 @dataclass(frozen=True)
 class MarkedBasis:
-    """A table's marked binomials, each its (lead, trail) word pair."""
+    """A table's marked binomials, held as their (lead, trail) word pairs in ``pairs``.
+
+    A :class:`MarkedBinomial` is such a pair, so ``MarkedBasis(table,
+    elements)`` holds the elements themselves, and a built basis holds plain
+    tuples.  ``elements`` views the pairs as :class:`MarkedBinomial` tuples,
+    built on first read.  The words are checked when the rule index is built
+    (:func:`_checked_rules`).
+    """
 
     table: GeneratorTable
-    elements: tuple[MarkedBinomial, ...]
+    pairs: tuple[tuple[FiberPoint, FiberPoint], ...]
+
+    @cached_property
+    def elements(self) -> tuple[MarkedBinomial, ...]:
+        return tuple(starmap(MarkedBinomial, self.pairs))
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _checked_rules(self, self.elements, _configuration(self.table))
+        return _checked_rules(self, self.pairs, _configuration(self.table))
 
 
 def _check_ints(value, what: str) -> None:
@@ -237,21 +239,6 @@ def _check_point(point: FiberPoint, size: int, what: str = "a point") -> None:
         raise ValueError(f"{what} must be in range({size}): {point}")
 
 
-def _well_formed(words: list, size: int) -> bool:
-    """:func:`_check_point` by columns: whether every word is two ascending ints in ``range(size)``.
-
-    The types and lengths come first, then the codes, flattened: each word's
-    first code sits at an even position and its second next, so their order
-    is one comparison of the two columns, and no word is hashed.
-    """
-    if not {tuple} >= set(map(type, words)) or not {2} >= set(map(len, words)):
-        return False
-    codes = list(chain.from_iterable(words))
-    if not {int} >= set(map(type, codes)) or (codes and not 0 <= min(codes) <= max(codes) < size):
-        return False
-    return all(map(le, codes[0::2], codes[1::2]))
-
-
 def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     """The rule index of a basis's word ``pairs``, built once they pass the one check of a basis.
 
@@ -264,16 +251,19 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
     ideal.  So every rewrite ends and keeps its word's fiber.  The index is
     built in one pass (:class:`_Rules`).
 
-    A verdict comes one of two ways.  Every basis built here holds words of
-    two codes, and those are checked by columns (:func:`_well_formed`):
-    each word's packed sum is two lookups and one add, and its key is one
+    A verdict comes one of two ways.  Words of two codes, as in every basis
+    built here, are checked by two columns, each word's first code and its
+    second, taken once: one type test, one range test (the least first code,
+    the largest second code) and one order test, and no word is hashed.
+    Then each word's packed sum is two lookups and one add, and its key one
     integer, its ``ranks``, so a lead must have the smaller rank
     (``fiber.fiber_sink_ranks``, ``rees._word_ranks``).  Any other basis,
-    and one that fails a column test, is walked in element order: first
-    :func:`_check_point` on every lead and trail, so a malformed word is
-    named before any marking, then each element's keys, lengths and packed
-    sums, raising at the first fault.  An element is read from
-    ``basis.elements`` only to name it.
+    and one that fails a column test, is walked in element order:
+    :func:`_check_point` on every lead and trail first, so a malformed word
+    is named before any marking, then each element's keys, lengths and
+    packed sums, raising at the first fault and reading ``basis.elements``
+    only to name it.  No column outlives the check, so the collector walks
+    none while the index grows.
     """
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
     if not tuples or not {2} >= set(map(len, pairs)):  # len only once every element is a tuple
@@ -282,11 +272,18 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 raise ValueError(f"element {pos} must be a (lead, trail) pair of words, got {pair!r}")
     vectors, key, ranks = config
     words, count = list(chain.from_iterable(pairs)), len(vectors)
-    if by_columns := _well_formed(words, count):
+    if by_columns := {tuple} >= set(map(type, words)) and {2} >= set(map(len, words)):
+        firsts, seconds = list(map(itemgetter(0), words)), list(map(itemgetter(1), words))
+        by_columns = {int} >= {*map(type, firsts), *map(type, seconds)} and (
+            not words or 0 <= min(firsts) and max(seconds) < count
+        ) and all(map(le, firsts, seconds))
+        del firsts, seconds
+    if by_columns:
         packed, width = _pack(vectors, 3)
         totals = [packed[a] + packed[b] for a, b in words]
         ranked = ranks(words, count)
         by_columns = totals[0::2] == totals[1::2] and all(map(lt, ranked[0::2], ranked[1::2]))
+        del totals, ranked
     if not by_columns:  # the ordered walk: a malformed word first, then the first faulty element
         for pos, (lead, trail) in enumerate(pairs):
             _check_point(lead, count, f"the lead of element {pos}")
@@ -307,6 +304,7 @@ def _checked_rules(basis, pairs, config: Configuration) -> _Rules:
                 f"element {pos} is not homogeneous: lead {el.lead} and trail {el.trail} "
                 f"differ in {what}"
             )
+    del words
     rules = _Rules(pairs)
     rules.packed, rules.width = packed, width
     rules.size = len(vectors[0]) if vectors else 0
@@ -359,21 +357,20 @@ def quadric_generators(table: GeneratorTable, interreduce: bool = False) -> Mark
     of its fibers of two or more points (``GeneratorTable._quadric_fibers``).
     With ``interreduce`` the basis is the reduced one, read off the same
     fibers: every point of a fiber but the last leads once, with the fiber's
-    last point as its trail.  No element leads with a last point, so every
-    trail is already reduced.  Elements come in ascending sink order of
-    their leads.
+    last point as its trail, so every trail is already reduced.  The leads
+    are distinct, so their integer ranks (``fiber.fiber_sink_ranks``),
+    sorted descending, put the elements in ascending sink order of their
+    leads.  Either way the basis holds plain word pairs.
     """
     groups = table._quadric_fibers
     if interreduce:
-        # Leads of one length: descending reversed words are ascending sink keys.
-        pairs = sorted(
-            ((lead, words[-1]) for words in groups for lead in words[:-1]),
-            key=lambda pair: pair[0][::-1],
-            reverse=True,
-        )
+        pairs = [(lead, words[-1]) for words in groups for lead in words[:-1]]
+        ranks = fiber_sink_ranks(map(itemgetter(0), pairs), len(table.generators))
+        ranked = dict(zip(ranks, pairs))
+        pairs = [ranked[rank] for rank in sorted(ranked, reverse=True)]
     else:
         pairs = _degree_two_pairs(groups)
-    return MarkedBasis(table, tuple(starmap(MarkedBinomial, pairs)))
+    return MarkedBasis(table, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -409,12 +406,22 @@ class GroebnerReport:
         }
 
 
+def _counted(by_lead: dict, partners: list[int]):
+    """Each lead (a, b)'s masks of counted codes w >= b and a < w < b, in ``by_lead`` order."""
+    for a, b in by_lead:
+        pa, pb = partners[a], partners[b]
+        if a == b:
+            yield pa >> (a + 1) << (a + 1), 0
+        else:  # the codes a < w < b are (1 << b) - (2 << a)
+            yield (pa & ~(1 << b) | pb) >> b << b, pb & ~pa & (1 << b) - (2 << a)
+
+
 def _walked(
-    by_lead: dict, extras: dict, packed: list[int], pairs: set[int], cubics: set[int]
+    by_lead: dict, masks: Iterable, packed: list[int], pairs: set[int], cubics: set[int]
 ) -> list[tuple[int, ...]]:
     """The critical monomials whose sum two standard words share, ascending.
 
-    ``extras`` maps each lead (a, b) to its counted codes w (see
+    ``masks`` yields each lead (a, b) with its counted codes w (see
     :func:`_check_overlaps`): a mask ``high`` giving (a, b, w) and a mask
     ``low`` giving (a, w, b).  ``pairs`` and ``cubics`` are the sums shared
     by two standard words of two, and of three, codes.  A lead carried twice
@@ -427,7 +434,7 @@ def _walked(
     for code, vector in enumerate(packed):
         code_of[vector] = code_of.get(vector, 0) | 1 << code
     critical = []
-    for lead, (high, low) in extras.items():
+    for lead, (high, low) in masks:
         a, b = lead
         pair = packed[a] + packed[b]
         if pair in pairs and len(by_lead[lead]) > 1:
@@ -480,16 +487,18 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
     lead (a, b) with a < b counts the partners w of a or b, other than the
     lead's own codes, with w >= b, and the partners w of b with a < w < b
     that are not partners of a; a lead (a, a) counts the partners w > a; a
-    lead carried by two or more rules counts itself.
+    lead carried by two or more rules counts itself.  Those codes are two
+    masks per lead, built by one generator (:func:`_counted`) as the count
+    reaches the lead, and built again, one lead at a time, only by a walk;
+    no table of them is kept.
 
     Every lead must be quadratic: a lead length other than 2 in
     ``rules.sizes`` raises ``ValueError``, naming the first such lead's
     rule.  Every trail then has two codes too, as :func:`_checked_rules`
-    keeps a rule's length.  A lead's one-step
-    reducts are its rules' trails, and a cubic critical monomial's are one
-    for each distinct lead it holds, by that lead's first rule
-    (:meth:`_Rules.hits`), the one lookup that :meth:`_Rules.rewrite` steps
-    every word by.
+    keeps a rule's length.  A lead's one-step reducts are its rules'
+    trails, and a cubic critical monomial's are one for each distinct lead
+    it holds, by that lead's first rule (:meth:`_Rules.hits`), the one
+    lookup that :meth:`_Rules.rewrite` steps every word by.
     """
     by_lead, packed = rules.by_lead, rules.packed
     if rules.sizes - {2}:
@@ -500,18 +509,8 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
                     "the overlap check needs quadratic leads"
                 )
     partners = _partners(by_lead, len(packed))
-    # Each lead's counted codes w: a mask of those with w >= b, and one of a < w < b.
-    extras = {}
-    checked = 0
-    for (a, b), positions in by_lead.items():
-        pa, pb = partners[a], partners[b]
-        if a == b:
-            high, low = pa >> (a + 1) << (a + 1), 0
-        else:
-            between = ((1 << b) - 1) >> (a + 1) << (a + 1)
-            high, low = (pa & ~(1 << b) | pb) >> b << b, pb & ~pa & between
-        extras[a, b] = high, low
-        checked += (high | low).bit_count() + (len(positions) > 1)
+    checked = len(by_lead) - countOf(map(len, by_lead.values()), 1)  # leads carried twice
+    checked += sum(map(int.bit_count, starmap(or_, _counted(by_lead, partners))))
     if not checked:
         return 0, []
     # Standard words of three codes are needed only for their sums.
@@ -522,7 +521,8 @@ def _check_overlaps(rules: _Rules, n: int) -> tuple[int, list[SPairFailure]]:
         return checked, []
     leads, trails, normal_form = rules.leads, rules.trails, rules.normal_form
     failures = []
-    for m in _walked(by_lead, extras, packed, pairs, cubics):
+    masks = zip(by_lead, _counted(by_lead, partners))
+    for m in _walked(by_lead, masks, packed, pairs, cubics):
         reducts = {}
         if len(m) == 2:
             for pos in by_lead[m]:
@@ -669,7 +669,7 @@ def brute_force_gb(table: GeneratorTable, degree_bound: int) -> MarkedBasis:
             else:
                 rules.add(a, b)
                 a = b
-    return MarkedBasis(table, tuple(map(MarkedBinomial, rules.leads, rules.trails)))
+    return MarkedBasis(table, tuple(zip(rules.leads, rules.trails)))
 
 
 def _stars(table: GeneratorTable, bound: int, rules: _Rules, groups: list[list[FiberPoint]]):
@@ -756,13 +756,13 @@ def closure_components(table: GeneratorTable, mu: Monomial) -> list[list[FiberPo
 
 
 def basis_to_json(basis: MarkedBasis) -> dict:
-    """Each element's sides as factor names, read off ``variable_order``: each generator once."""
+    """Each element's sides as factor names, read off ``basis.pairs``: each generator once."""
     names = [format_monomial(g, basis.table.context) for g in basis.table.generators]
     return {
         "variable_order": names,
         "elements": [
-            {"lead": [names[c] for c in el.lead], "trail": [names[c] for c in el.trail]}
-            for el in basis.elements
+            {"lead": [names[c] for c in lead], "trail": [names[c] for c in trail]}
+            for lead, trail in basis.pairs
         ],
-        "count": len(basis.elements),
+        "count": len(basis.pairs),
     }

@@ -393,7 +393,7 @@ def overlap_report_by_walk(basis, vectors) -> GroebnerReport:
     return _report(failures, critical, basis.table)
 
 
-def walked_by_bits(by_lead, extras, packed, pairs, cubics) -> list[tuple[int, ...]]:
+def walked_by_bits(by_lead, masks, packed, pairs, cubics) -> list[tuple[int, ...]]:
     """Reference for ``toric._walked``: step every counted code of every lead.
 
     The walk as it was before it read its codes off the shared sums: for a
@@ -402,7 +402,7 @@ def walked_by_bits(by_lead, extras, packed, pairs, cubics) -> list[tuple[int, ..
     a lead carried twice is kept when its own sum is.  Sorted ascending.
     """
     critical = []
-    for lead, (high, low) in extras.items():
+    for lead, (high, low) in masks:
         a, b = lead
         pair = packed[a] + packed[b]
         if len(by_lead[lead]) > 1 and pair in pairs:
@@ -858,6 +858,18 @@ def rees_pairs_by_listing(table) -> tuple:
         return (1,) if x >= n else (0, min(u, v), max(u, v))
 
     return tuple(sorted(pairs, key=syzygies_first))
+
+
+def reduced_pairs_by_reversed_words(table) -> tuple:
+    """The reference for ``quadric_generators(table, interreduce=True).pairs``.
+
+    The reduced basis sorted by its leads' words, not by their ranks: every
+    point of a degree-2 fiber but the last leads to the fiber's last point,
+    and the pairs come in descending order of their leads' reversed words,
+    which for words of one length is ascending ``fiber_sink_key``.
+    """
+    pairs = ((lead, words[-1]) for words in table._quadric_fibers for lead in words[:-1])
+    return tuple(sorted(pairs, key=lambda pair: pair[0][::-1], reverse=True))
 
 
 def interreduce_by_scan(basis: MarkedBasis) -> MarkedBasis:

@@ -29,7 +29,6 @@ from borelfiber.instances import suite_tables
 from borelfiber.rees import ReesBasis, _word_key, _word_ranks, rees_buchberger_verify, rees_gb
 from borelfiber.toric import (
     MarkedBasis,
-    MarkedBinomial,
     _Rules,
     buchberger_verify,
     quadric_generators,
@@ -105,6 +104,8 @@ SPOILERS = {
     "out-of-range": lambda lead, trail, size: (lead, (trail[0], size)),
     "bool": lambda lead, trail, size: (lead, (True, trail[1])),
     "three-codes": lambda lead, trail, size: (lead, trail + trail[-1:]),
+    "list": lambda lead, trail, size: (lead, list(trail)),
+    "three-words": lambda lead, trail, size: (lead, trail, trail),
 }
 
 # The ordered walk's message for each spoiled last element of the
@@ -118,6 +119,8 @@ TORIC_MESSAGES = {
     "out-of-range": "the trail of element 104 must be in range(14): (4, 14)",
     "bool": "the trail of element 104 must be a tuple of ints, got (True, 7)",
     "three-codes": "inconsistent marking: lead (5, 5) is not earlier than trail (4, 7, 7)",
+    "list": "the trail of element 104 must be a tuple of ints, got [4, 7]",
+    "three-words": "element 104 must be a (lead, trail) pair of words, got ((5, 5), (4, 7), (4, 7))",
 }
 
 
@@ -139,16 +142,18 @@ REES_MESSAGES = {
     "bool": "the trail of element 130 must be a tuple of ints, got (True, 10)",
     "three-codes": f"inconsistent marking: lead {rees_side((5, 5))} is not earlier than trail "
     f"{rees_side((4, 7, 7))}",
+    "list": "the trail of element 130 must be a tuple of ints, got [7, 10]",
+    "three-words": "element 130 must be a (lead, trail) pair of words, got "
+    "((8, 8), (7, 10), (7, 10))",
 }
 
 
 class TestNegativeControls:
     @pytest.mark.parametrize("kind", SPOILERS)
     def test_toric(self, fig_table, kind):
-        elements = quadric_generators(fig_table).elements
-        assert elements[-1] == ((5, 5), (4, 7)) and len(fig_table.generators) == 14
-        spoiled = MarkedBinomial(*SPOILERS[kind](*elements[-1], 14))
-        basis = MarkedBasis(fig_table, elements[:-1] + (spoiled,))
+        pairs = quadric_generators(fig_table).pairs
+        assert pairs[-1] == ((5, 5), (4, 7)) and len(fig_table.generators) == 14
+        basis = MarkedBasis(fig_table, pairs[:-1] + (SPOILERS[kind](*pairs[-1], 14),))
         with pytest.raises(ValueError) as raised:
             buchberger_verify(basis)
         assert str(raised.value) == TORIC_MESSAGES[kind]

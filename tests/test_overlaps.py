@@ -283,7 +283,8 @@ def walks(monkeypatch):
     calls = []
     walked = toric._walked
 
-    def record(*args):
+    def record(by_lead, masks, *rest):
+        args = (by_lead, list(masks), *rest)  # the masks come as a one-pass iterator
         answer = walked(*args)
         calls.append((args, answer))
         return answer

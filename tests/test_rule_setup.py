@@ -1,14 +1,18 @@
 """Bases hold word pairs, and no answer depends on which objects built them.
 
-A ``MarkedBinomial`` is its (lead, trail) word pair, and a ``ReesBasis``
-codes each side of its elements once, when it is built, into ``pairs``.
-``toric._checked_rules`` checks the words, the marking and the homogeneity
-of either basis before it builds the rule index: by columns when every word
-has two codes, and otherwise by one walk in element order.
+A ``MarkedBasis`` holds its elements as (lead, trail) word pairs, and a
+``ReesBasis`` codes each side of its elements once, when it is built, into
+``pairs``.  ``toric._checked_rules`` checks the words, the marking and the
+homogeneity of either basis before it builds the rule index: by two columns
+when every word has two codes, and otherwise by one walk in element order.
 ``TestNoObjectSharing`` holds every answer on fresh copies of every side to
-the answer on the originals, and ``TestRoundTrip`` holds a Rees basis rebuilt
-from its decoded elements to the basis itself.  ``TestRulesOnlyFromCheckedBases``
-holds reduction and verification on malformed bases to one ``ValueError``.
+the answer on the originals; a built ``MarkedBasis`` holds plain tuples and
+its copy ``MarkedBinomial`` elements, so this also holds either kind of
+pair to one rule index and one report, on the figure ideal and every 10th
+suite table.
+``TestRoundTrip`` holds a Rees basis rebuilt from its decoded elements to
+the basis itself.  ``TestRulesOnlyFromCheckedBases`` holds reduction and
+verification on malformed bases to one ``ValueError``.
 """
 
 import json
@@ -98,6 +102,9 @@ class TestNoObjectSharing:
         basis = bases(fig_table)[kind]
         copy = fresh_basis(basis)
         assert copy == basis
+        if isinstance(basis, MarkedBasis):  # built from pairs, viewed as MarkedBinomials
+            assert {type(el) for el in basis.elements} == {MarkedBinomial}
+            assert basis.elements == basis.pairs
         for el, original in zip(copy.elements, basis.elements):
             assert el.lead is not original.lead and el.trail is not original.trail
         assert index(copy._rules) == index(basis._rules)
@@ -109,7 +116,8 @@ class TestNoObjectSharing:
         expected = json.loads(DROP_ONE_REPORTS.read_text())[pinned]
         assert drop_one_reports(fresh_basis(basis)) == expected
 
-    @pytest.mark.parametrize("i", range(5, 200, 40))
+    # Every 40th suite table from the 5th, and every 10th.
+    @pytest.mark.parametrize("i", sorted({*range(5, 200, 40), *range(0, 200, 10)}))
     def test_suite_reports(self, suite, i):
         for basis in bases(suite[i]).values():
             copy = fresh_basis(basis)

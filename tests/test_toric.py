@@ -43,6 +43,7 @@ from helpers import (
     pairwise_buchberger,
     point_product,
     reduce_for_fiber,
+    reduced_pairs_by_reversed_words,
     step_by_scan,
 )
 
@@ -112,6 +113,15 @@ class TestQuadricGenerators:
         # trails are fully reduced
         for el in reduced.elements:
             assert normal_form(el.trail, reduced) == el.trail
+
+    def test_reduced_order_matches_the_reversed_word_sort(self):
+        # The leads' integer ranks order the reduced basis as the descending
+        # reversed words of the reference do, element for element.
+        tables = suite_tables(cap=200) + random_tables(50, seed=20250809)
+        tables += [family_table(r) for r in range(3, 7)]
+        for table in tables:
+            reduced = quadric_generators(table, interreduce=True)
+            assert reduced.pairs == reduced_pairs_by_reversed_words(table), table.generators
 
     def test_interreduce_matches_the_scan_oracle(self):
         families = [build_table(family_roots(r)) for r in (3, 4)]
