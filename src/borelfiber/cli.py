@@ -1,5 +1,11 @@
 """Command line front end: parse ideals, run pipeline stages, emit JSON/DOT.
 
+A well-formed command line (the command, then its options exactly as the
+command table spells them, each once, with valid values) is read off that
+table without building a parser.  Every other line, help and every usage
+error included, goes to the argparse parser of all commands, which prints
+every message; both give one line the same arguments.
+
 Exit status: 0 on success (including expected counterexample findings), 1
 when a verification command finds a violation, 2 on parse or configuration
 errors, 3 on an internal error (an uncaught exception, reported on stderr as
@@ -250,15 +256,11 @@ def cmd_counterexample(args) -> tuple[int, str]:
     return code, _emit(data, args.format, lambda d: [d["finding"]])
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone when it names one.
+def _commands() -> dict:
+    """Each command's handler, help line and options, in the order its help shows them.
 
-    One table lists each command's handler, help line and options, in the
-    order its help shows them; it is read at each call, so a handler
-    replaced on the module is the one parsed arguments carry.  A call
-    parses to the same namespace with either parser, and a usage error
-    from the one-command parser lists every command as the full one does,
-    so :func:`main` builds only the invoked command's parser.
+    :func:`build_parser` and :func:`_read` both read it at each call, so a
+    handler replaced on the module is the one that runs.
     """
 
     def option(flag: str, **kwargs) -> tuple:
@@ -271,7 +273,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     bound = option("--bound", type=int, default=4, help="t-degree bound (default 4)")
     fmt = option("--format", choices=("json", "dot", "text"), default="json")
-    commands = {
+    return {
         "gens": (cmd_gens, "dump the generator table", ideal + fmt),
         "fiber": (
             cmd_fiber,
@@ -316,15 +318,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             ),
         ),
     }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, read off the command table.
+
+    :func:`main` builds it only for a line that :func:`_read` does not
+    accept, so it owns every help text, usage error and abbreviation.
+    """
     parser = argparse.ArgumentParser(
         prog="borelfiber",
         description="Fiber graphs and quadratic Groebner bases of two-Borel ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command in commands:
-        sub.metavar = "{" + ",".join(commands) + "}"
-    for name in [command] if command in commands else commands:
-        func, help_text, options = commands[name]
+    for name, (func, help_text, options) in _commands().items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -332,13 +339,59 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives a canonical ``argv``, else None.
+
+    Canonical: ``argv[0]`` names a command, and every later token is one of
+    its options as the table spells it, none twice, where a ``store_true``
+    option stands alone and any other takes one value that does not start
+    with ``-``, converts by its ``type`` and is among its ``choices``; no
+    required option is left out, and a left-out option takes its default.
+    """
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    func, _, options = commands[argv[0]]
+    spec, given, tokens = dict(options), {}, iter(argv[1:])
+    for flag in tokens:
+        kwargs = spec.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {"command": argv[0], "func": func}
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit status.
+
+    A canonical line (see :func:`_read`) is read off the command table; any
+    other goes to the full parser, which answers help and usage errors.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.format == "dot" and args.command != "fiber":
         print(f"error: --format dot is only for 'fiber', not '{args.command}'", file=sys.stderr)
         return EXIT_USAGE

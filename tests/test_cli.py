@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,8 +8,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelfiber import cli, fiber, toric, verify
 from borelfiber.cli import main
@@ -14,6 +20,8 @@ from borelfiber.instances import suite_tables
 from borelfiber.toric import SPairFailure
 
 from helpers import cli_by_objects, mono
+from test_bench_contract import load_bench
+from test_readme import readme_cli_argvs
 
 FIG = "{a^2c^3,b^4c}"
 # The full parser's usage line, whitespace collapsed.
@@ -402,11 +410,20 @@ class TestErrors:
             (["nosuch"], 2, FULL_USAGE),
             (["sink", "-h"], 0, "usage: borelfiber sink [-h] [--ideal IDEAL]"),
             (["gens", "--bound", "3", "--ideal", FIG], 2, FULL_USAGE),
+            (["sink", "--ideal=" + FIG], 2, "usage: borelfiber sink [-h] [--ideal IDEAL]"),
+            (["sink", "--id", FIG, "--mu"], 2, "usage: borelfiber sink [-h] [--ideal IDEAL]"),
+            (["gens", "--i", FIG], 2, "usage: borelfiber gens [-h] [--ideal IDEAL]"),
+            (
+                ["gens", "--ideal", FIG, "--format", "text", "--format", "DOT"],
+                2,
+                "usage: borelfiber gens [-h] [--ideal IDEAL]",
+            ),
         ],
     )
     def test_usage_output_matches_the_full_parser(self, capsys, argv, code, usage):
-        # main builds only the named command's parser; help and usage errors
-        # read as the full parser's, whose usage lists every command.
+        # main reads only canonical lines off the command table; help and
+        # every other line, abbreviations, ``--option=value`` and repeats
+        # included, go to the full parser, which prints every message.
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         full = capsys.readouterr()
@@ -616,6 +633,134 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+# Values of each option, repeated for weight: the first list's parse, the
+# second's do not (or, like the Arabic-Indic three, parse by an unusual
+# spelling).  All are cheap to run.
+VALUES = {
+    "--ideal": ([FIG, FIG, "{ac,b^2}", "{a^2,ab}", "{a^", ""], ["-x"]),
+    "--input": (["missing.json"], ["-"]),
+    "--nvars": (["3", "4", "2"], ["\u0663", "0x3", "-1", "", "x"]),
+    "--bound": (["1", "2", "3"], ["\u0663", "0x3", "-1", "", " 2"]),
+    "--format": (["json", "text"] * 3 + ["dot"], ["DOT", ""]),
+    "--mu": (["a^2c^3", "a^3b^9c^3", "[1,1,0]", "ab", ""], ["-1"]),
+    "--r": (["3", "3", "2"], ["\u0663", "0x3", "-1", ""]),
+}
+# How many times a canonical line gives an option that is not required.
+PRESENCE = {"--ideal": [1, 1, 1, 1, 0], "--input": [0, 0, 0, 0, 0, 1], "--nvars": [0, 0, 0, 1]}
+# Tokens that no canonical line holds, or holds only as a value.
+ODD_TOKENS = ["-h", "--help", "--", "", "--id", "--i", "--ideal=" + FIG, "--format=text", "--rees", "x"]
+
+
+@st.composite
+def command_lines(draw, canonical: bool):
+    """A command, then its options from the command table in any order.
+
+    A canonical line spells each option as the table does, at most once,
+    every required one included, with a value of the first list.  Any other
+    line may also drop a required option, repeat an option, abbreviate it,
+    write ``--option=value``, give a ``store_true`` option a value, take a
+    value of the second list or add an odd token, and may not name a command.
+    """
+    commands = cli._commands()
+
+    def pick(usual, unusual):
+        """One of ``usual``, or on a line that need not be canonical, of either list."""
+        return draw(st.sampled_from(list(usual) + ([] if canonical else list(unusual))))
+
+    command = pick(commands, ["-h", "nosuch", "", "--format"])
+    chunks = []
+    for flag, kwargs in commands.get(command, commands["gens"])[2]:
+        counts = [1] if kwargs.get("required") else PRESENCE.get(flag, [0, 1, 1])
+        for _ in range(pick(counts, [0, 2])):
+            if kwargs.get("action") == "store_true":
+                chunks.append([flag] + pick([[]], [[], ["yes"], [""]]))
+                continue
+            value = pick(*VALUES[flag])
+            odd_spellings = [[flag, value]] * 3 + [[flag[:4], value], [f"{flag}={value}"], [flag]]
+            chunks.append(pick([[flag, value]], odd_spellings))
+    if not canonical:
+        chunks += [[token] for token in draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=2))]
+    return [command] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+def run_main(argv, read=None):
+    """(exit code, stdout, stderr) of one ``main`` call, with ``read`` in place of the reader."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_read", read or cli._read):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    """The full parser's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestReader:
+    """A command line read off the command table runs as the full parser would run it."""
+
+    @given(argv=command_lines(canonical=True))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_a_canonical_line_is_read_as_the_full_parser_reads_it(self, argv):
+        read = cli._read(argv)
+        assert read is not None
+        assert read == full_parse(argv)
+        assert run_main(argv) == run_main(argv, read=lambda argv: None)
+
+    @given(argv=command_lines(canonical=False))
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_any_line_gets_the_full_parsers_answer(self, argv):
+        read = cli._read(argv)
+        if read is not None:
+            assert read == full_parse(argv)
+        assert run_main(argv) == run_main(argv, read=lambda argv: None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--r", "-1"],
+            ["sink", "--ideal", FIG, "--mu", "a^2c^3", "--bound", "0x3"],
+            ["gens", "--ideal", FIG, "--format", "DOT"],
+            ["gens", "--id", FIG],
+            ["gens", "--ideal=" + FIG],
+            ["gens", "--ideal", FIG, "--format", "text", "--format", "text"],
+            ["toric-gb", "--ideal", FIG, "--interreduce", "yes"],
+            ["sink", "--ideal", FIG],
+            ["sink", "--ideal", FIG, "--mu", "a^2c^3", "--"],
+            ["gens", "--ideal", FIG, "-h"],
+            [],
+        ],
+    )
+    def test_other_lines_go_to_the_full_parser(self, argv):
+        assert cli._read(argv) is None
+
+    def test_an_unusual_digit_is_read_as_int_reads_it(self):
+        argv = ["sink", "--ideal", FIG, "--mu", "a^2c^3", "--bound", "\u0663"]
+        assert cli._read(argv).bound == 3
+        assert cli._read(argv) == full_parse(argv)
+
+    def test_common_lines_build_no_parser(self, monkeypatch):
+        # The bench's ``scale`` calls and the README lines are canonical, so
+        # they run with argparse's parser unable to start.
+        argvs = load_bench(monkeypatch).SCALE_ARGVS + readme_cli_argvs()
+        assert len(argvs) == 25
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        for argv in argvs:
+            code, _, err = run_main(argv)
+            assert (code, err) == (0, ""), argv
+        with pytest.raises(AssertionError, match="parser was built"):
+            run_main(["gens", "-h"])
 
 
 class TestFuzz:

@@ -32,14 +32,21 @@ def readme_cli_lines() -> list[str]:
     return [line for block in blocks for line in block.splitlines() if line.startswith("borelfiber ")]
 
 
-def test_readme_cli_lines_parse():
-    # Each line parses, and the parser of its command alone, the one the
-    # command line builds, gives the same namespace as the full parser.
-    lines = readme_cli_lines()
-    assert len(lines) >= 9  # at least one line per subcommand
-    parser = cli.build_parser()
-    for line in lines:
+def readme_cli_argvs() -> list[list[str]]:
+    """The argument list of each README command line, without its shell redirection."""
+    argvs = []
+    for line in readme_cli_lines():
         words = shlex.split(line, comments=True)[1:]
-        if ">" in words:  # a shell redirection, not an argument
-            words = words[: words.index(">")]
-        assert cli.build_parser(words[0]).parse_args(words) == parser.parse_args(words)
+        argvs.append(words[: words.index(">")] if ">" in words else words)
+    return argvs
+
+
+def test_readme_cli_lines_parse():
+    # Each line is canonical: the command line reads it off the command
+    # table, into the namespace the full parser gives it.
+    argvs = readme_cli_argvs()
+    assert len(argvs) >= 9  # at least one line per subcommand
+    parser = cli.build_parser()
+    for words in argvs:
+        assert cli._read(words) is not None, words
+        assert cli._read(words) == parser.parse_args(words)
